@@ -13,7 +13,19 @@ from .moore import (
     project,
 )
 from .quintuple import NonNormalizable, Quintuple, QuintupleAlgebra, VerificationInstance, instance_eval
-from .shuffles import Shuffle, aw, ed_terms, edgewise, edgewise_composite, ez, mult_map, shuffle_term, shuffles
+from .shuffles import (
+    Shuffle,
+    add_shuffle_product,
+    aw,
+    ed_terms,
+    edgewise,
+    edgewise_composite,
+    ez,
+    mult_map,
+    shuffle_table,
+    shuffle_term,
+    shuffles,
+)
 from .cylinder import CylinderTerm, IncompatiblePillars, boundary_system, cyl, cyl_chain, face_pillar
 from .homotopy import (
     DimensionExceeded,

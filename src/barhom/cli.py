@@ -110,6 +110,15 @@ def _generic_simplex(base: Group, dim: int, rng: random.Random):
     return tuple(base.sample(rng) for _ in range(dim))
 
 
+def _tower_level(args, dim: int) -> int:
+    """The tower level of a psi/phi/Q run: ``--level``, or the dimension.
+    The tower homotopy of level n exists only on simplices of dim <= n."""
+    level = args.level if args.level is not None else max(dim, 1)
+    if level < dim:
+        raise ValueError(f"--level {level} is below --dim {dim}")
+    return level
+
+
 def cmd_expand(args) -> int:
     started = time.time()
     rng = random.Random(args.seed)
@@ -119,6 +128,7 @@ def cmd_expand(args) -> int:
     sigma = _generic_simplex(base, dim, rng)
 
     if args.op in ("psi", "phi", "Q"):
+        level = _tower_level(args, dim)
         expected_terms = bd.gamma(dim)
         if expected_terms > args.cap:
             print(f"term cap exceeded: gamma({dim}) = {expected_terms} > {args.cap}", file=sys.stderr)
@@ -182,11 +192,16 @@ def cmd_expand(args) -> int:
 def cmd_count(args) -> int:
     started = time.time()
     dim = args.dim
-    level = args.level if args.level is not None else max(dim, 1)
     base = FreeGroup(max(dim, 1))
     sigma = tuple(base.gen(i + 1) for i in range(dim))
-    if bd.gamma(dim) > args.cap:
-        print(f"term cap exceeded: gamma({dim}) = {bd.gamma(dim)} > {args.cap}", file=sys.stderr)
+    # cap the size of the chain the op builds
+    if args.op == "P":
+        size_name, size = "d_cyl", bd.d_cyl(dim)
+    else:
+        level = _tower_level(args, dim)
+        size_name, size = "gamma", bd.gamma(dim)
+    if size > args.cap:
+        print(f"term cap exceeded: {size_name}({dim}) = {size} > {args.cap}", file=sys.stderr)
         return 2
     status = "pass"
     lines = []

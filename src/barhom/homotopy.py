@@ -9,13 +9,21 @@ at m(g_1 ... g_p) (at l when p = 0), crossing an f-component appends its
 argument to the m-argument, and crossing a g-component strips its argument
 from the left.
 
+The scan only ever visits the points of the (p+1) x (q+1) lattice of the
+shuffle's path: after crossing i g-components and j f-components the
+m-argument is the product of sigma[i:p+j].  ``p_cylinder_data`` therefore
+evaluates m once per lattice point and f, g, h, k once per entry, and reads
+each term off the cached shuffle table.
+
 The mitosis specialization plugs in conjugation by the inverse n-th stable
 letter for both f and h, the identity for g and the trivial map for k; the
-tower homotopy iterates it level by level, correcting with shuffle products
-against lower levels, and the degenerate-killed variant composes with the
-projection.  ``verify_identity`` is the harness that evaluates a homotopy
-identity and returns the residual chain instead of a bare boolean, so a
-failure is reported term by term rather than hidden.
+tower homotopy iterates it level by level, correcting in place with shuffle
+products against lower levels (``add_shuffle_product``; the tensor and
+product chains of ``shuffles`` serve only as its oracle), and the
+degenerate-killed variant composes with the projection.  ``verify_identity``
+is the harness that evaluates a homotopy identity and returns the residual
+chain instead of a bare boolean, so a failure is reported term by term
+rather than hidden.
 """
 
 from __future__ import annotations
@@ -29,13 +37,10 @@ from .moore import Chain, boundary, count_degenerate, diameter, project
 from .quintuple import QuintupleAlgebra, VerificationInstance
 from .shuffles import (
     DimensionMismatch,
+    add_shuffle_product,
     edgewise,
-    ez,
-    mult_map,
-    shuffle_at,
-    shuffle_term,
-    shuffles,
-    tensor_of_chains,
+    shuffle_entry,
+    shuffle_table,
 )
 from .words import TowerAlgebra
 
@@ -119,15 +124,12 @@ def pillar_of_term(ctx: HomotopyContext, rank: int, p: int, q: int, sigma: tuple
     n = len(sigma)
     if p + q != n:
         raise DimensionMismatch(f"p+q = {p + q} != dim = {n}")
-    sh = shuffle_at(p, q, rank)
     G = ctx.source
     # component s of the term is g(sigma[i]) at first-block positions,
     # f(sigma[p+i]) at second-block positions
-    kinds: list = [None] * n
-    for i, pos in enumerate(sh.first):
-        kinds[pos - 1] = ("g", i)
-    for i, pos in enumerate(sh.second):
-        kinds[pos - 1] = ("f", p + i)
+    kinds = shuffle_entry(p, q, rank).place(
+        tuple(("g", i) for i in range(p)) + tuple(("f", p + i) for i in range(q))
+    )
     x = G.identity
     for i in range(p):
         x = G.mul(x, sigma[i])
@@ -141,16 +143,37 @@ def pillar_of_term(ctx: HomotopyContext, rank: int, p: int, q: int, sigma: tuple
     return tuple(pillars)
 
 
+def _pillar_grid(ctx: HomotopyContext, sigma: tuple, p: int) -> list:
+    """m(sigma[i] ... sigma[p+j-1]) at every lattice point (i, j), row-major:
+    the pillar the scan holds after crossing i g- and j f-components."""
+    G = ctx.source
+    x = G.identity
+    for s in sigma[:p]:
+        x = G.mul(x, s)
+    row = [x]
+    for s in sigma[p:]:
+        row.append(G.mul(row[-1], s))
+    grid = list(row)
+    for s in sigma[:p]:
+        inv = G.inv(s)
+        row = [G.mul(inv, y) for y in row]
+        grid.extend(row)
+    # a list: tuples of these sizes built per call filled CPython's tuple
+    # free lists and raised peak memory on many small simplices
+    return list(map(ctx.m, grid))
+
+
 def p_cylinder_data(ctx: HomotopyContext, sigma: tuple):
     """Per-shuffle (p, q, rank, sign, top, bottom, pillars) of the homotopy."""
     n = len(sigma)
     for p in range(n + 1):
-        q = n - p
-        for sh in shuffles(p, q):
-            top = shuffle_term(ctx.f, ctx.g, sh.rank, p, q, sigma)
-            bottom = shuffle_term(ctx.h, ctx.k, sh.rank, p, q, sigma)
-            pillars = pillar_of_term(ctx, sh.rank, p, q, sigma)
-            yield p, q, sh.rank, sh.sign, top, bottom, pillars
+        front, back = sigma[:p], sigma[p:]
+        top_source = tuple(map(ctx.g, front)) + tuple(map(ctx.f, back))
+        bottom_source = tuple(map(ctx.k, front)) + tuple(map(ctx.h, back))
+        grid = _pillar_grid(ctx, sigma, p)
+        for rank, entry in enumerate(shuffle_table(p, n - p), start=1):
+            yield (p, n - p, rank, entry.sign, entry.place(top_source),
+                   entry.place(bottom_source), entry.path(grid))
 
 
 def pillar_system(ctx: HomotopyContext, sigma: tuple) -> dict:
@@ -192,15 +215,11 @@ def induct_Q(
         raise DimensionExceeded(f"dim {m} exceeds level {level}")
     ctx = mitosis_context(level, base)
     out = homotopy_P(ctx, sigma, validate=validate)
-    alg = ctx.entries
     for k in range(1, m):
         front = sigma[:k]          # d_(k+1) ... d_m of sigma
         back = sigma[k:]           # d_0^k of sigma
-        sub = prev(front)
         pushed = tuple(ctx.f(x) for x in back)
-        tc = tensor_of_chains(sub, Chain.of(pushed))
-        correction = mult_map(alg, ez(alg, tc))
-        out = out - correction
+        add_shuffle_product(out, prev(front), Chain.of(pushed), -1)
     return out
 
 

@@ -21,8 +21,6 @@ from typing import Callable, Iterable, Iterator
 
 BarSimplex = tuple
 
-EMPTY_SIMPLEX: BarSimplex = ()
-
 
 class ChainError(Exception):
     pass

@@ -9,17 +9,29 @@ multiplication . shuffle . diagonal-splitting . pushforward . diagonal, and
 directly through the shuffle formula.  The two code paths are independent and
 are cross-checked against each other in the tests.
 
+Every shuffle placement on the compute path (the subdivision terms, the
+cylinder data of the homotopy and the shuffle product) is driven by one
+cached table, ``shuffle_table``.  The shuffle product ``add_shuffle_product``
+interleaves the entries of two simplices directly: the Eilenberg-Zilber map
+pads every slot of one factor that the other fills with the identity, and
+every entry algebra's product returns the other factor when one side is the
+identity.
+
 Tensor chains (pairs of simplices of any bidegree) and product chains (pairs
 of equal dimension, one simplex of the product space) are deliberately
-distinct types; mixing them is a type error.
+distinct types; mixing them is a type error.  They, ``ez``, ``aw``,
+``mult_map``, ``edgewise_composite`` and the itertools-based ``shuffles``
+now serve only as the independent oracle the table-driven code is checked
+against.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
-from typing import Callable, Iterator
+from functools import lru_cache
+from operator import itemgetter
+from typing import Callable, Iterator, NamedTuple
 
 from .moore import Chain, ChainError
 
@@ -69,11 +81,69 @@ def shuffles(p: int, q: int) -> list[Shuffle]:
     return out
 
 
-def shuffle_at(p: int, q: int, rank: int) -> Shuffle:
-    if not 1 <= rank <= comb(p + q, p):
-        raise RankOutOfRange(f"rank {rank} out of 1..{comb(p + q, p)} for ({p},{q})")
-    first = next(itertools.islice(itertools.combinations(range(1, p + q + 1), p), rank - 1, None))
-    return Shuffle(p, q, rank, first, shuffle_sign(first))
+class ShuffleEntry(NamedTuple):
+    """One (p,q)-shuffle as placements.  ``place`` maps the p + q source
+    entries (first block, then second block) to the shuffled simplex;
+    ``path`` picks the lattice points the shuffle walks through from the
+    row-major (p+1) x (q+1) grid, where a first-block slot steps down a row
+    and a second-block slot steps along a column."""
+
+    first: tuple
+    second: tuple
+    sign: int
+    place: Callable
+    path: Callable
+
+
+def _getter(indices: tuple) -> Callable:
+    """``itemgetter`` that always returns a tuple."""
+    if len(indices) >= 2:
+        return itemgetter(*indices)
+    return lambda seq: tuple(seq[i] for i in indices)
+
+
+def _entry(p: int, q: int, first: tuple, sign: int) -> ShuffleEntry:
+    n = p + q
+    chosen = set(first)
+    second = tuple(v for v in range(1, n + 1) if v not in chosen)
+    source = [0] * n
+    for i, pos in enumerate(first):
+        source[pos - 1] = i
+    for j, pos in enumerate(second):
+        source[pos - 1] = p + j
+    point, path = 0, [0]
+    for src in source:
+        point += q + 1 if src < p else 1
+        path.append(point)
+    return ShuffleEntry(first, second, sign, _getter(tuple(source)), _getter(tuple(path)))
+
+
+@lru_cache(maxsize=None)
+def shuffle_table(p: int, q: int) -> tuple[ShuffleEntry, ...]:
+    """All (p,q)-shuffles in dictionary order, built on first use.
+
+    Built by recursion on the first slot, apart from ``shuffles``: the
+    shuffles whose first slot holds the first block's head come first, each
+    a (p-1,q)-shuffle shifted right; then those whose first slot holds the
+    second block's head, which moves it past p entries (sign (-1)^p)."""
+    if p < 0 or q < 0:
+        raise ValueError("p and q must be nonnegative")
+    if p == 0 or q == 0:
+        return (_entry(p, q, tuple(range(1, p + 1)), 1),)
+    head = [
+        ((1,) + tuple(v + 1 for v in e.first), e.sign) for e in shuffle_table(p - 1, q)
+    ]
+    koszul = -1 if p % 2 else 1
+    tail = [(tuple(v + 1 for v in e.first), koszul * e.sign) for e in shuffle_table(p, q - 1)]
+    return tuple(_entry(p, q, first, sign) for first, sign in head + tail)
+
+
+def shuffle_entry(p: int, q: int, rank: int) -> ShuffleEntry:
+    """The rank-th entry (1-based) of ``shuffle_table(p, q)``."""
+    table = shuffle_table(p, q)
+    if not 1 <= rank <= len(table):
+        raise RankOutOfRange(f"rank {rank} out of 1..{len(table)} for ({p},{q})")
+    return table[rank - 1]
 
 
 # -- tensor and product chains -------------------------------------------------
@@ -262,6 +332,31 @@ def tensor_of_chains(a: Chain, b: Chain) -> TensorChain:
     return out
 
 
+def add_shuffle_product(out: Chain, a: Chain, b: Chain, scale: int = 1) -> None:
+    """Add ``scale * (a shuffle b)`` to ``out`` in place.
+
+    Equals ``mult_map(ez(tensor_of_chains(a, b)))`` for every entry algebra,
+    since each one's product returns the other factor when one side is the
+    identity: every term is the signed interleaving of sigma and tau."""
+    if a.dim + b.dim != out.dim:
+        raise DimensionMismatch(
+            f"shuffle product of dims ({a.dim},{b.dim}) into a {out.dim}-chain"
+        )
+    placements = [(e.place, e.sign) for e in shuffle_table(a.dim, b.dim)]
+    terms = out.terms
+    for tau, cb in b:
+        for sigma, ca in a:
+            source = sigma + tau
+            coeff = scale * ca * cb
+            for place, sign in placements:
+                key = place(source)
+                new = terms.get(key, 0) + sign * coeff
+                if new:
+                    terms[key] = new
+                else:
+                    terms.pop(key, None)
+
+
 # -- edgewise subdivision --------------------------------------------------------
 
 
@@ -283,27 +378,17 @@ def shuffle_term(f: Callable, g: Callable, rank: int, p: int, q: int, sigma: tup
     n = len(sigma)
     if p + q != n:
         raise DimensionMismatch(f"p+q = {p + q} != dim = {n}")
-    sh = shuffle_at(p, q, rank)
-    entries = [None] * n
-    for i, pos in enumerate(sh.first):
-        entries[pos - 1] = g(sigma[i])
-    for i, pos in enumerate(sh.second):
-        entries[pos - 1] = f(sigma[p + i])
-    return tuple(entries)
+    entry = shuffle_entry(p, q, rank)
+    return entry.place(tuple(map(g, sigma[:p])) + tuple(map(f, sigma[p:])))
 
 
 def ed_terms(f: Callable, g: Callable, sigma: tuple) -> Iterator[EdTerm]:
     """All shuffle terms in emission order: p ascending, then dictionary order."""
     n = len(sigma)
     for p in range(n + 1):
-        q = n - p
-        for sh in shuffles(p, q):
-            entries = [None] * n
-            for i, pos in enumerate(sh.first):
-                entries[pos - 1] = g(sigma[i])
-            for i, pos in enumerate(sh.second):
-                entries[pos - 1] = f(sigma[p + i])
-            yield EdTerm(p, q, sh.rank, sh.sign, tuple(entries))
+        source = tuple(map(g, sigma[:p])) + tuple(map(f, sigma[p:]))
+        for rank, entry in enumerate(shuffle_table(p, n - p), start=1):
+            yield EdTerm(p, n - p, rank, entry.sign, entry.place(source))
 
 
 def edgewise(alg, f: Callable, g: Callable, sigma: tuple) -> Chain:

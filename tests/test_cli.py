@@ -37,6 +37,28 @@ def test_count_pass(capsys):
     assert '"status": "pass"' in out
 
 
+def test_count_P_cap_is_on_the_cylinder_chain(capsys):
+    # gamma(10) is far above the default cap; P builds only d_cyl(10) terms
+    code, out = run(capsys, "count", "--op", "P", "--dim", "10")
+    assert code == 0
+    assert "ok P dim 10: diameter 11264 expected 11264" in out
+
+
+def test_count_psi_above_cap_is_refused(capsys):
+    code = main(["count", "--op", "psi", "--dim", "4", "--cap", "1000"])
+    assert code == 2
+    assert "term cap exceeded: gamma(4) = 1120 > 1000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["count", "expand"])
+def test_level_below_dim_is_usage_error(capsys, command):
+    code = main([command, "--op", "psi", "--dim", "3", "--level", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --level 2 is below --dim 3\n"
+
+
 def test_count_phi(capsys):
     code, out = run(capsys, "count", "--op", "phi", "--dim", "3")
     assert code == 0

@@ -5,7 +5,7 @@ import pytest
 
 from barhom.bounds import c_bound, d_cyl, gamma, q_count
 from barhom.cylinder import boundary_system
-from barhom.groups import CyclicGroup, FreeGroup
+from barhom.groups import CyclicGroup, FreeGroup, SymmetricGroup
 from barhom.homotopy import (
     DimensionExceeded,
     MitosisTower,
@@ -24,7 +24,7 @@ from barhom.homotopy import (
 )
 from barhom.moore import Chain, boundary, count_degenerate, diameter, face, project
 from barhom.quintuple import VerificationInstance
-from barhom.shuffles import ez, mult_map, tensor_of_chains
+from barhom.shuffles import add_shuffle_product, ez, mult_map, shuffle_term, shuffles, tensor_of_chains
 from barhom.words import Conjugated, PillarWord
 
 
@@ -392,3 +392,62 @@ def test_cylinder_part_lemma_word_algebra():
         rhs.add_term(sigma, 1)
         rhs.add_term((alg.identity,) * m, -1)
         assert lhs == rhs
+
+
+# -- table-driven construction against the per-term oracle ---------------------------
+
+
+def _oracle_psi(level, base, sigma, memo):
+    """The tower homotopy built through tensor and product chains, checking
+    the fused product against them on every correction on the way."""
+    key = (level, sigma)
+    if key in memo:
+        return memo[key]
+    m = len(sigma)
+    ctx = mitosis_context(level, base)
+    alg = ctx.entries
+    out = homotopy_P(ctx, sigma) if m else Chain(1)
+    for k in range(1, m):
+        sub = _oracle_psi(level - 1, base, sigma[:k], memo)
+        pushed = Chain.of(tuple(ctx.f(x) for x in sigma[k:]))
+        correction = mult_map(alg, ez(alg, tensor_of_chains(sub, pushed)))
+        fused = Chain(m + 1)
+        add_shuffle_product(fused, sub, pushed)
+        assert fused == correction
+        out = out - correction
+    memo[key] = out
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_induct_Q_fused_corrections_match_oracle(m):
+    F = FreeGroup(m)
+    sigma = tuple(F.gens())
+    assert MitosisTower(F).psi(m, sigma) == _oracle_psi(m, F, sigma, {})
+
+
+def _per_rank_cylinder_data(ctx, sigma):
+    n = len(sigma)
+    out = []
+    for p in range(n + 1):
+        q = n - p
+        for sh in shuffles(p, q):
+            top = shuffle_term(ctx.f, ctx.g, sh.rank, p, q, sigma)
+            bottom = shuffle_term(ctx.h, ctx.k, sh.rank, p, q, sigma)
+            pillars = pillar_of_term(ctx, sh.rank, p, q, sigma)
+            out.append((p, q, sh.rank, sh.sign, top, bottom, pillars))
+    return out
+
+
+@pytest.mark.parametrize("group", [CyclicGroup(3), SymmetricGroup(3)], ids=lambda g: g.name)
+def test_p_cylinder_data_matches_per_rank_terms(group):
+    ctx = instance_context(VerificationInstance(group, 5))
+    rng = random.Random(13)
+    for dim in range(5):
+        for _ in range(8):
+            sigma = tuple(group.sample(rng) for _ in range(dim))
+            assert list(p_cylinder_data(ctx, sigma)) == _per_rank_cylinder_data(ctx, sigma)
+    F, ctx, _alg = _formal(4)
+    for dim in range(5):
+        sigma = tuple(F.gens())[:dim]
+        assert list(p_cylinder_data(ctx, sigma)) == _per_rank_cylinder_data(ctx, sigma)

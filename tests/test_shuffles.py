@@ -13,6 +13,7 @@ from barhom.shuffles import (
     ProductChain,
     RankOutOfRange,
     TensorChain,
+    add_shuffle_product,
     aw,
     diagonal,
     ed_terms,
@@ -23,6 +24,7 @@ from barhom.shuffles import (
     mult_map,
     product_boundary,
     pushforward_pair,
+    shuffle_table,
     shuffle_term,
     shuffles,
     tensor_boundary,
@@ -290,3 +292,83 @@ def test_edgewise_diameter_bounded_on_concrete_groups():
     ctx = instance_context(inst)
     for sigma in itertools.product(group.elements(), repeat=3):
         assert diameter(edgewise(ctx.entries, ctx.f, ctx.g, sigma)) <= 8
+
+
+# -- the cached shuffle table and the fused product, against the oracle -----------
+
+
+def test_shuffle_table_matches_itertools_oracle():
+    for n in range(9):
+        for p in range(n + 1):
+            q = n - p
+            table = shuffle_table(p, q)
+            oracle = shuffles(p, q)
+            assert [(e.first, e.second, e.sign) for e in table] == [
+                (sh.first, sh.second, sh.sign) for sh in oracle
+            ]
+            source = tuple(("a", i) for i in range(p)) + tuple(("b", j) for j in range(q))
+            grid = tuple((i, j) for i in range(p + 1) for j in range(q + 1))
+            for entry, sh in zip(table, oracle):
+                placed = entry.place(source)
+                assert [placed[pos - 1] for pos in sh.first] == list(source[:p])
+                assert [placed[pos - 1] for pos in sh.second] == list(source[p:])
+                # the lattice path steps down a row exactly at first-block slots
+                path = entry.path(grid)
+                assert path[0] == (0, 0) and path[-1] == (p, q)
+                for slot in range(n):
+                    i, j = path[slot]
+                    step = (i + 1, j) if slot + 1 in sh.first else (i, j + 1)
+                    assert path[slot + 1] == step
+
+
+def test_shuffle_table_is_cached_and_checked():
+    assert shuffle_table(3, 2) is shuffle_table(3, 2)
+    with pytest.raises(ValueError):
+        shuffle_table(-1, 2)
+
+
+def _oracle_product(alg, a, b):
+    return mult_map(alg, ez(alg, tensor_of_chains(a, b)))
+
+
+def _random_chain(rng, dim, pool):
+    # a small pool of simplices makes placements collide and cancel
+    chain = Chain(dim)
+    for _ in range(rng.randrange(0, 5)):
+        chain.add_term(rng.choice(pool), rng.choice((-2, -1, 1, 2)))
+    return chain
+
+
+def test_add_shuffle_product_matches_oracle_on_cyclic3():
+    rng = random.Random(12)
+    for p, q in itertools.product(range(4), repeat=2):
+        pool_a = [tuple(C3.sample(rng) for _ in range(p)) for _ in range(3)]
+        pool_b = [tuple(C3.sample(rng) for _ in range(q)) for _ in range(3)]
+        for _ in range(8):
+            a, b = _random_chain(rng, p, pool_a), _random_chain(rng, q, pool_b)
+            expected = _oracle_product(C3, a, b)
+            out = Chain(p + q)
+            add_shuffle_product(out, a, b)
+            assert out == expected
+            # in place on a nonzero chain, with a scale
+            start = _random_chain(rng, p + q, [tuple(C3.sample(rng) for _ in range(p + q))])
+            out = Chain(p + q, dict(start.terms))
+            add_shuffle_product(out, a, b, -3)
+            assert out == start + expected.scaled(-3)
+            # adding back what is there leaves zero
+            out = expected.scaled(3)
+            add_shuffle_product(out, a, b, -3)
+            assert out.is_zero()
+
+
+def test_add_shuffle_product_cancels_equal_factors():
+    # sigma x sigma over two shuffles of signs +1 and -1 cancels
+    out = Chain(2)
+    add_shuffle_product(out, Chain.of((1,)), Chain.of((1,)))
+    assert out.is_zero()
+    assert _oracle_product(C3, Chain.of((1,)), Chain.of((1,))).is_zero()
+
+
+def test_add_shuffle_product_rejects_wrong_dimension():
+    with pytest.raises(DimensionMismatch):
+        add_shuffle_product(Chain(2), Chain.of((1,)), Chain.of((1, 2)))
