@@ -214,7 +214,8 @@ def rho_bound(kind: str, n: int = 1, deg: int = 1, d_zeta: int = 1, d_u: int = 1
         # (1/r) * 2 * (195 r n + 975 r n): the cover multiplicity r cancels
         r = Fraction(7)  # any r > 0 gives the same value
         value = Fraction(2, 1) / r * (HANDLE_BASE * r * n + HANDLE_CHAIN * r * n)
-        assert value == 2 * (HANDLE_BASE + HANDLE_CHAIN) * n
+        if value != 2 * (HANDLE_BASE + HANDLE_CHAIN) * n:
+            raise ArithmeticError(f"spherical bound {value} does not reduce to 2340*n")
         return BoundReport(
             name="spherical",
             formula="(1/r)*2*(195*r*n + 975*r*n) = 2340*n",

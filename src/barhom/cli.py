@@ -2,32 +2,23 @@
 
 Every command is deterministic for fixed flags and seed, and machine-readable
 output carries the schema version.  Exit codes: 0 all checks pass, 1 a check
-failed or a residual survived, 2 usage error.
+failed or a residual survived, 2 usage error.  Numbers out of range are
+usage errors caught at parse time, and ``expand``/``count`` refuse a chain
+whose known size exceeds ``--cap`` before building anything.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import random
 import sys
 import time
 
 from . import bounds as bd
+from . import checks
 from .groups import FreeGroup, Group, parse_group
-from .moore import (
-    Chain,
-    boundary,
-    cellular_boundary,
-    chain_to_json,
-    count_degenerate,
-    degeneracy,
-    diameter,
-    face,
-    project,
-)
-from .cylinder import cyl, face_pillar
+from .moore import ChainError, chain_to_json, count_degenerate, diameter, project
 from .homotopy import (
     MitosisTower,
     formal_context,
@@ -35,18 +26,13 @@ from .homotopy import (
     induct_Q,
     instance_context,
     mitosis_context,
-    psi_identity_residual,
-    theorem_identity_residual,
 )
-from .quintuple import VerificationInstance
-from .shuffles import ed_terms, edgewise, edgewise_chain, edgewise_composite
+from .quintuple import NonNormalizable, VerificationInstance
+from .shuffles import ed_terms, edgewise
 
 SCHEMA = "barhom/1"
 TERM_CAP = 5_000_000
-
-
-class CheckFailure(Exception):
-    pass
+TOWER_OPS = ("psi", "phi", "Q")
 
 
 def _write(payload: str, out: str | None) -> None:
@@ -110,29 +96,37 @@ def _generic_simplex(base: Group, dim: int, rng: random.Random):
     return tuple(base.sample(rng) for _ in range(dim))
 
 
-def _tower_level(args, dim: int) -> int:
-    """The tower level of a psi/phi/Q run: ``--level``, or the dimension.
-    The tower homotopy of level n exists only on simplices of dim <= n."""
+def _level(args, dim: int) -> int:
+    """``--level``, or the dimension.  The tower homotopy of level n behind
+    psi/phi/Q exists only on simplices of dim <= n."""
     level = args.level if args.level is not None else max(dim, 1)
-    if level < dim:
+    if args.op in TOWER_OPS and level < dim:
         raise ValueError(f"--level {level} is below --dim {dim}")
     return level
 
 
-def cmd_expand(args) -> int:
-    started = time.time()
-    rng = random.Random(args.seed)
-    dim = args.dim
-    level = args.level if args.level is not None else max(dim, 1)
-    base = _base_group(args, dim)
-    sigma = _generic_simplex(base, dim, rng)
+def _check_cap(op: str, dim: int, cap: int) -> None:
+    """Refuse, before anything is built, an op whose chain on a dim-simplex
+    has more than ``cap`` terms: gamma for the tower ops, d_cyl for P and one
+    term per shuffle for ed."""
+    if op == "P":
+        name, size = f"d_cyl({dim})", bd.d_cyl(dim)
+    elif op == "ed":
+        name, size = f"2**{dim}", 2 ** dim
+    else:
+        name, size = f"gamma({dim})", bd.gamma(dim)
+    if size > cap:
+        raise ValueError(f"term cap exceeded: {name} = {size} > {cap}")
 
-    if args.op in ("psi", "phi", "Q"):
-        level = _tower_level(args, dim)
-        expected_terms = bd.gamma(dim)
-        if expected_terms > args.cap:
-            print(f"term cap exceeded: gamma({dim}) = {expected_terms} > {args.cap}", file=sys.stderr)
-            return 2
+
+def cmd_expand(args) -> int:
+    dim = args.dim
+    level = _level(args, dim)
+    _check_cap(args.op, dim, args.cap)
+    base = _base_group(args, dim)
+    sigma = _generic_simplex(base, dim, random.Random(args.seed))
+
+    if args.op in TOWER_OPS:
         tower = MitosisTower(base)
         if args.op == "psi":
             chain = tower.psi(level, sigma)
@@ -174,16 +168,12 @@ def cmd_expand(args) -> int:
             _write(json.dumps(payload, indent=2, sort_keys=True), args.out)
         return 0
 
-    if args.op == "P":
-        chain = homotopy_P(ctx, sigma)
-        payload = {"schema": SCHEMA, "op": "P", "dim": dim, "mode": args.mode,
-                   "diameter": diameter(chain), "expected_d": bd.d_cyl(dim),
-                   "chain": chain_to_json(alg, chain)}
-        _write(json.dumps(payload, indent=2, sort_keys=True), args.out)
-        return 0
-
-    print(f"unknown op {args.op!r}", file=sys.stderr)
-    return 2
+    chain = homotopy_P(ctx, sigma)
+    payload = {"schema": SCHEMA, "op": "P", "dim": dim, "mode": args.mode,
+               "diameter": diameter(chain), "expected_d": bd.d_cyl(dim),
+               "chain": chain_to_json(alg, chain)}
+    _write(json.dumps(payload, indent=2, sort_keys=True), args.out)
+    return 0
 
 
 # -- count ------------------------------------------------------------------------
@@ -192,204 +182,63 @@ def cmd_expand(args) -> int:
 def cmd_count(args) -> int:
     started = time.time()
     dim = args.dim
+    level = _level(args, dim)
+    _check_cap(args.op, dim, args.cap)
     base = FreeGroup(max(dim, 1))
     sigma = tuple(base.gen(i + 1) for i in range(dim))
-    # cap the size of the chain the op builds
     if args.op == "P":
-        size_name, size = "d_cyl", bd.d_cyl(dim)
-    else:
-        level = _tower_level(args, dim)
-        size_name, size = "gamma", bd.gamma(dim)
-    if size > args.cap:
-        print(f"term cap exceeded: {size_name}({dim}) = {size} > {args.cap}", file=sys.stderr)
-        return 2
-    status = "pass"
-    lines = []
-    if args.op == "P":
-        ctx = formal_context(base)
-        got = diameter(homotopy_P(ctx, sigma))
-        expected = bd.d_cyl(dim)
-        if got != expected:
-            status = "fail"
-        lines.append(f"P dim {dim}: diameter {got} expected {expected}")
+        got, expected = diameter(homotopy_P(formal_context(base), sigma)), bd.d_cyl(dim)
+        ok = got == expected
+        line = f"P dim {dim}: diameter {got} expected {expected}"
     else:
         tower = MitosisTower(base)
         chain = tower.psi(level, sigma)
         alg = tower.algebra
-        diam, degen = diameter(chain), count_degenerate(alg, chain)
         if args.op == "psi":
+            diam, degen = diameter(chain), count_degenerate(alg, chain)
             ok = diam == bd.gamma(dim) and degen == bd.q_count(dim)
-            lines.append(
-                f"psi dim {dim} level {level}: diameter {diam} expected {bd.gamma(dim)}, "
-                f"degenerate {degen} expected {bd.q_count(dim)}"
-            )
+            line = (f"psi dim {dim} level {level}: diameter {diam} expected {bd.gamma(dim)}, "
+                    f"degenerate {degen} expected {bd.q_count(dim)}")
         else:
             proj = diameter(project(alg, chain))
             ok = proj == bd.c_bound(dim)
-            lines.append(f"phi dim {dim} level {level}: diameter {proj} expected {bd.c_bound(dim)}")
-        if not ok:
-            status = "fail"
-    for line in lines:
-        print(("ok " if status == "pass" else "FAIL ") + line)
-    print(json.dumps(_report("count", status, started), sort_keys=True))
-    return 0 if status == "pass" else 1
+            line = f"phi dim {dim} level {level}: diameter {proj} expected {bd.c_bound(dim)}"
+    print(("ok " if ok else "FAIL ") + line)
+    print(json.dumps(_report("count", "pass" if ok else "fail", started), sort_keys=True))
+    return 0 if ok else 1
 
 
 # -- verify -----------------------------------------------------------------------
 
 
-def _simplices(group: Group, dim: int):
-    return itertools.product(group.elements(), repeat=dim)
-
-
-def _random_simplex(group: Group, dim: int, rng: random.Random):
-    return tuple(group.sample(rng) for _ in range(dim))
-
-
-def _suite_theorem45(args, rng, emit) -> None:
-    group = parse_group(args.group)
-    inst = VerificationInstance(group, args.modulus)
-    ctx = instance_context(inst)
-    for x in group.elements():
-        if not inst.relation_holds(x):
-            raise CheckFailure(f"instance relation fails at {group.describe(x)}")
-    emit(f"instance relation holds on {group.name}")
-    exhaustive_dim = min(args.maxdim, 3)
-    for m in range(exhaustive_dim + 1):
-        checked = 0
-        for sigma in _simplices(group, m):
-            residual = theorem_identity_residual(ctx, sigma)
-            if not residual.is_zero():
-                raise CheckFailure(f"theorem45 residual at dim {m}: {_first_term(ctx.entries, residual)}")
-            checked += 1
-        emit(f"theorem45 identity exhaustive dim {m} ({checked} simplices)")
-    if args.maxdim >= 4:
-        for _ in range(args.samples):
-            sigma = _random_simplex(group, 4, rng)
-            residual = theorem_identity_residual(ctx, sigma)
-            if not residual.is_zero():
-                raise CheckFailure(f"theorem45 residual at dim 4: {_first_term(ctx.entries, residual)}")
-        emit(f"theorem45 identity randomized dim 4 ({args.samples} samples)")
-
-
-def _random_compatible(group: Group, dim: int, rng: random.Random):
-    top = _random_simplex(group, dim, rng)
-    bottom = _random_simplex(group, dim, rng)
-    pillars = [group.sample(rng)]
-    for i in range(dim):
-        # t_(i+1) = inv(b_(i+1)) t_i a_(i+1) keeps the defining relations
-        pillars.append(group.mul(group.inv(bottom[i]), group.mul(pillars[i], top[i])))
-    return top, bottom, tuple(pillars)
-
-
-def _suite_cylinder(args, rng, emit) -> None:
-    group = parse_group(args.group)
-    count = 0
-    for _ in range(args.samples):
-        dim = rng.randrange(0, args.maxdim + 1)
-        top, bottom, pillars = _random_compatible(group, dim, rng)
-        chain = cyl(group, top, bottom, pillars)
-        lhs = boundary(group, chain)
-        rhs = Chain(dim)
-        if dim > 0:
-            rhs.add_term(top, 1)
-            rhs.add_term(bottom, -1)
-            sign = 1
-            for i in range(dim + 1):
-                side = cyl(group, face(group, i, top), face(group, i, bottom), face_pillar(i, pillars))
-                for s, c in side:
-                    rhs.add_term(s, -sign * c)
-                sign = -sign
-        else:
-            rhs.add_term(top, 1)
-            rhs.add_term(bottom, -1)
-        if lhs != rhs:
-            raise CheckFailure(f"cylinder boundary formula fails at dim {dim}")
-        count += 1
-    emit(f"cylinder boundary lemma on {count} random compatible cylinders")
-
-
-def _suite_psi(args, rng, emit) -> None:
-    level = args.level
-    base = FreeGroup(max(args.maxdim, 1))
-    tower = MitosisTower(base)
-    for m in range(min(args.maxdim, level) + 1):
-        sigma = tuple(base.gen(i + 1) for i in range(m))
-        residual = psi_identity_residual(tower, level, sigma)
-        if not residual.is_zero():
-            raise CheckFailure(
-                f"psi identity residual at level {level} dim {m}: "
-                f"{_first_term(tower.algebra, residual)}"
-            )
-        emit(f"psi identity level {level} dim {m}: zero residual")
-
-
-def _suite_chainmaps(args, rng, emit) -> None:
-    group = parse_group(args.group)
-    for _ in range(args.samples // 10 + 1):
-        dim = rng.randrange(1, args.maxdim + 1)
-        sigma = _random_simplex(group, dim, rng)
-        chain = Chain.of(sigma)
-        if not boundary(group, boundary(group, chain)).is_zero():
-            raise CheckFailure("dd != 0")
-        if project(group, boundary(group, chain)) != cellular_boundary(group, project(group, chain)):
-            raise CheckFailure("projection is not a chain map")
-    emit("dd = 0 and projection chain map on random simplices")
-    for _ in range(args.samples // 10 + 1):
-        dim = rng.randrange(2, max(args.maxdim, 2) + 1)
-        sigma = _random_simplex(group, dim, rng)
-        for j in range(dim + 1):
-            for i in range(j):
-                if face(group, i, face(group, j, sigma)) != face(group, j - 1, face(group, i, sigma)):
-                    raise CheckFailure(f"face identity fails at ({i},{j})")
-            sj = degeneracy(group, j, sigma)
-            if face(group, j, sj) != sigma or face(group, j + 1, sj) != sigma:
-                raise CheckFailure(f"degeneracy identity fails at {j}")
-    emit("simplicial identities on random simplices")
-    base = FreeGroup(args.maxdim)
-    ctx = formal_context(base)
-    for m in range(1, args.maxdim + 1):
-        sigma = tuple(base.gen(i + 1) for i in range(m))
-        one = edgewise(ctx.entries, ctx.f, ctx.g, sigma)
-        two = edgewise_composite(ctx.entries, ctx.f, ctx.g, Chain.of(sigma))
-        if one != two:
-            raise CheckFailure(f"edgewise implementations disagree at dim {m}")
-        lhs = boundary(ctx.entries, one)
-        rhs = edgewise_chain(ctx.entries, ctx.f, ctx.g, boundary(base, Chain.of(sigma)))
-        if lhs != rhs:
-            raise CheckFailure(f"edgewise is not a chain map at dim {m}")
-    emit(f"edgewise code paths agree and are chain maps, dims <= {args.maxdim}")
-
-
+# suite name -> run(args, rng, emit); ``verify --suite all`` runs them in this
+# order on one rng, so the draws of each suite decide the cases of the next
 SUITES = {
-    "theorem45": _suite_theorem45,
-    "cylinder": _suite_cylinder,
-    "psi": _suite_psi,
-    "chainmaps": _suite_chainmaps,
+    "theorem45": lambda args, rng, emit: checks.theorem45(
+        parse_group(args.group), args.modulus, args.maxdim, args.samples, rng, emit),
+    "cylinder": lambda args, rng, emit: checks.cylinder_lemma(
+        parse_group(args.group), args.maxdim, args.samples, rng, emit),
+    "psi": lambda args, rng, emit: checks.psi_identity(args.level, args.maxdim, emit),
+    "chainmaps": lambda args, rng, emit: checks.chain_maps(
+        parse_group(args.group), args.maxdim, args.samples // 10 + 1, rng, emit),
 }
-
-
-def _first_term(alg, chain: Chain) -> str:
-    simplex, coeff = next(iter(chain))
-    entries = [alg.entry_to_json(e) for e in simplex]
-    return json.dumps({"coeff": coeff, "simplex": entries}, sort_keys=True)
 
 
 def cmd_verify(args) -> int:
     started = time.time()
     rng = random.Random(args.seed)
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    status = "pass"
     first = None
     for name in names:
         try:
             SUITES[name](args, rng, lambda msg: print(f"ok {msg}"))
-        except CheckFailure as exc:
-            status = "residual"
-            first = str(exc)
-            print(f"FAIL {name}: {exc}")
+        except (checks.CheckFailure, ChainError, NonNormalizable) as exc:
+            # a construction that breaks inside a check is a failed check too
+            first = str(exc) if isinstance(exc, checks.CheckFailure) else f"{type(exc).__name__}: {exc}"
+            print(f"FAIL {name}: {first}")
             break
-    extra = {"first_offending": first} if first else None
+    status = "pass" if first is None else "residual"
+    extra = {"first_offending": first} if first is not None else None
     print(json.dumps(_report(f"verify --suite {args.suite}", status, started, extra=extra), sort_keys=True))
     return 0 if status == "pass" else 1
 
@@ -419,6 +268,23 @@ def cmd_bounds(args) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """An argparse ``type`` for integers >= ``low``: anything else is a usage
+    error (exit 2) before any work is done."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+NATURAL, POSITIVE = _int_at_least(0), _int_at_least(1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="barhom",
@@ -427,15 +293,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("tables", help="gamma/q/c/d and comparison tables")
-    t.add_argument("--max", type=int, default=7)
+    t.add_argument("--max", type=NATURAL, default=7)
     t.add_argument("--format", choices=("json", "tsv"), default="tsv")
     t.add_argument("--out")
     t.set_defaults(func=cmd_tables)
 
     e = sub.add_parser("expand", help="chain expansions of ed/P/Q/psi/phi")
     e.add_argument("--op", choices=("ed", "P", "Q", "psi", "phi"), required=True)
-    e.add_argument("--dim", type=int, required=True)
-    e.add_argument("--level", type=int)
+    e.add_argument("--dim", type=NATURAL, required=True)
+    e.add_argument("--level", type=POSITIVE)
     e.add_argument("--group", default="cyclic3")
     e.add_argument("--mode", choices=("concrete", "freesym", "word"), default="freesym")
     e.add_argument("--modulus", type=int, default=5)
@@ -448,17 +314,17 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="identity and property suites")
     v.add_argument("--suite", choices=tuple(SUITES) + ("all",), default="all")
     v.add_argument("--group", default="cyclic3")
-    v.add_argument("--maxdim", type=int, default=3)
-    v.add_argument("--level", type=int, default=3)
+    v.add_argument("--maxdim", type=POSITIVE, default=3)
+    v.add_argument("--level", type=POSITIVE, default=3)
     v.add_argument("--modulus", type=int, default=5)
-    v.add_argument("--samples", type=int, default=200)
+    v.add_argument("--samples", type=POSITIVE, default=200)
     v.add_argument("--seed", type=int, default=0)
     v.set_defaults(func=cmd_verify)
 
     c = sub.add_parser("count", help="free-symbol diameter and degeneracy counts")
     c.add_argument("--op", choices=("P", "psi", "phi"), default="psi")
-    c.add_argument("--dim", type=int, required=True)
-    c.add_argument("--level", type=int)
+    c.add_argument("--dim", type=NATURAL, required=True)
+    c.add_argument("--level", type=POSITIVE)
     c.add_argument("--cap", type=int, default=TERM_CAP)
     c.set_defaults(func=cmd_count)
 
@@ -477,7 +343,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, CheckFailure) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

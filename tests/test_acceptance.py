@@ -1,26 +1,16 @@
 """Acceptance suite: every exit criterion at its stated tolerance, one
 pass/fail line per criterion (run with -s to see the lines)."""
 
-import itertools
 import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from barhom import bounds as bd
+from barhom import checks
 from barhom.cylinder import cyl, face_pillar
 from barhom.groups import CyclicGroup, FreeGroup
-from barhom.homotopy import (
-    MitosisTower,
-    formal_context,
-    instance_context,
-    psi_identity_residual,
-    theorem_identity_residual,
-)
-from barhom.moore import Chain, boundary, cellular_boundary, count_degenerate, diameter, face, project
-from barhom.quintuple import VerificationInstance
-from barhom.shuffles import edgewise, edgewise_chain, edgewise_composite
+from barhom.homotopy import MitosisTower
+from barhom.moore import Chain, boundary, count_degenerate, diameter, face, project
 
 
 def report(name, ok, detail=""):
@@ -60,53 +50,35 @@ def test_criterion_2_constructive_counting():
     report("criterion 2: free-symbol counts m <= 7", ok and elapsed < 120, f"{elapsed:.1f}s")
 
 
+def first_failure(*runs):
+    """Run the checks in order; the message of the first that fails, or None."""
+    try:
+        for run in runs:
+            run()
+    except checks.CheckFailure as exc:
+        return str(exc)
+    return None
+
+
 def test_criterion_3_theorem_identity():
     start = time.time()
-    ok = True
-    for order in (2, 3):
-        group = CyclicGroup(order)
-        ctx = instance_context(VerificationInstance(group, 5))
-        for m in range(4):
-            for sigma in itertools.product(group.elements(), repeat=m):
-                ok = ok and theorem_identity_residual(ctx, sigma).is_zero()
-    rng = random.Random(0)
-    group = CyclicGroup(3)
-    ctx = instance_context(VerificationInstance(group, 5))
-    for _ in range(200):
-        sigma = tuple(group.sample(rng) for _ in range(4))
-        ok = ok and theorem_identity_residual(ctx, sigma).is_zero()
+    failure = first_failure(
+        lambda: checks.theorem45(CyclicGroup(2), 5, maxdim=3, samples=200, rng=random.Random(0)),
+        lambda: checks.theorem45(CyclicGroup(3), 5, maxdim=4, samples=200, rng=random.Random(0)),
+    )
     elapsed = time.time() - start
     report(
         "criterion 3: cylinder-homotopy identity (exhaustive <= 3, sampled dim 4)",
-        ok and elapsed < 300,
-        f"{elapsed:.1f}s",
+        failure is None and elapsed < 300,
+        failure or f"{elapsed:.1f}s",
     )
 
 
 def test_criterion_4_cylinder_lemmas():
-    rng = random.Random(1)
-    group = CyclicGroup(3)
-    ok = True
-    # 1000 random compatible cylinders of dims <= 4
-    for _ in range(1000):
-        dim = rng.randrange(0, 5)
-        top = tuple(group.sample(rng) for _ in range(dim))
-        bottom = tuple(group.sample(rng) for _ in range(dim))
-        pillars = [group.sample(rng)]
-        for i in range(dim):
-            pillars.append(group.mul(group.inv(bottom[i]), group.mul(pillars[i], top[i])))
-        pillars = tuple(pillars)
-        lhs = boundary(group, cyl(group, top, bottom, pillars))
-        rhs = Chain(dim)
-        rhs.add_term(top, 1)
-        rhs.add_term(bottom, -1)
-        sign = 1
-        for i in range(dim + 1) if dim else ():
-            side = cyl(group, face(group, i, top), face(group, i, bottom), face_pillar(i, pillars))
-            for s, c in side:
-                rhs.add_term(s, -sign * c)
-            sign = -sign
-        ok = ok and lhs == rhs
+    failure = first_failure(
+        lambda: checks.cylinder_lemma(CyclicGroup(3), maxdim=4, samples=1000, rng=random.Random(1))
+    )
+    ok = failure is None
     # the worked cancellation example, bit-exact over free symbols
     F = FreeGroup(7)
     a1, a2, a3, b1, b2, b3, t0 = F.gens()
@@ -137,65 +109,23 @@ def test_criterion_4_cylinder_lemmas():
                 expected.add_term(s, -sign * c)
         sign = -sign
     ok = ok and total == expected
-    report("criterion 4: cylinder boundary and cancellation lemmas", ok, "1000 cylinders")
+    report("criterion 4: cylinder boundary and cancellation lemmas", ok, failure or "1000 cylinders")
 
 
 def test_criterion_5_chain_map_suites():
-    rng = random.Random(2)
-    group = CyclicGroup(3)
-    ok = True
-    # dd = 0
-    for _ in range(100):
-        dim = rng.randrange(1, 6)
-        chain = Chain.of(tuple(group.sample(rng) for _ in range(dim)))
-        ok = ok and boundary(group, boundary(group, chain)).is_zero()
-    # both subdivision implementations agree bit-exactly and are chain maps
-    for m in range(1, 5):
-        F = FreeGroup(m)
-        ctx = formal_context(F)
-        alg = ctx.entries
-        sigma = tuple(F.gens())
-        one = edgewise(alg, ctx.f, ctx.g, sigma)
-        two = edgewise_composite(alg, ctx.f, ctx.g, Chain.of(sigma))
-        ok = ok and one == two
-        lhs = boundary(alg, one)
-        rhs = edgewise_chain(alg, ctx.f, ctx.g, boundary(F, Chain.of(sigma)))
-        ok = ok and lhs == rhs
-    # simplicial identities on random simplices
-    from barhom.moore import degeneracy
-
-    for _ in range(50):
-        dim = rng.randrange(2, 5)
-        sigma = tuple(group.sample(rng) for _ in range(dim))
-        for j in range(dim + 1):
-            for i in range(j):
-                ok = ok and face(group, i, face(group, j, sigma)) == face(
-                    group, j - 1, face(group, i, sigma)
-                )
-            sj = degeneracy(group, j, sigma)
-            ok = ok and face(group, j, sj) == sigma == face(group, j + 1, sj)
-    # projection is a chain map with the L1 split
-    for _ in range(50):
-        dim = rng.randrange(1, 5)
-        chain = Chain(dim)
-        for _ in range(4):
-            chain.add_term(tuple(group.sample(rng) for _ in range(dim)), rng.choice((-2, -1, 1, 2)))
-        ok = ok and cellular_boundary(group, project(group, chain)) == project(group, boundary(group, chain))
-        ok = ok and diameter(chain) == diameter(project(group, chain)) + count_degenerate(group, chain)
-    report("criterion 5: chain-map and structural suites", ok)
+    # 100 random chains of dims 1..5 (dd = 0, projection chain map, L1
+    # split), 100 random simplices (simplicial identities), edgewise dims 1..5
+    failure = first_failure(
+        lambda: checks.chain_maps(CyclicGroup(3), maxdim=5, cases=100, rng=random.Random(2))
+    )
+    report("criterion 5: chain-map and structural suites", failure is None, failure or "")
 
 
 def test_criterion_6_psi_identity_formal():
     start = time.time()
-    base = FreeGroup(3)
-    tower = MitosisTower(base)
-    ok = True
-    for m in range(4):
-        sigma = tuple(base.gen(i + 1) for i in range(m))
-        residual = psi_identity_residual(tower, 3, sigma)
-        ok = ok and residual.is_zero()
+    failure = first_failure(lambda: checks.psi_identity(level=3, maxdim=3))
     elapsed = time.time() - start
-    report("criterion 6: tower identity, level 3, dims <= 3", ok, f"{elapsed:.2f}s")
+    report("criterion 6: tower identity, level 3, dims <= 3", failure is None, failure or f"{elapsed:.2f}s")
 
 
 def test_criterion_7_bound_constants():

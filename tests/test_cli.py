@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -147,3 +148,81 @@ def test_usage_error_exit_code():
 def test_bad_group_exit_code(capsys):
     code = main(["verify", "--suite", "theorem45", "--group", "quaternion8"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--op", "ed", "--dim", "-1"],
+    ["tables", "--max", "-1"],
+    ["verify", "--suite", "cylinder", "--samples", "0"],
+    ["verify", "--suite", "cylinder", "--samples", "-5"],
+    ["verify", "--suite", "psi", "--level", "0", "--maxdim", "3"],
+    ["verify", "--suite", "chainmaps", "--maxdim", "0"],
+], ids=" ".join)
+def test_out_of_range_numbers_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    captured = capsys.readouterr()
+    assert err.value.code == 2
+    assert captured.out == ""
+    assert "must be >= " in captured.err
+
+
+@pytest.mark.parametrize("op, dim, size", [("P", 12, "d_cyl(12) = 53248"), ("ed", 11, "2**11 = 2048")])
+def test_expand_above_cap_is_refused(capsys, op, dim, size):
+    code = main(["expand", "--op", op, "--dim", str(dim), "--cap", "1000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"term cap exceeded: {size} > 1000" in captured.err
+
+
+def _verify_failure(capsys, *argv):
+    code, out = run(capsys, "verify", *argv)
+    lines = out.splitlines()
+    return code, lines[:-1], json.loads(lines[-1])
+
+
+def test_verify_residual_is_exit_1(capsys, monkeypatch):
+    from barhom import checks
+    from barhom.moore import Chain
+
+    monkeypatch.setattr(checks, "theorem_identity_residual", lambda ctx, sigma: Chain.of((ctx.ell,)))
+    code, lines, report = _verify_failure(capsys, "--suite", "all")
+    assert code == 1
+    assert lines[-1] == 'FAIL theorem45: theorem45 residual at dim 0: {"coeff": 1, "simplex": [[0, 0, 1]]}'
+    assert report["status"] == "residual"
+    assert report["first_offending"] == 'theorem45 residual at dim 0: {"coeff": 1, "simplex": [[0, 0, 1]]}'
+
+
+def test_verify_broken_construction_is_exit_1(capsys, monkeypatch):
+    from barhom.quintuple import VerificationInstance
+
+    # a constant pillar breaks the relations t_i a_(i+1) = b_(i+1) t_(i+1)
+    monkeypatch.setattr(VerificationInstance, "m", lambda self, x: self.ell)
+    code, lines, report = _verify_failure(capsys, "--suite", "theorem45", "--maxdim", "2")
+    assert code == 1
+    assert lines[-1].startswith("FAIL theorem45: IncompatiblePillars: pillar relation fails at index")
+    assert report["status"] == "residual"
+
+
+def test_verify_all_stdout_is_fixed(capsys):
+    # the exact lines perfbench gates the verify workload on
+    code, out = run(capsys, "verify", "--suite", "all", "--maxdim", "3", "--samples", "20", "--seed", "0")
+    assert code == 0
+    assert re.sub(r'"timing": [0-9.e-]+', '"timing": T', out) == (
+        "ok instance relation holds on cyclic3\n"
+        "ok theorem45 identity exhaustive dim 0 (1 simplices)\n"
+        "ok theorem45 identity exhaustive dim 1 (3 simplices)\n"
+        "ok theorem45 identity exhaustive dim 2 (9 simplices)\n"
+        "ok theorem45 identity exhaustive dim 3 (27 simplices)\n"
+        "ok cylinder boundary lemma on 20 random compatible cylinders\n"
+        "ok psi identity level 3 dim 0: zero residual\n"
+        "ok psi identity level 3 dim 1: zero residual\n"
+        "ok psi identity level 3 dim 2: zero residual\n"
+        "ok psi identity level 3 dim 3: zero residual\n"
+        "ok dd = 0 and projection chain map on random simplices\n"
+        "ok simplicial identities on random simplices\n"
+        "ok edgewise code paths agree and are chain maps, dims <= 3\n"
+        '{"artifacts": [], "command": "verify --suite all", "schema": "barhom/1", '
+        '"status": "pass", "timing": T}\n'
+    )

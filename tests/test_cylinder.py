@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from barhom.checks import cylinder_boundary_rhs, cylinder_lemma, random_compatible
 from barhom.cylinder import (
     CylinderTerm,
     IncompatiblePillars,
@@ -18,15 +19,6 @@ from barhom.groups import CyclicGroup, FreeGroup, SymmetricGroup
 from barhom.moore import Chain, boundary, diameter, face
 
 C3 = CyclicGroup(3)
-
-
-def compatible_triple(group, dim, rng):
-    top = tuple(group.sample(rng) for _ in range(dim))
-    bottom = tuple(group.sample(rng) for _ in range(dim))
-    pillars = [group.sample(rng)]
-    for i in range(dim):
-        pillars.append(group.mul(group.inv(bottom[i]), group.mul(pillars[i], top[i])))
-    return top, bottom, tuple(pillars)
 
 
 def test_cyl_one_simplex():
@@ -67,7 +59,7 @@ def test_cyl_rejects_incompatible():
 def test_cyl_diameter(dim):
     rng = random.Random(dim)
     F = FreeGroup(2 * dim + 1)
-    top, bottom, pillars = compatible_triple(F, dim, rng)
+    top, bottom, pillars = random_compatible(F, dim, rng)
     assert diameter(cyl(F, top, bottom, pillars)) == dim + 1
 
 
@@ -83,7 +75,7 @@ def test_face_compatibility(group):
     rng = random.Random(7)
     for _ in range(40):
         dim = rng.randrange(1, 5)
-        top, bottom, pillars = compatible_triple(group, dim, rng)
+        top, bottom, pillars = random_compatible(group, dim, rng)
         for i in range(dim + 1):
             check_pillars(
                 group,
@@ -93,38 +85,18 @@ def test_face_compatibility(group):
             )
 
 
-def boundary_formula_rhs(group, top, bottom, pillars):
-    dim = len(top)
-    rhs = Chain(dim)
-    rhs.add_term(top, 1)
-    rhs.add_term(bottom, -1)
-    if dim > 0:
-        sign = 1
-        for i in range(dim + 1):
-            side = cyl(group, face(group, i, top), face(group, i, bottom), face_pillar(i, pillars))
-            for s, c in side:
-                rhs.add_term(s, -sign * c)
-            sign = -sign
-    return rhs
-
-
 @pytest.mark.parametrize("group", [C3, SymmetricGroup(3)], ids=str)
 def test_cylinder_boundary_lemma(group):
-    rng = random.Random(13)
-    for _ in range(60):
-        dim = rng.randrange(0, 5)
-        top, bottom, pillars = compatible_triple(group, dim, rng)
-        lhs = boundary(group, cyl(group, top, bottom, pillars))
-        assert lhs == boundary_formula_rhs(group, top, bottom, pillars)
+    cylinder_lemma(group, maxdim=4, samples=60, rng=random.Random(13))
 
 
 @given(st.integers(0, 4), st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_cylinder_boundary_lemma_property(dim, rng):
     group = SymmetricGroup(4)
-    top, bottom, pillars = compatible_triple(group, dim, rng)
+    top, bottom, pillars = random_compatible(group, dim, rng)
     lhs = boundary(group, cyl(group, top, bottom, pillars))
-    assert lhs == boundary_formula_rhs(group, top, bottom, pillars)
+    assert lhs == cylinder_boundary_rhs(group, top, bottom, pillars)
 
 
 def test_chain_level_boundary_lemma():
@@ -133,7 +105,7 @@ def test_chain_level_boundary_lemma():
     rng = random.Random(17)
     for _ in range(15):
         dim = rng.randrange(1, 4)
-        terms = [CylinderTerm(1, *compatible_triple(group, dim, rng)) for _ in range(3)]
+        terms = [CylinderTerm(1, *random_compatible(group, dim, rng)) for _ in range(3)]
         lhs = boundary(group, cyl_chain(group, terms))
         rhs = Chain(dim)
         for term in terms:
@@ -201,7 +173,7 @@ def test_cancellation_lemma_worked_example():
 
 def test_cyl_chain_single_term_reduces_to_cyl():
     rng = random.Random(23)
-    top, bottom, pillars = compatible_triple(C3, 2, rng)
+    top, bottom, pillars = random_compatible(C3, 2, rng)
     assert cyl_chain(C3, [CylinderTerm(1, top, bottom, pillars)]) == cyl(
         C3, top, bottom, pillars
     )
@@ -222,8 +194,8 @@ def test_cyl_chain_diameter_sums():
 
 def test_cyl_chain_mixed_dims_rejected():
     rng = random.Random(31)
-    t1 = CylinderTerm(1, *compatible_triple(C3, 1, rng))
-    t2 = CylinderTerm(1, *compatible_triple(C3, 2, rng))
+    t1 = CylinderTerm(1, *random_compatible(C3, 1, rng))
+    t2 = CylinderTerm(1, *random_compatible(C3, 2, rng))
     with pytest.raises(TermMismatch):
         cyl_chain(C3, [t1, t2])
 

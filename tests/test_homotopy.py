@@ -22,7 +22,7 @@ from barhom.homotopy import (
     theorem_identity_residual,
     verify_identity,
 )
-from barhom.moore import Chain, boundary, count_degenerate, diameter, face, project
+from barhom.moore import Chain, boundary, count_degenerate, diameter, face, project, pushforward
 from barhom.quintuple import VerificationInstance
 from barhom.shuffles import add_shuffle_product, ez, mult_map, shuffle_term, shuffles, tensor_of_chains
 from barhom.words import Conjugated, PillarWord
@@ -392,6 +392,25 @@ def test_cylinder_part_lemma_word_algebra():
         rhs.add_term(sigma, 1)
         rhs.add_term((alg.identity,) * m, -1)
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_formal_P_pushed_into_the_tower_is_the_mitosis_P(level):
+    # the two rewrite systems agree: evaluating the formal quintuple
+    # h(a)k(b)m(x)f(c)g(d) at h, f -> conj, k -> trivial, m -> pillar, g -> id
+    # takes the formal cylinder homotopy to the one built in the tower
+    F = FreeGroup(4)
+    formal, tower = formal_context(F), mitosis_context(level, F)
+    alg = tower.entries
+
+    def evaluate(q):
+        m = alg.pillar(level, q.m_arg) if q.m_arg is not None else alg.identity
+        value = alg.mul(alg.mul(alg.conj(level, q.h_arg), m), alg.conj(level, q.f_arg))
+        return alg.mul(value, q.g_arg)
+
+    for dim in range(5):
+        sigma = tuple(F.gens()[:dim])
+        assert pushforward(evaluate, homotopy_P(formal, sigma)) == homotopy_P(tower, sigma)
 
 
 # -- table-driven construction against the per-term oracle ---------------------------
