@@ -14,11 +14,12 @@ import json
 import random
 import sys
 import time
+from typing import Iterable
 
 from . import bounds as bd
 from . import checks
 from .groups import FreeGroup, Group, parse_group
-from .moore import ChainError, chain_to_json, count_degenerate, diameter, project
+from .moore import ChainError, EntryText, chain_payload, count_degenerate, diameter, project
 from .homotopy import (
     MitosisTower,
     formal_context,
@@ -35,14 +36,18 @@ TERM_CAP = 5_000_000
 TOWER_OPS = ("psi", "phi", "Q")
 
 
-def _write(payload: str, out: str | None) -> None:
+def _write(pieces: Iterable[str], out: str | None) -> None:
+    """Write a document, given as its pieces, to the file ``out`` or to
+    standard output; on standard output it ends in exactly one newline."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
+            fh.writelines(pieces)
+        return
+    last = ""
+    for last in pieces:
+        sys.stdout.write(last)
+    if not last.endswith("\n"):
+        sys.stdout.write("\n")
 
 
 def _report(command: str, status: str, started: float, artifacts=(), extra=None) -> dict:
@@ -69,10 +74,10 @@ def cmd_tables(args) -> int:
         for row in rows:
             delta = "" if row["delta_bdh"] is None else row["delta_bdh"]
             lines.append(f"{row['m']}\t{row['gamma']}\t{row['q']}\t{row['c']}\t{row['d']}\t{delta}")
-        _write("\n".join(lines) + "\n", args.out)
+        _write(["\n".join(lines) + "\n"], args.out)
     else:
         payload = {"schema": SCHEMA, "tables": rows}
-        _write(json.dumps(payload, indent=2, sort_keys=True), args.out)
+        _write([json.dumps(payload, indent=2, sort_keys=True)], args.out)
     report = _report("tables", "pass", started, [args.out] if args.out else [])
     if args.out:
         print(json.dumps(report, sort_keys=True))
@@ -141,9 +146,8 @@ def cmd_expand(args) -> int:
             "expected_gamma": bd.gamma(dim),
             "expected_q": bd.q_count(dim),
         }
-        payload = {"schema": SCHEMA, "op": args.op, "dim": dim, "level": level,
-                   "summary": summary, "chain": chain_to_json(alg, chain)}
-        _write(json.dumps(payload, indent=2, sort_keys=True), args.out)
+        head = {"schema": SCHEMA, "op": args.op, "dim": dim, "level": level, "summary": summary}
+        _write(chain_payload(alg, head, chain), args.out)
         return 0
 
     if args.mode == "concrete":
@@ -156,23 +160,23 @@ def cmd_expand(args) -> int:
 
     if args.op == "ed":
         if args.format == "tsv":
+            text = EntryText(alg)
             lines = ["p\tq\trank\tsign\timage"]
             for term in ed_terms(ctx.f, ctx.g, sigma):
-                image = json.dumps([alg.entry_to_json(e) for e in term.simplex], sort_keys=True)
+                image = text.compact(term.simplex)
                 lines.append(f"{term.p}\t{term.q}\t{term.rank}\t{term.sign}\t{image}")
-            _write("\n".join(lines) + "\n", args.out)
+            _write(["\n".join(lines) + "\n"], args.out)
         else:
             chain = edgewise(alg, ctx.f, ctx.g, sigma)
-            payload = {"schema": SCHEMA, "op": "ed", "dim": dim, "mode": args.mode,
-                       "diameter": diameter(chain), "chain": chain_to_json(alg, chain)}
-            _write(json.dumps(payload, indent=2, sort_keys=True), args.out)
+            head = {"schema": SCHEMA, "op": "ed", "dim": dim, "mode": args.mode,
+                    "diameter": diameter(chain)}
+            _write(chain_payload(alg, head, chain), args.out)
         return 0
 
     chain = homotopy_P(ctx, sigma)
-    payload = {"schema": SCHEMA, "op": "P", "dim": dim, "mode": args.mode,
-               "diameter": diameter(chain), "expected_d": bd.d_cyl(dim),
-               "chain": chain_to_json(alg, chain)}
-    _write(json.dumps(payload, indent=2, sort_keys=True), args.out)
+    head = {"schema": SCHEMA, "op": "P", "dim": dim, "mode": args.mode,
+            "diameter": diameter(chain), "expected_d": bd.d_cyl(dim)}
+    _write(chain_payload(alg, head, chain), args.out)
     return 0
 
 
@@ -259,7 +263,7 @@ def cmd_bounds(args) -> int:
     reports.extend(bd.lens_bounds(max(args.n, 4) + 3))
     reports.extend(bd.chapter6_table())
     payload = {"schema": SCHEMA, "bounds": [r.to_json() for r in reports]}
-    _write(json.dumps(payload, indent=2, sort_keys=True), args.out)
+    _write([json.dumps(payload, indent=2, sort_keys=True)], args.out)
     if args.out:
         print(json.dumps(_report("bounds", "pass", started, [args.out]), sort_keys=True))
     return 0
@@ -283,6 +287,9 @@ def _int_at_least(low: int):
 
 
 NATURAL, POSITIVE = _int_at_least(0), _int_at_least(1)
+# with N = 1 the connecting element of (G x G) x Z_N is the identity and the
+# verification instance degenerates
+MODULUS = _int_at_least(2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--level", type=POSITIVE)
     e.add_argument("--group", default="cyclic3")
     e.add_argument("--mode", choices=("concrete", "freesym", "word"), default="freesym")
-    e.add_argument("--modulus", type=int, default=5)
+    e.add_argument("--modulus", type=MODULUS, default=5)
     e.add_argument("--format", choices=("json", "tsv"), default="json")
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--cap", type=int, default=TERM_CAP)
@@ -316,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--group", default="cyclic3")
     v.add_argument("--maxdim", type=POSITIVE, default=3)
     v.add_argument("--level", type=POSITIVE, default=3)
-    v.add_argument("--modulus", type=int, default=5)
+    v.add_argument("--modulus", type=MODULUS, default=5)
     v.add_argument("--samples", type=POSITIVE, default=200)
     v.add_argument("--seed", type=int, default=0)
     v.set_defaults(func=cmd_verify)

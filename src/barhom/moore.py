@@ -17,6 +17,7 @@ vector, and ``project`` is the quotient map that deletes degenerate terms
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 BarSimplex = tuple
@@ -208,6 +209,7 @@ def term_sort_key(alg, simplex: BarSimplex) -> str:
 
 
 def chain_to_json(alg, chain: Chain) -> dict:
+    """The reference serialization ``chain_payload`` is tested against."""
     terms = sorted(chain, key=lambda item: term_sort_key(alg, item[0]))
     return {
         "dim": chain.dim,
@@ -216,3 +218,62 @@ def chain_to_json(alg, chain: Chain) -> dict:
             for simplex, coeff in terms
         ],
     }
+
+
+# An entry's place in an expand document: document > "chain" > "terms" >
+# term > "simplex" > entry, five levels of two spaces.
+_ENTRY_INDENT = "\n" + " " * 10
+
+
+class EntryText(dict):
+    """entry -> (compact JSON, ``indent=2`` JSON at an entry's place in an
+    expand document), both from one ``alg.entry_to_json`` call per entry."""
+
+    def __init__(self, alg):
+        super().__init__()
+        self.alg = alg
+
+    def __missing__(self, entry):
+        data = self.alg.entry_to_json(entry)
+        indented = json.dumps(data, indent=2, sort_keys=True).replace("\n", _ENTRY_INDENT)
+        text = self[entry] = (json.dumps(data, sort_keys=True), _ENTRY_INDENT + indented)
+        return text
+
+    def compact(self, simplex: BarSimplex) -> str:
+        """``term_sort_key(alg, simplex)``: the simplex as compact JSON."""
+        return _compact([self[entry] for entry in simplex])
+
+
+def _compact(fragments: list) -> str:
+    return "[" + ", ".join([compact for compact, _ in fragments]) + "]"
+
+
+def chain_payload(alg, head: dict, chain: Chain) -> Iterator[str]:
+    """The pieces of ``json.dumps({**head, "chain": chain_to_json(alg, chain)},
+    indent=2, sort_keys=True)``, rendered one term at a time.
+
+    Each distinct entry is serialized once.  The terms are sorted, stably,
+    on the same compact keys as ``chain_to_json``.  Every ``entry_to_json``
+    call happens before this returns, so a caller that opens its output only
+    afterwards writes nothing when an entry fails to serialize.
+    """
+    text = EntryText(alg)
+    terms = []
+    for simplex, coeff in chain:
+        fragments = [text[entry] for entry in simplex]
+        terms.append((_compact(fragments), coeff, fragments))
+    terms.sort(key=itemgetter(0))
+    document = json.dumps({**head, "chain": None}, indent=2, sort_keys=True)
+    before, after = document.split('\n  "chain": null')
+    return _render_chain(chain.dim, terms, before, after)
+
+
+def _render_chain(dim: int, terms: list, before: str, after: str) -> Iterator[str]:
+    yield f'{before}\n  "chain": {{\n    "dim": {dim},\n    "terms": ['
+    sep = ""
+    for _, coeff, fragments in terms:
+        entries = ",".join([indented for _, indented in fragments])
+        simplex = f"[{entries}\n        ]" if fragments else "[]"
+        yield f'{sep}\n      {{\n        "coeff": {coeff},\n        "simplex": {simplex}\n      }}'
+        sep = ","
+    yield ("\n    ]" if terms else "]") + "\n  }" + after

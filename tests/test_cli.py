@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -157,6 +158,8 @@ def test_bad_group_exit_code(capsys):
     ["verify", "--suite", "cylinder", "--samples", "-5"],
     ["verify", "--suite", "psi", "--level", "0", "--maxdim", "3"],
     ["verify", "--suite", "chainmaps", "--maxdim", "0"],
+    ["verify", "--suite", "theorem45", "--modulus", "1"],
+    ["expand", "--op", "P", "--mode", "concrete", "--dim", "2", "--modulus", "1"],
 ], ids=" ".join)
 def test_out_of_range_numbers_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as err:
@@ -226,3 +229,107 @@ def test_verify_all_stdout_is_fixed(capsys):
         '{"artifacts": [], "command": "verify --suite all", "schema": "barhom/1", '
         '"status": "pass", "timing": T}\n'
     )
+
+
+# SHA-256 of the file written by `expand ... --out f`, recorded before expand
+# streamed its JSON; "psi 5" is also the benchmark's golden hash.  Keys are
+# "op dim" for psi/phi/Q (freesym, json) and "op mode format dim" for P/ed.
+EXPAND_SHA256 = {
+    "psi 0": "76ab15c250528e92429c7a0f5351a2e26247d025579b1bc0c1348510aab67a6d",
+    "psi 1": "a84b7fedbf89c9c52b7dadbd09269391b8bdb41dc5427dc4818f90e9c9db3894",
+    "psi 2": "6864af96d5cd3973d9bc24b34925965f8af0bb488cb7ac9b9ec0c8f259b872e7",
+    "psi 3": "e2772d9821c5413bd5883a8dac75bc74bbe5e9f8ad376d65f31a8c2f60ab8f65",
+    "psi 4": "47e173f2d306cb7e8e1881831b1e301ad5acacea0e8e03388ebd75b9a7c4e543",
+    "psi 5": "529460d9ad24bc450e4bc62141e9b1bca1e65f564290be4e73bcd891eb906d30",
+    "phi 0": "49fc42eb1cead3b022ce75f03c7266f541b627acf6e1621a5331cf1e6e73d6cb",
+    "phi 1": "63c63a98f5fc232ea17f9c14cdd4e24f8f69f5674df74a136a615350601f9982",
+    "phi 2": "47e3486c6bff50b6d4f1c941c1634db02e8ae35618c19d3b23fac63359fecbc9",
+    "phi 3": "e8b2199a4a82554c3378db69cbf97de7768e160363c7553cec4bd916a6e8cc1e",
+    "phi 4": "149627d01aa042ada9d5789e5f006d7c8a69b07e54aa95857eff252bb4eee6ec",
+    "Q 0": "03cba0274c04190368b7d65335bfde58247cd72724947b35b93d2da00eec6bae",
+    "Q 1": "cd68a0fce97446ddbbbb2f7a0794bc33d5ea7dfc169bc0807fd2f548c1dbd8cd",
+    "Q 2": "861c1487e6e8efe70948dbe3aacc278548eb37c3d19a4db0ba2b5b9a255624c8",
+    "Q 3": "2f79403d08c9d141ffd0b0c91e2465a0a99798f4c462590b3a4c5576eca03660",
+    "Q 4": "963b52c5f7b396a12348cc16e37964635d7b49147f314a09775e87e4156b2b7c",
+    "P concrete json 0": "f08dd1463c2bba26815d4dffcb901e8d3ecbc7fa63bc8bebb27ac566c5cfc50c",
+    "P concrete json 1": "58a8848956430a0f977154fcaeede3b0ec9a9d849867b7723e53fa935f5a776f",
+    "P concrete json 2": "67cb20725f303910b54bb5e51c8285014e4db02200325df30f351f895bfc9aa7",
+    "P concrete json 3": "06a328b7c00b13cf2294ba08566fca7fae896d131b4c7f05160d1532a1e4c20f",
+    "P concrete tsv 0": "f08dd1463c2bba26815d4dffcb901e8d3ecbc7fa63bc8bebb27ac566c5cfc50c",
+    "P concrete tsv 1": "58a8848956430a0f977154fcaeede3b0ec9a9d849867b7723e53fa935f5a776f",
+    "P concrete tsv 2": "67cb20725f303910b54bb5e51c8285014e4db02200325df30f351f895bfc9aa7",
+    "P concrete tsv 3": "06a328b7c00b13cf2294ba08566fca7fae896d131b4c7f05160d1532a1e4c20f",
+    "P freesym json 0": "cda1ea82379a63109144d2fa9a1f4ddc8d637857580d4a01339bdac018bb3474",
+    "P freesym json 1": "72bccf55d1fbf81259c875952ba9b3b83a7154bda795c55d9d9d778ac5052529",
+    "P freesym json 2": "337e43bdd4f713ed152c0210affba44bb0e3e5e7342d0ac2c8461d22f8861242",
+    "P freesym json 3": "fb7ec6e72b975817af1c27261e2466d07e8cecbbd76c30e7a63c00bef0290c04",
+    "P freesym tsv 0": "cda1ea82379a63109144d2fa9a1f4ddc8d637857580d4a01339bdac018bb3474",
+    "P freesym tsv 1": "72bccf55d1fbf81259c875952ba9b3b83a7154bda795c55d9d9d778ac5052529",
+    "P freesym tsv 2": "337e43bdd4f713ed152c0210affba44bb0e3e5e7342d0ac2c8461d22f8861242",
+    "P freesym tsv 3": "fb7ec6e72b975817af1c27261e2466d07e8cecbbd76c30e7a63c00bef0290c04",
+    "P word json 0": "9d16557e812b949cada642bf3ea4219e80cbdbc9669bf324d44a8dd3261ade7e",
+    "P word json 1": "3cf01759a9355d4e96f9469897e2824c46b4dad6cd76c019c052f583b9782537",
+    "P word json 2": "2075d61be6e52f30c64021241c87d3f4ac7a904cf7ef72ff4449a0192f761898",
+    "P word json 3": "85dc36faab656b6a6f940de13b14fe26cb1feb3b22fe6ce15c8eafb389af959d",
+    "P word tsv 0": "9d16557e812b949cada642bf3ea4219e80cbdbc9669bf324d44a8dd3261ade7e",
+    "P word tsv 1": "3cf01759a9355d4e96f9469897e2824c46b4dad6cd76c019c052f583b9782537",
+    "P word tsv 2": "2075d61be6e52f30c64021241c87d3f4ac7a904cf7ef72ff4449a0192f761898",
+    "P word tsv 3": "85dc36faab656b6a6f940de13b14fe26cb1feb3b22fe6ce15c8eafb389af959d",
+    "ed concrete json 0": "cf05dfdb071306c106e8cf3960e4b8125b1eea1fb649171625d739fadd46ef32",
+    "ed concrete json 1": "0bd9c9e09fce2462015d0d42d1118130b07084fa6dfb79bfad500d7a3eb0ae68",
+    "ed concrete json 2": "35421d37518ce41426d5c4d320b2fe040991b956b97529560bb9cf957e65254b",
+    "ed concrete json 3": "e39efd60debaba66d736a8a58cd12db9d687bcb5fbcd4171732e507fcf02bd36",
+    "ed concrete tsv 0": "f6e5cc4aeaf9abbff918d58d34982d21f84c08a40ef1be6244505d5c347067c4",
+    "ed concrete tsv 1": "0b75707af6f74e024fcaa05472e0904e9bca4d80eb14d1d1d58260b86cb8c5da",
+    "ed concrete tsv 2": "48b26ee63229527a28a089f33e02176669dfe34686284d36db5c81dd75afd926",
+    "ed concrete tsv 3": "7e11c859c1518b1c83ff3da3520acfac280b5ce028d03336d91c68841fd2a60a",
+    "ed freesym json 0": "cde2efda1610144d45c9e3843a3449dc6762b7253126620375d170e164a1ab1b",
+    "ed freesym json 1": "94136cac6f1739020910ba8abd1996159c3d69c84ca32d1331b33884593baaf0",
+    "ed freesym json 2": "8db915ae0c10016b466308475bdeeb9a257d0d50f58db27b37ad94d4465f875f",
+    "ed freesym json 3": "089671669c65e0eb95a759321206ad247b067290afd72280feac977ba8e4a630",
+    "ed freesym tsv 0": "f6e5cc4aeaf9abbff918d58d34982d21f84c08a40ef1be6244505d5c347067c4",
+    "ed freesym tsv 1": "a964e021655b840f61b53a7c183492ec75f02817bbd3017c57a07b42d564ba2f",
+    "ed freesym tsv 2": "5fa91b94a05d631a3bf652279cf3a36217ee4981507cc35df7514d53e823ca59",
+    "ed freesym tsv 3": "aa8673e58a166c6564fbdb52d11c6a50b8f4e4c586e4d9d7e3b0506a7c1e92ed",
+    "ed word json 0": "0f9830f0fe8754b5e5a8f761698f8b5f89337068d389f773a636f4ee3ca9fe4d",
+    "ed word json 1": "e31f020ef57d9879fafba9555bafd34a41bc8c877ed3d405a3b19eb4ce574e63",
+    "ed word json 2": "083bbd6480a7e204b2f49c334e93fd3e91d296919e94a9f1f32aeb4e07f21301",
+    "ed word json 3": "badd0eb92ff3be448bef2b76052601ba5911877a1ece4a115eeb7f3ffe8ac81d",
+    "ed word tsv 0": "f6e5cc4aeaf9abbff918d58d34982d21f84c08a40ef1be6244505d5c347067c4",
+    "ed word tsv 1": "7e124905fbb4396402358ee062423fff0382af51a67f5453fd0000b095b88457",
+    "ed word tsv 2": "cfff060c8f9a8a573ca84a6fb9670b6c5cfaec9ffaa943b29d92f1ca7d22707b",
+    "ed word tsv 3": "3351bc1e510228b72342c3e1a4135ac7103359b00cc079d2328b8edc9a0742a3",
+}
+
+
+def _expand_argv(case):
+    *rest, dim = case.split()
+    flags = ["--op", rest[0]] if len(rest) == 1 else ["--op", rest[0], "--mode", rest[1], "--format", rest[2]]
+    return ["expand", *flags, "--dim", dim]
+
+
+@pytest.mark.parametrize("case", list(EXPAND_SHA256))
+def test_expand_bytes_are_golden(capsys, tmp_path, case):
+    argv = _expand_argv(case)
+    path = tmp_path / "out"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == EXPAND_SHA256[case]
+    # standard output carries the same document, ending in exactly one newline
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert out == (data if data.endswith(b"\n") else data + b"\n")
+
+
+def test_expand_entry_error_leaves_no_file(tmp_path, monkeypatch):
+    from barhom.words import TowerAlgebra
+
+    def broken(self, v):
+        raise RuntimeError("entry does not serialize")
+
+    monkeypatch.setattr(TowerAlgebra, "entry_to_json", broken)
+    path = tmp_path / "out"
+    with pytest.raises(RuntimeError):
+        main(["expand", "--op", "psi", "--dim", "2", "--out", str(path)])
+    assert not path.exists()

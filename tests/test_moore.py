@@ -1,15 +1,19 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barhom.groups import CyclicGroup, DirectProduct, SymmetricGroup
+from barhom.groups import CyclicGroup, DirectProduct, FreeGroup, SymmetricGroup
+from barhom.homotopy import MitosisTower, formal_context, homotopy_P
 from barhom.moore import (
     Chain,
     ChainError,
+    EntryText,
     boundary,
     cellular_boundary,
+    chain_payload,
     chain_to_json,
     count_degenerate,
     degeneracy,
@@ -17,6 +21,7 @@ from barhom.moore import (
     face,
     is_degenerate,
     project,
+    term_sort_key,
 )
 
 C3 = CyclicGroup(3)
@@ -162,3 +167,102 @@ def test_chain_json_deterministic():
         {"coeff": -1, "simplex": [1, 2]},
         {"coeff": 1, "simplex": [2, 1]},
     ]
+
+
+def _group_chains(group):
+    rng = random.Random(len(group.name))
+    chains = []
+    for dim in (1, 2, 3):
+        chain = Chain(dim)
+        for _ in range(12):
+            # multi-digit and negative coefficients; repeated simplices merge
+            chain.add_term(tuple(group.sample(rng) for _ in range(dim)), rng.randrange(-1500, 1500))
+        chains.append((group, chain))
+    return chains
+
+
+def _quintuple_chains():
+    # cylinder homotopies over formal letters: dicts with "m": null and without
+    free = FreeGroup(3)
+    ctx = formal_context(free)
+    return [(ctx.entries, homotopy_P(ctx, tuple(free.gen(i + 1) for i in range(dim))))
+            for dim in (0, 1, 2, 3)]
+
+
+def _tower_chains():
+    free = FreeGroup(3)
+    tower = MitosisTower(free)
+    return [(tower.algebra, tower.psi(3, tuple(free.gen(i + 1) for i in range(dim))))
+            for dim in (0, 1, 2, 3)]
+
+
+ALGEBRAS = {
+    "cyclic3": lambda: _group_chains(C3),
+    "cyclic15": lambda: _group_chains(CyclicGroup(15)),   # entry "1" is a prefix of "12"
+    "sym3": lambda: _group_chains(SymmetricGroup(3)),
+    "cyclic3*sym3": lambda: _group_chains(DirectProduct(C3, SymmetricGroup(3))),
+    "quintuple": _quintuple_chains,
+    "tower": _tower_chains,
+}
+
+HEADS = [
+    {},
+    # keys on both sides of "chain", and a nested "chain" key
+    {"artifacts": [1, {"chain": None}], "dim": 3, "op": "psi", "schema": "barhom/1",
+     "summary": {"diameter": 24, "expected_q": 8}},
+]
+
+
+def _edge_chains(alg, sample):
+    """The empty chain in dim 0 and dim 2, and dim-0 chains on the empty simplex."""
+    return [Chain(0), Chain(2), Chain(0, {(): 1}), Chain(0, {(): -12}),
+            Chain(1, {(sample,): -7, (alg.identity,): 30})]
+
+
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_chain_payload_matches_chain_to_json(name):
+    cases = ALGEBRAS[name]()
+    alg = cases[-1][0]
+    sample = next(entry for _, chain in cases for simplex in chain.terms for entry in simplex)
+    chains = [chain for _, chain in cases] + _edge_chains(alg, sample)
+    assert any(len(chain) > 1 for chain in chains)
+    for chain in chains:
+        for head in HEADS:
+            want = json.dumps({**head, "chain": chain_to_json(alg, chain)}, indent=2, sort_keys=True)
+            assert "".join(chain_payload(alg, head, chain)) == want
+
+
+def test_chain_payload_keeps_the_order_of_ties():
+    # two simplices with equal JSON: the stable sort keeps insertion order
+    class Labelled:
+        identity = "e"
+
+        def entry_to_json(self, entry):
+            return entry[0]
+
+    alg = Labelled()
+    for terms in ({(("a", 1),): 1, (("a", 2),): 2}, {(("a", 2),): 2, (("a", 1),): 1}):
+        chain = Chain(1, terms)
+        want = json.dumps({"chain": chain_to_json(alg, chain)}, indent=2, sort_keys=True)
+        assert "".join(chain_payload(alg, {}, chain)) == want
+
+
+def test_entry_text_compact_is_the_sort_key():
+    free = FreeGroup(3)
+    tower = MitosisTower(free)
+    chain = tower.psi(3, (free.gen(1), free.gen(2), free.gen(3)))
+    text = EntryText(tower.algebra)
+    for simplex in chain.terms:
+        assert text.compact(simplex) == term_sort_key(tower.algebra, simplex)
+    assert len(text) < len(chain)
+
+
+def test_chain_payload_serializes_before_returning():
+    class Unserializable:
+        identity = 0
+
+        def entry_to_json(self, entry):
+            raise RuntimeError("no JSON")
+
+    with pytest.raises(RuntimeError):
+        chain_payload(Unserializable(), {}, Chain.of((1, 2)))
