@@ -44,7 +44,7 @@ from .moore import (
     project,
 )
 from .quintuple import VerificationInstance
-from .shuffles import edgewise, edgewise_chain, edgewise_composite
+from .shuffles import edgewise, edgewise_composite
 
 
 class CheckFailure(Exception):
@@ -174,11 +174,11 @@ def chain_maps(group: Group, maxdim: int, cases: int, rng: random.Random, emit=_
     base = FreeGroup(maxdim)
     ctx = formal_context(base)
     for m in range(1, maxdim + 1):
-        sigma = tuple(base.gen(i + 1) for i in range(m))
-        one = edgewise(ctx.entries, ctx.f, ctx.g, sigma)
-        if one != edgewise_composite(ctx.entries, ctx.f, ctx.g, Chain.of(sigma)):
+        sigma = Chain.of(tuple(base.gen(i + 1) for i in range(m)))
+        one = edgewise(ctx.f, ctx.g, sigma)
+        if one != edgewise_composite(ctx.entries, ctx.f, ctx.g, sigma):
             raise CheckFailure(f"edgewise implementations disagree at dim {m}")
-        rhs = edgewise_chain(ctx.entries, ctx.f, ctx.g, boundary(base, Chain.of(sigma)))
+        rhs = edgewise(ctx.f, ctx.g, boundary(base, sigma))
         if boundary(ctx.entries, one) != rhs:
             raise CheckFailure(f"edgewise is not a chain map at dim {m}")
     emit(f"edgewise code paths agree and are chain maps, dims <= {maxdim}")

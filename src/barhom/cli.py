@@ -19,7 +19,7 @@ from typing import Iterable
 from . import bounds as bd
 from . import checks
 from .groups import FreeGroup, Group, parse_group
-from .moore import ChainError, EntryText, chain_payload, count_degenerate, diameter, project
+from .moore import Chain, ChainError, EntryText, chain_payload, count_degenerate, diameter, project
 from .homotopy import (
     MitosisTower,
     formal_context,
@@ -125,6 +125,8 @@ def _check_cap(op: str, dim: int, cap: int) -> None:
 
 
 def cmd_expand(args) -> int:
+    if args.format == "tsv" and args.op != "ed":
+        raise ValueError(f"--format tsv is only for --op ed, not --op {args.op}")
     dim = args.dim
     level = _level(args, dim)
     _check_cap(args.op, dim, args.cap)
@@ -167,7 +169,7 @@ def cmd_expand(args) -> int:
                 lines.append(f"{term.p}\t{term.q}\t{term.rank}\t{term.sign}\t{image}")
             _write(["\n".join(lines) + "\n"], args.out)
         else:
-            chain = edgewise(alg, ctx.f, ctx.g, sigma)
+            chain = edgewise(ctx.f, ctx.g, Chain.of(sigma))
             head = {"schema": SCHEMA, "op": "ed", "dim": dim, "mode": args.mode,
                     "diameter": diameter(chain)}
             _write(chain_payload(alg, head, chain), args.out)

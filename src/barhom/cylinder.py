@@ -46,14 +46,13 @@ def check_pillars(alg, top: tuple, bottom: tuple, pillars: PillarSet) -> None:
             raise IncompatiblePillars(i)
 
 
-def cyl(alg, top: tuple, bottom: tuple, pillars: PillarSet, validate: bool = True) -> Chain:
+def cyl(alg, top: tuple, bottom: tuple, pillars: PillarSet) -> Chain:
     """The simplicial cylinder between ``top`` and ``bottom`` along ``pillars``.
 
     For the 0-simplex pair this is the single 1-simplex [t_0], the pattern
     forced by the definition.
     """
-    if validate:
-        check_pillars(alg, top, bottom, pillars)
+    check_pillars(alg, top, bottom, pillars)
     n = len(top)
     out = Chain(n + 1)
     sign = 1
@@ -77,7 +76,7 @@ class CylinderTerm:
     pillars: PillarSet
 
 
-def cyl_chain(alg, terms: Iterable[CylinderTerm], validate: bool = True) -> Chain:
+def cyl_chain(alg, terms: Iterable[CylinderTerm]) -> Chain:
     """Sum of per-term cylinders over matched term lists."""
     terms = list(terms)
     if not terms:
@@ -87,7 +86,7 @@ def cyl_chain(alg, terms: Iterable[CylinderTerm], validate: bool = True) -> Chai
     for term in terms:
         if len(term.top) != dim:
             raise TermMismatch("cylinder terms of mixed dimension")
-        cylinder = cyl(alg, term.top, term.bottom, term.pillars, validate=validate)
+        cylinder = cyl(alg, term.top, term.bottom, term.pillars)
         for simplex, coeff in cylinder:
             out.add_term(simplex, term.coeff * coeff)
     return out

@@ -18,8 +18,8 @@ each term off the cached shuffle table.
 The mitosis specialization plugs in conjugation by the inverse n-th stable
 letter for both f and h, the identity for g and the trivial map for k; the
 tower homotopy iterates it level by level, correcting in place with shuffle
-products against lower levels (``add_shuffle_product``; the tensor and
-product chains of ``shuffles`` serve only as its oracle), and the
+products against lower levels (``add_shuffle_product``, tested against the
+classical ``mult_map`` of ``ez`` of a tensor chain), and the
 degenerate-killed variant composes with the projection.  ``verify_identity``
 is the harness that evaluates a homotopy identity and returns the residual
 chain instead of a bare boolean, so a failure is reported term by term
@@ -184,7 +184,7 @@ def pillar_system(ctx: HomotopyContext, sigma: tuple) -> dict:
     }
 
 
-def homotopy_P(ctx: HomotopyContext, sigma: tuple, validate: bool = True) -> Chain:
+def homotopy_P(ctx: HomotopyContext, sigma: tuple) -> Chain:
     """The cylinder homotopy on one simplex; zero on the 0-simplex."""
     n = len(sigma)
     out = Chain(n + 1)
@@ -192,7 +192,7 @@ def homotopy_P(ctx: HomotopyContext, sigma: tuple, validate: bool = True) -> Cha
         return out
     alg = ctx.entries
     for _p, _q, _rank, sign, top, bottom, pillars in p_cylinder_data(ctx, sigma):
-        cylinder = cyl(alg, top, bottom, pillars, validate=validate)
+        cylinder = cyl(alg, top, bottom, pillars)
         for simplex, coeff in cylinder:
             out.add_term(simplex, sign * coeff)
     return out
@@ -201,20 +201,14 @@ def homotopy_P(ctx: HomotopyContext, sigma: tuple, validate: bool = True) -> Cha
 # -- the inductive step and the tower --------------------------------------------
 
 
-def induct_Q(
-    prev: Callable[[tuple], Chain],
-    level: int,
-    base: Group,
-    sigma: tuple,
-    validate: bool = True,
-) -> Chain:
+def induct_Q(prev: Callable[[tuple], Chain], level: int, base: Group, sigma: tuple) -> Chain:
     """One inductive step: the stage homotopy corrected by shuffle products
     of ``prev`` on front faces against pushed-forward back faces."""
     m = len(sigma)
     if m > level:
         raise DimensionExceeded(f"dim {m} exceeds level {level}")
     ctx = mitosis_context(level, base)
-    out = homotopy_P(ctx, sigma, validate=validate)
+    out = homotopy_P(ctx, sigma)
     for k in range(1, m):
         front = sigma[:k]          # d_(k+1) ... d_m of sigma
         back = sigma[k:]           # d_0^k of sigma
@@ -226,10 +220,9 @@ def induct_Q(
 class MitosisTower:
     """Tower homotopies over one base group, with memoized stages."""
 
-    def __init__(self, base: Group, validate: bool = True):
+    def __init__(self, base: Group):
         self.base = base
         self.algebra = TowerAlgebra(base)
-        self.validate = validate
         self._cache: dict = {}
 
     def context(self, level: int) -> HomotopyContext:
@@ -245,13 +238,7 @@ class MitosisTower:
         key = (level, sigma)
         cached = self._cache.get(key)
         if cached is None:
-            cached = induct_Q(
-                lambda front: self.psi(level - 1, front),
-                level,
-                self.base,
-                sigma,
-                validate=self.validate,
-            )
+            cached = induct_Q(lambda front: self.psi(level - 1, front), level, self.base, sigma)
             self._cache[key] = cached
         return cached
 
@@ -316,12 +303,11 @@ def verify_identity(
 
 def theorem_identity_residual(ctx: HomotopyContext, sigma: tuple, max_dim: Optional[int] = None) -> Chain:
     """Residual of the cylinder-homotopy identity for one context and simplex."""
-    alg = ctx.entries
     bound = max_dim if max_dim is not None else len(sigma)
     H = PartialHomotopy(bound, lambda s: homotopy_P(ctx, s), name="P")
-    lhs = lambda s: edgewise(alg, ctx.f, ctx.g, s)
-    rhs = lambda s: edgewise(alg, ctx.h, ctx.k, s)
-    return verify_identity(ctx.source, alg, H, lhs, rhs, sigma)
+    lhs = lambda s: edgewise(ctx.f, ctx.g, Chain.of(s))
+    rhs = lambda s: edgewise(ctx.h, ctx.k, Chain.of(s))
+    return verify_identity(ctx.source, ctx.entries, H, lhs, rhs, sigma)
 
 
 def psi_identity_residual(tower: MitosisTower, level: int, sigma: tuple) -> Chain:

@@ -42,10 +42,6 @@ class Chain:
             self.add_term(simplex, coeff)
 
     @classmethod
-    def zero(cls, dim: int) -> "Chain":
-        return cls(dim)
-
-    @classmethod
     def of(cls, simplex: BarSimplex, coeff: int = 1) -> "Chain":
         return cls(len(simplex), [(simplex, coeff)])
 
@@ -88,9 +84,6 @@ class Chain:
             out.add_term(simplex, -coeff)
         return out
 
-    def __neg__(self) -> "Chain":
-        return self.scaled(-1)
-
     def scaled(self, n: int) -> "Chain":
         if n == 0:
             return Chain(self.dim)
@@ -98,7 +91,7 @@ class Chain:
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, Chain)
+            type(other) is type(self)
             and self.dim == other.dim
             and self.terms == other.terms
         )

@@ -17,11 +17,13 @@ pads every slot of one factor that the other fills with the identity, and
 every entry algebra's product returns the other factor when one side is the
 identity.
 
-Tensor chains (pairs of simplices of any bidegree) and product chains (pairs
-of equal dimension, one simplex of the product space) are deliberately
-distinct types; mixing them is a type error.  They, ``ez``, ``aw``,
+Since B(G x H) = BG x BH, a simplex of the product space is a bar simplex of
+pairs ((x_1, y_1), ..., (x_n, y_n)), so product chains are plain ``Chain``s
+and their boundary is ``moore.boundary`` over the product.  A
+``TensorChain`` is a ``Chain`` of pairs (sigma, tau) of simplices of any
+bidegree and fixed total degree.  Tensor chains, ``ez``, ``aw``,
 ``mult_map``, ``edgewise_composite`` and the itertools-based ``shuffles``
-now serve only as the independent oracle the table-driven code is checked
+serve only as the independent oracle the table-driven code is checked
 against.
 """
 
@@ -33,7 +35,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
 
-from .moore import Chain, ChainError
+from .moore import Chain, ChainError, face, pushforward
 
 
 class DimensionMismatch(ChainError):
@@ -146,109 +148,31 @@ def shuffle_entry(p: int, q: int, rank: int) -> ShuffleEntry:
     return table[rank - 1]
 
 
-# -- tensor and product chains -------------------------------------------------
+# -- tensor chains and the classical maps ---------------------------------------
 
 
-class TensorChain:
-    """Integer combination of sigma (x) tau with fixed total degree."""
+class TensorChain(Chain):
+    """Integer combination of sigma (x) tau of total degree ``dim``."""
 
-    __slots__ = ("degree", "terms")
-
-    def __init__(self, degree: int, terms=()):
-        self.degree = degree
-        self.terms: dict = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for key, coeff in items:
-            self.add_term(key, coeff)
+    __slots__ = ()
 
     def add_term(self, key, coeff: int) -> None:
         if coeff == 0:
             return
         sigma, tau = key
-        if len(sigma) + len(tau) != self.degree:
+        if len(sigma) + len(tau) != self.dim:
             raise DimensionMismatch(
-                f"bidegree ({len(sigma)},{len(tau)}) in a degree-{self.degree} tensor chain"
+                f"bidegree ({len(sigma)},{len(tau)}) in a degree-{self.dim} tensor chain"
             )
         new = self.terms.get(key, 0) + coeff
         if new == 0:
             self.terms.pop(key, None)
         else:
             self.terms[key] = new
-
-    def __iter__(self):
-        return iter(self.terms.items())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorChain)
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-
-class ProductChain:
-    """Integer combination of product simplices sigma x tau, dim sigma = dim tau."""
-
-    __slots__ = ("dim", "terms")
-
-    def __init__(self, dim: int, terms=()):
-        self.dim = dim
-        self.terms: dict = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for key, coeff in items:
-            self.add_term(key, coeff)
-
-    def add_term(self, key, coeff: int) -> None:
-        if coeff == 0:
-            return
-        sigma, tau = key
-        if len(sigma) != self.dim or len(tau) != self.dim:
-            raise DimensionMismatch(
-                f"product simplex of dims ({len(sigma)},{len(tau)}) in dimension {self.dim}"
-            )
-        new = self.terms.get(key, 0) + coeff
-        if new == 0:
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = new
-
-    def __iter__(self):
-        return iter(self.terms.items())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ProductChain)
-            and self.dim == other.dim
-            and self.terms == other.terms
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-
-def _face_pair(alg, i: int, sigma: tuple, tau: tuple):
-    from .moore import face
-
-    return face(alg, i, sigma), face(alg, i, tau)
-
-
-def product_boundary(alg, pc: ProductChain) -> ProductChain:
-    out = ProductChain(pc.dim - 1)
-    for (sigma, tau), coeff in pc:
-        sign = 1
-        for i in range(pc.dim + 1):
-            out.add_term(_face_pair(alg, i, sigma, tau), sign * coeff)
-            sign = -sign
-    return out
 
 
 def tensor_boundary(alg, tc: TensorChain) -> TensorChain:
-    from .moore import face
-
-    out = TensorChain(tc.degree - 1)
+    out = TensorChain(tc.dim - 1)
     for (sigma, tau), coeff in tc:
         p, q = len(sigma), len(tau)
         if p > 0:
@@ -265,33 +189,16 @@ def tensor_boundary(alg, tc: TensorChain) -> TensorChain:
     return out
 
 
-# -- the classical maps ---------------------------------------------------------
-
-
-def diagonal(chain: Chain) -> ProductChain:
-    out = ProductChain(chain.dim)
+def aw(chain: Chain) -> TensorChain:
+    """Alexander-Whitney on a chain of pair simplices: front faces of the
+    first coordinates tensor back faces of the second.  For bar simplices
+    front and back faces are prefix and suffix slices."""
+    out = TensorChain(chain.dim)
     for simplex, coeff in chain:
-        out.add_term((simplex, simplex), coeff)
-    return out
-
-
-def pushforward_pair(gmap: Callable, fmap: Callable, pc: ProductChain) -> ProductChain:
-    out = ProductChain(pc.dim)
-    for (sigma, tau), coeff in pc:
-        out.add_term(
-            (tuple(gmap(x) for x in sigma), tuple(fmap(y) for y in tau)), coeff
-        )
-    return out
-
-
-def aw(pc: ProductChain) -> TensorChain:
-    """Alexander-Whitney: front faces of the first factor tensor back faces
-    of the second.  For bar simplices front and back faces are prefix and
-    suffix slices."""
-    out = TensorChain(pc.dim)
-    for (sigma, tau), coeff in pc:
-        for i in range(pc.dim + 1):
-            out.add_term((sigma[:i], tau[i:]), coeff)
+        firsts = tuple(x for x, _ in simplex)
+        seconds = tuple(y for _, y in simplex)
+        for i in range(chain.dim + 1):
+            out.add_term((firsts[:i], seconds[i:]), coeff)
     return out
 
 
@@ -302,26 +209,23 @@ def _place(entries: tuple, positions: tuple, n: int, identity) -> tuple:
     return tuple(slots)
 
 
-def ez(alg, tc: TensorChain) -> ProductChain:
-    """Eilenberg-Zilber shuffle map: signed degenerate placements."""
-    out = ProductChain(tc.degree)
+def ez(alg, tc: TensorChain) -> Chain:
+    """Eilenberg-Zilber shuffle map: signed degenerate placements of both
+    factors, zipped into pair simplices."""
+    out = Chain(tc.dim)
     e = alg.identity
-    n = tc.degree
+    n = tc.dim
     for (sigma, tau), coeff in tc:
-        p, q = len(sigma), len(tau)
-        for sh in shuffles(p, q):
+        for sh in shuffles(len(sigma), len(tau)):
             first = _place(sigma, sh.first, n, e)
             second = _place(tau, sh.second, n, e)
-            out.add_term((first, second), sh.sign * coeff)
+            out.add_term(tuple(zip(first, second)), sh.sign * coeff)
     return out
 
 
-def mult_map(alg, pc: ProductChain) -> Chain:
-    """Entrywise multiplication of the two coordinates."""
-    out = Chain(pc.dim)
-    for (sigma, tau), coeff in pc:
-        out.add_term(tuple(alg.mul(x, y) for x, y in zip(sigma, tau)), coeff)
-    return out
+def mult_map(alg, chain: Chain) -> Chain:
+    """Entrywise multiplication of the two coordinates of pair simplices."""
+    return pushforward(lambda xy: alg.mul(*xy), chain)
 
 
 def tensor_of_chains(a: Chain, b: Chain) -> TensorChain:
@@ -391,15 +295,8 @@ def ed_terms(f: Callable, g: Callable, sigma: tuple) -> Iterator[EdTerm]:
             yield EdTerm(p, n - p, rank, entry.sign, entry.place(source))
 
 
-def edgewise(alg, f: Callable, g: Callable, sigma: tuple) -> Chain:
-    """Subdivision of one simplex via the shuffle formula."""
-    out = Chain(len(sigma))
-    for term in ed_terms(f, g, sigma):
-        out.add_term(term.simplex, term.sign)
-    return out
-
-
-def edgewise_chain(alg, f: Callable, g: Callable, chain: Chain) -> Chain:
+def edgewise(f: Callable, g: Callable, chain: Chain) -> Chain:
+    """Subdivision of a chain via the shuffle formula."""
     out = Chain(chain.dim)
     for simplex, coeff in chain:
         for term in ed_terms(f, g, simplex):
@@ -409,9 +306,9 @@ def edgewise_chain(alg, f: Callable, g: Callable, chain: Chain) -> Chain:
 
 def edgewise_composite(alg, f: Callable, g: Callable, chain: Chain) -> Chain:
     """The same map as the composite of the five classical chain maps; kept
-    as an independent code path and cross-checked against ``edgewise``."""
-    pc = diagonal(chain)
-    pc = pushforward_pair(g, f, pc)
-    tc = aw(pc)
-    pc = ez(alg, tc)
-    return mult_map(alg, pc)
+    as an independent code path and cross-checked against ``edgewise``.
+    The diagonal followed by the pushforward along (g, f) sends each simplex
+    to the pair simplex ((g x_1, f x_1), ..., (g x_n, f x_n)), a simplex of
+    the product space since B(G x H) = BG x BH."""
+    pairs = pushforward(lambda x: (g(x), f(x)), chain)
+    return mult_map(alg, ez(alg, aw(pairs)))

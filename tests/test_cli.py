@@ -179,6 +179,21 @@ def test_expand_above_cap_is_refused(capsys, op, dim, size):
     assert f"term cap exceeded: {size} > 1000" in captured.err
 
 
+@pytest.mark.parametrize("op", ["P", "psi", "phi", "Q"])
+def test_expand_tsv_is_only_for_ed(capsys, tmp_path, monkeypatch, op):
+    from barhom import cli
+
+    # refused before any work: not even the cap is looked at
+    monkeypatch.setattr(cli, "_check_cap", None)
+    path = tmp_path / "out"
+    code = main(["expand", "--op", op, "--dim", "2", "--format", "tsv", "--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --format tsv is only for --op ed, not --op {op}\n"
+    assert not path.exists()
+
+
 def _verify_failure(capsys, *argv):
     code, out = run(capsys, "verify", *argv)
     lines = out.splitlines()
@@ -233,7 +248,8 @@ def test_verify_all_stdout_is_fixed(capsys):
 
 # SHA-256 of the file written by `expand ... --out f`, recorded before expand
 # streamed its JSON; "psi 5" is also the benchmark's golden hash.  Keys are
-# "op dim" for psi/phi/Q (freesym, json) and "op mode format dim" for P/ed.
+# "op dim" for psi/phi/Q (freesym, json), "op mode format dim" for ed and
+# "op mode json dim" for P (only ed has a TSV form).
 EXPAND_SHA256 = {
     "psi 0": "76ab15c250528e92429c7a0f5351a2e26247d025579b1bc0c1348510aab67a6d",
     "psi 1": "a84b7fedbf89c9c52b7dadbd09269391b8bdb41dc5427dc4818f90e9c9db3894",
@@ -255,26 +271,14 @@ EXPAND_SHA256 = {
     "P concrete json 1": "58a8848956430a0f977154fcaeede3b0ec9a9d849867b7723e53fa935f5a776f",
     "P concrete json 2": "67cb20725f303910b54bb5e51c8285014e4db02200325df30f351f895bfc9aa7",
     "P concrete json 3": "06a328b7c00b13cf2294ba08566fca7fae896d131b4c7f05160d1532a1e4c20f",
-    "P concrete tsv 0": "f08dd1463c2bba26815d4dffcb901e8d3ecbc7fa63bc8bebb27ac566c5cfc50c",
-    "P concrete tsv 1": "58a8848956430a0f977154fcaeede3b0ec9a9d849867b7723e53fa935f5a776f",
-    "P concrete tsv 2": "67cb20725f303910b54bb5e51c8285014e4db02200325df30f351f895bfc9aa7",
-    "P concrete tsv 3": "06a328b7c00b13cf2294ba08566fca7fae896d131b4c7f05160d1532a1e4c20f",
     "P freesym json 0": "cda1ea82379a63109144d2fa9a1f4ddc8d637857580d4a01339bdac018bb3474",
     "P freesym json 1": "72bccf55d1fbf81259c875952ba9b3b83a7154bda795c55d9d9d778ac5052529",
     "P freesym json 2": "337e43bdd4f713ed152c0210affba44bb0e3e5e7342d0ac2c8461d22f8861242",
     "P freesym json 3": "fb7ec6e72b975817af1c27261e2466d07e8cecbbd76c30e7a63c00bef0290c04",
-    "P freesym tsv 0": "cda1ea82379a63109144d2fa9a1f4ddc8d637857580d4a01339bdac018bb3474",
-    "P freesym tsv 1": "72bccf55d1fbf81259c875952ba9b3b83a7154bda795c55d9d9d778ac5052529",
-    "P freesym tsv 2": "337e43bdd4f713ed152c0210affba44bb0e3e5e7342d0ac2c8461d22f8861242",
-    "P freesym tsv 3": "fb7ec6e72b975817af1c27261e2466d07e8cecbbd76c30e7a63c00bef0290c04",
     "P word json 0": "9d16557e812b949cada642bf3ea4219e80cbdbc9669bf324d44a8dd3261ade7e",
     "P word json 1": "3cf01759a9355d4e96f9469897e2824c46b4dad6cd76c019c052f583b9782537",
     "P word json 2": "2075d61be6e52f30c64021241c87d3f4ac7a904cf7ef72ff4449a0192f761898",
     "P word json 3": "85dc36faab656b6a6f940de13b14fe26cb1feb3b22fe6ce15c8eafb389af959d",
-    "P word tsv 0": "9d16557e812b949cada642bf3ea4219e80cbdbc9669bf324d44a8dd3261ade7e",
-    "P word tsv 1": "3cf01759a9355d4e96f9469897e2824c46b4dad6cd76c019c052f583b9782537",
-    "P word tsv 2": "2075d61be6e52f30c64021241c87d3f4ac7a904cf7ef72ff4449a0192f761898",
-    "P word tsv 3": "85dc36faab656b6a6f940de13b14fe26cb1feb3b22fe6ce15c8eafb389af959d",
     "ed concrete json 0": "cf05dfdb071306c106e8cf3960e4b8125b1eea1fb649171625d739fadd46ef32",
     "ed concrete json 1": "0bd9c9e09fce2462015d0d42d1118130b07084fa6dfb79bfad500d7a3eb0ae68",
     "ed concrete json 2": "35421d37518ce41426d5c4d320b2fe040991b956b97529560bb9cf957e65254b",

@@ -70,13 +70,13 @@ def test_pillar_well_definedness(m):
     # constructing P validates every pillar relation; over the concrete
     # instance as well as the formal algebra
     F, ctx, alg = _formal(m)
-    homotopy_P(ctx, tuple(F.gens()), validate=True)
+    homotopy_P(ctx, tuple(F.gens()))
     group = CyclicGroup(3)
     inst_ctx = instance_context(VerificationInstance(group, 5))
     rng = random.Random(m)
     for _ in range(10):
         sigma = tuple(group.sample(rng) for _ in range(m))
-        homotopy_P(inst_ctx, sigma, validate=True)
+        homotopy_P(inst_ctx, sigma)
 
 
 def _face_buckets(ctx, sigma):

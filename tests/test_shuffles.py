@@ -5,25 +5,20 @@ from functools import reduce
 import pytest
 
 from barhom.groups import CyclicGroup, DirectProduct, FreeGroup, SymmetricGroup
-from barhom.homotopy import formal_context, instance_context
+from barhom.homotopy import formal_context, instance_context, mitosis_context
 from barhom.moore import Chain, boundary, degeneracy, diameter
 from barhom.quintuple import VerificationInstance
 from barhom.shuffles import (
     DimensionMismatch,
-    ProductChain,
     RankOutOfRange,
     TensorChain,
     add_shuffle_product,
     aw,
-    diagonal,
     ed_terms,
     edgewise,
-    edgewise_chain,
     edgewise_composite,
     ez,
     mult_map,
-    product_boundary,
-    pushforward_pair,
     shuffle_table,
     shuffle_term,
     shuffles,
@@ -32,6 +27,12 @@ from barhom.shuffles import (
 )
 
 C3 = CyclicGroup(3)
+# a product simplex sigma x tau is a bar simplex of pairs over the product
+C3xC3 = DirectProduct(C3, C3)
+
+
+def pairs(sigma, tau):
+    return tuple(zip(sigma, tau))
 
 
 def fact(n):
@@ -74,15 +75,27 @@ def test_shuffle_sign_is_permutation_sign():
 
 def test_aw_examples():
     g, h = 1, 2
-    tc = aw(ProductChain(1, {((g,), (h,)): 1}))
+    tc = aw(Chain.of(pairs((g,), (h,))))
     assert tc == TensorChain(1, {((), (h,)): 1, ((g,), ()): 1})
-    tc = aw(ProductChain(2, {((1, 2), (2, 2)): 1}))
+    tc = aw(Chain.of(pairs((1, 2), (2, 2))))
     assert len(tc.terms) == 3
 
 
-def test_aw_rejects_mixed_dims():
+def test_tensor_chain_checks_total_degree():
+    tc = TensorChain(3, {((1,), (1, 2)): 1})
     with pytest.raises(DimensionMismatch):
-        ProductChain(2, {((1,), (1, 2)): 1})
+        tc.add_term(((1,), (1,)), 1)
+    with pytest.raises(DimensionMismatch):
+        TensorChain(2, {((1, 2), (1,)): 1})
+
+
+def test_tensor_chain_never_equals_a_chain():
+    tc = TensorChain(1, {((1,), ()): 1})
+    chain = Chain(1)
+    chain.terms.update(tc.terms)   # same dim, same dict
+    assert tc != chain and chain != tc
+    assert TensorChain(1) != Chain(1)
+    assert tc == TensorChain(1, {((1,), ()): 1})
 
 
 def test_aw_is_chain_map():
@@ -90,17 +103,17 @@ def test_aw_is_chain_map():
     for _ in range(20):
         sigma = tuple(C3.sample(rng) for _ in range(3))
         tau = tuple(C3.sample(rng) for _ in range(3))
-        pc = ProductChain(3, {(sigma, tau): 1})
-        assert aw(product_boundary(C3, pc)) == tensor_boundary(C3, aw(pc))
+        pc = Chain.of(pairs(sigma, tau))
+        assert aw(boundary(C3xC3, pc)) == tensor_boundary(C3, aw(pc))
 
 
 def test_ez_examples():
     g, h = 1, 2
     pc = ez(C3, TensorChain(1, {((g,), ()): 1}))
-    assert pc == ProductChain(1, {((g,), (0,)): 1})
+    assert pc == Chain.of(pairs((g,), (0,)))
     pc = ez(C3, TensorChain(2, {((g,), (h,)): 1}))
-    assert pc == ProductChain(
-        2, {((g, 0), (0, h)): 1, ((0, g), (h, 0)): -1}
+    assert pc == Chain(
+        2, {pairs((g, 0), (0, h)): 1, pairs((0, g), (h, 0)): -1}
     )
 
 
@@ -120,7 +133,7 @@ def test_ez_is_chain_map():
         sigma = tuple(C3.sample(rng) for _ in range(p))
         tau = tuple(C3.sample(rng) for _ in range(q))
         tc = TensorChain(p + q, {(sigma, tau): 1})
-        assert ez(C3, tensor_boundary(C3, tc)) == product_boundary(C3, ez(C3, tc))
+        assert ez(C3, tensor_boundary(C3, tc)) == boundary(C3xC3, ez(C3, tc))
 
 
 def test_ez_placement_matches_iterated_degeneracies():
@@ -139,7 +152,7 @@ def test_ez_placement_matches_iterated_degeneracies():
             second = tau
             for pos in sorted(sh.first):
                 second = degeneracy(C3, pos - 1, second)
-            assert pc.terms[(first, second)] == sh.sign
+            assert pc.terms[pairs(first, second)] == sh.sign
 
 
 def test_aw_slices_are_iterated_faces():
@@ -150,7 +163,7 @@ def test_aw_slices_are_iterated_faces():
     rng = random.Random(9)
     sigma = tuple(C3.sample(rng) for _ in range(4))
     tau = tuple(C3.sample(rng) for _ in range(4))
-    tc = aw(ProductChain(4, {(sigma, tau): 1}))
+    tc = aw(Chain.of(pairs(sigma, tau)))
     for i in range(5):
         front = sigma
         for j in range(4, i, -1):
@@ -162,23 +175,21 @@ def test_aw_slices_are_iterated_faces():
 
 
 def test_mult_map_examples():
-    pc = ProductChain(1, {((1,), (2,)): 1})
+    pc = Chain.of(pairs((1,), (2,)))
     assert mult_map(C3, pc) == Chain.of((0,))
-    pc = ProductChain(2, {((1, 0), (0, 2)): 1})
+    pc = Chain.of(pairs((1, 0), (0, 2)))
     assert mult_map(C3, pc) == Chain.of((1, 2))
 
 
 def test_mult_map_is_chain_map_abelian():
     rng = random.Random(6)
     for _ in range(20):
-        pc = ProductChain(2)
+        pc = Chain(2)
         for _ in range(3):
-            key = (
-                tuple(C3.sample(rng) for _ in range(2)),
-                tuple(C3.sample(rng) for _ in range(2)),
-            )
-            pc.add_term(key, rng.choice((1, -1)))
-        assert mult_map(C3, product_boundary(C3, pc)) == boundary(C3, mult_map(C3, pc))
+            sigma = tuple(C3.sample(rng) for _ in range(2))
+            tau = tuple(C3.sample(rng) for _ in range(2))
+            pc.add_term(pairs(sigma, tau), rng.choice((1, -1)))
+        assert mult_map(C3, boundary(C3xC3, pc)) == boundary(C3, mult_map(C3, pc))
 
 
 def _formal(m):
@@ -190,7 +201,7 @@ def _formal(m):
 def test_edgewise_one_simplex():
     F, ctx, alg = _formal(1)
     g1 = F.gen(1)
-    chain = edgewise(alg, ctx.f, ctx.g, (g1,))
+    chain = edgewise(ctx.f, ctx.g, Chain.of((g1,)))
     assert chain == Chain(1, {(alg.f(g1),): 1, (alg.g(g1),): 1})
 
 
@@ -207,7 +218,7 @@ def test_edgewise_two_simplex_display():
             (g(g1), g(g2)): 1,
         },
     )
-    assert edgewise(alg, ctx.f, ctx.g, (g1, g2)) == expected
+    assert edgewise(ctx.f, ctx.g, Chain.of((g1, g2))) == expected
 
 
 def test_edgewise_three_simplex_display():
@@ -245,11 +256,13 @@ def test_shuffle_term_examples():
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_edgewise_paths_agree_bit_exact(m):
     F, ctx, alg = _formal(m)
-    sigma = tuple(F.gens())
-    assert edgewise(alg, ctx.f, ctx.g, sigma) == edgewise_composite(
-        alg, ctx.f, ctx.g, Chain.of(sigma)
-    )
-    assert diameter(edgewise(alg, ctx.f, ctx.g, sigma)) == 2**m
+    sigma = Chain.of(tuple(F.gens()))
+    assert edgewise(ctx.f, ctx.g, sigma) == edgewise_composite(alg, ctx.f, ctx.g, sigma)
+    assert diameter(edgewise(ctx.f, ctx.g, sigma)) == 2**m
+    # and in the tower's word algebra, for both pairs of maps
+    tower = mitosis_context(m, F)
+    for f, g in ((tower.f, tower.g), (tower.h, tower.k)):
+        assert edgewise(f, g, sigma) == edgewise_composite(tower.entries, f, g, sigma)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -265,8 +278,8 @@ def test_edgewise_is_chain_map_exhaustive(n):
             rng = random.Random(dim)
             sample = [tuple(group.sample(rng) for _ in range(dim)) for _ in range(20)]
         for sigma in sample:
-            lhs = boundary(alg, edgewise(alg, ctx.f, ctx.g, sigma))
-            rhs = edgewise_chain(alg, ctx.f, ctx.g, boundary(group, Chain.of(sigma)))
+            lhs = boundary(alg, edgewise(ctx.f, ctx.g, Chain.of(sigma)))
+            rhs = edgewise(ctx.f, ctx.g, boundary(group, Chain.of(sigma)))
             assert lhs == rhs
 
 
@@ -281,8 +294,8 @@ def test_edgewise_is_chain_map_symmetric_products():
     for dim in range(1, 4):
         for _ in range(15):
             sigma = tuple(S3.sample(rng) for _ in range(dim))
-            lhs = boundary(H, edgewise(H, f, g, sigma))
-            rhs = edgewise_chain(H, f, g, boundary(S3, Chain.of(sigma)))
+            lhs = boundary(H, edgewise(f, g, Chain.of(sigma)))
+            rhs = edgewise(f, g, boundary(S3, Chain.of(sigma)))
             assert lhs == rhs
 
 
@@ -291,7 +304,7 @@ def test_edgewise_diameter_bounded_on_concrete_groups():
     inst = VerificationInstance(group, 3)
     ctx = instance_context(inst)
     for sigma in itertools.product(group.elements(), repeat=3):
-        assert diameter(edgewise(ctx.entries, ctx.f, ctx.g, sigma)) <= 8
+        assert diameter(edgewise(ctx.f, ctx.g, Chain.of(sigma))) <= 8
 
 
 # -- the cached shuffle table and the fused product, against the oracle -----------
