@@ -33,7 +33,7 @@ from typing import Callable, Optional
 
 from .cylinder import cyl
 from .groups import Group
-from .moore import Chain, boundary, count_degenerate, diameter, project
+from .moore import Chain, boundary, diameter, project
 from .quintuple import QuintupleAlgebra, VerificationInstance
 from .shuffles import (
     DimensionMismatch,
@@ -318,22 +318,3 @@ def psi_identity_residual(tower: MitosisTower, level: int, sigma: tuple) -> Chai
     rhs = lambda s: Chain.of((alg.identity,) * len(s))
     return verify_identity(tower.base, alg, H, lhs, rhs, sigma)
 
-
-def free_symbol_counts(level: int, dim: int) -> dict:
-    """Exact diameter and degeneracy counts of the tower homotopy on the
-    generic simplex with free-symbol entries."""
-    from .groups import FreeGroup
-
-    base = FreeGroup(dim)
-    tower = MitosisTower(base)
-    sigma = tuple(base.gens())
-    chain = tower.psi(level, sigma)
-    alg = tower.algebra
-    degen = count_degenerate(alg, chain)
-    return {
-        "dim": dim,
-        "level": level,
-        "diameter": diameter(chain),
-        "degenerate": degen,
-        "projected_diameter": diameter(chain) - degen,
-    }

@@ -13,32 +13,27 @@ m(x) := h(x^-1)*l*f(x); in canonical form an expression with an m-letter has
 empty f and g slots.  Products that would need any other rewrite (or a second
 m-letter) raise ``NonNormalizable``: they cannot arise from face maps of the
 homotopy chains, so hitting one signals a bug in the caller.
+
+Quintuples are hash-consed (``barhom.interned``): building one with the
+fields of an existing quintuple returns that object, so equality is object
+identity, quintuples are immutable, and the table of canonical quintuples
+lives for the process.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional
-
 from .groups import CyclicGroup, DirectProduct, Group
+from .interned import Interned
 
 
 class NonNormalizable(Exception):
     """The requested product lies outside the designated rewrite set."""
 
 
-@dataclass(frozen=True)
-class Quintuple:
+class Quintuple(Interned):
     """Canonical form of h(h_arg) k(k_arg) m(m_arg) f(f_arg) g(g_arg)."""
 
-    h_arg: Any
-    k_arg: Any
-    m_arg: Optional[Any]
-    f_arg: Any
-    g_arg: Any
-
-    def has_m(self) -> bool:
-        return self.m_arg is not None
+    __slots__ = ("h_arg", "k_arg", "m_arg", "f_arg", "g_arg")
 
 
 class QuintupleAlgebra:

@@ -15,14 +15,20 @@ lower-level value, or F_n(a) * m_n(x).  Products arising from face maps of
 the homotopy chains always normalize to one of these shapes; anything else
 raises ``NonNormalizable``.  Equality of canonical forms is the designated
 decision procedure — no claim is made of solving the word problem in general.
+
+The tower values ``Conjugated`` and ``PillarWord`` are hash-consed
+(``barhom.interned``): building one with the fields of an existing value
+returns that object, so equality is object identity, values are immutable,
+and the table of canonical values lives for the process.  The products of
+each ``TowerAlgebra`` are memoized on the pair of factors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional, Union
 
 from .groups import Group
+from .interned import Interned
 from .quintuple import NonNormalizable
 
 # -- flat words --------------------------------------------------------------
@@ -106,22 +112,16 @@ def word_to_json(G: Group, word: MitosisWord) -> list:
 # -- tower values -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Conjugated:
+class Conjugated(Interned):
     """F_level(arg) * tail, with arg a nonidentity base element."""
 
-    level: int
-    arg: Any
-    tail: Any
+    __slots__ = ("level", "arg", "tail")
 
 
-@dataclass(frozen=True)
-class PillarWord:
+class PillarWord(Interned):
     """F_level(f_arg) * m_level(m_arg); the m-letter absorbs anything after it."""
 
-    level: int
-    f_arg: Any
-    m_arg: Any
+    __slots__ = ("level", "f_arg", "m_arg")
 
 
 TowerValue = Union[Conjugated, PillarWord, Any]
@@ -139,6 +139,7 @@ class TowerAlgebra:
     def __init__(self, base: Group):
         self.base = base
         self.identity = base.identity
+        self._products: dict = {}
 
     def is_identity(self, v) -> bool:
         return not isinstance(v, (Conjugated, PillarWord)) and self.base.is_identity(v)
@@ -166,6 +167,15 @@ class TowerAlgebra:
     # multiplication --------------------------------------------------------
 
     def mul(self, v, w):
+        """The canonical form of v*w, memoized; a ``NonNormalizable``
+        product raises on every call."""
+        key = (v, w)
+        product = self._products.get(key)
+        if product is None:
+            product = self._products[key] = self._mul(v, w)
+        return product
+
+    def _mul(self, v, w):
         if self.is_identity(v):
             return w
         if self.is_identity(w):

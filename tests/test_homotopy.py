@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from barhom import checks
 from barhom.bounds import c_bound, d_cyl, gamma, q_count
 from barhom.cylinder import boundary_system
 from barhom.groups import CyclicGroup, FreeGroup, SymmetricGroup
@@ -23,9 +24,9 @@ from barhom.homotopy import (
     verify_identity,
 )
 from barhom.moore import Chain, boundary, count_degenerate, diameter, face, project, pushforward
-from barhom.quintuple import VerificationInstance
+from barhom.quintuple import NonNormalizable, VerificationInstance
 from barhom.shuffles import add_shuffle_product, ez, mult_map, shuffle_term, shuffles, tensor_of_chains
-from barhom.words import Conjugated, PillarWord
+from barhom.words import Conjugated, PillarWord, TowerAlgebra
 
 
 def _formal(m):
@@ -470,3 +471,44 @@ def test_p_cylinder_data_matches_per_rank_terms(group):
     for dim in range(5):
         sigma = tuple(F.gens())[:dim]
         assert list(p_cylinder_data(ctx, sigma)) == _per_rank_cylinder_data(ctx, sigma)
+
+
+# -- the memoized tower product ----------------------------------------------------
+
+
+def test_tower_mul_raises_on_every_call():
+    F = FreeGroup(2)
+    alg = TowerAlgebra(F)
+    x, y = F.gens()
+    two_m = (alg.pillar(1, x), alg.pillar(1, y))
+    # the second pair fails one level down, inside the product of the tails
+    nested = (alg.conj(2, x, alg.pillar(1, x)), alg.conj(2, y, alg.pillar(1, y)))
+    for v, w in (two_m, nested, two_m, nested):
+        with pytest.raises(NonNormalizable):
+            alg.mul(v, w)
+
+
+def _product(alg, v, w):
+    try:
+        return alg.mul(v, w)
+    except NonNormalizable:
+        return NonNormalizable
+
+
+def test_tower_mul_memo_agrees_with_a_fresh_algebra():
+    F = FreeGroup(4)
+    tower = MitosisTower(F)
+    entries = sorted({e for s in tower.psi(4, tuple(F.gens())).terms for e in s}, key=repr)
+    memo = TowerAlgebra(F)
+    outcomes = set()
+    for _ in range(2):
+        for v, w in itertools.product(entries, repeat=2):
+            got = _product(memo, v, w)
+            assert got == _product(TowerAlgebra(F), v, w)
+            outcomes.add(got is NonNormalizable)
+    assert outcomes == {False, True}
+
+
+def test_psi_identity_level5_generic_simplex():
+    # raises CheckFailure with the first residual term
+    checks.psi_identity(level=5, maxdim=5)

@@ -159,6 +159,74 @@ def test_count_degenerate():
     assert not is_degenerate(C3, (1, 2))
 
 
+# -- the degeneracy contract: is_identity(x) iff x == identity --------------------
+
+
+def _entries(*chains):
+    return [entry for chain in chains for simplex in chain.terms for entry in simplex]
+
+
+def _group_entries(group):
+    rng = random.Random(len(group.name))
+    return [group.sample(rng) for _ in range(300)]
+
+
+def _formal_entries():
+    free = FreeGroup(2)
+    ctx = formal_context(free)
+    rng = random.Random(2)
+    chains = [homotopy_P(ctx, tuple(free.sample(rng) for _ in range(dim)))
+              for dim in range(4) for _ in range(3)]
+    return ctx.entries, _entries(*chains, *(boundary(ctx.entries, c) for c in chains))
+
+
+def _psi_entries(base):
+    tower = MitosisTower(base)
+    rng = random.Random(3)
+    chains = [tower.psi(level, tuple(base.sample(rng) for _ in range(m)))
+              for m in range(1, 5) for level in (m, 4)]
+    alg = tower.algebra
+    return alg, _entries(*chains, *(boundary(alg, c) for c in chains)) + _group_entries(base)
+
+
+CONTRACT = {
+    "cyclic3": lambda: (C3, _group_entries(C3)),
+    "sym3": lambda: (SymmetricGroup(3), _group_entries(SymmetricGroup(3))),
+    "cyclic3*sym3": lambda: (DirectProduct(C3, SymmetricGroup(3)),
+                             _group_entries(DirectProduct(C3, SymmetricGroup(3)))),
+    "free2": lambda: (FreeGroup(2), _group_entries(FreeGroup(2))),
+    "quintuple[free2]": _formal_entries,
+    "tower[free3]": lambda: _psi_entries(FreeGroup(3)),
+    "tower[cyclic3]": lambda: _psi_entries(C3),
+}
+
+
+@pytest.mark.parametrize("name", list(CONTRACT))
+def test_is_identity_is_equality_with_the_identity(name):
+    alg, entries = CONTRACT[name]()
+    entries = [alg.identity] + entries
+    identities = [x for x in entries if alg.is_identity(x)]
+    assert len(identities) > 1 and len(identities) < len(entries)
+    for x in entries:
+        assert alg.is_identity(x) == (x == alg.identity)
+        assert is_degenerate(alg, (x,)) == alg.is_identity(x)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_count_degenerate_matches_the_entrywise_test_on_psi(m):
+    free = FreeGroup(m)
+    tower = MitosisTower(free)
+    alg = tower.algebra
+    chain = tower.psi(m, tuple(free.gens()))
+
+    def degenerate(simplex):
+        return any(alg.is_identity(entry) for entry in simplex)
+
+    assert count_degenerate(alg, chain) == sum(abs(c) for s, c in chain if degenerate(s))
+    assert project(alg, chain).terms == {s: c for s, c in chain if not degenerate(s)}
+    assert count_degenerate(alg, chain) > 0
+
+
 def test_chain_json_deterministic():
     chain = Chain(2, {(2, 1): 1, (1, 2): -1})
     data = chain_to_json(C3, chain)

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -188,3 +190,45 @@ def test_entry_json():
     data = alg.entry_to_json(alg.mul(alg.m(1), alg.f(2)))
     assert data == {"h": 2, "k": 0, "m": 0, "f": 0, "g": 0}
     assert alg.entry_to_json(alg.f(1))["m"] is None
+
+
+# -- hash-consing ---------------------------------------------------------------
+
+
+def test_quintuples_are_interned():
+    a, b = QuintupleAlgebra(FreeGroup(2)), QuintupleAlgebra(FreeGroup(2))
+    x, y = (1,), (2,)
+    assert a.identity is b.identity is Quintuple((), (), None, (), ())
+    assert a.mul(a.m(x), a.f(y)) is b.mul(b.m(x), b.f(y))
+    assert a.make(x, y, None, y, x) is Quintuple(h_arg=x, k_arg=y, m_arg=None, f_arg=y, g_arg=x)
+    assert QuintupleAlgebra(C3).identity is Quintuple(0, 0, None, 0, 0)
+    assert a.f(x) is not a.g(x)
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_quintuple_copies_are_canonical(clone):
+    alg = QuintupleAlgebra(FreeGroup(2))
+    for value in (alg.identity, alg.ell, alg.mul(alg.m((1,)), alg.g((2, 1))), alg.h((-2,))):
+        assert clone(value) is value
+    assert clone([alg.ell, alg.ell])[1] is alg.ell
+
+
+def test_quintuples_are_immutable():
+    q = QuintupleAlgebra(C3).f(1)
+    for name in ("h_arg", "m_arg", "f_arg", "other"):
+        with pytest.raises(AttributeError):
+            setattr(q, name, 2)
+    assert q.f_arg == 1
+
+
+def test_quintuple_repr_is_the_dataclass_format():
+    alg = QuintupleAlgebra(FreeGroup(2))
+    assert repr(alg.m((1,))) == "Quintuple(h_arg=(), k_arg=(), m_arg=(1,), f_arg=(), g_arg=())"
+    assert repr(Quintuple(0, 1, None, 2, 0)) == "Quintuple(h_arg=0, k_arg=1, m_arg=None, f_arg=2, g_arg=0)"
+
+
+def test_quintuple_set_membership():
+    alg = QuintupleAlgebra(C3)
+    assert Quintuple(0, 0, None, 1, 0) in {alg.f(1)}
+    assert alg.f(1) in {Quintuple(0, 0, None, 1, 0)}

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -8,6 +10,8 @@ from barhom.words import (
     GEN,
     T,
     U,
+    Conjugated,
+    PillarWord,
     TowerAlgebra,
     gen,
     mitosis_reduce,
@@ -125,3 +129,68 @@ def test_tower_word_json():
         {"letter": "u", "level": 1, "arg": None, "inv": False},
     ]
     assert word_to_json(C3, ()) == []
+
+
+# -- hash-consing ---------------------------------------------------------------
+
+
+def _tower_values():
+    F2 = FreeGroup(2)
+    alg = TowerAlgebra(F2)
+    x, y = F2.gen(1), F2.gen(2)
+    return [
+        Conjugated(1, (1,), ()),
+        alg.conj(2, y, alg.conj(1, x)),
+        alg.ell(2),
+        alg.mul(alg.pillar(1, x), alg.conj(1, y)),
+    ]
+
+
+def test_tower_values_are_interned():
+    a, b = TowerAlgebra(FreeGroup(2)), TowerAlgebra(FreeGroup(2))
+    x, y = (1,), (2,)
+    assert Conjugated(1, (1,), ()) is Conjugated(1, (1,), ())
+    assert Conjugated(1, (1,), ()) is Conjugated(level=1, arg=(1,), tail=())
+    assert a.conj(2, y, a.conj(1, x)) is b.conj(2, y, b.conj(1, x))
+    assert a.pillar(1, x, y) is b.pillar(1, x, y) is PillarWord(1, y, x)
+    assert a.mul(a.pillar(1, x), a.conj(1, y)) is b.mul(b.pillar(1, x), b.conj(1, y))
+    assert Conjugated(1, (1,), ()) is not Conjugated(1, (2,), ())
+    assert Conjugated(1, (1,), ()) != PillarWord(1, (1,), ())
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_tower_value_copies_are_canonical(clone):
+    for value in _tower_values():
+        assert clone(value) is value
+
+
+def test_tower_values_are_immutable():
+    value = Conjugated(1, (1,), ())
+    for name in ("level", "arg", "tail", "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 2)
+    with pytest.raises(AttributeError):
+        del value.level
+    assert value.level == 1
+
+
+def test_tower_value_repr_is_the_dataclass_format():
+    assert repr(Conjugated(1, (1,), ())) == "Conjugated(level=1, arg=(1,), tail=())"
+    assert repr(PillarWord(2, (), (-1, 2))) == "PillarWord(level=2, f_arg=(), m_arg=(-1, 2))"
+    nested = Conjugated(2, (2,), Conjugated(1, (1,), ()))
+    assert repr(nested) == "Conjugated(level=2, arg=(2,), tail=Conjugated(level=1, arg=(1,), tail=()))"
+
+
+def test_tower_value_set_membership():
+    assert Conjugated(1, (1,), ()) in {Conjugated(1, (1,), ())}
+    assert TowerAlgebra(FreeGroup(1)).conj(1, (1,)) in {Conjugated(1, (1,), ())}
+
+
+def test_tower_value_constructor_checks_fields():
+    with pytest.raises(TypeError):
+        Conjugated(1, (1,))
+    with pytest.raises(TypeError):
+        Conjugated(1, (1,), (), tail=())
+    with pytest.raises(TypeError):
+        PillarWord(1, (), level=1)
