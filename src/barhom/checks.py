@@ -82,7 +82,10 @@ def theorem45(group: Group, modulus: int, maxdim: int, samples: int,
               rng: random.Random, emit=_quiet) -> None:
     """The Theorem 4.5 identity over ``(group x group) x Z_modulus``: every
     simplex of dim <= min(maxdim, 3), then ``samples`` random 4-simplices
-    if maxdim >= 4."""
+    if maxdim >= 4.  An infinite group is a ``ValueError``, raised before
+    any work."""
+    if not group.finite:
+        raise ValueError(f"theorem45 enumerates the group, and {group.name} is infinite")
     inst = VerificationInstance(group, modulus)
     ctx = instance_context(inst)
     for x in group.elements():
@@ -108,8 +111,7 @@ def cylinder_boundary_rhs(group: Group, top: tuple, bottom: tuple, pillars: tupl
     rhs = Chain(dim, [(top, 1), (bottom, -1)])
     sign = 1
     for i in range(dim + 1) if dim else ():
-        for s, c in cyl(group, face(group, i, top), face(group, i, bottom), face_pillar(i, pillars)):
-            rhs.add_term(s, -sign * c)
+        rhs.add_chain(cyl(group, face(group, i, top), face(group, i, bottom), face_pillar(i, pillars)), -sign)
         sign = -sign
     return rhs
 

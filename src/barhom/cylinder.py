@@ -55,9 +55,17 @@ def cyl(alg, top: tuple, bottom: tuple, pillars: PillarSet) -> Chain:
     check_pillars(alg, top, bottom, pillars)
     n = len(top)
     out = Chain(n + 1)
+    terms = out.terms
     sign = 1
     for i in range(n + 1):
-        out.add_term(bottom[:i] + (pillars[i],) + top[i:], sign)
+        # add_term's rule inline; consecutive terms coincide when
+        # t_i = b_(i+1) and a_(i+1) = t_(i+1), and then cancel
+        simplex = bottom[:i] + (pillars[i],) + top[i:]
+        new = terms.get(simplex, 0) + sign
+        if new:
+            terms[simplex] = new
+        else:
+            del terms[simplex]
         sign = -sign
     return out
 
@@ -86,9 +94,7 @@ def cyl_chain(alg, terms: Iterable[CylinderTerm]) -> Chain:
     for term in terms:
         if len(term.top) != dim:
             raise TermMismatch("cylinder terms of mixed dimension")
-        cylinder = cyl(alg, term.top, term.bottom, term.pillars)
-        for simplex, coeff in cylinder:
-            out.add_term(simplex, term.coeff * coeff)
+        out.add_chain(cyl(alg, term.top, term.bottom, term.pillars), term.coeff)
     return out
 
 

@@ -5,7 +5,10 @@ product, inverses, decidable equality (elements are plain hashable Python
 values in a canonical form), and JSON encoding.  Concrete carriers are cyclic
 groups, symmetric groups and direct products; ``FreeGroup`` provides the
 free-symbol carrier used for exact diameter counting, where two elements are
-equal only if their reduced words coincide.
+equal only if their reduced words coincide.  ``finite`` says whether a group
+can list its elements.  The products of each ``DirectProduct`` are memoized
+on the pair of factors; the verification target over cyclic3 has 45
+elements, so its memo holds at most 2,025 products.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ class Group:
     """Base class: a group context operating on opaque element values."""
 
     name: str = "group"
+    # whether ``elements`` and ``order`` are defined
+    finite: bool = True
 
     @property
     def identity(self):
@@ -165,13 +170,21 @@ class DirectProduct(Group):
             raise ValueError("direct product needs at least one factor")
         self.factors = factors
         self.name = "x".join(f.name for f in factors)
+        self.finite = all(f.finite for f in factors)
+        self._products: dict = {}
 
     @property
     def identity(self) -> tuple:
         return tuple(f.identity for f in self.factors)
 
     def mul(self, a, b):
-        return tuple(f.mul(x, y) for f, x, y in zip(self.factors, a, b))
+        """The factor-wise product, memoized on the pair ``(a, b)``."""
+        key = (a, b)
+        product = self._products.get(key)
+        if product is None:
+            product = self._products[key] = tuple(
+                [f.mul(x, y) for f, x, y in zip(self.factors, a, b)])
+        return product
 
     def inv(self, a):
         return tuple(f.inv(x) for f, x in zip(self.factors, a))
@@ -212,6 +225,8 @@ class FreeGroup(Group):
     reduced words, which is what makes diameter counts exact: distinct formal
     terms can never collide.
     """
+
+    finite = False
 
     def __init__(self, rank: int):
         if rank < 0:

@@ -23,7 +23,10 @@ classical ``mult_map`` of ``ez`` of a tensor chain), and the
 degenerate-killed variant composes with the projection.  ``verify_identity``
 is the harness that evaluates a homotopy identity and returns the residual
 chain instead of a bare boolean, so a failure is reported term by term
-rather than hidden.
+rather than hidden.  ``theorem_identity_residual`` keeps P of the proper
+faces it meets in its context, so a run of checks on one context (one
+``checks.theorem45`` call) builds P once per distinct face; P of the
+checked simplex itself is never kept.
 """
 
 from __future__ import annotations
@@ -61,6 +64,9 @@ class HomotopyContext:
     k: Callable
     m: Callable
     name: str = "context"
+    # homotopy_P on the proper faces seen by ``theorem_identity_residual``;
+    # not an init field, so ``dataclasses.replace`` starts an empty cache
+    face_P: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def ell(self):
@@ -192,9 +198,7 @@ def homotopy_P(ctx: HomotopyContext, sigma: tuple) -> Chain:
         return out
     alg = ctx.entries
     for _p, _q, _rank, sign, top, bottom, pillars in p_cylinder_data(ctx, sigma):
-        cylinder = cyl(alg, top, bottom, pillars)
-        for simplex, coeff in cylinder:
-            out.add_term(simplex, sign * coeff)
+        out.add_chain(cyl(alg, top, bottom, pillars), sign)
     return out
 
 
@@ -280,8 +284,7 @@ class PartialHomotopy:
     def on_chain(self, chain: Chain) -> Chain:
         out = Chain(chain.dim + 1)
         for simplex, coeff in chain:
-            for term, c in self(simplex):
-                out.add_term(term, coeff * c)
+            out.add_chain(self(simplex), coeff)
         return out
 
 
@@ -302,9 +305,24 @@ def verify_identity(
 
 
 def theorem_identity_residual(ctx: HomotopyContext, sigma: tuple, max_dim: Optional[int] = None) -> Chain:
-    """Residual of the cylinder-homotopy identity for one context and simplex."""
+    """Residual of the cylinder-homotopy identity for one context and simplex.
+
+    P of sigma itself is built afresh; P of its faces is kept in
+    ``ctx.face_P`` and reused by later calls on the same context, so each
+    distinct proper face is built once per context.
+    """
     bound = max_dim if max_dim is not None else len(sigma)
-    H = PartialHomotopy(bound, lambda s: homotopy_P(ctx, s), name="P")
+    top, cache = len(sigma), ctx.face_P
+
+    def P(s):
+        if len(s) == top:
+            return homotopy_P(ctx, s)
+        chain = cache.get(s)
+        if chain is None:
+            chain = cache[s] = homotopy_P(ctx, s)
+        return chain
+
+    H = PartialHomotopy(bound, P, name="P")
     lhs = lambda s: edgewise(ctx.f, ctx.g, Chain.of(s))
     rhs = lambda s: edgewise(ctx.h, ctx.k, Chain.of(s))
     return verify_identity(ctx.source, ctx.entries, H, lhs, rhs, sigma)

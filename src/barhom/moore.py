@@ -16,6 +16,14 @@ vector, and ``project`` is the quotient map that deletes degenerate terms
 Every entry algebra satisfies ``alg.is_identity(x) == (x == alg.identity)``,
 so a simplex is degenerate exactly when ``alg.identity in simplex``: one
 scan of the tuple in C, with no call per entry.
+
+Chains accumulate under one rule, that of ``Chain.add_term``: a coefficient
+that reaches zero pops its simplex, so a simplex added again later moves to
+the end and the iteration order of a result is fixed by the order of the
+additions.  ``boundary`` is one inline kernel that builds each face as
+``face`` does and adds it under this rule, ``Chain.add_chain`` adds a whole
+chain under it, and both give the terms, in order, of calling ``add_term``
+term by term.
 """
 
 from __future__ import annotations
@@ -74,18 +82,29 @@ class Chain:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "Chain") -> "Chain":
+    def add_chain(self, other: "Chain", scale: int = 1) -> None:
+        """Add ``scale * other`` in place: ``add_term`` on each term of
+        ``other`` in order, with one dimension check for the whole chain."""
         self._check_compatible(other)
-        out = Chain(self.dim, dict(self.terms))
-        for simplex, coeff in other:
-            out.add_term(simplex, coeff)
+        terms = self.terms
+        get, pop = terms.get, terms.pop
+        for simplex, coeff in other.terms.items():
+            new = get(simplex, 0) + scale * coeff
+            if new:
+                terms[simplex] = new
+            else:
+                pop(simplex, None)
+
+    def __add__(self, other: "Chain") -> "Chain":
+        out = Chain(self.dim)
+        out.terms.update(self.terms)   # already normalized: copied as is
+        out.add_chain(other)
         return out
 
     def __sub__(self, other: "Chain") -> "Chain":
-        self._check_compatible(other)
-        out = Chain(self.dim, dict(self.terms))
-        for simplex, coeff in other:
-            out.add_term(simplex, -coeff)
+        out = Chain(self.dim)
+        out.terms.update(self.terms)
+        out.add_chain(other, -1)
         return out
 
     def scaled(self, n: int) -> "Chain":
@@ -143,15 +162,30 @@ def is_degenerate(alg, simplex: BarSimplex) -> bool:
 
 
 def boundary(alg, chain: Chain) -> Chain:
-    """Alternating sum of faces, extended linearly; zero in dimension 0."""
-    if chain.dim == 0:
+    """Alternating sum of faces, extended linearly; zero in dimension 0.
+
+    Each face d_0 .. d_n is built as ``face`` builds it and added straight
+    into the output under ``add_term``'s rule, so the terms, and their
+    order, are those of summing ``face`` through ``add_term``.
+    """
+    n = chain.dim
+    if n == 0:
         return Chain(0)
-    out = Chain(chain.dim - 1)
-    for simplex, coeff in chain:
-        sign = 1
-        for i in range(chain.dim + 1):
-            out.add_term(face(alg, i, simplex), sign * coeff)
-            sign = -sign
+    out = Chain(n - 1)
+    terms = out.terms
+    get, pop, mul = terms.get, terms.pop, alg.mul
+    for simplex, coeff in chain.terms.items():
+        faces = [simplex[1:]]
+        faces += [simplex[: i - 1] + (mul(simplex[i - 1], simplex[i]),) + simplex[i + 1 :]
+                  for i in range(1, n)]
+        faces.append(simplex[:-1])
+        for f in faces:
+            new = get(f, 0) + coeff
+            if new:
+                terms[f] = new
+            else:
+                pop(f, None)
+            coeff = -coeff
     return out
 
 

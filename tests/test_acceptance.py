@@ -151,3 +151,12 @@ def test_criterion_8_asymptotic_ratio():
     ok = abs(value - Fraction(3715, 10000)) < Fraction(1, 1000)
     elapsed = time.time() - start
     report("criterion 8: q/gamma ratio at m = 200", ok and elapsed < 30, f"{elapsed:.2f}s")
+
+
+def test_criterion_9_psi_identity_generic_level6():
+    # the tower identity at level = dim = 6 on the generic free-symbol simplex
+    start = time.time()
+    failure = first_failure(lambda: checks.psi_identity(level=6, maxdim=6))
+    elapsed = time.time() - start
+    report("criterion 9: tower identity, level 6, generic simplex dims <= 6",
+           failure is None, failure or f"{elapsed:.2f}s")

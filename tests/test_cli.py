@@ -151,6 +151,29 @@ def test_bad_group_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("suite", ["theorem45", "all"])
+@pytest.mark.parametrize("group, name", [("free2", "free2"), ("cyclic2*free1", "cyclic2xfree1")])
+def test_theorem45_on_an_infinite_group_is_a_usage_error(capsys, monkeypatch, suite, group, name):
+    from barhom import checks
+
+    # refused before any work: no instance is built
+    monkeypatch.setattr(checks, "VerificationInstance", None)
+    code = main(["verify", "--suite", suite, "--group", group])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: theorem45 enumerates the group, and {name} is infinite\n"
+
+
+@pytest.mark.parametrize("suite", ["cylinder", "chainmaps"])
+@pytest.mark.parametrize("group", ["free2", "cyclic2*free1"])
+def test_other_suites_run_on_infinite_groups(capsys, suite, group):
+    code, out = run(capsys, "verify", "--suite", suite, "--group", group, "--maxdim", "3")
+    assert code == 0
+    assert out.startswith("ok ")
+    assert '"status": "pass"' in out.splitlines()[-1]
+
+
 @pytest.mark.parametrize("argv", [
     ["expand", "--op", "ed", "--dim", "-1"],
     ["tables", "--max", "-1"],

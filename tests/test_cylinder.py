@@ -15,7 +15,7 @@ from barhom.cylinder import (
     cyl_chain,
     face_pillar,
 )
-from barhom.groups import CyclicGroup, FreeGroup, SymmetricGroup
+from barhom.groups import CyclicGroup, DirectProduct, FreeGroup, SymmetricGroup
 from barhom.moore import Chain, boundary, diameter, face
 
 C3 = CyclicGroup(3)
@@ -61,6 +61,71 @@ def test_cyl_diameter(dim):
     F = FreeGroup(2 * dim + 1)
     top, bottom, pillars = random_compatible(F, dim, rng)
     assert diameter(cyl(F, top, bottom, pillars)) == dim + 1
+
+
+# -- the cylinder kernel against add_term, on cylinders whose terms coincide -------
+
+
+def reference_cyl(alg, top, bottom, pillars):
+    check_pillars(alg, top, bottom, pillars)
+    out = Chain(len(top) + 1)
+    sign = 1
+    for i in range(len(top) + 1):
+        out.add_term(bottom[:i] + (pillars[i],) + top[i:], sign)
+        sign = -sign
+    return out
+
+
+def coinciding_cylinder(group, dim, start, count, rng):
+    """A random compatible cylinder whose terms start .. start + count - 1
+    are one simplex: t_i = b_(i+1) and a_(i+1) = t_(i+1) along the run."""
+    top = [group.sample(rng) for _ in range(dim)]
+    bottom = [group.sample(rng) for _ in range(dim)]
+    pillars = [None] * (dim + 1)
+    if count > 1:
+        pillars[start] = bottom[start]
+        for i in range(start, start + count - 2):
+            bottom[i + 1] = top[i]
+    else:
+        pillars[start] = group.sample(rng)
+    for i in range(start, dim):        # t_(i+1) = b_(i+1)^-1 t_i a_(i+1)
+        pillars[i + 1] = group.mul(group.inv(bottom[i]), group.mul(pillars[i], top[i]))
+    for i in reversed(range(start)):   # t_i = b_(i+1) t_(i+1) a_(i+1)^-1
+        pillars[i] = group.mul(bottom[i], group.mul(pillars[i + 1], group.inv(top[i])))
+    return tuple(top), tuple(bottom), tuple(pillars)
+
+
+CYL_GROUPS = [C3, SymmetricGroup(3), DirectProduct(C3, C3, CyclicGroup(5)), FreeGroup(3)]
+
+
+@pytest.mark.parametrize("group", CYL_GROUPS, ids=str)
+def test_cyl_kernel_matches_add_term_on_coinciding_terms(group):
+    rng = random.Random(5)
+    for dim in range(5):
+        for start in range(dim + 1):
+            for count in range(1, dim + 2 - start):
+                top, bottom, pillars = coinciding_cylinder(group, dim, start, count, rng)
+                run = {bottom[:i] + (pillars[i],) + top[i:] for i in range(start, start + count)}
+                assert len(run) == 1
+                got = cyl(group, top, bottom, pillars)
+                want = reference_cyl(group, top, bottom, pillars)
+                assert got == want
+                assert list(got.terms.items()) == list(want.terms.items())
+                # equal terms with alternating signs cancel in pairs
+                assert len(got) <= dim + 1 - 2 * (count // 2)
+
+
+def test_cyl_kernel_cancels_runs_of_equal_terms():
+    # t_0 = b_1, a_1 = t_1 = b_2, a_2 = t_2: terms 0, 1 and 2 are all
+    # [1, 1, 2, 1] with signs +, -, +, so one copy survives
+    top, bottom, pillars = (1, 2, 1), (1, 1, 0), (1, 1, 2, 0)
+    got = cyl(C3, top, bottom, pillars)
+    assert list(got.terms.items()) == [((1, 1, 2, 1), 1), ((1, 1, 0, 0), -1)]
+    # t_1 = b_2 and a_2 = t_2 only: terms 1 and 2 cancel outright
+    top, bottom, pillars = (0, 2, 1), (2, 1, 0), (0, 1, 2, 0)
+    got = cyl(C3, top, bottom, pillars)
+    assert list(got.terms.items()) == [((0, 0, 2, 1), 1), ((2, 1, 0, 0), -1)]
+    assert got == reference_cyl(C3, top, bottom, pillars)
 
 
 def test_face_pillar():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -79,3 +80,25 @@ def test_parse_group():
     assert isinstance(prod, DirectProduct)
     with pytest.raises(ValueError):
         parse_group("dihedral8")
+
+
+@pytest.mark.parametrize("factors", [
+    (CyclicGroup(3), CyclicGroup(3), CyclicGroup(5)),   # the verification target over cyclic3
+    (CyclicGroup(3), SymmetricGroup(3)),
+], ids=lambda factors: "x".join(f.name for f in factors))
+def test_direct_product_memo_is_the_factorwise_product(factors):
+    group = DirectProduct(*factors)
+    pairs = list(itertools.product(group.elements(), repeat=2))
+    assert len(pairs) == group.order() ** 2
+    for _ in range(2):   # the second pass reads the memo
+        for a, b in pairs:
+            assert group.mul(a, b) == tuple(f.mul(x, y) for f, x, y in zip(factors, a, b))
+    assert len(group._products) == len(pairs)
+
+
+def test_finite_flag():
+    assert CyclicGroup(3).finite and SymmetricGroup(3).finite
+    assert not FreeGroup(2).finite
+    assert DirectProduct(CyclicGroup(2), SymmetricGroup(3)).finite
+    assert not DirectProduct(CyclicGroup(2), FreeGroup(1)).finite
+    assert not parse_group("cyclic2*free1").finite

@@ -512,3 +512,75 @@ def test_tower_mul_memo_agrees_with_a_fresh_algebra():
 def test_psi_identity_level5_generic_simplex():
     # raises CheckFailure with the first residual term
     checks.psi_identity(level=5, maxdim=5)
+
+
+# -- the accumulation in homotopy_P and the P cache of theorem45 ---------------------
+
+
+@pytest.mark.parametrize("name", ["instance", "formal"])
+def test_homotopy_P_accumulates_like_add_term(name):
+    from barhom.cylinder import cyl
+
+    if name == "instance":
+        group = CyclicGroup(3)
+        ctx = instance_context(VerificationInstance(group, 5))
+        sigmas = itertools.product(group.elements(), repeat=3)
+    else:
+        F, ctx, _ = _formal(3)
+        a, b, c = F.gens()
+        sigmas = [(a, b, c), (a, F.inv(a), b), (a, a, a), (b, a)]
+    for sigma in sigmas:
+        want = Chain(len(sigma) + 1)
+        for _p, _q, _rank, sign, top, bottom, pillars in p_cylinder_data(ctx, sigma):
+            for simplex, coeff in cyl(ctx.entries, top, bottom, pillars):
+                want.add_term(simplex, sign * coeff)
+        got = homotopy_P(ctx, sigma)
+        assert list(got.terms.items()) == list(want.terms.items())
+
+
+@pytest.mark.parametrize("group", [CyclicGroup(3), SymmetricGroup(3)], ids=lambda g: g.name)
+def test_theorem45_builds_P_once_per_distinct_proper_face(group, monkeypatch):
+    from collections import Counter
+
+    from barhom import homotopy
+
+    real_P, real_residual = homotopy.homotopy_P, checks.theorem_identity_residual
+    built, checked = [], []
+
+    def counted_P(ctx, sigma):
+        built.append(sigma)
+        return real_P(ctx, sigma)
+
+    def residual(ctx, sigma):
+        checked.append(sigma)
+        return real_residual(ctx, sigma)
+
+    monkeypatch.setattr(homotopy, "homotopy_P", counted_P)
+    monkeypatch.setattr(checks, "theorem_identity_residual", residual)
+    samples = 60
+    checks.theorem45(group, 5, maxdim=4, samples=samples, rng=random.Random(3))
+    assert len(checked) == sum(group.order() ** m for m in range(4)) + samples
+    # P is applied to the faces that survive in the boundary of each simplex
+    faces = set()
+    for sigma in checked:
+        faces.update(boundary(group, Chain.of(sigma)).terms)
+    assert 0 < len(faces) <= sum(group.order() ** m for m in range(4))
+    # P of each checked simplex is built afresh, P of each distinct face once
+    assert Counter(built) == Counter(checked) + Counter(faces)
+    # the cache lives in the context, so the next call builds its faces again
+    built.clear()
+    checked.clear()
+    checks.theorem45(group, 5, maxdim=2, samples=1, rng=random.Random(3))
+    assert len(built) == len(checked) + len({f for s in checked for f in boundary(group, Chain.of(s)).terms})
+
+
+def test_face_cache_belongs_to_one_context():
+    import dataclasses
+
+    group = CyclicGroup(3)
+    ctx = instance_context(VerificationInstance(group, 5))
+    assert theorem_identity_residual(ctx, (1, 2, 2)).is_zero()
+    assert set(ctx.face_P) == set(boundary(group, Chain.of((1, 2, 2))).terms)
+    # a context with other maps must not read P built for this one
+    other = dataclasses.replace(ctx, k=ctx.h)
+    assert other.face_P == {}

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barhom.groups import CyclicGroup, DirectProduct, FreeGroup, SymmetricGroup
-from barhom.homotopy import MitosisTower, formal_context, homotopy_P
+from barhom.homotopy import MitosisTower, formal_context, homotopy_P, instance_context
 from barhom.moore import (
     Chain,
     ChainError,
@@ -23,6 +23,7 @@ from barhom.moore import (
     project,
     term_sort_key,
 )
+from barhom.quintuple import VerificationInstance
 
 C3 = CyclicGroup(3)
 
@@ -100,6 +101,139 @@ def test_boundary_squared_zero(group, dim):
     for _ in range(5):
         chain = random_chain(group, dim, rng)
         assert boundary(group, boundary(group, chain)).is_zero()
+
+
+# -- the boundary kernel against sum_i (-1)^i d_i through add_term ----------------
+
+
+def reference_boundary(alg, chain):
+    """The definition: every face through ``face`` and ``add_term``."""
+    if chain.dim == 0:
+        return Chain(0)
+    out = Chain(chain.dim - 1)
+    for simplex, coeff in chain:
+        sign = 1
+        for i in range(chain.dim + 1):
+            out.add_term(face(alg, i, simplex), sign * coeff)
+            sign = -sign
+    return out
+
+
+def _same_terms_in_order(got, want):
+    assert got == want
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
+def _random_chains(group, rng, pool=None):
+    """Dims 0-4, many terms over a small pool of entries: faces collide and
+    cancel, and identity entries make degenerate simplices and faces."""
+    pool = pool or [group.identity] + [group.sample(rng) for _ in range(3)]
+    chains = []
+    for dim in (0, 1, 2, 2, 3, 4):
+        chain = Chain(dim)
+        for _ in range(12):
+            chain.add_term(tuple(rng.choice(pool) for _ in range(dim)), rng.choice((-2, -1, 1, 2)))
+        chains.append(chain)
+    return chains
+
+
+def _construction_chains(alg, chains):
+    """Sums of construction chains that share terms, and their boundaries."""
+    out = list(chains)
+    for a, b in zip(chains, chains[1:]):
+        if a.dim == b.dim:
+            out.append(a - b.scaled(2) + a)
+    return out + [reference_boundary(alg, c) for c in chains]
+
+
+def _group_kernel_cases(group):
+    return group, _random_chains(group, random.Random(len(group.name)))
+
+
+def _instance_kernel_cases():
+    inst = VerificationInstance(C3, 5)
+    ctx = instance_context(inst)
+    rng = random.Random(45)
+    P = [homotopy_P(ctx, tuple(rng.randrange(3) for _ in range(dim)))
+         for dim in (0, 1, 1, 2, 2, 3, 3)]
+    pool = [inst.target.identity, ctx.ell, inst.m(1), inst.f(2), inst.h(1)]
+    return inst.target, _random_chains(inst.target, rng, pool) + _construction_chains(inst.target, P)
+
+
+def _quintuple_kernel_cases():
+    free = FreeGroup(3)
+    ctx = formal_context(free)
+    a, b, c = free.gens()
+    sigmas = [(), (a,), (b,), (a, b), (a, free.inv(a)), (a, b), (b, a), (a, b, c), (a, a, b)]
+    P = [homotopy_P(ctx, sigma) for sigma in sigmas]
+    return ctx.entries, _construction_chains(ctx.entries, P)
+
+
+def _tower_kernel_cases():
+    free = FreeGroup(3)
+    tower = MitosisTower(free)
+    a, b, c = free.gens()
+    psis = [tower.psi(level, sigma) for level, sigma in
+            [(1, ()), (1, (a,)), (2, (b,)), (2, (a, b)), (2, (b, a)), (3, (a, b, c)), (3, (c, b, a))]]
+    return tower.algebra, _construction_chains(tower.algebra, psis)
+
+
+KERNEL_CASES = {
+    "cyclic3": lambda: _group_kernel_cases(C3),
+    "sym3": lambda: _group_kernel_cases(SymmetricGroup(3)),
+    "instance[cyclic3,5]": _instance_kernel_cases,
+    "quintuple[free3]": _quintuple_kernel_cases,
+    "tower[free3]": _tower_kernel_cases,
+}
+
+
+@pytest.mark.parametrize("name", list(KERNEL_CASES))
+def test_boundary_kernel_matches_the_face_sum(name):
+    alg, chains = KERNEL_CASES[name]()
+    assert {chain.dim for chain in chains} >= {0, 1, 2}
+    collided = 0
+    for chain in chains:
+        want = reference_boundary(alg, chain)
+        _same_terms_in_order(boundary(alg, chain), want)
+        collided += len(want) < len(chain) * (chain.dim + 1)
+    assert collided, "no case where faces met"
+
+
+def test_boundary_kernel_orders_a_re_added_face_last():
+    # the faces (2), (0), (1) of the first simplex all cancel against the
+    # second and are popped; the third adds (1) before (2).  A kernel that
+    # kept the zeros in place would list (2) first, and one that kept zeros
+    # at all would also return (0): 0
+    chain = Chain(2, {(1, 2): 1, (2, 1): -1, (1, 1): 1})
+    want = Chain(1)
+    want.terms.update({(1,): 2, (2,): -1})
+    got = boundary(C3, chain)
+    _same_terms_in_order(got, want)
+    _same_terms_in_order(got, reference_boundary(C3, chain))
+    # d of a 1-simplex cancels to the zero 0-chain, and d of a 0-chain is zero
+    _same_terms_in_order(boundary(C3, Chain(1, {(1,): 3, (2,): -1})), Chain(0))
+    _same_terms_in_order(boundary(C3, Chain(0, {(): 4})), Chain(0))
+
+
+def test_chain_sum_keeps_the_order_of_add_term():
+    rng = random.Random(11)
+    for _ in range(20):
+        a, b = _random_chains(C3, rng)[2:4]
+        for got, sign in ((a + b, 1), (a - b, -1)):
+            want = Chain(a.dim)
+            for simplex, coeff in a:
+                want.add_term(simplex, coeff)
+            for simplex, coeff in b:
+                want.add_term(simplex, sign * coeff)
+            _same_terms_in_order(got, want)
+        total = Chain(a.dim)
+        total.add_chain(a, 3)
+        total.add_chain(b, -2)
+        assert total == a.scaled(3) - b.scaled(2)
+    assert a == a + Chain(a.dim) == a - Chain(a.dim)
+    assert Chain(4) + Chain(1) == Chain(4)
+    with pytest.raises(ChainError):
+        Chain(1).add_chain(Chain(2, {(1, 2): 1}))
 
 
 def test_diameter():
