@@ -31,15 +31,11 @@ from .homotopy import (
     DimensionExceeded,
     HomotopyContext,
     MitosisTower,
-    PartialHomotopy,
     formal_context,
     homotopy_P,
     induct_Q,
     instance_context,
-    mitosis_context,
-    phi,
     pillar_of_term,
-    psi,
     verify_identity,
 )
 from .words import MitosisWord, TowerAlgebra, mitosis_reduce

@@ -88,6 +88,7 @@ def theorem45(group: Group, modulus: int, maxdim: int, samples: int,
         raise ValueError(f"theorem45 enumerates the group, and {group.name} is infinite")
     inst = VerificationInstance(group, modulus)
     ctx = instance_context(inst)
+    face_P: dict = {}   # P of the proper faces met, kept for this context
     for x in group.elements():
         if not inst.relation_holds(x):
             raise CheckFailure(f"instance relation fails at {group.describe(x)}")
@@ -95,12 +96,14 @@ def theorem45(group: Group, modulus: int, maxdim: int, samples: int,
     for m in range(min(maxdim, 3) + 1):
         cases = list(itertools.product(group.elements(), repeat=m))
         for sigma in cases:
-            _require_zero(ctx.entries, theorem_identity_residual(ctx, sigma), f"theorem45 residual at dim {m}")
+            _require_zero(ctx.entries, theorem_identity_residual(ctx, sigma, face_P),
+                          f"theorem45 residual at dim {m}")
         emit(f"theorem45 identity exhaustive dim {m} ({len(cases)} simplices)")
     if maxdim >= 4:
         for _ in range(samples):
             sigma = random_simplex(group, 4, rng)
-            _require_zero(ctx.entries, theorem_identity_residual(ctx, sigma), "theorem45 residual at dim 4")
+            _require_zero(ctx.entries, theorem_identity_residual(ctx, sigma, face_P),
+                          "theorem45 residual at dim 4")
         emit(f"theorem45 identity randomized dim 4 ({samples} samples)")
 
 

@@ -26,7 +26,6 @@ from .homotopy import (
     homotopy_P,
     induct_Q,
     instance_context,
-    mitosis_context,
 )
 from .quintuple import NonNormalizable, VerificationInstance
 from .shuffles import ed_terms, edgewise
@@ -38,9 +37,14 @@ TOWER_OPS = ("psi", "phi", "Q")
 
 def _write(pieces: Iterable[str], out: str | None) -> None:
     """Write a document, given as its pieces, to the file ``out`` or to
-    standard output; on standard output it ends in exactly one newline."""
+    standard output; on standard output it ends in exactly one newline.  An
+    ``out`` that cannot be opened is a usage error."""
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {out}: {exc.strerror}") from None
+        with fh:
             fh.writelines(pieces)
         return
     last = ""
@@ -140,7 +144,7 @@ def cmd_expand(args) -> int:
         elif args.op == "phi":
             chain = tower.phi(level, sigma)
         else:
-            chain = induct_Q(lambda s: tower.psi(level - 1, s), level, base, sigma)
+            chain = induct_Q(tower, level, sigma)
         alg = tower.algebra
         summary = {
             "diameter": diameter(chain),
@@ -155,7 +159,7 @@ def cmd_expand(args) -> int:
     if args.mode == "concrete":
         ctx = instance_context(VerificationInstance(base, args.modulus))
     elif args.mode == "word":
-        ctx = mitosis_context(level, base)
+        ctx = MitosisTower(base).context(level)
     else:
         ctx = formal_context(base)
     alg = ctx.entries

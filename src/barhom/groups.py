@@ -35,9 +35,6 @@ class Group:
     def inv(self, a):
         raise NotImplementedError
 
-    def is_identity(self, a) -> bool:
-        return a == self.identity
-
     def contains(self, a) -> bool:
         raise NotImplementedError
 

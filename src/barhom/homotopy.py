@@ -20,23 +20,25 @@ letter for both f and h, the identity for g and the trivial map for k; the
 tower homotopy iterates it level by level, correcting in place with shuffle
 products against lower levels (``add_shuffle_product``, tested against the
 classical ``mult_map`` of ``ez`` of a tensor chain), and the
-degenerate-killed variant composes with the projection.  ``verify_identity``
-is the harness that evaluates a homotopy identity and returns the residual
-chain instead of a bare boolean, so a failure is reported term by term
-rather than hidden.  ``theorem_identity_residual`` keeps P of the proper
-faces it meets in its context, so a run of checks on one context (one
-``checks.theorem45`` call) builds P once per distinct face; P of the
-checked simplex itself is never kept.
+degenerate-killed variant composes with the projection.  One
+``MitosisTower`` owns one word algebra: it builds each level's context once,
+on that algebra, and memoizes the stages.  ``verify_identity`` is the
+harness that evaluates a homotopy identity for any callable H and returns
+the residual chain instead of a bare boolean, so a failure is reported term
+by term rather than hidden.  ``theorem_identity_residual`` keeps P of the
+proper faces it meets in a dict its caller passes, so a run of checks on one
+context (one ``checks.theorem45`` call) builds P once per distinct face; P
+of the checked simplex itself is never kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 from .cylinder import cyl
 from .groups import Group
-from .moore import Chain, boundary, diameter, project
+from .moore import Chain, boundary, project
 from .quintuple import QuintupleAlgebra, VerificationInstance
 from .shuffles import (
     DimensionMismatch,
@@ -63,10 +65,6 @@ class HomotopyContext:
     h: Callable
     k: Callable
     m: Callable
-    name: str = "context"
-    # homotopy_P on the proper faces seen by ``theorem_identity_residual``;
-    # not an init field, so ``dataclasses.replace`` starts an empty cache
-    face_P: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def ell(self):
@@ -84,7 +82,6 @@ def formal_context(source: Group) -> HomotopyContext:
         h=alg.h,
         k=alg.k,
         m=alg.m,
-        name=f"formal[{source.name}]",
     )
 
 
@@ -97,28 +94,6 @@ def instance_context(inst: VerificationInstance) -> HomotopyContext:
         h=inst.h,
         k=inst.k,
         m=inst.m,
-        name=f"instance[{inst.base.name},{inst.modulus}]",
-    )
-
-
-def mitosis_context(level: int, base: Group) -> HomotopyContext:
-    """Stage-n homomorphisms into the mitosis tower word algebra."""
-    if level < 1:
-        raise ValueError("mitosis level must be >= 1")
-    alg = TowerAlgebra(base)
-
-    def conj(x):
-        return alg.conj(level, x)
-
-    return HomotopyContext(
-        source=base,
-        entries=alg,
-        f=conj,
-        g=lambda x: x,
-        h=conj,
-        k=lambda x: alg.identity,
-        m=lambda x: alg.pillar(level, x),
-        name=f"mitosis[{base.name},level={level}]",
     )
 
 
@@ -205,45 +180,63 @@ def homotopy_P(ctx: HomotopyContext, sigma: tuple) -> Chain:
 # -- the inductive step and the tower --------------------------------------------
 
 
-def induct_Q(prev: Callable[[tuple], Chain], level: int, base: Group, sigma: tuple) -> Chain:
+def induct_Q(tower: MitosisTower, level: int, sigma: tuple) -> Chain:
     """One inductive step: the stage homotopy corrected by shuffle products
-    of ``prev`` on front faces against pushed-forward back faces."""
+    of the previous stage on front faces against pushed-forward back faces."""
     m = len(sigma)
     if m > level:
         raise DimensionExceeded(f"dim {m} exceeds level {level}")
-    ctx = mitosis_context(level, base)
+    ctx = tower.context(level)
     out = homotopy_P(ctx, sigma)
     for k in range(1, m):
         front = sigma[:k]          # d_(k+1) ... d_m of sigma
         back = sigma[k:]           # d_0^k of sigma
         pushed = tuple(ctx.f(x) for x in back)
-        add_shuffle_product(out, prev(front), Chain.of(pushed), -1)
+        add_shuffle_product(out, tower.psi(level - 1, front), Chain.of(pushed), -1)
     return out
 
 
 class MitosisTower:
-    """Tower homotopies over one base group, with memoized stages."""
+    """Tower homotopies over one base group: one word algebra, one context
+    per level and memoized stages."""
 
     def __init__(self, base: Group):
         self.base = base
         self.algebra = TowerAlgebra(base)
+        self._contexts: dict = {}
         self._cache: dict = {}
 
     def context(self, level: int) -> HomotopyContext:
-        return mitosis_context(level, self.base)
+        """Stage-n homomorphisms into the tower's word algebra."""
+        ctx = self._contexts.get(level)
+        if ctx is not None:
+            return ctx
+        if level < 1:
+            raise ValueError("mitosis level must be >= 1")
+        alg = self.algebra
+
+        def conj(x):
+            return alg.conj(level, x)
+
+        ctx = self._contexts[level] = HomotopyContext(
+            source=self.base,
+            entries=alg,
+            f=conj,
+            g=lambda x: x,
+            h=conj,
+            k=lambda x: alg.identity,
+            m=lambda x: alg.pillar(level, x),
+        )
+        return ctx
 
     def psi(self, level: int, sigma: tuple) -> Chain:
         """The level-n tower homotopy on a simplex of dimension <= n."""
-        m = len(sigma)
-        if m > level:
-            raise DimensionExceeded(f"dim {m} exceeds level {level}")
-        if m == 0:
+        if not sigma:
             return Chain(1)
         key = (level, sigma)
         cached = self._cache.get(key)
         if cached is None:
-            cached = induct_Q(lambda front: self.psi(level - 1, front), level, self.base, sigma)
-            self._cache[key] = cached
+            cached = self._cache[key] = induct_Q(self, level, sigma)
         return cached
 
     def phi(self, level: int, sigma: tuple) -> Chain:
@@ -251,88 +244,58 @@ class MitosisTower:
         return project(self.algebra, self.psi(level, sigma))
 
 
-def psi(level: int, base: Group, sigma: tuple) -> Chain:
-    return MitosisTower(base).psi(level, sigma)
-
-
-def phi(level: int, base: Group, sigma: tuple) -> Chain:
-    return MitosisTower(base).phi(level, sigma)
-
-
 # -- identity verification ---------------------------------------------------------
-
-
-@dataclass
-class PartialHomotopy:
-    """A per-dimension chain-raising operation with a recorded diameter table."""
-
-    dimension: int
-    op: Callable[[tuple], Chain]
-    name: str = "H"
-    diameter_table: dict = field(default_factory=dict)
-
-    def __call__(self, sigma: tuple) -> Chain:
-        if len(sigma) > self.dimension:
-            raise DimensionExceeded(
-                f"{self.name} is a partial homotopy of dimension {self.dimension}"
-            )
-        out = self.op(sigma)
-        seen = self.diameter_table.get(len(sigma), 0)
-        self.diameter_table[len(sigma)] = max(seen, diameter(out))
-        return out
-
-    def on_chain(self, chain: Chain) -> Chain:
-        out = Chain(chain.dim + 1)
-        for simplex, coeff in chain:
-            out.add_chain(self(simplex), coeff)
-        return out
 
 
 def verify_identity(
     source: Group,
     target_alg,
-    homotopy: PartialHomotopy,
+    homotopy: Callable[[tuple], Chain],
     lhs_map: Callable[[tuple], Chain],
     rhs_map: Callable[[tuple], Chain],
     sigma: tuple,
 ) -> Chain:
-    """Residual of (dH + Hd)(sigma) = (lhs - rhs)(sigma); zero chain on success."""
+    """Residual of (dH + Hd)(sigma) = (lhs - rhs)(sigma); zero chain on success.
+
+    Hd(sigma) is summed as a chain of its own before it joins the residual,
+    so terms that cancel among the face images never enter the residual and
+    the residual's term order does not depend on them."""
     residual = boundary(target_alg, homotopy(sigma))
-    residual = residual + homotopy.on_chain(boundary(source, Chain.of(sigma)))
+    faces = boundary(source, Chain.of(sigma))
+    on_faces = Chain(faces.dim + 1)
+    for face, coeff in faces:
+        on_faces.add_chain(homotopy(face), coeff)
+    residual = residual + on_faces
     residual = residual - lhs_map(sigma)
     residual = residual + rhs_map(sigma)
     return residual
 
 
-def theorem_identity_residual(ctx: HomotopyContext, sigma: tuple, max_dim: Optional[int] = None) -> Chain:
+def theorem_identity_residual(ctx: HomotopyContext, sigma: tuple, face_P: dict) -> Chain:
     """Residual of the cylinder-homotopy identity for one context and simplex.
 
-    P of sigma itself is built afresh; P of its faces is kept in
-    ``ctx.face_P`` and reused by later calls on the same context, so each
-    distinct proper face is built once per context.
+    P of sigma itself is built afresh; P of its faces is kept in ``face_P``,
+    a dict the caller keeps for one context, so each distinct proper face is
+    built once per dict.
     """
-    bound = max_dim if max_dim is not None else len(sigma)
-    top, cache = len(sigma), ctx.face_P
+    top = len(sigma)
 
     def P(s):
         if len(s) == top:
             return homotopy_P(ctx, s)
-        chain = cache.get(s)
+        chain = face_P.get(s)
         if chain is None:
-            chain = cache[s] = homotopy_P(ctx, s)
+            chain = face_P[s] = homotopy_P(ctx, s)
         return chain
 
-    H = PartialHomotopy(bound, P, name="P")
     lhs = lambda s: edgewise(ctx.f, ctx.g, Chain.of(s))
     rhs = lambda s: edgewise(ctx.h, ctx.k, Chain.of(s))
-    return verify_identity(ctx.source, ctx.entries, H, lhs, rhs, sigma)
+    return verify_identity(ctx.source, ctx.entries, P, lhs, rhs, sigma)
 
 
 def psi_identity_residual(tower: MitosisTower, level: int, sigma: tuple) -> Chain:
     """Residual of (d psi + psi d)(sigma) = embedded sigma - trivial tuple."""
     alg = tower.algebra
-    H = PartialHomotopy(level, lambda s: tower.psi(level, s), name=f"psi^{level}")
     lhs = lambda s: Chain.of(tuple(s))
     rhs = lambda s: Chain.of((alg.identity,) * len(s))
-    return verify_identity(tower.base, alg, H, lhs, rhs, sigma)
-
+    return verify_identity(tower.base, alg, lambda s: tower.psi(level, s), lhs, rhs, sigma)

@@ -13,9 +13,9 @@ adjacent entries.  The diameter of a chain is the L1 norm of its coefficient
 vector, and ``project`` is the quotient map that deletes degenerate terms
 (those containing an identity entry).
 
-Every entry algebra satisfies ``alg.is_identity(x) == (x == alg.identity)``,
-so a simplex is degenerate exactly when ``alg.identity in simplex``: one
-scan of the tuple in C, with no call per entry.
+An entry is the identity exactly when it equals ``alg.identity``, in every
+entry algebra, so a simplex is degenerate exactly when ``alg.identity in
+simplex``: one scan of the tuple in C, with no call per entry.
 
 Chains accumulate under one rule, that of ``Chain.add_term``: a coefficient
 that reaches zero pops its simplex, so a simplex added again later moves to

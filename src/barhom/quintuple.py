@@ -83,9 +83,6 @@ class QuintupleAlgebra:
 
     # algebra --------------------------------------------------------------
 
-    def is_identity(self, q: Quintuple) -> bool:
-        return q == self.identity
-
     def mul(self, left: Quintuple, right: Quintuple) -> Quintuple:
         """Normalize left*right, pushing the letters of ``right`` leftwards."""
         G = self.source

@@ -25,7 +25,7 @@ each ``TowerAlgebra`` are memoized on the pair of factors.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Union
+from typing import Any, Union
 
 from .groups import Group
 from .interned import Interned
@@ -56,22 +56,13 @@ def stable(kind: str, level: int, exp: int = 1) -> Letter:
     return (kind, level, exp)
 
 
-def invert_letter(G: Group, letter: Letter):
-    if letter[0] == GEN:
-        return (GEN, G.inv(letter[1]))
-    kind, level, exp = letter
-    return (kind, level, -exp)
-
-
-def mitosis_reduce(G: Group, letters, max_level: Optional[int] = None) -> MitosisWord:
+def mitosis_reduce(G: Group, letters) -> MitosisWord:
     """Freely reduce and gen-merge; idempotent and length-nonincreasing."""
+    identity = G.identity
     stack: list = []
     for letter in letters:
-        if letter[0] == GEN:
-            if G.is_identity(letter[1]):
-                continue
-        elif max_level is not None and letter[1] > max_level:
-            raise ValueError(f"letter level {letter[1]} exceeds configured {max_level}")
+        if letter[0] == GEN and letter[1] == identity:
+            continue
         stack.append(letter)
         while len(stack) >= 2:
             a, b = stack[-2], stack[-1]
@@ -79,7 +70,7 @@ def mitosis_reduce(G: Group, letters, max_level: Optional[int] = None) -> Mitosi
                 merged = G.mul(a[1], b[1])
                 stack.pop()
                 stack.pop()
-                if not G.is_identity(merged):
+                if merged != identity:
                     stack.append((GEN, merged))
                 continue
             if a[0] != GEN and b[0] != GEN and a[0] == b[0] and a[1] == b[1] and a[2] == -b[2]:
@@ -88,14 +79,6 @@ def mitosis_reduce(G: Group, letters, max_level: Optional[int] = None) -> Mitosi
                 continue
             break
     return tuple(stack)
-
-
-def word_inv(G: Group, word: MitosisWord) -> MitosisWord:
-    return mitosis_reduce(G, [invert_letter(G, l) for l in reversed(word)])
-
-
-def word_mul(G: Group, a: MitosisWord, b: MitosisWord) -> MitosisWord:
-    return mitosis_reduce(G, list(a) + list(b))
 
 
 def word_to_json(G: Group, word: MitosisWord) -> list:
@@ -141,9 +124,6 @@ class TowerAlgebra:
         self.identity = base.identity
         self._products: dict = {}
 
-    def is_identity(self, v) -> bool:
-        return not isinstance(v, (Conjugated, PillarWord)) and self.base.is_identity(v)
-
     # constructors ---------------------------------------------------------
 
     def conj(self, level: int, arg, tail=None):
@@ -152,7 +132,7 @@ class TowerAlgebra:
             tail = self.identity
         if value_level(tail) >= level:
             raise NonNormalizable("tail must live strictly below the conjugation level")
-        if self.base.is_identity(arg):
+        if arg == self.identity:
             return tail
         return Conjugated(level, arg, tail)
 
@@ -176,9 +156,9 @@ class TowerAlgebra:
         return product
 
     def _mul(self, v, w):
-        if self.is_identity(v):
+        if v == self.identity:
             return w
-        if self.is_identity(w):
+        if w == self.identity:
             return v
         lv, lw = value_level(v), value_level(w)
         if lv == 0 and lw == 0:
@@ -199,7 +179,7 @@ class TowerAlgebra:
             m_arg = G.mul(G.inv(t2), G.mul(m1, a2))
             return PillarWord(n, G.mul(a1, a2), m_arg)
         if m2 is not None:
-            if not self.is_identity(t1):
+            if t1 != self.identity:
                 raise NonNormalizable("no rewrite moves a value leftwards across m")
             return PillarWord(n, G.mul(a1, a2), m2)
         # F(a1)t1 F(a2)t2 = F(a1 a2)(t1 t2): conjugates at stage n commute

@@ -217,6 +217,21 @@ def test_expand_tsv_is_only_for_ed(capsys, tmp_path, monkeypatch, op):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("argv, target, reason", [
+    (["expand", "--op", "psi", "--dim", "2"], "missing/x.json", "No such file or directory"),
+    (["tables"], "missing/t.tsv", "No such file or directory"),
+    (["bounds"], "missing/b.json", "No such file or directory"),
+    (["expand", "--op", "psi", "--dim", "2"], ".", "Is a directory"),
+], ids=["expand", "tables", "bounds", "expand-to-a-directory"])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv, target, reason):
+    out = str(tmp_path / target)
+    code = main([*argv, "--out", out])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write --out {out}: {reason}\n"
+
+
 def _verify_failure(capsys, *argv):
     code, out = run(capsys, "verify", *argv)
     lines = out.splitlines()
@@ -227,7 +242,7 @@ def test_verify_residual_is_exit_1(capsys, monkeypatch):
     from barhom import checks
     from barhom.moore import Chain
 
-    monkeypatch.setattr(checks, "theorem_identity_residual", lambda ctx, sigma: Chain.of((ctx.ell,)))
+    monkeypatch.setattr(checks, "theorem_identity_residual", lambda ctx, sigma, face_P: Chain.of((ctx.ell,)))
     code, lines, report = _verify_failure(capsys, "--suite", "all")
     assert code == 1
     assert lines[-1] == 'FAIL theorem45: theorem45 residual at dim 0: {"coeff": 1, "simplex": [[0, 0, 1]]}'

@@ -9,13 +9,12 @@ from barhom.cylinder import boundary_system
 from barhom.groups import CyclicGroup, FreeGroup, SymmetricGroup
 from barhom.homotopy import (
     DimensionExceeded,
+    HomotopyContext,
     MitosisTower,
-    PartialHomotopy,
     formal_context,
     homotopy_P,
     induct_Q,
     instance_context,
-    mitosis_context,
     p_cylinder_data,
     pillar_of_term,
     pillar_system,
@@ -200,16 +199,17 @@ def test_P_diameters_match_table():
 def test_theorem_identity_formal(m):
     F, ctx, alg = _formal(max(m, 1))
     sigma = tuple(F.gen(i + 1) for i in range(m))
-    assert theorem_identity_residual(ctx, sigma).is_zero()
+    assert theorem_identity_residual(ctx, sigma, {}).is_zero()
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_theorem_identity_instance_exhaustive(n):
     group = CyclicGroup(n)
     ctx = instance_context(VerificationInstance(group, 5))
+    face_P = {}
     for m in range(3):
         for sigma in itertools.product(group.elements(), repeat=m):
-            assert theorem_identity_residual(ctx, sigma).is_zero()
+            assert theorem_identity_residual(ctx, sigma, face_P).is_zero()
 
 
 def test_theorem_identity_instance_symmetric_products():
@@ -218,10 +218,11 @@ def test_theorem_identity_instance_symmetric_products():
     group = DirectProduct(SymmetricGroup(3), SymmetricGroup(3))
     ctx = instance_context(VerificationInstance(group, 5))
     rng = random.Random(42)
+    face_P = {}
     for m in range(1, 5):
         for _ in range(8):
             sigma = tuple(group.sample(rng) for _ in range(m))
-            assert theorem_identity_residual(ctx, sigma).is_zero()
+            assert theorem_identity_residual(ctx, sigma, face_P).is_zero()
 
 
 def test_P_one_simplex_as_cylinder_of_subdivisions():
@@ -244,19 +245,24 @@ def test_P_one_simplex_as_cylinder_of_subdivisions():
 
 def test_verify_identity_trivial():
     group = CyclicGroup(3)
-    zero = PartialHomotopy(5, lambda s: Chain(len(s) + 1), name="0")
+    zero = lambda s: Chain(len(s) + 1)
     same = lambda s: Chain.of(s)
     residual = verify_identity(group, group, zero, same, same, (1, 2))
     assert residual.is_zero()
 
 
-def test_partial_homotopy_guard_and_table():
-    F, ctx, alg = _formal(2)
-    H = PartialHomotopy(1, lambda s: homotopy_P(ctx, s), name="P")
-    H((F.gen(1),))
-    assert H.diameter_table[1] == 4
-    with pytest.raises(DimensionExceeded):
-        H((F.gen(1), F.gen(2)))
+def test_verify_identity_sums_the_face_images_apart():
+    # H of the 2-simplex has boundary (2,1)*-1 + (1,2)*1; the faces of (1, 2)
+    # in C3 are (2,) - (0,) + (1,), and H sends (2,) and (0,) to the same
+    # chain, so their images cancel in the sum over the faces.  Added into the
+    # residual one face at a time instead, they would pop (2,1) and put it
+    # back at the end, reordering the residual and so the first offending term.
+    group = CyclicGroup(3)
+    images = {(1, 2): Chain.of((1, 1, 1)), (2,): Chain.of((2, 1)), (0,): Chain.of((2, 1))}
+    H = lambda s: images.get(s, Chain(len(s) + 1))
+    zero = lambda s: Chain(len(s))
+    residual = verify_identity(group, group, H, zero, zero, (1, 2))
+    assert list(residual.terms.items()) == [((2, 1), -1), ((1, 2), 1)]
 
 
 # -- mitosis contexts and the tower -------------------------------------------------
@@ -264,17 +270,50 @@ def test_partial_homotopy_guard_and_table():
 
 def test_mitosis_context_maps():
     F = FreeGroup(2)
-    ctx = mitosis_context(3, F)
+    ctx = MitosisTower(F).context(3)
     alg = ctx.entries
     g = F.gen(1)
     assert ctx.f(g) == Conjugated(3, g, F.identity)
     assert ctx.h(g) == ctx.f(g)
     assert ctx.g(g) == g
-    assert alg.is_identity(ctx.k(g))
+    assert ctx.k(g) == alg.identity
     assert ctx.m(g) == PillarWord(3, F.identity, g)
     assert ctx.ell == PillarWord(3, F.identity, F.identity)
     with pytest.raises(ValueError):
-        mitosis_context(0, F)
+        MitosisTower(F).context(0)
+
+
+def test_tower_builds_each_context_once_on_its_algebra():
+    F = FreeGroup(3)
+    tower = MitosisTower(F)
+    for level in (1, 2, 3):
+        assert tower.context(level) is tower.context(level)
+        assert tower.context(level).entries is tower.algebra
+    assert tower.context(1) is not tower.context(2)
+
+
+def test_psi_run_builds_one_algebra_and_each_context_once(monkeypatch):
+    from barhom import homotopy
+
+    algebras, contexts = [], []
+
+    class CountedAlgebra(TowerAlgebra):
+        def __init__(self, base):
+            algebras.append(base)
+            super().__init__(base)
+
+    def counted_context(**fields):
+        contexts.append(fields["entries"])
+        return HomotopyContext(**fields)
+
+    monkeypatch.setattr(homotopy, "TowerAlgebra", CountedAlgebra)
+    monkeypatch.setattr(homotopy, "HomotopyContext", counted_context)
+    F = FreeGroup(5)
+    tower = MitosisTower(F)
+    assert diameter(tower.psi(5, tuple(F.gens()))) == gamma(5)
+    assert algebras == [F]
+    # the run meets levels 1..5 and builds each level's context once
+    assert len(contexts) == 5 and all(alg is tower.algebra for alg in contexts)
 
 
 def test_psi_base_chain():
@@ -302,16 +341,15 @@ def test_psi_base_chain():
 def test_Q_base_cases():
     F = FreeGroup(2)
     tower = MitosisTower(F)
-    assert induct_Q(lambda s: tower.psi(1, s), 2, F, ()).is_zero()
+    assert induct_Q(tower, 2, ()).is_zero()
     g = F.gen(1)
-    ctx = mitosis_context(2, F)
-    assert induct_Q(lambda s: tower.psi(1, s), 2, F, (g,)) == homotopy_P(ctx, (g,))
+    assert induct_Q(tower, 2, (g,)) == homotopy_P(tower.context(2), (g,))
 
 
 def test_Q_dim2_diameter():
     F = FreeGroup(2)
     tower = MitosisTower(F)
-    chain = induct_Q(lambda s: tower.psi(1, s), 2, F, tuple(F.gens()))
+    chain = induct_Q(tower, 2, tuple(F.gens()))
     assert diameter(chain) == 24 == gamma(2)
     assert chain == tower.psi(2, tuple(F.gens()))
 
@@ -377,7 +415,7 @@ def test_cylinder_part_lemma_word_algebra():
     # faces plus the embedded-minus-trivial top term, for m <= 3
     for m in (1, 2, 3):
         F = FreeGroup(m)
-        ctx = mitosis_context(1, F)
+        ctx = MitosisTower(F).context(1)
         alg = ctx.entries
         sigma = tuple(F.gens())
         lhs = boundary(alg, homotopy_P(ctx, sigma))
@@ -401,7 +439,7 @@ def test_formal_P_pushed_into_the_tower_is_the_mitosis_P(level):
     # h(a)k(b)m(x)f(c)g(d) at h, f -> conj, k -> trivial, m -> pillar, g -> id
     # takes the formal cylinder homotopy to the one built in the tower
     F = FreeGroup(4)
-    formal, tower = formal_context(F), mitosis_context(level, F)
+    formal, tower = formal_context(F), MitosisTower(F).context(level)
     alg = tower.entries
 
     def evaluate(q):
@@ -417,18 +455,18 @@ def test_formal_P_pushed_into_the_tower_is_the_mitosis_P(level):
 # -- table-driven construction against the per-term oracle ---------------------------
 
 
-def _oracle_psi(level, base, sigma, memo):
+def _oracle_psi(tower, level, sigma, memo):
     """The tower homotopy built through tensor and product chains, checking
     the fused product against them on every correction on the way."""
     key = (level, sigma)
     if key in memo:
         return memo[key]
     m = len(sigma)
-    ctx = mitosis_context(level, base)
+    ctx = tower.context(level)
     alg = ctx.entries
     out = homotopy_P(ctx, sigma) if m else Chain(1)
     for k in range(1, m):
-        sub = _oracle_psi(level - 1, base, sigma[:k], memo)
+        sub = _oracle_psi(tower, level - 1, sigma[:k], memo)
         pushed = Chain.of(tuple(ctx.f(x) for x in sigma[k:]))
         correction = mult_map(alg, ez(alg, tensor_of_chains(sub, pushed)))
         fused = Chain(m + 1)
@@ -443,7 +481,7 @@ def _oracle_psi(level, base, sigma, memo):
 def test_induct_Q_fused_corrections_match_oracle(m):
     F = FreeGroup(m)
     sigma = tuple(F.gens())
-    assert MitosisTower(F).psi(m, sigma) == _oracle_psi(m, F, sigma, {})
+    assert MitosisTower(F).psi(m, sigma) == _oracle_psi(MitosisTower(F), m, sigma, {})
 
 
 def _per_rank_cylinder_data(ctx, sigma):
@@ -545,15 +583,16 @@ def test_theorem45_builds_P_once_per_distinct_proper_face(group, monkeypatch):
     from barhom import homotopy
 
     real_P, real_residual = homotopy.homotopy_P, checks.theorem_identity_residual
-    built, checked = [], []
+    built, checked, dicts = [], [], set()
 
     def counted_P(ctx, sigma):
         built.append(sigma)
         return real_P(ctx, sigma)
 
-    def residual(ctx, sigma):
+    def residual(ctx, sigma, face_P):
         checked.append(sigma)
-        return real_residual(ctx, sigma)
+        dicts.add(id(face_P))
+        return real_residual(ctx, sigma, face_P)
 
     monkeypatch.setattr(homotopy, "homotopy_P", counted_P)
     monkeypatch.setattr(checks, "theorem_identity_residual", residual)
@@ -567,20 +606,39 @@ def test_theorem45_builds_P_once_per_distinct_proper_face(group, monkeypatch):
     assert 0 < len(faces) <= sum(group.order() ** m for m in range(4))
     # P of each checked simplex is built afresh, P of each distinct face once
     assert Counter(built) == Counter(checked) + Counter(faces)
-    # the cache lives in the context, so the next call builds its faces again
+    assert len(dicts) == 1
+    # the face dict lives for one theorem45 call, so the next call builds
+    # its faces again
     built.clear()
     checked.clear()
     checks.theorem45(group, 5, maxdim=2, samples=1, rng=random.Random(3))
     assert len(built) == len(checked) + len({f for s in checked for f in boundary(group, Chain.of(s)).terms})
+    assert len(dicts) == 2
 
 
-def test_face_cache_belongs_to_one_context():
-    import dataclasses
+def test_face_cache_belongs_to_one_context(monkeypatch):
+    from barhom import homotopy
 
+    real_P, built = homotopy.homotopy_P, []
+
+    def counted_P(ctx, sigma):
+        built.append(sigma)
+        return real_P(ctx, sigma)
+
+    monkeypatch.setattr(homotopy, "homotopy_P", counted_P)
     group = CyclicGroup(3)
     ctx = instance_context(VerificationInstance(group, 5))
-    assert theorem_identity_residual(ctx, (1, 2, 2)).is_zero()
-    assert set(ctx.face_P) == set(boundary(group, Chain.of((1, 2, 2))).terms)
-    # a context with other maps must not read P built for this one
-    other = dataclasses.replace(ctx, k=ctx.h)
-    assert other.face_P == {}
+    face_P = {}
+    one, two = (1, 2, 2), (1, 2, 1)
+    faces_one = set(boundary(group, Chain.of(one)).terms)
+    faces_two = set(boundary(group, Chain.of(two)).terms)
+    assert faces_one & faces_two == {(1, 2)}
+    assert theorem_identity_residual(ctx, one, face_P).is_zero()
+    assert set(face_P) == faces_one
+    kept = dict(face_P)
+    # the second call on the same dict reuses P of the face they share
+    built.clear()
+    assert theorem_identity_residual(ctx, two, face_P).is_zero()
+    assert sorted(built) == sorted([two, *(faces_two - faces_one)])
+    assert set(face_P) == faces_one | faces_two
+    assert all(face_P[s] is chain for s, chain in kept.items())

@@ -293,7 +293,7 @@ def test_count_degenerate():
     assert not is_degenerate(C3, (1, 2))
 
 
-# -- the degeneracy contract: is_identity(x) iff x == identity --------------------
+# -- the degeneracy contract: (x,) is degenerate iff x == identity ---------------
 
 
 def _entries(*chains):
@@ -339,11 +339,10 @@ CONTRACT = {
 def test_is_identity_is_equality_with_the_identity(name):
     alg, entries = CONTRACT[name]()
     entries = [alg.identity] + entries
-    identities = [x for x in entries if alg.is_identity(x)]
+    identities = [x for x in entries if x == alg.identity]
     assert len(identities) > 1 and len(identities) < len(entries)
     for x in entries:
-        assert alg.is_identity(x) == (x == alg.identity)
-        assert is_degenerate(alg, (x,)) == alg.is_identity(x)
+        assert is_degenerate(alg, (x,)) == (x == alg.identity)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -354,7 +353,7 @@ def test_count_degenerate_matches_the_entrywise_test_on_psi(m):
     chain = tower.psi(m, tuple(free.gens()))
 
     def degenerate(simplex):
-        return any(alg.is_identity(entry) for entry in simplex)
+        return any(entry == alg.identity for entry in simplex)
 
     assert count_degenerate(alg, chain) == sum(abs(c) for s, c in chain if degenerate(s))
     assert project(alg, chain).terms == {s: c for s, c in chain if not degenerate(s)}

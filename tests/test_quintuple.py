@@ -20,7 +20,7 @@ C3 = CyclicGroup(3)
 def test_identity_quintuple():
     alg = QuintupleAlgebra(C3)
     assert alg.identity == Quintuple(0, 0, None, 0, 0)
-    assert alg.is_identity(alg.mul(alg.identity, alg.identity))
+    assert alg.mul(alg.identity, alg.identity) == alg.identity
     assert alg.mul(alg.f(1), alg.identity) == alg.f(1)
 
 

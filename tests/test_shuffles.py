@@ -5,7 +5,7 @@ from functools import reduce
 import pytest
 
 from barhom.groups import CyclicGroup, DirectProduct, FreeGroup, SymmetricGroup
-from barhom.homotopy import formal_context, instance_context, mitosis_context
+from barhom.homotopy import MitosisTower, formal_context, instance_context
 from barhom.moore import Chain, boundary, degeneracy, diameter
 from barhom.quintuple import VerificationInstance
 from barhom.shuffles import (
@@ -260,7 +260,7 @@ def test_edgewise_paths_agree_bit_exact(m):
     assert edgewise(ctx.f, ctx.g, sigma) == edgewise_composite(alg, ctx.f, ctx.g, sigma)
     assert diameter(edgewise(ctx.f, ctx.g, sigma)) == 2**m
     # and in the tower's word algebra, for both pairs of maps
-    tower = mitosis_context(m, F)
+    tower = MitosisTower(F).context(m)
     for f, g in ((tower.f, tower.g), (tower.h, tower.k)):
         assert edgewise(f, g, sigma) == edgewise_composite(tower.entries, f, g, sigma)
 

@@ -16,8 +16,6 @@ from barhom.words import (
     gen,
     mitosis_reduce,
     stable,
-    word_inv,
-    word_mul,
     word_to_json,
 )
 
@@ -49,20 +47,6 @@ def test_reduce_idempotent_and_nonincreasing():
         reduced = mitosis_reduce(C3, letters)
         assert mitosis_reduce(C3, reduced) == reduced
         assert len(reduced) <= len(letters)
-
-
-def test_word_inverse():
-    rng = random.Random(1)
-    alphabet = [gen(1), gen(2), stable(U, 1), stable(T, 2, -1)]
-    for _ in range(100):
-        letters = [rng.choice(alphabet) for _ in range(rng.randrange(8))]
-        w = mitosis_reduce(C3, letters)
-        assert word_mul(C3, w, word_inv(C3, w)) == ()
-
-
-def test_level_guard():
-    with pytest.raises(ValueError):
-        mitosis_reduce(C3, [stable(U, 3)], max_level=2)
 
 
 def test_tower_ell_word():
