@@ -95,25 +95,6 @@ def delta_bdh(k: int) -> int:
     return DELTA_BDH[k]
 
 
-@dataclass(frozen=True)
-class DiameterTable:
-    tag: str
-    bound: int
-    values: tuple
-
-    def __getitem__(self, m: int) -> int:
-        return self.values[m]
-
-
-def diameter_table(tag: str, bound: int) -> DiameterTable:
-    funcs = {"gamma": gamma, "q": q_count, "c": c_bound, "d": d_cyl, "delta_bdh": delta_bdh}
-    if tag not in funcs:
-        raise InvalidKind(f"unknown table {tag!r}")
-    if tag == "delta_bdh":
-        bound = min(bound, 4)
-    return DiameterTable(tag, bound, tuple(funcs[tag](m) for m in range(bound + 1)))
-
-
 def table_rows(max_m: int) -> list[dict]:
     rows = []
     for m in range(max_m + 1):

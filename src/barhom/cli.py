@@ -168,9 +168,8 @@ def cmd_expand(args) -> int:
         if args.format == "tsv":
             text = EntryText(alg)
             lines = ["p\tq\trank\tsign\timage"]
-            for term in ed_terms(ctx.f, ctx.g, sigma):
-                image = text.compact(term.simplex)
-                lines.append(f"{term.p}\t{term.q}\t{term.rank}\t{term.sign}\t{image}")
+            for p, q, rank, sign, image in ed_terms(ctx.f, ctx.g, sigma):
+                lines.append(f"{p}\t{q}\t{rank}\t{sign}\t{text.compact(image)}")
             _write(["\n".join(lines) + "\n"], args.out)
         else:
             chain = edgewise(ctx.f, ctx.g, Chain.of(sigma))
@@ -320,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--modulus", type=MODULUS, default=5)
     e.add_argument("--format", choices=("json", "tsv"), default="json")
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--cap", type=int, default=TERM_CAP)
+    e.add_argument("--cap", type=NATURAL, default=TERM_CAP)
     e.add_argument("--out")
     e.set_defaults(func=cmd_expand)
 
@@ -338,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--op", choices=("P", "psi", "phi"), default="psi")
     c.add_argument("--dim", type=NATURAL, required=True)
     c.add_argument("--level", type=POSITIVE)
-    c.add_argument("--cap", type=int, default=TERM_CAP)
+    c.add_argument("--cap", type=NATURAL, default=TERM_CAP)
     c.set_defaults(func=cmd_count)
 
     b = sub.add_parser("bounds", help="bound constants with provenance")

@@ -11,11 +11,15 @@ are checked eagerly at construction and the first failing index is reported.
 The face of a pillar set deletes one pillar; deleting index i yields a set
 compatible with the i-th faces of the two simplices, which is what makes the
 cylinder boundary formula work.
+
+The cylinder between two chains is the signed sum of the cylinders of
+matched terms, ``cyl_chain`` over plain ``(coeff, top, bottom, pillars)``
+tuples.  ``homotopy.homotopy_P`` is that sum over the cylinder data of the
+homotopy, so the chain-level lemma tests exercise the code the counts run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .moore import Chain, ChainError
@@ -76,25 +80,14 @@ def face_pillar(i: int, pillars: PillarSet) -> PillarSet:
     return pillars[:i] + pillars[i + 1 :]
 
 
-@dataclass(frozen=True)
-class CylinderTerm:
-    coeff: int
-    top: tuple
-    bottom: tuple
-    pillars: PillarSet
-
-
-def cyl_chain(alg, terms: Iterable[CylinderTerm]) -> Chain:
-    """Sum of per-term cylinders over matched term lists."""
-    terms = list(terms)
-    if not terms:
-        return Chain(1)
-    dim = len(terms[0].top)
+def cyl_chain(alg, dim: int, terms: Iterable[tuple]) -> Chain:
+    """The (dim+1)-chain sum of ``coeff * cyl(alg, top, bottom, pillars)``
+    over ``(coeff, top, bottom, pillars)`` terms of dim-simplices."""
     out = Chain(dim + 1)
-    for term in terms:
-        if len(term.top) != dim:
-            raise TermMismatch("cylinder terms of mixed dimension")
-        out.add_chain(cyl(alg, term.top, term.bottom, term.pillars), term.coeff)
+    for coeff, top, bottom, pillars in terms:
+        if len(top) != dim:
+            raise TermMismatch(f"cylinder term of dim {len(top)} in a sum over dim {dim}")
+        out.add_chain(cyl(alg, top, bottom, pillars), coeff)
     return out
 
 

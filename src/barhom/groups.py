@@ -2,13 +2,16 @@
 
 Every group exposes the same small interface: an identity element, a total
 product, inverses, decidable equality (elements are plain hashable Python
-values in a canonical form), and JSON encoding.  Concrete carriers are cyclic
-groups, symmetric groups and direct products; ``FreeGroup`` provides the
-free-symbol carrier used for exact diameter counting, where two elements are
-equal only if their reduced words coincide.  ``finite`` says whether a group
-can list its elements.  The products of each ``DirectProduct`` are memoized
-on the pair of factors; the verification target over cyclic3 has 45
-elements, so its memo holds at most 2,025 products.
+values in a canonical form), sampling and JSON encoding.  Groups encode
+elements for output but do not decode them: nothing reads barhom's JSON
+back.  Concrete carriers are cyclic groups, symmetric groups and direct
+products; ``FreeGroup`` provides the free-symbol carrier used for exact
+diameter counting, where two elements are equal only if their reduced words
+coincide.  ``finite`` says whether a group can list its elements; a finite
+group's order is the length of that list.  The products of each
+``DirectProduct`` are memoized on the pair of factors; the verification
+target over cyclic3 has 45 elements, so its memo holds at most 2,025
+products.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ class Group:
     """Base class: a group context operating on opaque element values."""
 
     name: str = "group"
-    # whether ``elements`` and ``order`` are defined
+    # whether ``elements`` is defined
     finite: bool = True
 
     @property
@@ -35,23 +38,14 @@ class Group:
     def inv(self, a):
         raise NotImplementedError
 
-    def contains(self, a) -> bool:
-        raise NotImplementedError
-
     def elements(self) -> Iterator:
         """Iterate all elements; only for finite carriers."""
-        raise NotImplementedError
-
-    def order(self) -> int:
         raise NotImplementedError
 
     def sample(self, rng: random.Random):
         raise NotImplementedError
 
     def elem_to_json(self, a) -> Any:
-        raise NotImplementedError
-
-    def elem_from_json(self, data):
         raise NotImplementedError
 
     def describe(self, a) -> str:
@@ -84,25 +78,14 @@ class CyclicGroup(Group):
     def inv(self, a: int) -> int:
         return (-a) % self.n
 
-    def contains(self, a) -> bool:
-        return isinstance(a, int) and 0 <= a < self.n
-
     def elements(self):
         return iter(range(self.n))
-
-    def order(self):
-        return self.n
 
     def sample(self, rng):
         return rng.randrange(self.n)
 
     def elem_to_json(self, a):
         return a
-
-    def elem_from_json(self, data):
-        if not self.contains(data):
-            raise ValueError(f"not an element of {self.name}: {data!r}")
-        return data
 
 
 class SymmetricGroup(Group):
@@ -128,21 +111,8 @@ class SymmetricGroup(Group):
             out[v] = i
         return tuple(out)
 
-    def contains(self, a) -> bool:
-        return (
-            isinstance(a, tuple)
-            and len(a) == self.degree
-            and sorted(a) == list(range(self.degree))
-        )
-
     def elements(self):
         return itertools.permutations(range(self.degree))
-
-    def order(self):
-        out = 1
-        for i in range(2, self.degree + 1):
-            out *= i
-        return out
 
     def sample(self, rng):
         images = list(range(self.degree))
@@ -151,12 +121,6 @@ class SymmetricGroup(Group):
 
     def elem_to_json(self, a):
         return list(a)
-
-    def elem_from_json(self, data):
-        a = tuple(data)
-        if not self.contains(a):
-            raise ValueError(f"not an element of {self.name}: {data!r}")
-        return a
 
 
 class DirectProduct(Group):
@@ -186,32 +150,14 @@ class DirectProduct(Group):
     def inv(self, a):
         return tuple(f.inv(x) for f, x in zip(self.factors, a))
 
-    def contains(self, a) -> bool:
-        return (
-            isinstance(a, tuple)
-            and len(a) == len(self.factors)
-            and all(f.contains(x) for f, x in zip(self.factors, a))
-        )
-
     def elements(self):
         return itertools.product(*(f.elements() for f in self.factors))
-
-    def order(self):
-        out = 1
-        for f in self.factors:
-            out *= f.order()
-        return out
 
     def sample(self, rng):
         return tuple(f.sample(rng) for f in self.factors)
 
     def elem_to_json(self, a):
         return [f.elem_to_json(x) for f, x in zip(self.factors, a)]
-
-    def elem_from_json(self, data):
-        if len(data) != len(self.factors):
-            raise ValueError(f"expected {len(self.factors)} coordinates")
-        return tuple(f.elem_from_json(x) for f, x in zip(self.factors, data))
 
 
 class FreeGroup(Group):
@@ -256,13 +202,6 @@ class FreeGroup(Group):
     def inv(self, a: tuple) -> tuple:
         return tuple(-x for x in reversed(a))
 
-    def contains(self, a) -> bool:
-        if not isinstance(a, tuple):
-            return False
-        if not all(isinstance(x, int) and x != 0 and abs(x) <= self.rank for x in a):
-            return False
-        return all(a[i] != -a[i + 1] for i in range(len(a) - 1))
-
     def sample(self, rng, max_len: int = 4):
         word: tuple = ()
         for _ in range(rng.randrange(max_len + 1)):
@@ -272,12 +211,6 @@ class FreeGroup(Group):
 
     def elem_to_json(self, a):
         return list(a)
-
-    def elem_from_json(self, data):
-        a = tuple(data)
-        if not self.contains(a):
-            raise ValueError(f"not a reduced word of {self.name}: {data!r}")
-        return a
 
 
 def parse_group(spec: str) -> Group:

@@ -13,7 +13,10 @@ The scan only ever visits the points of the (p+1) x (q+1) lattice of the
 shuffle's path: after crossing i g-components and j f-components the
 m-argument is the product of sigma[i:p+j].  ``p_cylinder_data`` therefore
 evaluates m once per lattice point and f, g, h, k once per entry, and reads
-each term off the cached shuffle table.
+each term off the cached shuffle table; ``homotopy_P`` is the chain cylinder
+``cylinder.cyl_chain`` over those data.  ``pillar_of_term`` runs the scan
+for one term, with the component order of the itertools-built ``shuffles``:
+it is the reference the tests hold ``p_cylinder_data`` to.
 
 The mitosis specialization plugs in conjugation by the inverse n-th stable
 letter for both f and h, the identity for g and the trivial map for k; the
@@ -36,17 +39,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .cylinder import cyl
+from .cylinder import cyl_chain
 from .groups import Group
 from .moore import Chain, boundary, project
 from .quintuple import QuintupleAlgebra, VerificationInstance
-from .shuffles import (
-    DimensionMismatch,
-    add_shuffle_product,
-    edgewise,
-    shuffle_entry,
-    shuffle_table,
-)
+from .shuffles import DimensionMismatch, add_shuffle_product, edgewise, shuffle_table, shuffles
 from .words import TowerAlgebra
 
 
@@ -101,25 +98,33 @@ def instance_context(inst: VerificationInstance) -> HomotopyContext:
 
 
 def pillar_of_term(ctx: HomotopyContext, rank: int, p: int, q: int, sigma: tuple) -> tuple:
-    """Ordered pillar set of one shuffle term, built by the scan rules."""
+    """Ordered pillar set of one shuffle term, built by the scan rules.
+
+    The reference ``p_cylinder_data`` is tested against: the component order
+    comes from the itertools-built ``shuffles``, not from the table."""
     n = len(sigma)
     if p + q != n:
         raise DimensionMismatch(f"p+q = {p + q} != dim = {n}")
+    ranked = shuffles(p, q)
+    # checked here, since a list index would wrap
+    if not 1 <= rank <= len(ranked):
+        raise IndexError(f"rank {rank} out of 1..{len(ranked)} for ({p},{q})")
+    # component s of the term is g(sigma[i]) at the i-th first-block
+    # position, f(sigma[p+j]) at the j-th second-block position
+    g_positions = set(ranked[rank - 1].first)
     G = ctx.source
-    # component s of the term is g(sigma[i]) at first-block positions,
-    # f(sigma[p+i]) at second-block positions
-    kinds = shuffle_entry(p, q, rank).place(
-        tuple(("g", i) for i in range(p)) + tuple(("f", p + i) for i in range(q))
-    )
     x = G.identity
     for i in range(p):
         x = G.mul(x, sigma[i])
     pillars = [ctx.m(x)]
-    for kind, idx in kinds:
-        if kind == "f":
-            x = G.mul(x, sigma[idx])
+    i, j = 0, p
+    for pos in range(1, n + 1):
+        if pos in g_positions:
+            x = G.mul(G.inv(sigma[i]), x)
+            i += 1
         else:
-            x = G.mul(G.inv(sigma[idx]), x)
+            x = G.mul(x, sigma[j])
+            j += 1
         pillars.append(ctx.m(x))
     return tuple(pillars)
 
@@ -166,15 +171,15 @@ def pillar_system(ctx: HomotopyContext, sigma: tuple) -> dict:
 
 
 def homotopy_P(ctx: HomotopyContext, sigma: tuple) -> Chain:
-    """The cylinder homotopy on one simplex; zero on the 0-simplex."""
+    """The cylinder homotopy on one simplex: the chain cylinder between the
+    two subdivisions along the pillar system; zero on the 0-simplex."""
     n = len(sigma)
-    out = Chain(n + 1)
     if n == 0:
-        return out
-    alg = ctx.entries
-    for _p, _q, _rank, sign, top, bottom, pillars in p_cylinder_data(ctx, sigma):
-        out.add_chain(cyl(alg, top, bottom, pillars), sign)
-    return out
+        return Chain(1)
+    return cyl_chain(ctx.entries, n, (
+        (sign, top, bottom, pillars)
+        for _p, _q, _rank, sign, top, bottom, pillars in p_cylinder_data(ctx, sigma)
+    ))
 
 
 # -- the inductive step and the tower --------------------------------------------

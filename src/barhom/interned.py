@@ -1,9 +1,10 @@
 """Hash-consed immutable records.
 
-A subclass of ``Interned`` names its fields in ``__slots__``.  Building it
-with field values equal to those of an earlier build returns that earlier
-object (Filliatre & Conchon, *Type-safe modular hash-consing*, 2006), so two
-values are equal exactly when they are the same object: ``==`` and ``hash``
+A subclass of ``Interned`` names its fields in ``__slots__`` and is built
+from their values, given positionally in slot order.  Building it with field
+values equal to those of an earlier build returns that earlier object
+(Filliatre & Conchon, *Type-safe modular hash-consing*, 2006), so two values
+are equal exactly when they are the same object: ``==`` and ``hash``
 are the identity comparison and the address hash of ``object``, and a simplex
 of interned entries hashes in C without visiting their fields.  Values are
 immutable, and each class keeps its table of canonical objects for the life
@@ -23,9 +24,7 @@ class Interned:
         super().__init_subclass__(**kwargs)
         cls._table = {}
 
-    def __new__(cls, *args, **kwargs):
-        if kwargs:
-            args = _bind(cls, args, kwargs)
+    def __new__(cls, *args):
         table = cls._table
         obj = table.get(args)
         if obj is None:
@@ -51,16 +50,3 @@ class Interned:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
-
-
-def _bind(cls, args: tuple, kwargs: dict) -> tuple:
-    """The positional field tuple of a call that names some fields."""
-    names = cls.__slots__
-    values = list(args)
-    for name in names[len(args):]:
-        if name not in kwargs:
-            raise TypeError(f"{cls.__name__} missing field {name!r}")
-        values.append(kwargs.pop(name))
-    if kwargs:
-        raise TypeError(f"{cls.__name__} got unexpected fields {sorted(kwargs)}")
-    return tuple(values)

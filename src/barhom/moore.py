@@ -107,11 +107,6 @@ class Chain:
         out.add_chain(other, -1)
         return out
 
-    def scaled(self, n: int) -> "Chain":
-        if n == 0:
-            return Chain(self.dim)
-        return Chain(self.dim, {s: n * c for s, c in self.terms.items()})
-
     def __eq__(self, other) -> bool:
         return (
             type(other) is type(self)

@@ -71,16 +71,6 @@ class QuintupleAlgebra:
         # l = m(e): m(e) = h(e) l f(e)
         return self.m(self.source.identity)
 
-    def make(self, h_arg, k_arg, m_arg, f_arg, g_arg) -> Quintuple:
-        """Normalize a raw quintuple: absorb f/g letters standing after m."""
-        G = self.source
-        if m_arg is not None:
-            h_arg = G.mul(h_arg, f_arg)
-            k_arg = G.mul(k_arg, g_arg)
-            m_arg = G.mul(G.inv(g_arg), G.mul(m_arg, f_arg))
-            f_arg = g_arg = G.identity
-        return Quintuple(h_arg, k_arg, m_arg, f_arg, g_arg)
-
     # algebra --------------------------------------------------------------
 
     def mul(self, left: Quintuple, right: Quintuple) -> Quintuple:

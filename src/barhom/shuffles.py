@@ -24,7 +24,9 @@ and their boundary is ``moore.boundary`` over the product.  A
 bidegree and fixed total degree.  Tensor chains, ``ez``, ``aw``,
 ``mult_map``, ``edgewise_composite`` and the itertools-based ``shuffles``
 serve only as the independent oracle the table-driven code is checked
-against.
+against.  The per-rank references (``homotopy.pillar_of_term`` and the
+tests' per-rank cylinder data) place components through ``shuffles`` too,
+so no reference reads the table it checks.
 """
 
 from __future__ import annotations
@@ -39,10 +41,6 @@ from .moore import Chain, ChainError, face, pushforward
 
 
 class DimensionMismatch(ChainError):
-    pass
-
-
-class RankOutOfRange(ChainError):
     pass
 
 
@@ -138,14 +136,6 @@ def shuffle_table(p: int, q: int) -> tuple[ShuffleEntry, ...]:
     koszul = -1 if p % 2 else 1
     tail = [(tuple(v + 1 for v in e.first), koszul * e.sign) for e in shuffle_table(p, q - 1)]
     return tuple(_entry(p, q, first, sign) for first, sign in head + tail)
-
-
-def shuffle_entry(p: int, q: int, rank: int) -> ShuffleEntry:
-    """The rank-th entry (1-based) of ``shuffle_table(p, q)``."""
-    table = shuffle_table(p, q)
-    if not 1 <= rank <= len(table):
-        raise RankOutOfRange(f"rank {rank} out of 1..{len(table)} for ({p},{q})")
-    return table[rank - 1]
 
 
 # -- tensor chains and the classical maps ---------------------------------------
@@ -264,43 +254,25 @@ def add_shuffle_product(out: Chain, a: Chain, b: Chain, scale: int = 1) -> None:
 # -- edgewise subdivision --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EdTerm:
-    """One shuffle term of the subdivision, in emission order."""
-
-    p: int
-    q: int
-    rank: int
-    sign: int
-    simplex: tuple
-
-
-def shuffle_term(f: Callable, g: Callable, rank: int, p: int, q: int, sigma: tuple) -> tuple:
-    """The single (p+q)-simplex indexed by the rank-th (p,q)-shuffle: images
-    under g of the first p entries sit at the first-block positions, images
-    under f of the rest at the second-block positions."""
-    n = len(sigma)
-    if p + q != n:
-        raise DimensionMismatch(f"p+q = {p + q} != dim = {n}")
-    entry = shuffle_entry(p, q, rank)
-    return entry.place(tuple(map(g, sigma[:p])) + tuple(map(f, sigma[p:])))
-
-
-def ed_terms(f: Callable, g: Callable, sigma: tuple) -> Iterator[EdTerm]:
-    """All shuffle terms in emission order: p ascending, then dictionary order."""
+def ed_terms(f: Callable, g: Callable, sigma: tuple) -> Iterator[tuple]:
+    """All shuffle terms ``(p, q, rank, sign, simplex)`` in emission order:
+    p ascending, then dictionary order.  The term of the rank-th
+    (p,q)-shuffle has the images under g of the first p entries at the
+    first-block positions and the images under f of the rest at the
+    second-block positions."""
     n = len(sigma)
     for p in range(n + 1):
         source = tuple(map(g, sigma[:p])) + tuple(map(f, sigma[p:]))
         for rank, entry in enumerate(shuffle_table(p, n - p), start=1):
-            yield EdTerm(p, n - p, rank, entry.sign, entry.place(source))
+            yield p, n - p, rank, entry.sign, entry.place(source)
 
 
 def edgewise(f: Callable, g: Callable, chain: Chain) -> Chain:
     """Subdivision of a chain via the shuffle formula."""
     out = Chain(chain.dim)
     for simplex, coeff in chain:
-        for term in ed_terms(f, g, simplex):
-            out.add_term(term.simplex, term.sign * coeff)
+        for _p, _q, _rank, sign, image in ed_terms(f, g, simplex):
+            out.add_term(image, sign * coeff)
     return out
 
 

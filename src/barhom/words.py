@@ -193,13 +193,6 @@ class TowerAlgebra:
             return v.arg, None, v.tail
         return self.base.identity, None, v
 
-    def inv(self, v):
-        if isinstance(v, PillarWord):
-            raise NonNormalizable("m-letters have no canonical inverse form")
-        if isinstance(v, Conjugated):
-            return Conjugated(v.level, self.base.inv(v.arg), self.inv(v.tail))
-        return self.base.inv(v)
-
     # flat expansion ---------------------------------------------------------
 
     def to_word(self, v) -> MitosisWord:
@@ -223,12 +216,3 @@ class TowerAlgebra:
     def entry_to_json(self, v) -> list:
         return word_to_json(self.base, self.to_word(v))
 
-    def describe(self, v) -> str:
-        parts = []
-        for letter in self.to_word(v):
-            if letter[0] == GEN:
-                parts.append(f"gen({self.base.describe(letter[1])})")
-            else:
-                kind, level, exp = letter
-                parts.append(f"{kind}{level}" + ("'" if exp < 0 else ""))
-        return ".".join(parts) if parts else "1"

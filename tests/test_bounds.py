@@ -91,15 +91,6 @@ def test_ratio_convergence_scan():
     assert max(diffs) < Fraction(1, 10**6)
 
 
-def test_diameter_table_object():
-    table = bd.diameter_table("gamma", 7)
-    assert table[5] == 9732
-    delta = bd.diameter_table("delta_bdh", 10)
-    assert delta.bound == 4
-    with pytest.raises(bd.InvalidKind):
-        bd.diameter_table("zeta", 3)
-
-
 def test_rho_bound_values():
     assert bd.rho_bound("general", 1).value == 189540 == 2 * (195 + 975 * 97)
     assert bd.rho_bound("cha_general", 1).value == 363090 == 2 * (195 + 975 * 186)

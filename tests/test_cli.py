@@ -183,6 +183,8 @@ def test_other_suites_run_on_infinite_groups(capsys, suite, group):
     ["verify", "--suite", "chainmaps", "--maxdim", "0"],
     ["verify", "--suite", "theorem45", "--modulus", "1"],
     ["expand", "--op", "P", "--mode", "concrete", "--dim", "2", "--modulus", "1"],
+    ["count", "--op", "psi", "--dim", "0", "--cap", "-1"],
+    ["expand", "--op", "ed", "--dim", "0", "--cap", "-1"],
 ], ids=" ".join)
 def test_out_of_range_numbers_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as err:

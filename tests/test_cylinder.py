@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from barhom.checks import cylinder_boundary_rhs, cylinder_lemma, random_compatible
 from barhom.cylinder import (
-    CylinderTerm,
     IncompatiblePillars,
     TermMismatch,
     boundary_system,
@@ -170,26 +169,21 @@ def test_chain_level_boundary_lemma():
     rng = random.Random(17)
     for _ in range(15):
         dim = rng.randrange(1, 4)
-        terms = [CylinderTerm(1, *random_compatible(group, dim, rng)) for _ in range(3)]
-        lhs = boundary(group, cyl_chain(group, terms))
+        terms = [random_compatible(group, dim, rng) for _ in range(3)]
+        lhs = boundary(group, cyl_chain(group, dim, [(1, *term) for term in terms]))
         rhs = Chain(dim)
-        for term in terms:
-            rhs.add_term(term.top, 1)
-            rhs.add_term(term.bottom, -1)
+        for top, bottom, _pillars in terms:
+            rhs.add_term(top, 1)
+            rhs.add_term(bottom, -1)
         face_terms = []
-        for term in terms:
+        for top, bottom, pillars in terms:
             sign = 1
             for i in range(dim + 1):
                 face_terms.append(
-                    CylinderTerm(
-                        -sign,
-                        face(group, i, term.top),
-                        face(group, i, term.bottom),
-                        face_pillar(i, term.pillars),
-                    )
+                    (-sign, face(group, i, top), face(group, i, bottom), face_pillar(i, pillars))
                 )
                 sign = -sign
-        for s, c in cyl_chain(group, face_terms):
+        for s, c in cyl_chain(group, dim - 1, face_terms):
             rhs.add_term(s, c)
         assert lhs == rhs
 
@@ -239,10 +233,8 @@ def test_cancellation_lemma_worked_example():
 def test_cyl_chain_single_term_reduces_to_cyl():
     rng = random.Random(23)
     top, bottom, pillars = random_compatible(C3, 2, rng)
-    assert cyl_chain(C3, [CylinderTerm(1, top, bottom, pillars)]) == cyl(
-        C3, top, bottom, pillars
-    )
-    assert cyl_chain(C3, []).is_zero()
+    assert cyl_chain(C3, 2, [(1, top, bottom, pillars)]) == cyl(C3, top, bottom, pillars)
+    assert cyl_chain(C3, 2, []) == Chain(3)
 
 
 def test_cyl_chain_diameter_sums():
@@ -253,16 +245,18 @@ def test_cyl_chain_diameter_sums():
         a1, a2, b1, b2, t0 = (F.gen(5 * block + i + 1) for i in range(5))
         t1 = F.mul(F.inv(b1), F.mul(t0, a1))
         t2 = F.mul(F.inv(b2), F.mul(t1, a2))
-        terms.append(CylinderTerm(1, (a1, a2), (b1, b2), (t0, t1, t2)))
-    assert diameter(cyl_chain(F, terms)) == sum(len(t.top) + 1 for t in terms)
+        terms.append((1, (a1, a2), (b1, b2), (t0, t1, t2)))
+    assert diameter(cyl_chain(F, 2, terms)) == sum(len(top) + 1 for _c, top, _b, _p in terms)
 
 
 def test_cyl_chain_mixed_dims_rejected():
     rng = random.Random(31)
-    t1 = CylinderTerm(1, *random_compatible(C3, 1, rng))
-    t2 = CylinderTerm(1, *random_compatible(C3, 2, rng))
+    t1 = (1, *random_compatible(C3, 1, rng))
+    t2 = (1, *random_compatible(C3, 2, rng))
     with pytest.raises(TermMismatch):
-        cyl_chain(C3, [t1, t2])
+        cyl_chain(C3, 1, [t1, t2])
+    with pytest.raises(TermMismatch):
+        cyl_chain(C3, 2, [t1, t2])
 
 
 def test_boundary_system_shapes():

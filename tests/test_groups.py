@@ -34,27 +34,18 @@ def test_group_axioms_on_samples(group):
 def test_cyclic_has_n_elements(n):
     group = CyclicGroup(n)
     elems = list(group.elements())
-    assert len(elems) == n == group.order()
+    assert len(elems) == n
     assert len(set(elems)) == n
 
 
 def test_symmetric_order():
-    assert SymmetricGroup(4).order() == 24
     assert len(list(SymmetricGroup(4).elements())) == 24
 
 
 def test_product_order():
     group = DirectProduct(CyclicGroup(2), SymmetricGroup(3))
-    assert group.order() == 12
+    assert len(list(group.elements())) == 12
     assert len(set(group.elements())) == 12
-
-
-@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
-def test_json_round_trip(group):
-    rng = random.Random(1)
-    for _ in range(20):
-        a = group.sample(rng)
-        assert group.elem_from_json(group.elem_to_json(a)) == a
 
 
 def test_free_reduction():
@@ -63,7 +54,7 @@ def test_free_reduction():
     assert F.mul(a, F.inv(a)) == F.identity
     w = F.mul(F.mul(a, b), F.inv(b))
     assert w == a
-    assert F.contains(w)
+    assert all(w[i] != -w[i + 1] for i in range(len(w) - 1))
     # no adjacent letter-inverse pairs survive any product
     rng = random.Random(2)
     for _ in range(200):
@@ -89,7 +80,7 @@ def test_parse_group():
 def test_direct_product_memo_is_the_factorwise_product(factors):
     group = DirectProduct(*factors)
     pairs = list(itertools.product(group.elements(), repeat=2))
-    assert len(pairs) == group.order() ** 2
+    assert len(pairs) == len(list(group.elements())) ** 2
     for _ in range(2):   # the second pass reads the memo
         for a, b in pairs:
             assert group.mul(a, b) == tuple(f.mul(x, y) for f, x, y in zip(factors, a, b))

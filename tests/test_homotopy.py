@@ -24,7 +24,7 @@ from barhom.homotopy import (
 )
 from barhom.moore import Chain, boundary, count_degenerate, diameter, face, project, pushforward
 from barhom.quintuple import NonNormalizable, VerificationInstance
-from barhom.shuffles import add_shuffle_product, ez, mult_map, shuffle_term, shuffles, tensor_of_chains
+from barhom.shuffles import DimensionMismatch, add_shuffle_product, ez, mult_map, shuffles, tensor_of_chains
 from barhom.words import Conjugated, PillarWord, TowerAlgebra
 
 
@@ -49,6 +49,18 @@ def test_pillar_scan_examples():
     assert pillar_of_term(ctx, 2, 1, 2, sigma) == (
         m(g1), m(mul(g1, g2)), m(g2), m(mul(g2, g3)),
     )
+
+
+def test_pillar_of_term_rejects_bad_coordinates():
+    F, ctx, _alg = _formal(3)
+    sigma = tuple(F.gens())
+    # three (1,2)-shuffles: rank 0 would read the last one, rank 4 is past the end
+    for rank in (0, 4, -1):
+        with pytest.raises(IndexError):
+            pillar_of_term(ctx, rank, 1, 2, sigma)
+    assert len(pillar_of_term(ctx, 3, 1, 2, sigma)) == 4
+    with pytest.raises(DimensionMismatch):
+        pillar_of_term(ctx, 1, 1, 1, sigma)
 
 
 def test_pillar_system_of_two_simplex():
@@ -228,19 +240,16 @@ def test_theorem_identity_instance_symmetric_products():
 def test_P_one_simplex_as_cylinder_of_subdivisions():
     # the dimension-1 homotopy is the chain cylinder between the two
     # subdivisions along the pillar sets {l, m(g)} and {m(g), l}
-    from barhom.cylinder import CylinderTerm, cyl_chain
+    from barhom.cylinder import cyl_chain
     from barhom.shuffles import ed_terms
 
     F, ctx, alg = _formal(1)
     g1 = F.gen(1)
-    tops = [t.simplex for t in ed_terms(ctx.f, ctx.g, (g1,))]
-    bottoms = [t.simplex for t in ed_terms(ctx.h, ctx.k, (g1,))]
+    tops = [simplex for *_, simplex in ed_terms(ctx.f, ctx.g, (g1,))]
+    bottoms = [simplex for *_, simplex in ed_terms(ctx.h, ctx.k, (g1,))]
     systems = [(alg.ell, alg.m(g1)), (alg.m(g1), alg.ell)]
-    terms = [
-        CylinderTerm(1, top, bottom, pillars)
-        for top, bottom, pillars in zip(tops, bottoms, systems)
-    ]
-    assert cyl_chain(alg, terms) == homotopy_P(ctx, (g1,))
+    terms = [(1, top, bottom, pillars) for top, bottom, pillars in zip(tops, bottoms, systems)]
+    assert cyl_chain(alg, 1, terms) == homotopy_P(ctx, (g1,))
 
 
 def test_verify_identity_trivial():
@@ -484,14 +493,27 @@ def test_induct_Q_fused_corrections_match_oracle(m):
     assert MitosisTower(F).psi(m, sigma) == _oracle_psi(MitosisTower(F), m, sigma, {})
 
 
+def _shuffled(sh, front, back):
+    """The simplex with ``front`` at the first-block positions of the
+    shuffle ``sh`` and ``back`` at its second-block positions."""
+    slots = [None] * (sh.p + sh.q)
+    for pos, x in zip(sh.first, front):
+        slots[pos - 1] = x
+    for pos, x in zip(sh.second, back):
+        slots[pos - 1] = x
+    return tuple(slots)
+
+
 def _per_rank_cylinder_data(ctx, sigma):
+    """p_cylinder_data rebuilt term by term from the itertools shuffles."""
     n = len(sigma)
     out = []
     for p in range(n + 1):
         q = n - p
+        front, back = sigma[:p], sigma[p:]
         for sh in shuffles(p, q):
-            top = shuffle_term(ctx.f, ctx.g, sh.rank, p, q, sigma)
-            bottom = shuffle_term(ctx.h, ctx.k, sh.rank, p, q, sigma)
+            top = _shuffled(sh, map(ctx.g, front), map(ctx.f, back))
+            bottom = _shuffled(sh, map(ctx.k, front), map(ctx.h, back))
             pillars = pillar_of_term(ctx, sh.rank, p, q, sigma)
             out.append((p, q, sh.rank, sh.sign, top, bottom, pillars))
     return out
@@ -598,12 +620,13 @@ def test_theorem45_builds_P_once_per_distinct_proper_face(group, monkeypatch):
     monkeypatch.setattr(checks, "theorem_identity_residual", residual)
     samples = 60
     checks.theorem45(group, 5, maxdim=4, samples=samples, rng=random.Random(3))
-    assert len(checked) == sum(group.order() ** m for m in range(4)) + samples
+    order = len(list(group.elements()))
+    assert len(checked) == sum(order ** m for m in range(4)) + samples
     # P is applied to the faces that survive in the boundary of each simplex
     faces = set()
     for sigma in checked:
         faces.update(boundary(group, Chain.of(sigma)).terms)
-    assert 0 < len(faces) <= sum(group.order() ** m for m in range(4))
+    assert 0 < len(faces) <= sum(order ** m for m in range(4))
     # P of each checked simplex is built afresh, P of each distinct face once
     assert Counter(built) == Counter(checked) + Counter(faces)
     assert len(dicts) == 1

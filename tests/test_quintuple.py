@@ -65,18 +65,6 @@ def test_blocked_crossings_error():
         alg.mul(alg.m(1), alg.h(1))
 
 
-def test_make_normalizes():
-    F = FreeGroup(3)
-    alg = QuintupleAlgebra(F)
-    x, c, d = F.gen(1), F.gen(2), F.gen(3)
-    raw = alg.make(F.identity, F.identity, x, c, d)
-    # h k m(x) f(c) g(d) = h(c) k(d) m(d^-1 x c)
-    assert raw == Quintuple(c, d, F.mul(F.inv(d), F.mul(x, c)), F.identity, F.identity)
-    assert alg.make(F.identity, F.identity, None, c, d) == Quintuple(
-        F.identity, F.identity, None, c, d
-    )
-
-
 def test_instance_relation_and_maps():
     for n in (2, 3):
         G = CyclicGroup(n)
@@ -200,7 +188,6 @@ def test_quintuples_are_interned():
     x, y = (1,), (2,)
     assert a.identity is b.identity is Quintuple((), (), None, (), ())
     assert a.mul(a.m(x), a.f(y)) is b.mul(b.m(x), b.f(y))
-    assert a.make(x, y, None, y, x) is Quintuple(h_arg=x, k_arg=y, m_arg=None, f_arg=y, g_arg=x)
     assert QuintupleAlgebra(C3).identity is Quintuple(0, 0, None, 0, 0)
     assert a.f(x) is not a.g(x)
 

@@ -134,7 +134,6 @@ def test_tower_values_are_interned():
     a, b = TowerAlgebra(FreeGroup(2)), TowerAlgebra(FreeGroup(2))
     x, y = (1,), (2,)
     assert Conjugated(1, (1,), ()) is Conjugated(1, (1,), ())
-    assert Conjugated(1, (1,), ()) is Conjugated(level=1, arg=(1,), tail=())
     assert a.conj(2, y, a.conj(1, x)) is b.conj(2, y, b.conj(1, x))
     assert a.pillar(1, x, y) is b.pillar(1, x, y) is PillarWord(1, y, x)
     assert a.mul(a.pillar(1, x), a.conj(1, y)) is b.mul(b.pillar(1, x), b.conj(1, y))
