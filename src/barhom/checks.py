@@ -42,6 +42,7 @@ from .moore import (
     diameter,
     face,
     project,
+    simplex_to_json,
 )
 from .quintuple import VerificationInstance
 from .shuffles import edgewise, edgewise_composite
@@ -73,8 +74,7 @@ def random_compatible(group: Group, dim: int, rng: random.Random):
 def _require_zero(alg, residual: Chain, where: str) -> None:
     if not residual.is_zero():
         simplex, coeff = next(iter(residual))
-        entries = [alg.entry_to_json(e) for e in simplex]
-        term = json.dumps({"coeff": coeff, "simplex": entries}, sort_keys=True)
+        term = json.dumps({"coeff": coeff, "simplex": simplex_to_json(alg, simplex)}, sort_keys=True)
         raise CheckFailure(f"{where}: {term}")
 
 
@@ -91,7 +91,8 @@ def theorem45(group: Group, modulus: int, maxdim: int, samples: int,
     face_P: dict = {}   # P of the proper faces met, kept for this context
     for x in group.elements():
         if not inst.relation_holds(x):
-            raise CheckFailure(f"instance relation fails at {group.describe(x)}")
+            raise CheckFailure(
+                f"instance relation fails at {json.dumps(group.entry_to_json(x), sort_keys=True)}")
     emit(f"instance relation holds on {group.name}")
     for m in range(min(maxdim, 3) + 1):
         cases = list(itertools.product(group.elements(), repeat=m))
@@ -136,7 +137,7 @@ def psi_identity(level: int, maxdim: int, emit=_quiet) -> None:
     base = FreeGroup(max(maxdim, 1))
     tower = MitosisTower(base)
     for m in range(min(maxdim, level) + 1):
-        sigma = tuple(base.gen(i + 1) for i in range(m))
+        sigma = tuple(base.gens()[:m])
         _require_zero(tower.algebra, psi_identity_residual(tower, level, sigma),
                       f"psi identity residual at level {level} dim {m}")
         emit(f"psi identity level {level} dim {m}: zero residual")
@@ -179,7 +180,7 @@ def chain_maps(group: Group, maxdim: int, cases: int, rng: random.Random, emit=_
     base = FreeGroup(maxdim)
     ctx = formal_context(base)
     for m in range(1, maxdim + 1):
-        sigma = Chain.of(tuple(base.gen(i + 1) for i in range(m)))
+        sigma = Chain.of(tuple(base.gens()[:m]))
         one = edgewise(ctx.f, ctx.g, sigma)
         if one != edgewise_composite(ctx.entries, ctx.f, ctx.g, sigma):
             raise CheckFailure(f"edgewise implementations disagree at dim {m}")

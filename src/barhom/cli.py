@@ -2,15 +2,17 @@
 
 Every command is deterministic for fixed flags and seed, and machine-readable
 output carries the schema version.  Exit codes: 0 all checks pass, 1 a check
-failed or a residual survived, 2 usage error.  Numbers out of range are
-usage errors caught at parse time, and ``expand``/``count`` refuse a chain
-whose known size exceeds ``--cap`` before building anything.
+failed or a residual survived, 2 usage error, 141 standard output closed by
+its reader.  Numbers out of range are usage errors caught at parse time, and
+``expand``/``count`` refuse a chain whose known size exceeds ``--cap`` before
+building anything.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -101,7 +103,7 @@ def _generic_simplex(base: Group, dim: int, rng: random.Random):
     if isinstance(base, FreeGroup):
         if base.rank < dim:
             raise ValueError("free rank below dimension")
-        return tuple(base.gen(i + 1) for i in range(dim))
+        return tuple(base.gens()[:dim])
     return tuple(base.sample(rng) for _ in range(dim))
 
 
@@ -194,7 +196,7 @@ def cmd_count(args) -> int:
     level = _level(args, dim)
     _check_cap(args.op, dim, args.cap)
     base = FreeGroup(max(dim, 1))
-    sigma = tuple(base.gen(i + 1) for i in range(dim))
+    sigma = tuple(base.gens()[:dim])
     if args.op == "P":
         got, expected = diameter(homotopy_P(formal_context(base), sigma)), bd.d_cyl(dim)
         ok = got == expected
@@ -343,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bounds", help="bound constants with provenance")
     b.add_argument("--n", type=int, default=1)
     b.add_argument("--deg", type=int, default=1)
-    b.add_argument("--format", choices=("json",), default="json")
     b.add_argument("--out")
     b.set_defaults(func=cmd_bounds)
 
@@ -358,6 +359,19 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed standard output (``| head``): point it at
+        # /dev/null so the flush at interpreter shutdown fails silently too,
+        # and exit as a shell reports a writer killed by SIGPIPE
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            fd = None
+        if fd is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -28,9 +28,9 @@ PillarSet = tuple
 
 
 class IncompatiblePillars(ChainError):
-    def __init__(self, index: int, message: str = ""):
+    def __init__(self, index: int):
         self.index = index
-        super().__init__(message or f"pillar relation fails at index {index}")
+        super().__init__(f"pillar relation fails at index {index}")
 
 
 class TermMismatch(ChainError):

@@ -2,13 +2,15 @@
 
 Every group exposes the same small interface: an identity element, a total
 product, inverses, decidable equality (elements are plain hashable Python
-values in a canonical form), sampling and JSON encoding.  Groups encode
-elements for output but do not decode them: nothing reads barhom's JSON
-back.  Concrete carriers are cyclic groups, symmetric groups and direct
-products; ``FreeGroup`` provides the free-symbol carrier used for exact
-diameter counting, where two elements are equal only if their reduced words
-coincide.  ``finite`` says whether a group can list its elements; a finite
-group's order is the length of that list.  The products of each
+values in a canonical form), sampling and one JSON encoder,
+``entry_to_json``.  A group is also an entry algebra for bar simplices:
+``identity``, ``mul`` and ``entry_to_json`` are all the chain operations use.
+Groups encode elements for output but do not decode them: nothing reads
+barhom's JSON back.  Concrete carriers are cyclic groups, symmetric groups
+and direct products; ``FreeGroup`` provides the free-symbol carrier used for
+exact diameter counting, where two elements are equal only if their reduced
+words coincide.  ``finite`` says whether a group can list its elements; a
+finite group's order is the length of that list.  The products of each
 ``DirectProduct`` are memoized on the pair of factors; the verification
 target over cyclic3 has 45 elements, so its memo holds at most 2,025
 products.
@@ -45,15 +47,8 @@ class Group:
     def sample(self, rng: random.Random):
         raise NotImplementedError
 
-    def elem_to_json(self, a) -> Any:
-        raise NotImplementedError
-
-    def describe(self, a) -> str:
-        return repr(self.elem_to_json(a))
-
     def entry_to_json(self, a) -> Any:
-        # groups double as entry algebras for bar simplices
-        return self.elem_to_json(a)
+        raise NotImplementedError
 
     def __repr__(self):
         return self.name
@@ -84,7 +79,7 @@ class CyclicGroup(Group):
     def sample(self, rng):
         return rng.randrange(self.n)
 
-    def elem_to_json(self, a):
+    def entry_to_json(self, a):
         return a
 
 
@@ -119,7 +114,7 @@ class SymmetricGroup(Group):
         rng.shuffle(images)
         return tuple(images)
 
-    def elem_to_json(self, a):
+    def entry_to_json(self, a):
         return list(a)
 
 
@@ -156,8 +151,8 @@ class DirectProduct(Group):
     def sample(self, rng):
         return tuple(f.sample(rng) for f in self.factors)
 
-    def elem_to_json(self, a):
-        return [f.elem_to_json(x) for f, x in zip(self.factors, a)]
+    def entry_to_json(self, a):
+        return [f.entry_to_json(x) for f, x in zip(self.factors, a)]
 
 
 class FreeGroup(Group):
@@ -181,12 +176,6 @@ class FreeGroup(Group):
     def identity(self) -> tuple:
         return ()
 
-    def gen(self, i: int) -> tuple:
-        """The i-th generator, 1-based."""
-        if not 1 <= i <= self.rank:
-            raise ValueError(f"generator index {i} out of range 1..{self.rank}")
-        return (i,)
-
     def gens(self) -> list:
         return [(i,) for i in range(1, self.rank + 1)]
 
@@ -202,14 +191,15 @@ class FreeGroup(Group):
     def inv(self, a: tuple) -> tuple:
         return tuple(-x for x in reversed(a))
 
-    def sample(self, rng, max_len: int = 4):
+    def sample(self, rng):
+        """A product of up to four random generators and inverses."""
         word: tuple = ()
-        for _ in range(rng.randrange(max_len + 1)):
+        for _ in range(rng.randrange(5)):
             g = rng.randrange(1, self.rank + 1) * rng.choice((1, -1))
             word = self.mul(word, (g,))
         return word
 
-    def elem_to_json(self, a):
+    def entry_to_json(self, a):
         return list(a)
 
 

@@ -4,7 +4,9 @@ An n-simplex of the classifying space of a group is the ordered tuple
 [g_1, ..., g_n]; here it is a plain Python tuple of entry values.  Entries may
 be group elements, formal quintuples or leveled mitosis words — any value with
 hashable canonical equality.  Operations that multiply or recognise entries
-take the entry algebra as their first argument.
+take the entry algebra as their first argument: a group, a
+``QuintupleAlgebra`` or a ``TowerAlgebra``, each with the interface
+``identity``, ``mul`` and ``entry_to_json``.
 
 A ``Chain`` is a finite integer formal sum of simplices of one dimension.
 Faces follow the bar-construction rule: the 0-th face drops the first entry,
@@ -54,8 +56,8 @@ class Chain:
             self.add_term(simplex, coeff)
 
     @classmethod
-    def of(cls, simplex: BarSimplex, coeff: int = 1) -> "Chain":
-        return cls(len(simplex), [(simplex, coeff)])
+    def of(cls, simplex: BarSimplex) -> "Chain":
+        return cls(len(simplex), [(simplex, 1)])
 
     def add_term(self, simplex: BarSimplex, coeff: int) -> None:
         if coeff == 0:

@@ -22,6 +22,8 @@ lives for the process.
 
 from __future__ import annotations
 
+import json
+
 from .groups import CyclicGroup, DirectProduct, Group
 from .interned import Interned
 
@@ -81,8 +83,8 @@ class QuintupleAlgebra:
 
         def blocked(letter, arg):
             raise NonNormalizable(
-                f"cannot move {letter}({G.describe(arg)}) across "
-                f"the f/g letters of {self.describe(left)!s}"
+                f"cannot move {letter}({json.dumps(G.entry_to_json(arg), sort_keys=True)}) "
+                f"across the f/g letters of {json.dumps(self.entry_to_json(left), sort_keys=True)}"
             )
 
         # h and k letters only cross each other; m must be the sole m-letter
@@ -121,25 +123,12 @@ class QuintupleAlgebra:
     def entry_to_json(self, q: Quintuple) -> dict:
         G = self.source
         return {
-            "h": G.elem_to_json(q.h_arg),
-            "k": G.elem_to_json(q.k_arg),
-            "m": None if q.m_arg is None else G.elem_to_json(q.m_arg),
-            "f": G.elem_to_json(q.f_arg),
-            "g": G.elem_to_json(q.g_arg),
+            "h": G.entry_to_json(q.h_arg),
+            "k": G.entry_to_json(q.k_arg),
+            "m": None if q.m_arg is None else G.entry_to_json(q.m_arg),
+            "f": G.entry_to_json(q.f_arg),
+            "g": G.entry_to_json(q.g_arg),
         }
-
-    def describe(self, q: Quintuple) -> str:
-        G = self.source
-        parts = []
-        for letter, arg in (("h", q.h_arg), ("k", q.k_arg)):
-            if arg != G.identity:
-                parts.append(f"{letter}({G.describe(arg)})")
-        if q.m_arg is not None:
-            parts.append(f"m({G.describe(q.m_arg)})")
-        for letter, arg in (("f", q.f_arg), ("g", q.g_arg)):
-            if arg != G.identity:
-                parts.append(f"{letter}({G.describe(arg)})")
-        return "*".join(parts) if parts else "1"
 
 
 class VerificationInstance:

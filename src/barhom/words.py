@@ -1,26 +1,25 @@
-"""Word models for the mitosis tower over a base group.
+"""The word algebra of the mitosis tower over a base group.
 
-Two layers live here.  ``MitosisWord`` is the flat model: freely reduced
-words over the graded alphabet {gen(x), u_k, t_k and inverses}, with adjacent
-gen-letters merged through the base group.  It is the inspection and
-serialization surface.
-
-The tower algebra is the structured model actually used to verify homotopy
-identities.  At level n the stage homomorphisms are conjugation by the
-inverse of the n-th stable letter (for both the top-left and bottom-left
-roles), the identity, and the trivial map, with the connecting element
-l_n = conj(inv(t_n)) and the pillar function m_n(x) = l_n * x^-1.  A value in
-canonical form is either a bare base-group element, F_n(a) followed by a
-lower-level value, or F_n(a) * m_n(x).  Products arising from face maps of
-the homotopy chains always normalize to one of these shapes; anything else
-raises ``NonNormalizable``.  Equality of canonical forms is the designated
-decision procedure — no claim is made of solving the word problem in general.
+The tower algebra is the model used to verify homotopy identities.  At level
+n the stage homomorphisms are conjugation by the inverse of the n-th stable
+letter (for both the top-left and bottom-left roles), the identity, and the
+trivial map, with the connecting element l_n = conj(inv(t_n)) and the pillar
+function m_n(x) = l_n * x^-1.  A value in canonical form is either a bare
+base-group element, F_n(a) followed by a lower-level value, or
+F_n(a) * m_n(x).  Products arising from face maps of the homotopy chains
+always normalize to one of these shapes; anything else raises
+``NonNormalizable``.  Equality of canonical forms is the designated decision
+procedure — no claim is made of solving the word problem in general.
 
 The tower values ``Conjugated`` and ``PillarWord`` are hash-consed
 (``barhom.interned``): building one with the fields of an existing value
 returns that object, so equality is object identity, values are immutable,
 and the table of canonical values lives for the process.  The products of
 each ``TowerAlgebra`` are memoized on the pair of factors.
+
+Output spells a value out as a freely reduced word in the stable letters u_n,
+t_n and gen(x) for base elements x (``TowerAlgebra.entry_to_json``): the
+canonical shapes fix that word, so no general free reduction is needed.
 """
 
 from __future__ import annotations
@@ -30,70 +29,6 @@ from typing import Any, Union
 from .groups import Group
 from .interned import Interned
 from .quintuple import NonNormalizable
-
-# -- flat words --------------------------------------------------------------
-
-GEN = "gen"
-U = "u"
-T = "t"
-
-# a letter is ('gen', elem) or ('u'|'t', level, +1|-1)
-Letter = tuple
-MitosisWord = tuple
-
-
-def gen(elem) -> Letter:
-    return (GEN, elem)
-
-
-def stable(kind: str, level: int, exp: int = 1) -> Letter:
-    if kind not in (U, T):
-        raise ValueError(f"bad letter kind {kind!r}")
-    if level < 1:
-        raise ValueError("stable letters live at levels >= 1")
-    if exp not in (1, -1):
-        raise ValueError("exponent must be +1 or -1")
-    return (kind, level, exp)
-
-
-def mitosis_reduce(G: Group, letters) -> MitosisWord:
-    """Freely reduce and gen-merge; idempotent and length-nonincreasing."""
-    identity = G.identity
-    stack: list = []
-    for letter in letters:
-        if letter[0] == GEN and letter[1] == identity:
-            continue
-        stack.append(letter)
-        while len(stack) >= 2:
-            a, b = stack[-2], stack[-1]
-            if a[0] == GEN and b[0] == GEN:
-                merged = G.mul(a[1], b[1])
-                stack.pop()
-                stack.pop()
-                if merged != identity:
-                    stack.append((GEN, merged))
-                continue
-            if a[0] != GEN and b[0] != GEN and a[0] == b[0] and a[1] == b[1] and a[2] == -b[2]:
-                stack.pop()
-                stack.pop()
-                continue
-            break
-    return tuple(stack)
-
-
-def word_to_json(G: Group, word: MitosisWord) -> list:
-    out = []
-    for letter in word:
-        if letter[0] == GEN:
-            out.append({"letter": GEN, "level": 0, "arg": G.elem_to_json(letter[1]), "inv": False})
-        else:
-            kind, level, exp = letter
-            out.append({"letter": kind, "level": level, "arg": None, "inv": exp < 0})
-    return out
-
-
-# -- tower values -------------------------------------------------------------
-
 
 class Conjugated(Interned):
     """F_level(arg) * tail, with arg a nonidentity base element."""
@@ -136,10 +71,9 @@ class TowerAlgebra:
             return tail
         return Conjugated(level, arg, tail)
 
-    def pillar(self, level: int, m_arg, f_arg=None) -> PillarWord:
-        if f_arg is None:
-            f_arg = self.base.identity
-        return PillarWord(level, f_arg, m_arg)
+    def pillar(self, level: int, m_arg) -> PillarWord:
+        """m_level(m_arg)."""
+        return PillarWord(level, self.identity, m_arg)
 
     def ell(self, level: int) -> PillarWord:
         return self.pillar(level, self.base.identity)
@@ -193,26 +127,41 @@ class TowerAlgebra:
             return v.arg, None, v.tail
         return self.base.identity, None, v
 
-    # flat expansion ---------------------------------------------------------
-
-    def to_word(self, v) -> MitosisWord:
-        G = self.base
-        if isinstance(v, Conjugated):
-            head = [stable(U, v.level, -1), gen(v.arg), stable(U, v.level, 1)]
-            return mitosis_reduce(G, head + list(self.to_word(v.tail)))
-        if isinstance(v, PillarWord):
-            # F_n(a) * m_n(x) with m_n(x) = h(inv(x)) * l_n * f(x) spelled out
-            n, a, x = v.level, v.f_arg, v.m_arg
-            letters = [
-                stable(U, n, -1),
-                gen(G.mul(a, G.inv(x))),
-                stable(T, n, -1),
-                gen(x),
-                stable(U, n, 1),
-            ]
-            return mitosis_reduce(G, letters)
-        return mitosis_reduce(G, [gen(v)])
+    # serialization ----------------------------------------------------------
 
     def entry_to_json(self, v) -> list:
-        return word_to_json(self.base, self.to_word(v))
+        """The letter records ``{"letter", "level", "arg", "inv"}`` of ``v``
+        in the stable letters u_n, t_n and gen(x) for base elements x.
 
+        F_n(a)*tail is u_n^-1 gen(a) u_n followed by the tail's records,
+        F_n(a)*m_n(x) is u_n^-1 gen(a x^-1) t_n^-1 gen(x) u_n (m_n(x) =
+        h(x^-1) * l_n * f(x) spelled out) and a base element v is gen(v).
+        A gen record of the identity is left out, and then the word is freely
+        reduced as it stands: two gen letters are never adjacent, and
+        neighbouring stable letters differ in kind or level, because ``conj``
+        keeps every tail strictly below its level.
+        """
+        G = self.base
+        records: list = []
+
+        def letter(kind: str, level: int, inv: bool) -> None:
+            records.append({"letter": kind, "level": level, "arg": None, "inv": inv})
+
+        def element(x) -> None:
+            if x != self.identity:
+                records.append({"letter": "gen", "level": 0, "arg": G.entry_to_json(x), "inv": False})
+
+        while isinstance(v, Conjugated):
+            letter("u", v.level, True)
+            element(v.arg)
+            letter("u", v.level, False)
+            v = v.tail
+        if isinstance(v, PillarWord):
+            letter("u", v.level, True)
+            element(G.mul(v.f_arg, G.inv(v.m_arg)))
+            letter("t", v.level, True)
+            element(v.m_arg)
+            letter("u", v.level, False)
+        else:
+            element(v)
+        return records

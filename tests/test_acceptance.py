@@ -40,7 +40,7 @@ def test_criterion_2_constructive_counting():
     for m in range(8):
         base = FreeGroup(max(m, 1))
         tower = MitosisTower(base)
-        sigma = tuple(base.gen(i + 1) for i in range(m))
+        sigma = tuple(base.gens()[:m])
         chain = tower.psi(max(m, 1), sigma)
         alg = tower.algebra
         ok = ok and diameter(chain) == bd.gamma(m)

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -144,6 +148,19 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["expand", "--op", "bogus", "--dim", "1"])
     assert err.value.code == 2
+
+
+def test_closed_stdout_pipe_is_exit_141_without_a_traceback():
+    # psi at dim 5 writes several MB, far more than a pipe buffer holds, so
+    # the writer is still writing when the reader goes away
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "barhom.cli", "expand", "--op", "psi", "--dim", "5"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (141, b"")
 
 
 def test_bad_group_exit_code(capsys):

@@ -242,7 +242,7 @@ def test_cyl_chain_diameter_sums():
     F = FreeGroup(15)
     terms = []
     for block in range(3):
-        a1, a2, b1, b2, t0 = (F.gen(5 * block + i + 1) for i in range(5))
+        a1, a2, b1, b2, t0 = F.gens()[5 * block:5 * block + 5]
         t1 = F.mul(F.inv(b1), F.mul(t0, a1))
         t2 = F.mul(F.inv(b2), F.mul(t1, a2))
         terms.append((1, (a1, a2), (b1, b2), (t0, t1, t2)))

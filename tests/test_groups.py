@@ -50,7 +50,7 @@ def test_product_order():
 
 def test_free_reduction():
     F = FreeGroup(2)
-    a, b = F.gen(1), F.gen(2)
+    a, b = F.gens()
     assert F.mul(a, F.inv(a)) == F.identity
     w = F.mul(F.mul(a, b), F.inv(b))
     assert w == a

@@ -150,7 +150,7 @@ def test_boundary_system_matches_face_systems(m):
 
 def test_P_one_simplex_display():
     F, ctx, alg = _formal(1)
-    g1 = F.gen(1)
+    g1 = F.gens()[0]
     expected = Chain(
         2,
         {
@@ -198,7 +198,7 @@ def test_P_diameters_match_table():
     expected = [0, 4, 12, 32, 80, 192, 448, 1024]
     for m, want in enumerate(expected):
         F, ctx, alg = _formal(max(m, 1))
-        sigma = tuple(F.gen(i + 1) for i in range(m))
+        sigma = tuple(F.gens()[:m])
         chain = homotopy_P(ctx, sigma)
         assert diameter(chain) == want == d_cyl(m)
         assert all(abs(c) == 1 for _, c in chain)
@@ -210,7 +210,7 @@ def test_P_diameters_match_table():
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_theorem_identity_formal(m):
     F, ctx, alg = _formal(max(m, 1))
-    sigma = tuple(F.gen(i + 1) for i in range(m))
+    sigma = tuple(F.gens()[:m])
     assert theorem_identity_residual(ctx, sigma, {}).is_zero()
 
 
@@ -244,7 +244,7 @@ def test_P_one_simplex_as_cylinder_of_subdivisions():
     from barhom.shuffles import ed_terms
 
     F, ctx, alg = _formal(1)
-    g1 = F.gen(1)
+    g1 = F.gens()[0]
     tops = [simplex for *_, simplex in ed_terms(ctx.f, ctx.g, (g1,))]
     bottoms = [simplex for *_, simplex in ed_terms(ctx.h, ctx.k, (g1,))]
     systems = [(alg.ell, alg.m(g1)), (alg.m(g1), alg.ell)]
@@ -281,7 +281,7 @@ def test_mitosis_context_maps():
     F = FreeGroup(2)
     ctx = MitosisTower(F).context(3)
     alg = ctx.entries
-    g = F.gen(1)
+    g = F.gens()[0]
     assert ctx.f(g) == Conjugated(3, g, F.identity)
     assert ctx.h(g) == ctx.f(g)
     assert ctx.g(g) == g
@@ -329,7 +329,7 @@ def test_psi_base_chain():
     F = FreeGroup(1)
     tower = MitosisTower(F)
     alg = tower.algebra
-    g = F.gen(1)
+    g = F.gens()[0]
     ell = alg.ell(1)
     fg = alg.conj(1, g)
     mg = alg.pillar(1, g)
@@ -351,7 +351,7 @@ def test_Q_base_cases():
     F = FreeGroup(2)
     tower = MitosisTower(F)
     assert induct_Q(tower, 2, ()).is_zero()
-    g = F.gen(1)
+    g = F.gens()[0]
     assert induct_Q(tower, 2, (g,)) == homotopy_P(tower.context(2), (g,))
 
 
@@ -367,7 +367,7 @@ def test_Q_dim2_diameter():
 def test_psi_counts(m):
     F = FreeGroup(max(m, 1))
     tower = MitosisTower(F)
-    sigma = tuple(F.gen(i + 1) for i in range(m))
+    sigma = tuple(F.gens()[:m])
     chain = tower.psi(max(m, 1), sigma)
     alg = tower.algebra
     assert diameter(chain) == gamma(m)
@@ -405,7 +405,7 @@ def test_psi_identity_small_levels(level, maxdim):
     F = FreeGroup(max(maxdim, 1))
     tower = MitosisTower(F)
     for m in range(maxdim + 1):
-        sigma = tuple(F.gen(i + 1) for i in range(m))
+        sigma = tuple(F.gens()[:m])
         assert psi_identity_residual(tower, level, sigma).is_zero()
 
 

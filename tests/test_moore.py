@@ -390,14 +390,14 @@ def _quintuple_chains():
     # cylinder homotopies over formal letters: dicts with "m": null and without
     free = FreeGroup(3)
     ctx = formal_context(free)
-    return [(ctx.entries, homotopy_P(ctx, tuple(free.gen(i + 1) for i in range(dim))))
+    return [(ctx.entries, homotopy_P(ctx, tuple(free.gens()[:dim])))
             for dim in (0, 1, 2, 3)]
 
 
 def _tower_chains():
     free = FreeGroup(3)
     tower = MitosisTower(free)
-    return [(tower.algebra, tower.psi(3, tuple(free.gen(i + 1) for i in range(dim))))
+    return [(tower.algebra, tower.psi(3, tuple(free.gens()[:dim])))
             for dim in (0, 1, 2, 3)]
 
 
@@ -455,7 +455,7 @@ def test_chain_payload_keeps_the_order_of_ties():
 def test_entry_text_compact_is_the_sort_key():
     free = FreeGroup(3)
     tower = MitosisTower(free)
-    chain = tower.psi(3, (free.gen(1), free.gen(2), free.gen(3)))
+    chain = tower.psi(3, tuple(free.gens()[:3]))
     text = EntryText(tower.algebra)
     for simplex in chain.terms:
         assert text.compact(simplex) == term_sort_key(tower.algebra, simplex)

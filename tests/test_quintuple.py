@@ -28,7 +28,7 @@ def test_case1_rewrite():
     # m(x) f(a) -> h(a) m(x a)
     F = FreeGroup(2)
     alg = QuintupleAlgebra(F)
-    x, a = F.gen(1), F.gen(2)
+    x, a = F.gens()[:2]
     got = alg.mul(alg.m(x), alg.f(a))
     assert got == Quintuple(a, F.identity, F.mul(x, a), F.identity, F.identity)
 
@@ -37,7 +37,7 @@ def test_case2_rewrite():
     # m(x) g(a) -> k(a) m(a^-1 x)
     F = FreeGroup(2)
     alg = QuintupleAlgebra(F)
-    x, a = F.gen(1), F.gen(2)
+    x, a = F.gens()[:2]
     got = alg.mul(alg.m(x), alg.g(a))
     assert got == Quintuple(F.identity, a, F.mul(F.inv(a), x), F.identity, F.identity)
 

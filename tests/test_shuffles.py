@@ -207,7 +207,7 @@ def _formal(m):
 
 def test_edgewise_one_simplex():
     F, ctx, alg = _formal(1)
-    g1 = F.gen(1)
+    g1 = F.gens()[0]
     chain = edgewise(ctx.f, ctx.g, Chain.of((g1,)))
     assert chain == Chain(1, {(alg.f(g1),): 1, (alg.g(g1),): 1})
 
