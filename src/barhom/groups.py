@@ -10,10 +10,15 @@ barhom's JSON back.  Concrete carriers are cyclic groups, symmetric groups
 and direct products; ``FreeGroup`` provides the free-symbol carrier used for
 exact diameter counting, where two elements are equal only if their reduced
 words coincide.  ``finite`` says whether a group can list its elements; a
-finite group's order is the length of that list.  The products of each
-``DirectProduct`` are memoized on the pair of factors; the verification
-target over cyclic3 has 45 elements, so its memo holds at most 2,025
-products.
+finite group's order is the length of that list.
+
+``CodedGroup`` wraps a group and codes its elements as small ints, in the
+order each is first seen, with one memoized product row per code.  The
+verification target ``(G x G) x Z_N`` is a coded group: its entries are int
+codes, which hash and compare as ints, and only ``entry_to_json`` decodes
+them.  Codes are assigned lazily, so an infinite group is coded as it is
+met; over cyclic3 the target has 45 elements, so its table holds at most
+2,025 products.
 """
 
 from __future__ import annotations
@@ -127,20 +132,13 @@ class DirectProduct(Group):
         self.factors = factors
         self.name = "x".join(f.name for f in factors)
         self.finite = all(f.finite for f in factors)
-        self._products: dict = {}
 
     @property
     def identity(self) -> tuple:
         return tuple(f.identity for f in self.factors)
 
     def mul(self, a, b):
-        """The factor-wise product, memoized on the pair ``(a, b)``."""
-        key = (a, b)
-        product = self._products.get(key)
-        if product is None:
-            product = self._products[key] = tuple(
-                [f.mul(x, y) for f, x, y in zip(self.factors, a, b)])
-        return product
+        return tuple([f.mul(x, y) for f, x, y in zip(self.factors, a, b)])
 
     def inv(self, a):
         return tuple(f.inv(x) for f, x in zip(self.factors, a))
@@ -203,6 +201,57 @@ class FreeGroup(Group):
         return list(a)
 
 
+class CodedGroup(Group):
+    """A group whose elements are coded as ints, in the order each is first
+    seen; the identity is coded first, as 0.
+
+    ``elems[c]`` is the element with code ``c`` and ``codes`` maps it back.
+    ``rows[a]`` maps ``b`` to the code of ``elems[a] * elems[b]``, filled on
+    first use, so each product of the wrapped group is computed once.
+    """
+
+    def __init__(self, group: Group):
+        self.group = group
+        self.name = group.name
+        self.finite = group.finite
+        self.elems: list = []
+        self.codes: dict = {}
+        self.rows: list = []
+        self.code(group.identity)
+
+    def code(self, value) -> int:
+        """The code of an element of the wrapped group, assigned on first use."""
+        c = self.codes.get(value)
+        if c is None:
+            c = self.codes[value] = len(self.elems)
+            self.elems.append(value)
+            self.rows.append({})
+        return c
+
+    @property
+    def identity(self) -> int:
+        return 0
+
+    def mul(self, a: int, b: int) -> int:
+        row = self.rows[a]
+        c = row.get(b)
+        if c is None:
+            c = row[b] = self.code(self.group.mul(self.elems[a], self.elems[b]))
+        return c
+
+    def inv(self, a: int) -> int:
+        return self.code(self.group.inv(self.elems[a]))
+
+    def elements(self):
+        return map(self.code, self.group.elements())
+
+    def sample(self, rng):
+        return self.code(self.group.sample(rng))
+
+    def entry_to_json(self, a: int):
+        return self.group.entry_to_json(self.elems[a])
+
+
 def parse_group(spec: str) -> Group:
     """Parse CLI group specs: 'cyclic3', 'sym4', 'free2', 'cyclic2*sym3'."""
     spec = spec.strip().lower()
@@ -213,6 +262,9 @@ def parse_group(spec: str) -> Group:
             try:
                 n = int(spec[len(prefix):])
             except ValueError:
+                raise ValueError(f"bad group spec: {spec!r}")
+            if cls is FreeGroup and n < 1:
+                # the trivial group, which has nothing to sample
                 raise ValueError(f"bad group spec: {spec!r}")
             return cls(n)
     raise ValueError(f"bad group spec: {spec!r}")

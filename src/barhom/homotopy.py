@@ -264,15 +264,16 @@ def verify_identity(
 
     Hd(sigma) is summed as a chain of its own before it joins the residual,
     so terms that cancel among the face images never enter the residual and
-    the residual's term order does not depend on them."""
+    the residual's term order does not depend on them.  The residual is the
+    fresh boundary chain, with Hd, -lhs and +rhs added into it in place."""
     residual = boundary(target_alg, homotopy(sigma))
     faces = boundary(source, Chain.of(sigma))
     on_faces = Chain(faces.dim + 1)
     for face, coeff in faces:
         on_faces.add_chain(homotopy(face), coeff)
-    residual = residual + on_faces
-    residual = residual - lhs_map(sigma)
-    residual = residual + rhs_map(sigma)
+    residual.add_chain(on_faces)
+    residual.add_chain(lhs_map(sigma), -1)
+    residual.add_chain(rhs_map(sigma))
     return residual
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 
-from .groups import CyclicGroup, DirectProduct, Group
+from .groups import CodedGroup, CyclicGroup, DirectProduct, Group
 from .interned import Interned
 
 
@@ -131,6 +131,18 @@ class QuintupleAlgebra:
         }
 
 
+class _Memo(dict):
+    """x -> ``build(x)``, built on the first lookup of x."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, x):
+        value = self[x] = self.build(x)
+        return value
+
+
 class VerificationInstance:
     """Concrete model of the cylinder-homotopy hypotheses.
 
@@ -138,29 +150,41 @@ class VerificationInstance:
     h(x) = (x, x, 0), k(x) = (e, e, 0) and l = (e, e, 1).  The third factor is
     central, so l f(x) g(x) = (x, x, 1) = h(x) k(x) l holds while l, m(x) and
     the pillar entries stay nontrivial.
+
+    ``target`` is the ``CodedGroup`` of H: ``ell`` and the values of f, g, h,
+    k and m are int codes of its elements, and only ``target.entry_to_json``
+    decodes them.  f, g, h and m are memoized per element of G.
     """
 
     def __init__(self, base: Group, modulus: int = 5):
         self.base = base
         self.modulus = modulus
-        self.target = DirectProduct(base, base, CyclicGroup(modulus))
+        self.target = CodedGroup(DirectProduct(base, base, CyclicGroup(modulus)))
+        code = self.target.code
         e = base.identity
-        self.ell = (e, e, 1 % modulus)
+        self.ell = code((e, e, 1 % modulus))
+        self._f = _Memo(lambda x: code((x, e, 0)))
+        self._g = _Memo(lambda x: code((e, x, 0)))
+        self._h = _Memo(lambda x: code((x, x, 0)))
+        self._m = _Memo(self._pillar)
 
-    def f(self, x):
-        return (x, self.base.identity, 0)
+    def f(self, x) -> int:
+        return self._f[x]
 
-    def g(self, x):
-        return (self.base.identity, x, 0)
+    def g(self, x) -> int:
+        return self._g[x]
 
-    def h(self, x):
-        return (x, x, 0)
+    def h(self, x) -> int:
+        return self._h[x]
 
-    def k(self, x):
-        e = self.base.identity
-        return (e, e, 0)
+    def k(self, x) -> int:
+        # (e, e, 0), the identity of H
+        return self.target.identity
 
-    def m(self, x):
+    def m(self, x) -> int:
+        return self._m[x]
+
+    def _pillar(self, x) -> int:
         # m(x) = h(x^-1) * l * f(x)
         H = self.target
         return H.mul(self.h(self.base.inv(x)), H.mul(self.ell, self.f(x)))

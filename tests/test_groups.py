@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from barhom.groups import CyclicGroup, DirectProduct, FreeGroup, SymmetricGroup, parse_group
+from barhom.groups import CodedGroup, CyclicGroup, DirectProduct, FreeGroup, SymmetricGroup, parse_group
 
 GROUPS = [
     CyclicGroup(1),
@@ -71,20 +71,40 @@ def test_parse_group():
     assert isinstance(prod, DirectProduct)
     with pytest.raises(ValueError):
         parse_group("dihedral8")
+    with pytest.raises(ValueError, match="bad group spec: 'free0'"):
+        parse_group("free0")
 
 
 @pytest.mark.parametrize("factors", [
     (CyclicGroup(3), CyclicGroup(3), CyclicGroup(5)),   # the verification target over cyclic3
     (CyclicGroup(3), SymmetricGroup(3)),
 ], ids=lambda factors: "x".join(f.name for f in factors))
-def test_direct_product_memo_is_the_factorwise_product(factors):
-    group = DirectProduct(*factors)
-    pairs = list(itertools.product(group.elements(), repeat=2))
-    assert len(pairs) == len(list(group.elements())) ** 2
-    for _ in range(2):   # the second pass reads the memo
+def test_coded_product_table_is_the_factorwise_product(factors):
+    coded = CodedGroup(DirectProduct(*factors))
+    codes = list(coded.elements())
+    assert codes == list(range(len(codes)))   # the identity is coded first, as 0
+    pairs = list(itertools.product(codes, repeat=2))
+    for _ in range(2):   # the second pass reads the table
         for a, b in pairs:
-            assert group.mul(a, b) == tuple(f.mul(x, y) for f, x, y in zip(factors, a, b))
-    assert len(group._products) == len(pairs)
+            x, y = coded.elems[a], coded.elems[b]
+            assert coded.elems[coded.mul(a, b)] == tuple(f.mul(u, v) for f, u, v in zip(factors, x, y))
+    assert sum(map(len, coded.rows)) == len(pairs)
+
+
+@pytest.mark.parametrize("group", [SymmetricGroup(3), FreeGroup(2)], ids=lambda g: g.name)
+def test_coded_group_decodes_to_the_wrapped_group(group):
+    # a free group is infinite: its elements are coded as they are met
+    coded = CodedGroup(group)
+    assert coded.name == group.name and coded.finite == group.finite
+    assert coded.elems[coded.identity] == group.identity
+    rng = random.Random(0)
+    for _ in range(50):
+        a, b = coded.sample(rng), coded.sample(rng)
+        x, y = coded.elems[a], coded.elems[b]
+        assert coded.elems[coded.mul(a, b)] == group.mul(x, y)
+        assert coded.elems[coded.inv(a)] == group.inv(x)
+        assert coded.entry_to_json(a) == group.entry_to_json(x)
+    assert all(coded.codes[x] == c for c, x in enumerate(coded.elems))
 
 
 def test_finite_flag():
