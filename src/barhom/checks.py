@@ -24,7 +24,7 @@ import itertools
 import json
 import random
 
-from .cylinder import cyl, face_pillar
+from .cylinder import cyl, cyl_chain, face_pillar
 from .groups import FreeGroup, Group
 from .homotopy import (
     MitosisTower,
@@ -112,11 +112,12 @@ def cylinder_boundary_rhs(group: Group, top: tuple, bottom: tuple, pillars: tupl
     """top - bottom - sum_i (-1)^i Cyl(d_i top, d_i bottom, d_i pillars): the
     boundary of the cylinder by the lemma."""
     dim = len(top)
-    rhs = Chain(dim, [(top, 1), (bottom, -1)])
-    sign = 1
-    for i in range(dim + 1) if dim else ():
-        rhs.add_chain(cyl(group, face(group, i, top), face(group, i, bottom), face_pillar(i, pillars)), -sign)
-        sign = -sign
+    rhs = cyl_chain(group, dim - 1, (
+        ((-1) ** (i + 1), face(group, i, top), face(group, i, bottom), face_pillar(i, pillars))
+        for i in (range(dim + 1) if dim else ())
+    ))
+    rhs.add_term(top, 1)
+    rhs.add_term(bottom, -1)
     return rhs
 
 

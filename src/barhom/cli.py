@@ -2,10 +2,10 @@
 
 Every command is deterministic for fixed flags and seed, and machine-readable
 output carries the schema version.  Exit codes: 0 all checks pass, 1 a check
-failed or a residual survived, 2 usage error, 141 standard output closed by
-its reader.  Numbers out of range are usage errors caught at parse time, and
-``expand``/``count`` refuse a chain whose known size exceeds ``--cap`` before
-building anything.
+failed or a residual survived, 2 usage error or output that cannot be
+written, 141 standard output closed by its reader.  Numbers out of range are
+usage errors caught at parse time, and ``expand``/``count`` refuse a chain
+whose known size exceeds ``--cap`` before building anything.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .homotopy import (
     MitosisTower,
     formal_context,
     homotopy_P,
-    induct_Q,
     instance_context,
 )
 from .quintuple import NonNormalizable, VerificationInstance
@@ -34,20 +33,19 @@ from .shuffles import ed_terms, edgewise
 
 SCHEMA = "barhom/1"
 TERM_CAP = 5_000_000
-TOWER_OPS = ("psi", "phi", "Q")
+TOWER_OPS = ("psi", "phi")
 
 
 def _write(pieces: Iterable[str], out: str | None) -> None:
     """Write a document, given as its pieces, to the file ``out`` or to
     standard output; on standard output it ends in exactly one newline.  An
-    ``out`` that cannot be opened is a usage error."""
+    ``out`` that cannot be opened or written is a usage error."""
     if out:
         try:
-            fh = open(out, "w", encoding="utf-8")
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.writelines(pieces)
         except OSError as exc:
             raise ValueError(f"cannot write --out {out}: {exc.strerror}") from None
-        with fh:
-            fh.writelines(pieces)
         return
     last = ""
     for last in pieces:
@@ -109,7 +107,7 @@ def _generic_simplex(base: Group, dim: int, rng: random.Random):
 
 def _level(args, dim: int) -> int:
     """``--level``, or the dimension.  The tower homotopy of level n behind
-    psi/phi/Q exists only on simplices of dim <= n."""
+    psi/phi exists only on simplices of dim <= n."""
     level = args.level if args.level is not None else max(dim, 1)
     if args.op in TOWER_OPS and level < dim:
         raise ValueError(f"--level {level} is below --dim {dim}")
@@ -141,12 +139,7 @@ def cmd_expand(args) -> int:
 
     if args.op in TOWER_OPS:
         tower = MitosisTower(base)
-        if args.op == "psi":
-            chain = tower.psi(level, sigma)
-        elif args.op == "phi":
-            chain = tower.phi(level, sigma)
-        else:
-            chain = induct_Q(tower, level, sigma)
+        chain = tower.psi(level, sigma) if args.op == "psi" else tower.phi(level, sigma)
         alg = tower.algebra
         summary = {
             "diameter": diameter(chain),
@@ -312,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out")
     t.set_defaults(func=cmd_tables)
 
-    e = sub.add_parser("expand", help="chain expansions of ed/P/Q/psi/phi")
-    e.add_argument("--op", choices=("ed", "P", "Q", "psi", "phi"), required=True)
+    e = sub.add_parser("expand", help="chain expansions of ed/P/psi/phi")
+    e.add_argument("--op", choices=("ed", "P", "psi", "phi"), required=True)
     e.add_argument("--dim", type=NATURAL, required=True)
     e.add_argument("--level", type=POSITIVE)
     e.add_argument("--group", default="cyclic3")
@@ -351,27 +344,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _silence_stdout() -> None:
+    """Point the standard output fd at /dev/null, so the flush at
+    interpreter shutdown of what is still buffered fails silently too."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
-        # the reader closed standard output (``| head``): point it at
-        # /dev/null so the flush at interpreter shutdown fails silently too,
-        # and exit as a shell reports a writer killed by SIGPIPE
-        try:
-            fd = sys.stdout.fileno()
-        except (AttributeError, OSError, ValueError):
-            fd = None
-        if fd is not None:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, fd)
-            os.close(devnull)
+        # the reader closed standard output (``| head``): exit as a shell
+        # reports a writer killed by SIGPIPE
+        _silence_stdout()
         return 141
+    except OSError as exc:
+        # ``_write`` turns errors on ``--out`` into usage errors, so this one
+        # is from standard output (a full disk, /dev/full)
+        _silence_stdout()
+        print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Simplicial cylinders between simplices and chains, and pillar systems.
+"""Simplicial cylinders between simplices and chains, and face pillars.
 
 A cylinder between two n-simplices [a_1..a_n] and [b_1..b_n] along the
 ordered pillar set T = {t_0..t_n} is the alternating (n+1)-chain
@@ -14,13 +14,14 @@ cylinder boundary formula work.
 
 The cylinder between two chains is the signed sum of the cylinders of
 matched terms, ``cyl_chain`` over plain ``(coeff, top, bottom, pillars)``
-tuples.  ``homotopy.homotopy_P`` is that sum over the cylinder data of the
-homotopy, so the chain-level lemma tests exercise the code the counts run.
+tuples; it is the one cylinder kernel, and ``cyl`` is its one-term case.
+``homotopy.homotopy_P`` is that sum over the cylinder data of the homotopy,
+so the chain-level lemma tests exercise the code the counts run.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .moore import Chain, ChainError
 
@@ -50,30 +51,6 @@ def check_pillars(alg, top: tuple, bottom: tuple, pillars: PillarSet) -> None:
             raise IncompatiblePillars(i)
 
 
-def cyl(alg, top: tuple, bottom: tuple, pillars: PillarSet) -> Chain:
-    """The simplicial cylinder between ``top`` and ``bottom`` along ``pillars``.
-
-    For the 0-simplex pair this is the single 1-simplex [t_0], the pattern
-    forced by the definition.
-    """
-    check_pillars(alg, top, bottom, pillars)
-    n = len(top)
-    out = Chain(n + 1)
-    terms = out.terms
-    sign = 1
-    for i in range(n + 1):
-        # add_term's rule inline; consecutive terms coincide when
-        # t_i = b_(i+1) and a_(i+1) = t_(i+1), and then cancel
-        simplex = bottom[:i] + (pillars[i],) + top[i:]
-        new = terms.get(simplex, 0) + sign
-        if new:
-            terms[simplex] = new
-        else:
-            del terms[simplex]
-        sign = -sign
-    return out
-
-
 def face_pillar(i: int, pillars: PillarSet) -> PillarSet:
     if not 0 <= i < len(pillars):
         raise IndexError(f"pillar index {i} out of range")
@@ -82,19 +59,33 @@ def face_pillar(i: int, pillars: PillarSet) -> PillarSet:
 
 def cyl_chain(alg, dim: int, terms: Iterable[tuple]) -> Chain:
     """The (dim+1)-chain sum of ``coeff * cyl(alg, top, bottom, pillars)``
-    over ``(coeff, top, bottom, pillars)`` terms of dim-simplices."""
+    over ``(coeff, top, bottom, pillars)`` terms of dim-simplices.
+
+    Each term is checked, its dimension and then its pillars, and its
+    simplices go with signs +coeff, -coeff, ... straight into the sum.  The
+    cylinder of the 0-simplex pair is the single 1-simplex [t_0].
+    """
     out = Chain(dim + 1)
+    acc = out.terms
+    get, pop = acc.get, acc.pop
     for coeff, top, bottom, pillars in terms:
         if len(top) != dim:
             raise TermMismatch(f"cylinder term of dim {len(top)} in a sum over dim {dim}")
-        out.add_chain(cyl(alg, top, bottom, pillars), coeff)
+        check_pillars(alg, top, bottom, pillars)
+        sign = coeff
+        for i in range(dim + 1):
+            # consecutive simplices coincide when t_i = b_(i+1) and
+            # a_(i+1) = t_(i+1), and then cancel
+            simplex = bottom[:i] + (pillars[i],) + top[i:]
+            new = get(simplex, 0) + sign
+            if new:
+                acc[simplex] = new
+            else:
+                pop(simplex, None)
+            sign = -sign
     return out
 
 
-def boundary_system(system: Mapping) -> dict:
-    """The face-indexed family {(key, k): d_k T} of a pillar system."""
-    out = {}
-    for key, pillars in system.items():
-        for k in range(len(pillars)):
-            out[(key, k)] = face_pillar(k, pillars)
-    return out
+def cyl(alg, top: tuple, bottom: tuple, pillars: PillarSet) -> Chain:
+    """The simplicial cylinder between ``top`` and ``bottom`` along ``pillars``."""
+    return cyl_chain(alg, len(top), [(1, top, bottom, pillars)])

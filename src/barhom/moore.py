@@ -22,10 +22,12 @@ simplex``: one scan of the tuple in C, with no call per entry.
 Chains accumulate under one rule, that of ``Chain.add_term``: a coefficient
 that reaches zero pops its simplex, so a simplex added again later moves to
 the end and the iteration order of a result is fixed by the order of the
-additions.  ``boundary`` is one inline kernel that builds each face as
-``face`` does and adds it under this rule, ``Chain.add_chain`` adds a whole
-chain under it, and both give the terms, in order, of calling ``add_term``
-term by term.
+additions.  Every accumulation kernel inlines this rule: ``boundary`` (each
+face, built as ``face`` does), ``Chain.add_chain`` (a whole chain),
+``shuffles.add_shuffle_product`` (each signed interleaving) and
+``cylinder.cyl_chain`` (each simplex of each cylinder).  The terms of a
+kernel's result, in order, are those of ``add_term`` applied to the flat
+sequence of its raw terms.
 """
 
 from __future__ import annotations

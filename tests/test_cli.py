@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -150,17 +151,54 @@ def test_usage_error_exit_code():
     assert err.value.code == 2
 
 
+def test_expand_op_Q_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["expand", "--op", "Q", "--dim", "1"])
+    captured = capsys.readouterr()
+    assert err.value.code == 2
+    assert captured.out == ""
+    assert "invalid choice: 'Q'" in captured.err
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _cli(*argv, stdout):
+    """``barhom ARGV`` in a fresh interpreter on this checkout's sources."""
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.Popen([sys.executable, "-m", "barhom.cli", *argv],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
 def test_closed_stdout_pipe_is_exit_141_without_a_traceback():
     # psi at dim 5 writes several MB, far more than a pipe buffer holds, so
     # the writer is still writing when the reader goes away
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.Popen([sys.executable, "-m", "barhom.cli", "expand", "--op", "psi", "--dim", "5"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc = _cli("expand", "--op", "psi", "--dim", "5", stdout=subprocess.PIPE)
     assert proc.stdout.readline() == b"{\n"
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert (proc.returncode, err) == (141, b"")
+
+
+FULL = "/dev/full"
+
+
+@pytest.mark.skipif(not os.path.exists(FULL), reason=f"no {FULL} on this system")
+@pytest.mark.parametrize("argv, target", [
+    (["tables", "--out", FULL], f"--out {FULL}"),
+    (["tables"], "standard output"),
+    (["verify", "--suite", "psi"], "standard output"),
+], ids=["tables-out", "tables-stdout", "verify-stdout"])
+def test_write_error_is_a_usage_error(argv, target):
+    # every write to /dev/full fails with ENOSPC: one line on standard
+    # error, no traceback and exit 2, since exit 1 means a failed check
+    with open(FULL, "wb") as full:
+        proc = _cli(*argv, stdout=subprocess.PIPE if "--out" in argv else full)
+        out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err.decode() == f"error: cannot write {target}: {os.strerror(errno.ENOSPC)}\n"
+    assert out in (None, b"")
 
 
 def test_bad_group_exit_code(capsys):
@@ -230,7 +268,7 @@ def test_expand_above_cap_is_refused(capsys, op, dim, size):
     assert f"term cap exceeded: {size} > 1000" in captured.err
 
 
-@pytest.mark.parametrize("op", ["P", "psi", "phi", "Q"])
+@pytest.mark.parametrize("op", ["P", "psi", "phi"])
 def test_expand_tsv_is_only_for_ed(capsys, tmp_path, monkeypatch, op):
     from barhom import cli
 
@@ -314,7 +352,7 @@ def test_verify_all_stdout_is_fixed(capsys):
 
 # SHA-256 of the file written by `expand ... --out f`, recorded before expand
 # streamed its JSON; "psi 5" is also the benchmark's golden hash.  Keys are
-# "op dim" for psi/phi/Q (freesym, json), "op mode format dim" for ed and
+# "op dim" for psi/phi (freesym, json), "op mode format dim" for ed and
 # "op mode json dim" for P (only ed has a TSV form), on the default group
 # cyclic3; "op concrete format group dim" names another group.  Those were
 # recorded when target entries were nested tuples, so they pin that coding
@@ -332,11 +370,6 @@ EXPAND_SHA256 = {
     "phi 2": "47e3486c6bff50b6d4f1c941c1634db02e8ae35618c19d3b23fac63359fecbc9",
     "phi 3": "e8b2199a4a82554c3378db69cbf97de7768e160363c7553cec4bd916a6e8cc1e",
     "phi 4": "149627d01aa042ada9d5789e5f006d7c8a69b07e54aa95857eff252bb4eee6ec",
-    "Q 0": "03cba0274c04190368b7d65335bfde58247cd72724947b35b93d2da00eec6bae",
-    "Q 1": "cd68a0fce97446ddbbbb2f7a0794bc33d5ea7dfc169bc0807fd2f548c1dbd8cd",
-    "Q 2": "861c1487e6e8efe70948dbe3aacc278548eb37c3d19a4db0ba2b5b9a255624c8",
-    "Q 3": "2f79403d08c9d141ffd0b0c91e2465a0a99798f4c462590b3a4c5576eca03660",
-    "Q 4": "963b52c5f7b396a12348cc16e37964635d7b49147f314a09775e87e4156b2b7c",
     "P concrete json 0": "f08dd1463c2bba26815d4dffcb901e8d3ecbc7fa63bc8bebb27ac566c5cfc50c",
     "P concrete json 1": "58a8848956430a0f977154fcaeede3b0ec9a9d849867b7723e53fa935f5a776f",
     "P concrete json 2": "67cb20725f303910b54bb5e51c8285014e4db02200325df30f351f895bfc9aa7",
@@ -447,3 +480,31 @@ def test_expand_entry_error_leaves_no_file(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError):
         main(["expand", "--op", "psi", "--dim", "2", "--out", str(path)])
     assert not path.exists()
+
+
+def _readme_commands():
+    """The ``barhom ...`` lines of README's "Command line" block, each as
+    (argv, comment)."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = command.split()
+        if argv[:1] == ["barhom"]:
+            commands.append((argv[1:], comment.strip()))
+    return commands
+
+
+def test_readme_command_lines_run(capsys, tmp_path):
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    for argv, comment in commands:
+        if "--out" in argv:
+            argv[argv.index("--out") + 1] = str(tmp_path / "out")
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        if argv[0] == "count":
+            # the numbers the comment states are the ones counted
+            numbers = re.findall(r"\d{3,}", comment)
+            assert numbers and set(numbers) <= set(re.findall(r"\d+", out)), (argv, out)

@@ -8,7 +8,6 @@ from barhom.checks import cylinder_boundary_rhs, cylinder_lemma, random_compatib
 from barhom.cylinder import (
     IncompatiblePillars,
     TermMismatch,
-    boundary_system,
     check_pillars,
     cyl,
     cyl_chain,
@@ -258,9 +257,3 @@ def test_cyl_chain_mixed_dims_rejected():
     with pytest.raises(TermMismatch):
         cyl_chain(C3, 2, [t1, t2])
 
-
-def test_boundary_system_shapes():
-    assert boundary_system({}) == {}
-    system = {0: (5, 7)}
-    out = boundary_system(system)
-    assert out == {(0, 0): (7,), (0, 1): (5,)}

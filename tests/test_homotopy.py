@@ -5,7 +5,7 @@ import pytest
 
 from barhom import checks
 from barhom.bounds import c_bound, d_cyl, gamma, q_count
-from barhom.cylinder import boundary_system
+from barhom.cylinder import face_pillar
 from barhom.groups import CyclicGroup, FreeGroup, SymmetricGroup
 from barhom.homotopy import (
     DimensionExceeded,
@@ -138,7 +138,11 @@ def test_boundary_system_matches_face_systems(m):
         for p, q, rank, sign, top, bottom, pillars in p_cylinder_data(ctx, fs):
             assert surviving[(top, bottom)] == pillars
     # the face-indexed family contains every face system set-wise
-    parent_sets = set(boundary_system(pillar_system(ctx, sigma)).values())
+    parent_sets = {
+        face_pillar(k, pillars)
+        for pillars in pillar_system(ctx, sigma).values()
+        for k in range(len(pillars))
+    }
     face_sets = set()
     for i in range(m + 1):
         face_sets |= set(pillar_system(ctx, face(F, i, sigma)).values())
@@ -577,7 +581,7 @@ def test_psi_identity_level5_generic_simplex():
 # -- the accumulation in homotopy_P and the P cache of theorem45 ---------------------
 
 
-@pytest.mark.parametrize("name", ["instance", "formal"])
+@pytest.mark.parametrize("name", ["instance", "instance-sym3", "formal", "tower-2", "tower-4"])
 def test_homotopy_P_accumulates_like_add_term(name):
     from barhom.cylinder import cyl
 
@@ -585,6 +589,15 @@ def test_homotopy_P_accumulates_like_add_term(name):
         group = CyclicGroup(3)
         ctx = instance_context(VerificationInstance(group, 5))
         sigmas = itertools.product(group.elements(), repeat=3)
+    elif name == "instance-sym3":
+        group = SymmetricGroup(3)
+        ctx = instance_context(VerificationInstance(group, 5))
+        sigmas = [s for m in (1, 2) for s in itertools.product(group.elements(), repeat=m)]
+    elif name.startswith("tower"):
+        F = FreeGroup(4)
+        ctx = MitosisTower(F).context(int(name[-1]))
+        a, b = F.gens()[:2]
+        sigmas = [tuple(F.gens()[:m]) for m in range(1, 5)] + [(a, F.inv(a), b), (a, a, b, b)]
     else:
         F, ctx, _ = _formal(3)
         a, b, c = F.gens()

@@ -8,9 +8,11 @@ import random
 
 import pytest
 
-from barhom import checks
+from barhom import checks, cylinder, homotopy
 from barhom.cli import main
 from barhom.groups import CodedGroup, CyclicGroup
+from barhom.moore import Chain
+from barhom.quintuple import VerificationInstance
 
 from test_cli import EXPAND_SHA256, _expand_argv
 
@@ -46,4 +48,42 @@ def test_entry_decoded_off_by_one_changes_a_golden_hash(monkeypatch, tmp_path, c
     assert _expand_sha256(tmp_path, case) == EXPAND_SHA256[case]
     monkeypatch.setattr(CodedGroup, "entry_to_json",
                         lambda self, a: self.group.entry_to_json(self.elems[a - 1]))
+    assert _expand_sha256(tmp_path, case) != EXPAND_SHA256[case]
+
+
+def _constant_pillar_theorem45(capsys, monkeypatch):
+    # the constant-pillar run of test_verify_broken_construction_is_exit_1
+    monkeypatch.setattr(VerificationInstance, "m", lambda self, x: self.ell)
+    code = main(["verify", "--suite", "theorem45", "--maxdim", "2"])
+    return code, capsys.readouterr().out.splitlines()[-2]
+
+
+def test_unchecked_pillars_stop_reporting_incompatible_pillars(monkeypatch, capsys):
+    code, fail = _constant_pillar_theorem45(capsys, monkeypatch)
+    assert code == 1
+    assert fail.startswith("FAIL theorem45: IncompatiblePillars: pillar relation fails at index")
+    monkeypatch.setattr(cylinder, "check_pillars", lambda alg, top, bottom, pillars: None)
+    code, fail = _constant_pillar_theorem45(capsys, monkeypatch)
+    assert "IncompatiblePillars" not in fail
+
+
+def _cyl_chain_keeping_zeros(alg, dim, terms):
+    # the cylinder kernel with a coefficient that reaches zero left in place
+    out = Chain(dim + 1)
+    for coeff, top, bottom, pillars in terms:
+        if len(top) != dim:
+            raise cylinder.TermMismatch(f"cylinder term of dim {len(top)} in a sum over dim {dim}")
+        cylinder.check_pillars(alg, top, bottom, pillars)
+        for i in range(dim + 1):
+            simplex = bottom[:i] + (pillars[i],) + top[i:]
+            out.terms[simplex] = out.terms.get(simplex, 0) + (-1) ** i * coeff
+    return out
+
+
+def test_cyl_chain_keeping_zeros_changes_a_golden_hash(monkeypatch, tmp_path):
+    # P over (C3 x C3) x Z5 on a 3-simplex has cylinder terms that cancel
+    case = "P concrete json 3"
+    assert _expand_sha256(tmp_path, case) == EXPAND_SHA256[case]
+    for module in (cylinder, homotopy, checks):
+        monkeypatch.setattr(module, "cyl_chain", _cyl_chain_keeping_zeros)
     assert _expand_sha256(tmp_path, case) != EXPAND_SHA256[case]
