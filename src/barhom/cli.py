@@ -11,6 +11,7 @@ whose known size exceeds ``--cap`` before building anything.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
@@ -161,11 +162,15 @@ def cmd_expand(args) -> int:
 
     if args.op == "ed":
         if args.format == "tsv":
+            # every entry of an image is some f(x) or g(x): serialize them all
+            # before --out is opened, then stream one line per shuffle
             text = EntryText(alg)
-            lines = ["p\tq\trank\tsign\timage"]
-            for p, q, rank, sign, image in ed_terms(ctx.f, ctx.g, sigma):
-                lines.append(f"{p}\t{q}\t{rank}\t{sign}\t{text.compact(image)}")
-            _write(["\n".join(lines) + "\n"], args.out)
+            for x in sigma:
+                text[ctx.f(x)]
+                text[ctx.g(x)]
+            lines = (f"{p}\t{q}\t{rank}\t{sign}\t{text.compact(image)}\n"
+                     for p, q, rank, sign, image in ed_terms(ctx.f, ctx.g, sigma))
+            _write(itertools.chain(["p\tq\trank\tsign\timage\n"], lines), args.out)
         else:
             chain = edgewise(ctx.f, ctx.g, Chain.of(sigma))
             head = {"schema": SCHEMA, "op": "ed", "dim": dim, "mode": args.mode,

@@ -28,12 +28,21 @@ face, built as ``face`` does), ``Chain.add_chain`` (a whole chain),
 ``cylinder.cyl_chain`` (each simplex of each cylinder).  The terms of a
 kernel's result, in order, are those of ``add_term`` applied to the flat
 sequence of its raw terms.
+
+``chain_payload`` streams a chain as the JSON of ``chain_to_json``, whose
+terms are sorted on their compact JSON text.  It never builds that text: each
+distinct entry is serialized once, and a term's sort key is the tuple of its
+entries' ranks among the distinct entry texts.  Inner positions are ranked
+on the text followed by ``", "`` and the last position on the text followed
+by ``"]"``; one table would misplace ``"[12]"`` after ``"[1]"``.  Beyond the
+chain itself, sorting holds terms x dim small ints.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from operator import itemgetter
+from operator import getitem
 from typing import Callable, Iterable, Iterator
 
 BarSimplex = tuple
@@ -189,7 +198,7 @@ def boundary(alg, chain: Chain) -> Chain:
 
 
 def diameter(chain: Chain) -> int:
-    return sum(abs(c) for c in chain.terms.values())
+    return sum(map(abs, chain.terms.values()))
 
 
 def project(alg, chain: Chain) -> Chain:
@@ -202,7 +211,9 @@ def project(alg, chain: Chain) -> Chain:
 
 
 def count_degenerate(alg, chain: Chain) -> int:
-    return sum(abs(c) for s, c in chain if is_degenerate(alg, s))
+    """The L1 norm of the degenerate terms: ``is_degenerate`` inlined."""
+    e = alg.identity
+    return sum([abs(c) for s, c in chain.terms.items() if e in s])
 
 
 def cellular_boundary(alg, chain: Chain) -> Chain:
@@ -271,39 +282,54 @@ class EntryText(dict):
 
     def compact(self, simplex: BarSimplex) -> str:
         """``term_sort_key(alg, simplex)``: the simplex as compact JSON."""
-        return _compact([self[entry] for entry in simplex])
-
-
-def _compact(fragments: list) -> str:
-    return "[" + ", ".join([compact for compact, _ in fragments]) + "]"
+        return "[" + ", ".join([self[entry][0] for entry in simplex]) + "]"
 
 
 def chain_payload(alg, head: dict, chain: Chain) -> Iterator[str]:
     """The pieces of ``json.dumps({**head, "chain": chain_to_json(alg, chain)},
     indent=2, sort_keys=True)``, rendered one term at a time.
 
-    Each distinct entry is serialized once.  The terms are sorted, stably,
-    on the same compact keys as ``chain_to_json``.  Every ``entry_to_json``
-    call happens before this returns, so a caller that opens its output only
-    afterwards writes nothing when an entry fails to serialize.
+    Each distinct entry is serialized once.  The terms are sorted, stably, in
+    the order of ``chain_to_json``'s compact keys, but on tuples of small
+    ints: position i of a simplex's key is the rank of its entry's compact
+    text among the distinct texts, followed by ``", "`` at an inner position
+    and by ``"]"`` at the last.  A compact JSON value followed by either is
+    never a proper prefix of another followed by the same, so comparing these
+    tuples compares the keys, ties included.  The last position needs its own
+    table: ``"[1, "`` sorts before ``"[12, "`` but ``"[12]"`` before
+    ``"[1]"``.  Beyond the chain and its sorted simplices, memory is one key
+    of dim ints per term; no per-term string exists before it is yielded.
+
+    Every ``entry_to_json`` call happens before this returns, so a caller
+    that opens its output only afterwards writes nothing when an entry fails
+    to serialize.
     """
     text = EntryText(alg)
-    terms = []
-    for simplex, coeff in chain:
-        fragments = [text[entry] for entry in simplex]
-        terms.append((_compact(fragments), coeff, fragments))
-    terms.sort(key=itemgetter(0))
+    for entry in set(itertools.chain.from_iterable(chain.terms)):
+        text[entry]
+    tables = [_ranks(text, ", ")] * (chain.dim - 1) + [_ranks(text, "]")]
+    simplices = sorted(chain.terms, key=lambda simplex: tuple(map(getitem, tables, simplex)))
     document = json.dumps({**head, "chain": None}, indent=2, sort_keys=True)
     before, after = document.split('\n  "chain": null')
-    return _render_chain(chain.dim, terms, before, after)
+    indented = {entry: block for entry, (_, block) in text.items()}
+    return _render_chain(chain, simplices, indented, before, after)
 
 
-def _render_chain(dim: int, terms: list, before: str, after: str) -> Iterator[str]:
-    yield f'{before}\n  "chain": {{\n    "dim": {dim},\n    "terms": ['
+def _ranks(text: EntryText, end: str) -> dict:
+    """entry -> rank of its compact text followed by ``end`` among the
+    distinct texts so followed; equal texts share a rank."""
+    order = sorted({compact + end for compact, _ in text.values()})
+    rank = dict(zip(order, range(len(order))))
+    return {entry: rank[compact + end] for entry, (compact, _) in text.items()}
+
+
+def _render_chain(chain: Chain, simplices: list, indented: dict, before: str,
+                  after: str) -> Iterator[str]:
+    yield f'{before}\n  "chain": {{\n    "dim": {chain.dim},\n    "terms": ['
     sep = ""
-    for _, coeff, fragments in terms:
-        entries = ",".join([indented for _, indented in fragments])
-        simplex = f"[{entries}\n        ]" if fragments else "[]"
-        yield f'{sep}\n      {{\n        "coeff": {coeff},\n        "simplex": {simplex}\n      }}'
+    for simplex in simplices:
+        entries = ",".join(map(indented.__getitem__, simplex))
+        body = f"[{entries}\n        ]" if simplex else "[]"
+        yield f'{sep}\n      {{\n        "coeff": {chain.terms[simplex]},\n        "simplex": {body}\n      }}'
         sep = ","
-    yield ("\n    ]" if terms else "]") + "\n  }" + after
+    yield ("\n    ]" if simplices else "]") + "\n  }" + after

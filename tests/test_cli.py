@@ -182,6 +182,7 @@ def test_closed_stdout_pipe_is_exit_141_without_a_traceback():
 
 
 FULL = "/dev/full"
+ED_TSV = ["expand", "--op", "ed", "--dim", "3", "--format", "tsv"]
 
 
 @pytest.mark.skipif(not os.path.exists(FULL), reason=f"no {FULL} on this system")
@@ -189,7 +190,9 @@ FULL = "/dev/full"
     (["tables", "--out", FULL], f"--out {FULL}"),
     (["tables"], "standard output"),
     (["verify", "--suite", "psi"], "standard output"),
-], ids=["tables-out", "tables-stdout", "verify-stdout"])
+    ([*ED_TSV, "--out", FULL], f"--out {FULL}"),
+    (ED_TSV, "standard output"),
+], ids=["tables-out", "tables-stdout", "verify-stdout", "ed-tsv-out", "ed-tsv-stdout"])
 def test_write_error_is_a_usage_error(argv, target):
     # every write to /dev/full fails with ENOSPC: one line on standard
     # error, no traceback and exit 2, since exit 1 means a failed check
@@ -469,16 +472,34 @@ def test_expand_bytes_are_golden(capsys, tmp_path, case):
     assert out == (data if data.endswith(b"\n") else data + b"\n")
 
 
-def test_expand_entry_error_leaves_no_file(tmp_path, monkeypatch):
+def test_expand_psi_6_bytes_are_golden(monkeypatch):
+    # 317 MB of JSON: the pieces are hashed as they are written, not stored
+    from barhom import cli
+
+    digest = hashlib.sha256()
+
+    def hash_pieces(pieces, out):
+        for piece in pieces:
+            digest.update(piece.encode())
+
+    monkeypatch.setattr(cli, "_write", hash_pieces)
+    assert main(["expand", "--op", "psi", "--dim", "6", "--out", "unused"]) == 0
+    assert digest.hexdigest() == "700e17a88a2476141b7ef924c7ec09ecb43206d6b1d288af68f9ca12c2517c46"
+
+
+@pytest.mark.parametrize("case", ["psi 2", "ed freesym tsv 2"])
+def test_expand_entry_error_leaves_no_file(tmp_path, monkeypatch, case):
+    from barhom.quintuple import QuintupleAlgebra
     from barhom.words import TowerAlgebra
 
     def broken(self, v):
         raise RuntimeError("entry does not serialize")
 
     monkeypatch.setattr(TowerAlgebra, "entry_to_json", broken)
+    monkeypatch.setattr(QuintupleAlgebra, "entry_to_json", broken)
     path = tmp_path / "out"
     with pytest.raises(RuntimeError):
-        main(["expand", "--op", "psi", "--dim", "2", "--out", str(path)])
+        main([*_expand_argv(case), "--out", str(path)])
     assert not path.exists()
 
 

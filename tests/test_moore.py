@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -394,6 +395,14 @@ def _quintuple_chains():
             for dim in (0, 1, 2, 3)]
 
 
+def _prefix_pair_chains():
+    # "1" is a prefix of "12": the pair at the last position, at an inner
+    # position, and at the first of two
+    c15 = CyclicGroup(15)
+    return [(c15, Chain(len(next(iter(terms))), terms)) for terms in (
+        {(1,): 1, (12,): 2}, {(3, 1): 1, (3, 12): 2}, {(1, 3): 1, (12, 3): 2})]
+
+
 def _tower_chains():
     free = FreeGroup(3)
     tower = MitosisTower(free)
@@ -404,6 +413,7 @@ def _tower_chains():
 ALGEBRAS = {
     "cyclic3": lambda: _group_chains(C3),
     "cyclic15": lambda: _group_chains(CyclicGroup(15)),   # entry "1" is a prefix of "12"
+    "cyclic15 prefix pairs": _prefix_pair_chains,
     "sym3": lambda: _group_chains(SymmetricGroup(3)),
     "cyclic3*sym3": lambda: _group_chains(DirectProduct(C3, SymmetricGroup(3))),
     "quintuple": _quintuple_chains,
@@ -435,6 +445,23 @@ def test_chain_payload_matches_chain_to_json(name):
         for head in HEADS:
             want = json.dumps({**head, "chain": chain_to_json(alg, chain)}, indent=2, sort_keys=True)
             assert "".join(chain_payload(alg, head, chain)) == want
+
+
+def test_chain_payload_memory_does_not_grow_with_the_text():
+    # psi(5) renders 27 MB of JSON over 9,732 terms (its bytes are pinned by
+    # the "psi 5" expand golden); the sort keys and the rendering hold a few
+    # small ints per term and one term's text at a time
+    free = FreeGroup(5)
+    tower = MitosisTower(free)
+    chain = tower.psi(5, tuple(free.gens()))
+    tracemalloc.start()
+    try:
+        size = sum(map(len, chain_payload(tower.algebra, {}, chain)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size > 25_000_000
+    assert peak < 3_000_000, peak
 
 
 def test_chain_payload_keeps_the_order_of_ties():

@@ -4,17 +4,19 @@ program must pass that same check.  A mutation that nothing kills stays in
 this file as a failing test; it is never dropped."""
 
 import hashlib
+import json
 import random
 
 import pytest
 
-from barhom import checks, cylinder, homotopy
+from barhom import checks, cylinder, homotopy, moore
 from barhom.cli import main
 from barhom.groups import CodedGroup, CyclicGroup
-from barhom.moore import Chain
+from barhom.moore import Chain, chain_payload, chain_to_json
 from barhom.quintuple import VerificationInstance
 
 from test_cli import EXPAND_SHA256, _expand_argv
+from test_moore import _prefix_pair_chains
 
 
 def _mul_memo_ignores_the_right_factor(self, a, b):
@@ -87,3 +89,21 @@ def test_cyl_chain_keeping_zeros_changes_a_golden_hash(monkeypatch, tmp_path):
     for module in (cylinder, homotopy, checks):
         monkeypatch.setattr(module, "cyl_chain", _cyl_chain_keeping_zeros)
     assert _expand_sha256(tmp_path, case) != EXPAND_SHA256[case]
+
+
+def _payloads_match_chain_to_json(cases):
+    return [
+        "".join(chain_payload(alg, {}, chain))
+        == json.dumps({"chain": chain_to_json(alg, chain)}, indent=2, sort_keys=True)
+        for alg, chain in cases
+    ]
+
+
+def test_one_rank_table_misorders_a_prefix_pair_at_the_last_position(monkeypatch):
+    # with inner-position ranks at the last position too, "[1]" sorts before
+    # "[12]"; a pair at the first of two positions is still ordered right
+    cases = _prefix_pair_chains()
+    assert _payloads_match_chain_to_json(cases) == [True, True, True]
+    ranks = moore._ranks
+    monkeypatch.setattr(moore, "_ranks", lambda text, end: ranks(text, ", "))
+    assert _payloads_match_chain_to_json(cases) == [False, False, True]
