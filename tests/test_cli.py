@@ -487,8 +487,7 @@ def test_expand_psi_6_bytes_are_golden(monkeypatch):
     assert digest.hexdigest() == "700e17a88a2476141b7ef924c7ec09ecb43206d6b1d288af68f9ca12c2517c46"
 
 
-@pytest.mark.parametrize("case", ["psi 2", "ed freesym tsv 2"])
-def test_expand_entry_error_leaves_no_file(tmp_path, monkeypatch, case):
+def _assert_entry_error_leaves_no_file(tmp_path, monkeypatch, case):
     from barhom.quintuple import QuintupleAlgebra
     from barhom.words import TowerAlgebra
 
@@ -501,6 +500,15 @@ def test_expand_entry_error_leaves_no_file(tmp_path, monkeypatch, case):
     with pytest.raises(RuntimeError):
         main([*_expand_argv(case), "--out", str(path)])
     assert not path.exists()
+
+
+def test_expand_entry_error_leaves_no_file(tmp_path, monkeypatch):
+    _assert_entry_error_leaves_no_file(tmp_path, monkeypatch, "psi 2")
+
+
+def test_expand_ed_tsv_entry_error_leaves_no_file(tmp_path, monkeypatch):
+    # the TSV is streamed piece by piece: a late error must still leave no file
+    _assert_entry_error_leaves_no_file(tmp_path, monkeypatch, "ed freesym tsv 2")
 
 
 def _readme_commands():
