@@ -11,6 +11,7 @@ whose known size exceeds ``--cap`` before building anything.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import os
@@ -118,15 +119,28 @@ def _level(args, dim: int) -> int:
 def _check_cap(op: str, dim: int, cap: int) -> None:
     """Refuse, before anything is built, an op whose chain on a dim-simplex
     has more than ``cap`` terms: gamma for the tower ops, d_cyl for P and one
-    term per shuffle for ed."""
+    term per shuffle for ed.
+
+    Above dim 64 a cheap lower bound comes first, compared by bit length:
+    gamma(dim) >= d_cyl(dim) = 2^dim (dim + 1), and 2^dim for ed.  A bound
+    with more bits than ``cap`` refuses at once, where the exact gamma of a
+    dim in the thousands takes minutes and the exact size of a dim in the
+    millions has too many digits to print; those messages read ``name > cap``.
+    """
     if op == "P":
-        name, size = f"d_cyl({dim})", bd.d_cyl(dim)
+        name, size = f"d_cyl({dim})", bd.d_cyl
     elif op == "ed":
-        name, size = f"2**{dim}", 2 ** dim
+        name, size = f"2**{dim}", lambda m: 2 ** m
     else:
-        name, size = f"gamma({dim})", bd.gamma(dim)
-    if size > cap:
-        raise ValueError(f"term cap exceeded: {name} = {size} > {cap}")
+        name, size = f"gamma({dim})", bd.gamma
+    if dim > 64:
+        low_bits = dim + 1 if op == "ed" else dim + (dim + 1).bit_length()
+        # the bound is >= 2**(low_bits - 1), and cap < 2**cap.bit_length()
+        if low_bits > cap.bit_length():
+            raise ValueError(f"term cap exceeded: {name} > {cap}")
+    exact = size(dim)
+    if exact > cap:
+        raise ValueError(f"term cap exceeded: {name} = {exact} > {cap}")
 
 
 def cmd_expand(args) -> int:
@@ -362,8 +376,26 @@ def _silence_stdout() -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.
+
+    CPython's cyclic garbage collector is paused for the command and turned
+    back on afterwards only if it was on.  Its passes walk every tracked
+    object, and a command holds millions of chain terms, but barhom builds
+    no reference cycle per term: a command leaves only a bounded few hundred
+    to few thousand cyclic objects (argparse, the json encoder, one
+    ``VerificationInstance``), which the process frees when it exits.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(build_parser().parse_args(argv))
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(args) -> int:
+    """The command's exit code, with each failure mapped to its code."""
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -24,14 +24,17 @@ tower homotopy iterates it level by level, correcting in place with shuffle
 products against lower levels (``add_shuffle_product``, tested against the
 classical ``mult_map`` of ``ez`` of a tensor chain), and the
 degenerate-killed variant composes with the projection.  One
-``MitosisTower`` owns one word algebra: it builds each level's context once,
-on that algebra, and memoizes the stages.  ``verify_identity`` is the
-harness that evaluates a homotopy identity for any callable H and returns
-the residual chain instead of a bare boolean, so a failure is reported term
-by term rather than hidden.  ``theorem_identity_residual`` keeps P of the
-proper faces it meets in a dict its caller passes, so a run of checks on one
-context (one ``checks.theorem45`` call) builds P once per distinct face; P
-of the checked simplex itself is never kept.
+``MitosisTower`` owns one word algebra, coded as small ints by a
+``groups.CodedAlgebra``: each level's context, built once, maps source
+elements to codes, so every term of psi is a tuple of ints and only
+``entry_to_json`` decodes a tower value.  The tower memoizes its stages.
+``verify_identity`` is the harness that evaluates a homotopy identity for
+any callable H and returns the residual chain instead of a bare boolean, so
+a failure is reported term by term rather than hidden.
+``theorem_identity_residual`` keeps P of the proper faces it meets in a dict
+its caller passes, so a run of checks on one context (one
+``checks.theorem45`` call) builds P once per distinct face; P of the checked
+simplex itself is never kept.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .cylinder import cyl_chain
-from .groups import Group
+from .groups import CodedAlgebra, Group
 from .moore import Chain, boundary, project
 from .quintuple import QuintupleAlgebra, VerificationInstance
 from .shuffles import DimensionMismatch, add_shuffle_product, edgewise, shuffle_table, shuffles
@@ -202,35 +205,40 @@ def induct_Q(tower: MitosisTower, level: int, sigma: tuple) -> Chain:
 
 
 class MitosisTower:
-    """Tower homotopies over one base group: one word algebra, one context
-    per level and memoized stages."""
+    """Tower homotopies over one base group: one coded word algebra, one
+    context per level and memoized stages.
+
+    ``algebra`` is the ``CodedAlgebra`` of the base group's ``TowerAlgebra``:
+    the chains hold int codes, and ``algebra.elems[c]`` is the tower value
+    with code ``c``."""
 
     def __init__(self, base: Group):
         self.base = base
-        self.algebra = TowerAlgebra(base)
+        self.algebra = CodedAlgebra(TowerAlgebra(base))
         self._contexts: dict = {}
         self._cache: dict = {}
 
     def context(self, level: int) -> HomotopyContext:
-        """Stage-n homomorphisms into the tower's word algebra."""
+        """Stage-n homomorphisms into the tower's word algebra, as codes."""
         ctx = self._contexts.get(level)
         if ctx is not None:
             return ctx
         if level < 1:
             raise ValueError("mitosis level must be >= 1")
         alg = self.algebra
+        code, words = alg.code, alg.algebra
 
         def conj(x):
-            return alg.conj(level, x)
+            return code(words.conj(level, x))
 
         ctx = self._contexts[level] = HomotopyContext(
             source=self.base,
             entries=alg,
             f=conj,
-            g=lambda x: x,
+            g=code,
             h=conj,
             k=lambda x: alg.identity,
-            m=lambda x: alg.pillar(level, x),
+            m=lambda x: code(words.pillar(level, x)),
         )
         return ctx
 
@@ -300,8 +308,9 @@ def theorem_identity_residual(ctx: HomotopyContext, sigma: tuple, face_P: dict) 
 
 
 def psi_identity_residual(tower: MitosisTower, level: int, sigma: tuple) -> Chain:
-    """Residual of (d psi + psi d)(sigma) = embedded sigma - trivial tuple."""
+    """Residual of (d psi + psi d)(sigma) = embedded sigma - trivial tuple;
+    the embedded simplex is sigma's entries coded in the tower."""
     alg = tower.algebra
-    lhs = lambda s: Chain.of(tuple(s))
+    lhs = lambda s: Chain.of(tuple(map(alg.code, s)))
     rhs = lambda s: Chain.of((alg.identity,) * len(s))
     return verify_identity(tower.base, alg, lambda s: tower.psi(level, s), lhs, rhs, sigma)

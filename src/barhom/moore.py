@@ -2,10 +2,11 @@
 
 An n-simplex of the classifying space of a group is the ordered tuple
 [g_1, ..., g_n]; here it is a plain Python tuple of entry values.  Entries may
-be group elements, formal quintuples or leveled mitosis words — any value with
-hashable canonical equality.  Operations that multiply or recognise entries
-take the entry algebra as their first argument: a group, a
-``QuintupleAlgebra`` or a ``TowerAlgebra``, each with the interface
+be group elements, formal quintuples or int codes — any value with hashable
+canonical equality.  Operations that multiply or recognise entries take the
+entry algebra as their first argument: a group, a ``QuintupleAlgebra`` or a
+``groups.CodedAlgebra`` (the verification target, and the mitosis tower's
+``TowerAlgebra`` as ``MitosisTower`` codes it), each with the interface
 ``identity``, ``mul`` and ``entry_to_json``.
 
 A ``Chain`` is a finite integer formal sum of simplices of one dimension.

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 
-from .groups import CodedGroup, CyclicGroup, DirectProduct, Group
+from .groups import CodedAlgebra, CyclicGroup, DirectProduct, Group
 from .interned import Interned
 
 
@@ -151,7 +151,7 @@ class VerificationInstance:
     central, so l f(x) g(x) = (x, x, 1) = h(x) k(x) l holds while l, m(x) and
     the pillar entries stay nontrivial.
 
-    ``target`` is the ``CodedGroup`` of H: ``ell`` and the values of f, g, h,
+    ``target`` is the ``CodedAlgebra`` of H: ``ell`` and the values of f, g, h,
     k and m are int codes of its elements, and only ``target.entry_to_json``
     decodes them.  f, g, h and m are memoized per element of G.
     """
@@ -159,7 +159,7 @@ class VerificationInstance:
     def __init__(self, base: Group, modulus: int = 5):
         self.base = base
         self.modulus = modulus
-        self.target = CodedGroup(DirectProduct(base, base, CyclicGroup(modulus)))
+        self.target = CodedAlgebra(DirectProduct(base, base, CyclicGroup(modulus)))
         code = self.target.code
         e = base.identity
         self.ell = code((e, e, 1 % modulus))

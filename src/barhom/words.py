@@ -14,8 +14,9 @@ procedure — no claim is made of solving the word problem in general.
 The tower values ``Conjugated`` and ``PillarWord`` are hash-consed
 (``barhom.interned``): building one with the fields of an existing value
 returns that object, so equality is object identity, values are immutable,
-and the table of canonical values lives for the process.  The products of
-each ``TowerAlgebra`` are memoized on the pair of factors.
+and the table of canonical values lives for the process.  ``TowerAlgebra``
+keeps no product memo of its own: ``homotopy.MitosisTower`` wraps it in a
+``groups.CodedAlgebra``, whose product rows compute each product once.
 
 Output spells a value out as a freely reduced word in the stable letters u_n,
 t_n and gen(x) for base elements x (``TowerAlgebra.entry_to_json``): the
@@ -57,7 +58,6 @@ class TowerAlgebra:
     def __init__(self, base: Group):
         self.base = base
         self.identity = base.identity
-        self._products: dict = {}
 
     # constructors ---------------------------------------------------------
 
@@ -81,15 +81,7 @@ class TowerAlgebra:
     # multiplication --------------------------------------------------------
 
     def mul(self, v, w):
-        """The canonical form of v*w, memoized; a ``NonNormalizable``
-        product raises on every call."""
-        key = (v, w)
-        product = self._products.get(key)
-        if product is None:
-            product = self._products[key] = self._mul(v, w)
-        return product
-
-    def _mul(self, v, w):
+        """The canonical form of v*w; ``NonNormalizable`` if it has none."""
         if v == self.identity:
             return w
         if w == self.identity:

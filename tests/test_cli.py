@@ -1,10 +1,13 @@
 import errno
+import gc
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -181,6 +184,59 @@ def test_closed_stdout_pipe_is_exit_141_without_a_traceback():
     assert (proc.returncode, err) == (141, b"")
 
 
+class _ClosedPipe(io.StringIO):
+    """A standard output whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def _not_a_usage_error(args):
+    raise RuntimeError("not a usage error")
+
+
+def _exit_code_case(monkeypatch, case):
+    """The argv of a run ending as ``case`` names, with what it needs patched."""
+    from barhom import cli
+    from barhom.quintuple import VerificationInstance
+
+    if case == "exit 1":
+        # a constant pillar breaks the pillar relations of theorem45
+        monkeypatch.setattr(VerificationInstance, "m", lambda self, x: self.ell)
+    elif case == "exit 141":
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    elif case == "uncaught":
+        monkeypatch.setattr(cli, "cmd_tables", _not_a_usage_error)
+    return {
+        "exit 0": ["count", "--op", "psi", "--dim", "2"],
+        "exit 1": ["verify", "--suite", "theorem45", "--maxdim", "1"],
+        "exit 2": ["count", "--op", "psi", "--dim", "4", "--cap", "1"],
+        "parse exit 2": ["count", "--dim", "-1"],
+        "exit 141": ["tables"],
+        "uncaught": ["tables"],
+    }[case]
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc on", "gc off"])
+@pytest.mark.parametrize("case, outcome", [
+    ("exit 0", 0), ("exit 1", 1), ("exit 2", 2), ("parse exit 2", SystemExit), ("exit 141", 141),
+    ("uncaught", RuntimeError),
+])
+def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, case, outcome, collecting):
+    argv = _exit_code_case(monkeypatch, case)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if isinstance(outcome, int):
+            assert main(argv) == outcome
+        else:
+            with pytest.raises(outcome):
+                main(argv)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 FULL = "/dev/full"
 ED_TSV = ["expand", "--op", "ed", "--dim", "3", "--format", "tsv"]
 
@@ -269,6 +325,23 @@ def test_expand_above_cap_is_refused(capsys, op, dim, size):
     assert code == 2
     assert captured.out == ""
     assert f"term cap exceeded: {size} > 1000" in captured.err
+
+
+@pytest.mark.parametrize("dim", [3000, 10**8])
+@pytest.mark.parametrize("command, op, name", [
+    ("count", "psi", "gamma"), ("count", "phi", "gamma"), ("count", "P", "d_cyl"), ("expand", "ed", "2**"),
+])
+def test_huge_dims_are_refused_before_their_size_is_computed(capsys, command, op, name, dim):
+    # the exact gamma(3000) takes minutes, and d_cyl(10**8) has too many
+    # digits for str(): a lower bound on the size refuses both at once
+    started = time.perf_counter()
+    code = main([command, "--op", op, "--dim", str(dim)])
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    size = f"2**{dim}" if op == "ed" else f"{name}({dim})"
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: term cap exceeded: {size} > 5000000\n"
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("op", ["P", "psi", "phi"])

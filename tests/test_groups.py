@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from barhom.groups import CodedGroup, CyclicGroup, DirectProduct, FreeGroup, SymmetricGroup, parse_group
+from barhom.groups import CodedAlgebra, CyclicGroup, DirectProduct, FreeGroup, SymmetricGroup, parse_group
 
 GROUPS = [
     CyclicGroup(1),
@@ -80,7 +80,7 @@ def test_parse_group():
     (CyclicGroup(3), SymmetricGroup(3)),
 ], ids=lambda factors: "x".join(f.name for f in factors))
 def test_coded_product_table_is_the_factorwise_product(factors):
-    coded = CodedGroup(DirectProduct(*factors))
+    coded = CodedAlgebra(DirectProduct(*factors))
     codes = list(coded.elements())
     assert codes == list(range(len(codes)))   # the identity is coded first, as 0
     pairs = list(itertools.product(codes, repeat=2))
@@ -94,7 +94,7 @@ def test_coded_product_table_is_the_factorwise_product(factors):
 @pytest.mark.parametrize("group", [SymmetricGroup(3), FreeGroup(2)], ids=lambda g: g.name)
 def test_coded_group_decodes_to_the_wrapped_group(group):
     # a free group is infinite: its elements are coded as they are met
-    coded = CodedGroup(group)
+    coded = CodedAlgebra(group)
     assert coded.name == group.name and coded.finite == group.finite
     assert coded.elems[coded.identity] == group.identity
     rng = random.Random(0)

@@ -325,7 +325,9 @@ def _psi_entries(base):
     chains = [tower.psi(level, tuple(base.sample(rng) for _ in range(m)))
               for m in range(1, 5) for level in (m, 4)]
     alg = tower.algebra
-    return alg, _entries(*chains, *(boundary(alg, c) for c in chains)) + _group_entries(base)
+    # the base samples coded in the tower, so that the base identity is code 0
+    samples = list(map(alg.code, _group_entries(base)))
+    return alg, _entries(*chains, *(boundary(alg, c) for c in chains)) + samples
 
 
 CONTRACT = {

@@ -11,7 +11,7 @@ import pytest
 
 from barhom import checks, cylinder, homotopy, moore
 from barhom.cli import main
-from barhom.groups import CodedGroup, CyclicGroup
+from barhom.groups import CodedAlgebra, CyclicGroup
 from barhom.moore import Chain, chain_payload, chain_to_json
 from barhom.quintuple import VerificationInstance
 
@@ -24,7 +24,7 @@ def _mul_memo_ignores_the_right_factor(self, a, b):
     row = self.rows[a]
     c = row.get(None)
     if c is None:
-        c = row[None] = self.code(self.group.mul(self.elems[a], self.elems[b]))
+        c = row[None] = self.code(self.algebra.mul(self.elems[a], self.elems[b]))
     return c
 
 
@@ -34,9 +34,25 @@ def _theorem45_cyclic3():
 
 def test_coded_mul_ignoring_the_right_factor_fails_theorem45(monkeypatch):
     _theorem45_cyclic3()
-    monkeypatch.setattr(CodedGroup, "mul", _mul_memo_ignores_the_right_factor)
+    monkeypatch.setattr(CodedAlgebra, "mul", _mul_memo_ignores_the_right_factor)
     with pytest.raises(checks.CheckFailure):
         _theorem45_cyclic3()
+
+
+def _psi_identity_4(capsys):
+    # checks.psi_identity(4, 4), run as the CLI runs it
+    code = main(["verify", "--suite", "psi", "--level", "4", "--maxdim", "4"])
+    return code, capsys.readouterr().out.splitlines()[-2]
+
+
+def test_coded_mul_ignoring_the_right_factor_fails_the_psi_identity(monkeypatch, capsys):
+    # the same mutation, met by the tower's coded word algebra: a wrong
+    # product breaks a pillar relation of P before any residual is formed
+    assert _psi_identity_4(capsys) == (0, "ok psi identity level 4 dim 4: zero residual")
+    monkeypatch.setattr(CodedAlgebra, "mul", _mul_memo_ignores_the_right_factor)
+    code, fail = _psi_identity_4(capsys)
+    assert code == 1
+    assert fail.startswith("FAIL psi: IncompatiblePillars: pillar relation fails at index")
 
 
 def _expand_sha256(tmp_path, case):
@@ -45,11 +61,11 @@ def _expand_sha256(tmp_path, case):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("case", ["P concrete json 2", "ed concrete tsv cyclic2*sym3 3"])
+@pytest.mark.parametrize("case", ["P concrete json 2", "ed concrete tsv cyclic2*sym3 3", "psi 4"])
 def test_entry_decoded_off_by_one_changes_a_golden_hash(monkeypatch, tmp_path, case):
     assert _expand_sha256(tmp_path, case) == EXPAND_SHA256[case]
-    monkeypatch.setattr(CodedGroup, "entry_to_json",
-                        lambda self, a: self.group.entry_to_json(self.elems[a - 1]))
+    monkeypatch.setattr(CodedAlgebra, "entry_to_json",
+                        lambda self, a: self.algebra.entry_to_json(self.elems[a - 1]))
     assert _expand_sha256(tmp_path, case) != EXPAND_SHA256[case]
 
 

@@ -105,7 +105,8 @@ def _encoded_chains():
 
 def test_encoded_entries_are_freely_reduced():
     for alg, chain in _encoded_chains():
-        identity = alg.base.entry_to_json(alg.base.identity)
+        base = alg.algebra.base
+        identity = base.entry_to_json(base.identity)
         entries = {entry for simplex, _ in chain for entry in simplex}
         assert entries
         for entry in entries:
