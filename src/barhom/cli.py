@@ -5,7 +5,8 @@ output carries the schema version.  Exit codes: 0 all checks pass, 1 a check
 failed or a residual survived, 2 usage error or output that cannot be
 written, 141 standard output closed by its reader.  Numbers out of range are
 usage errors caught at parse time, and ``expand``/``count`` refuse a chain
-whose known size exceeds ``--cap`` before building anything.
+whose known size exceeds ``--cap``, or cannot fit in physical memory, before
+building anything.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .shuffles import ed_terms, edgewise
 
 SCHEMA = "barhom/1"
 TERM_CAP = 5_000_000
+# a floor on the bytes one chain term takes: psi at m = 8 takes about 168
+TERM_BYTES = 100
 TOWER_OPS = ("psi", "phi")
 
 
@@ -116,10 +119,21 @@ def _level(args, dim: int) -> int:
     return level
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where ``os.sysconf`` cannot tell."""
+    try:
+        page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    # sysconf returns -1 for a limit the system leaves indeterminate
+    return page * pages if page > 0 and pages > 0 else None
+
+
 def _check_cap(op: str, dim: int, cap: int) -> None:
     """Refuse, before anything is built, an op whose chain on a dim-simplex
     has more than ``cap`` terms: gamma for the tower ops, d_cyl for P and one
-    term per shuffle for ed.
+    term per shuffle for ed.  A chain within the cap is refused too when its
+    terms at ``TERM_BYTES`` each exceed physical memory.
 
     Above dim 64 a cheap lower bound comes first, compared by bit length:
     gamma(dim) >= d_cyl(dim) = 2^dim (dim + 1), and 2^dim for ed.  A bound
@@ -141,6 +155,10 @@ def _check_cap(op: str, dim: int, cap: int) -> None:
     exact = size(dim)
     if exact > cap:
         raise ValueError(f"term cap exceeded: {name} = {exact} > {cap}")
+    memory = _physical_memory()
+    if memory is not None and exact * TERM_BYTES > memory:
+        raise ValueError(f"out of memory: {name} = {exact} terms take at least "
+                         f"{exact * TERM_BYTES} B > {memory} B of physical memory")
 
 
 def cmd_expand(args) -> int:

@@ -15,11 +15,14 @@ finite group's order is the length of that list.
 ``CodedAlgebra`` is the one coding wrapper: it wraps any entry algebra (a
 group, or the mitosis tower's ``TowerAlgebra``) and codes its values as
 small ints, in the order each is first seen, with one memoized product row
-per code.  The verification target ``(G x G) x Z_N`` and the tower of
-``homotopy.MitosisTower`` are coded algebras: their entries are int codes,
-which hash and compare as ints, and only ``entry_to_json`` decodes them.  A
-simplex of such entries is a tuple of ints, which CPython's cyclic garbage
-collector stops tracking.  Codes are assigned lazily, so an infinite algebra
+per code.  Every homotopy context is coded: the verification target
+``(G x G) x Z_N``, the formal ``QuintupleAlgebra`` of
+``homotopy.formal_context`` and the tower of ``homotopy.MitosisTower``.
+Their entries are int codes, which hash and compare as ints, and only
+``entry_to_json`` decodes them.  A simplex of such entries is a tuple of
+ints, which CPython's cyclic garbage collector stops tracking.  The wrapped
+values need only structural ``==`` and ``hash``; ``codes`` is the one place
+they are compared.  Codes are assigned lazily, so an infinite algebra
 is coded as it is met; over cyclic3 the target has 45 elements, so its table
 holds at most 2,025 products, and psi on the generic 6-simplex codes 146
 tower values and computes 209 tower products.

@@ -28,6 +28,10 @@ degenerate-killed variant composes with the projection.  One
 ``groups.CodedAlgebra``: each level's context, built once, maps source
 elements to codes, so every term of psi is a tuple of ints and only
 ``entry_to_json`` decodes a tower value.  The tower memoizes its stages.
+All three context builders code their entries the same way:
+``formal_context`` over a coded ``QuintupleAlgebra``, ``instance_context``
+over the coded target of a ``VerificationInstance`` and
+``MitosisTower.context``.
 ``verify_identity`` is the harness that evaluates a homotopy identity for
 any callable H and returns the residual chain instead of a bare boolean, so
 a failure is reported term by term rather than hidden.
@@ -72,16 +76,21 @@ class HomotopyContext:
 
 
 def formal_context(source: Group) -> HomotopyContext:
-    """Four distinct formal letters over the quintuple algebra."""
-    alg = QuintupleAlgebra(source)
+    """Four distinct formal letters over the quintuple algebra, as codes.
+
+    ``entries`` is the ``CodedAlgebra`` of a ``QuintupleAlgebra``: the
+    letters return int codes, and ``entries.elems[c]`` is the quintuple
+    with code ``c``."""
+    entries = CodedAlgebra(QuintupleAlgebra(source))
+    code, alg = entries.code, entries.algebra
     return HomotopyContext(
         source=source,
-        entries=alg,
-        f=alg.f,
-        g=alg.g,
-        h=alg.h,
-        k=alg.k,
-        m=alg.m,
+        entries=entries,
+        f=lambda x: code(alg.f(x)),
+        g=lambda x: code(alg.g(x)),
+        h=lambda x: code(alg.h(x)),
+        k=lambda x: code(alg.k(x)),
+        m=lambda x: code(alg.m(x)),
     )
 
 

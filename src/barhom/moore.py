@@ -2,12 +2,14 @@
 
 An n-simplex of the classifying space of a group is the ordered tuple
 [g_1, ..., g_n]; here it is a plain Python tuple of entry values.  Entries may
-be group elements, formal quintuples or int codes — any value with hashable
+be group elements, formal values or int codes — any value with hashable
 canonical equality.  Operations that multiply or recognise entries take the
-entry algebra as their first argument: a group, a ``QuintupleAlgebra`` or a
-``groups.CodedAlgebra`` (the verification target, and the mitosis tower's
-``TowerAlgebra`` as ``MitosisTower`` codes it), each with the interface
-``identity``, ``mul`` and ``entry_to_json``.
+entry algebra as their first argument, with the interface ``identity``,
+``mul`` and ``entry_to_json``: a group, a ``QuintupleAlgebra``, a
+``TowerAlgebra`` or a ``groups.CodedAlgebra`` wrapping one of these.  Every
+homotopy context codes its entries (the verification target, the formal
+quintuple algebra and the mitosis tower), so the chains of P, ed and psi hold
+ints.
 
 A ``Chain`` is a finite integer formal sum of simplices of one dimension.
 Faces follow the bar-construction rule: the 0-th face drops the first entry,

@@ -14,28 +14,34 @@ empty f and g slots.  Products that would need any other rewrite (or a second
 m-letter) raise ``NonNormalizable``: they cannot arise from face maps of the
 homotopy chains, so hitting one signals a bug in the caller.
 
-Quintuples are hash-consed (``barhom.interned``): building one with the
-fields of an existing quintuple returns that object, so equality is object
-identity, quintuples are immutable, and the table of canonical quintuples
-lives for the process.
+A ``Quintuple`` is a frozen dataclass: an immutable value that compares and
+hashes on its fields.  ``homotopy.formal_context`` wraps the algebra in a
+``groups.CodedAlgebra``, so the chains of the formal homotopy hold int
+codes, and the coded product rows are the one memo of quintuple products.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
+from typing import Any
 
 from .groups import CodedAlgebra, CyclicGroup, DirectProduct, Group
-from .interned import Interned
 
 
 class NonNormalizable(Exception):
     """The requested product lies outside the designated rewrite set."""
 
 
-class Quintuple(Interned):
+@dataclass(frozen=True)
+class Quintuple:
     """Canonical form of h(h_arg) k(k_arg) m(m_arg) f(f_arg) g(g_arg)."""
 
-    __slots__ = ("h_arg", "k_arg", "m_arg", "f_arg", "g_arg")
+    h_arg: Any
+    k_arg: Any
+    m_arg: Any
+    f_arg: Any
+    g_arg: Any
 
 
 class QuintupleAlgebra:

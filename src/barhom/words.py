@@ -11,12 +11,12 @@ always normalize to one of these shapes; anything else raises
 ``NonNormalizable``.  Equality of canonical forms is the designated decision
 procedure — no claim is made of solving the word problem in general.
 
-The tower values ``Conjugated`` and ``PillarWord`` are hash-consed
-(``barhom.interned``): building one with the fields of an existing value
-returns that object, so equality is object identity, values are immutable,
-and the table of canonical values lives for the process.  ``TowerAlgebra``
-keeps no product memo of its own: ``homotopy.MitosisTower`` wraps it in a
-``groups.CodedAlgebra``, whose product rows compute each product once.
+The tower values ``Conjugated`` and ``PillarWord`` are frozen dataclasses:
+immutable values that compare and hash on their class and fields, so no
+tower value equals a base element.  ``TowerAlgebra`` keeps no product memo
+of its own: ``homotopy.MitosisTower`` wraps it in a ``groups.CodedAlgebra``,
+whose product rows compute each product once, and the chains of psi hold
+the int codes of that algebra.
 
 Output spells a value out as a freely reduced word in the stable letters u_n,
 t_n and gen(x) for base elements x (``TowerAlgebra.entry_to_json``): the
@@ -25,22 +25,29 @@ canonical shapes fix that word, so no general free reduction is needed.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Union
 
 from .groups import Group
-from .interned import Interned
 from .quintuple import NonNormalizable
 
-class Conjugated(Interned):
+
+@dataclass(frozen=True)
+class Conjugated:
     """F_level(arg) * tail, with arg a nonidentity base element."""
 
-    __slots__ = ("level", "arg", "tail")
+    level: int
+    arg: Any
+    tail: Any
 
 
-class PillarWord(Interned):
+@dataclass(frozen=True)
+class PillarWord:
     """F_level(f_arg) * m_level(m_arg); the m-letter absorbs anything after it."""
 
-    __slots__ = ("level", "f_arg", "m_arg")
+    level: int
+    f_arg: Any
+    m_arg: Any
 
 
 TowerValue = Union[Conjugated, PillarWord, Any]

@@ -60,6 +60,44 @@ def test_count_psi_above_cap_is_refused(capsys):
     assert "term cap exceeded: gamma(4) = 1120 > 1000" in capsys.readouterr().err
 
 
+def _psi_not_built(self, level, sigma):
+    raise AssertionError("psi was built")
+
+
+def test_count_within_cap_above_memory_is_refused(capsys, monkeypatch):
+    # gamma(8) = 14,737,536 terms at 100 B each exceed 1 GB
+    from barhom import cli
+    from barhom.homotopy import MitosisTower
+
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 2 ** 30)
+    monkeypatch.setattr(MitosisTower, "psi", _psi_not_built)
+    code = main(["count", "--op", "psi", "--dim", "8", "--cap", "20000000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: out of memory: gamma(8) = 14737536 terms take at least "
+                            "1473753600 B > 1073741824 B of physical memory\n")
+
+
+def test_count_with_a_huge_cap_is_refused_on_memory(capsys, monkeypatch):
+    from barhom.homotopy import MitosisTower
+
+    monkeypatch.setattr(MitosisTower, "psi", _psi_not_built)
+    code = main(["count", "--op", "psi", "--dim", "65", "--cap", "9" * 130])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: out of memory: gamma(65) = ")
+
+
+def test_memory_guard_is_skipped_without_sysconf(capsys, monkeypatch):
+    from barhom import cli
+
+    monkeypatch.delattr(os, "sysconf")
+    assert cli._physical_memory() is None
+    code, out = run(capsys, "count", "--op", "psi", "--dim", "3")
+    assert code == 0
+    assert "ok psi dim 3" in out
+
+
 @pytest.mark.parametrize("command", ["count", "expand"])
 def test_level_below_dim_is_usage_error(capsys, command):
     code = main([command, "--op", "psi", "--dim", "3", "--level", "2"])

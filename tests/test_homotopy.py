@@ -24,8 +24,16 @@ from barhom.homotopy import (
     verify_identity,
 )
 from barhom.moore import Chain, boundary, count_degenerate, diameter, face, project, pushforward
-from barhom.quintuple import NonNormalizable, VerificationInstance
-from barhom.shuffles import DimensionMismatch, add_shuffle_product, ez, mult_map, shuffles, tensor_of_chains
+from barhom.quintuple import NonNormalizable, QuintupleAlgebra, VerificationInstance
+from barhom.shuffles import (
+    DimensionMismatch,
+    add_shuffle_product,
+    edgewise,
+    ez,
+    mult_map,
+    shuffles,
+    tensor_of_chains,
+)
 from barhom.words import Conjugated, PillarWord, TowerAlgebra
 
 
@@ -35,9 +43,14 @@ def _formal(m):
     return F, ctx, ctx.entries
 
 
+def _decode(alg, simplex):
+    """The entries of a simplex of a coded algebra, decoded: ``alg.elems[c]``."""
+    return tuple(alg.elems[c] for c in simplex)
+
+
 def _decoded(alg, chain):
-    """A chain of a coded algebra with each entry decoded: ``alg.elems[c]``."""
-    return Chain(chain.dim, [(tuple(alg.elems[c] for c in s), coeff) for s, coeff in chain])
+    """A chain of a coded algebra with each entry decoded."""
+    return Chain(chain.dim, [(_decode(alg, s), coeff) for s, coeff in chain])
 
 
 # -- pillars ---------------------------------------------------------------------
@@ -45,14 +58,15 @@ def _decoded(alg, chain):
 
 def test_pillar_scan_examples():
     F, ctx, alg = _formal(3)
+    quint = alg.algebra
     g1, g2, g3 = F.gens()
     sigma = (g1, g2, g3)
-    m = alg.m
+    m = quint.m
     mul = F.mul
-    assert pillar_of_term(ctx, 1, 0, 3, sigma) == (
-        alg.ell, m(g1), m(mul(g1, g2)), m(mul(mul(g1, g2), g3)),
+    assert _decode(alg, pillar_of_term(ctx, 1, 0, 3, sigma)) == (
+        quint.ell, m(g1), m(mul(g1, g2)), m(mul(mul(g1, g2), g3)),
     )
-    assert pillar_of_term(ctx, 2, 1, 2, sigma) == (
+    assert _decode(alg, pillar_of_term(ctx, 2, 1, 2, sigma)) == (
         m(g1), m(mul(g1, g2)), m(g2), m(mul(g2, g3)),
     )
 
@@ -71,15 +85,16 @@ def test_pillar_of_term_rejects_bad_coordinates():
 
 def test_pillar_system_of_two_simplex():
     F, ctx, alg = _formal(2)
+    quint = alg.algebra
     g1, g2 = F.gens()
-    m = alg.m
+    m, ell = quint.m, quint.ell
     g12 = F.mul(g1, g2)
     system = pillar_system(ctx, (g1, g2))
-    assert system == {
-        (0, 2, 1): (alg.ell, m(g1), m(g12)),
-        (1, 1, 1): (m(g1), alg.ell, m(g2)),
+    assert {key: _decode(alg, pillars) for key, pillars in system.items()} == {
+        (0, 2, 1): (ell, m(g1), m(g12)),
+        (1, 1, 1): (m(g1), ell, m(g2)),
         (1, 1, 2): (m(g1), m(g12), m(g2)),
-        (2, 0, 1): (m(g12), m(g2), alg.ell),
+        (2, 0, 1): (m(g12), m(g2), ell),
     }
 
 
@@ -160,25 +175,27 @@ def test_boundary_system_matches_face_systems(m):
 
 def test_P_one_simplex_display():
     F, ctx, alg = _formal(1)
+    quint = alg.algebra
     g1 = F.gens()[0]
     expected = Chain(
         2,
         {
-            (alg.ell, alg.f(g1)): 1,
-            (alg.h(g1), alg.m(g1)): -1,
-            (alg.m(g1), alg.g(g1)): 1,
-            (alg.k(g1), alg.ell): -1,
+            (quint.ell, quint.f(g1)): 1,
+            (quint.h(g1), quint.m(g1)): -1,
+            (quint.m(g1), quint.g(g1)): 1,
+            (quint.k(g1), quint.ell): -1,
         },
     )
-    assert homotopy_P(ctx, (g1,)) == expected
+    assert _decoded(alg, homotopy_P(ctx, (g1,))) == expected
 
 
 def test_P_two_simplex_display():
     F, ctx, alg = _formal(2)
+    quint = alg.algebra
     g1, g2 = F.gens()
     g12 = F.mul(g1, g2)
-    f, g, h, k, m = alg.f, alg.g, alg.h, alg.k, alg.m
-    ell = alg.ell
+    f, g, h, k, m = quint.f, quint.g, quint.h, quint.k, quint.m
+    ell = quint.ell
     expected = Chain(
         3,
         {
@@ -196,7 +213,7 @@ def test_P_two_simplex_display():
             (k(g1), k(g2), ell): 1,
         },
     )
-    assert homotopy_P(ctx, (g1, g2)) == expected
+    assert _decoded(alg, homotopy_P(ctx, (g1, g2))) == expected
 
 
 def test_P_empty_simplex_is_zero():
@@ -254,12 +271,13 @@ def test_P_one_simplex_as_cylinder_of_subdivisions():
     from barhom.shuffles import ed_terms
 
     F, ctx, alg = _formal(1)
+    quint = alg.algebra
     g1 = F.gens()[0]
-    tops = [simplex for *_, simplex in ed_terms(ctx.f, ctx.g, (g1,))]
-    bottoms = [simplex for *_, simplex in ed_terms(ctx.h, ctx.k, (g1,))]
-    systems = [(alg.ell, alg.m(g1)), (alg.m(g1), alg.ell)]
+    tops = [_decode(alg, simplex) for *_, simplex in ed_terms(ctx.f, ctx.g, (g1,))]
+    bottoms = [_decode(alg, simplex) for *_, simplex in ed_terms(ctx.h, ctx.k, (g1,))]
+    systems = [(quint.ell, quint.m(g1)), (quint.m(g1), quint.ell)]
     terms = [(1, top, bottom, pillars) for top, bottom, pillars in zip(tops, bottoms, systems)]
-    assert cyl_chain(alg, 1, terms) == homotopy_P(ctx, (g1,))
+    assert cyl_chain(quint, 1, terms) == _decoded(alg, homotopy_P(ctx, (g1,)))
 
 
 def test_verify_identity_trivial():
@@ -455,6 +473,26 @@ def test_cylinder_part_lemma_word_algebra():
         assert _decoded(alg, lhs) == rhs
 
 
+def test_coded_formal_chains_decode_to_the_uncoded_ones():
+    # the int coding of formal_context changes no term and no term order:
+    # P and ed built on it decode to the chains built on a bare quintuple
+    # algebra, term for term
+    F = FreeGroup(5)
+    coded = formal_context(F)
+    alg = coded.entries
+    quint = QuintupleAlgebra(F)
+    bare = HomotopyContext(source=F, entries=quint, f=quint.f, g=quint.g, h=quint.h,
+                           k=quint.k, m=quint.m)
+    for dim in range(6):
+        sigma = tuple(F.gens()[:dim])
+        for build in (lambda ctx: homotopy_P(ctx, sigma),
+                      lambda ctx: edgewise(ctx.f, ctx.g, Chain.of(sigma))):
+            got, want = _decoded(alg, build(coded)), build(bare)
+            assert got.dim == want.dim
+            assert list(got.terms.items()) == list(want.terms.items())
+        assert diameter(homotopy_P(coded, sigma)) == d_cyl(dim)
+
+
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_formal_P_pushed_into_the_tower_is_the_mitosis_P(level):
     # the two rewrite systems agree: evaluating the formal quintuple
@@ -472,7 +510,8 @@ def test_formal_P_pushed_into_the_tower_is_the_mitosis_P(level):
 
     for dim in range(5):
         sigma = tuple(F.gens()[:dim])
-        assert pushforward(evaluate, homotopy_P(formal, sigma)) == _decoded(alg, homotopy_P(tower, sigma))
+        pushed = pushforward(evaluate, _decoded(formal.entries, homotopy_P(formal, sigma)))
+        assert pushed == _decoded(alg, homotopy_P(tower, sigma))
 
 
 # -- table-driven construction against the per-term oracle ---------------------------

@@ -1,8 +1,11 @@
 """Committed mutations: each deliberately wrong variant of the program, applied
 with ``monkeypatch``, must fail the check named beside it, and the unmutated
 program must pass that same check.  A mutation that nothing kills stays in
-this file as a failing test; it is never dropped."""
+this file as a finding: a strict ``xfail`` whose reason says what misses it,
+so the day a check kills it the test fails until the entry is updated; it is
+never dropped."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -11,9 +14,11 @@ import pytest
 
 from barhom import checks, cylinder, homotopy, moore
 from barhom.cli import main
+from barhom.cylinder import IncompatiblePillars
 from barhom.groups import CodedAlgebra, CyclicGroup
 from barhom.moore import Chain, chain_payload, chain_to_json
-from barhom.quintuple import VerificationInstance
+from barhom.quintuple import Quintuple, VerificationInstance
+from barhom.words import Conjugated
 
 from test_cli import EXPAND_SHA256, _expand_argv
 from test_moore import _prefix_pair_chains
@@ -123,3 +128,37 @@ def test_one_rank_table_misorders_a_prefix_pair_at_the_last_position(monkeypatch
     ranks = moore._ranks
     monkeypatch.setattr(moore, "_ranks", lambda text, end: ranks(text, ", "))
     assert _payloads_match_chain_to_json(cases) == [False, False, True]
+
+
+def _compare_without(monkeypatch, cls, name):
+    """Make the value record ``cls`` compare and hash as if it had no field
+    ``name``, so one code stands for values that differ only there."""
+    kept = [f.name for f in dataclasses.fields(cls) if f.name != name]
+
+    def key(value):
+        return tuple(getattr(value, f) for f in kept)
+
+    monkeypatch.setattr(cls, "__eq__", lambda self, other: type(other) is cls and key(self) == key(other))
+    monkeypatch.setattr(cls, "__hash__", lambda self: hash(key(self)))
+
+
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception, reason=(
+    "finding: the psi identity on the generic simplex stays zero when tower "
+    "values that differ only in their tail share one code; psi holds no tail, "
+    "the tails of the interior faces of d psi sum to zero, and merging values "
+    "keeps a zero sum zero"))
+def test_conjugated_equality_ignoring_the_tail_fails_the_psi_identity(monkeypatch):
+    checks.psi_identity(5, 5)
+    _compare_without(monkeypatch, Conjugated, "tail")
+    with pytest.raises((checks.CheckFailure, IncompatiblePillars)):
+        checks.psi_identity(5, 5)
+
+
+def test_quintuple_equality_ignoring_g_changes_a_golden_hash(monkeypatch, tmp_path):
+    # g(x) then shares the identity's code, so a pillar relation of P fails
+    # on the formal 1-simplex
+    case = "P freesym json 1"
+    assert _expand_sha256(tmp_path, case) == EXPAND_SHA256[case]
+    _compare_without(monkeypatch, Quintuple, "g_arg")
+    with pytest.raises(IncompatiblePillars):
+        _expand_sha256(tmp_path, case)

@@ -24,6 +24,8 @@ from barhom.shuffles import (
     tensor_of_chains,
 )
 
+from test_homotopy import _decode, _decoded
+
 C3 = CyclicGroup(3)
 # a product simplex sigma x tau is a bar simplex of pairs over the product
 C3xC3 = DirectProduct(C3, C3)
@@ -207,15 +209,16 @@ def _formal(m):
 
 def test_edgewise_one_simplex():
     F, ctx, alg = _formal(1)
+    quint = alg.algebra
     g1 = F.gens()[0]
     chain = edgewise(ctx.f, ctx.g, Chain.of((g1,)))
-    assert chain == Chain(1, {(alg.f(g1),): 1, (alg.g(g1),): 1})
+    assert _decoded(alg, chain) == Chain(1, {(quint.f(g1),): 1, (quint.g(g1),): 1})
 
 
 def test_edgewise_two_simplex_display():
     F, ctx, alg = _formal(2)
     g1, g2 = F.gens()
-    f, g = alg.f, alg.g
+    f, g = alg.algebra.f, alg.algebra.g
     expected = Chain(
         2,
         {
@@ -225,13 +228,13 @@ def test_edgewise_two_simplex_display():
             (g(g1), g(g2)): 1,
         },
     )
-    assert edgewise(ctx.f, ctx.g, Chain.of((g1, g2))) == expected
+    assert _decoded(alg, edgewise(ctx.f, ctx.g, Chain.of((g1, g2)))) == expected
 
 
 def test_edgewise_three_simplex_display():
     F, ctx, alg = _formal(3)
     g1, g2, g3 = F.gens()
-    f, g = alg.f, alg.g
+    f, g = alg.algebra.f, alg.algebra.g
     expected_order = [
         (1, (f(g1), f(g2), f(g3))),
         (1, (g(g1), f(g2), f(g3))),
@@ -242,7 +245,8 @@ def test_edgewise_three_simplex_display():
         (1, (f(g3), g(g1), g(g2))),
         (1, (g(g1), g(g2), g(g3))),
     ]
-    got = [(sign, simplex) for _p, _q, _rank, sign, simplex in ed_terms(ctx.f, ctx.g, (g1, g2, g3))]
+    got = [(sign, _decode(alg, simplex))
+           for _p, _q, _rank, sign, simplex in ed_terms(ctx.f, ctx.g, (g1, g2, g3))]
     assert got == expected_order
 
 

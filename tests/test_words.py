@@ -119,7 +119,7 @@ def test_encoded_entries_are_freely_reduced():
                             and a["inv"] != b["inv"]), entry
 
 
-# -- hash-consing ---------------------------------------------------------------
+# -- value records ---------------------------------------------------------------
 
 
 def _tower_values():
@@ -134,23 +134,26 @@ def _tower_values():
     ]
 
 
-def test_tower_values_are_interned():
+def test_tower_values_compare_on_class_and_fields():
     a, b = TowerAlgebra(FreeGroup(2)), TowerAlgebra(FreeGroup(2))
     x, y = (1,), (2,)
-    assert Conjugated(1, (1,), ()) is Conjugated(1, (1,), ())
-    assert a.conj(2, y, a.conj(1, x)) is b.conj(2, y, b.conj(1, x))
+    assert Conjugated(1, (1,), ()) == Conjugated(1, (1,), ())
+    assert a.conj(2, y, a.conj(1, x)) == b.conj(2, y, b.conj(1, x))
     pillar = a.mul(a.conj(1, y), a.pillar(1, x))
-    assert pillar is b.mul(b.conj(1, y), b.pillar(1, x)) is PillarWord(1, y, x)
-    assert a.mul(a.pillar(1, x), a.conj(1, y)) is b.mul(b.pillar(1, x), b.conj(1, y))
-    assert Conjugated(1, (1,), ()) is not Conjugated(1, (2,), ())
+    assert pillar == b.mul(b.conj(1, y), b.pillar(1, x)) == PillarWord(1, y, x)
+    assert a.mul(a.pillar(1, x), a.conj(1, y)) == b.mul(b.pillar(1, x), b.conj(1, y))
+    assert Conjugated(1, (1,), ()) != Conjugated(1, (2,), ())
     assert Conjugated(1, (1,), ()) != PillarWord(1, (1,), ())
+    # a tower value never equals a base element, so one codes dict holds both
+    assert Conjugated(1, (1,), ()) != ((1,), ())
+    assert len({PillarWord(1, (), ()), Conjugated(1, (), ()), (1, (), ())}) == 3
 
 
 @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
                          ids=["copy", "deepcopy", "pickle"])
 def test_tower_value_copies_are_canonical(clone):
     for value in _tower_values():
-        assert clone(value) is value
+        assert clone(value) == value
 
 
 def test_tower_values_are_immutable():
