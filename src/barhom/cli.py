@@ -2,8 +2,8 @@
 
 Every command is deterministic for fixed flags and seed, and machine-readable
 output carries the schema version.  Exit codes: 0 all checks pass, 1 a check
-failed or a residual survived, 2 usage error or output that cannot be
-written, 141 standard output closed by its reader.  Numbers out of range are
+failed, a residual survived or a construction broke, 2 usage error or
+output that cannot be written, 141 standard output closed by its reader.  Numbers out of range are
 usage errors caught at parse time, and ``expand``/``count`` refuse a chain
 whose known size exceeds ``--cap``, or cannot fit in physical memory, before
 building anything.
@@ -400,8 +400,8 @@ def main(argv=None) -> int:
     back on afterwards only if it was on.  Its passes walk every tracked
     object, and a command holds millions of chain terms, but barhom builds
     no reference cycle per term: a command leaves only a bounded few hundred
-    to few thousand cyclic objects (argparse, the json encoder, one
-    ``VerificationInstance``), which the process frees when it exits.
+    to few thousand cyclic objects (argparse, the json encoder), which the
+    process frees when it exits.
     """
     collecting = gc.isenabled()
     gc.disable()
@@ -421,6 +421,11 @@ def _run(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ChainError, NonNormalizable) as exc:
+        # a construction that breaks (incompatible pillars, a product outside
+        # the rewrite system) is a failed check, raised before --out is opened
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # the reader closed standard output (``| head``): exit as a shell
         # reports a writer killed by SIGPIPE

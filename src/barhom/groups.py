@@ -13,19 +13,21 @@ words coincide.  ``finite`` says whether a group can list its elements; a
 finite group's order is the length of that list.
 
 ``CodedAlgebra`` is the one coding wrapper: it wraps any entry algebra (a
-group, or the mitosis tower's ``TowerAlgebra``) and codes its values as
-small ints, in the order each is first seen, with one memoized product row
-per code.  Every homotopy context is coded: the verification target
-``(G x G) x Z_N``, the formal ``QuintupleAlgebra`` of
-``homotopy.formal_context`` and the tower of ``homotopy.MitosisTower``.
-Their entries are int codes, which hash and compare as ints, and only
-``entry_to_json`` decodes them.  A simplex of such entries is a tuple of
-ints, which CPython's cyclic garbage collector stops tracking.  The wrapped
-values need only structural ``==`` and ``hash``; ``codes`` is the one place
-they are compared.  Codes are assigned lazily, so an infinite algebra
-is coded as it is met; over cyclic3 the target has 45 elements, so its table
-holds at most 2,025 products, and psi on the generic 6-simplex codes 146
-tower values and computes 209 tower products.
+group, the formal ``QuintupleAlgebra`` or the mitosis tower's
+``TowerAlgebra``) and codes its values as small ints, in the order each is
+first seen, with one memoized product row per code.  It is an entry algebra
+only: it does not stand in for a group.  ``homotopy.coded_context`` codes
+every homotopy context on one: the target ``(G x G) x Z_N`` of a
+verification instance, the formal quintuples of ``homotopy.formal_context``
+and the tower of ``homotopy.MitosisTower``.  Their entries are int codes,
+which hash and compare as ints, and only ``entry_to_json`` decodes them.  A
+simplex of such entries is a tuple of ints, which CPython's cyclic garbage
+collector stops tracking.  The wrapped values need only structural ``==``
+and ``hash``; ``codes`` is the one place they are compared.  Codes are
+assigned lazily, so an infinite algebra is coded as it is met; over cyclic3
+the target has 45 elements, so its table holds at most 2,025 products, and
+psi on the generic 6-simplex codes 146 tower values and computes 209 tower
+products.
 """
 
 from __future__ import annotations
@@ -216,8 +218,7 @@ class CodedAlgebra:
     ``rows[a]`` maps ``b`` to the code of ``elems[a] * elems[b]``, filled on
     first use, so each product of the wrapped algebra is computed once; a
     product that raises stores nothing and raises again on the next call.
-    These rows are the only product memo of a coded algebra.  Over a group,
-    ``inv``, ``elements`` and ``sample`` code the group's own.
+    These rows are the only product memo of a coded algebra.
     """
 
     def __init__(self, algebra):
@@ -226,14 +227,6 @@ class CodedAlgebra:
         self.codes: dict = {}
         self.rows: list = []
         self.code(algebra.identity)
-
-    @property
-    def name(self) -> str:
-        return self.algebra.name
-
-    @property
-    def finite(self) -> bool:
-        return self.algebra.finite
 
     def code(self, value) -> int:
         """The code of a value of the wrapped algebra, assigned on first use."""
@@ -254,15 +247,6 @@ class CodedAlgebra:
         if c is None:
             c = row[b] = self.code(self.algebra.mul(self.elems[a], self.elems[b]))
         return c
-
-    def inv(self, a: int) -> int:
-        return self.code(self.algebra.inv(self.elems[a]))
-
-    def elements(self):
-        return map(self.code, self.algebra.elements())
-
-    def sample(self, rng):
-        return self.code(self.algebra.sample(rng))
 
     def entry_to_json(self, a: int):
         return self.algebra.entry_to_json(self.elems[a])

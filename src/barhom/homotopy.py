@@ -25,13 +25,16 @@ products against lower levels (``add_shuffle_product``, tested against the
 classical ``mult_map`` of ``ez`` of a tensor chain), and the
 degenerate-killed variant composes with the projection.  One
 ``MitosisTower`` owns one word algebra, coded as small ints by a
-``groups.CodedAlgebra``: each level's context, built once, maps source
-elements to codes, so every term of psi is a tuple of ints and only
-``entry_to_json`` decodes a tower value.  The tower memoizes its stages.
-All three context builders code their entries the same way:
-``formal_context`` over a coded ``QuintupleAlgebra``, ``instance_context``
-over the coded target of a ``VerificationInstance`` and
-``MitosisTower.context``.
+``groups.CodedAlgebra``, builds each level's context once and memoizes its
+stages, so every term of psi is a tuple of ints and only ``entry_to_json``
+decodes a tower value.
+``coded_context`` is the one context builder: it takes a ``CodedAlgebra``
+and the five plain letter maps, and each letter of the context it returns
+codes ``fn(x)`` once per source element.  ``formal_context`` (over a
+``QuintupleAlgebra``), ``instance_context`` (over the target of a
+``VerificationInstance``) and ``MitosisTower.context`` are each one call of
+it, while the entry models themselves stay uncoded.  ``HomotopyContext`` is
+a plain record, so a context of uncoded letters is built directly.
 ``verify_identity`` is the harness that evaluates a homotopy identity for
 any callable H and returns the residual chain instead of a bare boolean, so
 a failure is reported term by term rather than hidden.
@@ -43,6 +46,7 @@ simplex itself is never kept.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -75,35 +79,36 @@ class HomotopyContext:
         return self.m(self.source.identity)
 
 
-def formal_context(source: Group) -> HomotopyContext:
-    """Four distinct formal letters over the quintuple algebra, as codes.
+class _Letter(dict):
+    """x -> the code of ``fn(x)``, computed on the first lookup of x."""
 
-    ``entries`` is the ``CodedAlgebra`` of a ``QuintupleAlgebra``: the
-    letters return int codes, and ``entries.elems[c]`` is the quintuple
-    with code ``c``."""
-    entries = CodedAlgebra(QuintupleAlgebra(source))
-    code, alg = entries.code, entries.algebra
-    return HomotopyContext(
-        source=source,
-        entries=entries,
-        f=lambda x: code(alg.f(x)),
-        g=lambda x: code(alg.g(x)),
-        h=lambda x: code(alg.h(x)),
-        k=lambda x: code(alg.k(x)),
-        m=lambda x: code(alg.m(x)),
-    )
+    def __init__(self, fn, code):
+        super().__init__()
+        self.fn, self.code = fn, code
+
+    def __missing__(self, x):
+        c = self[x] = self.code(self.fn(x))
+        return c
+
+
+def coded_context(source: Group, entries: CodedAlgebra, f, g, h, k, m) -> HomotopyContext:
+    """The context of the letter maps f, g, h, k, m into the algebra that
+    ``entries`` codes: each letter returns the code of its value, computed
+    once per source element."""
+    return HomotopyContext(source, entries,
+                           *(_Letter(fn, entries.code).__getitem__ for fn in (f, g, h, k, m)))
+
+
+def formal_context(source: Group) -> HomotopyContext:
+    """Four distinct formal letters over the quintuple algebra, as codes:
+    ``entries.elems[c]`` is the quintuple with code ``c``."""
+    alg = QuintupleAlgebra(source)
+    return coded_context(source, CodedAlgebra(alg), alg.f, alg.g, alg.h, alg.k, alg.m)
 
 
 def instance_context(inst: VerificationInstance) -> HomotopyContext:
-    return HomotopyContext(
-        source=inst.base,
-        entries=inst.target,
-        f=inst.f,
-        g=inst.g,
-        h=inst.h,
-        k=inst.k,
-        m=inst.m,
-    )
+    """The letters of a ``VerificationInstance``, as codes of its target."""
+    return coded_context(inst.base, CodedAlgebra(inst.target), inst.f, inst.g, inst.h, inst.k, inst.m)
 
 
 # -- pillars and the homotopy ---------------------------------------------------
@@ -234,21 +239,11 @@ class MitosisTower:
             return ctx
         if level < 1:
             raise ValueError("mitosis level must be >= 1")
-        alg = self.algebra
-        code, words = alg.code, alg.algebra
-
-        def conj(x):
-            return code(words.conj(level, x))
-
-        ctx = self._contexts[level] = HomotopyContext(
-            source=self.base,
-            entries=alg,
-            f=conj,
-            g=code,
-            h=conj,
-            k=lambda x: alg.identity,
-            m=lambda x: code(words.pillar(level, x)),
-        )
+        words = self.algebra.algebra
+        conj = functools.partial(words.conj, level)
+        ctx = self._contexts[level] = coded_context(
+            self.base, self.algebra, conj, lambda x: x, conj,
+            lambda x: words.identity, functools.partial(words.pillar, level))
         return ctx
 
     def psi(self, level: int, sigma: tuple) -> Chain:

@@ -7,9 +7,10 @@ canonical equality.  Operations that multiply or recognise entries take the
 entry algebra as their first argument, with the interface ``identity``,
 ``mul`` and ``entry_to_json``: a group, a ``QuintupleAlgebra``, a
 ``TowerAlgebra`` or a ``groups.CodedAlgebra`` wrapping one of these.  Every
-homotopy context codes its entries (the verification target, the formal
-quintuple algebra and the mitosis tower), so the chains of P, ed and psi hold
-ints.
+homotopy context is built by ``homotopy.coded_context`` on a
+``CodedAlgebra`` (of the verification target, the formal quintuple algebra
+or the mitosis tower), so the chains of P, ed and psi hold ints; the
+uncoded algebras serve the tests' reference chains and the oracles.
 
 A ``Chain`` is a finite integer formal sum of simplices of one dimension.
 Faces follow the bar-construction rule: the 0-th face drops the first entry,
@@ -110,18 +111,6 @@ class Chain:
                 terms[simplex] = new
             else:
                 pop(simplex, None)
-
-    def __add__(self, other: "Chain") -> "Chain":
-        out = Chain(self.dim)
-        out.terms.update(self.terms)   # already normalized: copied as is
-        out.add_chain(other)
-        return out
-
-    def __sub__(self, other: "Chain") -> "Chain":
-        out = Chain(self.dim)
-        out.terms.update(self.terms)
-        out.add_chain(other, -1)
-        return out
 
     def __eq__(self, other) -> bool:
         return (

@@ -18,6 +18,12 @@ A ``Quintuple`` is a frozen dataclass: an immutable value that compares and
 hashes on its fields.  ``homotopy.formal_context`` wraps the algebra in a
 ``groups.CodedAlgebra``, so the chains of the formal homotopy hold int
 codes, and the coded product rows are the one memo of quintuple products.
+
+``VerificationInstance`` is the concrete model ``(G x G) x Z_N`` and
+``instance_eval`` interprets a quintuple in it.  Both compute with plain
+elements of the target group, so the oracle shares no coded product row with
+the chains it is compared against; ``homotopy.instance_context`` codes the
+instance for the chains of ``checks.theorem45``.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from .groups import CodedAlgebra, CyclicGroup, DirectProduct, Group
+from .groups import CyclicGroup, DirectProduct, Group
 
 
 class NonNormalizable(Exception):
@@ -137,60 +143,37 @@ class QuintupleAlgebra:
         }
 
 
-class _Memo(dict):
-    """x -> ``build(x)``, built on the first lookup of x."""
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, x):
-        value = self[x] = self.build(x)
-        return value
-
-
 class VerificationInstance:
     """Concrete model of the cylinder-homotopy hypotheses.
 
     The target is H = (G x G) x Z_N with f(x) = (x, e, 0), g(x) = (e, x, 0),
     h(x) = (x, x, 0), k(x) = (e, e, 0) and l = (e, e, 1).  The third factor is
     central, so l f(x) g(x) = (x, x, 1) = h(x) k(x) l holds while l, m(x) and
-    the pillar entries stay nontrivial.
-
-    ``target`` is the ``CodedAlgebra`` of H: ``ell`` and the values of f, g, h,
-    k and m are int codes of its elements, and only ``target.entry_to_json``
-    decodes them.  f, g, h and m are memoized per element of G.
+    the pillar entries stay nontrivial.  Every value is a plain element of
+    the ``DirectProduct`` ``target``; ``homotopy.instance_context`` codes them.
     """
 
     def __init__(self, base: Group, modulus: int = 5):
         self.base = base
         self.modulus = modulus
-        self.target = CodedAlgebra(DirectProduct(base, base, CyclicGroup(modulus)))
-        code = self.target.code
+        self.target = DirectProduct(base, base, CyclicGroup(modulus))
         e = base.identity
-        self.ell = code((e, e, 1 % modulus))
-        self._f = _Memo(lambda x: code((x, e, 0)))
-        self._g = _Memo(lambda x: code((e, x, 0)))
-        self._h = _Memo(lambda x: code((x, x, 0)))
-        self._m = _Memo(self._pillar)
+        self.ell = (e, e, 1 % modulus)
 
-    def f(self, x) -> int:
-        return self._f[x]
+    def f(self, x) -> tuple:
+        return (x, self.base.identity, 0)
 
-    def g(self, x) -> int:
-        return self._g[x]
+    def g(self, x) -> tuple:
+        return (self.base.identity, x, 0)
 
-    def h(self, x) -> int:
-        return self._h[x]
+    def h(self, x) -> tuple:
+        return (x, x, 0)
 
-    def k(self, x) -> int:
-        # (e, e, 0), the identity of H
+    def k(self, x) -> tuple:
+        # the identity of H
         return self.target.identity
 
-    def m(self, x) -> int:
-        return self._m[x]
-
-    def _pillar(self, x) -> int:
+    def m(self, x) -> tuple:
         # m(x) = h(x^-1) * l * f(x)
         H = self.target
         return H.mul(self.h(self.base.inv(x)), H.mul(self.ell, self.f(x)))

@@ -82,9 +82,6 @@ class TowerAlgebra:
         """m_level(m_arg)."""
         return PillarWord(level, self.identity, m_arg)
 
-    def ell(self, level: int) -> PillarWord:
-        return self.pillar(level, self.base.identity)
-
     # multiplication --------------------------------------------------------
 
     def mul(self, v, w):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from barhom import bounds as bd
 from barhom import checks
-from barhom.cylinder import cyl, face_pillar
+from barhom.cylinder import cyl, cyl_chain, face_pillar
 from barhom.groups import CyclicGroup, FreeGroup
 from barhom.homotopy import MitosisTower
 from barhom.moore import Chain, boundary, count_degenerate, diameter, face, project
@@ -88,7 +88,7 @@ def test_criterion_4_cylinder_lemmas():
     sigma, tau, T = (a1, a2), (b1, b2), (t0, t1, t2)
     mu, nu, U = (F.mul(a1, a2), a3), (F.mul(b1, b2), b3), (t0, t2, t3)
     ok = ok and face_pillar(1, T) == face_pillar(2, U)
-    total = boundary(F, cyl(F, sigma, tau, T) + cyl(F, mu, nu, U))
+    total = boundary(F, cyl_chain(F, 2, [(1, sigma, tau, T), (1, mu, nu, U)]))
     shared = cyl(F, face(F, 1, sigma), face(F, 1, tau), face_pillar(1, T))
     ok = ok and all(s not in total.terms for s, _ in shared)
     expected = Chain(2)

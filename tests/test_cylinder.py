@@ -204,7 +204,7 @@ def test_cancellation_lemma_worked_example():
     assert face_pillar(1, T) == face_pillar(2, U)
     check_pillars(F, mu, nu, U)
 
-    total = boundary(F, cyl(F, sigma, tau, T) + cyl(F, mu, nu, U))
+    total = boundary(F, cyl_chain(F, 2, [(1, sigma, tau, T), (1, mu, nu, U)]))
     expected = Chain(2)
     for s in (sigma, mu):
         expected.add_term(s, 1)

@@ -9,18 +9,20 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
-from barhom import checks, cylinder, homotopy, moore
+from barhom import checks, cylinder, homotopy, moore, quintuple
 from barhom.cli import main
 from barhom.cylinder import IncompatiblePillars
-from barhom.groups import CodedAlgebra, CyclicGroup
+from barhom.groups import CodedAlgebra, CyclicGroup, FreeGroup
 from barhom.moore import Chain, chain_payload, chain_to_json
-from barhom.quintuple import Quintuple, VerificationInstance
+from barhom.quintuple import Quintuple, QuintupleAlgebra, VerificationInstance, instance_eval
 from barhom.words import Conjugated
 
 from test_cli import EXPAND_SHA256, _expand_argv
+from test_homotopy import formal_through_instance_mismatch
 from test_moore import _prefix_pair_chains
 
 
@@ -38,9 +40,11 @@ def _theorem45_cyclic3():
 
 
 def test_coded_mul_ignoring_the_right_factor_fails_theorem45(monkeypatch):
+    # the instance's m is computed uncoded, so the wrong coded product breaks
+    # a pillar relation of P before any residual is formed
     _theorem45_cyclic3()
     monkeypatch.setattr(CodedAlgebra, "mul", _mul_memo_ignores_the_right_factor)
-    with pytest.raises(checks.CheckFailure):
+    with pytest.raises(IncompatiblePillars):
         _theorem45_cyclic3()
 
 
@@ -142,23 +146,69 @@ def _compare_without(monkeypatch, cls, name):
     monkeypatch.setattr(cls, "__hash__", lambda self: hash(key(self)))
 
 
-@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception, reason=(
-    "finding: the psi identity on the generic simplex stays zero when tower "
-    "values that differ only in their tail share one code; psi holds no tail, "
-    "the tails of the interior faces of d psi sum to zero, and merging values "
-    "keeps a zero sum zero"))
-def test_conjugated_equality_ignoring_the_tail_fails_the_psi_identity(monkeypatch):
-    checks.psi_identity(5, 5)
+# conj_2(y) * x over FreeGroup(2), x = gen 1 and y = gen 2: u2^-1 gen(y) u2 gen(x)
+CONJ_2_Y_TIMES_X = [
+    {"letter": "u", "level": 2, "arg": None, "inv": True},
+    {"letter": "gen", "level": 0, "arg": [2], "inv": False},
+    {"letter": "u", "level": 2, "arg": None, "inv": False},
+    {"letter": "gen", "level": 0, "arg": [1], "inv": False},
+]
+
+
+def _coded_tower_product_json():
+    # conj_2(y) is coded before the product, whose tail is x
+    ctx = homotopy.MitosisTower(FreeGroup(2)).context(2)
+    y = ctx.f((2,))
+    return ctx.entries.entry_to_json(ctx.entries.mul(y, ctx.g((1,))))
+
+
+def test_conjugated_equality_ignoring_the_tail_changes_a_coded_tower_product(monkeypatch):
+    # the product then shares the code of conj_2(y) and decodes without its
+    # tail.  The psi identity misses this mutation: psi holds no tail, the
+    # tails of the interior faces of d psi sum to zero, and merging values
+    # keeps a zero sum zero
+    assert _coded_tower_product_json() == CONJ_2_Y_TIMES_X
     _compare_without(monkeypatch, Conjugated, "tail")
-    with pytest.raises((checks.CheckFailure, IncompatiblePillars)):
-        checks.psi_identity(5, 5)
+    assert _coded_tower_product_json() == CONJ_2_Y_TIMES_X[:3]
 
 
-def test_quintuple_equality_ignoring_g_changes_a_golden_hash(monkeypatch, tmp_path):
+def test_quintuple_equality_ignoring_g_changes_a_golden_hash(monkeypatch, tmp_path, capsys):
     # g(x) then shares the identity's code, so a pillar relation of P fails
-    # on the formal 1-simplex
+    # on the formal 1-simplex: exit 1, one line on standard error, no file
     case = "P freesym json 1"
     assert _expand_sha256(tmp_path, case) == EXPAND_SHA256[case]
     _compare_without(monkeypatch, Quintuple, "g_arg")
+    path = tmp_path / "mutated"
+    assert main([*_expand_argv(case), "--out", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: IncompatiblePillars: pillar relation fails at index \d+\n", err), err
+    assert not path.exists()
+
+
+def _instance_eval_swapping_f_and_g(inst, q):
+    return instance_eval(inst, dataclasses.replace(q, f_arg=q.g_arg, g_arg=q.f_arg))
+
+
+def test_instance_eval_swapping_f_and_g_fails_the_formal_instance_differential(monkeypatch):
+    assert formal_through_instance_mismatch(CyclicGroup(3)) is None
+    monkeypatch.setattr(quintuple, "instance_eval", _instance_eval_swapping_f_and_g)
+    assert formal_through_instance_mismatch(CyclicGroup(3)) == ("P", 1)
+
+
+_quintuple_mul = QuintupleAlgebra.mul
+
+
+def _mul_crossing_g_without_the_inverse(self, left, right):
+    # m(x) g(a) -> k(a) m(a x) in place of k(a) m(a^-1 x)
+    out = _quintuple_mul(self, left, right)
+    G, a = self.source, right.g_arg
+    if left.m_arg is None or a == G.identity:
+        return out
+    return dataclasses.replace(out, m_arg=G.mul(a, G.mul(a, out.m_arg)))
+
+
+def test_wrong_m_g_crossing_fails_the_formal_instance_differential(monkeypatch):
+    assert formal_through_instance_mismatch(CyclicGroup(3)) is None
+    monkeypatch.setattr(QuintupleAlgebra, "mul", _mul_crossing_g_without_the_inverse)
     with pytest.raises(IncompatiblePillars):
-        _expand_sha256(tmp_path, case)
+        formal_through_instance_mismatch(CyclicGroup(3))

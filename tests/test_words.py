@@ -26,7 +26,7 @@ def _gen(arg):
 def test_tower_ell_word():
     # l at level 1 expands to u1^-1 t1^-1 u1
     alg = TowerAlgebra(C3)
-    assert alg.entry_to_json(alg.ell(1)) == [_u(1, True), _t(1, True), _u(1, False)]
+    assert alg.entry_to_json(alg.pillar(1, C3.identity)) == [_u(1, True), _t(1, True), _u(1, False)]
 
 
 def test_tower_conj_word():
@@ -129,7 +129,7 @@ def _tower_values():
     return [
         Conjugated(1, (1,), ()),
         alg.conj(2, y, alg.conj(1, x)),
-        alg.ell(2),
+        alg.pillar(2, F2.identity),
         alg.mul(alg.pillar(1, x), alg.conj(1, y)),
     ]
 
