@@ -74,10 +74,6 @@ class HomotopyContext:
     k: Callable
     m: Callable
 
-    @property
-    def ell(self):
-        return self.m(self.source.identity)
-
 
 class _Letter(dict):
     """x -> the code of ``fn(x)``, computed on the first lookup of x."""

@@ -80,11 +80,6 @@ class QuintupleAlgebra:
         e = self.source.identity
         return Quintuple(e, e, None, e, d)
 
-    @property
-    def ell(self) -> Quintuple:
-        # l = m(e): m(e) = h(e) l f(e)
-        return self.m(self.source.identity)
-
     # algebra --------------------------------------------------------------
 
     def mul(self, left: Quintuple, right: Quintuple) -> Quintuple:

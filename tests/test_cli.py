@@ -422,7 +422,8 @@ def test_verify_residual_is_exit_1(capsys, monkeypatch):
     from barhom import checks
     from barhom.moore import Chain
 
-    monkeypatch.setattr(checks, "theorem_identity_residual", lambda ctx, sigma, face_P: Chain.of((ctx.ell,)))
+    monkeypatch.setattr(checks, "theorem_identity_residual",
+                        lambda ctx, sigma, face_P: Chain.of((ctx.m(ctx.source.identity),)))
     code, lines, report = _verify_failure(capsys, "--suite", "all")
     assert code == 1
     assert lines[-1] == 'FAIL theorem45: theorem45 residual at dim 0: {"coeff": 1, "simplex": [[0, 0, 1]]}'

@@ -64,7 +64,7 @@ def test_pillar_scan_examples():
     m = quint.m
     mul = F.mul
     assert _decode(alg, pillar_of_term(ctx, 1, 0, 3, sigma)) == (
-        quint.ell, m(g1), m(mul(g1, g2)), m(mul(mul(g1, g2), g3)),
+        m(F.identity), m(g1), m(mul(g1, g2)), m(mul(mul(g1, g2), g3)),
     )
     assert _decode(alg, pillar_of_term(ctx, 2, 1, 2, sigma)) == (
         m(g1), m(mul(g1, g2)), m(g2), m(mul(g2, g3)),
@@ -87,7 +87,8 @@ def test_pillar_system_of_two_simplex():
     F, ctx, alg = _formal(2)
     quint = alg.algebra
     g1, g2 = F.gens()
-    m, ell = quint.m, quint.ell
+    m = quint.m
+    ell = m(F.identity)
     g12 = F.mul(g1, g2)
     system = pillar_system(ctx, (g1, g2))
     assert {key: _decode(alg, pillars) for key, pillars in system.items()} == {
@@ -180,10 +181,10 @@ def test_P_one_simplex_display():
     expected = Chain(
         2,
         {
-            (quint.ell, quint.f(g1)): 1,
+            (quint.m(F.identity), quint.f(g1)): 1,
             (quint.h(g1), quint.m(g1)): -1,
             (quint.m(g1), quint.g(g1)): 1,
-            (quint.k(g1), quint.ell): -1,
+            (quint.k(g1), quint.m(F.identity)): -1,
         },
     )
     assert _decoded(alg, homotopy_P(ctx, (g1,))) == expected
@@ -195,7 +196,7 @@ def test_P_two_simplex_display():
     g1, g2 = F.gens()
     g12 = F.mul(g1, g2)
     f, g, h, k, m = quint.f, quint.g, quint.h, quint.k, quint.m
-    ell = quint.ell
+    ell = m(F.identity)
     expected = Chain(
         3,
         {
@@ -275,7 +276,8 @@ def test_P_one_simplex_as_cylinder_of_subdivisions():
     g1 = F.gens()[0]
     tops = [_decode(alg, simplex) for *_, simplex in ed_terms(ctx.f, ctx.g, (g1,))]
     bottoms = [_decode(alg, simplex) for *_, simplex in ed_terms(ctx.h, ctx.k, (g1,))]
-    systems = [(quint.ell, quint.m(g1)), (quint.m(g1), quint.ell)]
+    ell = quint.m(F.identity)
+    systems = [(ell, quint.m(g1)), (quint.m(g1), ell)]
     terms = [(1, top, bottom, pillars) for top, bottom, pillars in zip(tops, bottoms, systems)]
     assert cyl_chain(quint, 1, terms) == _decoded(alg, homotopy_P(ctx, (g1,)))
 
@@ -316,7 +318,7 @@ def test_mitosis_context_maps():
     assert ctx.k(g) == alg.identity
     assert alg.elems[ctx.k(g)] == F.identity
     assert alg.elems[ctx.m(g)] == PillarWord(3, F.identity, g)
-    assert alg.elems[ctx.ell] == PillarWord(3, F.identity, F.identity)
+    assert alg.elems[ctx.m(ctx.source.identity)] == PillarWord(3, F.identity, F.identity)
     with pytest.raises(ValueError):
         MitosisTower(F).context(0)
 
@@ -736,8 +738,15 @@ def test_theorem45_builds_P_once_per_distinct_proper_face(group, monkeypatch):
     monkeypatch.setattr(checks, "theorem_identity_residual", residual)
     samples = 60
     checks.theorem45(group, 5, maxdim=4, samples=samples, rng=random.Random(3))
+    # the dim-4 draws, replayed: only they read the rng
+    rng = random.Random(3)
+    drawn = [checks.random_simplex(group, 4, rng) for _ in range(samples)]
+    if group.name == "cyclic3":
+        assert len(set(drawn)) < samples
+    # every simplex of dim <= 3 once, then each distinct draw once
+    exhaustive = [s for m in range(4) for s in itertools.product(group.elements(), repeat=m)]
+    assert Counter(checked) == Counter(exhaustive) + Counter(set(drawn))
     order = len(list(group.elements()))
-    assert len(checked) == sum(order ** m for m in range(4)) + samples
     # P is applied to the faces that survive in the boundary of each simplex
     faces = set()
     for sigma in checked:
@@ -753,6 +762,34 @@ def test_theorem45_builds_P_once_per_distinct_proper_face(group, monkeypatch):
     checks.theorem45(group, 5, maxdim=2, samples=1, rng=random.Random(3))
     assert len(built) == len(checked) + len({f for s in checked for f in boundary(group, Chain.of(s)).terms})
     assert len(dicts) == 2
+
+
+def test_a_repeated_draw_cannot_hide_a_failing_simplex(monkeypatch, capsys):
+    from barhom.cli import main
+
+    # the verify defaults: 200 draws on cyclic3 with seed 0; the simplex
+    # first drawn last comes after many repeats of the others
+    group, samples = CyclicGroup(3), 200
+    rng = random.Random(0)
+    drawn = [checks.random_simplex(group, 4, rng) for _ in range(samples)]
+    distinct = list(dict.fromkeys(drawn))
+    bad = distinct[-1]
+    assert drawn.index(bad) - distinct.index(bad) >= 10
+    real_residual, checked = checks.theorem_identity_residual, []
+
+    def residual(ctx, sigma, face_P):
+        checked.append(sigma)
+        if sigma == bad:
+            return Chain.of((ctx.m(ctx.source.identity),))
+        return real_residual(ctx, sigma, face_P)
+
+    monkeypatch.setattr(checks, "theorem_identity_residual", residual)
+    with pytest.raises(checks.CheckFailure, match="theorem45 residual at dim 4"):
+        checks.theorem45(group, 5, maxdim=4, samples=samples, rng=random.Random(0))
+    # each distinct draw before it was checked once, and it failed at its first draw
+    assert [s for s in checked if len(s) == 4] == distinct
+    assert main(["verify", "--suite", "theorem45", "--maxdim", "4"]) == 1
+    assert capsys.readouterr().out.splitlines()[-2].startswith("FAIL theorem45: theorem45 residual at dim 4: ")
 
 
 def test_face_cache_belongs_to_one_context(monkeypatch):

@@ -161,7 +161,7 @@ def _instance_kernel_cases():
     rng = random.Random(45)
     P = [homotopy_P(ctx, tuple(rng.randrange(3) for _ in range(dim)))
          for dim in (0, 1, 1, 2, 2, 3, 3)]
-    pool = [alg.identity, ctx.ell, ctx.m(1), ctx.f(2), ctx.h(1)]
+    pool = [alg.identity, ctx.m(ctx.source.identity), ctx.m(1), ctx.f(2), ctx.h(1)]
     return alg, _random_chains(alg, rng, pool) + _construction_chains(alg, P)
 
 

@@ -116,6 +116,32 @@ def test_cyl_chain_keeping_zeros_changes_a_golden_hash(monkeypatch, tmp_path):
     assert _expand_sha256(tmp_path, case) != EXPAND_SHA256[case]
 
 
+def _boundary_without_its_sign_flip(alg, chain):
+    # the boundary kernel adding every face with the term's own sign
+    n = chain.dim
+    if n == 0:
+        return Chain(0)
+    out = Chain(n - 1)
+    for simplex, coeff in chain.terms.items():
+        faces = [simplex[1:]]
+        faces += [simplex[: i - 1] + (alg.mul(simplex[i - 1], simplex[i]),) + simplex[i + 1 :]
+                  for i in range(1, n)]
+        faces.append(simplex[:-1])
+        for f in faces:
+            out.add_term(f, coeff)
+    return out
+
+
+def test_boundary_without_its_sign_flip_fails_theorem45(monkeypatch):
+    # P of () is zero and the dim-1 residuals still vanish, so the first
+    # residual is at dim 2, where P of the faces comes from theorem45's face dict
+    _theorem45_cyclic3()
+    for module in (moore, homotopy, checks):
+        monkeypatch.setattr(module, "boundary", _boundary_without_its_sign_flip)
+    with pytest.raises(checks.CheckFailure, match="^theorem45 residual at dim 2: "):
+        _theorem45_cyclic3()
+
+
 def _payloads_match_chain_to_json(cases):
     return [
         "".join(chain_payload(alg, {}, chain))
