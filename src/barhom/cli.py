@@ -41,22 +41,52 @@ TERM_BYTES = 100
 TOWER_OPS = ("psi", "phi")
 
 
-def _write(pieces: Iterable[str], out: str | None) -> None:
-    """Write a document, given as its pieces, to the file ``out`` or to
+def _write(pieces: Iterable[bytes], out: str | None) -> None:
+    """Write a document, given as its UTF-8 pieces, to the file ``out`` or to
     standard output; on standard output it ends in exactly one newline.  An
-    ``out`` that cannot be opened or written is a usage error."""
+    ``out`` that cannot be opened or written is a usage error.
+
+    The pieces go out in groups of at most ``IOV_MAX`` buffers: to ``out`` as
+    one gathered write each (``os.writev``, short writes completed), and to
+    standard output joined, through ``sys.stdout``.
+    """
+    pieces = iter(pieces)
+    size = os.sysconf("SC_IOV_MAX")
+    groups = iter(lambda: list(itertools.islice(pieces, size)), [])
     if out:
         try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.writelines(pieces)
+            fd = os.open(out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            try:
+                for group in groups:
+                    _writev_all(fd, group)
+            finally:
+                os.close(fd)
         except OSError as exc:
             raise ValueError(f"cannot write --out {out}: {exc.strerror}") from None
         return
-    last = ""
-    for last in pieces:
-        sys.stdout.write(last)
-    if not last.endswith("\n"):
+    last = b""
+    for group in groups:
+        last = group[-1]
+        sys.stdout.write(b"".join(group).decode())
+    if not last.endswith(b"\n"):
         sys.stdout.write("\n")
+
+
+def _writev_all(fd: int, buffers: list) -> None:
+    """``os.writev`` the buffers to ``fd`` until every byte is written."""
+    left = sum(map(len, buffers))
+    while True:
+        written = os.writev(fd, buffers)
+        left -= written
+        if not left:
+            return
+        # a short write: drop the buffers written whole and the written head
+        # of the next
+        i = 0
+        while written >= len(buffers[i]):
+            written -= len(buffers[i])
+            i += 1
+        buffers = [memoryview(buffers[i])[written:], *buffers[i + 1:]]
 
 
 def _report(command: str, status: str, started: float, artifacts=(), extra=None) -> dict:
@@ -83,10 +113,10 @@ def cmd_tables(args) -> int:
         for row in rows:
             delta = "" if row["delta_bdh"] is None else row["delta_bdh"]
             lines.append(f"{row['m']}\t{row['gamma']}\t{row['q']}\t{row['c']}\t{row['d']}\t{delta}")
-        _write(["\n".join(lines) + "\n"], args.out)
+        _write([("\n".join(lines) + "\n").encode()], args.out)
     else:
         payload = {"schema": SCHEMA, "tables": rows}
-        _write([json.dumps(payload, indent=2, sort_keys=True)], args.out)
+        _write([json.dumps(payload, indent=2, sort_keys=True).encode()], args.out)
     report = _report("tables", "pass", started, [args.out] if args.out else [])
     if args.out:
         print(json.dumps(report, sort_keys=True))
@@ -200,9 +230,9 @@ def cmd_expand(args) -> int:
             for x in sigma:
                 text[ctx.f(x)]
                 text[ctx.g(x)]
-            lines = (f"{p}\t{q}\t{rank}\t{sign}\t{text.compact(image)}\n"
+            lines = (f"{p}\t{q}\t{rank}\t{sign}\t{text.compact(image)}\n".encode()
                      for p, q, rank, sign, image in ed_terms(ctx.f, ctx.g, sigma))
-            _write(itertools.chain(["p\tq\trank\tsign\timage\n"], lines), args.out)
+            _write(itertools.chain([b"p\tq\trank\tsign\timage\n"], lines), args.out)
         else:
             chain = edgewise(ctx.f, ctx.g, Chain.of(sigma))
             head = {"schema": SCHEMA, "op": "ed", "dim": dim, "mode": args.mode,
@@ -300,7 +330,7 @@ def cmd_bounds(args) -> int:
     reports.extend(bd.lens_bounds(max(args.n, 4) + 3))
     reports.extend(bd.chapter6_table())
     payload = {"schema": SCHEMA, "bounds": [r.to_json() for r in reports]}
-    _write([json.dumps(payload, indent=2, sort_keys=True)], args.out)
+    _write([json.dumps(payload, indent=2, sort_keys=True).encode()], args.out)
     if args.out:
         print(json.dumps(_report("bounds", "pass", started, [args.out]), sort_keys=True))
     return 0

@@ -33,13 +33,19 @@ face, built as ``face`` does), ``Chain.add_chain`` (a whole chain),
 kernel's result, in order, are those of ``add_term`` applied to the flat
 sequence of its raw terms.
 
-``chain_payload`` streams a chain as the JSON of ``chain_to_json``, whose
-terms are sorted on their compact JSON text.  It never builds that text: each
-distinct entry is serialized once, and a term's sort key is the tuple of its
-entries' ranks among the distinct entry texts.  Inner positions are ranked
-on the text followed by ``", "`` and the last position on the text followed
-by ``"]"``; one table would misplace ``"[12]"`` after ``"[1]"``.  Beyond the
-chain itself, sorting holds terms x dim small ints.
+``chain_payload`` streams a chain as the UTF-8 bytes of the JSON of
+``chain_to_json``, whose terms are sorted on their compact JSON text.  It
+never builds that text: each distinct entry is serialized once, and a term's
+sort key is the string of its entries' ranks among the distinct entry texts,
+each rank in big-endian bytes of one width.  Inner positions are ranked on
+the text followed by ``", "`` and the last position on the text followed by
+``"]"``; one table would misplace ``"[12]"`` after ``"[1]"``.  Beyond the
+chain itself, sorting holds one key of dim ranks per term, one byte a rank
+while there are fewer than 256 distinct entries.  The document is yielded
+as pieces: each entry's indented block is encoded once, and a term is a
+header holding its coefficient, its entries' blocks by reference and a
+constant tail, so no per-term string is built.  ``cli._write`` hands these
+pieces to ``os.writev`` as they are.
 """
 
 from __future__ import annotations
@@ -277,20 +283,28 @@ class EntryText(dict):
         return "[" + ", ".join([self[entry][0] for entry in simplex]) + "]"
 
 
-def chain_payload(alg, head: dict, chain: Chain) -> Iterator[str]:
-    """The pieces of ``json.dumps({**head, "chain": chain_to_json(alg, chain)},
-    indent=2, sort_keys=True)``, rendered one term at a time.
+def chain_payload(alg, head: dict, chain: Chain) -> Iterator[bytes]:
+    """The UTF-8 bytes of ``json.dumps({**head, "chain": chain_to_json(alg,
+    chain)}, indent=2, sort_keys=True)``, as pieces that point at pre-encoded
+    entry blocks.
 
     Each distinct entry is serialized once.  The terms are sorted, stably, in
-    the order of ``chain_to_json``'s compact keys, but on tuples of small
-    ints: position i of a simplex's key is the rank of its entry's compact
+    the order of ``chain_to_json``'s compact keys, but on short byte
+    strings: position i of a simplex's key is the rank of its entry's compact
     text among the distinct texts, followed by ``", "`` at an inner position
-    and by ``"]"`` at the last.  A compact JSON value followed by either is
-    never a proper prefix of another followed by the same, so comparing these
-    tuples compares the keys, ties included.  The last position needs its own
-    table: ``"[1, "`` sorts before ``"[12, "`` but ``"[12]"`` before
-    ``"[1]"``.  Beyond the chain and its sorted simplices, memory is one key
-    of dim ints per term; no per-term string exists before it is yielded.
+    and by ``"]"`` at the last, in big-endian bytes of one width.  A compact
+    JSON value followed by either is never a proper prefix of another
+    followed by the same, so comparing these keys compares the compact keys,
+    ties included.  The last position needs its own table: ``"[1, "`` sorts
+    before ``"[12, "`` but ``"[12]"`` before ``"[1]"``.
+
+    Each entry's indented block is then encoded once in two forms: plain for
+    the first position of a simplex and with a leading ``b","`` for the
+    others.  A term is yielded as a header holding its coefficient (one per
+    distinct coefficient), its entry blocks by reference and a constant tail,
+    so no per-term string exists.  Beyond the chain and its sorted
+    simplices, memory is one key of dim ranks per term while sorting and the
+    blocks of the distinct entries while rendering.
 
     Every ``entry_to_json`` call happens before this returns, so a caller
     that opens its output only afterwards writes nothing when an entry fails
@@ -300,28 +314,41 @@ def chain_payload(alg, head: dict, chain: Chain) -> Iterator[str]:
     for entry in set(itertools.chain.from_iterable(chain.terms)):
         text[entry]
     tables = [_ranks(text, ", ")] * (chain.dim - 1) + [_ranks(text, "]")]
-    simplices = sorted(chain.terms, key=lambda simplex: tuple(map(getitem, tables, simplex)))
+    simplices = sorted(chain.terms, key=lambda simplex: b"".join(map(getitem, tables, simplex)))
     document = json.dumps({**head, "chain": None}, indent=2, sort_keys=True)
     before, after = document.split('\n  "chain": null')
-    indented = {entry: block for entry, (_, block) in text.items()}
-    return _render_chain(chain, simplices, indented, before, after)
+    first = {entry: block.encode() for entry, (_, block) in text.items()}
+    later = {entry: b"," + block for entry, block in first.items()}
+    places = [first] + [later] * (chain.dim - 1)
+    return _render_chain(chain, simplices, places, before.encode(), after.encode())
 
 
 def _ranks(text: EntryText, end: str) -> dict:
     """entry -> rank of its compact text followed by ``end`` among the
-    distinct texts so followed; equal texts share a rank."""
+    distinct texts so followed, as big-endian bytes of one width for all
+    entries; equal texts share a rank."""
     order = sorted({compact + end for compact, _ in text.values()})
-    rank = dict(zip(order, range(len(order))))
+    width = (len(text).bit_length() + 7) // 8
+    rank = {key: i.to_bytes(width, "big") for i, key in enumerate(order)}
     return {entry: rank[compact + end] for entry, (compact, _) in text.items()}
 
 
-def _render_chain(chain: Chain, simplices: list, indented: dict, before: str,
-                  after: str) -> Iterator[str]:
-    yield f'{before}\n  "chain": {{\n    "dim": {chain.dim},\n    "terms": ['
-    sep = ""
+def _render_chain(chain: Chain, simplices: list, places: list, before: bytes,
+                  after: bytes) -> Iterator[bytes]:
+    yield b'%s\n  "chain": {\n    "dim": %d,\n    "terms": [' % (before, chain.dim)
+    # a dim-0 chain can hold only the empty simplex, rendered as "[]"
+    opening, tail = (b"[", b"\n        ]\n      }") if chain.dim else (b"[]", b"\n      }")
+    coeffs = chain.terms
+    headers: dict = {}
+    skip = 1   # the first term has no comma before it
     for simplex in simplices:
-        entries = ",".join(map(indented.__getitem__, simplex))
-        body = f"[{entries}\n        ]" if simplex else "[]"
-        yield f'{sep}\n      {{\n        "coeff": {chain.terms[simplex]},\n        "simplex": {body}\n      }}'
-        sep = ","
-    yield ("\n    ]" if simplices else "]") + "\n  }" + after
+        coeff = coeffs[simplex]
+        header = headers.get(coeff)
+        if header is None:
+            header = headers[coeff] = (
+                b',\n      {\n        "coeff": %d,\n        "simplex": %s' % (coeff, opening))
+        yield header[skip:]
+        skip = 0
+        yield from map(getitem, places, simplex)
+        yield tail
+    yield (b"\n    ]" if simplices else b"]") + b"\n  }" + after

@@ -213,13 +213,16 @@ def _cli(*argv, stdout):
 
 
 def test_closed_stdout_pipe_is_exit_141_without_a_traceback():
-    # psi at dim 5 writes several MB, far more than a pipe buffer holds, so
-    # the writer is still writing when the reader goes away
-    proc = _cli("expand", "--op", "psi", "--dim", "5", stdout=subprocess.PIPE)
-    assert proc.stdout.readline() == b"{\n"
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=120)
-    assert (proc.returncode, err) == (141, b"")
+    # psi at dim 5 writes 27 MB, far more than a pipe buffer holds, so the
+    # writer is still writing when the reader goes away: after the first
+    # line, or after 64 KB, inside one of the large joined writes
+    for read, want in [(lambda out: out.readline(), b"{\n"),
+                       (lambda out: len(out.read(65536)), 65536)]:
+        proc = _cli("expand", "--op", "psi", "--dim", "5", stdout=subprocess.PIPE)
+        assert read(proc.stdout) == want
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (141, b"")
 
 
 class _ClosedPipe(io.StringIO):
@@ -277,6 +280,7 @@ def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, case, out
 
 FULL = "/dev/full"
 ED_TSV = ["expand", "--op", "ed", "--dim", "3", "--format", "tsv"]
+PSI_3 = ["expand", "--op", "psi", "--dim", "3"]
 
 
 @pytest.mark.skipif(not os.path.exists(FULL), reason=f"no {FULL} on this system")
@@ -286,7 +290,10 @@ ED_TSV = ["expand", "--op", "ed", "--dim", "3", "--format", "tsv"]
     (["verify", "--suite", "psi"], "standard output"),
     ([*ED_TSV, "--out", FULL], f"--out {FULL}"),
     (ED_TSV, "standard output"),
-], ids=["tables-out", "tables-stdout", "verify-stdout", "ed-tsv-out", "ed-tsv-stdout"])
+    ([*PSI_3, "--out", FULL], f"--out {FULL}"),
+    (PSI_3, "standard output"),
+], ids=["tables-out", "tables-stdout", "verify-stdout", "ed-tsv-out", "ed-tsv-stdout",
+        "psi-json-out", "psi-json-stdout"])
 def test_write_error_is_a_usage_error(argv, target):
     # every write to /dev/full fails with ENOSPC: one line on standard
     # error, no traceback and exit 2, since exit 1 means a failed check
@@ -584,6 +591,28 @@ def test_expand_bytes_are_golden(capsys, tmp_path, case):
     assert out == (data if data.endswith(b"\n") else data + b"\n")
 
 
+def _expand_psi_3_with_short_writes(monkeypatch, tmp_path):
+    """SHA-256 of ``expand --op psi --dim 3 --out f`` (278 KB) when each
+    ``os.writev`` really writes at most 1,000 bytes and returns that count,
+    with the number of gathered writes made."""
+    writev, calls = os.writev, []
+
+    def short_writev(fd, buffers):
+        calls.append(fd)
+        return writev(fd, [b"".join(buffers)[:1000]])
+
+    monkeypatch.setattr(os, "writev", short_writev)
+    path = tmp_path / "out"
+    assert main([*_expand_argv("psi 3"), "--out", str(path)]) == 0
+    return hashlib.sha256(path.read_bytes()).hexdigest(), len(calls)
+
+
+def test_short_writes_are_completed(monkeypatch, tmp_path):
+    digest, calls = _expand_psi_3_with_short_writes(monkeypatch, tmp_path)
+    assert digest == EXPAND_SHA256["psi 3"]
+    assert calls >= 279   # 278,391 bytes
+
+
 def test_expand_psi_6_bytes_are_golden(monkeypatch):
     # 317 MB of JSON: the pieces are hashed as they are written, not stored
     from barhom import cli
@@ -592,7 +621,7 @@ def test_expand_psi_6_bytes_are_golden(monkeypatch):
 
     def hash_pieces(pieces, out):
         for piece in pieces:
-            digest.update(piece.encode())
+            digest.update(piece)
 
     monkeypatch.setattr(cli, "_write", hash_pieces)
     assert main(["expand", "--op", "psi", "--dim", "6", "--out", "unused"]) == 0

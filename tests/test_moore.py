@@ -413,6 +413,17 @@ def _prefix_pair_chains():
         {(1,): 1, (12,): 2}, {(3, 1): 1, (3, 12): 2}, {(1, 3): 1, (12, 3): 2})]
 
 
+def _two_byte_rank_chains():
+    # over 256 distinct entries, so each rank takes two bytes of a sort key
+    group = CyclicGroup(1000)
+    rng = random.Random(7)
+    chain = Chain(3)
+    for _ in range(200):
+        chain.add_term(tuple(group.sample(rng) for _ in range(3)), rng.randrange(-3, 3))
+    assert len({entry for simplex in chain.terms for entry in simplex}) > 256
+    return [(group, chain)]
+
+
 def _tower_chains():
     free = FreeGroup(3)
     tower = MitosisTower(free)
@@ -424,6 +435,7 @@ ALGEBRAS = {
     "cyclic3": lambda: _group_chains(C3),
     "cyclic15": lambda: _group_chains(CyclicGroup(15)),   # entry "1" is a prefix of "12"
     "cyclic15 prefix pairs": _prefix_pair_chains,
+    "cyclic1000 two-byte ranks": _two_byte_rank_chains,
     "sym3": lambda: _group_chains(SymmetricGroup(3)),
     "cyclic3*sym3": lambda: _group_chains(DirectProduct(C3, SymmetricGroup(3))),
     "quintuple": _quintuple_chains,
@@ -454,7 +466,7 @@ def test_chain_payload_matches_chain_to_json(name):
     for chain in chains:
         for head in HEADS:
             want = json.dumps({**head, "chain": chain_to_json(alg, chain)}, indent=2, sort_keys=True)
-            assert "".join(chain_payload(alg, head, chain)) == want
+            assert b"".join(chain_payload(alg, head, chain)).decode() == want
 
 
 def test_chain_payload_memory_does_not_grow_with_the_text():
@@ -486,7 +498,7 @@ def test_chain_payload_keeps_the_order_of_ties():
     for terms in ({(("a", 1),): 1, (("a", 2),): 2}, {(("a", 2),): 2, (("a", 1),): 1}):
         chain = Chain(1, terms)
         want = json.dumps({"chain": chain_to_json(alg, chain)}, indent=2, sort_keys=True)
-        assert "".join(chain_payload(alg, {}, chain)) == want
+        assert b"".join(chain_payload(alg, {}, chain)).decode() == want
 
 
 def test_entry_text_compact_is_the_sort_key():

@@ -8,12 +8,13 @@ never dropped."""
 import dataclasses
 import hashlib
 import json
+import os
 import random
 import re
 
 import pytest
 
-from barhom import checks, cylinder, homotopy, moore, quintuple
+from barhom import checks, cli, cylinder, homotopy, moore, quintuple
 from barhom.cli import main
 from barhom.cylinder import IncompatiblePillars
 from barhom.groups import CodedAlgebra, CyclicGroup, FreeGroup
@@ -21,7 +22,7 @@ from barhom.moore import Chain, chain_payload, chain_to_json
 from barhom.quintuple import Quintuple, QuintupleAlgebra, VerificationInstance, instance_eval
 from barhom.words import Conjugated
 
-from test_cli import EXPAND_SHA256, _expand_argv
+from test_cli import EXPAND_SHA256, _expand_argv, _expand_psi_3_with_short_writes
 from test_homotopy import formal_through_instance_mismatch
 from test_moore import _prefix_pair_chains
 
@@ -144,7 +145,7 @@ def test_boundary_without_its_sign_flip_fails_theorem45(monkeypatch):
 
 def _payloads_match_chain_to_json(cases):
     return [
-        "".join(chain_payload(alg, {}, chain))
+        b"".join(chain_payload(alg, {}, chain)).decode()
         == json.dumps({"chain": chain_to_json(alg, chain)}, indent=2, sort_keys=True)
         for alg, chain in cases
     ]
@@ -158,6 +159,19 @@ def test_one_rank_table_misorders_a_prefix_pair_at_the_last_position(monkeypatch
     ranks = moore._ranks
     monkeypatch.setattr(moore, "_ranks", lambda text, end: ranks(text, ", "))
     assert _payloads_match_chain_to_json(cases) == [False, False, True]
+
+
+def _writev_ignoring_the_count(fd, buffers):
+    # one gathered write per group, as if it always wrote every byte
+    os.writev(fd, buffers)
+
+
+def test_writer_ignoring_the_count_of_writev_fails_the_short_write_test(monkeypatch, tmp_path):
+    # killed by tests/test_cli.py::test_short_writes_are_completed: the file
+    # keeps only the first 1,000 bytes of each group
+    assert _expand_psi_3_with_short_writes(monkeypatch, tmp_path)[0] == EXPAND_SHA256["psi 3"]
+    monkeypatch.setattr(cli, "_writev_all", _writev_ignoring_the_count)
+    assert _expand_psi_3_with_short_writes(monkeypatch, tmp_path)[0] != EXPAND_SHA256["psi 3"]
 
 
 def _compare_without(monkeypatch, cls, name):
