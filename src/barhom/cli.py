@@ -46,9 +46,10 @@ def _write(pieces: Iterable[bytes], out: str | None) -> None:
     standard output; on standard output it ends in exactly one newline.  An
     ``out`` that cannot be opened or written is a usage error.
 
-    The pieces go out in groups of at most ``IOV_MAX`` buffers: to ``out`` as
-    one gathered write each (``os.writev``, short writes completed), and to
-    standard output joined, through ``sys.stdout``.
+    The pieces are joined in groups of at most ``IOV_MAX``, and each group
+    goes out as one buffer, freed before the next group is joined: to ``out``
+    by ``os.write`` (short writes completed), and to standard output through
+    ``sys.stdout``.
     """
     pieces = iter(pieces)
     size = os.sysconf("SC_IOV_MAX")
@@ -58,7 +59,7 @@ def _write(pieces: Iterable[bytes], out: str | None) -> None:
             fd = os.open(out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
             try:
                 for group in groups:
-                    _writev_all(fd, group)
+                    _write_all(fd, b"".join(group))
             finally:
                 os.close(fd)
         except OSError as exc:
@@ -72,21 +73,11 @@ def _write(pieces: Iterable[bytes], out: str | None) -> None:
         sys.stdout.write("\n")
 
 
-def _writev_all(fd: int, buffers: list) -> None:
-    """``os.writev`` the buffers to ``fd`` until every byte is written."""
-    left = sum(map(len, buffers))
-    while True:
-        written = os.writev(fd, buffers)
-        left -= written
-        if not left:
-            return
-        # a short write: drop the buffers written whole and the written head
-        # of the next
-        i = 0
-        while written >= len(buffers[i]):
-            written -= len(buffers[i])
-            i += 1
-        buffers = [memoryview(buffers[i])[written:], *buffers[i + 1:]]
+def _write_all(fd: int, data: bytes) -> None:
+    """``os.write`` ``data`` to ``fd`` until every byte is written."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
 
 
 def _report(command: str, status: str, started: float, artifacts=(), extra=None) -> dict:

@@ -41,18 +41,19 @@ each rank in big-endian bytes of one width.  Inner positions are ranked on
 the text followed by ``", "`` and the last position on the text followed by
 ``"]"``; one table would misplace ``"[12]"`` after ``"[1]"``.  Beyond the
 chain itself, sorting holds one key of dim ranks per term, one byte a rank
-while there are fewer than 256 distinct entries.  The document is yielded
-as pieces: each entry's indented block is encoded once, and a term is a
-header holding its coefficient, its entries' blocks by reference and a
-constant tail, so no per-term string is built.  ``cli._write`` hands these
-pieces to ``os.writev`` as they are.
+while there are fewer than 256 distinct entries.  The document is returned
+as pieces, chained by C-level iterators, so no Python frame runs per piece:
+each entry's indented block is encoded once, and a term is a header holding
+its coefficient, then its entries' blocks by reference.  A header also
+carries the tail of the term before it, so no per-term string is built.
+``cli._write`` joins the pieces in groups and writes each group at once.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from operator import getitem
+from operator import getitem, itemgetter
 from typing import Callable, Iterable, Iterator
 
 BarSimplex = tuple
@@ -300,11 +301,13 @@ def chain_payload(alg, head: dict, chain: Chain) -> Iterator[bytes]:
 
     Each entry's indented block is then encoded once in two forms: plain for
     the first position of a simplex and with a leading ``b","`` for the
-    others.  A term is yielded as a header holding its coefficient (one per
-    distinct coefficient), its entry blocks by reference and a constant tail,
-    so no per-term string exists.  Beyond the chain and its sorted
-    simplices, memory is one key of dim ranks per term while sorting and the
-    blocks of the distinct entries while rendering.
+    others.  A term is 1 + dim pieces: a header and its entry blocks by
+    reference.  The header is built once per distinct coefficient and opens
+    with the constant tail of the term before it and the comma between the
+    two; the first term's header has neither, and the last tail goes into
+    the closing piece.  So no per-term string exists.  Beyond the chain and
+    its sorted simplices, memory is one key of dim ranks per term while
+    sorting and the blocks of the distinct entries while rendering.
 
     Every ``entry_to_json`` call happens before this returns, so a caller
     that opens its output only afterwards writes nothing when an entry fails
@@ -319,7 +322,7 @@ def chain_payload(alg, head: dict, chain: Chain) -> Iterator[bytes]:
     before, after = document.split('\n  "chain": null')
     first = {entry: block.encode() for entry, (_, block) in text.items()}
     later = {entry: b"," + block for entry, block in first.items()}
-    places = [first] + [later] * (chain.dim - 1)
+    places = [first] + [later] * (chain.dim - 1) if chain.dim else []
     return _render_chain(chain, simplices, places, before.encode(), after.encode())
 
 
@@ -335,20 +338,17 @@ def _ranks(text: EntryText, end: str) -> dict:
 
 def _render_chain(chain: Chain, simplices: list, places: list, before: bytes,
                   after: bytes) -> Iterator[bytes]:
-    yield b'%s\n  "chain": {\n    "dim": %d,\n    "terms": [' % (before, chain.dim)
+    start = b'%s\n  "chain": {\n    "dim": %d,\n    "terms": [' % (before, chain.dim)
+    if not simplices:
+        return iter((start + b"]\n  }" + after,))
     # a dim-0 chain can hold only the empty simplex, rendered as "[]"
     opening, tail = (b"[", b"\n        ]\n      }") if chain.dim else (b"[]", b"\n      }")
     coeffs = chain.terms
-    headers: dict = {}
-    skip = 1   # the first term has no comma before it
-    for simplex in simplices:
-        coeff = coeffs[simplex]
-        header = headers.get(coeff)
-        if header is None:
-            header = headers[coeff] = (
-                b',\n      {\n        "coeff": %d,\n        "simplex": %s' % (coeff, opening))
-        yield header[skip:]
-        skip = 0
-        yield from map(getitem, places, simplex)
-        yield tail
-    yield (b"\n    ]" if simplices else b"]") + b"\n  }" + after
+    headers = {coeff: tail + b',\n      {\n        "coeff": %d,\n        "simplex": %s' % (coeff, opening)
+               for coeff in set(coeffs.values())}
+    columns = [map(place.__getitem__, map(itemgetter(i), simplices)) for i, place in enumerate(places)]
+    terms = zip(map(headers.__getitem__, map(coeffs.__getitem__, simplices)), *columns)
+    first = next(terms)
+    # no tail and no comma before the first term; the last tail closes the list
+    return itertools.chain((start + first[0][len(tail) + 1:],), first[1:],
+                           itertools.chain.from_iterable(terms), (tail + b"\n    ]\n  }" + after,))

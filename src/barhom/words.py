@@ -26,7 +26,7 @@ canonical shapes fix that word, so no general free reduction is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Union
+from typing import Any
 
 from .groups import Group
 from .quintuple import NonNormalizable
@@ -48,9 +48,6 @@ class PillarWord:
     level: int
     f_arg: Any
     m_arg: Any
-
-
-TowerValue = Union[Conjugated, PillarWord, Any]
 
 
 def value_level(v) -> int:

@@ -593,15 +593,15 @@ def test_expand_bytes_are_golden(capsys, tmp_path, case):
 
 def _expand_psi_3_with_short_writes(monkeypatch, tmp_path):
     """SHA-256 of ``expand --op psi --dim 3 --out f`` (278 KB) when each
-    ``os.writev`` really writes at most 1,000 bytes and returns that count,
-    with the number of gathered writes made."""
-    writev, calls = os.writev, []
+    ``os.write`` really writes at most 1,000 bytes and returns that count,
+    with the number of writes made."""
+    write, calls = os.write, []
 
-    def short_writev(fd, buffers):
+    def short_write(fd, data):
         calls.append(fd)
-        return writev(fd, [b"".join(buffers)[:1000]])
+        return write(fd, data[:1000])
 
-    monkeypatch.setattr(os, "writev", short_writev)
+    monkeypatch.setattr(os, "write", short_write)
     path = tmp_path / "out"
     assert main([*_expand_argv("psi 3"), "--out", str(path)]) == 0
     return hashlib.sha256(path.read_bytes()).hexdigest(), len(calls)

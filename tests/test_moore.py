@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import tracemalloc
@@ -456,12 +457,21 @@ def _edge_chains(alg, sample):
             Chain(1, {(sample,): -7, (alg.identity,): 30})]
 
 
+def _cycling_chain(alg, entries):
+    """A dim-2 chain on the pairs of ``entries`` whose terms, in document
+    order, cycle through three coefficients, one of them of two digits: each
+    term's header carries the tail of a term with another coefficient."""
+    simplices = sorted(itertools.product(entries, repeat=2), key=lambda s: term_sort_key(alg, s))
+    return Chain(2, dict(zip(simplices, itertools.cycle((-12, 1, 7)))))
+
+
 @pytest.mark.parametrize("name", list(ALGEBRAS))
 def test_chain_payload_matches_chain_to_json(name):
     cases = ALGEBRAS[name]()
     alg = cases[-1][0]
-    sample = next(entry for _, chain in cases for simplex in chain.terms for entry in simplex)
-    chains = [chain for _, chain in cases] + _edge_chains(alg, sample)
+    entries = list(dict.fromkeys(entry for _, chain in cases for simplex in chain.terms for entry in simplex))
+    assert len(entries) >= 3
+    chains = [chain for _, chain in cases] + _edge_chains(alg, entries[0]) + [_cycling_chain(alg, entries[:3])]
     assert any(len(chain) > 1 for chain in chains)
     for chain in chains:
         for head in HEADS:

@@ -14,14 +14,16 @@ import re
 
 import pytest
 
-from barhom import checks, cli, cylinder, homotopy, moore, quintuple
+from barhom import checks, cli, cylinder, homotopy, moore, quintuple, shuffles
 from barhom.cli import main
 from barhom.cylinder import IncompatiblePillars
 from barhom.groups import CodedAlgebra, CyclicGroup, FreeGroup
 from barhom.moore import Chain, chain_payload, chain_to_json
 from barhom.quintuple import Quintuple, QuintupleAlgebra, VerificationInstance, instance_eval
-from barhom.words import Conjugated
+from barhom.words import Conjugated, TowerAlgebra
 
+import test_homotopy
+import test_words
 from test_cli import EXPAND_SHA256, _expand_argv, _expand_psi_3_with_short_writes
 from test_homotopy import formal_through_instance_mismatch
 from test_moore import _prefix_pair_chains
@@ -161,17 +163,99 @@ def test_one_rank_table_misorders_a_prefix_pair_at_the_last_position(monkeypatch
     assert _payloads_match_chain_to_json(cases) == [False, False, True]
 
 
-def _writev_ignoring_the_count(fd, buffers):
-    # one gathered write per group, as if it always wrote every byte
-    os.writev(fd, buffers)
+def test_joined_header_without_the_comma_changes_a_golden_hash(monkeypatch, tmp_path):
+    # each header that carries the tail of the term before it loses the comma
+    # between the two terms
+    case = "psi 3"
+    assert _expand_sha256(tmp_path, case) == EXPAND_SHA256[case]
+    render = moore._render_chain
+    monkeypatch.setattr(moore, "_render_chain", lambda *args: (
+        piece.replace(b"},\n      {", b"}\n      {") for piece in render(*args)))
+    assert _expand_sha256(tmp_path, case) != EXPAND_SHA256[case]
 
 
-def test_writer_ignoring_the_count_of_writev_fails_the_short_write_test(monkeypatch, tmp_path):
+def _write_ignoring_the_count(fd, data):
+    # one write per group, as if it always wrote every byte
+    os.write(fd, data)
+
+
+def test_writer_ignoring_the_count_of_write_fails_the_short_write_test(monkeypatch, tmp_path):
     # killed by tests/test_cli.py::test_short_writes_are_completed: the file
     # keeps only the first 1,000 bytes of each group
     assert _expand_psi_3_with_short_writes(monkeypatch, tmp_path)[0] == EXPAND_SHA256["psi 3"]
-    monkeypatch.setattr(cli, "_writev_all", _writev_ignoring_the_count)
+    monkeypatch.setattr(cli, "_write_all", _write_ignoring_the_count)
     assert _expand_psi_3_with_short_writes(monkeypatch, tmp_path)[0] != EXPAND_SHA256["psi 3"]
+
+
+_entry = shuffles._entry
+
+
+def _entry_with_its_last_two_slots_swapped(p, q, first, sign):
+    entry = _entry(p, q, first, sign)
+    source = entry.place(range(p + q))
+    if len(source) < 2:
+        return entry
+    return entry._replace(place=shuffles._getter(source[:-2] + source[:-3:-1]))
+
+
+@pytest.fixture
+def fresh_shuffle_table():
+    """Empty the cached shuffle table after the test, so no row that a
+    mutated ``_entry`` built outlives it."""
+    yield
+    shuffles.shuffle_table.cache_clear()
+
+
+def test_swapped_placement_slots_fail_the_per_rank_cylinder_data(monkeypatch, fresh_shuffle_table):
+    # killed by tests/test_homotopy.py::test_p_cylinder_data_matches_per_rank_terms,
+    # whose reference places the entries through the itertools shuffles
+    test_homotopy.test_p_cylinder_data_matches_per_rank_terms(CyclicGroup(3))
+    shuffles.shuffle_table.cache_clear()
+    monkeypatch.setattr(shuffles, "_entry", _entry_with_its_last_two_slots_swapped)
+    with pytest.raises(AssertionError):
+        test_homotopy.test_p_cylinder_data_matches_per_rank_terms(CyclicGroup(3))
+
+
+_tower_entry_to_json = TowerAlgebra.entry_to_json
+
+
+def _entry_to_json_emitting_gen_e(self, v):
+    # no base element equals the stand-in identity, so the encoder keeps the
+    # gen record of e, as in F_n(a) m_n(a) = u_n^-1 gen(e) t_n^-1 gen(a) u_n
+    identity, self.identity = self.identity, object()
+    try:
+        return _tower_entry_to_json(self, v)
+    finally:
+        self.identity = identity
+
+
+def test_encoder_emitting_gen_e_fails_the_free_reduction_test(monkeypatch):
+    # killed by tests/test_words.py::test_encoded_entries_are_freely_reduced
+    test_words.test_encoded_entries_are_freely_reduced()
+    monkeypatch.setattr(TowerAlgebra, "entry_to_json", _entry_to_json_emitting_gen_e)
+    with pytest.raises(AssertionError):
+        test_words.test_encoded_entries_are_freely_reduced()
+
+
+def _count_degenerate_skipping_the_last_term(alg, chain):
+    e = alg.identity
+    return sum([abs(c) for s, c in list(chain.terms.items())[:-1] if e in s])
+
+
+def _count_psi_3(capsys):
+    code = main(["count", "--op", "psi", "--dim", "3"])
+    return code, capsys.readouterr().out.splitlines()[0]
+
+
+def test_count_degenerate_skipping_the_last_term_fails_the_q_gate(monkeypatch, capsys):
+    # killed by the q gate of ``count --op psi``: the last term of psi(3) is
+    # degenerate.  Skipping the last slot of each simplex instead is no
+    # mutation of the psi count: no psi term to m = 6 has the identity in its
+    # last slot alone
+    ok = "ok psi dim 3 level 3: diameter 152 expected 152, degenerate 55 expected 55"
+    assert _count_psi_3(capsys) == (0, ok)
+    monkeypatch.setattr(cli, "count_degenerate", _count_degenerate_skipping_the_last_term)
+    assert _count_psi_3(capsys) == (1, "FAIL " + ok[3:].replace("degenerate 55", "degenerate 54"))
 
 
 def _compare_without(monkeypatch, cls, name):
