@@ -1,19 +1,18 @@
 """Diameter recurrences, ordered Bell numbers, and bound constants.
 
-All arithmetic is exact (Python ints and Fractions); decimals are rendered
-only for display.  Constants whose derivations are not reproduced here are
-stored with a citation and flagged as such, never re-derived; identities
-between stored constants that happen to hold numerically are recorded as
-observations only.
+All arithmetic is exact (Python ints and Fractions, with ``fractions``
+imported only by the functions that use it); decimals are rendered only for
+display.  Constants whose derivations are not reproduced here are stored
+with a citation and flagged as such, never re-derived; identities between
+stored constants that happen to hold numerically are recorded as
+observations only.  A ``BoundReport`` is a plain namedtuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class InvalidKind(ValueError):
@@ -113,6 +112,7 @@ def table_rows(max_m: int) -> list[dict]:
 
 def ratio_limit(m: int) -> dict:
     """q(m)/gamma(m) as an exact rational plus a decimal rendering."""
+    from fractions import Fraction
     if m < 10:
         raise DomainError("the ratio scan starts at m = 10")
     value = Fraction(q_count(m), gamma(m))
@@ -131,8 +131,7 @@ _COMPUTED = "computed"
 _STORED = "stored-from-paper"
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     name: str
     formula: str
     inputs: dict
@@ -143,6 +142,8 @@ class BoundReport:
     observed_identities: tuple = ()
 
     def to_json(self) -> dict:
+        from fractions import Fraction
+
         def enc(v):
             if isinstance(v, Fraction):
                 return {"num": v.numerator, "den": v.denominator}
@@ -170,6 +171,7 @@ def two_handle_complexity(d_zeta: int, d_u: int) -> int:
 
 def rho_bound(kind: str, n: int = 1, deg: int = 1, d_zeta: int = 1, d_u: int = 1) -> BoundReport:
     """Bound constants for rho-invariants, derived from their constituents."""
+    from fractions import Fraction
     if n < 0:
         raise DomainError("n must be >= 0")
     if kind == "general":
@@ -239,6 +241,7 @@ LENS_FACTOR = 1728
 
 def lens_bounds(n: int) -> tuple[BoundReport, BoundReport]:
     """Lower and upper bounds for the pseudo-simplicial complexity of L(n,1)."""
+    from fractions import Fraction
     if n <= 3:
         raise DomainError("lens space bounds require n > 3")
     spherical = rho_bound("spherical", 1).value
@@ -274,6 +277,7 @@ def chapter6_table() -> list[BoundReport]:
     The 277290-factor family has no derivation reproduced here; the factor
     identities below are recorded as observed arithmetic, not derivations.
     """
+    from fractions import Fraction
     cha_coeff = rho_bound("cha_general", 1).value  # 363090
     rows = [
         BoundReport(

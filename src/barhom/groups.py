@@ -210,6 +210,21 @@ class FreeGroup(Group):
         return list(a)
 
 
+class ValueRecord(tuple):
+    """Base of the namedtuple value records (``Quintuple``, ``Conjugated``,
+    ``PillarWord``): a record hashes as the tuple of its fields but equals
+    only a record of its class with equal fields, never a plain tuple."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return self.__class__ is other.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+
 class CodedAlgebra:
     """An entry algebra whose values are coded as ints, in the order each is
     first seen; the identity is coded first, as 0.

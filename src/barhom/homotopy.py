@@ -34,7 +34,7 @@ codes ``fn(x)`` once per source element.  ``formal_context`` (over a
 ``QuintupleAlgebra``), ``instance_context`` (over the target of a
 ``VerificationInstance``) and ``MitosisTower.context`` are each one call of
 it, while the entry models themselves stay uncoded.  ``HomotopyContext`` is
-a plain record, so a context of uncoded letters is built directly.
+a plain namedtuple, so a context of uncoded letters is built directly.
 ``verify_identity`` is the harness that evaluates a homotopy identity for
 any callable H and returns the residual chain instead of a bare boolean, so
 a failure is reported term by term rather than hidden.
@@ -47,7 +47,7 @@ simplex itself is never kept.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable
 
 from .cylinder import cyl_chain
@@ -62,17 +62,8 @@ class DimensionExceeded(Exception):
     pass
 
 
-@dataclass
-class HomotopyContext:
-    """Source group, target entry algebra, and the four homomorphisms plus m."""
-
-    source: Group
-    entries: object
-    f: Callable
-    g: Callable
-    h: Callable
-    k: Callable
-    m: Callable
+# source group, target entry algebra, and the four homomorphisms plus m
+HomotopyContext = namedtuple("HomotopyContext", "source entries f g h k m")
 
 
 class _Letter(dict):

@@ -14,10 +14,12 @@ empty f and g slots.  Products that would need any other rewrite (or a second
 m-letter) raise ``NonNormalizable``: they cannot arise from face maps of the
 homotopy chains, so hitting one signals a bug in the caller.
 
-A ``Quintuple`` is a frozen dataclass: an immutable value that compares and
-hashes on its fields.  ``homotopy.formal_context`` wraps the algebra in a
-``groups.CodedAlgebra``, so the chains of the formal homotopy hold int
-codes, and the coded product rows are the one memo of quintuple products.
+A ``Quintuple`` is a namedtuple on the ``groups.ValueRecord`` base: an
+immutable value that hashes as its fields and equals only a quintuple with
+the same fields, never a plain tuple.  ``homotopy.formal_context`` wraps
+the algebra in a ``groups.CodedAlgebra``, so the chains of the formal
+homotopy hold int codes, and the coded product rows are the one memo of
+quintuple products.
 
 ``VerificationInstance`` is the concrete model ``(G x G) x Z_N`` and
 ``instance_eval`` interprets a quintuple in it.  Both compute with plain
@@ -29,25 +31,19 @@ instance for the chains of ``checks.theorem45``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any
+from collections import namedtuple
 
-from .groups import CyclicGroup, DirectProduct, Group
+from .groups import CyclicGroup, DirectProduct, Group, ValueRecord
 
 
 class NonNormalizable(Exception):
     """The requested product lies outside the designated rewrite set."""
 
 
-@dataclass(frozen=True)
-class Quintuple:
+class Quintuple(ValueRecord, namedtuple("Quintuple", "h_arg k_arg m_arg f_arg g_arg")):
     """Canonical form of h(h_arg) k(k_arg) m(m_arg) f(f_arg) g(g_arg)."""
 
-    h_arg: Any
-    k_arg: Any
-    m_arg: Any
-    f_arg: Any
-    g_arg: Any
+    __slots__ = ()
 
 
 class QuintupleAlgebra:

@@ -32,7 +32,6 @@ so no reference reads the table it checks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
@@ -47,8 +46,7 @@ class DimensionMismatch(ChainError):
 # -- shuffles -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Shuffle:
+class Shuffle(NamedTuple):
     p: int
     q: int
     rank: int          # 1-based position in the dictionary-ordered list

@@ -11,9 +11,10 @@ always normalize to one of these shapes; anything else raises
 ``NonNormalizable``.  Equality of canonical forms is the designated decision
 procedure — no claim is made of solving the word problem in general.
 
-The tower values ``Conjugated`` and ``PillarWord`` are frozen dataclasses:
-immutable values that compare and hash on their class and fields, so no
-tower value equals a base element.  ``TowerAlgebra`` keeps no product memo
+The tower values ``Conjugated`` and ``PillarWord`` are namedtuples on the
+``groups.ValueRecord`` base: immutable values that hash as their fields and
+compare on their class and fields, so no tower value equals a base element
+or a value of the other class.  ``TowerAlgebra`` keeps no product memo
 of its own: ``homotopy.MitosisTower`` wraps it in a ``groups.CodedAlgebra``,
 whose product rows compute each product once, and the chains of psi hold
 the int codes of that algebra.
@@ -25,29 +26,22 @@ canonical shapes fix that word, so no general free reduction is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from collections import namedtuple
 
-from .groups import Group
+from .groups import Group, ValueRecord
 from .quintuple import NonNormalizable
 
 
-@dataclass(frozen=True)
-class Conjugated:
+class Conjugated(ValueRecord, namedtuple("Conjugated", "level arg tail")):
     """F_level(arg) * tail, with arg a nonidentity base element."""
 
-    level: int
-    arg: Any
-    tail: Any
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PillarWord:
+class PillarWord(ValueRecord, namedtuple("PillarWord", "level f_arg m_arg")):
     """F_level(f_arg) * m_level(m_arg); the m-letter absorbs anything after it."""
 
-    level: int
-    f_arg: Any
-    m_arg: Any
+    __slots__ = ()
 
 
 def value_level(v) -> int:

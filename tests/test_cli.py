@@ -186,6 +186,22 @@ def test_bounds_json(capsys):
     assert Fraction(lens["num"], lens["den"]) == Fraction(4, 4043520)
 
 
+# SHA-256 of standard output; bounds and tables have no other byte check
+BOUNDS_TABLES_SHA256 = {
+    "bounds": "28efd5ed6057dcc9f27fab1fc7988f05c7e8a84308aa923c2765a9e8e5507587",
+    "bounds --n 5 --deg -2": "bda059c2eaad70db2547e5a2f16cee9797400c5684dea457a949d8fcc497f247",
+    "tables --max 12 --format json": "562613ab84b4a14f4f1414472d16af2fb116843d1b89819ae4b7ffe3a091c8bf",
+    "tables --max 12": "dadee26cca79ddcae9c20f20be50ebfd4045615b8b4d5c5c924aed02d10a03e6",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDS_TABLES_SHA256))
+def test_bounds_and_tables_bytes_are_golden(capsys, case):
+    code, out = run(capsys, *case.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS_TABLES_SHA256[case]
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["expand", "--op", "bogus", "--dim", "1"])
@@ -210,6 +226,28 @@ def _cli(*argv, stdout):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.Popen([sys.executable, "-m", "barhom.cli", *argv],
                             stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+# stdlib modules every command would pay for at start-up: dataclasses brings
+# inspect, ast and dis, and fractions brings decimal
+HEAVY_IMPORTS = ("dataclasses", "inspect", "ast", "dis", "fractions", "decimal")
+
+
+def test_cli_import_loads_no_heavy_stdlib_module():
+    # bounds still builds its rationals, importing fractions on demand
+    code = f"""
+import io, json, sys
+sys.path.insert(0, {str(ROOT / "src")!r})
+import barhom.cli
+loaded = [m for m in {HEAVY_IMPORTS!r} if m in sys.modules]
+out, sys.stdout = sys.stdout, io.StringIO()
+rc = barhom.cli.main(["bounds"])
+sys.stdout = out
+print(json.dumps([loaded, rc, "fractions" in sys.modules]))
+"""
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], 0, True]
 
 
 def test_closed_stdout_pipe_is_exit_141_without_a_traceback():

@@ -5,7 +5,6 @@ this file as a finding: a strict ``xfail`` whose reason says what misses it,
 so the day a check kills it the test fails until the entry is updated; it is
 never dropped."""
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -261,7 +260,7 @@ def test_count_degenerate_skipping_the_last_term_fails_the_q_gate(monkeypatch, c
 def _compare_without(monkeypatch, cls, name):
     """Make the value record ``cls`` compare and hash as if it had no field
     ``name``, so one code stands for values that differ only there."""
-    kept = [f.name for f in dataclasses.fields(cls) if f.name != name]
+    kept = [f for f in cls._fields if f != name]
 
     def key(value):
         return tuple(getattr(value, f) for f in kept)
@@ -310,7 +309,7 @@ def test_quintuple_equality_ignoring_g_changes_a_golden_hash(monkeypatch, tmp_pa
 
 
 def _instance_eval_swapping_f_and_g(inst, q):
-    return instance_eval(inst, dataclasses.replace(q, f_arg=q.g_arg, g_arg=q.f_arg))
+    return instance_eval(inst, q._replace(f_arg=q.g_arg, g_arg=q.f_arg))
 
 
 def test_instance_eval_swapping_f_and_g_fails_the_formal_instance_differential(monkeypatch):
@@ -328,7 +327,7 @@ def _mul_crossing_g_without_the_inverse(self, left, right):
     G, a = self.source, right.g_arg
     if left.m_arg is None or a == G.identity:
         return out
-    return dataclasses.replace(out, m_arg=G.mul(a, G.mul(a, out.m_arg)))
+    return out._replace(m_arg=G.mul(a, G.mul(a, out.m_arg)))
 
 
 def test_wrong_m_g_crossing_fails_the_formal_instance_differential(monkeypatch):

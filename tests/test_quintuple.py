@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from barhom.groups import CyclicGroup, FreeGroup
+from barhom.groups import CodedAlgebra, CyclicGroup, FreeGroup
 from barhom.quintuple import (
     NonNormalizable,
     Quintuple,
@@ -191,6 +191,21 @@ def test_quintuples_compare_on_fields():
     assert a.mul(a.m(x), a.f(y)) == b.mul(b.m(x), b.f(y))
     assert QuintupleAlgebra(C3).identity == Quintuple(0, 0, None, 0, 0)
     assert a.f(x) != a.g(x)
+    # equal hashes, never equal to the plain tuple on either side
+    q = Quintuple(0, 0, None, 1, 0)
+    assert hash(q) == hash((0, 0, None, 1, 0))
+    assert not ((0, 0, None, 1, 0) == q) and not (q == (0, 0, None, 1, 0))
+    assert (0, 0, None, 1, 0) != q
+
+
+def test_one_coded_algebra_codes_a_quintuple_and_its_tuple_apart():
+    alg = QuintupleAlgebra(C3)
+    coded = CodedAlgebra(alg)
+    q = alg.f(1)
+    codes = [coded.code(q), coded.code(tuple(q)), coded.code(alg.identity), coded.code(tuple(alg.identity))]
+    assert len(set(codes)) == 4
+    assert codes[2] == 0
+    assert [type(coded.elems[c]) for c in codes] == [Quintuple, tuple, Quintuple, tuple]
 
 
 @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],

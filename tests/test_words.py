@@ -3,7 +3,7 @@ import pickle
 
 import pytest
 
-from barhom.groups import CyclicGroup, FreeGroup
+from barhom.groups import CodedAlgebra, CyclicGroup, FreeGroup
 from barhom.homotopy import MitosisTower, homotopy_P
 from barhom.quintuple import NonNormalizable
 from barhom.words import Conjugated, PillarWord, TowerAlgebra
@@ -147,6 +147,20 @@ def test_tower_values_compare_on_class_and_fields():
     # a tower value never equals a base element, so one codes dict holds both
     assert Conjugated(1, (1,), ()) != ((1,), ())
     assert len({PillarWord(1, (), ()), Conjugated(1, (), ()), (1, (), ())}) == 3
+    # a record hashes as the tuple of its fields, so equality alone keeps it
+    # apart, with the plain tuple on either side
+    assert hash(PillarWord(1, (), ())) == hash((1, (), ()))
+    assert (1, (), ()) != PillarWord(1, (), ()) and not ((1, (), ()) == PillarWord(1, (), ()))
+    assert not (PillarWord(1, (), ()) == Conjugated(1, (), ()))
+
+
+def test_one_coded_algebra_codes_tower_values_and_tuples_apart():
+    coded = CodedAlgebra(TowerAlgebra(C3))
+    values = [Conjugated(1, 2, 0), PillarWord(1, 2, 0), (1, 2, 0)]
+    codes = [coded.code(v) for v in values]
+    assert len(set(codes)) == 3
+    assert [coded.code(v) for v in values] == codes
+    assert [type(coded.elems[c]) for c in codes] == [Conjugated, PillarWord, tuple]
 
 
 @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
