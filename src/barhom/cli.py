@@ -6,7 +6,7 @@ failed, a residual survived or a construction broke, 2 usage error or
 output that cannot be written, 141 standard output closed by its reader.  Numbers out of range are
 usage errors caught at parse time, and ``expand``/``count`` refuse a chain
 whose known size exceeds ``--cap``, or cannot fit in physical memory, before
-building anything.
+building anything; ``verify`` refuses its suites above ``TERM_CAP`` alike.
 """
 
 from __future__ import annotations
@@ -290,6 +290,17 @@ def cmd_verify(args) -> int:
     started = time.time()
     rng = random.Random(args.seed)
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    # before any suite runs: theorem45 on order^min(maxdim, 3) > TERM_CAP
+    # simplices (elements counted up to the cap; an infinite group is
+    # theorem45's own error) and psi as count are refused
+    if "theorem45" in names:
+        group, dim = parse_group(args.group), min(args.maxdim, 3)
+        for order, _ in enumerate(group.elements() if group.finite else (), start=1):
+            if order ** dim > TERM_CAP:
+                raise ValueError(f"term cap exceeded: theorem45 enumerates {group.name}^{dim}, "
+                                 f"more than {TERM_CAP} simplices")
+    if "psi" in names:
+        _check_cap("psi", min(args.maxdim, args.level), TERM_CAP)
     first = None
     for name in names:
         try:

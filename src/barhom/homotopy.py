@@ -20,10 +20,10 @@ it is the reference the tests hold ``p_cylinder_data`` to.
 
 The mitosis specialization plugs in conjugation by the inverse n-th stable
 letter for both f and h, the identity for g and the trivial map for k; the
-tower homotopy iterates it level by level, correcting in place with shuffle
-products against lower levels (``add_shuffle_product``, tested against the
-classical ``mult_map`` of ``ez`` of a tensor chain), and the
-degenerate-killed variant composes with the projection.  One
+tower homotopy iterates it level by level, correcting with shuffle products
+against lower levels (``shuffle_terms``, whose sum is tested against the
+classical ``mult_map`` of ``ez`` of a tensor chain), and the degenerate-killed
+variant composes with the projection.  One
 ``MitosisTower`` owns one word algebra, coded as small ints by a
 ``groups.CodedAlgebra``, builds each level's context once and memoizes its
 stages, so every term of psi is a tuple of ints and only ``entry_to_json``
@@ -47,6 +47,7 @@ simplex itself is never kept.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import namedtuple
 from typing import Callable
 
@@ -54,7 +55,7 @@ from .cylinder import cyl_chain
 from .groups import CodedAlgebra, Group
 from .moore import Chain, boundary, project
 from .quintuple import QuintupleAlgebra, VerificationInstance
-from .shuffles import DimensionMismatch, add_shuffle_product, edgewise, shuffle_table, shuffles
+from .shuffles import DimensionMismatch, add_shuffle_product, edgewise, shuffle_table, shuffle_terms, shuffles
 from .words import TowerAlgebra
 
 
@@ -191,17 +192,31 @@ def homotopy_P(ctx: HomotopyContext, sigma: tuple) -> Chain:
 
 def induct_Q(tower: MitosisTower, level: int, sigma: tuple) -> Chain:
     """One inductive step: the stage homotopy corrected by shuffle products
-    of the previous stage on front faces against pushed-forward back faces."""
+    of the previous stage on front faces against pushed-forward back faces.
+
+    One dict of P's terms, then every correction's, is the stage if no key
+    repeated: ``add_term`` would insert each once, in order, nonzero.
+    Otherwise the corrections are added into P term by term."""
     m = len(sigma)
     if m > level:
         raise DimensionExceeded(f"dim {m} exceeds level {level}")
     ctx = tower.context(level)
     out = homotopy_P(ctx, sigma)
+    factors = []
     for k in range(1, m):
         front = sigma[:k]          # d_(k+1) ... d_m of sigma
         back = sigma[k:]           # d_0^k of sigma
         pushed = tuple(ctx.f(x) for x in back)
-        add_shuffle_product(out, tower.psi(level - 1, front), Chain.of(pushed), -1)
+        factors.append((tower.psi(level - 1, front), Chain.of(pushed)))
+    keys, coeffs, counts = zip((out.terms, out.terms.values(), len(out)),
+                               *(shuffle_terms(a, b, -1) for a, b in factors))
+    terms = dict(zip(itertools.chain(*keys), itertools.chain(*coeffs)))
+    if len(terms) == sum(counts):
+        out.terms = terms
+    else:
+        del terms
+        for a, b in factors:
+            add_shuffle_product(out, a, b, -1)
     return out
 
 

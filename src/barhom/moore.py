@@ -31,7 +31,10 @@ face, built as ``face`` does), ``Chain.add_chain`` (a whole chain),
 ``shuffles.add_shuffle_product`` (each signed interleaving) and
 ``cylinder.cyl_chain`` (each simplex of each cylinder).  The terms of a
 kernel's result, in order, are those of ``add_term`` applied to the flat
-sequence of its raw terms.
+sequence of its raw terms.  ``homotopy.induct_Q`` takes an exact fast path:
+the ``dict(zip(keys, coeffs))`` of a stage's raw terms, if its length is
+their number, so no key repeated and ``add_term`` would insert each once,
+in order, with its nonzero coefficient; else ``add_shuffle_product``.
 
 ``chain_payload`` streams a chain as the UTF-8 bytes of the JSON of
 ``chain_to_json``, whose terms are sorted on their compact JSON text.  It

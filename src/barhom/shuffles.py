@@ -11,11 +11,11 @@ are cross-checked against each other in the tests.
 
 Every shuffle placement on the compute path (the subdivision terms, the
 cylinder data of the homotopy and the shuffle product) is driven by one
-cached table, ``shuffle_table``.  The shuffle product ``add_shuffle_product``
+cached table, ``shuffle_table``.  The shuffle product ``shuffle_terms``
 interleaves the entries of two simplices directly: the Eilenberg-Zilber map
 pads every slot of one factor that the other fills with the identity, and
 every entry algebra's product returns the other factor when one side is the
-identity.
+identity.  ``add_shuffle_product`` and ``homotopy.induct_Q`` sum its terms.
 
 Since B(G x H) = BG x BH, a simplex of the product space is a bar simplex of
 pairs ((x_1, y_1), ..., (x_n, y_n)), so product chains are plain ``Chain``s
@@ -224,8 +224,29 @@ def tensor_of_chains(a: Chain, b: Chain) -> TensorChain:
     return out
 
 
+def shuffle_terms(a: Chain, b: Chain, scale: int = 1) -> tuple:
+    """The raw terms of ``scale * (a shuffle b)``, in the order tau, sigma,
+    then ``shuffle_table``'s placements, as ``(keys, coeffs, count)``: two
+    C-level iterators and their length.  Per tau the sources sigma + tau are
+    ``tee``'d, never listed; per distinct coefficient one signed row."""
+    _, _, signs, places, _ = zip(*shuffle_table(a.dim, b.dim))
+    sigmas, cas = a.terms.keys(), a.terms.values()
+
+    def keys(tau):
+        copies = itertools.tee(map(tuple.__add__, sigmas, itertools.repeat(tau)), len(places))
+        return itertools.chain.from_iterable(zip(*map(map, places, copies)))
+
+    def coeffs(cb):
+        rows = {ca: [sign * scale * ca * cb for sign in signs] for ca in set(cas)}
+        return itertools.chain.from_iterable(map(rows.__getitem__, cas))
+
+    return (itertools.chain.from_iterable(map(keys, b.terms)),
+            itertools.chain.from_iterable(map(coeffs, b.terms.values())),
+            len(a) * len(b) * len(places))
+
+
 def add_shuffle_product(out: Chain, a: Chain, b: Chain, scale: int = 1) -> None:
-    """Add ``scale * (a shuffle b)`` to ``out`` in place.
+    """Add ``scale * (a shuffle b)`` to ``out`` in place, term by term.
 
     Equals ``mult_map(ez(tensor_of_chains(a, b)))`` for every entry algebra,
     since each one's product returns the other factor when one side is the
@@ -234,19 +255,14 @@ def add_shuffle_product(out: Chain, a: Chain, b: Chain, scale: int = 1) -> None:
         raise DimensionMismatch(
             f"shuffle product of dims ({a.dim},{b.dim}) into a {out.dim}-chain"
         )
-    placements = [(e.place, e.sign) for e in shuffle_table(a.dim, b.dim)]
+    keys, coeffs, _ = shuffle_terms(a, b, scale)
     terms = out.terms
-    for tau, cb in b:
-        for sigma, ca in a:
-            source = sigma + tau
-            coeff = scale * ca * cb
-            for place, sign in placements:
-                key = place(source)
-                new = terms.get(key, 0) + sign * coeff
-                if new:
-                    terms[key] = new
-                else:
-                    terms.pop(key, None)
+    for key, coeff in zip(keys, coeffs):
+        new = terms.get(key, 0) + coeff
+        if new:
+            terms[key] = new
+        else:
+            terms.pop(key, None)
 
 
 # -- edgewise subdivision --------------------------------------------------------

@@ -380,6 +380,50 @@ def test_other_suites_run_on_infinite_groups(capsys, suite, group):
     assert '"status": "pass"' in out.splitlines()[-1]
 
 
+T45_CAP = "error: term cap exceeded: theorem45 enumerates cyclic100000^2, more than 5000000 simplices\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["--suite", "theorem45", "--group", "cyclic100000", "--maxdim", "2"], T45_CAP),
+    (["--suite", "all", "--group", "cyclic100000", "--maxdim", "2"], T45_CAP),
+    (["--suite", "psi", "--level", "8", "--maxdim", "8"],
+     "error: term cap exceeded: gamma(8) = 14737536 > 5000000\n"),
+    (["--suite", "psi", "--level", "64", "--maxdim", "64"],
+     "error: term cap exceeded: gamma(64) = 2746417420177191868700199417570100702097861510507227732087548"
+     "01314386323695003196320032675003818562560 > 5000000\n"),
+], ids=["theorem45", "all", "psi level 8", "psi level 64"])
+def test_oversized_verify_suites_are_refused_before_any_work(capsys, monkeypatch, argv, err):
+    # nothing is built: listing 10^10 simplices, or psi at level 8, would
+    # take the machine's memory
+    from barhom import checks
+
+    monkeypatch.setattr(checks, "VerificationInstance", None)
+    monkeypatch.setattr(checks, "MitosisTower", None)
+    started = time.perf_counter()
+    code = main(["verify", *argv])
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", err)
+    assert elapsed < 1
+
+
+@pytest.mark.parametrize("cap, maxdim, code", [(9, 2, 0), (8, 2, 2), (26, 4, 2), (27, 4, 0)])
+def test_theorem45_cap_is_on_order_to_the_exhaustive_dim(capsys, monkeypatch, cap, maxdim, code):
+    # cyclic3 has 3^2 = 9 simplices at dim 2 and 27 at dim 3, the last
+    # exhaustive dim whatever --maxdim is
+    from barhom import cli
+
+    monkeypatch.setattr(cli, "TERM_CAP", cap)
+    argv = ["verify", "--suite", "theorem45", "--maxdim", str(maxdim), "--samples", "5"]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err == (f"error: term cap exceeded: theorem45 enumerates "
+                                f"cyclic3^{min(maxdim, 3)}, more than {cap} simplices\n")
+    else:
+        assert '"status": "pass"' in captured.out.splitlines()[-1]
+
+
 @pytest.mark.parametrize("argv", [
     ["expand", "--op", "ed", "--dim", "-1"],
     ["tables", "--max", "-1"],
@@ -627,6 +671,30 @@ def test_expand_bytes_are_golden(capsys, tmp_path, case):
     assert main(argv) == 0
     out = capsys.readouterr().out.encode()
     assert out == (data if data.endswith(b"\n") else data + b"\n")
+
+
+# standard output of ``expand --op psi --mode concrete --seed 1 --group G
+# --dim d``: the cyclic towers repeat a raw term in some stage, sym3 and
+# cyclic2*sym3 do not (tests/test_homotopy.py asserts which stages)
+PSI_CONCRETE_SHA256 = {
+    ("cyclic2", 4): "7757227e087e11e9c6d509248f71ed896dedecc2a1dffbcd3eed8ccab954feef",
+    ("cyclic3", 3): "4a7b3662982cf7d2f5768d1a76a1a95a448ae073973e99052c98e169154aa750",
+    ("cyclic3", 4): "1fec131aa1b79c0954457b3c6c7f3a8e5b1b8628a1d6deda58a9590da38b8abd",
+    ("sym3", 3): "9b43e7c0142766cc54128bfa846ca066f580556accc02ed24356d1d4d72f73e1",
+    ("cyclic2*sym3", 3): "3bd397efa2e7baab782e768cea2d36f377de50e2bda999826179e14513329cf5",
+}
+
+
+def concrete_psi_sha256(capsys, group, dim):
+    code = main(["expand", "--op", "psi", "--mode", "concrete", "--seed", "1",
+                 "--group", group, "--dim", str(dim)])
+    assert code == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("group, dim", list(PSI_CONCRETE_SHA256))
+def test_concrete_psi_stdout_is_golden(capsys, group, dim):
+    assert concrete_psi_sha256(capsys, group, dim) == PSI_CONCRETE_SHA256[group, dim]
 
 
 def _expand_psi_3_with_short_writes(monkeypatch, tmp_path):

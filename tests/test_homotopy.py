@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from barhom import checks, quintuple
+from barhom import checks, homotopy, quintuple
 from barhom.bounds import c_bound, d_cyl, gamma, q_count
 from barhom.cylinder import face_pillar
-from barhom.groups import CyclicGroup, FreeGroup, SymmetricGroup
+from barhom.groups import CyclicGroup, FreeGroup, SymmetricGroup, parse_group
 from barhom.homotopy import (
     DimensionExceeded,
     HomotopyContext,
@@ -585,6 +585,87 @@ def test_induct_Q_fused_corrections_match_oracle(m):
     # one tower, so that equal codes are equal tower values
     tower = MitosisTower(F)
     assert tower.psi(m, sigma) == _oracle_psi(tower, m, sigma, {})
+
+
+def _scalar_psi(tower, level, sigma, memo):
+    """The tower homotopy with each stage accumulated term by term: P, then
+    ``add_shuffle_product`` of each correction in turn, in ``induct_Q``'s
+    order of construction, so a fresh tower codes the same values alike."""
+    if not sigma:
+        return Chain(1)
+    key = (level, sigma)
+    if key not in memo:
+        ctx = tower.context(level)
+        out = homotopy_P(ctx, sigma)
+        for k in range(1, len(sigma)):
+            pushed = Chain.of(tuple(ctx.f(x) for x in sigma[k:]))
+            add_shuffle_product(out, _scalar_psi(tower, level - 1, sigma[:k], memo), pushed, -1)
+        memo[key] = out
+    return memo[key]
+
+
+def _outcome(build):
+    """The items of the chain ``build()`` returns, in order, or the type and
+    message of the ``NonNormalizable`` it raises."""
+    try:
+        return list(build().terms.items())
+    except NonNormalizable as exc:
+        return type(exc), str(exc)
+
+
+def _random_tower_cases():
+    rng = random.Random(21)
+    for group in (CyclicGroup(2), CyclicGroup(3), SymmetricGroup(3)):
+        for _ in range(20):
+            dim = rng.randrange(2, 5)
+            yield group, tuple(group.sample(rng) for _ in range(dim))
+
+
+TOWER_CASES = [(FreeGroup(max(m, 1)), tuple(FreeGroup(max(m, 1)).gens()[:m])) for m in range(7)]
+TOWER_CASES += list(_random_tower_cases())
+
+
+@pytest.mark.parametrize("base, sigma", TOWER_CASES, ids=lambda x: str(x))
+def test_stage_dicts_equal_the_scalar_accumulation(base, sigma):
+    # two fresh towers: the same terms, in the same order, under the same codes
+    level = max(len(sigma), 1)
+    fast = _outcome(lambda: MitosisTower(base).psi(level, sigma))
+    assert fast == _outcome(lambda: _scalar_psi(MitosisTower(base), level, sigma, {}))
+
+
+def fallback_stages(monkeypatch, base, level, sigma):
+    """The stages (level, dim) of ``psi(level, sigma)`` that ``induct_Q``
+    accumulated term by term, seen as the outputs ``add_shuffle_product``
+    was called on."""
+    outputs = []
+    scalar = homotopy.add_shuffle_product
+    monkeypatch.setattr(homotopy, "add_shuffle_product",
+                        lambda out, a, b, scale=1: (outputs.append(out), scalar(out, a, b, scale)))
+    tower = MitosisTower(base)
+    tower.psi(level, sigma)
+    return sorted((lv, len(s)) for (lv, s), chain in tower._cache.items()
+                  if any(chain is out for out in outputs))
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_free_towers_never_repeat_a_stage_key(monkeypatch, m):
+    base = FreeGroup(max(m, 1))
+    assert fallback_stages(monkeypatch, base, max(m, 1), tuple(base.gens()[:m])) == []
+
+
+@pytest.mark.parametrize("group, dim, fallen", [
+    ("cyclic2", 4, [(2, 2), (3, 2), (3, 3), (4, 4)]),
+    ("cyclic3", 3, [(3, 3)]),
+    ("cyclic3", 4, [(3, 3), (4, 4)]),
+    ("sym3", 3, []),
+    ("cyclic2*sym3", 3, []),
+])
+def test_concrete_towers_fall_back_where_a_key_repeats(monkeypatch, group, dim, fallen):
+    # the simplices of the concrete psi goldens in tests/test_cli.py
+    base = parse_group(group)
+    rng = random.Random(1)
+    sigma = tuple(base.sample(rng) for _ in range(dim))
+    assert fallback_stages(monkeypatch, base, dim, sigma) == fallen
 
 
 def _shuffled(sh, front, back):

@@ -6,6 +6,7 @@ so the day a check kills it the test fails until the entry is updated; it is
 never dropped."""
 
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -23,7 +24,8 @@ from barhom.words import Conjugated, TowerAlgebra
 
 import test_homotopy
 import test_words
-from test_cli import EXPAND_SHA256, _expand_argv, _expand_psi_3_with_short_writes
+from test_cli import (EXPAND_SHA256, PSI_CONCRETE_SHA256, _expand_argv, _expand_psi_3_with_short_writes,
+                      concrete_psi_sha256)
 from test_homotopy import formal_through_instance_mismatch
 from test_moore import _prefix_pair_chains
 
@@ -335,3 +337,62 @@ def test_wrong_m_g_crossing_fails_the_formal_instance_differential(monkeypatch):
     monkeypatch.setattr(QuintupleAlgebra, "mul", _mul_crossing_g_without_the_inverse)
     with pytest.raises(IncompatiblePillars):
         formal_through_instance_mismatch(CyclicGroup(3))
+
+
+_shuffle_terms = shuffles.shuffle_terms
+
+
+def _induct_Q_adopting_every_dict(tower, level, sigma):
+    # the stage dict taken without its length check: a repeated raw key keeps
+    # its first place and its last coefficient, and a sum of zero stays
+    ctx = tower.context(level)
+    out = homotopy.homotopy_P(ctx, sigma)
+    keys, coeffs = [out.terms], [out.terms.values()]
+    for k in range(1, len(sigma)):
+        pushed = Chain.of(tuple(ctx.f(x) for x in sigma[k:]))
+        stream = _shuffle_terms(tower.psi(level - 1, sigma[:k]), pushed, -1)
+        keys.append(stream[0])
+        coeffs.append(stream[1])
+    out.terms = dict(zip(itertools.chain(*keys), itertools.chain(*coeffs)))
+    return out
+
+
+@pytest.mark.parametrize("group, dim", [("cyclic2", 4), ("cyclic3", 3), ("cyclic3", 4)])
+def test_stage_dict_without_its_length_check_changes_a_concrete_golden(monkeypatch, capsys, group, dim):
+    # killed by tests/test_cli.py::test_concrete_psi_stdout_is_golden on each
+    # tower that repeats a raw term
+    assert concrete_psi_sha256(capsys, group, dim) == PSI_CONCRETE_SHA256[group, dim]
+    monkeypatch.setattr(homotopy, "induct_Q", _induct_Q_adopting_every_dict)
+    assert concrete_psi_sha256(capsys, group, dim) != PSI_CONCRETE_SHA256[group, dim]
+
+
+def _shuffle_terms_without_the_sign(a, b, scale=1):
+    # every placement's coefficient is scale * ca * cb, as if each shuffle were even
+    keys, _, count = _shuffle_terms(a, b, scale)
+    placements = len(shuffles.shuffle_table(a.dim, b.dim))
+    coeffs = (scale * ca * cb for cb in b.terms.values() for ca in a.terms.values()
+              for _ in range(placements))
+    return keys, coeffs, count
+
+
+def test_shuffle_terms_without_the_sign_changes_the_psi_3_golden(monkeypatch, tmp_path):
+    # killed by the "psi 3" expand golden; the count gates stay blind to it,
+    # since no free-tower key repeats and so no sign can cancel a term
+    assert _expand_sha256(tmp_path, "psi 3") == EXPAND_SHA256["psi 3"]
+    for module in (shuffles, homotopy):
+        monkeypatch.setattr(module, "shuffle_terms", _shuffle_terms_without_the_sign)
+    assert _expand_sha256(tmp_path, "psi 3") != EXPAND_SHA256["psi 3"]
+
+
+def _shuffle_terms_counting_one_more(a, b, scale=1):
+    keys, coeffs, count = _shuffle_terms(a, b, scale)
+    return keys, coeffs, count + 1
+
+
+def test_term_count_off_by_one_fails_the_fast_path_branch_test(monkeypatch):
+    # killed by tests/test_homotopy.py::test_free_towers_never_repeat_a_stage_key:
+    # every stage with a correction falls back to the scalar accumulation
+    test_homotopy.test_free_towers_never_repeat_a_stage_key(monkeypatch, 4)
+    monkeypatch.setattr(homotopy, "shuffle_terms", _shuffle_terms_counting_one_more)
+    with pytest.raises(AssertionError):
+        test_homotopy.test_free_towers_never_repeat_a_stage_key(monkeypatch, 4)

@@ -19,6 +19,7 @@ from barhom.shuffles import (
     ez,
     mult_map,
     shuffle_table,
+    shuffle_terms,
     shuffles,
     tensor_boundary,
     tensor_of_chains,
@@ -372,6 +373,35 @@ def test_add_shuffle_product_matches_oracle_on_cyclic3():
             out.add_chain(expected, 3)
             add_shuffle_product(out, a, b, -3)
             assert out.is_zero()
+
+
+def _raw_terms(a, b, scale):
+    """scale * (a shuffle b) term by term, through the itertools shuffles:
+    tau, then sigma, then the shuffles in dictionary order."""
+    out = []
+    for tau, cb in b:
+        for sigma, ca in a:
+            for sh in shuffles(a.dim, b.dim):
+                slots = [None] * (a.dim + b.dim)
+                for pos, x in zip(sh.first + sh.second, sigma + tau):
+                    slots[pos - 1] = x
+                out.append((tuple(slots), sh.sign * scale * ca * cb))
+    return out
+
+
+def test_shuffle_terms_are_the_raw_terms_in_order():
+    rng = random.Random(7)
+    for p, q in itertools.product(range(4), repeat=2):
+        pool_a = [tuple(C3.sample(rng) for _ in range(p)) for _ in range(3)]
+        pool_b = [tuple(C3.sample(rng) for _ in range(q)) for _ in range(3)]
+        for scale in (1, -1, 3):
+            a, b = _random_chain(rng, p, pool_a), _random_chain(rng, q, pool_b)
+            keys, coeffs, count = shuffle_terms(a, b, scale)
+            terms = list(zip(keys, coeffs))
+            assert terms == _raw_terms(a, b, scale)
+            assert count == len(terms)
+            # both streams are exhausted together
+            assert next(keys, None) is None and next(coeffs, None) is None
 
 
 def test_add_shuffle_product_cancels_equal_factors():
