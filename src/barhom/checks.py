@@ -78,10 +78,22 @@ def _require_zero(alg, residual: Chain, where: str) -> None:
         raise CheckFailure(f"{where}: {term}")
 
 
+EXHAUSTIVE_DIM = 3   # theorem45 checks every simplex up to this dim
+
+
+def theorem45_cap(group: Group, maxdim: int, cap: int) -> None:
+    """A ``ValueError`` if ``theorem45`` would enumerate over ``cap`` simplices."""
+    dim = min(maxdim, EXHAUSTIVE_DIM)
+    for order, _ in enumerate(group.elements() if group.finite else (), start=1):
+        if order ** dim > cap:
+            raise ValueError(f"term cap exceeded: theorem45 enumerates {group.name}^{dim}, "
+                             f"more than {cap} simplices")
+
+
 def theorem45(group: Group, modulus: int, maxdim: int, samples: int,
               rng: random.Random, emit=_quiet) -> None:
     """The Theorem 4.5 identity over ``(group x group) x Z_modulus``: every
-    simplex of dim <= min(maxdim, 3), then ``samples`` random 4-simplices
+    simplex of dim <= min(maxdim, EXHAUSTIVE_DIM), then ``samples`` random 4-simplices
     if maxdim >= 4.  All ``samples`` draws are made, and the report counts
     draws, but a simplex drawn again is not checked again: its residual is
     a function of the simplex.  An infinite group is a ``ValueError``,
@@ -97,7 +109,7 @@ def theorem45(group: Group, modulus: int, maxdim: int, samples: int,
             raise CheckFailure(
                 f"instance relation fails at {json.dumps(group.entry_to_json(x), sort_keys=True)}")
     emit(f"instance relation holds on {group.name}")
-    for m in range(min(maxdim, 3) + 1):
+    for m in range(min(maxdim, EXHAUSTIVE_DIM) + 1):
         for sigma in itertools.product(elements, repeat=m):
             _require_zero(ctx.entries, theorem_identity_residual(ctx, sigma, face_P),
                           f"theorem45 residual at dim {m}")

@@ -290,15 +290,8 @@ def cmd_verify(args) -> int:
     started = time.time()
     rng = random.Random(args.seed)
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    # before any suite runs: theorem45 on order^min(maxdim, 3) > TERM_CAP
-    # simplices (elements counted up to the cap; an infinite group is
-    # theorem45's own error) and psi as count are refused
     if "theorem45" in names:
-        group, dim = parse_group(args.group), min(args.maxdim, 3)
-        for order, _ in enumerate(group.elements() if group.finite else (), start=1):
-            if order ** dim > TERM_CAP:
-                raise ValueError(f"term cap exceeded: theorem45 enumerates {group.name}^{dim}, "
-                                 f"more than {TERM_CAP} simplices")
+        checks.theorem45_cap(parse_group(args.group), args.maxdim, TERM_CAP)
     if "psi" in names:
         _check_cap("psi", min(args.maxdim, args.level), TERM_CAP)
     first = None

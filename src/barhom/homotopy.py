@@ -47,7 +47,6 @@ simplex itself is never kept.
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import namedtuple
 from typing import Callable
 
@@ -192,31 +191,27 @@ def homotopy_P(ctx: HomotopyContext, sigma: tuple) -> Chain:
 
 def induct_Q(tower: MitosisTower, level: int, sigma: tuple) -> Chain:
     """One inductive step: the stage homotopy corrected by shuffle products
-    of the previous stage on front faces against pushed-forward back faces.
-
-    One dict of P's terms, then every correction's, is the stage if no key
-    repeated: ``add_term`` would insert each once, in order, nonzero.
-    Otherwise the corrections are added into P term by term."""
+    of the previous stage on front faces against pushed-forward back faces,
+    summed as one dict while no raw key repeats (see ``moore``)."""
     m = len(sigma)
     if m > level:
         raise DimensionExceeded(f"dim {m} exceeds level {level}")
     ctx = tower.context(level)
     out = homotopy_P(ctx, sigma)
-    factors = []
-    for k in range(1, m):
-        front = sigma[:k]          # d_(k+1) ... d_m of sigma
-        back = sigma[k:]           # d_0^k of sigma
-        pushed = tuple(ctx.f(x) for x in back)
-        factors.append((tower.psi(level - 1, front), Chain.of(pushed)))
-    keys, coeffs, counts = zip((out.terms, out.terms.values(), len(out)),
-                               *(shuffle_terms(a, b, -1) for a, b in factors))
-    terms = dict(zip(itertools.chain(*keys), itertools.chain(*coeffs)))
-    if len(terms) == sum(counts):
-        out.terms = terms
-    else:
-        del terms
-        for a, b in factors:
-            add_shuffle_product(out, a, b, -1)
+    # psi of the front face d_(k+1) ... d_m, times the back face d_0^k pushed
+    factors = [(tower.psi(level - 1, sigma[:k]), Chain.of(tuple(map(ctx.f, sigma[k:]))))
+               for k in range(1, m)]
+    terms = dict(out.terms)
+    for a, b in factors:
+        keys, coeffs, count = shuffle_terms(a, b, -1)
+        expected = len(terms) + count
+        terms.update(zip(keys, coeffs))
+        if len(terms) != expected:   # a key repeated
+            del terms
+            for a, b in factors:
+                add_shuffle_product(out, a, b, -1)
+            return out
+    out.terms = terms
     return out
 
 

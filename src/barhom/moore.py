@@ -31,10 +31,10 @@ face, built as ``face`` does), ``Chain.add_chain`` (a whole chain),
 ``shuffles.add_shuffle_product`` (each signed interleaving) and
 ``cylinder.cyl_chain`` (each simplex of each cylinder).  The terms of a
 kernel's result, in order, are those of ``add_term`` applied to the flat
-sequence of its raw terms.  ``homotopy.induct_Q`` takes an exact fast path:
-the ``dict(zip(keys, coeffs))`` of a stage's raw terms, if its length is
-their number, so no key repeated and ``add_term`` would insert each once,
-in order, with its nonzero coefficient; else ``add_shuffle_product``.
+sequence of its raw terms.  ``homotopy.induct_Q`` updates one copy of P's
+dict with each correction's raw terms: while its length grows by their
+number no key repeated, so ``add_term`` would insert each once, in order,
+nonzero; at the first repeat it drops it for ``add_shuffle_product``.
 
 ``chain_payload`` streams a chain as the UTF-8 bytes of the JSON of
 ``chain_to_json``, whose terms are sorted on their compact JSON text.  It

@@ -394,7 +394,7 @@ T45_CAP = "error: term cap exceeded: theorem45 enumerates cyclic100000^2, more t
 ], ids=["theorem45", "all", "psi level 8", "psi level 64"])
 def test_oversized_verify_suites_are_refused_before_any_work(capsys, monkeypatch, argv, err):
     # nothing is built: listing 10^10 simplices, or psi at level 8, would
-    # take the machine's memory
+    # take the machine's memory; the time bound is loose, for loaded runners
     from barhom import checks
 
     monkeypatch.setattr(checks, "VerificationInstance", None)
@@ -404,7 +404,7 @@ def test_oversized_verify_suites_are_refused_before_any_work(capsys, monkeypatch
     elapsed = time.perf_counter() - started
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", err)
-    assert elapsed < 1
+    assert elapsed < 10
 
 
 @pytest.mark.parametrize("cap, maxdim, code", [(9, 2, 0), (8, 2, 2), (26, 4, 2), (27, 4, 0)])

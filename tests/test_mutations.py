@@ -343,8 +343,8 @@ _shuffle_terms = shuffles.shuffle_terms
 
 
 def _induct_Q_adopting_every_dict(tower, level, sigma):
-    # the stage dict taken without its length check: a repeated raw key keeps
-    # its first place and its last coefficient, and a sum of zero stays
+    # the stage dict taken without its length checks: a repeated raw key
+    # keeps its first place and its last coefficient, and a sum of zero stays
     ctx = tower.context(level)
     out = homotopy.homotopy_P(ctx, sigma)
     keys, coeffs = [out.terms], [out.terms.values()]
