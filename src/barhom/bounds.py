@@ -1,11 +1,14 @@
 """Diameter recurrences, ordered Bell numbers, and bound constants.
 
-All arithmetic is exact (Python ints and Fractions, with ``fractions``
-imported only by the functions that use it); decimals are rendered only for
-display.  Constants whose derivations are not reproduced here are stored
-with a citation and flagged as such, never re-derived; identities between
-stored constants that happen to hold numerically are recorded as
-observations only.  A ``BoundReport`` is a plain namedtuple.
+gamma, q and c share one recurrence and one Bell-number closed form over
+the P stage's term counts (``_counts``): the closed forms check the
+recursion, and the tests pin the counts on the tower's P stage.  All
+arithmetic is exact (Python ints and Fractions, with ``fractions`` imported
+only by the functions that use it); decimals are rendered only for display.
+Constants whose derivations are not reproduced here are stored with a
+citation and flagged as such, never re-derived; identities between stored
+constants that happen to hold numerically are recorded as observations
+only.  A ``BoundReport`` is a plain namedtuple.
 """
 
 from __future__ import annotations
@@ -36,36 +39,6 @@ def bell(k: int) -> int:
     return sum(comb(k, j) * bell(k - j) for j in range(1, k + 1))
 
 
-@lru_cache(maxsize=None)
-def gamma(m: int) -> int:
-    """Diameter of the tower homotopy on an m-simplex."""
-    if m < 0:
-        raise DomainError("m must be >= 0")
-    if m == 0:
-        return 0
-    return 2**m * (m + 1) + sum(gamma(k) * comb(m + 1, m - k) for k in range(1, m))
-
-
-@lru_cache(maxsize=None)
-def q_count(m: int) -> int:
-    """Number of degenerate terms in the tower homotopy on an m-simplex."""
-    if m < 0:
-        raise DomainError("m must be >= 0")
-    if m == 0:
-        return 0
-    return 2**m * (m - 1) + 1 + sum(q_count(k) * comb(m + 1, m - k) for k in range(1, m))
-
-
-@lru_cache(maxsize=None)
-def c_bound(m: int) -> int:
-    """Diameter of the degenerate-killed homotopy; equals gamma - q."""
-    if m < 0:
-        raise DomainError("m must be >= 0")
-    if m == 0:
-        return 0
-    return 2 * 2**m - 1 + sum(c_bound(k) * comb(m + 1, m - k) for k in range(1, m))
-
-
 def d_cyl(m: int) -> int:
     """Diameter of the cylinder homotopy: 2^m (m+1) for m >= 1, 0 at m = 0."""
     if m < 0:
@@ -73,16 +46,31 @@ def d_cyl(m: int) -> int:
     return 0 if m == 0 else 2**m * (m + 1)
 
 
-def gamma_closed(m: int) -> int:
-    return sum(2 ** (m - k) * (m - k + 1) * comb(m + 1, k) * bell(k) for k in range(m))
+def _counts(lead, doc: str):
+    """The count s(0) = 0, s(m) = lead(m) + sum_{0<k<m} C(m+1, m-k) s(k),
+    memoized, and its closed form sum_{k<m} lead(m-k) C(m+1, k) bell(k).
+    psi on an m-simplex is its P stage plus, for each 0 < k < m, the
+    C(m+1, m-k) placements of psi on the k-face, and none of these terms
+    cancels: so gamma, q and c differ only in the P terms they count as
+    ``lead``, all of them, the degenerate ones or the nondegenerate ones."""
+    @lru_cache(maxsize=None)
+    def count(m: int) -> int:
+        if m < 0:
+            raise DomainError("m must be >= 0")
+        return lead(m) + sum(comb(m + 1, m - k) * count(k) for k in range(1, m)) if m else 0
+
+    def closed(m: int) -> int:
+        return sum(lead(m - k) * comb(m + 1, k) * bell(k) for k in range(m))
+
+    count.__doc__ = doc
+    return count, closed
 
 
-def q_closed(m: int) -> int:
-    return sum((2 ** (m - k) * (m - k - 1) + 1) * comb(m + 1, k) * bell(k) for k in range(m))
-
-
-def c_closed(m: int) -> int:
-    return sum((2 * 2 ** (m - k) - 1) * comb(m + 1, k) * bell(k) for k in range(m))
+gamma, gamma_closed = _counts(d_cyl, "Diameter of the tower homotopy on an m-simplex.")
+q_count, q_closed = _counts(lambda m: 2**m * (m - 1) + 1,
+                            "Number of degenerate terms in the tower homotopy on an m-simplex.")
+c_bound, c_closed = _counts(lambda m: 2 ** (m + 1) - 1,
+                            "Diameter of the degenerate-killed homotopy; equals gamma - q.")
 
 
 DELTA_BDH = {0: 0, 1: 6, 2: 26, 3: 186, 4: 3410}  # stored; Cha (2016), Theorem 5.2
@@ -95,19 +83,11 @@ def delta_bdh(k: int) -> int:
 
 
 def table_rows(max_m: int) -> list[dict]:
-    rows = []
-    for m in range(max_m + 1):
-        rows.append(
-            {
-                "m": m,
-                "gamma": gamma(m),
-                "q": q_count(m),
-                "c": c_bound(m),
-                "d": d_cyl(m),
-                "delta_bdh": DELTA_BDH.get(m),
-            }
-        )
-    return rows
+    return [
+        {"m": m, "gamma": gamma(m), "q": q_count(m), "c": c_bound(m), "d": d_cyl(m),
+         "delta_bdh": DELTA_BDH.get(m)}
+        for m in range(max_m + 1)
+    ]
 
 
 def ratio_limit(m: int) -> dict:

@@ -6,7 +6,8 @@ failed, a residual survived or a construction broke, 2 usage error or
 output that cannot be written, 141 standard output closed by its reader.  Numbers out of range are
 usage errors caught at parse time, and ``expand``/``count`` refuse a chain
 whose known size exceeds ``--cap``, or cannot fit in physical memory, before
-building anything; ``verify`` refuses its suites above ``TERM_CAP`` alike.
+building anything; ``verify`` refuses its suites above ``TERM_CAP`` alike,
+and a psi identity whose boundary's face terms cannot fit in memory.
 """
 
 from __future__ import annotations
@@ -150,11 +151,12 @@ def _physical_memory() -> int | None:
     return page * pages if page > 0 and pages > 0 else None
 
 
-def _check_cap(op: str, dim: int, cap: int) -> None:
+def _check_cap(op: str, dim: int, cap: int, faces: bool = False) -> None:
     """Refuse, before anything is built, an op whose chain on a dim-simplex
     has more than ``cap`` terms: gamma for the tower ops, d_cyl for P and one
     term per shuffle for ed.  A chain within the cap is refused too when its
-    terms at ``TERM_BYTES`` each exceed physical memory.
+    terms at ``TERM_BYTES`` each exceed physical memory; with ``faces``, when
+    dim + 1 faces of each term do, for a check that holds the boundary.
 
     Above dim 64 a cheap lower bound comes first, compared by bit length:
     gamma(dim) >= d_cyl(dim) = 2^dim (dim + 1), and 2^dim for ed.  A bound
@@ -176,10 +178,14 @@ def _check_cap(op: str, dim: int, cap: int) -> None:
     exact = size(dim)
     if exact > cap:
         raise ValueError(f"term cap exceeded: {name} = {exact} > {cap}")
+    held, what = exact, f"{name} = {exact} terms"
+    if faces:
+        held = (dim + 1) * exact
+        what = f"{dim + 1}*{name} = {held} face terms"
     memory = _physical_memory()
-    if memory is not None and exact * TERM_BYTES > memory:
-        raise ValueError(f"out of memory: {name} = {exact} terms take at least "
-                         f"{exact * TERM_BYTES} B > {memory} B of physical memory")
+    if memory is not None and held * TERM_BYTES > memory:
+        raise ValueError(f"out of memory: {what} take at least "
+                         f"{held * TERM_BYTES} B > {memory} B of physical memory")
 
 
 def cmd_expand(args) -> int:
@@ -293,7 +299,7 @@ def cmd_verify(args) -> int:
     if "theorem45" in names:
         checks.theorem45_cap(parse_group(args.group), args.maxdim, TERM_CAP)
     if "psi" in names:
-        _check_cap("psi", min(args.maxdim, args.level), TERM_CAP)
+        _check_cap("psi", min(args.maxdim, args.level), TERM_CAP, faces=True)
     first = None
     for name in names:
         try:

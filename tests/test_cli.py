@@ -407,6 +407,32 @@ def test_oversized_verify_suites_are_refused_before_any_work(capsys, monkeypatch
     assert elapsed < 10
 
 
+@pytest.mark.parametrize("memory, level, faces", [(600 * 2 ** 20, 7, 9080192), (10 * 2 ** 20, 6, 688352)])
+def test_psi_identity_is_refused_on_the_memory_of_its_boundary(capsys, monkeypatch, memory, level, faces):
+    # the identity holds the boundary of psi: (d+1)*gamma(d) face terms at
+    # TERM_BYTES, 908 MB at d = 7 and 68.8 MB at d = 6, each within the term
+    # cap on gamma(d); nothing is built
+    from barhom import checks, cli
+
+    monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
+    monkeypatch.setattr(checks, "MitosisTower", None)
+    code = main(["verify", "--suite", "psi", "--level", str(level), "--maxdim", str(level)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (f"error: out of memory: {level + 1}*gamma({level}) = {faces} face terms take "
+                            f"at least {faces * 100} B > {memory} B of physical memory\n")
+
+
+def test_psi_identity_within_the_memory_of_its_boundary_runs(capsys, monkeypatch):
+    # 6*gamma(5) = 58,392 face terms take 5.8 MB, under 10 MiB
+    from barhom import cli
+
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 10 * 2 ** 20)
+    code, out = run(capsys, "verify", "--suite", "psi", "--level", "5", "--maxdim", "5")
+    assert code == 0
+    assert '"status": "pass"' in out.splitlines()[-1]
+
+
 @pytest.mark.parametrize("cap, maxdim, code", [(9, 2, 0), (8, 2, 2), (26, 4, 2), (27, 4, 0)])
 def test_theorem45_cap_is_on_order_to_the_exhaustive_dim(capsys, monkeypatch, cap, maxdim, code):
     # cyclic3 has 3^2 = 9 simplices at dim 2 and 27 at dim 3, the last

@@ -26,7 +26,8 @@ import test_homotopy
 import test_words
 from test_cli import (EXPAND_SHA256, PSI_CONCRETE_SHA256, _expand_argv, _expand_psi_3_with_short_writes,
                       concrete_psi_sha256)
-from test_homotopy import formal_through_instance_mismatch
+from test_homotopy import (TOWER_DIFFERENTIAL_GROUPS, formal_through_instance_mismatch,
+                           formal_through_tower_mismatch)
 from test_moore import _prefix_pair_chains
 
 
@@ -318,6 +319,29 @@ def test_instance_eval_swapping_f_and_g_fails_the_formal_instance_differential(m
     assert formal_through_instance_mismatch(CyclicGroup(3)) is None
     monkeypatch.setattr(quintuple, "instance_eval", _instance_eval_swapping_f_and_g)
     assert formal_through_instance_mismatch(CyclicGroup(3)) == ("P", 1)
+
+
+_tower_eval = test_homotopy.tower_eval
+
+
+def _tower_eval_swapping_f_and_g(words, level, q):
+    return _tower_eval(words, level, q._replace(f_arg=q.g_arg, g_arg=q.f_arg))
+
+
+def _tower_eval_dropping_h(words, level, q):
+    return _tower_eval(words, level, q._replace(h_arg=words.identity))
+
+
+@pytest.mark.parametrize("mutant", [_tower_eval_swapping_f_and_g, _tower_eval_dropping_h],
+                         ids=["f and g swapped", "h dropped"])
+def test_wrong_tower_evaluation_fails_the_formal_tower_differential(monkeypatch, mutant):
+    # killed on each group by test_homotopy's formal -> tower differential,
+    # at the first 1-simplex and level 1
+    for group, maxdim in TOWER_DIFFERENTIAL_GROUPS:
+        assert formal_through_tower_mismatch(group, maxdim, 1) is None
+    monkeypatch.setattr(test_homotopy, "tower_eval", mutant)
+    for group, maxdim in TOWER_DIFFERENTIAL_GROUPS:
+        assert formal_through_tower_mismatch(group, maxdim, 1) == ("P", 1, 1)
 
 
 _quintuple_mul = QuintupleAlgebra.mul
