@@ -57,7 +57,9 @@ def _counts(lead, doc: str):
     def count(m: int) -> int:
         if m < 0:
             raise DomainError("m must be >= 0")
-        return lead(m) + sum(comb(m + 1, m - k) * count(k) for k in range(1, m)) if m else 0
+        if m == 0:
+            return 0
+        return lead(m) + sum(comb(m + 1, m - k) * count(k) for k in range(1, m))
 
     def closed(m: int) -> int:
         return sum(lead(m - k) * comb(m + 1, k) * bell(k) for k in range(m))
@@ -83,11 +85,19 @@ def delta_bdh(k: int) -> int:
 
 
 def table_rows(max_m: int) -> list[dict]:
-    return [
-        {"m": m, "gamma": gamma(m), "q": q_count(m), "c": c_bound(m), "d": d_cyl(m),
-         "delta_bdh": DELTA_BDH.get(m)}
-        for m in range(max_m + 1)
-    ]
+    rows = []
+    for m in range(max_m + 1):
+        rows.append(
+            {
+                "m": m,
+                "gamma": gamma(m),
+                "q": q_count(m),
+                "c": c_bound(m),
+                "d": d_cyl(m),
+                "delta_bdh": DELTA_BDH.get(m),
+            }
+        )
+    return rows
 
 
 def ratio_limit(m: int) -> dict:

@@ -39,6 +39,10 @@ SCHEMA = "barhom/1"
 TERM_CAP = 5_000_000
 # a floor on the bytes one chain term takes: psi at m = 8 takes about 168
 TERM_BYTES = 100
+# a floor on the bytes the psi identity takes per face term of its boundary,
+# (d + 1) gamma(d) at dim d: above the interpreter it peaks at 61-78 B per
+# face term at d = 5, 6 and 7, since the boundary cancels as it is built
+FACE_BYTES = 50
 TOWER_OPS = ("psi", "phi")
 
 
@@ -151,12 +155,12 @@ def _physical_memory() -> int | None:
     return page * pages if page > 0 and pages > 0 else None
 
 
-def _check_cap(op: str, dim: int, cap: int, faces: bool = False) -> None:
+def _check_cap(op: str, dim: int, cap: int, term_bytes: int = TERM_BYTES) -> None:
     """Refuse, before anything is built, an op whose chain on a dim-simplex
     has more than ``cap`` terms: gamma for the tower ops, d_cyl for P and one
     term per shuffle for ed.  A chain within the cap is refused too when its
-    terms at ``TERM_BYTES`` each exceed physical memory; with ``faces``, when
-    dim + 1 faces of each term do, for a check that holds the boundary.
+    terms at ``term_bytes`` each exceed physical memory: ``TERM_BYTES`` for a
+    chain that is only held, more for a check that also holds its boundary.
 
     Above dim 64 a cheap lower bound comes first, compared by bit length:
     gamma(dim) >= d_cyl(dim) = 2^dim (dim + 1), and 2^dim for ed.  A bound
@@ -178,14 +182,10 @@ def _check_cap(op: str, dim: int, cap: int, faces: bool = False) -> None:
     exact = size(dim)
     if exact > cap:
         raise ValueError(f"term cap exceeded: {name} = {exact} > {cap}")
-    held, what = exact, f"{name} = {exact} terms"
-    if faces:
-        held = (dim + 1) * exact
-        what = f"{dim + 1}*{name} = {held} face terms"
     memory = _physical_memory()
-    if memory is not None and held * TERM_BYTES > memory:
-        raise ValueError(f"out of memory: {what} take at least "
-                         f"{held * TERM_BYTES} B > {memory} B of physical memory")
+    if memory is not None and exact * term_bytes > memory:
+        raise ValueError(f"out of memory: {name} = {exact} terms take at least "
+                         f"{exact * term_bytes} B > {memory} B of physical memory")
 
 
 def cmd_expand(args) -> int:
@@ -299,7 +299,8 @@ def cmd_verify(args) -> int:
     if "theorem45" in names:
         checks.theorem45_cap(parse_group(args.group), args.maxdim, TERM_CAP)
     if "psi" in names:
-        _check_cap("psi", min(args.maxdim, args.level), TERM_CAP, faces=True)
+        dim = min(args.maxdim, args.level)
+        _check_cap("psi", dim, TERM_CAP, (dim + 1) * FACE_BYTES)
     first = None
     for name in names:
         try:

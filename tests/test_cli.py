@@ -407,10 +407,10 @@ def test_oversized_verify_suites_are_refused_before_any_work(capsys, monkeypatch
     assert elapsed < 10
 
 
-@pytest.mark.parametrize("memory, level, faces", [(600 * 2 ** 20, 7, 9080192), (10 * 2 ** 20, 6, 688352)])
-def test_psi_identity_is_refused_on_the_memory_of_its_boundary(capsys, monkeypatch, memory, level, faces):
+@pytest.mark.parametrize("memory, level, terms", [(400 * 2 ** 20, 7, 1135024), (10 * 2 ** 20, 6, 98336)])
+def test_psi_identity_is_refused_on_the_memory_of_its_boundary(capsys, monkeypatch, memory, level, terms):
     # the identity holds the boundary of psi: (d+1)*gamma(d) face terms at
-    # TERM_BYTES, 908 MB at d = 7 and 68.8 MB at d = 6, each within the term
+    # FACE_BYTES, 454 MB at d = 7 and 34.4 MB at d = 6, each within the term
     # cap on gamma(d); nothing is built
     from barhom import checks, cli
 
@@ -419,12 +419,21 @@ def test_psi_identity_is_refused_on_the_memory_of_its_boundary(capsys, monkeypat
     code = main(["verify", "--suite", "psi", "--level", str(level), "--maxdim", str(level)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert captured.err == (f"error: out of memory: {level + 1}*gamma({level}) = {faces} face terms take "
-                            f"at least {faces * 100} B > {memory} B of physical memory\n")
+    assert captured.err == (f"error: out of memory: gamma({level}) = {terms} terms take at least "
+                            f"{terms * (level + 1) * cli.FACE_BYTES} B > {memory} B of physical memory\n")
+
+
+def test_psi_identity_is_not_refused_above_its_measured_peak(monkeypatch):
+    # the level-7 identity peaks at about 540 MB, so 600 MiB of physical
+    # memory must pass the rule: it is a floor, not an estimate
+    from barhom import cli
+
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 600 * 2 ** 20)
+    cli._check_cap("psi", 7, cli.TERM_CAP, 8 * cli.FACE_BYTES)
 
 
 def test_psi_identity_within_the_memory_of_its_boundary_runs(capsys, monkeypatch):
-    # 6*gamma(5) = 58,392 face terms take 5.8 MB, under 10 MiB
+    # 6*gamma(5) = 58,392 face terms take 2.9 MB, under 10 MiB
     from barhom import cli
 
     monkeypatch.setattr(cli, "_physical_memory", lambda: 10 * 2 ** 20)
