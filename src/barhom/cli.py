@@ -40,7 +40,7 @@ TERM_CAP = 5_000_000
 # a floor on the bytes one chain term takes: psi at m = 8 takes about 168
 TERM_BYTES = 100
 # a floor on the bytes the psi identity takes per face term of its boundary,
-# (d + 1) gamma(d) at dim d: above the interpreter it peaks at 61-78 B per
+# (d + 1) gamma(d) at dim d: above the interpreter it peaks at 61-62 B per
 # face term at d = 5, 6 and 7, since the boundary cancels as it is built
 FACE_BYTES = 50
 TOWER_OPS = ("psi", "phi")
@@ -292,15 +292,23 @@ SUITES = {
 }
 
 
-def cmd_verify(args) -> int:
-    started = time.time()
-    rng = random.Random(args.seed)
-    names = list(SUITES) if args.suite == "all" else [args.suite]
+def _refuse_oversized(args, names: list) -> None:
+    """Refuse, before any suite runs, a suite of ``names`` over its caps."""
     if "theorem45" in names:
         checks.theorem45_cap(parse_group(args.group), args.maxdim, TERM_CAP)
     if "psi" in names:
         dim = min(args.maxdim, args.level)
         _check_cap("psi", dim, TERM_CAP, (dim + 1) * FACE_BYTES)
+    if "chainmaps" in names:
+        # its edgewise subdivisions of the generic maxdim-simplex
+        _check_cap("ed", args.maxdim, TERM_CAP)
+
+
+def cmd_verify(args) -> int:
+    started = time.time()
+    rng = random.Random(args.seed)
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    _refuse_oversized(args, names)
     first = None
     for name in names:
         try:

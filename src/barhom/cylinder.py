@@ -21,7 +21,7 @@ so the chain-level lemma tests exercise the code the counts run.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .moore import Chain, ChainError
 
@@ -62,28 +62,25 @@ def cyl_chain(alg, dim: int, terms: Iterable[tuple]) -> Chain:
     over ``(coeff, top, bottom, pillars)`` terms of dim-simplices.
 
     Each term is checked, its dimension and then its pillars, and its
-    simplices go with signs +coeff, -coeff, ... straight into the sum.  The
-    cylinder of the 0-simplex pair is the single 1-simplex [t_0].
+    simplices go with signs +coeff, -coeff, ... to ``Chain.add_terms``.
+    Consecutive simplices coincide when t_i = b_(i+1) and a_(i+1) = t_(i+1),
+    and then cancel.  The cylinder of the 0-simplex pair is the single
+    1-simplex [t_0].
     """
     out = Chain(dim + 1)
-    acc = out.terms
-    get, pop = acc.get, acc.pop
+    out.add_terms(_cylinder_terms(alg, dim, terms))
+    return out
+
+
+def _cylinder_terms(alg, dim: int, terms: Iterable[tuple]) -> Iterator[tuple]:
+    """The signed cylinder simplices of each term, checked first."""
     for coeff, top, bottom, pillars in terms:
         if len(top) != dim:
             raise TermMismatch(f"cylinder term of dim {len(top)} in a sum over dim {dim}")
         check_pillars(alg, top, bottom, pillars)
-        sign = coeff
         for i in range(dim + 1):
-            # consecutive simplices coincide when t_i = b_(i+1) and
-            # a_(i+1) = t_(i+1), and then cancel
-            simplex = bottom[:i] + (pillars[i],) + top[i:]
-            new = get(simplex, 0) + sign
-            if new:
-                acc[simplex] = new
-            else:
-                pop(simplex, None)
-            sign = -sign
-    return out
+            yield bottom[:i] + (pillars[i],) + top[i:], coeff
+            coeff = -coeff
 
 
 def cyl(alg, top: tuple, bottom: tuple, pillars: PillarSet) -> Chain:

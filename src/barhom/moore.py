@@ -23,18 +23,19 @@ An entry is the identity exactly when it equals ``alg.identity``, in every
 entry algebra, so a simplex is degenerate exactly when ``alg.identity in
 simplex``: one scan of the tuple in C, with no call per entry.
 
-Chains accumulate under one rule, that of ``Chain.add_term``: a coefficient
-that reaches zero pops its simplex, so a simplex added again later moves to
-the end and the iteration order of a result is fixed by the order of the
-additions.  Every accumulation kernel inlines this rule: ``boundary`` (each
-face, built as ``face`` does), ``Chain.add_chain`` (a whole chain),
-``shuffles.add_shuffle_product`` (each signed interleaving) and
-``cylinder.cyl_chain`` (each simplex of each cylinder).  The terms of a
-kernel's result, in order, are those of ``add_term`` applied to the flat
-sequence of its raw terms.  ``homotopy.induct_Q`` updates one copy of P's
-dict with each correction's raw terms: while its length grows by their
-number no key repeated, so ``add_term`` would insert each once, in order,
-nonzero; at the first repeat it drops it for ``add_shuffle_product``.
+Chains accumulate in one loop, ``Chain.add_terms``, under one rule: a
+coefficient that reaches zero pops its simplex, so a simplex added again later
+moves to the end and the iteration order of a result is fixed by the order of
+the additions.  ``add_term`` checks one term's dimension first.  Every
+accumulation kernel feeds its raw terms to ``add_terms`` in a fixed order:
+``boundary`` (the faces, built column by column), ``Chain.add_chain``,
+``pushforward``, ``shuffles.add_shuffle_product``, ``shuffles.edgewise`` and
+``cylinder.cyl_chain``.  So a kernel's result is, in order, that of
+``add_term`` on its raw terms; ``project`` only filters, as nothing cancels.
+``homotopy.induct_Q`` updates one copy of P's dict with each correction's raw
+terms: while its length grows by their number no key repeated, so
+``add_term`` would insert each once, in order, nonzero; at the first repeat it
+drops it for ``add_shuffle_product``.
 
 ``chain_payload`` streams a chain as the UTF-8 bytes of the JSON of
 ``chain_to_json``, whose terms are sorted on their compact JSON text.  It
@@ -85,17 +86,24 @@ class Chain:
         return cls(len(simplex), [(simplex, 1)])
 
     def add_term(self, simplex: BarSimplex, coeff: int) -> None:
-        if coeff == 0:
-            return
         if len(simplex) != self.dim:
             raise ChainError(
                 f"dimension mismatch: {len(simplex)}-simplex in a {self.dim}-chain"
             )
-        new = self.terms.get(simplex, 0) + coeff
-        if new == 0:
-            self.terms.pop(simplex, None)
-        else:
-            self.terms[simplex] = new
+        self.add_terms(((simplex, coeff),))
+
+    def add_terms(self, items: Iterable) -> None:
+        """Sum ``(simplex, coeff)`` pairs in order, without ``add_term``'s
+        dimension check: a coefficient that reaches zero pops its simplex,
+        and a zero coefficient changes nothing."""
+        terms = self.terms
+        get, pop = terms.get, terms.pop
+        for simplex, coeff in items:
+            new = get(simplex, 0) + coeff
+            if new:
+                terms[simplex] = new
+            else:
+                pop(simplex, None)
 
     def __iter__(self) -> Iterator[tuple[BarSimplex, int]]:
         return iter(self.terms.items())
@@ -113,14 +121,8 @@ class Chain:
         """Add ``scale * other`` in place: ``add_term`` on each term of
         ``other`` in order, with one dimension check for the whole chain."""
         self._check_compatible(other)
-        terms = self.terms
-        get, pop = terms.get, terms.pop
-        for simplex, coeff in other.terms.items():
-            new = get(simplex, 0) + scale * coeff
-            if new:
-                terms[simplex] = new
-            else:
-                pop(simplex, None)
+        terms = other.terms
+        self.add_terms(terms.items() if scale == 1 else zip(terms, map(scale.__mul__, terms.values())))
 
     def __eq__(self, other) -> bool:
         return (
@@ -174,28 +176,26 @@ def is_degenerate(alg, simplex: BarSimplex) -> bool:
 def boundary(alg, chain: Chain) -> Chain:
     """Alternating sum of faces, extended linearly; zero in dimension 0.
 
-    Each face d_0 .. d_n is built as ``face`` builds it and added straight
-    into the output under ``add_term``'s rule, so the terms, and their
-    order, are those of summing ``face`` through ``add_term``.
+    The faces d_0 .. d_n are built column by column, as ``face`` builds
+    them: d_0 and d_n zip the entry columns without the first or the last,
+    and d_i zips them with columns i-1 and i multiplied.  Interleaved per
+    simplex and signed from one row per distinct coefficient, they go to
+    ``Chain.add_terms``, so the terms, and their order, are those of summing
+    ``face`` through ``add_term``, with no Python frame per simplex.
     """
     n = chain.dim
-    if n == 0:
-        return Chain(0)
-    out = Chain(n - 1)
-    terms = out.terms
-    get, pop, mul = terms.get, terms.pop, alg.mul
-    for simplex, coeff in chain.terms.items():
-        faces = [simplex[1:]]
-        faces += [simplex[: i - 1] + (mul(simplex[i - 1], simplex[i]),) + simplex[i + 1 :]
-                  for i in range(1, n)]
-        faces.append(simplex[:-1])
-        for f in faces:
-            new = get(f, 0) + coeff
-            if new:
-                terms[f] = new
-            else:
-                pop(f, None)
-            coeff = -coeff
+    out = Chain(max(n - 1, 0))
+    if n < 2 or not chain.terms:
+        # in dim 1 the two faces of each simplex are both () and cancel
+        return out
+    cols = list(zip(*chain.terms))
+    faces = [zip(*cols[1:])]
+    faces += [zip(*cols[: i - 1], map(alg.mul, cols[i - 1], cols[i]), *cols[i + 1 :]) for i in range(1, n)]
+    faces.append(zip(*cols[:-1]))
+    coeffs = chain.terms.values()
+    rows = {c: ([c, -c] * n)[: n + 1] for c in set(coeffs)}
+    out.add_terms(zip(itertools.chain.from_iterable(zip(*faces)),
+                      itertools.chain.from_iterable(map(rows.__getitem__, coeffs))))
     return out
 
 
@@ -204,11 +204,11 @@ def diameter(chain: Chain) -> int:
 
 
 def project(alg, chain: Chain) -> Chain:
-    """MacLane projection: delete every degenerate term."""
+    """MacLane projection: delete every degenerate term.  Nothing cancels,
+    so the result is the chain's dict filtered."""
     out = Chain(chain.dim)
-    for simplex, coeff in chain:
-        if not is_degenerate(alg, simplex):
-            out.add_term(simplex, coeff)
+    e = alg.identity
+    out.terms = {s: c for s, c in chain.terms.items() if e not in s}
     return out
 
 
@@ -233,8 +233,7 @@ def cellular_boundary(alg, chain: Chain) -> Chain:
 def pushforward(mapping: Callable, chain: Chain) -> Chain:
     """Apply an entrywise map to every simplex of the chain."""
     out = Chain(chain.dim)
-    for simplex, coeff in chain:
-        out.add_term(tuple(mapping(entry) for entry in simplex), coeff)
+    out.add_terms(zip(map(tuple, map(map, itertools.repeat(mapping), chain.terms)), chain.terms.values()))
     return out
 
 

@@ -246,7 +246,8 @@ def shuffle_terms(a: Chain, b: Chain, scale: int = 1) -> tuple:
 
 
 def add_shuffle_product(out: Chain, a: Chain, b: Chain, scale: int = 1) -> None:
-    """Add ``scale * (a shuffle b)`` to ``out`` in place, term by term.
+    """Add ``scale * (a shuffle b)`` to ``out`` in place: ``shuffle_terms``
+    fed to ``Chain.add_terms``.
 
     Equals ``mult_map(ez(tensor_of_chains(a, b)))`` for every entry algebra,
     since each one's product returns the other factor when one side is the
@@ -256,13 +257,7 @@ def add_shuffle_product(out: Chain, a: Chain, b: Chain, scale: int = 1) -> None:
             f"shuffle product of dims ({a.dim},{b.dim}) into a {out.dim}-chain"
         )
     keys, coeffs, _ = shuffle_terms(a, b, scale)
-    terms = out.terms
-    for key, coeff in zip(keys, coeffs):
-        new = terms.get(key, 0) + coeff
-        if new:
-            terms[key] = new
-        else:
-            terms.pop(key, None)
+    out.add_terms(zip(keys, coeffs))
 
 
 # -- edgewise subdivision --------------------------------------------------------
@@ -284,9 +279,8 @@ def ed_terms(f: Callable, g: Callable, sigma: tuple) -> Iterator[tuple]:
 def edgewise(f: Callable, g: Callable, chain: Chain) -> Chain:
     """Subdivision of a chain via the shuffle formula."""
     out = Chain(chain.dim)
-    for simplex, coeff in chain:
-        for _p, _q, _rank, sign, image in ed_terms(f, g, simplex):
-            out.add_term(image, sign * coeff)
+    out.add_terms((image, sign * coeff) for simplex, coeff in chain.terms.items()
+                  for _p, _q, _rank, sign, image in ed_terms(f, g, simplex))
     return out
 
 

@@ -442,6 +442,31 @@ def test_psi_identity_within_the_memory_of_its_boundary_runs(capsys, monkeypatch
     assert '"status": "pass"' in out.splitlines()[-1]
 
 
+@pytest.mark.parametrize("suite", ["chainmaps", "all"])
+def test_chainmaps_above_the_cap_is_refused_before_any_work(capsys, monkeypatch, suite):
+    # the suite subdivides the generic maxdim-simplex into 2^maxdim terms:
+    # 2^23 is the first power of two above the cap; nothing is built
+    from barhom import checks
+
+    monkeypatch.setattr(checks, "formal_context", None)
+    code = main(["verify", "--suite", suite, "--maxdim", "23"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: term cap exceeded: 2**23 = 8388608 > 5000000\n")
+
+
+@pytest.mark.parametrize("cap, maxdim, code", [(8, 3, 0), (8, 4, 2)])
+def test_chainmaps_cap_is_on_two_to_the_maxdim(capsys, monkeypatch, cap, maxdim, code):
+    from barhom import cli
+
+    monkeypatch.setattr(cli, "TERM_CAP", cap)
+    assert main(["verify", "--suite", "chainmaps", "--maxdim", str(maxdim)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err == f"error: term cap exceeded: 2**{maxdim} = {2 ** maxdim} > {cap}\n"
+    else:
+        assert '"status": "pass"' in captured.out.splitlines()[-1]
+
+
 @pytest.mark.parametrize("cap, maxdim, code", [(9, 2, 0), (8, 2, 2), (26, 4, 2), (27, 4, 0)])
 def test_theorem45_cap_is_on_order_to_the_exhaustive_dim(capsys, monkeypatch, cap, maxdim, code):
     # cyclic3 has 3^2 = 9 simplices at dim 2 and 27 at dim 3, the last

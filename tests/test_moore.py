@@ -4,7 +4,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from barhom.groups import CyclicGroup, DirectProduct, FreeGroup, SymmetricGroup
@@ -248,6 +248,48 @@ def test_chain_sum_keeps_the_order_of_add_term():
     assert zero == Chain(4)
     with pytest.raises(ChainError):
         Chain(1).add_chain(Chain(2, {(1, 2): 1}))
+
+
+# -- the one accumulation loop against add_term, pair by pair -----------------------
+
+
+# every event after the start {(2,): 1}: (1,) repeats and cancels, is added
+# again, and zeros land on a live key and on an absent one
+EVERY_EVENT = ([((2,), 1)],
+               [((1,), 2), ((2,), 0), ((1,), -2), ((0,), 0), ((1,), 3), ((2,), 1), ((0,), -1)])
+
+_pairs = st.lists(st.tuples(st.tuples(st.integers(0, 3)), st.integers(-3, 3)), max_size=30)
+
+
+def _listed_sum(pairs):
+    """The rule on a list of [simplex, coeff] rows: a zero sum deletes its
+    row, and a simplex without a row is appended."""
+    rows = []
+    for simplex, coeff in pairs:
+        row = next((row for row in rows if row[0] == simplex), None)
+        if row is None:
+            if coeff:
+                rows.append([simplex, coeff])
+        elif row[1] + coeff:
+            row[1] += coeff
+        else:
+            rows.remove(row)
+    return [tuple(row) for row in rows]
+
+
+@given(_pairs, _pairs)
+@example(*EVERY_EVENT)
+@settings(max_examples=200, deadline=None)
+def test_add_terms_equals_folding_add_term(start, pairs):
+    # the same terms in the same order, from a chain that add_term built;
+    # add_term hands its pair to add_terms, so the list model checks the rule
+    want = Chain(1, start)
+    for simplex, coeff in pairs:
+        want.add_term(simplex, coeff)
+    got = Chain(1, start)
+    got.add_terms(iter(pairs))
+    _same_terms_in_order(got, want)
+    assert list(got.terms.items()) == _listed_sum(start + pairs)
 
 
 def test_diameter():

@@ -22,6 +22,7 @@ from barhom.moore import Chain, chain_payload, chain_to_json
 from barhom.quintuple import Quintuple, QuintupleAlgebra, VerificationInstance, instance_eval
 from barhom.words import Conjugated, TowerAlgebra
 
+import test_cli_fuzz
 import test_homotopy
 import test_words
 from test_cli import (EXPAND_SHA256, PSI_CONCRETE_SHA256, _expand_argv, _expand_psi_3_with_short_writes,
@@ -420,3 +421,49 @@ def test_term_count_off_by_one_fails_the_fast_path_branch_test(monkeypatch):
     monkeypatch.setattr(homotopy, "shuffle_terms", _shuffle_terms_counting_one_more)
     with pytest.raises(AssertionError):
         test_homotopy.test_free_towers_never_repeat_a_stage_key(monkeypatch, 4)
+
+
+def _add_terms_storing_zeros(self, items):
+    # the one accumulation loop with a sum of zero stored, not popped
+    terms = self.terms
+    for simplex, coeff in items:
+        terms[simplex] = terms.get(simplex, 0) + coeff
+
+
+def test_add_terms_storing_zeros_changes_a_golden_hash(monkeypatch, tmp_path):
+    # killed by the "P concrete json 3" expand golden, whose cylinder terms
+    # cancel: every kernel sums through Chain.add_terms
+    case = "P concrete json 3"
+    assert _expand_sha256(tmp_path, case) == EXPAND_SHA256[case]
+    monkeypatch.setattr(Chain, "add_terms", _add_terms_storing_zeros)
+    assert _expand_sha256(tmp_path, case) != EXPAND_SHA256[case]
+
+
+def _add_terms_adding_the_absolute_value(self, items):
+    terms = self.terms
+    for simplex, coeff in items:
+        new = terms.get(simplex, 0) + abs(coeff)
+        if new:
+            terms[simplex] = new
+        else:
+            terms.pop(simplex, None)
+
+
+def test_add_terms_adding_the_absolute_value_fails_theorem45(monkeypatch):
+    # a subtracted chain is then added: at dim 0 the residual ed(f,g) - ed(h,k)
+    # of the empty simplex is 2 [].  The psi count gates are blind to it,
+    # since no free-tower term cancels and the signs do not enter them
+    _theorem45_cyclic3()
+    monkeypatch.setattr(Chain, "add_terms", _add_terms_adding_the_absolute_value)
+    with pytest.raises(checks.CheckFailure, match=r"^theorem45 residual at dim 0: \{\"coeff\": 2, "):
+        _theorem45_cyclic3()
+
+
+def test_verify_without_its_size_refusals_fails_the_cli_fuzzer(monkeypatch, tmp_path, fresh_shuffle_table):
+    # killed by tests/test_cli_fuzz.py::test_every_case_keeps_the_cli_contract:
+    # the first case that needs a refusal runs past its deadline
+    assert test_cli_fuzz.run_cases(tmp_path)[0] is None
+    monkeypatch.setattr(cli, "_refuse_oversized", lambda args, names: None)
+    (argv, reason), _ = test_cli_fuzz.run_cases(tmp_path)
+    assert argv[0] == "verify"
+    assert reason == f"past its {test_cli_fuzz.DEADLINE_S} s deadline"
