@@ -225,7 +225,6 @@ def rho_bound(kind: str, n: int = 1, deg: int = 1, d_zeta: int = 1, d_u: int = 1
     raise InvalidKind(f"unknown bound kind {kind!r}")
 
 
-BARYCENTRIC_FACTOR = 576   # (4!)^2: second barycentric subdivision of a 3-simplex
 LENS_FACTOR = 1728
 
 

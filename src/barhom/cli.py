@@ -296,6 +296,9 @@ def _refuse_oversized(args, names: list) -> None:
     """Refuse, before any suite runs, a suite of ``names`` over its caps."""
     if "theorem45" in names:
         checks.theorem45_cap(parse_group(args.group), args.maxdim, TERM_CAP)
+    if "cylinder" in names and (args.maxdim + 1) ** 3 > TERM_CAP:
+        # the rough number of entries in the boundary of one maxdim-cylinder
+        raise ValueError(f"term cap exceeded: cylinder boundary ({args.maxdim} + 1)**3 > {TERM_CAP}")
     if "psi" in names:
         dim = min(args.maxdim, args.level)
         _check_cap("psi", dim, TERM_CAP, (dim + 1) * FACE_BYTES)

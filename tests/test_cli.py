@@ -467,6 +467,35 @@ def test_chainmaps_cap_is_on_two_to_the_maxdim(capsys, monkeypatch, cap, maxdim,
         assert '"status": "pass"' in captured.out.splitlines()[-1]
 
 
+@pytest.mark.parametrize("suite", ["cylinder", "all"])
+def test_cylinder_above_the_cap_is_refused_before_any_work(capsys, monkeypatch, suite):
+    # the boundary of one maxdim-cylinder has about (maxdim + 1)^3 entries,
+    # 10^9 at maxdim 1000; nothing is built
+    from barhom import checks
+
+    monkeypatch.setattr(checks, "cylinder_lemma", None)
+    started = time.perf_counter()
+    code = main(["verify", "--suite", suite, "--maxdim", "1000"])
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    err = "error: term cap exceeded: cylinder boundary (1000 + 1)**3 > 5000000\n"
+    assert (code, captured.out, captured.err) == (2, "", err)
+    assert elapsed < 1
+
+
+@pytest.mark.parametrize("cap, maxdim, code", [(27, 2, 0), (26, 2, 2)])
+def test_cylinder_cap_is_on_maxdim_plus_one_cubed(capsys, monkeypatch, cap, maxdim, code):
+    from barhom import cli
+
+    monkeypatch.setattr(cli, "TERM_CAP", cap)
+    assert main(["verify", "--suite", "cylinder", "--maxdim", str(maxdim), "--samples", "5"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err == f"error: term cap exceeded: cylinder boundary ({maxdim} + 1)**3 > {cap}\n"
+    else:
+        assert '"status": "pass"' in captured.out.splitlines()[-1]
+
+
 @pytest.mark.parametrize("cap, maxdim, code", [(9, 2, 0), (8, 2, 2), (26, 4, 2), (27, 4, 0)])
 def test_theorem45_cap_is_on_order_to_the_exhaustive_dim(capsys, monkeypatch, cap, maxdim, code):
     # cyclic3 has 3^2 = 9 simplices at dim 2 and 27 at dim 3, the last
@@ -779,6 +808,10 @@ def test_short_writes_are_completed(monkeypatch, tmp_path):
     assert calls >= 279   # 278,391 bytes
 
 
+# the bytes of expand --op psi --dim 6, 317 MB of JSON
+PSI_6_SHA256 = "700e17a88a2476141b7ef924c7ec09ecb43206d6b1d288af68f9ca12c2517c46"
+
+
 def test_expand_psi_6_bytes_are_golden(monkeypatch):
     # 317 MB of JSON: the pieces are hashed as they are written, not stored
     from barhom import cli
@@ -791,7 +824,7 @@ def test_expand_psi_6_bytes_are_golden(monkeypatch):
 
     monkeypatch.setattr(cli, "_write", hash_pieces)
     assert main(["expand", "--op", "psi", "--dim", "6", "--out", "unused"]) == 0
-    assert digest.hexdigest() == "700e17a88a2476141b7ef924c7ec09ecb43206d6b1d288af68f9ca12c2517c46"
+    assert digest.hexdigest() == PSI_6_SHA256
 
 
 def _assert_entry_error_leaves_no_file(tmp_path, monkeypatch, case):

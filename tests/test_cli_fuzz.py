@@ -31,7 +31,7 @@ import time
 
 from barhom.cli import main
 
-# the first seed whose cases reach all three of verify's size refusals, as
+# the first seed whose cases reach all four of verify's size refusals, as
 # the contract test asserts
 SEED = 9
 CASES = 300
@@ -40,8 +40,9 @@ BUDGET_S = 5.0
 
 INTS = ("0", "-1", "1", "2", "3", "64", "65", "x", "")
 # the first dims above the caps of verify's psi (gamma(8) > 5,000,000) and
-# chainmaps (2**23) suites, in place of 1 and 64
-MAXDIMS = ("0", "-1", "2", "3", "9", "23", "x", "")
+# chainmaps (2**23) suites, in place of 1 and 64, and one far above the
+# cylinder suite's ((maxdim + 1)**3)
+MAXDIMS = ("0", "-1", "2", "3", "9", "23", "1000", "x", "")
 GROUPS = ("cyclic3", "sym3", "free2", "cyclic3*", "free0", "cyclic100000", "", "x")
 # files in the test's directory: "out" is removed before each case, and
 # "missing" is no directory
@@ -142,9 +143,11 @@ def run_cases(directory, seed=SEED, count=CASES):
 
 # verify's refusals, which a verify without them cannot finish: theorem45 on
 # cyclic100000 above dim 1, psi at a level of 64 or 65 (the only levels of
-# the table above the cap) and the chainmaps subdivisions
+# the table above the cap), the chainmaps subdivisions and the cylinders of
+# dim 1000
 VERIFY_REFUSALS = ("error: term cap exceeded: theorem45 enumerates cyclic100000^",
-                   "error: term cap exceeded: gamma(", "error: term cap exceeded: 2**")
+                   "error: term cap exceeded: gamma(", "error: term cap exceeded: 2**",
+                   "error: term cap exceeded: cylinder boundary")
 
 
 def test_every_case_keeps_the_cli_contract(tmp_path):
