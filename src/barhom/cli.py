@@ -3,11 +3,13 @@
 Every command is deterministic for fixed flags and seed, and machine-readable
 output carries the schema version.  Exit codes: 0 all checks pass, 1 a check
 failed, a residual survived or a construction broke, 2 usage error or
-output that cannot be written, 141 standard output closed by its reader.  Numbers out of range are
-usage errors caught at parse time, and ``expand``/``count`` refuse a chain
-whose known size exceeds ``--cap``, or cannot fit in physical memory, before
-building anything; ``verify`` refuses its suites above ``TERM_CAP`` alike,
-and a psi identity whose boundary's face terms cannot fit in memory.
+output that cannot be written, 141 standard output closed by its reader.  A
+usage error is one ``error:`` line on standard error, a parse error included.
+Numbers out of range are usage errors caught at parse time, and
+``expand``/``count`` refuse a chain whose known size exceeds ``--cap``, or
+cannot fit in physical memory, before building anything; ``verify`` refuses
+its suites above ``TERM_CAP`` alike, and a psi identity whose boundary's face
+terms cannot fit in memory.
 """
 
 from __future__ import annotations
@@ -352,9 +354,10 @@ def cmd_bounds(args) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
-def _int_at_least(low: int):
-    """An argparse ``type`` for integers >= ``low``: anything else is a usage
-    error (exit 2) before any work is done."""
+def _int_in(low: int, high: int | None = None):
+    """An argparse ``type`` for integers >= ``low`` and, given ``high``,
+    <= ``high``: anything else is a usage error (exit 2) before any work is
+    done."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -362,25 +365,42 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
     return parse
 
 
-NATURAL, POSITIVE = _int_at_least(0), _int_at_least(1)
+NATURAL, POSITIVE = _int_in(0), _int_in(1)
 # with N = 1 the connecting element of (G x G) x Z_N is the identity and the
 # verification instance degenerates
-MODULUS = _int_at_least(2)
+MODULUS = _int_in(2)
+# tables' time grows faster than m**3: --max 1000 takes 26 s on a 2-core
+# x86-64 VM
+TABLES_MAX = 1_000
+# each sample is bounded by the term caps, so this bounds a suite's time:
+# 1,000 cylinders at --maxdim 169, the largest the cylinder cap admits, take
+# 58 s on the same VM
+SAMPLES_MAX = 1_000
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors are usage errors like every refusal: a
+    ``ValueError``, one ``error:`` line and exit 2, not a usage synopsis."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="barhom",
         description="Controlled chain homotopies, diameter tables, and bound constants.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("tables", help="gamma/q/c/d and comparison tables")
-    t.add_argument("--max", type=NATURAL, default=7)
+    t.add_argument("--max", type=_int_in(0, TABLES_MAX), default=7)
     t.add_argument("--format", choices=("json", "tsv"), default="tsv")
     t.add_argument("--out")
     t.set_defaults(func=cmd_tables)
@@ -404,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--maxdim", type=POSITIVE, default=3)
     v.add_argument("--level", type=POSITIVE, default=3)
     v.add_argument("--modulus", type=MODULUS, default=5)
-    v.add_argument("--samples", type=POSITIVE, default=200)
+    v.add_argument("--samples", type=_int_in(1, SAMPLES_MAX), default=200)
     v.add_argument("--seed", type=int, default=0)
     v.set_defaults(func=cmd_verify)
 
@@ -449,18 +469,23 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _run(build_parser().parse_args(argv))
+        return _run(argv)
     finally:
         if collecting:
             gc.enable()
 
 
-def _run(args) -> int:
-    """The command's exit code, with each failure mapped to its code."""
+def _run(argv) -> int:
+    """The exit code of the command ``argv`` names, with each failure, a
+    parse error included, mapped to its code."""
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code
+    except SystemExit as exc:
+        # -h has printed its help
+        return exc.code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

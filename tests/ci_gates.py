@@ -47,14 +47,12 @@ class Gate(NamedTuple):
     sha256: str | None = None
     # a child still running then is killed, and fails
     timeout_s: float | None = None
-    # exactly one line on standard error and nothing on standard output
-    one_error_line: bool = False
     # in place of argv, the first ``fuzz_cases`` argvs of the tier-1 fuzzer,
     # each judged by its contract under an RLIMIT_AS of ``FUZZ_AS`` bytes
     fuzz_cases: int = 0
 
 
-REFUSAL = dict(code=2, peak_mb=100, timeout_s=60, one_error_line=True)
+REFUSAL = dict(code=2, peak_mb=100, timeout_s=60)
 GATES = [
     # a non-abelian instance of order 12: 1,885 simplices exhaustively to
     # dim 3, then 500 draws from 20,736 4-simplices, which rarely repeat
@@ -75,7 +73,7 @@ GATES = [
     Gate(("count", "--op", "psi", "--dim", "8", "--cap", "20000000"), peak_mb=2770),
     # gamma(10) = 3,374,169,568 terms need at least 337 GB at 100 B each, so
     # a cap that admits them is refused before psi is built
-    Gate(("count", "--op", "psi", "--dim", "10", "--cap", "10000000000"), code=2, peak_mb=100, timeout_s=60),
+    Gate(("count", "--op", "psi", "--dim", "10", "--cap", "10000000000"), **REFUSAL),
     # psi at level 8 is over the term cap on gamma(8), and theorem45 on
     # cyclic100000 would enumerate 10^10 2-simplices: each is refused before
     # anything is built
@@ -126,7 +124,9 @@ def _failures(gate: Gate, argv, cwd: Path, code, digest: str, last: bytes, err: 
         reason = sys.modules["test_cli_fuzz"]._broken(code, err, cwd / "out")
         return [f"{argv}: {reason}"] if reason else []
     failures = [f"exit code not {gate.code}"] if code != gate.code else []
-    if gate.one_error_line and (len(err.splitlines()) != 1 or last):
+    # every exit 2 is one usage error: one line on standard error, nothing on
+    # standard output
+    if code == 2 and (len(err.splitlines()) != 1 or last):
         failures.append("not one stderr line and no stdout")
     out = cwd / argv[argv.index("--out") + 1] if "--out" in argv else None
     if gate.sha256 and out and out.exists():

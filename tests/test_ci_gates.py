@@ -1,6 +1,7 @@
 """The gate table of ``tests/ci_gates.py``: its argvs still parse, its
 goldens are tier-1's, and its runner passes the refusal rows in real child
-processes and fails them when a bound is tightened."""
+processes and fails them when a bound is tightened or a child's usage error
+is more than one line."""
 
 import hashlib
 import json
@@ -53,3 +54,12 @@ def test_the_refusal_rows_pass_and_fail_when_a_bound_is_tightened():
     expected = ["peak above 1 MB", "exit code not 0", f"sha256 {hashlib.sha256().hexdigest()}",
                 f"{GATES[REFUSALS[3]].argv}: past its 0.01 s timeout"]
     assert [reasons[0].startswith(prefix) for reasons, prefix in zip(failures[4:], expected)] == [True] * 4
+
+
+@pytest.mark.parametrize("err, failures", [
+    ("error: one line\n", []),
+    ("usage: barhom ...\nerror: two lines\n", ["not one stderr line and no stdout"]),
+])
+def test_an_exit_2_must_be_one_stderr_line(err, failures):
+    gate = GATES[REFUSALS[0]]
+    assert ci_gates._failures(gate, gate.argv, Path(), 2, hashlib.sha256().hexdigest(), b"", err) == failures

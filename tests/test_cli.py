@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from barhom.cli import main
+from barhom.moore import Chain
 
 
 def run(capsys, *argv):
@@ -54,40 +55,6 @@ def test_count_P_cap_is_on_the_cylinder_chain(capsys):
     assert "ok P dim 10: diameter 11264 expected 11264" in out
 
 
-def test_count_psi_above_cap_is_refused(capsys):
-    code = main(["count", "--op", "psi", "--dim", "4", "--cap", "1000"])
-    assert code == 2
-    assert "term cap exceeded: gamma(4) = 1120 > 1000" in capsys.readouterr().err
-
-
-def _psi_not_built(self, level, sigma):
-    raise AssertionError("psi was built")
-
-
-def test_count_within_cap_above_memory_is_refused(capsys, monkeypatch):
-    # gamma(8) = 14,737,536 terms at 100 B each exceed 1 GB
-    from barhom import cli
-    from barhom.homotopy import MitosisTower
-
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 2 ** 30)
-    monkeypatch.setattr(MitosisTower, "psi", _psi_not_built)
-    code = main(["count", "--op", "psi", "--dim", "8", "--cap", "20000000"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == ("error: out of memory: gamma(8) = 14737536 terms take at least "
-                            "1473753600 B > 1073741824 B of physical memory\n")
-
-
-def test_count_with_a_huge_cap_is_refused_on_memory(capsys, monkeypatch):
-    from barhom.homotopy import MitosisTower
-
-    monkeypatch.setattr(MitosisTower, "psi", _psi_not_built)
-    code = main(["count", "--op", "psi", "--dim", "65", "--cap", "9" * 130])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: out of memory: gamma(65) = ")
-
-
 def test_memory_guard_is_skipped_without_sysconf(capsys, monkeypatch):
     from barhom import cli
 
@@ -96,15 +63,6 @@ def test_memory_guard_is_skipped_without_sysconf(capsys, monkeypatch):
     code, out = run(capsys, "count", "--op", "psi", "--dim", "3")
     assert code == 0
     assert "ok psi dim 3" in out
-
-
-@pytest.mark.parametrize("command", ["count", "expand"])
-def test_level_below_dim_is_usage_error(capsys, command):
-    code = main([command, "--op", "psi", "--dim", "3", "--level", "2"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == "error: --level 2 is below --dim 3\n"
 
 
 def test_count_phi(capsys):
@@ -202,21 +160,6 @@ def test_bounds_and_tables_bytes_are_golden(capsys, case):
     assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS_TABLES_SHA256[case]
 
 
-def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as err:
-        main(["expand", "--op", "bogus", "--dim", "1"])
-    assert err.value.code == 2
-
-
-def test_expand_op_Q_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["expand", "--op", "Q", "--dim", "1"])
-    captured = capsys.readouterr()
-    assert err.value.code == 2
-    assert captured.out == ""
-    assert "invalid choice: 'Q'" in captured.err
-
-
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -291,6 +234,7 @@ def _exit_code_case(monkeypatch, case):
         "exit 1": ["verify", "--suite", "theorem45", "--maxdim", "1"],
         "exit 2": ["count", "--op", "psi", "--dim", "4", "--cap", "1"],
         "parse exit 2": ["count", "--dim", "-1"],
+        "help": ["count", "-h"],
         "exit 141": ["tables"],
         "uncaught": ["tables"],
     }[case]
@@ -298,7 +242,7 @@ def _exit_code_case(monkeypatch, case):
 
 @pytest.mark.parametrize("collecting", [True, False], ids=["gc on", "gc off"])
 @pytest.mark.parametrize("case, outcome", [
-    ("exit 0", 0), ("exit 1", 1), ("exit 2", 2), ("parse exit 2", SystemExit), ("exit 141", 141),
+    ("exit 0", 0), ("exit 1", 1), ("exit 2", 2), ("parse exit 2", 2), ("help", 0), ("exit 141", 141),
     ("uncaught", RuntimeError),
 ])
 def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, case, outcome, collecting):
@@ -343,34 +287,6 @@ def test_write_error_is_a_usage_error(argv, target):
     assert out in (None, b"")
 
 
-def test_bad_group_exit_code(capsys):
-    code = main(["verify", "--suite", "theorem45", "--group", "quaternion8"])
-    assert code == 2
-
-
-@pytest.mark.parametrize("suite", ["theorem45", "cylinder", "chainmaps", "all"])
-def test_free_rank_zero_is_a_bad_group_spec(capsys, suite):
-    code = main(["verify", "--suite", suite, "--group", "free0"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == "error: bad group spec: 'free0'\n"
-
-
-@pytest.mark.parametrize("suite", ["theorem45", "all"])
-@pytest.mark.parametrize("group, name", [("free2", "free2"), ("cyclic2*free1", "cyclic2xfree1")])
-def test_theorem45_on_an_infinite_group_is_a_usage_error(capsys, monkeypatch, suite, group, name):
-    from barhom import checks
-
-    # refused before any work: no instance is built
-    monkeypatch.setattr(checks, "VerificationInstance", None)
-    code = main(["verify", "--suite", suite, "--group", group])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == f"error: theorem45 enumerates the group, and {name} is infinite\n"
-
-
 @pytest.mark.parametrize("suite", ["cylinder", "chainmaps"])
 @pytest.mark.parametrize("group", ["free2", "cyclic2*free1"])
 def test_other_suites_run_on_infinite_groups(capsys, suite, group):
@@ -378,49 +294,6 @@ def test_other_suites_run_on_infinite_groups(capsys, suite, group):
     assert code == 0
     assert out.startswith("ok ")
     assert '"status": "pass"' in out.splitlines()[-1]
-
-
-T45_CAP = "error: term cap exceeded: theorem45 enumerates cyclic100000^2, more than 5000000 simplices\n"
-
-
-@pytest.mark.parametrize("argv, err", [
-    (["--suite", "theorem45", "--group", "cyclic100000", "--maxdim", "2"], T45_CAP),
-    (["--suite", "all", "--group", "cyclic100000", "--maxdim", "2"], T45_CAP),
-    (["--suite", "psi", "--level", "8", "--maxdim", "8"],
-     "error: term cap exceeded: gamma(8) = 14737536 > 5000000\n"),
-    (["--suite", "psi", "--level", "64", "--maxdim", "64"],
-     "error: term cap exceeded: gamma(64) = 2746417420177191868700199417570100702097861510507227732087548"
-     "01314386323695003196320032675003818562560 > 5000000\n"),
-], ids=["theorem45", "all", "psi level 8", "psi level 64"])
-def test_oversized_verify_suites_are_refused_before_any_work(capsys, monkeypatch, argv, err):
-    # nothing is built: listing 10^10 simplices, or psi at level 8, would
-    # take the machine's memory; the time bound is loose, for loaded runners
-    from barhom import checks
-
-    monkeypatch.setattr(checks, "VerificationInstance", None)
-    monkeypatch.setattr(checks, "MitosisTower", None)
-    started = time.perf_counter()
-    code = main(["verify", *argv])
-    elapsed = time.perf_counter() - started
-    captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (2, "", err)
-    assert elapsed < 10
-
-
-@pytest.mark.parametrize("memory, level, terms", [(400 * 2 ** 20, 7, 1135024), (10 * 2 ** 20, 6, 98336)])
-def test_psi_identity_is_refused_on_the_memory_of_its_boundary(capsys, monkeypatch, memory, level, terms):
-    # the identity holds the boundary of psi: (d+1)*gamma(d) face terms at
-    # FACE_BYTES, 454 MB at d = 7 and 34.4 MB at d = 6, each within the term
-    # cap on gamma(d); nothing is built
-    from barhom import checks, cli
-
-    monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
-    monkeypatch.setattr(checks, "MitosisTower", None)
-    code = main(["verify", "--suite", "psi", "--level", str(level), "--maxdim", str(level)])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (2, "")
-    assert captured.err == (f"error: out of memory: gamma({level}) = {terms} terms take at least "
-                            f"{terms * (level + 1) * cli.FACE_BYTES} B > {memory} B of physical memory\n")
 
 
 def test_psi_identity_is_not_refused_above_its_measured_peak(monkeypatch):
@@ -442,152 +315,169 @@ def test_psi_identity_within_the_memory_of_its_boundary_runs(capsys, monkeypatch
     assert '"status": "pass"' in out.splitlines()[-1]
 
 
-@pytest.mark.parametrize("suite", ["chainmaps", "all"])
-def test_chainmaps_above_the_cap_is_refused_before_any_work(capsys, monkeypatch, suite):
-    # the suite subdivides the generic maxdim-simplex into 2^maxdim terms:
-    # 2^23 is the first power of two above the cap; nothing is built
-    from barhom import checks
-
-    monkeypatch.setattr(checks, "formal_context", None)
-    code = main(["verify", "--suite", suite, "--maxdim", "23"])
-    captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (2, "", "error: term cap exceeded: 2**23 = 8388608 > 5000000\n")
-
-
-@pytest.mark.parametrize("cap, maxdim, code", [(8, 3, 0), (8, 4, 2)])
-def test_chainmaps_cap_is_on_two_to_the_maxdim(capsys, monkeypatch, cap, maxdim, code):
-    from barhom import cli
-
-    monkeypatch.setattr(cli, "TERM_CAP", cap)
-    assert main(["verify", "--suite", "chainmaps", "--maxdim", str(maxdim)]) == code
-    captured = capsys.readouterr()
-    if code:
-        assert captured.err == f"error: term cap exceeded: 2**{maxdim} = {2 ** maxdim} > {cap}\n"
-    else:
-        assert '"status": "pass"' in captured.out.splitlines()[-1]
+@pytest.mark.parametrize("suite, cap, maxdim", [
+    ("chainmaps", 8, 3), ("cylinder", 27, 2), ("theorem45", 9, 2), ("theorem45", 27, 4),
+])
+def test_a_suite_at_its_term_cap_runs(capsys, monkeypatch, suite, cap, maxdim):
+    # the cap equals the suite's size: 2**3 edgewise terms, (2 + 1)**3
+    # cylinder entries, cyclic3^2 and cyclic3^3 simplices (dim 3 is the last
+    # exhaustive dim of theorem45 whatever --maxdim is)
+    monkeypatch.setattr("barhom.cli.TERM_CAP", cap)
+    code, out = run(capsys, "verify", "--suite", suite, "--maxdim", str(maxdim), "--samples", "5")
+    assert code == 0
+    assert '"status": "pass"' in out.splitlines()[-1]
 
 
-@pytest.mark.parametrize("suite", ["cylinder", "all"])
-def test_cylinder_above_the_cap_is_refused_before_any_work(capsys, monkeypatch, suite):
-    # the boundary of one maxdim-cylinder has about (maxdim + 1)^3 entries,
-    # 10^9 at maxdim 1000; nothing is built
-    from barhom import checks
+def _memory(size):
+    return {"barhom.cli._physical_memory": lambda: size}
 
-    monkeypatch.setattr(checks, "cylinder_lemma", None)
+
+# an --out that cannot be opened is met only when the built chain is written
+CHAIN_BUILT_FIRST = {"barhom.moore.Chain.add_terms": Chain.add_terms}
+GAMMA_65 = "26150802429184588438638163960054295152511900353483907344252506620860670434843038735166675310894271121452"
+T45_CAP = "error: term cap exceeded: theorem45 enumerates cyclic100000^2, more than 5000000 simplices"
+
+# Every usage error, under the name of the test that reports it, as cases of
+# (id, argv, the one line on standard error, patches); the names and ids are
+# those the cases have always been reported under.  Every case is checked the
+# same way, by _assert_refused.
+USAGE_ERRORS = {
+    "test_count_psi_above_cap_is_refused": [
+        (None, "count --op psi --dim 4 --cap 1000", "error: term cap exceeded: gamma(4) = 1120 > 1000", {})],
+    # gamma(8) = 14,737,536 terms at 100 B each exceed 1 GiB, and so does
+    # gamma(65) under a cap that admits it
+    "test_count_within_cap_above_memory_is_refused": [
+        (None, "count --op psi --dim 8 --cap 20000000", "error: out of memory: gamma(8) = 14737536 terms take "
+         "at least 1473753600 B > 1073741824 B of physical memory", _memory(2 ** 30))],
+    "test_count_with_a_huge_cap_is_refused_on_memory": [
+        (None, "count --op psi --dim 65 --cap " + "9" * 130, f"error: out of memory: gamma(65) = {GAMMA_65} terms "
+         f"take at least {GAMMA_65}00 B > 1073741824 B of physical memory", _memory(2 ** 30))],
+    "test_level_below_dim_is_usage_error": [
+        (command, f"{command} --op psi --dim 3 --level 2", "error: --level 2 is below --dim 3", {})
+        for command in ("count", "expand")],
+    "test_usage_error_exit_code": [
+        (None, "expand --op bogus --dim 1",
+         "error: barhom expand: argument --op: invalid choice: 'bogus' (choose from 'ed', 'P', 'psi', 'phi')", {})],
+    "test_expand_op_Q_is_a_usage_error": [
+        (None, "expand --op Q --dim 1",
+         "error: barhom expand: argument --op: invalid choice: 'Q' (choose from 'ed', 'P', 'psi', 'phi')", {})],
+    "test_bad_group_exit_code": [
+        (None, "verify --suite theorem45 --group quaternion8", "error: bad group spec: 'quaternion8'", {})],
+    "test_free_rank_zero_is_a_bad_group_spec": [
+        (suite, f"verify --suite {suite} --group free0", "error: bad group spec: 'free0'", {})
+        for suite in ("theorem45", "cylinder", "chainmaps", "all")],
+    "test_theorem45_on_an_infinite_group_is_a_usage_error": [
+        (f"{group}-{name}-{suite}", f"verify --suite {suite} --group {group}",
+         f"error: theorem45 enumerates the group, and {name} is infinite", {})
+        for group, name in (("free2", "free2"), ("cyclic2*free1", "cyclic2xfree1")) for suite in ("theorem45", "all")],
+    # listing 10^10 simplices, or psi at level 8, would take the machine's memory
+    "test_oversized_verify_suites_are_refused_before_any_work": [
+        ("theorem45", "verify --suite theorem45 --group cyclic100000 --maxdim 2", T45_CAP, {}),
+        ("all", "verify --suite all --group cyclic100000 --maxdim 2", T45_CAP, {}),
+        ("psi level 8", "verify --suite psi --level 8 --maxdim 8",
+         "error: term cap exceeded: gamma(8) = 14737536 > 5000000", {}),
+        ("psi level 64", "verify --suite psi --level 64 --maxdim 64",
+         "error: term cap exceeded: gamma(64) = 274641742017719186870019941757010070209786151050722773208754801314"
+         "386323695003196320032675003818562560 > 5000000", {})],
+    # the identity holds the boundary of psi: (d + 1) gamma(d) face terms at
+    # FACE_BYTES = 50, 454 MB at d = 7 and 34.4 MB at d = 6, each within the
+    # term cap on gamma(d)
+    "test_psi_identity_is_refused_on_the_memory_of_its_boundary": [
+        (f"{memory}-{level}-{terms}", f"verify --suite psi --level {level} --maxdim {level}",
+         f"error: out of memory: gamma({level}) = {terms} terms take at least {terms * (level + 1) * 50} B > "
+         f"{memory} B of physical memory", _memory(memory))
+        for memory, level, terms in ((400 * 2 ** 20, 7, 1135024), (10 * 2 ** 20, 6, 98336))],
+    # 2**23 is the first power of two above the cap
+    "test_chainmaps_above_the_cap_is_refused_before_any_work": [
+        (suite, f"verify --suite {suite} --maxdim 23", "error: term cap exceeded: 2**23 = 8388608 > 5000000", {})
+        for suite in ("chainmaps", "all")],
+    "test_chainmaps_cap_is_on_two_to_the_maxdim": [
+        ("8-4-2", "verify --suite chainmaps --maxdim 4", "error: term cap exceeded: 2**4 = 16 > 8",
+         {"barhom.cli.TERM_CAP": 8})],
+    # the boundary of one 1000-cylinder has about 10^9 entries
+    "test_cylinder_above_the_cap_is_refused_before_any_work": [
+        (suite, f"verify --suite {suite} --maxdim 1000",
+         "error: term cap exceeded: cylinder boundary (1000 + 1)**3 > 5000000", {}) for suite in ("cylinder", "all")],
+    "test_cylinder_cap_is_on_maxdim_plus_one_cubed": [
+        ("26-2-2", "verify --suite cylinder --maxdim 2 --samples 5",
+         "error: term cap exceeded: cylinder boundary (2 + 1)**3 > 26", {"barhom.cli.TERM_CAP": 26})],
+    "test_theorem45_cap_is_on_order_to_the_exhaustive_dim": [
+        (f"{cap}-{maxdim}-2", f"verify --suite theorem45 --maxdim {maxdim} --samples 5",
+         f"error: term cap exceeded: theorem45 enumerates cyclic3^{min(maxdim, 3)}, more than {cap} simplices",
+         {"barhom.cli.TERM_CAP": cap}) for cap, maxdim in ((8, 2), (26, 4))],
+    "test_out_of_range_numbers_are_usage_errors": [
+        (argv, argv, f"error: barhom {argv.split()[0]}: argument {error}", {}) for argv, error in [
+            ("expand --op ed --dim -1", "--dim: must be >= 0, got -1"),
+            ("tables --max -1", "--max: must be >= 0, got -1"),
+            ("tables --max 100000", "--max: must be <= 1000, got 100000"),
+            ("verify --suite cylinder --samples 0", "--samples: must be >= 1, got 0"),
+            ("verify --suite cylinder --samples -5", "--samples: must be >= 1, got -5"),
+            ("verify --samples 1000000000", "--samples: must be <= 1000, got 1000000000"),
+            ("verify --suite psi --level 0 --maxdim 3", "--level: must be >= 1, got 0"),
+            ("verify --suite chainmaps --maxdim 0", "--maxdim: must be >= 1, got 0"),
+            ("verify --suite theorem45 --modulus 1", "--modulus: must be >= 2, got 1"),
+            ("expand --op P --mode concrete --dim 2 --modulus 1", "--modulus: must be >= 2, got 1"),
+            ("count --op psi --dim 0 --cap -1", "--cap: must be >= 0, got -1"),
+            ("expand --op ed --dim 0 --cap -1", "--cap: must be >= 0, got -1"),
+        ]],
+    "test_expand_above_cap_is_refused": [
+        (f"{op}-{dim}-{size}", f"expand --op {op} --dim {dim} --cap 1000", f"error: term cap exceeded: {size} > 1000", {})
+        for op, dim, size in (("P", 12, "d_cyl(12) = 53248"), ("ed", 11, "2**11 = 2048"))],
+    # the exact gamma(3000) takes minutes, and d_cyl(10**8) has too many
+    # digits for str(): a lower bound on the size refuses both at once
+    "test_huge_dims_are_refused_before_their_size_is_computed": [
+        (f"{command}-{op}-{name}-{dim}", f"{command} --op {op} --dim {dim}",
+         f"error: term cap exceeded: {size.format(dim)} > 5000000", {})
+        for command, op, name, size in (("count", "psi", "gamma", "gamma({})"), ("count", "phi", "gamma", "gamma({})"),
+                                        ("count", "P", "d_cyl", "d_cyl({})"), ("expand", "ed", "2**", "2**{}"))
+        for dim in (3000, 10 ** 8)],
+    # refused before the cap is looked at
+    "test_expand_tsv_is_only_for_ed": [
+        (op, f"expand --op {op} --dim 2 --format tsv --out out", f"error: --format tsv is only for --op ed, not --op {op}",
+         {"barhom.cli._check_cap": None}) for op in ("P", "psi", "phi")],
+    "test_unwritable_out_is_a_usage_error": [
+        ("expand", "expand --op psi --dim 2 --out missing/x.json",
+         "error: cannot write --out missing/x.json: No such file or directory", CHAIN_BUILT_FIRST),
+        ("tables", "tables --out missing/t.tsv", "error: cannot write --out missing/t.tsv: No such file or directory", {}),
+        ("bounds", "bounds --out missing/b.json", "error: cannot write --out missing/b.json: No such file or directory", {}),
+        ("expand-to-a-directory", "expand --op psi --dim 2 --out .", "error: cannot write --out .: Is a directory",
+         CHAIN_BUILT_FIRST)],
+}
+
+
+def _chain_built(self, items):
+    raise AssertionError("a chain was built before the refusal")
+
+
+def _assert_refused(capsys, monkeypatch, tmp_path, argv, line, patches):
+    """``main(argv)`` in ``tmp_path``, after ``patches``, returns 2 within 1 s
+    with ``line`` alone on standard error, nothing on standard output, no file
+    left and no chain built, unless ``patches`` restore ``Chain.add_terms``."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(Chain, "add_terms", _chain_built)
+    for target, value in patches.items():
+        monkeypatch.setattr(target, value)
     started = time.perf_counter()
-    code = main(["verify", "--suite", suite, "--maxdim", "1000"])
+    code = main(argv.split())
     elapsed = time.perf_counter() - started
-    captured = capsys.readouterr()
-    err = "error: term cap exceeded: cylinder boundary (1000 + 1)**3 > 5000000\n"
-    assert (code, captured.out, captured.err) == (2, "", err)
+    assert (code, *capsys.readouterr()) == (2, "", line + "\n")
+    assert list(tmp_path.iterdir()) == []
     assert elapsed < 1
 
 
-@pytest.mark.parametrize("cap, maxdim, code", [(27, 2, 0), (26, 2, 2)])
-def test_cylinder_cap_is_on_maxdim_plus_one_cubed(capsys, monkeypatch, cap, maxdim, code):
-    from barhom import cli
+def _usage_error_test(cases):
+    """A test of ``cases``, by their ids, or of one case without an id."""
+    if len(cases) == 1 and cases[0][0] is None:
+        return lambda capsys, monkeypatch, tmp_path: _assert_refused(capsys, monkeypatch, tmp_path, *cases[0][1:])
 
-    monkeypatch.setattr(cli, "TERM_CAP", cap)
-    assert main(["verify", "--suite", "cylinder", "--maxdim", str(maxdim), "--samples", "5"]) == code
-    captured = capsys.readouterr()
-    if code:
-        assert captured.err == f"error: term cap exceeded: cylinder boundary ({maxdim} + 1)**3 > {cap}\n"
-    else:
-        assert '"status": "pass"' in captured.out.splitlines()[-1]
+    @pytest.mark.parametrize("argv, line, patches", [pytest.param(*case, id=id) for id, *case in cases])
+    def test(capsys, monkeypatch, tmp_path, argv, line, patches):
+        _assert_refused(capsys, monkeypatch, tmp_path, argv, line, patches)
+    return test
 
 
-@pytest.mark.parametrize("cap, maxdim, code", [(9, 2, 0), (8, 2, 2), (26, 4, 2), (27, 4, 0)])
-def test_theorem45_cap_is_on_order_to_the_exhaustive_dim(capsys, monkeypatch, cap, maxdim, code):
-    # cyclic3 has 3^2 = 9 simplices at dim 2 and 27 at dim 3, the last
-    # exhaustive dim whatever --maxdim is
-    from barhom import cli
-
-    monkeypatch.setattr(cli, "TERM_CAP", cap)
-    argv = ["verify", "--suite", "theorem45", "--maxdim", str(maxdim), "--samples", "5"]
-    assert main(argv) == code
-    captured = capsys.readouterr()
-    if code:
-        assert captured.err == (f"error: term cap exceeded: theorem45 enumerates "
-                                f"cyclic3^{min(maxdim, 3)}, more than {cap} simplices\n")
-    else:
-        assert '"status": "pass"' in captured.out.splitlines()[-1]
-
-
-@pytest.mark.parametrize("argv", [
-    ["expand", "--op", "ed", "--dim", "-1"],
-    ["tables", "--max", "-1"],
-    ["verify", "--suite", "cylinder", "--samples", "0"],
-    ["verify", "--suite", "cylinder", "--samples", "-5"],
-    ["verify", "--suite", "psi", "--level", "0", "--maxdim", "3"],
-    ["verify", "--suite", "chainmaps", "--maxdim", "0"],
-    ["verify", "--suite", "theorem45", "--modulus", "1"],
-    ["expand", "--op", "P", "--mode", "concrete", "--dim", "2", "--modulus", "1"],
-    ["count", "--op", "psi", "--dim", "0", "--cap", "-1"],
-    ["expand", "--op", "ed", "--dim", "0", "--cap", "-1"],
-], ids=" ".join)
-def test_out_of_range_numbers_are_usage_errors(capsys, argv):
-    with pytest.raises(SystemExit) as err:
-        main(argv)
-    captured = capsys.readouterr()
-    assert err.value.code == 2
-    assert captured.out == ""
-    assert "must be >= " in captured.err
-
-
-@pytest.mark.parametrize("op, dim, size", [("P", 12, "d_cyl(12) = 53248"), ("ed", 11, "2**11 = 2048")])
-def test_expand_above_cap_is_refused(capsys, op, dim, size):
-    code = main(["expand", "--op", op, "--dim", str(dim), "--cap", "1000"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert f"term cap exceeded: {size} > 1000" in captured.err
-
-
-@pytest.mark.parametrize("dim", [3000, 10**8])
-@pytest.mark.parametrize("command, op, name", [
-    ("count", "psi", "gamma"), ("count", "phi", "gamma"), ("count", "P", "d_cyl"), ("expand", "ed", "2**"),
-])
-def test_huge_dims_are_refused_before_their_size_is_computed(capsys, command, op, name, dim):
-    # the exact gamma(3000) takes minutes, and d_cyl(10**8) has too many
-    # digits for str(): a lower bound on the size refuses both at once
-    started = time.perf_counter()
-    code = main([command, "--op", op, "--dim", str(dim)])
-    elapsed = time.perf_counter() - started
-    captured = capsys.readouterr()
-    size = f"2**{dim}" if op == "ed" else f"{name}({dim})"
-    assert (code, captured.out) == (2, "")
-    assert captured.err == f"error: term cap exceeded: {size} > 5000000\n"
-    assert elapsed < 1.0
-
-
-@pytest.mark.parametrize("op", ["P", "psi", "phi"])
-def test_expand_tsv_is_only_for_ed(capsys, tmp_path, monkeypatch, op):
-    from barhom import cli
-
-    # refused before any work: not even the cap is looked at
-    monkeypatch.setattr(cli, "_check_cap", None)
-    path = tmp_path / "out"
-    code = main(["expand", "--op", op, "--dim", "2", "--format", "tsv", "--out", str(path)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == f"error: --format tsv is only for --op ed, not --op {op}\n"
-    assert not path.exists()
-
-
-@pytest.mark.parametrize("argv, target, reason", [
-    (["expand", "--op", "psi", "--dim", "2"], "missing/x.json", "No such file or directory"),
-    (["tables"], "missing/t.tsv", "No such file or directory"),
-    (["bounds"], "missing/b.json", "No such file or directory"),
-    (["expand", "--op", "psi", "--dim", "2"], ".", "Is a directory"),
-], ids=["expand", "tables", "bounds", "expand-to-a-directory"])
-def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv, target, reason):
-    out = str(tmp_path / target)
-    code = main([*argv, "--out", out])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == f"error: cannot write --out {out}: {reason}\n"
+for _name, _cases in USAGE_ERRORS.items():
+    globals()[_name] = _usage_error_test(_cases)
 
 
 def _verify_failure(capsys, *argv):

@@ -5,6 +5,7 @@ this file as a finding: a strict ``xfail`` whose reason says what misses it,
 so the day a check kills it the test fails until the entry is updated; it is
 never dropped."""
 
+import argparse
 import hashlib
 import itertools
 import json
@@ -18,6 +19,7 @@ from barhom import checks, cli, cylinder, homotopy, moore, quintuple, shuffles
 from barhom.cli import main
 from barhom.cylinder import IncompatiblePillars
 from barhom.groups import CodedAlgebra, CyclicGroup, FreeGroup
+from barhom.homotopy import MitosisTower
 from barhom.moore import Chain, chain_payload, chain_to_json, pushforward
 from barhom.quintuple import Quintuple, QuintupleAlgebra, VerificationInstance, instance_eval
 from barhom.words import Conjugated, TowerAlgebra
@@ -469,6 +471,33 @@ def test_verify_without_its_size_refusals_fails_the_cli_fuzzer(monkeypatch, tmp_
     (argv, reason), _ = test_cli_fuzz.run_cases(tmp_path)
     assert argv[0] == "verify"
     assert reason == f"past its {test_cli_fuzz.DEADLINE_S} s deadline"
+
+
+def test_argparse_own_error_fails_the_usage_error_table(monkeypatch, capsys, tmp_path):
+    # killed by tests/test_cli.py::test_expand_op_Q_is_a_usage_error: exit 2
+    # still, but after argparse's usage synopsis on standard error
+    test_cli.test_expand_op_Q_is_a_usage_error(capsys, monkeypatch, tmp_path)
+    monkeypatch.setattr(cli._Parser, "error", argparse.ArgumentParser.error)
+    with pytest.raises(AssertionError):
+        test_cli.test_expand_op_Q_is_a_usage_error(capsys, monkeypatch, tmp_path)
+
+
+_cmd_count = cli.cmd_count
+
+
+def _count_building_psi_before_its_cap_check(args):
+    base = FreeGroup(max(args.dim, 1))
+    MitosisTower(base).psi(args.dim, tuple(base.gens()[:args.dim]))
+    return _cmd_count(args)
+
+
+def test_count_checking_its_cap_after_psi_fails_the_usage_error_table(monkeypatch, capsys, tmp_path):
+    # killed by tests/test_cli.py::test_count_psi_above_cap_is_refused: the
+    # refusal keeps its exit code and line, but psi(4) is built first
+    test_cli.test_count_psi_above_cap_is_refused(capsys, monkeypatch, tmp_path)
+    monkeypatch.setattr(cli, "cmd_count", _count_building_psi_before_its_cap_check)
+    with pytest.raises(AssertionError, match="a chain was built before the refusal"):
+        test_cli.test_count_psi_above_cap_is_refused(capsys, monkeypatch, tmp_path)
 
 
 def _chain_equality_ignoring_the_class(self, other):
