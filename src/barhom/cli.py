@@ -27,19 +27,21 @@ from typing import Iterable
 from . import bounds as bd
 from . import checks
 from .groups import FreeGroup, Group, parse_group
-from .moore import Chain, ChainError, EntryText, chain_payload, count_degenerate, diameter, project
+from .moore import Chain, ChainError, EntryText, chain_payload, count_degenerate, diameter
 from .homotopy import (
     MitosisTower,
     formal_context,
     homotopy_P,
     instance_context,
+    psi_counts,
 )
 from .quintuple import NonNormalizable, VerificationInstance
 from .shuffles import ed_terms, edgewise
 
 SCHEMA = "barhom/1"
 TERM_CAP = 5_000_000
-# a floor on the bytes one chain term takes: psi at m = 8 takes about 168
+# a floor on the bytes one chain term takes: psi's dict at m = 8 takes about
+# 168 (expand); count streams psi's top stage into packed keys, about 110
 TERM_BYTES = 100
 # a floor on the bytes the psi identity takes per face term of its boundary,
 # (d + 1) gamma(d) at dim d: above the interpreter it peaks at 61-62 B per
@@ -261,16 +263,15 @@ def cmd_count(args) -> int:
         ok = got == expected
         line = f"P dim {dim}: diameter {got} expected {expected}"
     else:
-        tower = MitosisTower(base)
-        chain = tower.psi(level, sigma)
-        alg = tower.algebra
+        # psi's stage is streamed, not held; phi's diameter is psi's less
+        # its degenerate terms, since projecting only deletes those
+        diam, degen = psi_counts(MitosisTower(base), level, sigma)
         if args.op == "psi":
-            diam, degen = diameter(chain), count_degenerate(alg, chain)
             ok = diam == bd.gamma(dim) and degen == bd.q_count(dim)
             line = (f"psi dim {dim} level {level}: diameter {diam} expected {bd.gamma(dim)}, "
                     f"degenerate {degen} expected {bd.q_count(dim)}")
         else:
-            proj = diameter(project(alg, chain))
+            proj = diam - degen
             ok = proj == bd.c_bound(dim)
             line = f"phi dim {dim} level {level}: diameter {proj} expected {bd.c_bound(dim)}"
     print(("ok " if ok else "FAIL ") + line)

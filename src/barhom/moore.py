@@ -35,7 +35,11 @@ accumulation kernel feeds its raw terms to ``add_terms`` in a fixed order:
 ``homotopy.induct_Q`` updates one copy of P's dict with each correction's raw
 terms: while its length grows by their number no key repeated, so
 ``add_term`` would insert each once, in order, nonzero; at the first repeat it
-drops it for ``add_shuffle_product``.
+drops it for ``add_shuffle_product``.  ``homotopy.psi_counts`` is the one
+consumer that sums raw terms without a dict: it streams the same terms,
+sums their L1 norm and ``degenerate_norm`` as they are built, and holds
+only a set of fixed-width packed keys, so a repeat is seen by the set's
+size, as ``induct_Q`` sees it by the dict's; at a repeat it counts the chain.
 
 ``chain_payload`` streams a chain as the UTF-8 bytes of the JSON of
 ``chain_to_json``, whose terms are sorted on their compact JSON text.  It
@@ -57,7 +61,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from operator import getitem, itemgetter
+from operator import contains, getitem, itemgetter
 from typing import Callable, Iterable, Iterator
 
 BarSimplex = tuple
@@ -212,10 +216,16 @@ def project(alg, chain: Chain) -> Chain:
     return out
 
 
+def degenerate_norm(e, simplices: Iterable, coeffs: Iterable) -> int:
+    """The L1 norm of the coefficients whose simplex holds the identity
+    ``e``, from the simplices and their coefficients in step:
+    ``is_degenerate`` inlined."""
+    return sum(map(abs, itertools.compress(coeffs, map(contains, simplices, itertools.repeat(e)))))
+
+
 def count_degenerate(alg, chain: Chain) -> int:
-    """The L1 norm of the degenerate terms: ``is_degenerate`` inlined."""
-    e = alg.identity
-    return sum([abs(c) for s, c in chain.terms.items() if e in s])
+    """The L1 norm of the degenerate terms."""
+    return degenerate_norm(alg.identity, chain.terms, chain.terms.values())
 
 
 def cellular_boundary(alg, chain: Chain) -> Chain:

@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from barhom import homotopy, moore
 from barhom.cli import main
+from barhom.homotopy import MitosisTower
 from barhom.moore import Chain
 
 
@@ -69,6 +71,36 @@ def test_count_phi(capsys):
     code, out = run(capsys, "count", "--op", "phi", "--dim", "3")
     assert code == 0
     assert "expected 97" in out
+
+
+def count_without_the_top_chain(monkeypatch, capsys, op, dim):
+    """``count --op op --dim dim`` while ``MitosisTower.psi`` raises on a
+    dim-simplex and ``project`` raises everywhere: the exit code and the
+    first line."""
+    psi = MitosisTower.psi
+
+    def psi_below_the_top(tower, level, sigma):
+        if len(sigma) == dim:
+            raise AssertionError("psi was built at the top key")
+        return psi(tower, level, sigma)
+
+    def no_project(alg, chain):
+        raise AssertionError("project was called")
+
+    monkeypatch.setattr(MitosisTower, "psi", psi_below_the_top)
+    for module in (moore, homotopy):
+        monkeypatch.setattr(module, "project", no_project)
+    code, out = run(capsys, "count", "--op", op, "--dim", str(dim))
+    return code, out.splitlines()[0]
+
+
+@pytest.mark.parametrize("op", ["psi", "phi"])
+def test_count_builds_no_chain_at_the_top_key(monkeypatch, capsys, op):
+    # the top stage is streamed into packed keys, and phi is psi's diameter
+    # less its degenerate terms, so count never projects
+    code, line = count_without_the_top_chain(monkeypatch, capsys, op, 6)
+    assert code == 0
+    assert line.startswith(f"ok {op} dim 6 level 6: diameter ")
 
 
 def test_expand_psi_summary(capsys):

@@ -30,8 +30,8 @@ import time
 from barhom.cli import main
 
 # the first seed whose cases reach all five of verify's size refusals, as
-# the contract test asserts
-SEED = 37
+# the contract test asserts (none of 0-37 does with this grammar's order)
+SEED = 70
 CASES = 300
 DEADLINE_S = 1.0
 BUDGET_S = 5.0
@@ -49,16 +49,18 @@ GROUPS = ("cyclic3", "sym3", "free2", "cyclic3*", "free0", "cyclic100000", "", "
 # "missing" is no directory
 OUTS = ("out", "missing/out", "")
 
+# each command's size options come first: argparse stops at the first bad
+# option, so an option that comes early is reached by more cases
 GRAMMAR = {
     "tables": {"--max": TABLES_MAXES, "--format": ("json", "tsv", "x"), "--out": OUTS},
-    "expand": {"--op": ("ed", "P", "psi", "phi", "Q"), "--dim": INTS, "--level": INTS,
-               "--group": GROUPS, "--mode": ("concrete", "freesym", "word", "x"),
-               "--modulus": INTS, "--format": ("json", "tsv"), "--seed": INTS, "--cap": INTS,
-               "--out": OUTS},
-    "verify": {"--suite": ("theorem45", "cylinder", "psi", "chainmaps", "all", "x"),
-               "--group": GROUPS, "--maxdim": MAXDIMS, "--level": INTS, "--modulus": INTS,
-               "--samples": SAMPLES, "--seed": INTS},
-    "count": {"--op": ("P", "psi", "phi", "x"), "--dim": INTS, "--level": INTS, "--cap": INTS},
+    "expand": {"--dim": INTS, "--level": INTS, "--cap": INTS,
+               "--op": ("ed", "P", "psi", "phi", "Q"), "--group": GROUPS,
+               "--mode": ("concrete", "freesym", "word", "x"), "--modulus": INTS,
+               "--format": ("json", "tsv"), "--seed": INTS, "--out": OUTS},
+    "verify": {"--maxdim": MAXDIMS, "--level": INTS, "--samples": SAMPLES,
+               "--suite": ("theorem45", "cylinder", "psi", "chainmaps", "all", "x"),
+               "--group": GROUPS, "--modulus": INTS, "--seed": INTS},
+    "count": {"--dim": INTS, "--level": INTS, "--cap": INTS, "--op": ("P", "psi", "phi", "x")},
     "bounds": {"--n": INTS, "--deg": INTS, "--out": OUTS},
 }
 SIZES = {"--max", "--dim", "--level", "--maxdim", "--n"}

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import struct
 from math import comb
 
 import pytest
@@ -20,6 +21,7 @@ from barhom.homotopy import (
     p_cylinder_data,
     pillar_of_term,
     pillar_system,
+    psi_counts,
     psi_identity_residual,
     theorem_identity_residual,
     verify_identity,
@@ -720,6 +722,74 @@ def test_concrete_towers_fall_back_where_a_key_repeats(monkeypatch, group, dim, 
     rng = random.Random(1)
     sigma = tuple(base.sample(rng) for _ in range(dim))
     assert fallback_stages(monkeypatch, base, dim, sigma) == fallen
+
+
+def _chain_counts(tower, level, sigma):
+    """The (diameter, degenerate) of the chain psi(level, sigma), and its
+    projection's diameter."""
+    chain = tower.psi(level, sigma)
+    alg = tower.algebra
+    return (diameter(chain), count_degenerate(alg, chain)), diameter(project(alg, chain))
+
+
+@pytest.mark.parametrize("above", [0, 1])
+@pytest.mark.parametrize("m", range(7))
+def test_streamed_counts_equal_the_chain_counts(m, above):
+    # the generic simplex at level m and m + 1: streamed, never built
+    base = FreeGroup(max(m, 1))
+    sigma, level = tuple(base.gens()[:m]), max(m, 1) + above
+    tower = MitosisTower(base)
+    counts = psi_counts(tower, level, sigma)
+    assert (level, sigma) not in tower._cache
+    assert counts == (gamma(m), q_count(m))
+    assert _chain_counts(tower, level, sigma) == (counts, counts[0] - counts[1])
+
+
+def _repeating_cases():
+    """The simplices of the concrete psi goldens in tests/test_cli.py whose
+    top stage repeats a raw key, then random free3 simplices."""
+    for group, dim in [("cyclic2", 4), ("cyclic3", 3), ("cyclic3", 4)]:
+        base = parse_group(group)
+        rng = random.Random(1)
+        yield base, dim, tuple(base.sample(rng) for _ in range(dim))
+    base, rng = FreeGroup(3), random.Random(3)
+    for _ in range(40):
+        dim = rng.randrange(2, 5)
+        yield base, rng.choice((dim, 4)), tuple(base.sample(rng) for _ in range(dim))
+
+
+def test_streamed_counts_fall_back_to_the_chain_where_a_key_repeats():
+    fell = []
+    for base, level, sigma in _repeating_cases():
+        tower = MitosisTower(base)
+        counts = psi_counts(tower, level, sigma)
+        # the fallback is the one path that builds the top key's chain
+        fell.append((level, sigma) in tower._cache)
+        assert _chain_counts(tower, level, sigma) == (counts, counts[0] - counts[1]), (base, sigma)
+    assert fell[:3] == [True] * 3
+    # the free3 draws take both paths
+    assert 0 < sum(fell[3:]) < 40
+
+
+def test_streamed_counts_with_two_byte_keys():
+    # 254 base words coded first push the tower's codes past 256, so its
+    # keys take two bytes, and code 256 packs to a zero byte and a one
+    base = FreeGroup(4)
+    sigma = tuple(base.gens())
+    tower = MitosisTower(base)
+    for k in range(1, 255):
+        tower.algebra.code((1,) * k)
+    counts = psi_counts(tower, 4, sigma)
+    assert len(tower.algebra.elems) > 257
+    assert counts == (gamma(4), q_count(4)) == _chain_counts(tower, 4, sigma)[0]
+
+
+def test_key_packing_raises_on_a_code_that_does_not_fit():
+    assert homotopy._key_packer(256, 2)(255, 0) == bytes([255, 0])
+    assert len(homotopy._key_packer(257, 2)(256, 0)) == 4
+    for codes, code in [(256, 256), (257, 65536)]:
+        with pytest.raises(struct.error):
+            homotopy._key_packer(codes, 2)(code, 0)
 
 
 def _shuffled(sh, front, back):

@@ -244,9 +244,13 @@ def test_encoder_emitting_gen_e_fails_the_free_reduction_test(monkeypatch):
         test_words.test_encoded_entries_are_freely_reduced()
 
 
-def _count_degenerate_skipping_the_last_term(alg, chain):
-    e = alg.identity
-    return sum([abs(c) for s, c in list(chain.terms.items())[:-1] if e in s])
+_degenerate_norm = moore.degenerate_norm
+
+
+def _degenerate_norm_skipping_the_last_term(e, simplices, coeffs):
+    # the streamed degeneracy test blind to the last term of each batch
+    simplices, coeffs = list(simplices)[:-1], list(coeffs)[:-1]
+    return _degenerate_norm(e, simplices, coeffs)
 
 
 def _count_psi_3(capsys):
@@ -255,14 +259,57 @@ def _count_psi_3(capsys):
 
 
 def test_count_degenerate_skipping_the_last_term_fails_the_q_gate(monkeypatch, capsys):
-    # killed by the q gate of ``count --op psi``: the last term of psi(3) is
+    # killed by the q gate of ``count --op psi``: psi(3) streams as three
+    # batches, P and two corrections, and the last term of each is
     # degenerate.  Skipping the last slot of each simplex instead is no
     # mutation of the psi count: no psi term to m = 6 has the identity in its
     # last slot alone
     ok = "ok psi dim 3 level 3: diameter 152 expected 152, degenerate 55 expected 55"
     assert _count_psi_3(capsys) == (0, ok)
-    monkeypatch.setattr(cli, "count_degenerate", _count_degenerate_skipping_the_last_term)
-    assert _count_psi_3(capsys) == (1, "FAIL " + ok[3:].replace("degenerate 55", "degenerate 54"))
+    for module in (moore, homotopy):
+        monkeypatch.setattr(module, "degenerate_norm", _degenerate_norm_skipping_the_last_term)
+    assert _count_psi_3(capsys) == (1, "FAIL " + ok[3:].replace("degenerate 55", "degenerate 52"))
+
+
+_batches = homotopy._batches
+
+
+def _batches_dropping_the_last(keys, coeffs):
+    # a stream of raw terms longer than one batch (a correction of psi(6):
+    # P has 448 terms) ends a batch early
+    batches = list(_batches(keys, coeffs))
+    return iter(batches[:-1] if len(batches) > 1 else batches)
+
+
+def _count_psi_6(capsys):
+    code = main(["count", "--op", "psi", "--dim", "6"])
+    return code, capsys.readouterr().out.splitlines()[0]
+
+
+def test_stream_dropping_the_last_batch_of_a_correction_fails_the_gamma_gate(monkeypatch, capsys):
+    # killed by the gamma gate: every raw term has a nonzero coefficient, so
+    # a term that is never built lowers the diameter
+    ok = "ok psi dim 6 level 6: diameter 98336 expected 98336, degenerate 36532 expected 36532"
+    assert _count_psi_6(capsys) == (0, ok)
+    monkeypatch.setattr(homotopy, "_batches", _batches_dropping_the_last)
+    assert _count_psi_6(capsys) == (1, "FAIL " + ok[3:].replace("diameter 98336", "diameter 91484")
+                                    .replace("degenerate 36532", "degenerate 32332"))
+
+
+def _key_packer_keeping_the_first_codes(codes, dim):
+    # the first dim codes of the tower pack apart, and every later one as dim
+    return lambda *key: bytes(min(c, dim) for c in key)
+
+
+@pytest.mark.parametrize("op", ["psi", "phi"])
+def test_packing_that_merges_codes_fails_the_no_top_chain_test(monkeypatch, capsys, op):
+    # killed by tests/test_cli.py::test_count_builds_no_chain_at_the_top_key:
+    # distinct terms share a key, so the count falls back to the chain, whose
+    # counts are right; a packing that collides is never silent
+    test_cli.test_count_builds_no_chain_at_the_top_key(monkeypatch, capsys, op)
+    monkeypatch.setattr(homotopy, "_key_packer", _key_packer_keeping_the_first_codes)
+    with pytest.raises(AssertionError, match="psi was built at the top key"):
+        test_cli.test_count_builds_no_chain_at_the_top_key(monkeypatch, capsys, op)
 
 
 def _compare_without(monkeypatch, cls, name):
@@ -550,16 +597,8 @@ def test_coded_mul_caching_a_raise_fails_the_tower_memo_test(monkeypatch):
         test_homotopy.test_tower_mul_memo_agrees_with_a_fresh_algebra()
 
 
-def _count_degenerate_skipping_the_first_entry(alg, chain):
-    e = alg.identity
-    return sum([abs(c) for s, c in chain.terms.items() if e in s[1:]])
-
-
-def _project_skipping_the_first_entry(alg, chain):
-    out = Chain(chain.dim)
-    e = alg.identity
-    out.terms = {s: c for s, c in chain.terms.items() if e not in s[1:]}
-    return out
+def _degenerate_norm_skipping_the_first_entry(e, simplices, coeffs):
+    return sum(map(abs, itertools.compress(coeffs, (e in s[1:] for s in simplices))))
 
 
 def test_degeneracy_filter_skipping_the_first_entry_fails_the_count_gates(monkeypatch, capsys):
@@ -567,9 +606,8 @@ def test_degeneracy_filter_skipping_the_first_entry_fails_the_count_gates(monkey
     # 25 terms of psi(3) hold the identity in their first entry alone
     test_cli.test_count_pass(capsys)
     test_cli.test_count_phi(capsys)
-    for module in (moore, cli, checks):
-        monkeypatch.setattr(module, "count_degenerate", _count_degenerate_skipping_the_first_entry)
-        monkeypatch.setattr(module, "project", _project_skipping_the_first_entry)
+    for module in (moore, homotopy):
+        monkeypatch.setattr(module, "degenerate_norm", _degenerate_norm_skipping_the_first_entry)
     for test in (test_cli.test_count_pass, test_cli.test_count_phi):
         with pytest.raises(AssertionError):
             test(capsys)
