@@ -20,30 +20,23 @@ it is the reference the tests hold ``p_cylinder_data`` to.
 
 The mitosis specialization plugs in conjugation by the inverse n-th stable
 letter for both f and h, the identity for g and the trivial map for k; the
-tower homotopy iterates it level by level, correcting with shuffle products
-against lower levels (``shuffle_terms``, whose sum is tested against the
-classical ``mult_map`` of ``ez`` of a tensor chain), and the degenerate-killed
-variant composes with the projection.  ``stage`` builds one stage's P and
-its correction factors; ``induct_Q`` sums them into the stage's chain, and
-``psi_counts`` counts the same raw terms without holding them.  One
+tower homotopy psi iterates it level by level, correcting with shuffle
+products (``shuffle_terms``) against lower levels, and phi projects psi.
+``stage`` builds one stage's P and its correction factors; ``induct_Q`` sums
+them into the stage's chain, and ``psi_counts`` counts the same raw terms
+without holding them.  Both run on the generic simplex (x_1, ..., x_m) of a
+free base, where a repeated raw term is a bug and raises ``ChainError``;
+psi on any other simplex is the generic psi pushed forward.  One
 ``MitosisTower`` owns one word algebra, coded as small ints by a
-``groups.CodedAlgebra``, builds each level's context once and memoizes its
-stages, so every term of psi is a tuple of ints and only ``entry_to_json``
-decodes a tower value.
-``coded_context`` is the one context builder: it takes a ``CodedAlgebra``
-and the five plain letter maps, and each letter of the context it returns
-codes ``fn(x)`` once per source element.  ``formal_context`` (over a
-``QuintupleAlgebra``), ``instance_context`` (over the target of a
-``VerificationInstance``) and ``MitosisTower.context`` are each one call of
-it, while the entry models themselves stay uncoded.  ``HomotopyContext`` is
-a plain namedtuple, so a context of uncoded letters is built directly.
-``verify_identity`` is the harness that evaluates a homotopy identity for
-any callable H and returns the residual chain instead of a bare boolean, so
-a failure is reported term by term rather than hidden.
-``theorem_identity_residual`` keeps P of the proper faces it meets in a dict
-its caller passes, so a run of checks on one context (one
-``checks.theorem45`` call) builds P once per distinct face; P of the checked
-simplex itself is never kept.
+``groups.CodedAlgebra``, builds each level's context once and memoizes psi,
+so every term of psi is a tuple of ints and only ``entry_to_json`` decodes a
+tower value.  ``coded_context`` is the one context builder: each letter of
+the context it returns codes ``fn(x)`` once per source element, and
+``formal_context``, ``instance_context`` and ``MitosisTower.context`` are
+each one call of it.  ``HomotopyContext`` is a plain namedtuple, so a
+context of uncoded letters is built directly.  ``verify_identity`` returns
+the residual chain of a homotopy identity, so a failure is reported term by
+term.
 """
 
 from __future__ import annotations
@@ -55,10 +48,10 @@ from collections import namedtuple
 from typing import Callable
 
 from .cylinder import cyl_chain
-from .groups import CodedAlgebra, Group
-from .moore import Chain, boundary, count_degenerate, degenerate_norm, diameter, project
+from .groups import CodedAlgebra, FreeGroup, Group
+from .moore import Chain, ChainError, boundary, degenerate_norm, project, pushforward
 from .quintuple import QuintupleAlgebra, VerificationInstance
-from .shuffles import DimensionMismatch, add_shuffle_product, edgewise, shuffle_table, shuffle_terms, shuffles
+from .shuffles import DimensionMismatch, edgewise, shuffle_table, shuffle_terms, shuffles
 from .words import TowerAlgebra
 
 
@@ -208,20 +201,17 @@ def stage(tower: MitosisTower, level: int, sigma: tuple) -> tuple:
 
 
 def induct_Q(tower: MitosisTower, level: int, sigma: tuple) -> Chain:
-    """One inductive step: the stage homotopy corrected by shuffle products
-    of the previous stage on front faces against pushed-forward back faces,
-    summed as one dict while no raw key repeats (see ``moore``)."""
+    """One inductive step on a generic simplex: the stage homotopy corrected
+    by shuffle products of the previous stage on front faces against
+    pushed-forward back faces, summed as one dict (see ``moore``)."""
     out, factors = stage(tower, level, sigma)
     terms = dict(out.terms)
     for a, b in factors:
         keys, coeffs, count = shuffle_terms(a, b, -1)
         expected = len(terms) + count
         terms.update(zip(keys, coeffs))
-        if len(terms) != expected:   # a key repeated
-            del terms
-            for a, b in factors:
-                add_shuffle_product(out, a, b, -1)
-            return out
+        if len(terms) != expected:
+            raise ChainError(f"a raw term of psi({level}) on a {len(sigma)}-simplex repeats")
     out.terms = terms
     return out
 
@@ -248,15 +238,13 @@ def _key_packer(codes: int, dim: int):
 
 
 def psi_counts(tower: MitosisTower, level: int, sigma: tuple) -> tuple:
-    """``(diameter, degenerate)`` of ``tower.psi(level, sigma)``, the L1
-    norm of psi and of its degenerate terms, without holding psi's stage.
+    """``(diameter, degenerate)``: the L1 norms of psi(level, sigma) on a
+    generic simplex and of its degenerate terms, without holding psi's stage.
 
     The stage's raw terms, P's and then each correction's in ``induct_Q``'s
     order, are summed as they are built, a batch at a time, and each goes
-    into a set as a packed key.  If the set holds one key per raw term, no
-    key repeated: the stage dict would have held every raw term once, so the
-    sums are the chain's.  Otherwise psi is built and counted.  The lower
-    stages are the tower's memoized chains."""
+    into a set as a packed key, which must hold one key per raw term, as
+    ``induct_Q``'s dict does.  The lower stages are the tower's memoized psi."""
     if not sigma:
         return 0, 0
     P, factors = stage(tower, level, sigma)
@@ -264,36 +252,31 @@ def psi_counts(tower: MitosisTower, level: int, sigma: tuple) -> tuple:
     # corrections only place the codes of P and of the factors, so the
     # stage makes no code after this point
     pack = _key_packer(len(alg.elems), P.dim)
-    e = alg.identity
     seen = set()
     raw = total = degenerate = 0
     streams = [(P.terms, P.terms.values())] + [shuffle_terms(a, b, -1)[:2] for a, b in factors]
     for simplices, coeffs in itertools.chain.from_iterable(itertools.starmap(_batches, streams)):
         # on the tuples: a 2-byte key of a nonidentity code can hold a zero byte
-        degenerate += degenerate_norm(e, simplices, coeffs)
+        degenerate += degenerate_norm(alg.identity, simplices, coeffs)
         total += sum(map(abs, coeffs))
         seen.update(itertools.starmap(pack, simplices))
         raw += len(simplices)
-    if len(seen) == raw:
-        return total, degenerate
-    del seen
-    chain = tower.psi(level, sigma)
-    return diameter(chain), count_degenerate(alg, chain)
+    if len(seen) != raw:
+        raise ChainError(f"a raw term of psi({level}) on a {len(sigma)}-simplex repeats")
+    return total, degenerate
 
 
 class MitosisTower:
-    """Tower homotopies over one base group: one coded word algebra, one
-    context per level and memoized stages.
-
-    ``algebra`` is the ``CodedAlgebra`` of the base group's ``TowerAlgebra``:
-    the chains hold int codes, and ``algebra.elems[c]`` is the tower value
-    with code ``c``."""
+    """Tower homotopies over one base group: one context per level, memoized
+    psi, and ``algebra``, the ``CodedAlgebra`` of the base's ``TowerAlgebra``,
+    whose ``elems[c]`` is the tower value with code ``c``."""
 
     def __init__(self, base: Group):
         self.base = base
         self.algebra = CodedAlgebra(TowerAlgebra(base))
         self._contexts: dict = {}
         self._cache: dict = {}
+        self._generic = None
 
     def context(self, level: int) -> HomotopyContext:
         """Stage-n homomorphisms into the tower's word algebra, as codes."""
@@ -310,14 +293,37 @@ class MitosisTower:
         return ctx
 
     def psi(self, level: int, sigma: tuple) -> Chain:
-        """The level-n tower homotopy on a simplex of dimension <= n."""
+        """The level-n tower homotopy on a simplex of dimension <= n: built
+        by ``induct_Q`` on the generic simplex (x_1, ..., x_m) of a free base,
+        and else, as psi is natural, the generic psi pushed forward along the
+        tower map of x_i -> sigma_i.  Both are memoized."""
         if not sigma:
             return Chain(1)
-        key = (level, sigma)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = self._cache[key] = induct_Q(self, level, sigma)
-        return cached
+        chain = self._cache.get((level, sigma))
+        if chain is None:
+            generic_sigma = tuple(FreeGroup(len(sigma)).gens())
+            if self._generic is None and not isinstance(self.base, FreeGroup):
+                # words may name any generator: one free tower serves all dims
+                self._generic = MitosisTower(FreeGroup(len(sigma)))
+            generic = self._generic or self
+            if generic is self and sigma == generic_sigma:
+                chain = induct_Q(self, level, sigma)
+            else:
+                chain, h = generic.psi(level, generic_sigma), self.tower_map(sigma)
+                table = {c: self.algebra.code(h(generic.algebra.elems[c]))
+                         for c in set(itertools.chain.from_iterable(chain.terms))}
+                chain = pushforward(table.__getitem__, chain)
+            self._cache[level, sigma] = chain
+        return chain
+
+    def tower_map(self, sigma: tuple) -> Callable:
+        """The tower map of x_i -> sigma_i from tower values over a free base
+        to this tower's, uncoded: a word goes to its letters' images' product."""
+        G, letters = self.base, {}
+        for i, x in enumerate(sigma, start=1):
+            letters[i], letters[-i] = x, G.inv(x)
+        base_map = lambda word: functools.reduce(G.mul, map(letters.__getitem__, word), G.identity)
+        return functools.partial(self.algebra.algebra.image, base_map=base_map)
 
     def phi(self, level: int, sigma: tuple) -> Chain:
         """Degenerate-killed homotopy: the projection of psi."""

@@ -6,11 +6,9 @@ be group elements, formal values or int codes — any value with hashable
 canonical equality.  Operations that multiply or recognise entries take the
 entry algebra as their first argument, with the interface ``identity``,
 ``mul`` and ``entry_to_json``: a group, a ``QuintupleAlgebra``, a
-``TowerAlgebra`` or a ``groups.CodedAlgebra`` wrapping one of these.  Every
-homotopy context is built by ``homotopy.coded_context`` on a
-``CodedAlgebra`` (of the verification target, the formal quintuple algebra
-or the mitosis tower), so the chains of P, ed and psi hold ints; the
-uncoded algebras serve the tests' reference chains and the oracles.
+``TowerAlgebra`` or a ``groups.CodedAlgebra`` wrapping one of these.  The
+chains of P, ed and psi hold the ints of a ``CodedAlgebra``; the uncoded
+algebras serve the tests' reference chains and the oracles.
 
 A ``Chain`` is a finite integer formal sum of simplices of one dimension.
 Faces follow the bar-construction rule: the 0-th face drops the first entry,
@@ -29,17 +27,16 @@ moves to the end and the iteration order of a result is fixed by the order of
 the additions.  ``add_term`` checks one term's dimension first.  Every
 accumulation kernel feeds its raw terms to ``add_terms`` in a fixed order:
 ``boundary`` (the faces, built column by column), ``Chain.add_chain``,
-``pushforward``, ``shuffles.add_shuffle_product``, ``shuffles.edgewise`` and
-``cylinder.cyl_chain``.  So a kernel's result is, in order, that of
-``add_term`` on its raw terms; ``project`` only filters, as nothing cancels.
-``homotopy.induct_Q`` updates one copy of P's dict with each correction's raw
-terms: while its length grows by their number no key repeated, so
-``add_term`` would insert each once, in order, nonzero; at the first repeat it
-drops it for ``add_shuffle_product``.  ``homotopy.psi_counts`` is the one
-consumer that sums raw terms without a dict: it streams the same terms,
-sums their L1 norm and ``degenerate_norm`` as they are built, and holds
-only a set of fixed-width packed keys, so a repeat is seen by the set's
-size, as ``induct_Q`` sees it by the dict's; at a repeat it counts the chain.
+``pushforward``, ``shuffles.edgewise`` and ``cylinder.cyl_chain``.  So a
+kernel's result is, in order, that of ``add_term`` on its raw terms;
+``project`` only filters, as nothing cancels.  ``homotopy.induct_Q`` updates
+one copy of P's dict with each correction's raw terms: while the length
+grows by their number, ``add_term`` would have inserted each once, in order,
+nonzero, and a repeat raises ``ChainError``.  ``homotopy.psi_counts`` streams
+the same terms without a dict: it sums their L1 norm and ``degenerate_norm``
+as they are built and holds only a set of fixed-width packed keys, whose size
+shows a repeat.  Both run on the generic simplex only, where no raw key
+repeats; psi elsewhere is a ``pushforward`` of it.
 
 ``chain_payload`` streams a chain as the UTF-8 bytes of the JSON of
 ``chain_to_json``, whose terms are sorted on their compact JSON text.  It

@@ -15,7 +15,8 @@ cached table, ``shuffle_table``.  The shuffle product ``shuffle_terms``
 interleaves the entries of two simplices directly: the Eilenberg-Zilber map
 pads every slot of one factor that the other fills with the identity, and
 every entry algebra's product returns the other factor when one side is the
-identity.  ``add_shuffle_product`` and ``homotopy.induct_Q`` sum its terms.
+identity.  ``homotopy.induct_Q`` sums its terms, and ``homotopy.psi_counts``
+counts them.
 
 Since B(G x H) = BG x BH, a simplex of the product space is a bar simplex of
 pairs ((x_1, y_1), ..., (x_n, y_n)), so product chains are plain ``Chain``s
@@ -227,8 +228,9 @@ def tensor_of_chains(a: Chain, b: Chain) -> TensorChain:
 def shuffle_terms(a: Chain, b: Chain, scale: int = 1) -> tuple:
     """The raw terms of ``scale * (a shuffle b)``, in the order tau, sigma,
     then ``shuffle_table``'s placements, as ``(keys, coeffs, count)``: two
-    C-level iterators and their length.  Per tau the sources sigma + tau are
-    ``tee``'d, never listed; per distinct coefficient one signed row."""
+    C-level iterators and their length; their sum is ``scale *
+    mult_map(ez(tensor_of_chains(a, b)))``.  Per tau the sources sigma + tau
+    are ``tee``'d, never listed; per distinct coefficient one signed row."""
     _, _, signs, places, _ = zip(*shuffle_table(a.dim, b.dim))
     sigmas, cas = a.terms.keys(), a.terms.values()
 
@@ -243,21 +245,6 @@ def shuffle_terms(a: Chain, b: Chain, scale: int = 1) -> tuple:
     return (itertools.chain.from_iterable(map(keys, b.terms)),
             itertools.chain.from_iterable(map(coeffs, b.terms.values())),
             len(a) * len(b) * len(places))
-
-
-def add_shuffle_product(out: Chain, a: Chain, b: Chain, scale: int = 1) -> None:
-    """Add ``scale * (a shuffle b)`` to ``out`` in place: ``shuffle_terms``
-    fed to ``Chain.add_terms``.
-
-    Equals ``mult_map(ez(tensor_of_chains(a, b)))`` for every entry algebra,
-    since each one's product returns the other factor when one side is the
-    identity: every term is the signed interleaving of sigma and tau."""
-    if a.dim + b.dim != out.dim:
-        raise DimensionMismatch(
-            f"shuffle product of dims ({a.dim},{b.dim}) into a {out.dim}-chain"
-        )
-    keys, coeffs, _ = shuffle_terms(a, b, scale)
-    out.add_terms(zip(keys, coeffs))
 
 
 # -- edgewise subdivision --------------------------------------------------------

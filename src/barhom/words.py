@@ -73,6 +73,16 @@ class TowerAlgebra:
         """m_level(m_arg)."""
         return PillarWord(level, self.identity, m_arg)
 
+    def image(self, v, base_map):
+        """The image of the tower value ``v`` under the tower map that the base
+        homomorphism h = ``base_map`` induces: F_L(a) * t goes to F_L(h(a)) *
+        h(t), flattened if h(a) = e, and F_L(f) * m_L(x) to F_L(h(f)) * m_L(h(x))."""
+        if isinstance(v, Conjugated):
+            return self.conj(v.level, base_map(v.arg), self.image(v.tail, base_map))
+        if isinstance(v, PillarWord):
+            return PillarWord(v.level, base_map(v.f_arg), base_map(v.m_arg))
+        return base_map(v)
+
     # multiplication --------------------------------------------------------
 
     def mul(self, v, w):

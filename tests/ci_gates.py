@@ -31,6 +31,9 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 # expand --op psi --dim 6: 317 MB of JSON
 PSI_6_SHA256 = "700e17a88a2476141b7ef924c7ec09ecb43206d6b1d288af68f9ca12c2517c46"
+# expand --op psi --mode concrete --seed 1 --group sym3 --dim 6: 336 MB of JSON,
+# without the newline standard output ends in (251f2a31... with it)
+PSI_SYM3_6_SHA256 = "f57dc33d53c14471713a73edae4a645ff86424c5c0d4134c1a7e4508c4bb211f"
 # RLIMIT_AS of each fuzzed child: a size that is not refused ends there in a
 # MemoryError traceback, which the contract catches, not in the machine's memory
 FUZZ_AS = 1536 << 20
@@ -64,6 +67,10 @@ GATES = [
     # the standard-output path of the same document, hashed as it is read:
     # the golden bytes, then exactly one newline
     Gate(("expand", "--op", "psi", "--dim", "6"), sha256=PSI_6_SHA256),
+    # concrete psi is the generic psi(6) pushed forward along x_i -> sigma_i,
+    # at a size tier-1's concrete goldens (dim <= 4) do not reach
+    Gate(("expand", "--op", "psi", "--mode", "concrete", "--seed", "1", "--group", "sym3", "--dim", "6"),
+         peak_mb=80, sha256=PSI_SYM3_6_SHA256),
     # the tower identity at level = dim = 7, one level above tier-1's
     # criterion 9 (about 11 s and 540 MB on a 2-core x86-64 VM)
     Gate(("verify", "--suite", "psi", "--level", "7", "--maxdim", "7"), peak_mb=800),

@@ -14,7 +14,7 @@ import pytest
 import ci_gates
 from barhom.cli import build_parser
 from ci_gates import GATES
-from test_cli import PSI_6_SHA256
+from test_cli import PSI_6_SHA256, PSI_SYM3_6_SHA256
 
 REFUSALS = [i for i, gate in enumerate(GATES) if gate.code == 2]
 
@@ -42,7 +42,7 @@ def test_every_argv_parses(gate):
 
 
 def test_every_golden_is_tier_1s():
-    assert {gate.sha256 for gate in GATES if gate.sha256} == {PSI_6_SHA256}
+    assert {gate.sha256 for gate in GATES if gate.sha256} == {PSI_6_SHA256, PSI_SYM3_6_SHA256}
 
 
 def test_the_refusal_rows_pass_and_fail_when_a_bound_is_tightened():

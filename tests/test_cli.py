@@ -91,7 +91,7 @@ def count_without_the_top_chain(monkeypatch, capsys, op, dim):
     for module in (moore, homotopy):
         monkeypatch.setattr(module, "project", no_project)
     code, out = run(capsys, "count", "--op", op, "--dim", str(dim))
-    return code, out.splitlines()[0]
+    return code, out.partition("\n")[0]
 
 
 @pytest.mark.parametrize("op", ["psi", "phi"])
@@ -685,8 +685,8 @@ def test_expand_bytes_are_golden(capsys, tmp_path, case):
 
 
 # standard output of ``expand --op psi --mode concrete --seed 1 --group G
-# --dim d``: the cyclic towers repeat a raw term in some stage, sym3 and
-# cyclic2*sym3 do not (tests/test_homotopy.py asserts which stages)
+# --dim d``: the generic psi pushed forward, where the cyclic towers merge
+# and cancel terms (sym3 at dim 6 is pinned below, with PSI_6_SHA256)
 PSI_CONCRETE_SHA256 = {
     ("cyclic2", 4): "7757227e087e11e9c6d509248f71ed896dedecc2a1dffbcd3eed8ccab954feef",
     ("cyclic3", 3): "4a7b3662982cf7d2f5768d1a76a1a95a448ae073973e99052c98e169154aa750",
@@ -732,10 +732,13 @@ def test_short_writes_are_completed(monkeypatch, tmp_path):
 
 # the bytes of expand --op psi --dim 6, 317 MB of JSON
 PSI_6_SHA256 = "700e17a88a2476141b7ef924c7ec09ecb43206d6b1d288af68f9ca12c2517c46"
+# the bytes of expand --op psi --mode concrete --seed 1 --group sym3 --dim 6,
+# 336 MB of JSON: the generic psi(6) pushed forward
+PSI_SYM3_6_SHA256 = "f57dc33d53c14471713a73edae4a645ff86424c5c0d4134c1a7e4508c4bb211f"
 
 
-def test_expand_psi_6_bytes_are_golden(monkeypatch):
-    # 317 MB of JSON: the pieces are hashed as they are written, not stored
+def _expand_sha256_as_written(monkeypatch, *argv):
+    # the pieces are hashed as they are written, not stored
     from barhom import cli
 
     digest = hashlib.sha256()
@@ -745,8 +748,17 @@ def test_expand_psi_6_bytes_are_golden(monkeypatch):
             digest.update(piece)
 
     monkeypatch.setattr(cli, "_write", hash_pieces)
-    assert main(["expand", "--op", "psi", "--dim", "6", "--out", "unused"]) == 0
-    assert digest.hexdigest() == PSI_6_SHA256
+    assert main(["expand", *argv, "--out", "unused"]) == 0
+    return digest.hexdigest()
+
+
+def test_expand_psi_6_bytes_are_golden(monkeypatch):
+    assert _expand_sha256_as_written(monkeypatch, "--op", "psi", "--dim", "6") == PSI_6_SHA256
+
+
+def test_expand_concrete_psi_sym3_6_bytes_are_golden(monkeypatch):
+    argv = ("--op", "psi", "--mode", "concrete", "--seed", "1", "--group", "sym3", "--dim", "6")
+    assert _expand_sha256_as_written(monkeypatch, *argv) == PSI_SYM3_6_SHA256
 
 
 def _assert_entry_error_leaves_no_file(tmp_path, monkeypatch, case):

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import re
 import struct
 from math import comb
 
@@ -8,6 +9,7 @@ import pytest
 
 from barhom import checks, homotopy, quintuple
 from barhom.bounds import c_bound, d_cyl, gamma, q_count
+from barhom.cli import main
 from barhom.cylinder import face_pillar
 from barhom.groups import CyclicGroup, FreeGroup, SymmetricGroup, parse_group
 from barhom.homotopy import (
@@ -26,14 +28,14 @@ from barhom.homotopy import (
     theorem_identity_residual,
     verify_identity,
 )
-from barhom.moore import Chain, boundary, count_degenerate, diameter, face, project, pushforward
+from barhom.moore import Chain, ChainError, boundary, count_degenerate, diameter, face, project, pushforward
 from barhom.quintuple import NonNormalizable, QuintupleAlgebra, VerificationInstance
 from barhom.shuffles import (
     DimensionMismatch,
-    add_shuffle_product,
     edgewise,
     ez,
     mult_map,
+    shuffle_terms,
     shuffles,
     tensor_of_chains,
 )
@@ -627,7 +629,7 @@ def _oracle_psi(tower, level, sigma, memo):
         pushed = Chain.of(tuple(ctx.f(x) for x in sigma[k:]))
         correction = mult_map(alg, ez(alg, tensor_of_chains(sub, pushed)))
         fused = Chain(m + 1)
-        add_shuffle_product(fused, sub, pushed)
+        fused.add_terms(zip(*shuffle_terms(sub, pushed)[:2]))
         assert fused == correction
         out.add_chain(correction, -1)
     memo[key] = out
@@ -645,8 +647,9 @@ def test_induct_Q_fused_corrections_match_oracle(m):
 
 def _scalar_psi(tower, level, sigma, memo):
     """The tower homotopy with each stage accumulated term by term: P, then
-    ``add_shuffle_product`` of each correction in turn, in ``induct_Q``'s
-    order of construction, so a fresh tower codes the same values alike."""
+    the ``shuffle_terms`` of each correction in turn through
+    ``Chain.add_terms``, in ``induct_Q``'s order of construction, so a fresh
+    tower codes the same values alike."""
     if not sigma:
         return Chain(1)
     key = (level, sigma)
@@ -655,18 +658,9 @@ def _scalar_psi(tower, level, sigma, memo):
         out = homotopy_P(ctx, sigma)
         for k in range(1, len(sigma)):
             pushed = Chain.of(tuple(ctx.f(x) for x in sigma[k:]))
-            add_shuffle_product(out, _scalar_psi(tower, level - 1, sigma[:k], memo), pushed, -1)
+            out.add_terms(zip(*shuffle_terms(_scalar_psi(tower, level - 1, sigma[:k], memo), pushed, -1)[:2]))
         memo[key] = out
     return memo[key]
-
-
-def _outcome(build):
-    """The items of the chain ``build()`` returns, in order, or the type and
-    message of the ``NonNormalizable`` it raises."""
-    try:
-        return list(build().terms.items())
-    except NonNormalizable as exc:
-        return type(exc), str(exc)
 
 
 def _random_tower_cases():
@@ -683,45 +677,133 @@ TOWER_CASES += list(_random_tower_cases())
 
 @pytest.mark.parametrize("base, sigma", TOWER_CASES, ids=lambda x: str(x))
 def test_stage_dicts_equal_the_scalar_accumulation(base, sigma):
-    # two fresh towers: the same terms, in the same order, under the same codes
     level = max(len(sigma), 1)
-    fast = _outcome(lambda: MitosisTower(base).psi(level, sigma))
-    assert fast == _outcome(lambda: _scalar_psi(MitosisTower(base), level, sigma, {}))
+    if isinstance(base, FreeGroup):
+        # two fresh towers: the same terms, in the same order, under the same codes
+        fast = MitosisTower(base).psi(level, sigma).terms.items()
+        assert list(fast) == list(_scalar_psi(MitosisTower(base), level, sigma, {}).terms.items())
+    else:
+        # a concrete psi is the generic one pushed forward: the oracle's values
+        assert naturality_mismatch([(base, level, sigma)]) is None
 
 
-def fallback_stages(monkeypatch, base, level, sigma):
-    """The stages (level, dim) of ``psi(level, sigma)`` that ``induct_Q``
-    accumulated term by term, seen as the outputs ``add_shuffle_product``
-    was called on."""
-    outputs = []
-    scalar = homotopy.add_shuffle_product
-    monkeypatch.setattr(homotopy, "add_shuffle_product",
-                        lambda out, a, b, scale=1: (outputs.append(out), scalar(out, a, b, scale)))
-    tower = MitosisTower(base)
-    tower.psi(level, sigma)
-    return sorted((lv, len(s)) for (lv, s), chain in tower._cache.items()
-                  if any(chain is out for out in outputs))
+def naturality_mismatch(cases):
+    """The first ``(group, level, sigma)`` of the ``(base, level, sigma)``
+    cases whose psi, the generic psi pushed forward, differs from the
+    oracle's as decoded chains; None if none does.  One tower per base
+    builds psi, and another the oracle."""
+    towers = {}
+    for base, level, sigma in cases:
+        tower, oracle, memo = towers.setdefault(base, (MitosisTower(base), MitosisTower(base), {}))
+        got = _decoded(tower.algebra, tower.psi(level, sigma))
+        if got != _decoded(oracle.algebra, _oracle_psi(oracle, level, sigma, memo)):
+            return base.name, level, sigma
+    return None
+
+
+NATURALITY_GROUPS = ["cyclic2", "cyclic3", "sym3", "cyclic2*sym3"]
+
+
+def naturality_grid(per_cell):
+    """``per_cell`` random simplices of each group at each (level, dim), then
+    40 random free3 simplices of dims 2-4 at level dim or 4."""
+    rng = random.Random(27)
+    for group in NATURALITY_GROUPS:
+        base = parse_group(group)
+        for level, dim in [(2, 2), (3, 3), (4, 4), (4, 3)]:
+            for _ in range(per_cell):
+                yield base, level, tuple(base.sample(rng) for _ in range(dim))
+    base, rng = FreeGroup(3), random.Random(3)
+    for _ in range(40):
+        dim = rng.randrange(2, 5)
+        yield base, rng.choice((dim, 4)), tuple(base.sample(rng) for _ in range(dim))
+
+
+def test_concrete_psi_is_the_generic_psi_pushed_forward():
+    assert naturality_mismatch(naturality_grid(10)) is None
+
+
+@pytest.mark.parametrize("group", NATURALITY_GROUPS)
+def test_tower_map_is_a_homomorphism_on_the_coded_rows(group):
+    # h(ab) = h(a) h(b) on every product in the coded rows after psi(5) of
+    # the generic 5-simplex, which builds the levels below it too
+    F = FreeGroup(5)
+    generic = MitosisTower(F)
+    generic.psi(5, tuple(F.gens()))
+    base = parse_group(group)
+    rng = random.Random(5)
+    sigma = tuple(base.sample(rng) for _ in range(5))
+    h, words = MitosisTower(base).tower_map(sigma), TowerAlgebra(base)
+    alg = generic.algebra
+    products = [(a, b, c) for a, row in enumerate(alg.rows) for b, c in row.items()]
+    assert len(products) > 100
+    for a, b, c in products:
+        assert h(alg.elems[c]) == words.mul(h(alg.elems[a]), h(alg.elems[b]))
+
+
+def test_tower_product_is_associative_on_psi_6():
+    # on the consecutive entries (a, b, c) of every term of psi(6): ab and bc
+    # are faces' entries, so they normalize, and then (ab)c = a(bc), or
+    # neither normalizes
+    F = FreeGroup(6)
+    tower = MitosisTower(F)
+    alg = tower.algebra
+    triples = {s[i:i + 3] for s in tower.psi(6, tuple(F.gens())).terms for i in range(4)}
+    normal = 0
+    for a, b, c in triples:
+        left = _product(alg, alg.mul(a, b), c)
+        assert left == _product(alg, a, alg.mul(b, c))
+        normal += left is not NonNormalizable
+    assert len(triples) > 4000 and normal > 1000
 
 
 @pytest.mark.parametrize("m", range(7))
-def test_free_towers_never_repeat_a_stage_key(monkeypatch, m):
+def test_free_towers_never_repeat_a_stage_key(m):
+    # induct_Q builds every stage of the generic simplex, and raises at a
+    # repeated raw key
     base = FreeGroup(max(m, 1))
-    assert fallback_stages(monkeypatch, base, max(m, 1), tuple(base.gens()[:m])) == []
+    chain = MitosisTower(base).psi(max(m, 1), tuple(base.gens()[:m]))
+    assert len(chain) == diameter(chain) == gamma(m)
 
 
-@pytest.mark.parametrize("group, dim, fallen", [
-    ("cyclic2", 4, [(2, 2), (3, 2), (3, 3), (4, 4)]),
-    ("cyclic3", 3, [(3, 3)]),
-    ("cyclic3", 4, [(3, 3), (4, 4)]),
-    ("sym3", 3, []),
-    ("cyclic2*sym3", 3, []),
-])
-def test_concrete_towers_fall_back_where_a_key_repeats(monkeypatch, group, dim, fallen):
-    # the simplices of the concrete psi goldens in tests/test_cli.py
-    base = parse_group(group)
-    rng = random.Random(1)
-    sigma = tuple(base.sample(rng) for _ in range(dim))
-    assert fallback_stages(monkeypatch, base, dim, sigma) == fallen
+def _shuffle_terms_repeating_the_first(a, b, scale=1):
+    """``shuffle_terms`` with its first term yielded twice."""
+    keys, coeffs, count = shuffle_terms(a, b, scale)
+    key, coeff = next(keys), next(coeffs)
+    return itertools.chain((key, key), keys), itertools.chain((coeff, coeff), coeffs), count + 1
+
+
+def test_a_repeated_raw_term_raises(monkeypatch, capsys):
+    # the stages below the top are built first, so the top stage's own check raises
+    F = FreeGroup(3)
+    sigma = tuple(F.gens())
+    tower = MitosisTower(F)
+    tower.psi(2, sigma[:2])
+    monkeypatch.setattr(homotopy, "shuffle_terms", _shuffle_terms_repeating_the_first)
+    for build in (homotopy.induct_Q, homotopy.psi_counts):
+        with pytest.raises(ChainError, match=r"a raw term of psi\(3\) on a 3-simplex repeats"):
+            build(tower, 3, sigma)
+    assert main(["count", "--op", "psi", "--dim", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and re.fullmatch(r"error: ChainError: [^\n]+\n", err), err
+
+
+def test_induct_Q_sees_only_generic_simplices(monkeypatch, capsys):
+    seen = []
+    induct_Q = homotopy.induct_Q
+
+    def recording(tower, level, sigma):
+        seen.append((tower.base, sigma))
+        return induct_Q(tower, level, sigma)
+
+    monkeypatch.setattr(homotopy, "induct_Q", recording)
+    for argv in (["expand", "--op", "psi", "--mode", "concrete", "--seed", "1", "--group", "sym3", "--dim", "4"],
+                 ["verify", "--suite", "psi", "--level", "4", "--maxdim", "4"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert len(seen) > 10
+    assert all(isinstance(base, FreeGroup) and sigma == tuple(FreeGroup(len(sigma)).gens())
+               for base, sigma in seen)
 
 
 def _chain_counts(tower, level, sigma):
@@ -743,32 +825,6 @@ def test_streamed_counts_equal_the_chain_counts(m, above):
     assert (level, sigma) not in tower._cache
     assert counts == (gamma(m), q_count(m))
     assert _chain_counts(tower, level, sigma) == (counts, counts[0] - counts[1])
-
-
-def _repeating_cases():
-    """The simplices of the concrete psi goldens in tests/test_cli.py whose
-    top stage repeats a raw key, then random free3 simplices."""
-    for group, dim in [("cyclic2", 4), ("cyclic3", 3), ("cyclic3", 4)]:
-        base = parse_group(group)
-        rng = random.Random(1)
-        yield base, dim, tuple(base.sample(rng) for _ in range(dim))
-    base, rng = FreeGroup(3), random.Random(3)
-    for _ in range(40):
-        dim = rng.randrange(2, 5)
-        yield base, rng.choice((dim, 4)), tuple(base.sample(rng) for _ in range(dim))
-
-
-def test_streamed_counts_fall_back_to_the_chain_where_a_key_repeats():
-    fell = []
-    for base, level, sigma in _repeating_cases():
-        tower = MitosisTower(base)
-        counts = psi_counts(tower, level, sigma)
-        # the fallback is the one path that builds the top key's chain
-        fell.append((level, sigma) in tower._cache)
-        assert _chain_counts(tower, level, sigma) == (counts, counts[0] - counts[1]), (base, sigma)
-    assert fell[:3] == [True] * 3
-    # the free3 draws take both paths
-    assert 0 < sum(fell[3:]) < 40
 
 
 def test_streamed_counts_with_two_byte_keys():

@@ -18,21 +18,20 @@ import pytest
 from barhom import checks, cli, cylinder, homotopy, moore, quintuple, shuffles
 from barhom.cli import main
 from barhom.cylinder import IncompatiblePillars
-from barhom.groups import CodedAlgebra, CyclicGroup, FreeGroup
+from barhom.groups import CodedAlgebra, CyclicGroup, FreeGroup, parse_group
 from barhom.homotopy import MitosisTower
-from barhom.moore import Chain, chain_payload, chain_to_json, pushforward
+from barhom.moore import Chain, ChainError, chain_payload, chain_to_json, pushforward
 from barhom.quintuple import Quintuple, QuintupleAlgebra, VerificationInstance, instance_eval
-from barhom.words import Conjugated, TowerAlgebra
+from barhom.words import Conjugated, PillarWord, TowerAlgebra
 
 import test_cli
 import test_cli_fuzz
 import test_homotopy
 import test_shuffles
 import test_words
-from test_cli import (EXPAND_SHA256, PSI_CONCRETE_SHA256, _expand_argv, _expand_psi_3_with_short_writes,
-                      concrete_psi_sha256)
+from test_cli import EXPAND_SHA256, _expand_argv, _expand_psi_3_with_short_writes
 from test_homotopy import (TOWER_DIFFERENTIAL_GROUPS, formal_through_instance_mismatch,
-                           formal_through_tower_mismatch)
+                           formal_through_tower_mismatch, naturality_grid, naturality_mismatch)
 from test_moore import _prefix_pair_chains
 
 
@@ -304,11 +303,11 @@ def _key_packer_keeping_the_first_codes(codes, dim):
 @pytest.mark.parametrize("op", ["psi", "phi"])
 def test_packing_that_merges_codes_fails_the_no_top_chain_test(monkeypatch, capsys, op):
     # killed by tests/test_cli.py::test_count_builds_no_chain_at_the_top_key:
-    # distinct terms share a key, so the count falls back to the chain, whose
-    # counts are right; a packing that collides is never silent
+    # distinct terms share a key, which psi_counts takes for a repeated raw
+    # term, so count exits 1; a packing that collides is never silent
     test_cli.test_count_builds_no_chain_at_the_top_key(monkeypatch, capsys, op)
     monkeypatch.setattr(homotopy, "_key_packer", _key_packer_keeping_the_first_codes)
-    with pytest.raises(AssertionError, match="psi was built at the top key"):
+    with pytest.raises(AssertionError, match="assert 1 == 0"):
         test_cli.test_count_builds_no_chain_at_the_top_key(monkeypatch, capsys, op)
 
 
@@ -426,20 +425,74 @@ def _induct_Q_adopting_every_dict(tower, level, sigma):
     keys, coeffs = [out.terms], [out.terms.values()]
     for k in range(1, len(sigma)):
         pushed = Chain.of(tuple(ctx.f(x) for x in sigma[k:]))
-        stream = _shuffle_terms(tower.psi(level - 1, sigma[:k]), pushed, -1)
+        stream = homotopy.shuffle_terms(tower.psi(level - 1, sigma[:k]), pushed, -1)
         keys.append(stream[0])
         coeffs.append(stream[1])
     out.terms = dict(zip(itertools.chain(*keys), itertools.chain(*coeffs)))
     return out
 
 
+def test_stage_dict_without_its_length_check_fails_the_repeated_term_test(monkeypatch, capsys):
+    # killed by tests/test_homotopy.py::test_a_repeated_raw_term_raises: the
+    # generic simplex never repeats a raw key, so only a term yielded twice
+    # can tell the check is gone
+    test_homotopy.test_a_repeated_raw_term_raises(monkeypatch, capsys)
+    monkeypatch.undo()
+    monkeypatch.setattr(homotopy, "induct_Q", _induct_Q_adopting_every_dict)
+    with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+        test_homotopy.test_a_repeated_raw_term_raises(monkeypatch, capsys)
+
+
 @pytest.mark.parametrize("group, dim", [("cyclic2", 4), ("cyclic3", 3), ("cyclic3", 4)])
 def test_stage_dict_without_its_length_check_changes_a_concrete_golden(monkeypatch, capsys, group, dim):
-    # killed by tests/test_cli.py::test_concrete_psi_stdout_is_golden on each
-    # tower that repeats a raw term
-    assert concrete_psi_sha256(capsys, group, dim) == PSI_CONCRETE_SHA256[group, dim]
+    # the top stage of each of these concrete psi goldens, built by induct_Q
+    # on its own simplex, repeats a raw key: expand then exits 1, and under the
+    # mutant it prints other bytes than the golden.  expand pushes the generic
+    # psi forward instead, so the mutant's tier-1 killer is the repeated-term
+    # test above
+    psi = MitosisTower.psi
+
+    def top_stage_by_induct_Q(tower, level, sigma):
+        if level == len(sigma) == dim:
+            return homotopy.induct_Q(tower, level, sigma)
+        return psi(tower, level, sigma)
+
+    assert test_cli.concrete_psi_sha256(capsys, group, dim) == test_cli.PSI_CONCRETE_SHA256[group, dim]
+    monkeypatch.setattr(MitosisTower, "psi", top_stage_by_induct_Q)
+    argv = ["expand", "--op", "psi", "--mode", "concrete", "--seed", "1", "--group", group, "--dim", str(dim)]
+    assert main(argv) == 1
+    assert re.fullmatch(r"error: ChainError: .*repeats.*\n", capsys.readouterr().err)
     monkeypatch.setattr(homotopy, "induct_Q", _induct_Q_adopting_every_dict)
-    assert concrete_psi_sha256(capsys, group, dim) != PSI_CONCRETE_SHA256[group, dim]
+    assert test_cli.concrete_psi_sha256(capsys, group, dim) != test_cli.PSI_CONCRETE_SHA256[group, dim]
+
+
+_image = TowerAlgebra.image
+
+
+def _image_keeping_a_trivial_conjugation(self, v, base_map):
+    # F_L(a) * t goes to F_L(h(a)) * h(t) even where h(a) is the identity
+    if isinstance(v, Conjugated):
+        return Conjugated(v.level, base_map(v.arg), self.image(v.tail, base_map))
+    return _image(self, v, base_map)
+
+
+def _image_swapping_f_and_m(self, v, base_map):
+    if isinstance(v, PillarWord):
+        return PillarWord(v.level, base_map(v.m_arg), base_map(v.f_arg))
+    return _image(self, v, base_map)
+
+
+@pytest.mark.parametrize("mutant, mismatch", [
+    (_image_keeping_a_trivial_conjugation, (1, 0)),
+    (_image_swapping_f_and_m, (1, 1)),
+], ids=["trivial conjugation kept", "f and m swapped"])
+def test_wrong_tower_map_fails_the_naturality_differential(monkeypatch, mutant, mismatch):
+    # killed by test_homotopy's naturality differential on the first cell of
+    # its grid: ten cyclic2 2-simplices at level 2
+    cases = list(itertools.islice(naturality_grid(10), 10))
+    assert naturality_mismatch(cases) is None
+    monkeypatch.setattr(TowerAlgebra, "image", mutant)
+    assert naturality_mismatch(cases) == ("cyclic2", 2, mismatch)
 
 
 def _shuffle_terms_without_the_sign(a, b, scale=1):
@@ -467,11 +520,11 @@ def _shuffle_terms_counting_one_more(a, b, scale=1):
 
 def test_term_count_off_by_one_fails_the_fast_path_branch_test(monkeypatch):
     # killed by tests/test_homotopy.py::test_free_towers_never_repeat_a_stage_key:
-    # every stage with a correction falls back to the scalar accumulation
-    test_homotopy.test_free_towers_never_repeat_a_stage_key(monkeypatch, 4)
+    # every stage with a correction seems to repeat a raw key, and raises
+    test_homotopy.test_free_towers_never_repeat_a_stage_key(4)
     monkeypatch.setattr(homotopy, "shuffle_terms", _shuffle_terms_counting_one_more)
-    with pytest.raises(AssertionError):
-        test_homotopy.test_free_towers_never_repeat_a_stage_key(monkeypatch, 4)
+    with pytest.raises(ChainError, match="repeats"):
+        test_homotopy.test_free_towers_never_repeat_a_stage_key(4)
 
 
 def _add_terms_storing_zeros(self, items):
