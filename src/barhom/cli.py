@@ -47,6 +47,9 @@ TERM_BYTES = 100
 # (d + 1) gamma(d) at dim d: above the interpreter it peaks at 61-62 B per
 # face term at d = 5, 6 and 7, since the boundary cancels as it is built
 FACE_BYTES = 50
+# pieces of a document joined into one buffer per write: a group's size only
+# bounds its memory, so it is fixed, not read from sysconf's IOV_MAX
+WRITE_GROUP = 1024
 TOWER_OPS = ("psi", "phi")
 
 
@@ -55,14 +58,13 @@ def _write(pieces: Iterable[bytes], out: str | None) -> None:
     standard output; on standard output it ends in exactly one newline.  An
     ``out`` that cannot be opened or written is a usage error.
 
-    The pieces are joined in groups of at most ``IOV_MAX``, and each group
+    The pieces are joined in groups of at most ``WRITE_GROUP``, and each group
     goes out as one buffer, freed before the next group is joined: to ``out``
     by ``os.write`` (short writes completed), and to standard output through
     ``sys.stdout``.
     """
     pieces = iter(pieces)
-    size = os.sysconf("SC_IOV_MAX")
-    groups = iter(lambda: list(itertools.islice(pieces, size)), [])
+    groups = iter(lambda: list(itertools.islice(pieces, WRITE_GROUP)), [])
     if out:
         try:
             fd = os.open(out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)

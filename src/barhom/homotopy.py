@@ -22,18 +22,20 @@ The mitosis specialization plugs in conjugation by the inverse n-th stable
 letter for both f and h, the identity for g and the trivial map for k; the
 tower homotopy psi iterates it level by level, correcting with shuffle
 products (``shuffle_terms``) against lower levels, and phi projects psi.
-``stage`` builds one stage's P and its correction factors; ``induct_Q`` sums
-them into the stage's chain, and ``psi_counts`` counts the same raw terms
-without holding them.  Both run on the generic simplex (x_1, ..., x_m) of a
-free base, where a repeated raw term is a bug and raises ``ChainError``;
-psi on any other simplex is the generic psi pushed forward.  One
-``MitosisTower`` owns one word algebra, coded as small ints by a
-``groups.CodedAlgebra``, builds each level's context once and memoizes psi,
-so every term of psi is a tuple of ints and only ``entry_to_json`` decodes a
-tower value.  ``coded_context`` is the one context builder: each letter of
-the context it returns codes ``fn(x)`` once per source element, and
-``formal_context``, ``instance_context`` and ``MitosisTower.context`` are
-each one call of it.  ``HomotopyContext`` is a plain namedtuple, so a
+``stage`` is the one place that assembles a stage's raw terms, as batches:
+P's, then each correction's.  ``induct_Q`` sums them into the stage's chain,
+and ``psi_counts`` counts them without holding them.  Both run on the
+generic simplex (x_1, ..., x_m) of a free base, where no raw term may
+repeat: each checks that the stage held as many keys as ``stage`` counted
+raw terms, and raises ``ChainError`` if not.  psi on any other simplex is the
+generic psi pushed forward.  One ``MitosisTower`` owns one word algebra,
+coded as small ints by a ``groups.CodedAlgebra``, so every term of psi is a
+tuple of ints and only ``entry_to_json`` decodes a tower value.  It builds
+each level's context once, and memoizes only the generic stages it builds
+itself, never a pushforward.  ``coded_context`` is the one context builder:
+each letter of the context it returns codes ``fn(x)`` once per source
+element, and ``formal_context``, ``instance_context`` and
+``MitosisTower.context`` are each one call of it.  ``HomotopyContext`` is a plain namedtuple, so a
 context of uncoded letters is built directly.  ``verify_identity`` returns
 the residual chain of a homotopy identity, so a failure is reported term by
 term.
@@ -186,37 +188,7 @@ def homotopy_P(ctx: HomotopyContext, sigma: tuple) -> Chain:
 # -- the inductive step and the tower --------------------------------------------
 
 
-def stage(tower: MitosisTower, level: int, sigma: tuple) -> tuple:
-    """P of sigma at ``level``, and the factor pairs of its corrections:
-    psi of the front face d_(k+1) ... d_m at the level below, and the back
-    face d_0^k pushed, as a one-term chain, for 0 < k < dim."""
-    m = len(sigma)
-    if m > level:
-        raise DimensionExceeded(f"dim {m} exceeds level {level}")
-    ctx = tower.context(level)
-    # P first: a fresh tower codes values in the order they are built
-    P = homotopy_P(ctx, sigma)
-    return P, [(tower.psi(level - 1, sigma[:k]), Chain.of(tuple(map(ctx.f, sigma[k:]))))
-               for k in range(1, m)]
-
-
-def induct_Q(tower: MitosisTower, level: int, sigma: tuple) -> Chain:
-    """One inductive step on a generic simplex: the stage homotopy corrected
-    by shuffle products of the previous stage on front faces against
-    pushed-forward back faces, summed as one dict (see ``moore``)."""
-    out, factors = stage(tower, level, sigma)
-    terms = dict(out.terms)
-    for a, b in factors:
-        keys, coeffs, count = shuffle_terms(a, b, -1)
-        expected = len(terms) + count
-        terms.update(zip(keys, coeffs))
-        if len(terms) != expected:
-            raise ChainError(f"a raw term of psi({level}) on a {len(sigma)}-simplex repeats")
-    out.terms = terms
-    return out
-
-
-# raw terms per batch of ``psi_counts``, whose tuples are alive at once:
+# raw terms per batch of ``stage``, whose tuples are alive at once:
 # count --dim 6 peaks at 27.2 MB with 4,096 and at 34.2 MB with 65,536,
 # above the 32.4 MB of building psi's dict
 BATCH = 4096
@@ -230,6 +202,48 @@ def _batches(keys, coeffs):
         yield simplices, list(itertools.islice(coeffs, BATCH))
 
 
+def stage(tower: MitosisTower, level: int, sigma: tuple) -> tuple:
+    """``(dim, batches, count)``: the raw terms of psi(level, sigma)'s stage
+    on a simplex of dimension m <= level, the one place they are assembled.
+
+    The batches are lists of at most ``BATCH`` simplices and their
+    coefficients, drawn through ``_batches``: P's terms, then for 0 < k < m
+    the ``shuffle_terms`` of psi of the front face d_(k+1) ... d_m at the
+    level below against the back face d_0^k pushed, as a one-term chain.
+    ``count`` is their number, and ``dim`` = m + 1 their dimension.  P and
+    every factor are built before this returns, so drawing the batches
+    codes no new value."""
+    m = len(sigma)
+    if m > level:
+        raise DimensionExceeded(f"dim {m} exceeds level {level}")
+    ctx = tower.context(level)
+    # P first: a fresh tower codes values in the order they are built
+    P = homotopy_P(ctx, sigma)
+    streams = [(P.terms, P.terms.values(), len(P))]
+    streams += [shuffle_terms(tower.psi(level - 1, sigma[:k]), Chain.of(tuple(map(ctx.f, sigma[k:]))), -1)
+                for k in range(1, m)]
+    keys, coeffs, counts = zip(*streams)
+    return P.dim, itertools.chain.from_iterable(map(_batches, keys, coeffs)), sum(counts)
+
+
+def _check_distinct(distinct: int, count: int, level: int, sigma: tuple) -> None:
+    """Raise unless a stage's ``count`` raw terms held ``distinct`` keys."""
+    if distinct != count:
+        raise ChainError(f"a raw term of psi({level}) on a {len(sigma)}-simplex repeats")
+
+
+def induct_Q(tower: MitosisTower, level: int, sigma: tuple) -> Chain:
+    """One inductive step on a generic simplex: the stage's raw terms summed
+    as one dict, updated a batch at a time (see ``moore``).  No raw key may
+    repeat, so the dict holds one key per raw term, in order."""
+    dim, batches, count = stage(tower, level, sigma)
+    out = Chain(dim)
+    for simplices, coeffs in batches:
+        out.terms.update(zip(simplices, coeffs))
+    _check_distinct(len(out), count, level, sigma)
+    return out
+
+
 def _key_packer(codes: int, dim: int):
     """Pack a dim-tuple of codes below ``codes`` into fixed-width bytes:
     one byte a code up to 256 codes, two above.  The packing is injective,
@@ -241,34 +255,27 @@ def psi_counts(tower: MitosisTower, level: int, sigma: tuple) -> tuple:
     """``(diameter, degenerate)``: the L1 norms of psi(level, sigma) on a
     generic simplex and of its degenerate terms, without holding psi's stage.
 
-    The stage's raw terms, P's and then each correction's in ``induct_Q``'s
-    order, are summed as they are built, a batch at a time, and each goes
-    into a set as a packed key, which must hold one key per raw term, as
+    The stage's raw terms are summed a batch at a time, and each goes into a
+    set as a packed key, which must hold one key per raw term, as
     ``induct_Q``'s dict does.  The lower stages are the tower's memoized psi."""
-    if not sigma:
-        return 0, 0
-    P, factors = stage(tower, level, sigma)
+    dim, batches, count = stage(tower, level, sigma)
     alg = tower.algebra
-    # corrections only place the codes of P and of the factors, so the
-    # stage makes no code after this point
-    pack = _key_packer(len(alg.elems), P.dim)
+    # ``stage`` has built every factor, so no code is made after this point
+    pack = _key_packer(len(alg.elems), dim)
     seen = set()
-    raw = total = degenerate = 0
-    streams = [(P.terms, P.terms.values())] + [shuffle_terms(a, b, -1)[:2] for a, b in factors]
-    for simplices, coeffs in itertools.chain.from_iterable(itertools.starmap(_batches, streams)):
+    total = degenerate = 0
+    for simplices, coeffs in batches:
         # on the tuples: a 2-byte key of a nonidentity code can hold a zero byte
         degenerate += degenerate_norm(alg.identity, simplices, coeffs)
         total += sum(map(abs, coeffs))
         seen.update(itertools.starmap(pack, simplices))
-        raw += len(simplices)
-    if len(seen) != raw:
-        raise ChainError(f"a raw term of psi({level}) on a {len(sigma)}-simplex repeats")
+    _check_distinct(len(seen), count, level, sigma)
     return total, degenerate
 
 
 class MitosisTower:
-    """Tower homotopies over one base group: one context per level, memoized
-    psi, and ``algebra``, the ``CodedAlgebra`` of the base's ``TowerAlgebra``,
+    """Tower homotopies over one base group: one context per level, the
+    memoized generic psi, and ``algebra``, the ``CodedAlgebra`` of the base's ``TowerAlgebra``,
     whose ``elems[c]`` is the tower value with code ``c``."""
 
     def __init__(self, base: Group):
@@ -296,25 +303,26 @@ class MitosisTower:
         """The level-n tower homotopy on a simplex of dimension <= n: built
         by ``induct_Q`` on the generic simplex (x_1, ..., x_m) of a free base,
         and else, as psi is natural, the generic psi pushed forward along the
-        tower map of x_i -> sigma_i.  Both are memoized."""
-        if not sigma:
-            return Chain(1)
-        chain = self._cache.get((level, sigma))
+        tower map of x_i -> sigma_i.  Only a free tower's own generic psi is
+        memoized: a pushforward is returned, never stored, and a concrete
+        tower's private free tower builds the requested generic psi without
+        storing it, memoizing only the lower stages that build reads."""
+        key = (level, tuple(FreeGroup(len(sigma)).gens()))
+        if self._generic is None and not isinstance(self.base, FreeGroup):
+            # words may name any generator: one free tower serves all dims
+            self._generic = MitosisTower(FreeGroup(len(sigma)))
+        generic = self._generic or self
+        chain = generic._cache.get(key)
         if chain is None:
-            generic_sigma = tuple(FreeGroup(len(sigma)).gens())
-            if self._generic is None and not isinstance(self.base, FreeGroup):
-                # words may name any generator: one free tower serves all dims
-                self._generic = MitosisTower(FreeGroup(len(sigma)))
-            generic = self._generic or self
-            if generic is self and sigma == generic_sigma:
-                chain = induct_Q(self, level, sigma)
-            else:
-                chain, h = generic.psi(level, generic_sigma), self.tower_map(sigma)
-                table = {c: self.algebra.code(h(generic.algebra.elems[c]))
-                         for c in set(itertools.chain.from_iterable(chain.terms))}
-                chain = pushforward(table.__getitem__, chain)
-            self._cache[level, sigma] = chain
-        return chain
+            chain = induct_Q(generic, *key)
+            if generic is self:
+                self._cache[key] = chain
+        if generic is self and sigma == key[1]:
+            return chain
+        h = self.tower_map(sigma)
+        table = {c: self.algebra.code(h(generic.algebra.elems[c]))
+                 for c in set(itertools.chain.from_iterable(chain.terms))}
+        return pushforward(table.__getitem__, chain)
 
     def tower_map(self, sigma: tuple) -> Callable:
         """The tower map of x_i -> sigma_i from tower values over a free base

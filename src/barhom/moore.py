@@ -29,14 +29,17 @@ accumulation kernel feeds its raw terms to ``add_terms`` in a fixed order:
 ``boundary`` (the faces, built column by column), ``Chain.add_chain``,
 ``pushforward``, ``shuffles.edgewise`` and ``cylinder.cyl_chain``.  So a
 kernel's result is, in order, that of ``add_term`` on its raw terms;
-``project`` only filters, as nothing cancels.  ``homotopy.induct_Q`` updates
-one copy of P's dict with each correction's raw terms: while the length
-grows by their number, ``add_term`` would have inserted each once, in order,
-nonzero, and a repeat raises ``ChainError``.  ``homotopy.psi_counts`` streams
-the same terms without a dict: it sums their L1 norm and ``degenerate_norm``
-as they are built and holds only a set of fixed-width packed keys, whose size
-shows a repeat.  Both run on the generic simplex only, where no raw key
-repeats; psi elsewhere is a ``pushforward`` of it.
+``project`` only filters, as nothing cancels.  A tower stage's raw terms
+come from one stream, ``homotopy.stage``, which also counts them.
+``homotopy.induct_Q`` updates one dict with each batch of the stream: when
+the dict ends with one key per raw term, ``add_term`` would have inserted
+each once, in order, nonzero, and otherwise a raw key repeated and
+``ChainError`` is raised.  ``homotopy.psi_counts`` reads the same stream
+without a dict: it sums the L1 norm and ``degenerate_norm`` of each batch
+and holds only a set of fixed-width packed keys, checked against the count
+alike.  Both run on the generic simplex only, where no raw key repeats; psi
+elsewhere is a ``pushforward`` of it.  ``TensorChain`` sums through
+``add_terms`` too, after its bidegree check.
 
 ``chain_payload`` streams a chain as the UTF-8 bytes of the JSON of
 ``chain_to_json``, whose terms are sorted on their compact JSON text.  It

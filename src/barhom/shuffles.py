@@ -146,18 +146,12 @@ class TensorChain(Chain):
     __slots__ = ()
 
     def add_term(self, key, coeff: int) -> None:
-        if coeff == 0:
-            return
         sigma, tau = key
         if len(sigma) + len(tau) != self.dim:
             raise DimensionMismatch(
                 f"bidegree ({len(sigma)},{len(tau)}) in a degree-{self.dim} tensor chain"
             )
-        new = self.terms.get(key, 0) + coeff
-        if new == 0:
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = new
+        self.add_terms(((key, coeff),))
 
 
 def tensor_boundary(alg, tc: TensorChain) -> TensorChain:

@@ -72,7 +72,7 @@ GATES = [
     Gate(("expand", "--op", "psi", "--mode", "concrete", "--seed", "1", "--group", "sym3", "--dim", "6"),
          peak_mb=80, sha256=PSI_SYM3_6_SHA256),
     # the tower identity at level = dim = 7, one level above tier-1's
-    # criterion 9 (about 11 s and 540 MB on a 2-core x86-64 VM)
+    # criterion 9 (about 13 s and 500 MB on a 2-core x86-64 VM)
     Gate(("verify", "--suite", "psi", "--level", "7", "--maxdim", "7"), peak_mb=800),
     # gamma(8) = 14,737,536 and q(8) = 5,475,530, counted term by term; the
     # tier-1 counts stop at m = 7.  The top stage is streamed into a set of

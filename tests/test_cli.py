@@ -58,13 +58,22 @@ def test_count_P_cap_is_on_the_cylinder_chain(capsys):
 
 
 def test_memory_guard_is_skipped_without_sysconf(capsys, monkeypatch):
+    # without os.sysconf, and where it reads -1 for every name, the memory
+    # guard is skipped and the writing commands print what they print here
     from barhom import cli
 
-    monkeypatch.delattr(os, "sysconf")
-    assert cli._physical_memory() is None
-    code, out = run(capsys, "count", "--op", "psi", "--dim", "3")
-    assert code == 0
-    assert "ok psi dim 3" in out
+    argvs = [["tables", "--max", "2"], ["expand", "--op", "psi", "--dim", "3"]]
+    want = [run(capsys, *argv) for argv in argvs]
+    assert [code for code, _ in want] == [0, 0]
+    for missing in (lambda: monkeypatch.delattr(os, "sysconf"),
+                    lambda: monkeypatch.setattr(os, "sysconf", lambda name: -1)):
+        monkeypatch.undo()
+        missing()
+        assert cli._physical_memory() is None
+        code, out = run(capsys, "count", "--op", "psi", "--dim", "3")
+        assert code == 0
+        assert "ok psi dim 3" in out
+        assert [run(capsys, *argv) for argv in argvs] == want
 
 
 def test_count_phi(capsys):

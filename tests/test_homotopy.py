@@ -806,6 +806,29 @@ def test_induct_Q_sees_only_generic_simplices(monkeypatch, capsys):
                for base, sigma in seen)
 
 
+def _generic_keys(levels):
+    """The keys (level, x_1 .. x_k) of the generic stages, 0 < k <= level."""
+    return {(level, tuple(FreeGroup(k).gens())) for level in levels for k in range(1, level + 1)}
+
+
+def test_the_tower_memo_holds_generic_stages_only(monkeypatch, capsys):
+    # a pushforward is returned and never stored, and a concrete tower's
+    # private free tower stores the lower stages its top reads, not the top
+    towers = []
+    init = MitosisTower.__init__
+    monkeypatch.setattr(MitosisTower, "__init__", lambda self, base: towers.append(self) or init(self, base))
+    assert main(["verify", "--suite", "psi", "--level", "4", "--maxdim", "4"]) == 0
+    capsys.readouterr()
+    [free] = towers
+    # () is the generic 0-simplex, the face of the 1-simplex
+    assert set(free._cache) == _generic_keys(range(1, 5)) | {(4, ())}
+    base = parse_group("sym3")
+    tower = MitosisTower(base)
+    tower.psi(4, tuple(base.sample(random.Random(4)) for _ in range(4)))
+    assert tower._cache == {}
+    assert set(tower._generic._cache) == _generic_keys(range(1, 4))
+
+
 def _chain_counts(tower, level, sigma):
     """The (diameter, degenerate) of the chain psi(level, sigma), and its
     projection's diameter."""

@@ -26,6 +26,7 @@ from barhom.moore import (
     term_sort_key,
 )
 from barhom.quintuple import VerificationInstance
+from barhom.shuffles import TensorChain
 
 C3 = CyclicGroup(3)
 
@@ -282,14 +283,17 @@ def _listed_sum(pairs):
 @settings(max_examples=200, deadline=None)
 def test_add_terms_equals_folding_add_term(start, pairs):
     # the same terms in the same order, from a chain that add_term built;
-    # add_term hands its pair to add_terms, so the list model checks the rule
-    want = Chain(1, start)
-    for simplex, coeff in pairs:
-        want.add_term(simplex, coeff)
-    got = Chain(1, start)
-    got.add_terms(iter(pairs))
-    _same_terms_in_order(got, want)
-    assert list(got.terms.items()) == _listed_sum(start + pairs)
+    # add_term hands its pair to add_terms, so the list model checks the rule.
+    # A TensorChain sums the same pairs, keyed as ((), simplex), the same way
+    tensor = lambda items: [(((), simplex), coeff) for simplex, coeff in items]
+    for cls, start, pairs in ((Chain, start, pairs), (TensorChain, tensor(start), tensor(pairs))):
+        want = cls(1, start)
+        for simplex, coeff in pairs:
+            want.add_term(simplex, coeff)
+        got = cls(1, start)
+        got.add_terms(iter(pairs))
+        _same_terms_in_order(got, want)
+        assert list(got.terms.items()) == _listed_sum(start + pairs)
 
 
 def test_diameter():

@@ -274,8 +274,8 @@ _batches = homotopy._batches
 
 
 def _batches_dropping_the_last(keys, coeffs):
-    # a stream of raw terms longer than one batch (a correction of psi(6):
-    # P has 448 terms) ends a batch early
+    # a stream of raw terms longer than one batch (a correction of psi(5):
+    # P has 192 terms) ends a batch early
     batches = list(_batches(keys, coeffs))
     return iter(batches[:-1] if len(batches) > 1 else batches)
 
@@ -285,14 +285,15 @@ def _count_psi_6(capsys):
     return code, capsys.readouterr().out.splitlines()[0]
 
 
-def test_stream_dropping_the_last_batch_of_a_correction_fails_the_gamma_gate(monkeypatch, capsys):
-    # killed by the gamma gate: every raw term has a nonzero coefficient, so
-    # a term that is never built lowers the diameter
+def test_stream_dropping_the_last_batch_of_a_correction_fails_the_stage_count_check(monkeypatch, capsys):
+    # killed by the stage count check that induct_Q and psi_counts share: a
+    # stage whose batches hold fewer terms than its count raises, so count
+    # exits 1 at psi(5), the first stage with a correction past one batch
     ok = "ok psi dim 6 level 6: diameter 98336 expected 98336, degenerate 36532 expected 36532"
     assert _count_psi_6(capsys) == (0, ok)
     monkeypatch.setattr(homotopy, "_batches", _batches_dropping_the_last)
-    assert _count_psi_6(capsys) == (1, "FAIL " + ok[3:].replace("diameter 98336", "diameter 91484")
-                                    .replace("degenerate 36532", "degenerate 32332"))
+    assert main(["count", "--op", "psi", "--dim", "6"]) == 1
+    assert capsys.readouterr() == ("", "error: ChainError: a raw term of psi(5) on a 5-simplex repeats\n")
 
 
 def _key_packer_keeping_the_first_codes(codes, dim):
@@ -309,6 +310,34 @@ def test_packing_that_merges_codes_fails_the_no_top_chain_test(monkeypatch, caps
     monkeypatch.setattr(homotopy, "_key_packer", _key_packer_keeping_the_first_codes)
     with pytest.raises(AssertionError, match="assert 1 == 0"):
         test_cli.test_count_builds_no_chain_at_the_top_key(monkeypatch, capsys, op)
+
+
+_psi = MitosisTower.psi
+
+
+def _psi_storing_pushforwards(tower, level, sigma):
+    chain = tower._cache[level, sigma] = _psi(tower, level, sigma)
+    return chain
+
+
+def _psi_storing_the_concrete_top(tower, level, sigma):
+    # the concrete top built through its private free tower's own psi, which
+    # memoizes the generic top
+    chain = _psi(tower, level, sigma)
+    if tower._generic is not None:
+        _psi(tower._generic, level, tuple(FreeGroup(len(sigma)).gens()))
+    return chain
+
+
+@pytest.mark.parametrize("mutant", [_psi_storing_pushforwards, _psi_storing_the_concrete_top],
+                         ids=["pushforwards stored", "concrete top stored"])
+def test_a_memo_storing_more_than_generic_stages_fails_the_memo_test(monkeypatch, capsys, mutant):
+    # killed by tests/test_homotopy.py::test_the_tower_memo_holds_generic_stages_only
+    test_homotopy.test_the_tower_memo_holds_generic_stages_only(monkeypatch, capsys)
+    monkeypatch.undo()
+    monkeypatch.setattr(MitosisTower, "psi", mutant)
+    with pytest.raises(AssertionError):
+        test_homotopy.test_the_tower_memo_holds_generic_stages_only(monkeypatch, capsys)
 
 
 def _compare_without(monkeypatch, cls, name):

@@ -92,8 +92,10 @@ def test_aw_examples():
 
 def test_tensor_chain_checks_total_degree():
     tc = TensorChain(3, {((1,), (1, 2)): 1})
-    with pytest.raises(DimensionMismatch):
-        tc.add_term(((1,), (1,)), 1)
+    # a zero coefficient is checked too, as Chain.add_term checks it
+    for coeff in (1, 0):
+        with pytest.raises(DimensionMismatch):
+            tc.add_term(((1,), (1,)), coeff)
     with pytest.raises(DimensionMismatch):
         TensorChain(2, {((1, 2), (1,)): 1})
 
