@@ -27,12 +27,15 @@ P's, then each correction's.  ``induct_Q`` sums them into the stage's chain,
 and ``psi_counts`` counts them without holding them.  Both run on the
 generic simplex (x_1, ..., x_m) of a free base, where no raw term may
 repeat: each checks that the stage held as many keys as ``stage`` counted
-raw terms, and raises ``ChainError`` if not.  psi on any other simplex is the
-generic psi pushed forward.  One ``MitosisTower`` owns one word algebra,
+raw terms, and raises ``ChainError`` if not.  psi on any other simplex is
+the generic stage streamed forward: each batch of ``stage`` on the generic
+simplex is mapped through the codes of the tower map and summed, so the
+generic top is never held whole.  One ``MitosisTower`` owns one word algebra,
 coded as small ints by a ``groups.CodedAlgebra``, so every term of psi is a
 tuple of ints and only ``entry_to_json`` decodes a tower value.  It builds
-each level's context once, and memoizes only the generic stages it builds
-itself, never a pushforward.  ``coded_context`` is the one context builder:
+each level's context once.  A free tower memoizes the generic stages it
+builds and nothing else; a tower over any other group holds a private free
+tower for them.  ``coded_context`` is the one context builder:
 each letter of the context it returns codes ``fn(x)`` once per source
 element, and ``formal_context``, ``instance_context`` and
 ``MitosisTower.context`` are each one call of it.  ``HomotopyContext`` is a plain namedtuple, so a
@@ -51,7 +54,7 @@ from typing import Callable
 
 from .cylinder import cyl_chain
 from .groups import CodedAlgebra, FreeGroup, Group
-from .moore import Chain, ChainError, boundary, degenerate_norm, project, pushforward
+from .moore import Chain, ChainError, boundary, degenerate_norm, project
 from .quintuple import QuintupleAlgebra, VerificationInstance
 from .shuffles import DimensionMismatch, edgewise, shuffle_table, shuffle_terms, shuffles
 from .words import TowerAlgebra
@@ -227,9 +230,10 @@ def stage(tower: MitosisTower, level: int, sigma: tuple) -> tuple:
 
 
 def _check_distinct(distinct: int, count: int, level: int, sigma: tuple) -> None:
-    """Raise unless a stage's ``count`` raw terms held ``distinct`` keys."""
+    """Raise unless a stage's ``count`` raw terms held ``distinct`` keys: a
+    raw key repeated, or the stream did not hold ``count`` terms."""
     if distinct != count:
-        raise ChainError(f"a raw term of psi({level}) on a {len(sigma)}-simplex repeats")
+        raise ChainError(f"psi({level}) on a {len(sigma)}-simplex: {distinct} distinct keys for {count} raw terms")
 
 
 def induct_Q(tower: MitosisTower, level: int, sigma: tuple) -> Chain:
@@ -283,7 +287,8 @@ class MitosisTower:
         self.algebra = CodedAlgebra(TowerAlgebra(base))
         self._contexts: dict = {}
         self._cache: dict = {}
-        self._generic = None
+        # words may name any generator: one free tower serves every dim
+        self._generic = None if isinstance(base, FreeGroup) else MitosisTower(FreeGroup(0))
 
     def context(self, level: int) -> HomotopyContext:
         """Stage-n homomorphisms into the tower's word algebra, as codes."""
@@ -300,29 +305,27 @@ class MitosisTower:
         return ctx
 
     def psi(self, level: int, sigma: tuple) -> Chain:
-        """The level-n tower homotopy on a simplex of dimension <= n: built
-        by ``induct_Q`` on the generic simplex (x_1, ..., x_m) of a free base,
-        and else, as psi is natural, the generic psi pushed forward along the
-        tower map of x_i -> sigma_i.  Only a free tower's own generic psi is
-        memoized: a pushforward is returned, never stored, and a concrete
-        tower's private free tower builds the requested generic psi without
-        storing it, memoizing only the lower stages that build reads."""
-        key = (level, tuple(FreeGroup(len(sigma)).gens()))
-        if self._generic is None and not isinstance(self.base, FreeGroup):
-            # words may name any generator: one free tower serves all dims
-            self._generic = MitosisTower(FreeGroup(len(sigma)))
-        generic = self._generic or self
-        chain = generic._cache.get(key)
-        if chain is None:
-            chain = induct_Q(generic, *key)
-            if generic is self:
-                self._cache[key] = chain
-        if generic is self and sigma == key[1]:
+        """The level-n tower homotopy on a simplex of dimension m <= n.  On
+        the generic simplex (x_1, ..., x_m) of a free base it is ``induct_Q``'s
+        build, memoized.  Else, as psi is natural, it is the generic stage
+        streamed forward: each batch of ``stage`` on (x_1, ..., x_m), over
+        this tower's free base or its private free tower, is mapped through
+        the codes of the tower map of x_i -> sigma_i and summed, so the
+        generic top is never held whole."""
+        generic = tuple(FreeGroup(len(sigma)).gens())
+        free = self._generic or self
+        if free is self and sigma == generic:
+            chain = self._cache.get((level, sigma))
+            if chain is None:
+                chain = self._cache[level, sigma] = induct_Q(self, level, sigma)
             return chain
         h = self.tower_map(sigma)
-        table = {c: self.algebra.code(h(generic.algebra.elems[c]))
-                 for c in set(itertools.chain.from_iterable(chain.terms))}
-        return pushforward(table.__getitem__, chain)
+        table = _Letter(lambda c: h(free.algebra.elems[c]), self.algebra.code).__getitem__
+        dim, batches, _count = stage(free, level, generic)
+        out = Chain(dim)
+        for simplices, coeffs in batches:
+            out.add_terms(zip(map(tuple, map(map, itertools.repeat(table), simplices)), coeffs))
+        return out
 
     def tower_map(self, sigma: tuple) -> Callable:
         """The tower map of x_i -> sigma_i from tower values over a free base

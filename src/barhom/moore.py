@@ -38,7 +38,9 @@ each once, in order, nonzero, and otherwise a raw key repeated and
 without a dict: it sums the L1 norm and ``degenerate_norm`` of each batch
 and holds only a set of fixed-width packed keys, checked against the count
 alike.  Both run on the generic simplex only, where no raw key repeats; psi
-elsewhere is a ``pushforward`` of it.  ``TensorChain`` sums through
+elsewhere sums the same stream through ``add_terms``, each simplex mapped
+along the tower map, so its order is that of ``pushforward`` on the generic
+chain, which the tests hold it to.  ``TensorChain`` sums through
 ``add_terms`` too, after its bidegree check.
 
 ``chain_payload`` streams a chain as the UTF-8 bytes of the JSON of

@@ -723,6 +723,21 @@ def test_concrete_psi_is_the_generic_psi_pushed_forward():
     assert naturality_mismatch(naturality_grid(10)) is None
 
 
+def test_streamed_psi_is_the_pushforward_term_for_term_in_order():
+    # the classical pushforward of the whole generic psi is the oracle of the
+    # streamed one: the same codes in the same order, since verify reports a
+    # residual's first surviving term
+    towers = {}
+    for base, level, sigma in naturality_grid(10):
+        tower = towers.setdefault(base, MitosisTower(base))
+        got = list(tower.psi(level, sigma).terms.items())
+        free = tower._generic or tower
+        h = tower.tower_map(sigma)
+        table = lambda c: tower.algebra.code(h(free.algebra.elems[c]))
+        want = pushforward(table, free.psi(level, tuple(FreeGroup(len(sigma)).gens())))
+        assert got == list(want.terms.items()), (base.name, level, sigma)
+
+
 @pytest.mark.parametrize("group", NATURALITY_GROUPS)
 def test_tower_map_is_a_homomorphism_on_the_coded_rows(group):
     # h(ab) = h(a) h(b) on every product in the coded rows after psi(5) of
@@ -781,7 +796,7 @@ def test_a_repeated_raw_term_raises(monkeypatch, capsys):
     tower.psi(2, sigma[:2])
     monkeypatch.setattr(homotopy, "shuffle_terms", _shuffle_terms_repeating_the_first)
     for build in (homotopy.induct_Q, homotopy.psi_counts):
-        with pytest.raises(ChainError, match=r"a raw term of psi\(3\) on a 3-simplex repeats"):
+        with pytest.raises(ChainError, match=r"^psi\(3\) on a 3-simplex: 152 distinct keys for 154 raw terms$"):
             build(tower, 3, sigma)
     assert main(["count", "--op", "psi", "--dim", "4"]) == 1
     out, err = capsys.readouterr()
@@ -806,13 +821,29 @@ def test_induct_Q_sees_only_generic_simplices(monkeypatch, capsys):
                for base, sigma in seen)
 
 
+def test_a_concrete_top_is_never_built_by_induct_Q(monkeypatch):
+    # the generic top of a concrete psi is streamed forward, never built: the
+    # private free tower's induct_Q builds the lower stages only
+    keys = []
+    induct_Q = homotopy.induct_Q
+
+    def recording(tower, level, sigma):
+        keys.append((level, sigma))
+        return induct_Q(tower, level, sigma)
+
+    monkeypatch.setattr(homotopy, "induct_Q", recording)
+    base = parse_group("sym3")
+    MitosisTower(base).psi(4, tuple(base.sample(random.Random(4)) for _ in range(4)))
+    assert set(keys) == _generic_keys(range(1, 4))
+
+
 def _generic_keys(levels):
     """The keys (level, x_1 .. x_k) of the generic stages, 0 < k <= level."""
     return {(level, tuple(FreeGroup(k).gens())) for level in levels for k in range(1, level + 1)}
 
 
 def test_the_tower_memo_holds_generic_stages_only(monkeypatch, capsys):
-    # a pushforward is returned and never stored, and a concrete tower's
+    # a streamed psi is returned and never stored, and a concrete tower's
     # private free tower stores the lower stages its top reads, not the top
     towers = []
     init = MitosisTower.__init__

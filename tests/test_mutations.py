@@ -293,7 +293,7 @@ def test_stream_dropping_the_last_batch_of_a_correction_fails_the_stage_count_ch
     assert _count_psi_6(capsys) == (0, ok)
     monkeypatch.setattr(homotopy, "_batches", _batches_dropping_the_last)
     assert main(["count", "--op", "psi", "--dim", "6"]) == 1
-    assert capsys.readouterr() == ("", "error: ChainError: a raw term of psi(5) on a 5-simplex repeats\n")
+    assert capsys.readouterr() == ("", "error: ChainError: psi(5) on a 5-simplex: 7108 distinct keys for 9732 raw terms\n")
 
 
 def _key_packer_keeping_the_first_codes(codes, dim):
@@ -327,6 +327,31 @@ def _psi_storing_the_concrete_top(tower, level, sigma):
     if tower._generic is not None:
         _psi(tower._generic, level, tuple(FreeGroup(len(sigma)).gens()))
     return chain
+
+
+def _psi_building_then_pushing(tower, level, sigma):
+    # the generic top built whole by induct_Q, then pushed forward
+    generic = tuple(FreeGroup(len(sigma)).gens())
+    free = tower._generic or tower
+    if free is tower and sigma == generic:
+        return _psi(tower, level, sigma)
+    h = tower.tower_map(sigma)
+    chain = homotopy.induct_Q(free, level, generic)
+    return pushforward(lambda c: tower.algebra.code(h(free.algebra.elems[c])), chain)
+
+
+def test_building_the_generic_top_before_the_push_fails_the_no_top_build_test(monkeypatch):
+    # killed by tests/test_homotopy.py::test_a_concrete_top_is_never_built_by_induct_Q;
+    # the pushed chain is the same, so only the build itself tells
+    test_homotopy.test_a_concrete_top_is_never_built_by_induct_Q(monkeypatch)
+    monkeypatch.undo()
+    base = parse_group("sym3")
+    sigma = tuple(base.sample(random.Random(4)) for _ in range(4))
+    streamed = list(MitosisTower(base).psi(4, sigma).terms.items())
+    monkeypatch.setattr(MitosisTower, "psi", _psi_building_then_pushing)
+    assert list(MitosisTower(base).psi(4, sigma).terms.items()) == streamed
+    with pytest.raises(AssertionError):
+        test_homotopy.test_a_concrete_top_is_never_built_by_induct_Q(monkeypatch)
 
 
 @pytest.mark.parametrize("mutant", [_psi_storing_pushforwards, _psi_storing_the_concrete_top],
@@ -472,12 +497,16 @@ def test_stage_dict_without_its_length_check_fails_the_repeated_term_test(monkey
         test_homotopy.test_a_repeated_raw_term_raises(monkeypatch, capsys)
 
 
-@pytest.mark.parametrize("group, dim", [("cyclic2", 4), ("cyclic3", 3), ("cyclic3", 4)])
+# the distinct keys and raw terms of each golden's top stage built by induct_Q
+_CONCRETE_TOP_STAGE_KEYS = {("cyclic2", 4): (83, 169), ("cyclic3", 3): (47, 80), ("cyclic3", 4): (215, 309)}
+
+
+@pytest.mark.parametrize("group, dim", list(_CONCRETE_TOP_STAGE_KEYS))
 def test_stage_dict_without_its_length_check_changes_a_concrete_golden(monkeypatch, capsys, group, dim):
     # the top stage of each of these concrete psi goldens, built by induct_Q
     # on its own simplex, repeats a raw key: expand then exits 1, and under the
-    # mutant it prints other bytes than the golden.  expand pushes the generic
-    # psi forward instead, so the mutant's tier-1 killer is the repeated-term
+    # mutant it prints other bytes than the golden.  expand streams the generic
+    # stage forward instead, so the mutant's tier-1 killer is the repeated-term
     # test above
     psi = MitosisTower.psi
 
@@ -490,7 +519,9 @@ def test_stage_dict_without_its_length_check_changes_a_concrete_golden(monkeypat
     monkeypatch.setattr(MitosisTower, "psi", top_stage_by_induct_Q)
     argv = ["expand", "--op", "psi", "--mode", "concrete", "--seed", "1", "--group", group, "--dim", str(dim)]
     assert main(argv) == 1
-    assert re.fullmatch(r"error: ChainError: .*repeats.*\n", capsys.readouterr().err)
+    distinct, count = _CONCRETE_TOP_STAGE_KEYS[group, dim]
+    message = f"psi({dim}) on a {dim}-simplex: {distinct} distinct keys for {count} raw terms"
+    assert capsys.readouterr().err == f"error: ChainError: {message}\n"
     monkeypatch.setattr(homotopy, "induct_Q", _induct_Q_adopting_every_dict)
     assert test_cli.concrete_psi_sha256(capsys, group, dim) != test_cli.PSI_CONCRETE_SHA256[group, dim]
 
@@ -552,7 +583,7 @@ def test_term_count_off_by_one_fails_the_fast_path_branch_test(monkeypatch):
     # every stage with a correction seems to repeat a raw key, and raises
     test_homotopy.test_free_towers_never_repeat_a_stage_key(4)
     monkeypatch.setattr(homotopy, "shuffle_terms", _shuffle_terms_counting_one_more)
-    with pytest.raises(ChainError, match="repeats"):
+    with pytest.raises(ChainError, match=r"^psi\(3\) on a 2-simplex: 24 distinct keys for 25 raw terms$"):
         test_homotopy.test_free_towers_never_repeat_a_stage_key(4)
 
 
