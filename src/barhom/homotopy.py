@@ -22,15 +22,19 @@ The mitosis specialization plugs in conjugation by the inverse n-th stable
 letter for both f and h, the identity for g and the trivial map for k; the
 tower homotopy psi iterates it level by level, correcting with shuffle
 products (``shuffle_terms``) against lower levels, and phi projects psi.
-``stage`` is the one place that assembles a stage's raw terms, as batches:
-P's, then each correction's.  ``induct_Q`` sums them into the stage's chain,
-and ``psi_counts`` counts them without holding them.  Both run on the
-generic simplex (x_1, ..., x_m) of a free base, where no raw term may
-repeat: each checks that the stage held as many keys as ``stage`` counted
-raw terms, and raises ``ChainError`` if not.  psi on any other simplex is
-the generic stage streamed forward: each batch of ``stage`` on the generic
-simplex is mapped through the codes of the tower map and summed, so the
-generic top is never held whole.  One ``MitosisTower`` owns one word algebra,
+``stage`` is the one place that builds a stage's parts: P, then each
+correction's factors, psi one level down and a pushed back face.
+``stage_terms`` streams their raw terms in order, as batches: P's, then
+each correction's ``shuffle_terms``.  ``induct_Q`` sums that stream into the
+stage's chain.  ``psi_counts`` reads the norms and the raw count off the
+parts (``shuffles.shuffle_norms``), draws no coefficient of a correction,
+and walks the raw keys in no fixed order.  Both run on the generic simplex
+(x_1, ..., x_m) of a free base, where no raw term may repeat: each checks
+that the stage held as many keys as it counted raw terms, and raises
+``ChainError`` if not.  psi on any other simplex is the generic stage
+streamed forward: each batch of ``stage_terms`` on the generic simplex is
+mapped through the codes of the tower map and summed, so the generic top is
+never held whole.  One ``MitosisTower`` owns one word algebra,
 coded as small ints by a ``groups.CodedAlgebra``, so every term of psi is a
 tuple of ints and only ``entry_to_json`` decodes a tower value.  It builds
 each level's context once.  A free tower memoizes the generic stages it
@@ -54,9 +58,9 @@ from typing import Callable
 
 from .cylinder import cyl_chain
 from .groups import CodedAlgebra, FreeGroup, Group
-from .moore import Chain, ChainError, boundary, degenerate_norm, project
+from .moore import Chain, ChainError, boundary, count_degenerate, diameter, project
 from .quintuple import QuintupleAlgebra, VerificationInstance
-from .shuffles import DimensionMismatch, edgewise, shuffle_table, shuffle_terms, shuffles
+from .shuffles import DimensionMismatch, edgewise, shuffle_norms, shuffle_table, shuffle_terms, shuffles
 from .words import TowerAlgebra
 
 
@@ -191,9 +195,10 @@ def homotopy_P(ctx: HomotopyContext, sigma: tuple) -> Chain:
 # -- the inductive step and the tower --------------------------------------------
 
 
-# raw terms per batch of ``stage``, whose tuples are alive at once:
-# count --dim 6 peaks at 27.2 MB with 4,096 and at 34.2 MB with 65,536,
-# above the 32.4 MB of building psi's dict
+# raw terms per batch of ``stage_terms``, and sources per chunk of the key
+# walk of ``psi_counts``, whose tuples are alive at once: count --dim 7
+# peaks at 119.4 MB with 4,096 and at 122.4 MB with 65,536, and the
+# concrete expand --op psi --group sym3 --dim 6 at 37.4 and 39.4 MB
 BATCH = 4096
 
 
@@ -206,25 +211,31 @@ def _batches(keys, coeffs):
 
 
 def stage(tower: MitosisTower, level: int, sigma: tuple) -> tuple:
-    """``(dim, batches, count)``: the raw terms of psi(level, sigma)'s stage
-    on a simplex of dimension m <= level, the one place they are assembled.
+    """``(P, factors)``: the parts of psi(level, sigma)'s stage on a simplex
+    of dimension m <= level, the one place they are built.
 
-    The batches are lists of at most ``BATCH`` simplices and their
-    coefficients, drawn through ``_batches``: P's terms, then for 0 < k < m
-    the ``shuffle_terms`` of psi of the front face d_(k+1) ... d_m at the
-    level below against the back face d_0^k pushed, as a one-term chain.
-    ``count`` is their number, and ``dim`` = m + 1 their dimension.  P and
-    every factor are built before this returns, so drawing the batches
-    codes no new value."""
+    P is the cylinder homotopy on sigma, built first, and ``factors`` holds,
+    for 0 < k < m, the pair ``(psi(level - 1, sigma[:k]), tau_k)`` of the
+    front face d_(k+1) ... d_m at the level below and the back face d_0^k
+    pushed, as a simplex.  The stage's raw terms are P's, then each
+    correction's, the ``shuffle_terms`` of ``-(psi shuffle tau_k)``.  Every
+    value the stage holds is coded before this returns."""
     m = len(sigma)
     if m > level:
         raise DimensionExceeded(f"dim {m} exceeds level {level}")
     ctx = tower.context(level)
     # P first: a fresh tower codes values in the order they are built
     P = homotopy_P(ctx, sigma)
+    return P, [(tower.psi(level - 1, sigma[:k]), tuple(map(ctx.f, sigma[k:]))) for k in range(1, m)]
+
+
+def stage_terms(P: Chain, factors: list) -> tuple:
+    """``(dim, batches, count)``: the raw terms of the stage ``stage``
+    built, in order, as lists of at most ``BATCH`` simplices and their
+    coefficients drawn through ``_batches``, their dimension and their
+    number."""
     streams = [(P.terms, P.terms.values(), len(P))]
-    streams += [shuffle_terms(tower.psi(level - 1, sigma[:k]), Chain.of(tuple(map(ctx.f, sigma[k:]))), -1)
-                for k in range(1, m)]
+    streams += [shuffle_terms(a, Chain.of(tau), -1) for a, tau in factors]
     keys, coeffs, counts = zip(*streams)
     return P.dim, itertools.chain.from_iterable(map(_batches, keys, coeffs)), sum(counts)
 
@@ -240,7 +251,7 @@ def induct_Q(tower: MitosisTower, level: int, sigma: tuple) -> Chain:
     """One inductive step on a generic simplex: the stage's raw terms summed
     as one dict, updated a batch at a time (see ``moore``).  No raw key may
     repeat, so the dict holds one key per raw term, in order."""
-    dim, batches, count = stage(tower, level, sigma)
+    dim, batches, count = stage_terms(*stage(tower, level, sigma))
     out = Chain(dim)
     for simplices, coeffs in batches:
         out.terms.update(zip(simplices, coeffs))
@@ -259,20 +270,22 @@ def psi_counts(tower: MitosisTower, level: int, sigma: tuple) -> tuple:
     """``(diameter, degenerate)``: the L1 norms of psi(level, sigma) on a
     generic simplex and of its degenerate terms, without holding psi's stage.
 
-    The stage's raw terms are summed a batch at a time, and each goes into a
-    set as a packed key, which must hold one key per raw term, as
-    ``induct_Q``'s dict does.  The lower stages are the tower's memoized psi."""
-    dim, batches, count = stage(tower, level, sigma)
+    The norms and the raw count are read off P and the correction factors
+    (``shuffle_norms``), with no coefficient of a correction drawn.  Each
+    raw key goes into a set, packed, in no fixed order; the set must hold
+    one key per raw term, as ``induct_Q``'s dict does, so no term cancelled
+    and the norms are psi's.  The lower stages are the tower's memoized psi."""
+    P, factors = stage(tower, level, sigma)
     alg = tower.algebra
-    # ``stage`` has built every factor, so no code is made after this point
-    pack = _key_packer(len(alg.elems), dim)
-    seen = set()
-    total = degenerate = 0
-    for simplices, coeffs in batches:
-        # on the tuples: a 2-byte key of a nonidentity code can hold a zero byte
-        degenerate += degenerate_norm(alg.identity, simplices, coeffs)
-        total += sum(map(abs, coeffs))
-        seen.update(itertools.starmap(pack, simplices))
+    # ``stage`` has coded every value, so no code is made after this point
+    pack = _key_packer(len(alg.elems), P.dim)
+    seen = set(itertools.starmap(pack, P.terms))
+    total, degenerate, count = diameter(P), count_degenerate(alg, P), len(P)
+    for a, tau in factors:
+        l1, degen, n, walk = shuffle_norms(a, tau, alg.identity, BATCH)
+        total, degenerate, count = total + l1, degenerate + degen, count + n
+        for keys in walk:
+            seen.update(itertools.starmap(pack, keys))
     _check_distinct(len(seen), count, level, sigma)
     return total, degenerate
 
@@ -308,7 +321,7 @@ class MitosisTower:
         """The level-n tower homotopy on a simplex of dimension m <= n.  On
         the generic simplex (x_1, ..., x_m) of a free base it is ``induct_Q``'s
         build, memoized.  Else, as psi is natural, it is the generic stage
-        streamed forward: each batch of ``stage`` on (x_1, ..., x_m), over
+        streamed forward: each batch of ``stage_terms`` on (x_1, ..., x_m), over
         this tower's free base or its private free tower, is mapped through
         the codes of the tower map of x_i -> sigma_i and summed, so the
         generic top is never held whole."""
@@ -321,7 +334,7 @@ class MitosisTower:
             return chain
         h = self.tower_map(sigma)
         table = _Letter(lambda c: h(free.algebra.elems[c]), self.algebra.code).__getitem__
-        dim, batches, _count = stage(free, level, generic)
+        dim, batches, _count = stage_terms(*stage(free, level, generic))
         out = Chain(dim)
         for simplices, coeffs in batches:
             out.add_terms(zip(map(tuple, map(map, itertools.repeat(table), simplices)), coeffs))

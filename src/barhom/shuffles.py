@@ -15,8 +15,11 @@ cached table, ``shuffle_table``.  The shuffle product ``shuffle_terms``
 interleaves the entries of two simplices directly: the Eilenberg-Zilber map
 pads every slot of one factor that the other fills with the identity, and
 every entry algebra's product returns the other factor when one side is the
-identity.  ``homotopy.induct_Q`` sums its terms, and ``homotopy.psi_counts``
-counts them.
+identity.  ``homotopy.induct_Q`` sums its terms.  ``shuffle_norms`` reads
+the norms and the number of the same terms off the two factors, and walks
+their keys in no fixed order, for ``homotopy.psi_counts``.  Both read the
+table's signs and placements through ``shuffle_placements``, transposed
+once per (p, q).
 
 Since B(G x H) = BG x BH, a simplex of the product space is a bar simplex of
 pairs ((x_1, y_1), ..., (x_n, y_n)), so product chains are plain ``Chain``s
@@ -37,7 +40,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
 
-from .moore import Chain, ChainError, face, pushforward
+from .moore import Chain, ChainError, degenerate_norm, diameter, face, pushforward
 
 
 class DimensionMismatch(ChainError):
@@ -219,13 +222,21 @@ def tensor_of_chains(a: Chain, b: Chain) -> TensorChain:
     return out
 
 
+@lru_cache(maxsize=None)
+def shuffle_placements(p: int, q: int) -> tuple:
+    """``(signs, places)``: the signs and the ``place`` getters of
+    ``shuffle_table(p, q)`` in table order, transposed once per (p, q)."""
+    _, _, signs, places, _ = zip(*shuffle_table(p, q))
+    return signs, places
+
+
 def shuffle_terms(a: Chain, b: Chain, scale: int = 1) -> tuple:
     """The raw terms of ``scale * (a shuffle b)``, in the order tau, sigma,
     then ``shuffle_table``'s placements, as ``(keys, coeffs, count)``: two
     C-level iterators and their length; their sum is ``scale *
     mult_map(ez(tensor_of_chains(a, b)))``.  Per tau the sources sigma + tau
     are ``tee``'d, never listed; per distinct coefficient one signed row."""
-    _, _, signs, places, _ = zip(*shuffle_table(a.dim, b.dim))
+    signs, places = shuffle_placements(a.dim, b.dim)
     sigmas, cas = a.terms.keys(), a.terms.values()
 
     def keys(tau):
@@ -239,6 +250,32 @@ def shuffle_terms(a: Chain, b: Chain, scale: int = 1) -> tuple:
     return (itertools.chain.from_iterable(map(keys, b.terms)),
             itertools.chain.from_iterable(map(coeffs, b.terms.values())),
             len(a) * len(b) * len(places))
+
+
+def shuffle_norms(a: Chain, tau: tuple, e, batch: int) -> tuple:
+    """``(l1, degenerate, count, keys)`` of the raw terms of
+    ``shuffle_terms(a, Chain.of(tau), scale)`` for a scale of +-1, read off
+    the two factors: the L1 norm of the terms, that of those holding the
+    identity ``e``, their number, and their keys in no fixed order.
+
+    A term is ``place(sigma + tau)`` with coefficient ``+-ca``, and a
+    placement permutes slots, so it is degenerate exactly when ``e`` is in
+    sigma or in tau: each norm is a norm of a times the number of
+    placements, one pass over a.  ``keys`` walks placement-major over chunks
+    of at most ``batch`` sources sigma + tau, one iterator per chunk and
+    placement, so one chunk is listed at a time."""
+    _, places = shuffle_placements(a.dim, len(tau))
+    l1 = diameter(a)
+    degenerate = l1 if e in tau else degenerate_norm(e, a.terms, a.terms.values())
+    sources = map(tuple.__add__, a.terms, itertools.repeat(tau))
+
+    def keys():
+        while chunk := list(itertools.islice(sources, batch)):
+            for place in places:
+                yield map(place, chunk)
+
+    n = len(places)
+    return n * l1, n * degenerate, n * len(a), keys()
 
 
 # -- edgewise subdivision --------------------------------------------------------

@@ -77,9 +77,10 @@ GATES = [
     # criterion 9 (about 13 s and 500 MB on a 2-core x86-64 VM)
     Gate(("verify", "--suite", "psi", "--level", "7", "--maxdim", "7"), peak_mb=800),
     # gamma(8) = 14,737,536 and q(8) = 5,475,530, counted term by term; the
-    # tier-1 counts stop at m = 7.  The top stage is streamed into a set of
-    # 2-byte packed keys: about 15-25 s and 1,657 MB, and the bound is about
-    # 6% above that, so a count that holds the top stage's dict fails
+    # tier-1 counts stop at m = 7.  The top stage's norms are read off its
+    # factors and its keys walked into a set of 2-byte packed keys: about
+    # 11-19 s and 1,657 MB, and the bound is about 6% above that, so a count
+    # that holds the top stage's dict fails
     Gate(("count", "--op", "psi", "--dim", "8", "--cap", "20000000"), peak_mb=1750),
     # c(8) = 9,262,006 from the same stream, with no projected copy of psi
     Gate(("count", "--op", "phi", "--dim", "8", "--cap", "20000000"), peak_mb=1750),

@@ -7,7 +7,8 @@ from math import comb
 
 import pytest
 
-from barhom import checks, homotopy, quintuple
+from barhom import checks, homotopy, moore, quintuple
+from barhom import shuffles as shuffles_module
 from barhom.bounds import c_bound, d_cyl, gamma, q_count
 from barhom.cli import main
 from barhom.cylinder import face_pillar
@@ -35,6 +36,7 @@ from barhom.shuffles import (
     edgewise,
     ez,
     mult_map,
+    shuffle_norms,
     shuffle_terms,
     shuffles,
     tensor_of_chains,
@@ -788,13 +790,23 @@ def _shuffle_terms_repeating_the_first(a, b, scale=1):
     return itertools.chain((key, key), keys), itertools.chain((coeff, coeff), coeffs), count + 1
 
 
+def _shuffle_norms_repeating_the_first(a, tau, e, batch):
+    """``shuffle_norms`` with its first key walked twice."""
+    l1, degenerate, count, walk = shuffle_norms(a, tau, e, batch)
+    keys = next(walk)
+    key = next(keys)
+    return l1, degenerate, count + 1, itertools.chain(([key, key],), (keys,), walk)
+
+
 def test_a_repeated_raw_term_raises(monkeypatch, capsys):
-    # the stages below the top are built first, so the top stage's own check raises
+    # the stages below the top are built first, so the top stage's own check
+    # raises: induct_Q's in the ordered stream, psi_counts' in its key walk
     F = FreeGroup(3)
     sigma = tuple(F.gens())
     tower = MitosisTower(F)
     tower.psi(2, sigma[:2])
     monkeypatch.setattr(homotopy, "shuffle_terms", _shuffle_terms_repeating_the_first)
+    monkeypatch.setattr(homotopy, "shuffle_norms", _shuffle_norms_repeating_the_first)
     for build in (homotopy.induct_Q, homotopy.psi_counts):
         with pytest.raises(ChainError, match=r"^psi\(3\) on a 3-simplex: 152 distinct keys for 154 raw terms$"):
             build(tower, 3, sigma)
@@ -879,6 +891,28 @@ def test_streamed_counts_equal_the_chain_counts(m, above):
     assert (level, sigma) not in tower._cache
     assert counts == (gamma(m), q_count(m))
     assert _chain_counts(tower, level, sigma) == (counts, counts[0] - counts[1])
+
+
+def test_the_count_reads_degeneracy_off_the_factors(monkeypatch):
+    # the top stage of count --dim 6: degenerate_norm reads P and each
+    # correction factor once: 448 + 11,032 simplices, never a correction's
+    # raw terms (gamma(6) = 98,336 raw terms in all)
+    base = FreeGroup(6)
+    sigma = tuple(base.gens())
+    tower = MitosisTower(base)
+    P, factors = homotopy.stage(tower, 6, sigma)
+    seen = []
+    degenerate_norm = moore.degenerate_norm
+
+    def counting(e, simplices, coeffs):
+        simplices = list(simplices)
+        seen.append(len(simplices))
+        return degenerate_norm(e, simplices, coeffs)
+
+    for module in (moore, shuffles_module):
+        monkeypatch.setattr(module, "degenerate_norm", counting)
+    assert psi_counts(tower, 6, sigma) == (gamma(6), q_count(6))
+    assert 0 < sum(seen) <= len(P) + sum(len(a) for a, _tau in factors) == 11480
 
 
 def test_streamed_counts_with_two_byte_keys():

@@ -206,10 +206,11 @@ def _entry_with_its_last_two_slots_swapped(p, q, first, sign):
 
 @pytest.fixture
 def fresh_shuffle_table():
-    """Empty the cached shuffle table after the test, so no row that a
-    mutated ``_entry`` built outlives it."""
+    """Empty the cached shuffle table and its transposition after the test,
+    so no row that a mutated ``_entry`` built outlives it."""
     yield
     shuffles.shuffle_table.cache_clear()
+    shuffles.shuffle_placements.cache_clear()
 
 
 def test_swapped_placement_slots_fail_the_per_rank_cylinder_data(monkeypatch, fresh_shuffle_table):
@@ -247,7 +248,7 @@ _degenerate_norm = moore.degenerate_norm
 
 
 def _degenerate_norm_skipping_the_last_term(e, simplices, coeffs):
-    # the streamed degeneracy test blind to the last term of each batch
+    # the degeneracy test blind to the last term of each chain it reads
     simplices, coeffs = list(simplices)[:-1], list(coeffs)[:-1]
     return _degenerate_norm(e, simplices, coeffs)
 
@@ -258,16 +259,17 @@ def _count_psi_3(capsys):
 
 
 def test_count_degenerate_skipping_the_last_term_fails_the_q_gate(monkeypatch, capsys):
-    # killed by the q gate of ``count --op psi``: psi(3) streams as three
-    # batches, P and two corrections, and the last term of each is
-    # degenerate.  Skipping the last slot of each simplex instead is no
-    # mutation of the psi count: no psi term to m = 6 has the identity in its
-    # last slot alone
+    # killed by the q gate of ``count --op psi``: psi(3)'s degenerate norm
+    # reads P and the two correction factors, and the last term of each is
+    # degenerate with coefficient +-1, so the count loses 1 for P and 6 and 4
+    # for the factors, once per placement of the (2,2)- and (3,1)-shuffles.
+    # Skipping the last slot of each simplex instead is no mutation of the
+    # psi count: no psi term to m = 6 has the identity in its last slot alone
     ok = "ok psi dim 3 level 3: diameter 152 expected 152, degenerate 55 expected 55"
     assert _count_psi_3(capsys) == (0, ok)
-    for module in (moore, homotopy):
+    for module in (moore, shuffles):
         monkeypatch.setattr(module, "degenerate_norm", _degenerate_norm_skipping_the_last_term)
-    assert _count_psi_3(capsys) == (1, "FAIL " + ok[3:].replace("degenerate 55", "degenerate 52"))
+    assert _count_psi_3(capsys) == (1, "FAIL " + ok[3:].replace("degenerate 55", "degenerate 44"))
 
 
 _batches = homotopy._batches
@@ -286,9 +288,9 @@ def _count_psi_6(capsys):
 
 
 def test_stream_dropping_the_last_batch_of_a_correction_fails_the_stage_count_check(monkeypatch, capsys):
-    # killed by the stage count check that induct_Q and psi_counts share: a
-    # stage whose batches hold fewer terms than its count raises, so count
-    # exits 1 at psi(5), the first stage with a correction past one batch
+    # killed by induct_Q's stage count check: a stage whose batches hold
+    # fewer terms than its count raises, so count exits 1 at psi(5), the
+    # first lower stage with a correction past one batch
     ok = "ok psi dim 6 level 6: diameter 98336 expected 98336, degenerate 36532 expected 36532"
     assert _count_psi_6(capsys) == (0, ok)
     monkeypatch.setattr(homotopy, "_batches", _batches_dropping_the_last)
@@ -310,6 +312,44 @@ def test_packing_that_merges_codes_fails_the_no_top_chain_test(monkeypatch, caps
     monkeypatch.setattr(homotopy, "_key_packer", _key_packer_keeping_the_first_codes)
     with pytest.raises(AssertionError, match="assert 1 == 0"):
         test_cli.test_count_builds_no_chain_at_the_top_key(monkeypatch, capsys, op)
+
+
+_shuffle_norms = shuffles.shuffle_norms
+
+
+def _shuffle_norms_ignoring_the_identity_in_tau(a, tau, e, batch):
+    # the degenerate norm read off a alone, as if tau never held the identity
+    l1, _, count, walk = _shuffle_norms(a, tau, e, batch)
+    placements = len(shuffles.shuffle_table(a.dim, len(tau)))
+    return l1, placements * moore.degenerate_norm(e, a.terms, a.terms.values()), count, walk
+
+
+def test_factor_norm_ignoring_the_identity_in_tau_fails_the_factor_norm_test(monkeypatch):
+    # killed by tests/test_shuffles.py::test_shuffle_norms_are_the_sums_over_the_raw_terms,
+    # whose tau holds the identity in half its cases; the count gates stay
+    # blind to it, since no free tower's tau holds the identity
+    test_shuffles.test_shuffle_norms_are_the_sums_over_the_raw_terms()
+    monkeypatch.setattr(test_shuffles, "shuffle_norms", _shuffle_norms_ignoring_the_identity_in_tau)
+    with pytest.raises(AssertionError):
+        test_shuffles.test_shuffle_norms_are_the_sums_over_the_raw_terms()
+
+
+def _shuffle_norms_dropping_the_last_chunk(a, tau, e, batch):
+    # the key walk without the placements of its last chunk of sources
+    l1, degenerate, count, walk = _shuffle_norms(a, tau, e, batch)
+    placements = len(shuffles.shuffle_table(a.dim, len(tau)))
+    return l1, degenerate, count, list(walk)[:-placements]
+
+
+def test_key_walk_dropping_its_last_chunk_fails_the_stage_count_check(monkeypatch, capsys):
+    # killed by the stage count check of psi_counts: the set holds fewer keys
+    # than the factors count raw terms, so count exits 1 at the top stage,
+    # the only one psi_counts reads
+    ok = "ok psi dim 6 level 6: diameter 98336 expected 98336, degenerate 36532 expected 36532"
+    assert _count_psi_6(capsys) == (0, ok)
+    monkeypatch.setattr(homotopy, "shuffle_norms", _shuffle_norms_dropping_the_last_chunk)
+    assert main(["count", "--op", "psi", "--dim", "6"]) == 1
+    assert capsys.readouterr() == ("", "error: ChainError: psi(6) on a 6-simplex: 57792 distinct keys for 98336 raw terms\n")
 
 
 _psi = MitosisTower.psi
@@ -716,10 +756,12 @@ def _degenerate_norm_skipping_the_first_entry(e, simplices, coeffs):
 
 def test_degeneracy_filter_skipping_the_first_entry_fails_the_count_gates(monkeypatch, capsys):
     # killed by tests/test_cli.py::test_count_pass (q) and test_count_phi (c):
-    # 25 terms of psi(3) hold the identity in their first entry alone
+    # the terms of P and of the correction factors of psi(3) that hold the
+    # identity in their first entry alone weigh 7, 1 and 5, and the factors'
+    # count once per placement, so the mutant's q(3) is 55 - 33
     test_cli.test_count_pass(capsys)
     test_cli.test_count_phi(capsys)
-    for module in (moore, homotopy):
+    for module in (moore, shuffles):
         monkeypatch.setattr(module, "degenerate_norm", _degenerate_norm_skipping_the_first_entry)
     for test in (test_cli.test_count_pass, test_cli.test_count_phi):
         with pytest.raises(AssertionError):
