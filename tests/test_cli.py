@@ -666,17 +666,22 @@ EXPAND_SHA256 = {
     "P concrete json free3 3": "e8d9305a3a85a89995425fb15832b53fcbadb09a5092c89b4d31670865c881b1",
     "ed concrete json free3 3": "45bad91f31a441faf5da216afad9bd860c5724315280bd950175d682bf60b9d7",
     "ed concrete tsv free3 3": "5d7943dc4424f57fb810debd5760f0bee713a7b0edb4fb5312ce96dc283c35af",
+    # psi above its dimension, on the generic simplex and pushed into sym3
+    "psi 4 --level 6": "9e3bc2df598d80e659bdf67ad58d84867851ebb4b4172ea624bdfcb27803892b",
+    "phi 4 --level 6": "1b413a49c786e80145d6cc8345e2b0cdf458476b38517873a0e8d33e66a15cff",
+    "psi concrete json sym3 4 --level 6 --seed 1": "28584ff9fcaadf2b0ba68e9e5749ab317a511c47343b0125c9172f5e65fd383f",
 }
 
 
 def _expand_argv(case):
-    *rest, dim = case.split()
+    words, _, options = case.partition(" --")
+    *rest, dim = words.split()
     flags = ["--op", rest[0]]
     if len(rest) > 1:
         flags += ["--mode", rest[1], "--format", rest[2]]
     if len(rest) > 3:
         flags += ["--group", rest[3]]
-    return ["expand", *flags, "--dim", dim]
+    return ["expand", *flags, "--dim", dim, *(f"--{options}".split() if options else ())]
 
 
 @pytest.mark.parametrize("case", list(EXPAND_SHA256))
