@@ -267,7 +267,7 @@ def cmd_count(args) -> int:
     else:
         # psi's stage is streamed, not held; phi's diameter is psi's less
         # its degenerate terms, since projecting only deletes those
-        diam, degen = psi_counts(MitosisTower(base), level, sigma)
+        diam, degen = psi_counts(MitosisTower(base), sigma)
         if args.op == "psi":
             ok = diam == bd.gamma(dim) and degen == bd.q_count(dim)
             line = (f"psi dim {dim} level {level}: diameter {diam} expected {bd.gamma(dim)}, "

@@ -267,8 +267,14 @@ class CodedAlgebra:
         return self.algebra.entry_to_json(self.elems[a])
 
 
+# the largest n of a symmetric group spec: a product costs O(n), and no cap
+# sees the size of an element.  MEASUREMENT
+SYM_DEGREE_MAX = 9
+
+
 def parse_group(spec: str) -> Group:
-    """Parse CLI group specs: 'cyclic3', 'sym4', 'free2', 'cyclic2*sym3'."""
+    """Parse CLI group specs: 'cyclic3', 'sym4', 'free2', 'cyclic2*sym3'.
+    A symmetric group above ``SYM_DEGREE_MAX`` is refused before it is built."""
     spec = spec.strip().lower()
     if "*" in spec:
         return DirectProduct(*(parse_group(part) for part in spec.split("*")))
@@ -281,5 +287,7 @@ def parse_group(spec: str) -> Group:
             if cls is FreeGroup and n < 1:
                 # the trivial group, which has nothing to sample
                 raise ValueError(f"bad group spec: {spec!r}")
+            if cls is SymmetricGroup and n > SYM_DEGREE_MAX:
+                raise ValueError(f"degree cap exceeded: {spec!r} has degree {n} > {SYM_DEGREE_MAX}")
             return cls(n)
     raise ValueError(f"bad group spec: {spec!r}")

@@ -29,17 +29,23 @@ each correction's ``shuffle_terms``.  ``induct_Q`` sums that stream into the
 stage's chain.  ``psi_counts`` reads the norms and the raw count off the
 parts (``shuffles.shuffle_norms``), draws no coefficient of a correction,
 and walks the raw keys in no fixed order.  Both run on the generic simplex
-(x_1, ..., x_m) of a free base, where no raw term may repeat: each checks
-that the stage held as many keys as it counted raw terms, and raises
-``ChainError`` if not.  psi on any other simplex is the generic stage
-streamed forward: each batch of ``stage_terms`` on the generic simplex is
-mapped through the codes of the tower map and summed, so the generic top is
-never held whole.  One ``MitosisTower`` owns one word algebra,
+(x_1, ..., x_m) of a free base at level m, where no raw term may repeat:
+each checks that the stage held as many keys as it counted raw terms, and
+raises ``ChainError`` if not.  The gamma, q and c recurrences depend on the
+dimension alone, and on the generic simplex raising the level only
+relabels: psi(L, sigma_m) = s_(L-m)(psi(m, sigma_m)), where the level
+shift s_d raises every level by d.  So every other psi, on another simplex
+or at a raised level, is the generic stage streamed forward: each batch of
+``stage_terms`` on the generic simplex is mapped through the codes of the
+tower map composed with the level shift and summed, so the generic top is
+never held whole.  s_d is injective and maps only the identity to the
+identity, so the norms and the distinct keys at level L are those at
+level m.  One ``MitosisTower`` owns one word algebra,
 coded as small ints by a ``groups.CodedAlgebra``, so every term of psi is a
 tuple of ints and only ``entry_to_json`` decodes a tower value.  It builds
-each level's context once.  A free tower memoizes the generic stages it
-builds and nothing else; a tower over any other group holds a private free
-tower for them.  ``coded_context`` is the one context builder:
+each level's context once.  A free tower memoizes one generic stage per
+dimension and nothing else; a tower over any other group holds a private
+free tower for them.  ``coded_context`` is the one context builder:
 each letter of the context it returns codes ``fn(x)`` once per source
 element, and ``formal_context``, ``instance_context`` and
 ``MitosisTower.context`` are each one call of it.  ``HomotopyContext`` is a plain namedtuple, so a
@@ -210,23 +216,22 @@ def _batches(keys, coeffs):
         yield simplices, list(itertools.islice(coeffs, BATCH))
 
 
-def stage(tower: MitosisTower, level: int, sigma: tuple) -> tuple:
-    """``(P, factors)``: the parts of psi(level, sigma)'s stage on a simplex
-    of dimension m <= level, the one place they are built.
+def stage(tower: MitosisTower, sigma: tuple) -> tuple:
+    """``(P, factors)``: the parts of psi(m, sigma)'s stage on an m-simplex,
+    at level m, the one place they are built.
 
     P is the cylinder homotopy on sigma, built first, and ``factors`` holds,
-    for 0 < k < m, the pair ``(psi(level - 1, sigma[:k]), tau_k)`` of the
-    front face d_(k+1) ... d_m at the level below and the back face d_0^k
-    pushed, as a simplex.  The stage's raw terms are P's, then each
-    correction's, the ``shuffle_terms`` of ``-(psi shuffle tau_k)``.  Every
-    value the stage holds is coded before this returns."""
+    for 0 < k < m, the pair ``(psi(m - 1, sigma[:k]), tau_k)`` of the front
+    face d_(k+1) ... d_m at the level below and the back face d_0^k pushed,
+    as a simplex.  The stage's raw terms are P's, then each correction's, the
+    ``shuffle_terms`` of ``-(psi shuffle tau_k)``.  Every value the stage
+    holds is coded before this returns."""
     m = len(sigma)
-    if m > level:
-        raise DimensionExceeded(f"dim {m} exceeds level {level}")
-    ctx = tower.context(level)
+    # the 0-simplex has no level of its own: its stage, empty, is read at 1
+    ctx = tower.context(m or 1)
     # P first: a fresh tower codes values in the order they are built
     P = homotopy_P(ctx, sigma)
-    return P, [(tower.psi(level - 1, sigma[:k]), tuple(map(ctx.f, sigma[k:]))) for k in range(1, m)]
+    return P, [(tower.psi(m - 1, sigma[:k]), tuple(map(ctx.f, sigma[k:]))) for k in range(1, m)]
 
 
 def stage_terms(P: Chain, factors: list) -> tuple:
@@ -240,22 +245,23 @@ def stage_terms(P: Chain, factors: list) -> tuple:
     return P.dim, itertools.chain.from_iterable(map(_batches, keys, coeffs)), sum(counts)
 
 
-def _check_distinct(distinct: int, count: int, level: int, sigma: tuple) -> None:
-    """Raise unless a stage's ``count`` raw terms held ``distinct`` keys: a
-    raw key repeated, or the stream did not hold ``count`` terms."""
+def _check_distinct(distinct: int, count: int, m: int) -> None:
+    """Raise unless the ``count`` raw terms of psi(m)'s stage held
+    ``distinct`` keys: a raw key repeated, or the stream did not hold
+    ``count`` terms."""
     if distinct != count:
-        raise ChainError(f"psi({level}) on a {len(sigma)}-simplex: {distinct} distinct keys for {count} raw terms")
+        raise ChainError(f"psi({m}) on a {m}-simplex: {distinct} distinct keys for {count} raw terms")
 
 
-def induct_Q(tower: MitosisTower, level: int, sigma: tuple) -> Chain:
-    """One inductive step on a generic simplex: the stage's raw terms summed
-    as one dict, updated a batch at a time (see ``moore``).  No raw key may
-    repeat, so the dict holds one key per raw term, in order."""
-    dim, batches, count = stage_terms(*stage(tower, level, sigma))
+def induct_Q(tower: MitosisTower, sigma: tuple) -> Chain:
+    """One inductive step on a generic simplex, at level = dim: the stage's
+    raw terms summed as one dict, updated a batch at a time (see ``moore``).
+    No raw key may repeat, so the dict holds one key per raw term, in order."""
+    dim, batches, count = stage_terms(*stage(tower, sigma))
     out = Chain(dim)
     for simplices, coeffs in batches:
         out.terms.update(zip(simplices, coeffs))
-    _check_distinct(len(out), count, level, sigma)
+    _check_distinct(len(out), count, len(sigma))
     return out
 
 
@@ -266,16 +272,19 @@ def _key_packer(codes: int, dim: int):
     return struct.Struct(f"{dim}{'B' if codes <= 256 else 'H'}").pack
 
 
-def psi_counts(tower: MitosisTower, level: int, sigma: tuple) -> tuple:
-    """``(diameter, degenerate)``: the L1 norms of psi(level, sigma) on a
-    generic simplex and of its degenerate terms, without holding psi's stage.
+def psi_counts(tower: MitosisTower, sigma: tuple) -> tuple:
+    """``(diameter, degenerate)``: the L1 norms of psi(m, sigma) on a generic
+    m-simplex and of its degenerate terms, without holding psi's stage.  At
+    any level above m they are the same, since the level shift is injective
+    and maps only the identity to the identity.
 
     The norms and the raw count are read off P and the correction factors
     (``shuffle_norms``), with no coefficient of a correction drawn.  Each
     raw key goes into a set, packed, in no fixed order; the set must hold
     one key per raw term, as ``induct_Q``'s dict does, so no term cancelled
-    and the norms are psi's.  The lower stages are the tower's memoized psi."""
-    P, factors = stage(tower, level, sigma)
+    and the norms are psi's.  The factor A_(m-1) is the tower's memoized
+    psi(m - 1), and each A_k below it the memoized psi(k), streamed shifted."""
+    P, factors = stage(tower, sigma)
     alg = tower.algebra
     # ``stage`` has coded every value, so no code is made after this point
     pack = _key_packer(len(alg.elems), P.dim)
@@ -286,7 +295,7 @@ def psi_counts(tower: MitosisTower, level: int, sigma: tuple) -> tuple:
         total, degenerate, count = total + l1, degenerate + degen, count + n
         for keys in walk:
             seen.update(itertools.starmap(pack, keys))
-    _check_distinct(len(seen), count, level, sigma)
+    _check_distinct(len(seen), count, len(sigma))
     return total, degenerate
 
 
@@ -319,35 +328,41 @@ class MitosisTower:
 
     def psi(self, level: int, sigma: tuple) -> Chain:
         """The level-n tower homotopy on a simplex of dimension m <= n.  On
-        the generic simplex (x_1, ..., x_m) of a free base it is ``induct_Q``'s
-        build, memoized.  Else, as psi is natural, it is the generic stage
-        streamed forward: each batch of ``stage_terms`` on (x_1, ..., x_m), over
+        the generic simplex (x_1, ..., x_m) of a free base at level m it is
+        ``induct_Q``'s build, memoized under m.  Any other psi is the generic
+        stage streamed forward, as psi is natural and raising the level only
+        relabels it: each batch of ``stage_terms`` on (x_1, ..., x_m), over
         this tower's free base or its private free tower, is mapped through
-        the codes of the tower map of x_i -> sigma_i and summed, so the
-        generic top is never held whole."""
-        generic = tuple(FreeGroup(len(sigma)).gens())
+        the codes of the tower map of x_i -> sigma_i composed with the level
+        shift s_(n - m), and summed, so that stage is never held whole."""
+        m = len(sigma)
+        if m > level:
+            raise DimensionExceeded(f"dim {m} exceeds level {level}")
+        generic = tuple(FreeGroup(m).gens())
         free = self._generic or self
-        if free is self and sigma == generic:
-            chain = self._cache.get((level, sigma))
+        if free is self and sigma == generic and level == m:
+            chain = self._cache.get(m)
             if chain is None:
-                chain = self._cache[level, sigma] = induct_Q(self, level, sigma)
+                chain = self._cache[m] = induct_Q(self, sigma)
             return chain
-        h = self.tower_map(sigma)
+        h = self.tower_map(sigma, level - m)
         table = _Letter(lambda c: h(free.algebra.elems[c]), self.algebra.code).__getitem__
-        dim, batches, _count = stage_terms(*stage(free, level, generic))
+        dim, batches, _count = stage_terms(*stage(free, generic))
         out = Chain(dim)
         for simplices, coeffs in batches:
             out.add_terms(zip(map(tuple, map(map, itertools.repeat(table), simplices)), coeffs))
         return out
 
-    def tower_map(self, sigma: tuple) -> Callable:
+    def tower_map(self, sigma: tuple, shift: int = 0) -> Callable:
         """The tower map of x_i -> sigma_i from tower values over a free base
-        to this tower's, uncoded: a word goes to its letters' images' product."""
+        to this tower's, uncoded, composed with the level shift s_``shift``:
+        a word goes to its letters' images' product, and every level rises
+        by ``shift``."""
         G, letters = self.base, {}
         for i, x in enumerate(sigma, start=1):
             letters[i], letters[-i] = x, G.inv(x)
         base_map = lambda word: functools.reduce(G.mul, map(letters.__getitem__, word), G.identity)
-        return functools.partial(self.algebra.algebra.image, base_map=base_map)
+        return functools.partial(self.algebra.algebra.image, base_map=base_map, shift=shift)
 
     def phi(self, level: int, sigma: tuple) -> Chain:
         """Degenerate-killed homotopy: the projection of psi."""

@@ -38,10 +38,11 @@ each once, in order, nonzero, and otherwise a raw key repeated and
 coefficients: it takes the L1 norm and the ``degenerate_norm`` of P and of
 each correction's factor once, times the correction's placements, and holds
 only a set of the raw keys, packed to fixed width, checked against the
-count alike.  Both run on the generic simplex only, where no raw key
-repeats; psi elsewhere sums the same stream through ``add_terms``, each
-simplex mapped along the tower map, so its order is that of ``pushforward``
-on the generic chain, which the tests hold it to.  ``TensorChain`` sums
+count alike.  Both run on the generic simplex only, at level = dim, where
+no raw key repeats; psi elsewhere, on another simplex or at a raised level,
+sums the same stream through ``add_terms``, each simplex mapped along the
+tower map and the level shift, so its order is that of ``pushforward`` on
+the generic chain, which the tests hold it to.  ``TensorChain`` sums
 through ``add_terms`` too, after its bidegree check.
 
 ``chain_payload`` streams a chain as the UTF-8 bytes of the JSON of

@@ -73,14 +73,17 @@ class TowerAlgebra:
         """m_level(m_arg)."""
         return PillarWord(level, self.identity, m_arg)
 
-    def image(self, v, base_map):
+    def image(self, v, base_map, shift: int = 0):
         """The image of the tower value ``v`` under the tower map that the base
-        homomorphism h = ``base_map`` induces: F_L(a) * t goes to F_L(h(a)) *
-        h(t), flattened if h(a) = e, and F_L(f) * m_L(x) to F_L(h(f)) * m_L(h(x))."""
+        homomorphism h = ``base_map`` induces, composed with the level shift
+        s_d, d = ``shift``: F_L(a) * t goes to F_(L+d)(h(a)) * image(t),
+        flattened if h(a) = e, F_L(f) * m_L(x) to F_(L+d)(h(f)) * m_(L+d)(h(x)),
+        and a base element a to h(a).  s_d is injective and maps only the
+        identity to the identity."""
         if isinstance(v, Conjugated):
-            return self.conj(v.level, base_map(v.arg), self.image(v.tail, base_map))
+            return self.conj(v.level + shift, base_map(v.arg), self.image(v.tail, base_map, shift))
         if isinstance(v, PillarWord):
-            return PillarWord(v.level, base_map(v.f_arg), base_map(v.m_arg))
+            return PillarWord(v.level + shift, base_map(v.f_arg), base_map(v.m_arg))
         return base_map(v)
 
     # multiplication --------------------------------------------------------

@@ -94,6 +94,9 @@ GATES = [
     Gate(("verify", "--suite", "theorem45", "--group", "cyclic100000", "--maxdim", "2"), **REFUSAL),
     # the boundary of one 1000-cylinder has about 10^9 entries
     Gate(("verify", "--suite", "cylinder", "--maxdim", "1000"), **REFUSAL),
+    # every product of sym1000000 takes a million steps: five 2-cylinders
+    # ran 49 s before its degree was refused
+    Gate(("verify", "--suite", "cylinder", "--group", "sym1000000", "--maxdim", "2", "--samples", "5"), **REFUSAL),
     # the tier-1 fuzzer's grammar at more than three times its case count
     Gate(fuzz_cases=1000, timeout_s=20),
 ]

@@ -446,6 +446,15 @@ USAGE_ERRORS = {
         (f"{cap}-{maxdim}-2", f"verify --suite theorem45 --maxdim {maxdim} --samples 5",
          f"error: term cap exceeded: theorem45 enumerates cyclic3^{min(maxdim, 3)}, more than {cap} simplices",
          {"barhom.cli.TERM_CAP": cap}) for cap, maxdim in ((8, 2), (26, 4))],
+    # a product of sym<n> costs O(n), and no cap sees the size of an element:
+    # sym1000000 took about 49 s for five 2-cylinders
+    "test_a_symmetric_group_above_the_degree_cap_is_refused_before_it_is_built": [
+        (name, argv, f"error: degree cap exceeded: '{spec}' has degree {spec[3:]} > 9",
+         {"barhom.groups.SymmetricGroup.__init__": None}) for name, argv, spec in [
+            ("cylinder", "verify --suite cylinder --group sym1000000 --maxdim 2 --samples 5", "sym1000000"),
+            ("expand", "expand --op P --mode concrete --group sym1000000 --dim 2", "sym1000000"),
+            ("product", "verify --suite theorem45 --group cyclic2*sym10", "sym10"),
+        ]],
     "test_out_of_range_numbers_are_usage_errors": [
         (argv, argv, f"error: barhom {argv.split()[0]}: argument {error}", {}) for argv, error in [
             ("expand --op ed --dim -1", "--dim: must be >= 0, got -1"),

@@ -12,10 +12,11 @@ in-process through ``main()`` and must end
 * within ``DEADLINE_S``: every size is refused before work is spent, so a
   case that runs longer is a size that was not refused.
 
-The tables hold a huge group (``cyclic100000``), a huge level (64), a huge
-sample count and a huge ``--max``, and the seeded cases reach each of
-``verify``'s size refusals, so a ``verify`` without them runs past the
-deadline.  They leave out runs that are slow by design within every cap:
+The tables hold a huge group (``cyclic100000``), a huge element
+(``sym1000000``, whose every product takes a million steps), a huge level
+(64), a huge sample count and a huge ``--max``, and the seeded cases reach
+each of ``verify``'s size refusals, so a ``verify`` without them runs past
+the deadline.  They leave out runs that are slow by design within every cap:
 ``theorem45`` at ``--maxdim 1`` enumerates the group (14 s on
 ``cyclic100000``), and the 200 random cylinders of the ``cylinder`` suite
 take about 1 s at ``--maxdim 64``, and longer over ``sym9``.
@@ -29,9 +30,9 @@ import time
 
 from barhom.cli import main
 
-# the first seed whose cases reach all five of verify's size refusals, as
-# the contract test asserts (none of 0-37 does with this grammar's order)
-SEED = 70
+# the first seed whose cases reach all six of verify's size refusals, as
+# the contract test asserts (none of 0-207 does with this grammar)
+SEED = 208
 CASES = 300
 DEADLINE_S = 1.0
 BUDGET_S = 5.0
@@ -44,7 +45,7 @@ MAXDIMS = ("0", "-1", "2", "3", "9", "23", "1000", "x", "")
 # one far above the caps on verify's --samples and on tables' --max
 SAMPLES = ("0", "-1", "1", "2", "3", "64", "65", "1000000000", "x", "")
 TABLES_MAXES = ("0", "-1", "1", "2", "3", "64", "65", "100000", "x", "")
-GROUPS = ("cyclic3", "sym3", "free2", "cyclic3*", "free0", "cyclic100000", "", "x")
+GROUPS = ("cyclic3", "sym3", "free2", "cyclic3*", "free0", "cyclic100000", "sym1000000", "", "x")
 # files in the test's directory: "out" is removed before each case, and
 # "missing" is no directory
 OUTS = ("out", "missing/out", "")
@@ -141,11 +142,12 @@ def run_cases(directory, seed=SEED, count=CASES):
 # verify's refusals, which a verify without them cannot finish: theorem45 on
 # cyclic100000 above dim 1, psi at a level of 64 or 65 (the only levels of
 # the table above the cap), the chainmaps subdivisions, the cylinders of
-# dim 1000 and 10^9 samples
+# dim 1000, 10^9 samples and the products of sym1000000
 VERIFY_REFUSALS = ("error: term cap exceeded: theorem45 enumerates cyclic100000^",
                    "error: term cap exceeded: gamma(", "error: term cap exceeded: 2**",
                    "error: term cap exceeded: cylinder boundary",
-                   "error: barhom verify: argument --samples: must be <= ")
+                   "error: barhom verify: argument --samples: must be <= ",
+                   "error: degree cap exceeded: 'sym1000000'")
 
 
 def test_every_case_keeps_the_cli_contract(tmp_path):

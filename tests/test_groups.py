@@ -73,6 +73,10 @@ def test_parse_group():
         parse_group("dihedral8")
     with pytest.raises(ValueError, match="bad group spec: 'free0'"):
         parse_group("free0")
+    # the degree cap admits sym9 and refuses sym10
+    assert parse_group("sym9").degree == 9
+    with pytest.raises(ValueError, match="^degree cap exceeded: 'sym10' has degree 10 > 9$"):
+        parse_group("sym10")
 
 
 @pytest.mark.parametrize("factors", [

@@ -41,7 +41,7 @@ from barhom.shuffles import (
     shuffles,
     tensor_of_chains,
 )
-from barhom.words import Conjugated, PillarWord, TowerAlgebra
+from barhom.words import Conjugated, PillarWord, TowerAlgebra, value_level
 
 
 def _formal(m):
@@ -391,15 +391,15 @@ def test_psi_base_chain():
 def test_Q_base_cases():
     F = FreeGroup(2)
     tower = MitosisTower(F)
-    assert induct_Q(tower, 2, ()).is_zero()
+    assert induct_Q(tower, ()).is_zero()
     g = F.gens()[0]
-    assert induct_Q(tower, 2, (g,)) == homotopy_P(tower.context(2), (g,))
+    assert induct_Q(tower, (g,)) == homotopy_P(tower.context(1), (g,))
 
 
 def test_Q_dim2_diameter():
     F = FreeGroup(2)
     tower = MitosisTower(F)
-    chain = induct_Q(tower, 2, tuple(F.gens()))
+    chain = induct_Q(tower, tuple(F.gens()))
     assert diameter(chain) == 24 == gamma(2)
     assert chain == tower.psi(2, tuple(F.gens()))
 
@@ -642,9 +642,12 @@ def _oracle_psi(tower, level, sigma, memo):
 def test_induct_Q_fused_corrections_match_oracle(m):
     F = FreeGroup(m)
     sigma = tuple(F.gens())
-    # one tower, so that equal codes are equal tower values
-    tower = MitosisTower(F)
-    assert tower.psi(m, sigma) == _oracle_psi(tower, m, sigma, {})
+    # one tower, so that equal codes are equal tower values.  Above level m,
+    # psi is psi(m) streamed through the level shift, which the oracle does
+    # not take: it builds every stage at its own level
+    tower, memo = MitosisTower(F), {}
+    for level in (m, m + 1, m + 2):
+        assert tower.psi(level, sigma) == _oracle_psi(tower, level, sigma, memo), level
 
 
 def _scalar_psi(tower, level, sigma, memo):
@@ -681,9 +684,11 @@ TOWER_CASES += list(_random_tower_cases())
 def test_stage_dicts_equal_the_scalar_accumulation(base, sigma):
     level = max(len(sigma), 1)
     if isinstance(base, FreeGroup):
-        # two fresh towers: the same terms, in the same order, under the same codes
-        fast = MitosisTower(base).psi(level, sigma).terms.items()
-        assert list(fast) == list(_scalar_psi(MitosisTower(base), level, sigma, {}).terms.items())
+        # two fresh towers: the same terms, in the same order, as decoded
+        # values (the scalar build codes the stages below in another order)
+        tower, scalar = MitosisTower(base), MitosisTower(base)
+        fast = _decoded(tower.algebra, tower.psi(level, sigma)).terms.items()
+        assert list(fast) == list(_decoded(scalar.algebra, _scalar_psi(scalar, level, sigma, {})).terms.items())
     else:
         # a concrete psi is the generic one pushed forward: the oracle's values
         assert naturality_mismatch([(base, level, sigma)]) is None
@@ -809,7 +814,7 @@ def test_a_repeated_raw_term_raises(monkeypatch, capsys):
     monkeypatch.setattr(homotopy, "shuffle_norms", _shuffle_norms_repeating_the_first)
     for build in (homotopy.induct_Q, homotopy.psi_counts):
         with pytest.raises(ChainError, match=r"^psi\(3\) on a 3-simplex: 152 distinct keys for 154 raw terms$"):
-            build(tower, 3, sigma)
+            build(tower, sigma)
     assert main(["count", "--op", "psi", "--dim", "4"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and re.fullmatch(r"error: ChainError: [^\n]+\n", err), err
@@ -819,43 +824,42 @@ def test_induct_Q_sees_only_generic_simplices(monkeypatch, capsys):
     seen = []
     induct_Q = homotopy.induct_Q
 
-    def recording(tower, level, sigma):
+    def recording(tower, sigma):
         seen.append((tower.base, sigma))
-        return induct_Q(tower, level, sigma)
+        return induct_Q(tower, sigma)
 
     monkeypatch.setattr(homotopy, "induct_Q", recording)
     for argv in (["expand", "--op", "psi", "--mode", "concrete", "--seed", "1", "--group", "sym3", "--dim", "4"],
                  ["verify", "--suite", "psi", "--level", "4", "--maxdim", "4"]):
         assert main(argv) == 0
     capsys.readouterr()
-    assert len(seen) > 10
+    # one build per dimension: 1-3 in sym3's private free tower, 1-4 in verify's
+    assert len(seen) == 3 + 4
     assert all(isinstance(base, FreeGroup) and sigma == tuple(FreeGroup(len(sigma)).gens())
                for base, sigma in seen)
 
 
 def test_a_concrete_top_is_never_built_by_induct_Q(monkeypatch):
     # the generic top of a concrete psi is streamed forward, never built: the
-    # private free tower's induct_Q builds the lower stages only
+    # private free tower's induct_Q builds the lower stages only, each at
+    # level = dim, the highest level its chain holds
     keys = []
     induct_Q = homotopy.induct_Q
 
-    def recording(tower, level, sigma):
-        keys.append((level, sigma))
-        return induct_Q(tower, level, sigma)
+    def recording(tower, sigma):
+        chain = induct_Q(tower, sigma)
+        keys.append((max(value_level(tower.algebra.elems[c]) for s in chain.terms for c in s), sigma))
+        return chain
 
     monkeypatch.setattr(homotopy, "induct_Q", recording)
     base = parse_group("sym3")
     MitosisTower(base).psi(4, tuple(base.sample(random.Random(4)) for _ in range(4)))
-    assert set(keys) == _generic_keys(range(1, 4))
-
-
-def _generic_keys(levels):
-    """The keys (level, x_1 .. x_k) of the generic stages, 0 < k <= level."""
-    return {(level, tuple(FreeGroup(k).gens())) for level in levels for k in range(1, level + 1)}
+    assert sorted(keys) == [(m, tuple(FreeGroup(m).gens())) for m in range(1, 4)]
 
 
 def test_the_tower_memo_holds_generic_stages_only(monkeypatch, capsys):
-    # a streamed psi is returned and never stored, and a concrete tower's
+    # one chain per dimension: a streamed psi, at a raised level or on any
+    # other simplex, is returned and never stored, and a concrete tower's
     # private free tower stores the lower stages its top reads, not the top
     towers = []
     init = MitosisTower.__init__
@@ -863,13 +867,24 @@ def test_the_tower_memo_holds_generic_stages_only(monkeypatch, capsys):
     assert main(["verify", "--suite", "psi", "--level", "4", "--maxdim", "4"]) == 0
     capsys.readouterr()
     [free] = towers
-    # () is the generic 0-simplex, the face of the 1-simplex
-    assert set(free._cache) == _generic_keys(range(1, 5)) | {(4, ())}
+    assert set(free._cache) == {1, 2, 3, 4}
     base = parse_group("sym3")
     tower = MitosisTower(base)
     tower.psi(4, tuple(base.sample(random.Random(4)) for _ in range(4)))
     assert tower._cache == {}
-    assert set(tower._generic._cache) == _generic_keys(range(1, 4))
+    assert set(tower._generic._cache) == {1, 2, 3}
+
+
+def test_the_count_holds_one_chain_per_lower_dimension():
+    # count --dim 7's top stage reads psi(6, sigma_k) for k < 7: psi(6, x_1
+    # .. x_6) is memoized, and the others are psi(k) shifted, streamed from
+    # the memoized psi(k) and never stored
+    base = FreeGroup(7)
+    tower = MitosisTower(base)
+    assert psi_counts(tower, tuple(base.gens())) == (gamma(7), q_count(7))
+    assert set(tower._cache) == set(range(1, 7))
+    assert [len(tower._cache[m]) for m in range(1, 7)] == [gamma(m) for m in range(1, 7)]
+    assert sum(map(gamma, range(1, 7))) == 109368
 
 
 def _chain_counts(tower, level, sigma):
@@ -883,12 +898,13 @@ def _chain_counts(tower, level, sigma):
 @pytest.mark.parametrize("above", [0, 1])
 @pytest.mark.parametrize("m", range(7))
 def test_streamed_counts_equal_the_chain_counts(m, above):
-    # the generic simplex at level m and m + 1: streamed, never built
+    # the generic simplex, counted streamed and never built, against its
+    # chain at level m and m + 1: the level shift keeps both norms
     base = FreeGroup(max(m, 1))
     sigma, level = tuple(base.gens()[:m]), max(m, 1) + above
     tower = MitosisTower(base)
-    counts = psi_counts(tower, level, sigma)
-    assert (level, sigma) not in tower._cache
+    counts = psi_counts(tower, sigma)
+    assert m not in tower._cache
     assert counts == (gamma(m), q_count(m))
     assert _chain_counts(tower, level, sigma) == (counts, counts[0] - counts[1])
 
@@ -900,7 +916,7 @@ def test_the_count_reads_degeneracy_off_the_factors(monkeypatch):
     base = FreeGroup(6)
     sigma = tuple(base.gens())
     tower = MitosisTower(base)
-    P, factors = homotopy.stage(tower, 6, sigma)
+    P, factors = homotopy.stage(tower, sigma)
     seen = []
     degenerate_norm = moore.degenerate_norm
 
@@ -911,7 +927,7 @@ def test_the_count_reads_degeneracy_off_the_factors(monkeypatch):
 
     for module in (moore, shuffles_module):
         monkeypatch.setattr(module, "degenerate_norm", counting)
-    assert psi_counts(tower, 6, sigma) == (gamma(6), q_count(6))
+    assert psi_counts(tower, sigma) == (gamma(6), q_count(6))
     assert 0 < sum(seen) <= len(P) + sum(len(a) for a, _tau in factors) == 11480
 
 
@@ -923,7 +939,7 @@ def test_streamed_counts_with_two_byte_keys():
     tower = MitosisTower(base)
     for k in range(1, 255):
         tower.algebra.code((1,) * k)
-    counts = psi_counts(tower, 4, sigma)
+    counts = psi_counts(tower, sigma)
     assert len(tower.algebra.elems) > 257
     assert counts == (gamma(4), q_count(4)) == _chain_counts(tower, 4, sigma)[0]
 

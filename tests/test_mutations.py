@@ -15,13 +15,13 @@ import re
 
 import pytest
 
-from barhom import checks, cli, cylinder, homotopy, moore, quintuple, shuffles
+from barhom import checks, cli, cylinder, groups, homotopy, moore, quintuple, shuffles, words
 from barhom.cli import main
 from barhom.cylinder import IncompatiblePillars
 from barhom.groups import CodedAlgebra, CyclicGroup, FreeGroup, parse_group
 from barhom.homotopy import MitosisTower
 from barhom.moore import Chain, ChainError, chain_payload, chain_to_json, pushforward
-from barhom.quintuple import Quintuple, QuintupleAlgebra, VerificationInstance, instance_eval
+from barhom.quintuple import NonNormalizable, Quintuple, QuintupleAlgebra, VerificationInstance, instance_eval
 from barhom.words import Conjugated, PillarWord, TowerAlgebra
 
 import test_cli
@@ -64,13 +64,15 @@ def _psi_identity_4(capsys):
 
 
 def test_coded_mul_ignoring_the_right_factor_fails_the_psi_identity(monkeypatch, capsys):
-    # the same mutation, met by the tower's coded word algebra: a wrong
-    # product breaks a pillar relation of P before any residual is formed
+    # the same mutation, met by the tower's coded word algebra.  psi(4) on
+    # the 1-simplex is psi(1) shifted, built with no level-4 product, so its
+    # level-4 values are first multiplied in d psi, where a wrong product
+    # leaves a residual term
     assert _psi_identity_4(capsys) == (0, "ok psi identity level 4 dim 4: zero residual")
     monkeypatch.setattr(CodedAlgebra, "mul", _mul_memo_ignores_the_right_factor)
     code, fail = _psi_identity_4(capsys)
     assert code == 1
-    assert fail.startswith("FAIL psi: IncompatiblePillars: pillar relation fails at index")
+    assert fail.startswith("FAIL psi: psi identity residual at level 4 dim 1: ")
 
 
 def _expand_sha256(tmp_path, case):
@@ -356,6 +358,7 @@ _psi = MitosisTower.psi
 
 
 def _psi_storing_pushforwards(tower, level, sigma):
+    # every psi stored, keyed by its level and simplex
     chain = tower._cache[level, sigma] = _psi(tower, level, sigma)
     return chain
 
@@ -371,12 +374,13 @@ def _psi_storing_the_concrete_top(tower, level, sigma):
 
 def _psi_building_then_pushing(tower, level, sigma):
     # the generic top built whole by induct_Q, then pushed forward
-    generic = tuple(FreeGroup(len(sigma)).gens())
+    m = len(sigma)
+    generic = tuple(FreeGroup(m).gens())
     free = tower._generic or tower
     if free is tower and sigma == generic:
         return _psi(tower, level, sigma)
-    h = tower.tower_map(sigma)
-    chain = homotopy.induct_Q(free, level, generic)
+    h = tower.tower_map(sigma, level - m)
+    chain = homotopy.induct_Q(free, generic)
     return pushforward(lambda c: tower.algebra.code(h(free.algebra.elems[c])), chain)
 
 
@@ -511,15 +515,16 @@ def test_wrong_m_g_crossing_fails_the_formal_instance_differential(monkeypatch):
 _shuffle_terms = shuffles.shuffle_terms
 
 
-def _induct_Q_adopting_every_dict(tower, level, sigma):
+def _induct_Q_adopting_every_dict(tower, sigma):
     # the stage dict taken without its length checks: a repeated raw key
     # keeps its first place and its last coefficient, and a sum of zero stays
-    ctx = tower.context(level)
+    m = len(sigma)
+    ctx = tower.context(m or 1)
     out = homotopy.homotopy_P(ctx, sigma)
     keys, coeffs = [out.terms], [out.terms.values()]
-    for k in range(1, len(sigma)):
+    for k in range(1, m):
         pushed = Chain.of(tuple(ctx.f(x) for x in sigma[k:]))
-        stream = homotopy.shuffle_terms(tower.psi(level - 1, sigma[:k]), pushed, -1)
+        stream = homotopy.shuffle_terms(tower.psi(m - 1, sigma[:k]), pushed, -1)
         keys.append(stream[0])
         coeffs.append(stream[1])
     out.terms = dict(zip(itertools.chain(*keys), itertools.chain(*coeffs)))
@@ -552,7 +557,7 @@ def test_stage_dict_without_its_length_check_changes_a_concrete_golden(monkeypat
 
     def top_stage_by_induct_Q(tower, level, sigma):
         if level == len(sigma) == dim:
-            return homotopy.induct_Q(tower, level, sigma)
+            return homotopy.induct_Q(tower, sigma)
         return psi(tower, level, sigma)
 
     assert test_cli.concrete_psi_sha256(capsys, group, dim) == test_cli.PSI_CONCRETE_SHA256[group, dim]
@@ -569,17 +574,17 @@ def test_stage_dict_without_its_length_check_changes_a_concrete_golden(monkeypat
 _image = TowerAlgebra.image
 
 
-def _image_keeping_a_trivial_conjugation(self, v, base_map):
+def _image_keeping_a_trivial_conjugation(self, v, base_map, shift=0):
     # F_L(a) * t goes to F_L(h(a)) * h(t) even where h(a) is the identity
     if isinstance(v, Conjugated):
-        return Conjugated(v.level, base_map(v.arg), self.image(v.tail, base_map))
-    return _image(self, v, base_map)
+        return Conjugated(v.level + shift, base_map(v.arg), self.image(v.tail, base_map, shift))
+    return _image(self, v, base_map, shift)
 
 
-def _image_swapping_f_and_m(self, v, base_map):
+def _image_swapping_f_and_m(self, v, base_map, shift=0):
     if isinstance(v, PillarWord):
-        return PillarWord(v.level, base_map(v.m_arg), base_map(v.f_arg))
-    return _image(self, v, base_map)
+        return PillarWord(v.level + shift, base_map(v.m_arg), base_map(v.f_arg))
+    return _image(self, v, base_map, shift)
 
 
 @pytest.mark.parametrize("mutant, mismatch", [
@@ -593,6 +598,82 @@ def test_wrong_tower_map_fails_the_naturality_differential(monkeypatch, mutant, 
     assert naturality_mismatch(cases) is None
     monkeypatch.setattr(TowerAlgebra, "image", mutant)
     assert naturality_mismatch(cases) == ("cyclic2", 2, mismatch)
+
+
+def _image_shifting_no_pillar(self, v, base_map, shift=0):
+    # F_L(f) * m_L(x) goes to F_L(h(f)) * m_L(h(x)) whatever the shift
+    if isinstance(v, PillarWord):
+        return _image(self, v, base_map)
+    return _image(self, v, base_map, shift)
+
+
+def _psi_reading_the_memo_at_any_level(tower, level, sigma):
+    # the memo of the generic m-simplex returned unshifted at every level
+    m = len(sigma)
+    if tower._generic is None and m in tower._cache and sigma == tuple(FreeGroup(m).gens()):
+        return tower._cache[m]
+    return _psi(tower, level, sigma)
+
+
+@pytest.mark.parametrize("patch", [
+    (TowerAlgebra, "image", _image_shifting_no_pillar),
+    (MitosisTower, "psi", _psi_reading_the_memo_at_any_level),
+], ids=["pillar levels kept", "memo unshifted"])
+def test_a_wrong_level_shift_fails_the_shift_differential(monkeypatch, patch):
+    # killed by tests/test_homotopy.py::test_induct_Q_fused_corrections_match_oracle,
+    # whose oracle builds psi(3) at levels 4 and 5 stage by stage
+    test_homotopy.test_induct_Q_fused_corrections_match_oracle(3)
+    monkeypatch.setattr(*patch)
+    with pytest.raises(AssertionError):
+        test_homotopy.test_induct_Q_fused_corrections_match_oracle(3)
+
+
+def _conj_admitting_a_tail_at_its_level(self, level, arg, tail=None):
+    # the tail guard of conj with > in place of >=
+    if tail is None:
+        tail = self.identity
+    if words.value_level(tail) > level:
+        raise NonNormalizable("tail must live strictly below the conjugation level")
+    if arg == self.identity:
+        return tail
+    return Conjugated(level, arg, tail)
+
+
+def test_conj_admitting_a_tail_at_its_level_fails_the_guard_test(monkeypatch):
+    # killed by tests/test_words.py::test_conj_needs_a_tail_strictly_below_its_level;
+    # no construction builds such a tail, so nothing else sees the guard
+    test_words.test_conj_needs_a_tail_strictly_below_its_level()
+    monkeypatch.setattr(TowerAlgebra, "conj", _conj_admitting_a_tail_at_its_level)
+    with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+        test_words.test_conj_needs_a_tail_strictly_below_its_level()
+
+
+def _tensor_boundary_with_the_koszul_sign_of_p_mod_3(alg, tc):
+    # shuffles.tensor_boundary with p % 3 in place of p % 2: wrong from p = 3 on
+    out = shuffles.TensorChain(tc.dim - 1)
+    for (sigma, tau), coeff in tc:
+        p, q = len(sigma), len(tau)
+        if p > 0:
+            sign = 1
+            for i in range(p + 1):
+                out.add_term((moore.face(alg, i, sigma), tau), sign * coeff)
+                sign = -sign
+        if q > 0:
+            koszul = -1 if p % 3 else 1
+            sign = koszul
+            for i in range(q + 1):
+                out.add_term((sigma, moore.face(alg, i, tau)), sign * coeff)
+                sign = -sign
+    return out
+
+
+def test_koszul_sign_of_p_mod_3_fails_the_aw_chain_map_test(monkeypatch):
+    # killed by tests/test_shuffles.py::test_aw_is_chain_map on its 4- and
+    # 5-simplices; its 3-simplices alone miss it
+    test_shuffles.test_aw_is_chain_map()
+    monkeypatch.setattr(test_shuffles, "tensor_boundary", _tensor_boundary_with_the_koszul_sign_of_p_mod_3)
+    with pytest.raises(AssertionError, match=r"^4\n"):
+        test_shuffles.test_aw_is_chain_map()
 
 
 def _shuffle_terms_without_the_sign(a, b, scale=1):
@@ -623,7 +704,7 @@ def test_term_count_off_by_one_fails_the_fast_path_branch_test(monkeypatch):
     # every stage with a correction seems to repeat a raw key, and raises
     test_homotopy.test_free_towers_never_repeat_a_stage_key(4)
     monkeypatch.setattr(homotopy, "shuffle_terms", _shuffle_terms_counting_one_more)
-    with pytest.raises(ChainError, match=r"^psi\(3\) on a 2-simplex: 24 distinct keys for 25 raw terms$"):
+    with pytest.raises(ChainError, match=r"^psi\(2\) on a 2-simplex: 24 distinct keys for 25 raw terms$"):
         test_homotopy.test_free_towers_never_repeat_a_stage_key(4)
 
 
@@ -670,6 +751,16 @@ def test_verify_without_its_size_refusals_fails_the_cli_fuzzer(monkeypatch, tmp_
     monkeypatch.setattr(cli, "_refuse_oversized", lambda args, names: None)
     (argv, reason), _ = test_cli_fuzz.run_cases(tmp_path)
     assert argv[0] == "verify"
+    assert reason == f"past its {test_cli_fuzz.DEADLINE_S} s deadline"
+
+
+def test_parse_group_without_its_degree_cap_fails_the_cli_fuzzer(monkeypatch, tmp_path, fresh_shuffle_table):
+    # killed by tests/test_cli_fuzz.py::test_every_case_keeps_the_cli_contract:
+    # the first case over sym1000000 runs past its deadline
+    assert test_cli_fuzz.run_cases(tmp_path)[0] is None
+    monkeypatch.setattr(groups, "SYM_DEGREE_MAX", 10 ** 9)
+    (argv, reason), _ = test_cli_fuzz.run_cases(tmp_path)
+    assert "sym1000000" in argv
     assert reason == f"past its {test_cli_fuzz.DEADLINE_S} s deadline"
 
 

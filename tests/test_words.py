@@ -76,6 +76,18 @@ def test_tower_blocked_products():
         alg.mul(alg.conj(2, x, y), alg.pillar(2, x))
 
 
+def test_conj_needs_a_tail_strictly_below_its_level():
+    # the canonical form, and the word entry_to_json spells, need every tail
+    # below its conjugation's level; a tail at the level itself is refused
+    F2 = FreeGroup(2)
+    alg = TowerAlgebra(F2)
+    x, y = F2.gens()
+    for tail in (alg.conj(2, y), alg.pillar(2, y), alg.conj(3, y)):
+        with pytest.raises(NonNormalizable):
+            alg.conj(2, x, tail)
+    assert alg.conj(2, x, alg.conj(1, y)) == Conjugated(2, x, Conjugated(1, y, F2.identity))
+
+
 def test_tower_word_json():
     alg = TowerAlgebra(C3)
     data = alg.entry_to_json(alg.pillar(1, 1))
