@@ -353,7 +353,7 @@ class MitosisTower:
             out.add_terms(zip(map(tuple, map(map, itertools.repeat(table), simplices)), coeffs))
         return out
 
-    def tower_map(self, sigma: tuple, shift: int = 0) -> Callable:
+    def tower_map(self, sigma: tuple, shift: int) -> Callable:
         """The tower map of x_i -> sigma_i from tower values over a free base
         to this tower's, uncoded, composed with the level shift s_``shift``:
         a word goes to its letters' images' product, and every level rises

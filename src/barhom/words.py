@@ -73,7 +73,7 @@ class TowerAlgebra:
         """m_level(m_arg)."""
         return PillarWord(level, self.identity, m_arg)
 
-    def image(self, v, base_map, shift: int = 0):
+    def image(self, v, base_map, shift: int):
         """The image of the tower value ``v`` under the tower map that the base
         homomorphism h = ``base_map`` induces, composed with the level shift
         s_d, d = ``shift``: F_L(a) * t goes to F_(L+d)(h(a)) * image(t),

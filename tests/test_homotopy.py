@@ -731,17 +731,18 @@ def test_concrete_psi_is_the_generic_psi_pushed_forward():
 
 
 def test_streamed_psi_is_the_pushforward_term_for_term_in_order():
-    # the classical pushforward of the whole generic psi is the oracle of the
-    # streamed one: the same codes in the same order, since verify reports a
-    # residual's first surviving term
+    # the classical pushforward of the whole generic psi(m), along the tower
+    # map and the level shift, is the oracle of the streamed one: the same
+    # codes in the same order, since verify reports a residual's first
+    # surviving term
     towers = {}
     for base, level, sigma in naturality_grid(10):
         tower = towers.setdefault(base, MitosisTower(base))
         got = list(tower.psi(level, sigma).terms.items())
-        free = tower._generic or tower
-        h = tower.tower_map(sigma)
+        free, m = tower._generic or tower, len(sigma)
+        h = tower.tower_map(sigma, level - m)
         table = lambda c: tower.algebra.code(h(free.algebra.elems[c]))
-        want = pushforward(table, free.psi(level, tuple(FreeGroup(len(sigma)).gens())))
+        want = pushforward(table, free.psi(m, tuple(FreeGroup(m).gens())))
         assert got == list(want.terms.items()), (base.name, level, sigma)
 
 
@@ -755,7 +756,7 @@ def test_tower_map_is_a_homomorphism_on_the_coded_rows(group):
     base = parse_group(group)
     rng = random.Random(5)
     sigma = tuple(base.sample(rng) for _ in range(5))
-    h, words = MitosisTower(base).tower_map(sigma), TowerAlgebra(base)
+    h, words = MitosisTower(base).tower_map(sigma, 0), TowerAlgebra(base)
     alg = generic.algebra
     products = [(a, b, c) for a, row in enumerate(alg.rows) for b, c in row.items()]
     assert len(products) > 100

@@ -574,14 +574,14 @@ def test_stage_dict_without_its_length_check_changes_a_concrete_golden(monkeypat
 _image = TowerAlgebra.image
 
 
-def _image_keeping_a_trivial_conjugation(self, v, base_map, shift=0):
+def _image_keeping_a_trivial_conjugation(self, v, base_map, shift):
     # F_L(a) * t goes to F_L(h(a)) * h(t) even where h(a) is the identity
     if isinstance(v, Conjugated):
         return Conjugated(v.level + shift, base_map(v.arg), self.image(v.tail, base_map, shift))
     return _image(self, v, base_map, shift)
 
 
-def _image_swapping_f_and_m(self, v, base_map, shift=0):
+def _image_swapping_f_and_m(self, v, base_map, shift):
     if isinstance(v, PillarWord):
         return PillarWord(v.level + shift, base_map(v.m_arg), base_map(v.f_arg))
     return _image(self, v, base_map, shift)
@@ -600,10 +600,10 @@ def test_wrong_tower_map_fails_the_naturality_differential(monkeypatch, mutant, 
     assert naturality_mismatch(cases) == ("cyclic2", 2, mismatch)
 
 
-def _image_shifting_no_pillar(self, v, base_map, shift=0):
+def _image_shifting_no_pillar(self, v, base_map, shift):
     # F_L(f) * m_L(x) goes to F_L(h(f)) * m_L(h(x)) whatever the shift
     if isinstance(v, PillarWord):
-        return _image(self, v, base_map)
+        return _image(self, v, base_map, 0)
     return _image(self, v, base_map, shift)
 
 
