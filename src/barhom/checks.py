@@ -79,15 +79,28 @@ def _require_zero(alg, residual: Chain, where: str) -> None:
 
 
 EXHAUSTIVE_DIM = 3   # theorem45 checks every simplex up to this dim
+# the largest group order theorem45 admits: its instance codes values for
+# every element, which no cap on simplices sees at --maxdim 1.  The slowest
+# admitted runs measured at --maxdim 1 take 8.8 s and 144 MB over
+# sym4*sym4*cyclic70, 8.7 s and 108 MB over a product of 15 cyclic2 and
+# 7.9 s and 120 MB over sym8 on a 2-core x86-64 VM; sym9 (362,880) took
+# 54 s and 1,012 MB
+THEOREM45_ORDER_MAX = 40_320
 
 
 def theorem45_cap(group: Group, maxdim: int, cap: int) -> None:
-    """A ``ValueError`` if ``theorem45`` would enumerate over ``cap`` simplices."""
+    """A ``ValueError`` if ``theorem45`` would enumerate over ``cap``
+    simplices, or a group of order above ``THEOREM45_ORDER_MAX``, found by
+    enumerating at most one element more."""
     dim = min(maxdim, EXHAUSTIVE_DIM)
-    for order, _ in enumerate(group.elements() if group.finite else (), start=1):
+    elements = itertools.islice(group.elements(), THEOREM45_ORDER_MAX + 1) if group.finite else ()
+    for order, _ in enumerate(elements, start=1):
         if order ** dim > cap:
             raise ValueError(f"term cap exceeded: theorem45 enumerates {group.name}^{dim}, "
                              f"more than {cap} simplices")
+        if order > THEOREM45_ORDER_MAX:
+            raise ValueError(f"order cap exceeded: theorem45 enumerates {group.name}, "
+                             f"more than {THEOREM45_ORDER_MAX} elements")
 
 
 def theorem45(group: Group, modulus: int, maxdim: int, samples: int,

@@ -41,7 +41,8 @@ from .shuffles import ed_terms, edgewise
 SCHEMA = "barhom/1"
 TERM_CAP = 5_000_000
 # a floor on the bytes one chain term takes: psi's dict at m = 8 takes about
-# 168 (expand); count streams psi's top stage into packed keys, about 110
+# 168 (expand).  count holds no structure per term of its top stage, so the
+# charge overstates its memory: 1,474 MB at m = 8, where it peaks at 215 MB
 TERM_BYTES = 100
 # a floor on the bytes the psi identity takes per face term of its boundary,
 # (d + 1) gamma(d) at dim d: above the interpreter it peaks at 61-62 B per
@@ -265,8 +266,8 @@ def cmd_count(args) -> int:
         ok = got == expected
         line = f"P dim {dim}: diameter {got} expected {expected}"
     else:
-        # psi's stage is streamed, not held; phi's diameter is psi's less
-        # its degenerate terms, since projecting only deletes those
+        # psi's top stage is read off its parts, not held; phi's diameter is
+        # psi's less its degenerate terms, since projecting only deletes those
         diam, degen = psi_counts(MitosisTower(base), sigma)
         if args.op == "psi":
             ok = diam == bd.gamma(dim) and degen == bd.q_count(dim)

@@ -270,9 +270,9 @@ class CodedAlgebra:
 # the largest n of a symmetric group spec: a product costs O(n), and no cap
 # sees the size of an element.  The slowest admitted run measured, verify
 # --suite cylinder --group sym9 --maxdim 169 --samples 1000, takes 410 s and
-# 101 MB on a 2-core x86-64 VM (58 s over cyclic3); theorem45 over sym9 at
-# --maxdim 1 takes 54 s and 1,012 MB, for 362,880 1-simplices.  sym1000000
-# took 49 s for five 2-cylinders
+# 101 MB on a 2-core x86-64 VM (58 s over cyclic3); theorem45 over sym9 is
+# refused on its order (``checks.THEOREM45_ORDER_MAX``).  sym1000000 took
+# 49 s for five 2-cylinders
 SYM_DEGREE_MAX = 9
 
 

@@ -26,15 +26,18 @@ products (``shuffle_terms``) against lower levels, and phi projects psi.
 correction's factors, psi one level down and a pushed back face.
 ``stage_terms`` streams their raw terms in order, as batches: P's, then
 each correction's ``shuffle_terms``.  ``induct_Q`` sums that stream into the
-stage's chain.  ``psi_counts`` reads the norms and the raw count off the
-parts (``shuffles.shuffle_norms``), draws no coefficient of a correction,
-and walks the raw keys in no fixed order.  Both run on the generic simplex
-(x_1, ..., x_m) of a free base at level m, where no raw term may repeat:
-each checks that the stage held as many keys as it counted raw terms, and
-raises ``ChainError`` if not.  The gamma, q and c recurrences depend on the
-dimension alone, and on the generic simplex raising the level only
-relabels: psi(L, sigma_m) = s_(L-m)(psi(m, sigma_m)), where the level
-shift s_d raises every level by d.  So every other psi, on another simplex
+stage's chain.  ``psi_counts`` reads the norms off the parts
+(``shuffles.shuffle_norms``) and draws no raw term of a correction.  Both
+run on the generic simplex (x_1, ..., x_m) of a free base at level m,
+where no raw term may repeat, and raise ``ChainError`` where one might:
+``induct_Q`` if its dict holds fewer keys than it summed raw terms, and
+``psi_counts`` if the parts fail a premise of ``_certify_distinct``, which
+proves the raw keys distinct from the codes the parts hold: those of the
+A_k, of the tau_k and of P, and the placements of the shuffle table.  The
+gamma, q and c recurrences depend on the dimension alone, and on the
+generic simplex raising the level only relabels: psi(L, sigma_m) =
+s_(L-m)(psi(m, sigma_m)), where the level shift s_d raises every level by
+d.  So every other psi, on another simplex
 or at a raised level, is the generic stage streamed forward: each batch of
 ``stage_terms`` on the generic simplex is mapped through the codes of the
 tower map composed with the level shift and summed, so the generic top is
@@ -58,7 +61,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import struct
 from collections import namedtuple
 from typing import Callable
 
@@ -66,7 +68,8 @@ from .cylinder import cyl_chain
 from .groups import CodedAlgebra, FreeGroup, Group
 from .moore import Chain, ChainError, boundary, count_degenerate, diameter, project
 from .quintuple import QuintupleAlgebra, VerificationInstance
-from .shuffles import DimensionMismatch, edgewise, shuffle_norms, shuffle_table, shuffle_terms, shuffles
+from .shuffles import (DimensionMismatch, edgewise, shuffle_norms, shuffle_placements, shuffle_table, shuffle_terms,
+                       shuffles)
 from .words import TowerAlgebra
 
 
@@ -201,10 +204,9 @@ def homotopy_P(ctx: HomotopyContext, sigma: tuple) -> Chain:
 # -- the inductive step and the tower --------------------------------------------
 
 
-# raw terms per batch of ``stage_terms``, and sources per chunk of the key
-# walk of ``psi_counts``, whose tuples are alive at once: count --dim 7
-# peaks at 119.4 MB with 4,096 and at 122.4 MB with 65,536, and the
-# concrete expand --op psi --group sym3 --dim 6 at 37.4 and 39.4 MB
+# raw terms per batch of ``stage_terms``, whose tuples are alive at once:
+# the concrete expand --op psi --group sym3 --dim 6 peaks at 37.4 MB with
+# 4,096 and at 39.4 MB with 65,536
 BATCH = 4096
 
 
@@ -245,31 +247,51 @@ def stage_terms(P: Chain, factors: list) -> tuple:
     return P.dim, itertools.chain.from_iterable(map(_batches, keys, coeffs)), sum(counts)
 
 
-def _check_distinct(distinct: int, count: int, m: int) -> None:
-    """Raise unless the ``count`` raw terms of psi(m)'s stage held
-    ``distinct`` keys: a raw key repeated, or the stream did not hold
-    ``count`` terms."""
-    if distinct != count:
-        raise ChainError(f"psi({m}) on a {m}-simplex: {distinct} distinct keys for {count} raw terms")
-
-
 def induct_Q(tower: MitosisTower, sigma: tuple) -> Chain:
     """One inductive step on a generic simplex, at level = dim: the stage's
     raw terms summed as one dict, updated a batch at a time (see ``moore``).
-    No raw key may repeat, so the dict holds one key per raw term, in order."""
+    No raw key may repeat, so the dict holds one key per raw term, in order,
+    and ``ChainError`` is raised if it does not."""
     dim, batches, count = stage_terms(*stage(tower, sigma))
     out = Chain(dim)
     for simplices, coeffs in batches:
         out.terms.update(zip(simplices, coeffs))
-    _check_distinct(len(out), count, len(sigma))
+    if len(out) != count:
+        m = len(sigma)
+        raise ChainError(f"psi({m}) on a {m}-simplex: {len(out)} distinct keys for {count} raw terms")
     return out
 
 
-def _key_packer(codes: int, dim: int):
-    """Pack a dim-tuple of codes below ``codes`` into fixed-width bytes:
-    one byte a code up to 256 codes, two above.  The packing is injective,
-    and a code that does not fit raises ``struct.error``, never wraps."""
-    return struct.Struct(f"{dim}{'B' if codes <= 256 else 'H'}").pack
+def _certify_distinct(P: Chain, factors: list, m: int) -> None:
+    """Raise ``ChainError`` unless the parts ``stage`` built on an m-simplex
+    pass the premises under which no two of the stage's raw terms share a
+    key.  With C the codes in the keys of every A_k and T those in every
+    tau_k: (i) C and T are disjoint; (ii) the tau_k have distinct lengths;
+    (iii) each ``place`` getter of a (k + 1, m - k) table, applied to
+    ``range(m + 1)``, is a permutation, and no two put tau's slots on one
+    position set; (iv) every key of P holds a code outside C and T.
+
+    By (i) a correction key's tau slots are its T-positions, their number
+    gives k by (ii) and their set the placement by (iii), and its other
+    slots are a key of A_k's dict; every correction key lies in C and T, so
+    by (iv) none is one of P's.  The certificate is sound, not complete: a
+    failed premise raises even where the keys might still be distinct."""
+    def require(holds: bool, premise: str) -> None:
+        if not holds:
+            raise ChainError(f"psi({m}) on a {m}-simplex: {premise}")
+
+    chained = itertools.chain.from_iterable
+    codes = set(chained(chained(a.terms for a, _tau in factors)))
+    tau_codes = set(chained(tau for _a, tau in factors))
+    require(codes.isdisjoint(tau_codes), "a factor's key holds a code of a pushed face")
+    require(len({len(tau) for _a, tau in factors}) == len(factors), "two pushed faces have one length")
+    for a, tau in factors:
+        slots = [place(range(P.dim)) for place in shuffle_placements(a.dim, len(tau))[1]]
+        require(all(sorted(s) == list(range(P.dim)) for s in slots)
+                and len({tuple(i >= a.dim for i in s) for s in slots}) == len(slots),
+                f"the ({a.dim}, {len(tau)}) placements are not permutations with distinct face slots")
+    codes |= tau_codes
+    require(not any(map(codes.issuperset, P.terms)), "a term of P holds only the factors' codes")
 
 
 def psi_counts(tower: MitosisTower, sigma: tuple) -> tuple:
@@ -278,24 +300,19 @@ def psi_counts(tower: MitosisTower, sigma: tuple) -> tuple:
     any level above m they are the same, since the level shift is injective
     and maps only the identity to the identity.
 
-    The norms and the raw count are read off P and the correction factors
-    (``shuffle_norms``), with no coefficient of a correction drawn.  Each
-    raw key goes into a set, packed, in no fixed order; the set must hold
-    one key per raw term, as ``induct_Q``'s dict does, so no term cancelled
-    and the norms are psi's.  The factor A_(m-1) is the tower's memoized
-    psi(m - 1), and each A_k below it the memoized psi(k), streamed shifted."""
+    The norms are read off P and the correction factors
+    (``shuffle_norms``), with no raw term of a correction drawn.  They are
+    psi's because no raw term cancels: ``_certify_distinct`` proves the raw
+    keys distinct from the codes of the parts, or raises.  The factor
+    A_(m-1) is the tower's memoized psi(m - 1), and each A_k below it the
+    memoized psi(k), streamed shifted."""
     P, factors = stage(tower, sigma)
+    _certify_distinct(P, factors, len(sigma))
     alg = tower.algebra
-    # ``stage`` has coded every value, so no code is made after this point
-    pack = _key_packer(len(alg.elems), P.dim)
-    seen = set(itertools.starmap(pack, P.terms))
-    total, degenerate, count = diameter(P), count_degenerate(alg, P), len(P)
+    total, degenerate = diameter(P), count_degenerate(alg, P)
     for a, tau in factors:
-        l1, degen, n, walk = shuffle_norms(a, tau, alg.identity, BATCH)
-        total, degenerate, count = total + l1, degenerate + degen, count + n
-        for keys in walk:
-            seen.update(itertools.starmap(pack, keys))
-    _check_distinct(len(seen), count, len(sigma))
+        l1, degen = shuffle_norms(a, tau, alg.identity)
+        total, degenerate = total + l1, degenerate + degen
     return total, degenerate
 
 

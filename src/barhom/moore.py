@@ -34,16 +34,16 @@ come from one stream, ``homotopy.stage_terms``, which also counts them.
 ``homotopy.induct_Q`` updates one dict with each batch of the stream: when
 the dict ends with one key per raw term, ``add_term`` would have inserted
 each once, in order, nonzero, and otherwise a raw key repeated and
-``ChainError`` is raised.  ``homotopy.psi_counts`` reads no stream of
-coefficients: it takes the L1 norm and the ``degenerate_norm`` of P and of
-each correction's factor once, times the correction's placements, and holds
-only a set of the raw keys, packed to fixed width, checked against the
-count alike.  Both run on the generic simplex only, at level = dim, where
-no raw key repeats; psi elsewhere, on another simplex or at a raised level,
-sums the same stream through ``add_terms``, each simplex mapped along the
-tower map and the level shift, so its order is that of ``pushforward`` on
-the generic chain, which the tests hold it to.  ``TensorChain`` sums
-through ``add_terms`` too, after its bidegree check.
+``ChainError`` is raised.  ``homotopy.psi_counts`` reads no raw term of a
+correction: it takes the L1 norm and the ``degenerate_norm`` of P and of
+each correction's factor once, times the correction's placements, after a
+certificate on the codes of those parts proves that no raw key repeats, or
+raises ``ChainError``.  Both run on the generic simplex only, at level =
+dim, where no raw key repeats; psi elsewhere, on another simplex or at a
+raised level, sums the same stream through ``add_terms``, each simplex
+mapped along the tower map and the level shift, so its order is that of
+``pushforward`` on the generic chain, which the tests hold it to.
+``TensorChain`` sums through ``add_terms`` too, after its bidegree check.
 
 ``chain_payload`` streams a chain as the UTF-8 bytes of the JSON of
 ``chain_to_json``, whose terms are sorted on their compact JSON text.  It

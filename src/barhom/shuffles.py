@@ -16,10 +16,10 @@ interleaves the entries of two simplices directly: the Eilenberg-Zilber map
 pads every slot of one factor that the other fills with the identity, and
 every entry algebra's product returns the other factor when one side is the
 identity.  ``homotopy.induct_Q`` sums its terms.  ``shuffle_norms`` reads
-the norms and the number of the same terms off the two factors, and walks
-their keys in no fixed order, for ``homotopy.psi_counts``.  Both read the
-table's signs and placements through ``shuffle_placements``, transposed
-once per (p, q).
+the norms of the same terms off the two factors, for
+``homotopy.psi_counts``, whose certificate reads the placements alike.
+They read the table's signs and placements through ``shuffle_placements``,
+transposed once per (p, q).
 
 Since B(G x H) = BG x BH, a simplex of the product space is a bar simplex of
 pairs ((x_1, y_1), ..., (x_n, y_n)), so product chains are plain ``Chain``s
@@ -252,30 +252,18 @@ def shuffle_terms(a: Chain, b: Chain, scale: int = 1) -> tuple:
             len(a) * len(b) * len(places))
 
 
-def shuffle_norms(a: Chain, tau: tuple, e, batch: int) -> tuple:
-    """``(l1, degenerate, count, keys)`` of the raw terms of
-    ``shuffle_terms(a, Chain.of(tau), scale)`` for a scale of +-1, read off
-    the two factors: the L1 norm of the terms, that of those holding the
-    identity ``e``, their number, and their keys in no fixed order.
+def shuffle_norms(a: Chain, tau: tuple, e) -> tuple:
+    """``(l1, degenerate)`` of the raw terms of ``shuffle_terms(a,
+    Chain.of(tau), scale)`` for a scale of +-1, read off the two factors:
+    the L1 norm of the terms and that of those holding the identity ``e``.
 
     A term is ``place(sigma + tau)`` with coefficient ``+-ca``, and a
     placement permutes slots, so it is degenerate exactly when ``e`` is in
     sigma or in tau: each norm is a norm of a times the number of
-    placements, one pass over a.  ``keys`` walks placement-major over chunks
-    of at most ``batch`` sources sigma + tau, one iterator per chunk and
-    placement, so one chunk is listed at a time."""
-    _, places = shuffle_placements(a.dim, len(tau))
+    placements, one pass over a."""
+    n = len(shuffle_placements(a.dim, len(tau))[1])
     l1 = diameter(a)
-    degenerate = l1 if e in tau else degenerate_norm(e, a.terms, a.terms.values())
-    sources = map(tuple.__add__, a.terms, itertools.repeat(tau))
-
-    def keys():
-        while chunk := list(itertools.islice(sources, batch)):
-            for place in places:
-                yield map(place, chunk)
-
-    n = len(places)
-    return n * l1, n * degenerate, n * len(a), keys()
+    return n * l1, n * (l1 if e in tau else degenerate_norm(e, a.terms, a.terms.values()))
 
 
 # -- edgewise subdivision --------------------------------------------------------

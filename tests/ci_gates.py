@@ -76,14 +76,15 @@ GATES = [
     # the tower identity at level = dim = 7, one level above tier-1's
     # criterion 9 (about 13 s and 500 MB on a 2-core x86-64 VM)
     Gate(("verify", "--suite", "psi", "--level", "7", "--maxdim", "7"), peak_mb=800),
-    # gamma(8) = 14,737,536 and q(8) = 5,475,530, counted term by term; the
-    # tier-1 counts stop at m = 7.  The top stage's norms are read off its
-    # factors and its keys walked into a set of 2-byte packed keys: about
-    # 11-19 s and 1,657 MB, and the bound is about 6% above that, so a count
-    # that holds the top stage's dict fails
-    Gate(("count", "--op", "psi", "--dim", "8", "--cap", "20000000"), peak_mb=1750),
-    # c(8) = 9,262,006 from the same stream, with no projected copy of psi
-    Gate(("count", "--op", "phi", "--dim", "8", "--cap", "20000000"), peak_mb=1750),
+    # gamma(8) = 14,737,536 and q(8) = 5,475,530; the tier-1 counts stop at
+    # m = 7.  The top stage's norms are read off its parts, certified free of
+    # repeated raw terms by their codes, and only the stages below it are
+    # held: about 2 s and 215 MB, and the bound is about 16% above that, so a
+    # count that holds a set of the top stage's raw keys (about 1.6 GB) or
+    # its dict fails
+    Gate(("count", "--op", "psi", "--dim", "8", "--cap", "20000000"), peak_mb=250),
+    # c(8) = 9,262,006 from the same parts, with no projected copy of psi
+    Gate(("count", "--op", "phi", "--dim", "8", "--cap", "20000000"), peak_mb=250),
     # gamma(10) = 3,374,169,568 terms need at least 337 GB at 100 B each, so
     # a cap that admits them is refused before psi is built
     Gate(("count", "--op", "psi", "--dim", "10", "--cap", "10000000000"), **REFUSAL),
@@ -97,6 +98,10 @@ GATES = [
     # every product of sym1000000 takes a million steps: five 2-cylinders
     # ran 49 s before its degree was refused
     Gate(("verify", "--suite", "cylinder", "--group", "sym1000000", "--maxdim", "2", "--samples", "5"), **REFUSAL),
+    # theorem45 over sym9 at --maxdim 1 is within the simplex cap, but its
+    # instance codes 362,880 elements: it ran 54 s and peaked at 1,012 MB
+    # before its order was refused
+    Gate(("verify", "--suite", "theorem45", "--group", "sym9", "--maxdim", "1"), **REFUSAL),
     # the tier-1 fuzzer's grammar at more than three times its case count
     Gate(fuzz_cases=1000, timeout_s=20),
 ]

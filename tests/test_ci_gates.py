@@ -49,11 +49,11 @@ def test_the_refusal_rows_pass_and_fail_when_a_bound_is_tightened():
     # one refusal row for each tightened bound keeps this under a second
     tightened = [{"peak_mb": 1}, {"code": 0}, {"sha256": PSI_6_SHA256}, {"timeout_s": 0.01}]
     failures = _failures([(i, {}) for i in REFUSALS] + list(zip(REFUSALS, tightened)))
-    assert len(REFUSALS) == 5
-    assert failures[:5] == [[]] * 5
+    assert len(REFUSALS) == 6
+    assert failures[:6] == [[]] * 6
     expected = ["peak above 1 MB", "exit code not 0", f"sha256 {hashlib.sha256().hexdigest()}",
                 f"{GATES[REFUSALS[3]].argv}: past its 0.01 s timeout"]
-    assert [reasons[0].startswith(prefix) for reasons, prefix in zip(failures[5:], expected)] == [True] * 4
+    assert [reasons[0].startswith(prefix) for reasons, prefix in zip(failures[6:], expected)] == [True] * 4
 
 
 @pytest.mark.parametrize("err, failures", [

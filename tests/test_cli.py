@@ -105,8 +105,8 @@ def count_without_the_top_chain(monkeypatch, capsys, op, dim):
 
 @pytest.mark.parametrize("op", ["psi", "phi"])
 def test_count_builds_no_chain_at_the_top_key(monkeypatch, capsys, op):
-    # the top stage is streamed into packed keys, and phi is psi's diameter
-    # less its degenerate terms, so count never projects
+    # the top stage's norms are read off its parts, and phi is psi's
+    # diameter less its degenerate terms, so count never projects
     code, line = count_without_the_top_chain(monkeypatch, capsys, op, 6)
     assert code == 0
     assert line.startswith(f"ok {op} dim 6 level 6: diameter ")
@@ -442,6 +442,12 @@ USAGE_ERRORS = {
     "test_cylinder_cap_is_on_maxdim_plus_one_cubed": [
         ("26-2-2", "verify --suite cylinder --maxdim 2 --samples 5",
          "error: term cap exceeded: cylinder boundary (2 + 1)**3 > 26", {"barhom.cli.TERM_CAP": 26})],
+    # sym9 at --maxdim 1 is within the simplex cap, but its instance codes
+    # 362,880 elements: it ran 54 s and peaked at 1,012 MB
+    "test_theorem45_above_the_order_cap_is_refused_before_any_work": [
+        (suite, f"verify --suite {suite} --group sym9 --maxdim 1",
+         "error: order cap exceeded: theorem45 enumerates sym9, more than 40320 elements", {})
+        for suite in ("theorem45", "all")],
     "test_theorem45_cap_is_on_order_to_the_exhaustive_dim": [
         (f"{cap}-{maxdim}-2", f"verify --suite theorem45 --maxdim {maxdim} --samples 5",
          f"error: term cap exceeded: theorem45 enumerates cyclic3^{min(maxdim, 3)}, more than {cap} simplices",

@@ -17,8 +17,8 @@ The tables hold a huge group (``cyclic100000``), a huge element
 (64), a huge sample count and a huge ``--max``, and the seeded cases reach
 each of ``verify``'s size refusals, so a ``verify`` without them runs past
 the deadline.  They leave out runs that are slow by design within every cap:
-``theorem45`` at ``--maxdim 1`` enumerates the group (14 s on
-``cyclic100000``), and the 200 random cylinders of the ``cylinder`` suite
+``theorem45`` at ``--maxdim 1`` enumerates a group of order up to
+40,320 (6-9 s), and the 200 random cylinders of the ``cylinder`` suite
 take about 1 s at ``--maxdim 64``, and longer over ``sym9``.
 """
 

@@ -2,7 +2,6 @@ import gc
 import itertools
 import random
 import re
-import struct
 from math import comb
 
 import pytest
@@ -36,7 +35,6 @@ from barhom.shuffles import (
     edgewise,
     ez,
     mult_map,
-    shuffle_norms,
     shuffle_terms,
     shuffles,
     tensor_of_chains,
@@ -796,29 +794,37 @@ def _shuffle_terms_repeating_the_first(a, b, scale=1):
     return itertools.chain((key, key), keys), itertools.chain((coeff, coeff), coeffs), count + 1
 
 
-def _shuffle_norms_repeating_the_first(a, tau, e, batch):
-    """``shuffle_norms`` with its first key walked twice."""
-    l1, degenerate, count, walk = shuffle_norms(a, tau, e, batch)
-    keys = next(walk)
-    key = next(keys)
-    return l1, degenerate, count + 1, itertools.chain(([key, key],), (keys,), walk)
+_stage = homotopy.stage
+
+
+def _stage_with_a_face_code_in_a_factor(tower, sigma):
+    """``stage`` with one more key in its last factor A_(m-1): the code of
+    tau_(m-1)'s entry in every slot."""
+    P, factors = _stage(tower, sigma)
+    if factors:
+        a, tau = factors[-1]
+        factors[-1] = Chain(a.dim, [*a.terms.items(), (tau[:1] * a.dim, 1)]), tau
+    return P, factors
 
 
 def test_a_repeated_raw_term_raises(monkeypatch, capsys):
     # the stages below the top are built first, so the top stage's own check
-    # raises: induct_Q's in the ordered stream, psi_counts' in its key walk
+    # raises: induct_Q's in the ordered stream, and psi_counts' certificate,
+    # which reads no correction's raw term, at a factor key that holds a
+    # code of a pushed face
     F = FreeGroup(3)
     sigma = tuple(F.gens())
     tower = MitosisTower(F)
     tower.psi(2, sigma[:2])
     monkeypatch.setattr(homotopy, "shuffle_terms", _shuffle_terms_repeating_the_first)
-    monkeypatch.setattr(homotopy, "shuffle_norms", _shuffle_norms_repeating_the_first)
-    for build in (homotopy.induct_Q, homotopy.psi_counts):
-        with pytest.raises(ChainError, match=r"^psi\(3\) on a 3-simplex: 152 distinct keys for 154 raw terms$"):
-            build(tower, sigma)
+    with pytest.raises(ChainError, match=r"^psi\(3\) on a 3-simplex: 152 distinct keys for 154 raw terms$"):
+        homotopy.induct_Q(tower, sigma)
     assert main(["count", "--op", "psi", "--dim", "4"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and re.fullmatch(r"error: ChainError: [^\n]+\n", err), err
+    monkeypatch.setattr(homotopy, "stage", _stage_with_a_face_code_in_a_factor)
+    with pytest.raises(ChainError, match=r"^psi\(3\) on a 3-simplex: a factor's key holds a code of a pushed face$"):
+        homotopy.psi_counts(tower, sigma)
 
 
 def test_induct_Q_sees_only_generic_simplices(monkeypatch, capsys):
@@ -932,9 +938,9 @@ def test_the_count_reads_degeneracy_off_the_factors(monkeypatch):
     assert 0 < sum(seen) <= len(P) + sum(len(a) for a, _tau in factors) == 11480
 
 
-def test_streamed_counts_with_two_byte_keys():
-    # 254 base words coded first push the tower's codes past 256, so its
-    # keys take two bytes, and code 256 packs to a zero byte and a one
+def test_streamed_counts_past_256_codes():
+    # 254 base words coded first push the tower's codes past 256, where a
+    # byte no longer holds a code
     base = FreeGroup(4)
     sigma = tuple(base.gens())
     tower = MitosisTower(base)
@@ -945,12 +951,17 @@ def test_streamed_counts_with_two_byte_keys():
     assert counts == (gamma(4), q_count(4)) == _chain_counts(tower, 4, sigma)[0]
 
 
-def test_key_packing_raises_on_a_code_that_does_not_fit():
-    assert homotopy._key_packer(256, 2)(255, 0) == bytes([255, 0])
-    assert len(homotopy._key_packer(257, 2)(256, 0)) == 4
-    for codes, code in [(256, 256), (257, 65536)]:
-        with pytest.raises(struct.error):
-            homotopy._key_packer(codes, 2)(code, 0)
+def test_the_count_at_m_7_is_the_norms_of_induct_Qs_dict():
+    # the enumerated oracle of the certificate at the largest m tier-1
+    # holds: induct_Q's dict of psi(7), which passed its own length check,
+    # has psi_counts' norms (about 1.2 s and 200 MB)
+    base = FreeGroup(7)
+    sigma = tuple(base.gens())
+    tower = MitosisTower(base)
+    counts = psi_counts(tower, sigma)
+    chain = induct_Q(tower, sigma)
+    assert counts == (diameter(chain), count_degenerate(tower.algebra, chain)) == (gamma(7), q_count(7))
+    assert len(chain) == gamma(7)
 
 
 def _shuffled(sh, front, back):

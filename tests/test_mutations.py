@@ -300,30 +300,14 @@ def test_stream_dropping_the_last_batch_of_a_correction_fails_the_stage_count_ch
     assert capsys.readouterr() == ("", "error: ChainError: psi(5) on a 5-simplex: 7108 distinct keys for 9732 raw terms\n")
 
 
-def _key_packer_keeping_the_first_codes(codes, dim):
-    # the first dim codes of the tower pack apart, and every later one as dim
-    return lambda *key: bytes(min(c, dim) for c in key)
-
-
-@pytest.mark.parametrize("op", ["psi", "phi"])
-def test_packing_that_merges_codes_fails_the_no_top_chain_test(monkeypatch, capsys, op):
-    # killed by tests/test_cli.py::test_count_builds_no_chain_at_the_top_key:
-    # distinct terms share a key, which psi_counts takes for a repeated raw
-    # term, so count exits 1; a packing that collides is never silent
-    test_cli.test_count_builds_no_chain_at_the_top_key(monkeypatch, capsys, op)
-    monkeypatch.setattr(homotopy, "_key_packer", _key_packer_keeping_the_first_codes)
-    with pytest.raises(AssertionError, match="assert 1 == 0"):
-        test_cli.test_count_builds_no_chain_at_the_top_key(monkeypatch, capsys, op)
-
-
 _shuffle_norms = shuffles.shuffle_norms
 
 
-def _shuffle_norms_ignoring_the_identity_in_tau(a, tau, e, batch):
+def _shuffle_norms_ignoring_the_identity_in_tau(a, tau, e):
     # the degenerate norm read off a alone, as if tau never held the identity
-    l1, _, count, walk = _shuffle_norms(a, tau, e, batch)
+    l1, _ = _shuffle_norms(a, tau, e)
     placements = len(shuffles.shuffle_table(a.dim, len(tau)))
-    return l1, placements * moore.degenerate_norm(e, a.terms, a.terms.values()), count, walk
+    return l1, placements * moore.degenerate_norm(e, a.terms, a.terms.values())
 
 
 def test_factor_norm_ignoring_the_identity_in_tau_fails_the_factor_norm_test(monkeypatch):
@@ -336,22 +320,53 @@ def test_factor_norm_ignoring_the_identity_in_tau_fails_the_factor_norm_test(mon
         test_shuffles.test_shuffle_norms_are_the_sums_over_the_raw_terms()
 
 
-def _shuffle_norms_dropping_the_last_chunk(a, tau, e, batch):
-    # the key walk without the placements of its last chunk of sources
-    l1, degenerate, count, walk = _shuffle_norms(a, tau, e, batch)
-    placements = len(shuffles.shuffle_table(a.dim, len(tau)))
-    return l1, degenerate, count, list(walk)[:-placements]
+_shuffle_placements = shuffles.shuffle_placements
+_stage = homotopy.stage
 
 
-def test_key_walk_dropping_its_last_chunk_fails_the_stage_count_check(monkeypatch, capsys):
-    # killed by the stage count check of psi_counts: the set holds fewer keys
-    # than the factors count raw terms, so count exits 1 at the top stage,
-    # the only one psi_counts reads
-    ok = "ok psi dim 6 level 6: diameter 98336 expected 98336, degenerate 36532 expected 36532"
-    assert _count_psi_6(capsys) == (0, ok)
-    monkeypatch.setattr(homotopy, "shuffle_norms", _shuffle_norms_dropping_the_last_chunk)
-    assert main(["count", "--op", "psi", "--dim", "6"]) == 1
-    assert capsys.readouterr() == ("", "error: ChainError: psi(6) on a 6-simplex: 57792 distinct keys for 98336 raw terms\n")
+def _shuffle_placements_with_two_ranks_on_one_position_set(p, q):
+    # the second placement of a table replaced by the first
+    signs, places = _shuffle_placements(p, q)
+    return signs, places[:1] + places[:1] + places[2:] if len(places) > 1 else places
+
+
+def _stage_with_a_P_term_that_is_a_correction_term(tower, sigma):
+    # P also holds the first raw term of the last correction
+    P, factors = _stage(tower, sigma)
+    if not factors:
+        return P, factors
+    a, tau = factors[-1]
+    place = shuffles.shuffle_placements(a.dim, len(tau))[1][0]
+    return Chain(P.dim, [*P.terms.items(), (place(next(iter(a.terms)) + tau), 1)]), factors
+
+
+def _stage_with_a_correction_factor_repeated(tower, sigma):
+    P, factors = _stage(tower, sigma)
+    return P, factors + factors[-1:]
+
+
+@pytest.mark.parametrize("mutants, premise", [
+    ({"barhom.shuffles.shuffle_placements": _shuffle_placements_with_two_ranks_on_one_position_set,
+      "barhom.homotopy.shuffle_placements": _shuffle_placements_with_two_ranks_on_one_position_set},
+     "the (2, 4) placements are not permutations with distinct face slots"),
+    ({"barhom.homotopy.stage": test_homotopy._stage_with_a_face_code_in_a_factor},
+     "a factor's key holds a code of a pushed face"),
+    ({"barhom.homotopy.stage": _stage_with_a_P_term_that_is_a_correction_term},
+     "a term of P holds only the factors' codes"),
+    ({"barhom.homotopy.stage": _stage_with_a_correction_factor_repeated}, "two pushed faces have one length"),
+], ids=["placements", "factor key", "P term", "factor repeated"])
+def test_a_stage_failing_a_premise_fails_the_count_certificate(monkeypatch, mutants, premise):
+    # killed by the certificate of psi_counts: the stages below the top are
+    # memoized first, so the top stage's certificate meets the mutant, and
+    # raises where a correction's raw terms would repeat or might
+    base = FreeGroup(5)
+    sigma = tuple(base.gens())
+    tower = MitosisTower(base)
+    assert homotopy.psi_counts(tower, sigma) == (9732, 3613)
+    for target, mutant in mutants.items():
+        monkeypatch.setattr(target, mutant)
+    with pytest.raises(ChainError, match=f"^psi\\(5\\) on a 5-simplex: {re.escape(premise)}$"):
+        homotopy.psi_counts(tower, sigma)
 
 
 _psi = MitosisTower.psi

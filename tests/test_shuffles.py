@@ -1,6 +1,5 @@
 import itertools
 import random
-from collections import Counter
 from functools import reduce
 
 import pytest
@@ -437,18 +436,9 @@ def test_shuffle_norms_are_the_sums_over_the_raw_terms():
         for scale in (1, -1):
             keys, coeffs, count = shuffle_terms(a, Chain.of(tau), scale)
             terms = list(zip(keys, coeffs))
-            l1, degenerate, n, _walk = shuffle_norms(a, tau, e, 3)
-            assert (l1, degenerate, n) == (
-                sum(abs(c) for _, c in terms), sum(abs(c) for s, c in terms if e in s), count)
-
-
-def test_shuffle_key_walk_is_the_multiset_of_the_raw_keys():
-    # chunks of 1, 2, 3 and 4,096 sources: every chunk, the last included
-    for a, tau in _factor_cases(random.Random(31)):
-        keys = Counter(shuffle_terms(a, Chain.of(tau))[0])
-        for batch in (1, 2, 3, 4096):
-            walk = shuffle_norms(a, tau, C3.identity, batch)[3]
-            assert Counter(itertools.chain.from_iterable(walk)) == keys
+            assert len(terms) == count
+            assert shuffle_norms(a, tau, e) == (
+                sum(abs(c) for _, c in terms), sum(abs(c) for s, c in terms if e in s))
 
 
 def test_shuffle_placements_transpose_the_table_once():
