@@ -41,9 +41,13 @@ from .shuffles import ed_terms, edgewise
 SCHEMA = "barhom/1"
 TERM_CAP = 5_000_000
 # a floor on the bytes one chain term takes: psi's dict at m = 8 takes about
-# 168 (expand).  count holds no structure per term of its top stage, so the
-# charge overstates its memory: 1,474 MB at m = 8, where it peaks at 215 MB
+# 168 (expand)
 TERM_BYTES = 100
+# a floor on the bytes count takes per term of the one P it holds at a time,
+# d_cyl(dim) terms at the top: above the interpreter's 15 MB, the count of
+# psi peaks at 353 B per term of P at dim 14 (98 MB) and 351 B at dim 16
+# (389 MB), on a 2-core x86-64 VM
+P_TERM_BYTES = 350
 # a floor on the bytes the psi identity takes per face term of its boundary,
 # (d + 1) gamma(d) at dim d: above the interpreter it peaks at 61-62 B per
 # face term at d = 5, 6 and 7, since the boundary cancels as it is built
@@ -168,6 +172,8 @@ def _check_cap(op: str, dim: int, cap: int, term_bytes: int = TERM_BYTES) -> Non
     term per shuffle for ed.  A chain within the cap is refused too when its
     terms at ``term_bytes`` each exceed physical memory: ``TERM_BYTES`` for a
     chain that is only held, more for a check that also holds its boundary.
+    ``count`` builds only P, one dimension at a time, so it is charged as P
+    at ``P_TERM_BYTES``, whatever its op.
 
     Above dim 64 a cheap lower bound comes first, compared by bit length:
     gamma(dim) >= d_cyl(dim) = 2^dim (dim + 1), and 2^dim for ed.  A bound
@@ -258,7 +264,7 @@ def cmd_count(args) -> int:
     started = time.time()
     dim = args.dim
     level = _level(args, dim)
-    _check_cap(args.op, dim, args.cap)
+    _check_cap("P", dim, args.cap, P_TERM_BYTES)
     base = FreeGroup(max(dim, 1))
     sigma = tuple(base.gens()[:dim])
     if args.op == "P":
@@ -266,8 +272,9 @@ def cmd_count(args) -> int:
         ok = got == expected
         line = f"P dim {dim}: diameter {got} expected {expected}"
     else:
-        # psi's top stage is read off its parts, not held; phi's diameter is
-        # psi's less its degenerate terms, since projecting only deletes those
+        # psi's norms are certified off one P per dimension, and no psi is
+        # built; phi's diameter is psi's less its degenerate terms, since
+        # projecting only deletes those
         diam, degen = psi_counts(MitosisTower(base), sigma)
         if args.op == "psi":
             ok = diam == bd.gamma(dim) and degen == bd.q_count(dim)

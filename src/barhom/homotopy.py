@@ -26,14 +26,14 @@ products (``shuffle_terms``) against lower levels, and phi projects psi.
 correction's factors, psi one level down and a pushed back face.
 ``stage_terms`` streams their raw terms in order, as batches: P's, then
 each correction's ``shuffle_terms``.  ``induct_Q`` sums that stream into the
-stage's chain.  ``psi_counts`` reads the norms off the parts
-(``shuffles.shuffle_norms``) and draws no raw term of a correction.  Both
-run on the generic simplex (x_1, ..., x_m) of a free base at level m,
-where no raw term may repeat, and raise ``ChainError`` where one might:
-``induct_Q`` if its dict holds fewer keys than it summed raw terms, and
-``psi_counts`` if the parts fail a premise of ``_certify_distinct``, which
-proves the raw keys distinct from the codes the parts hold: those of the
-A_k, of the tau_k and of P, and the placements of the shuffle table.  The
+stage's chain, on the generic simplex (x_1, ..., x_m) of a free base at
+level m, where no raw term may repeat, and raises ``ChainError`` if its dict
+holds fewer keys than it summed raw terms: it is the enumerated oracle.
+``psi_counts`` builds no psi and draws no raw term.  It builds one P per
+dimension, checks the premises of the level certificate on the codes each
+P and its pushed faces hold and on the shuffle table's placements, and
+sums the norms by the recurrence those premises prove, or raises
+``ChainError``.  The
 gamma, q and c recurrences depend on the dimension alone, and on the
 generic simplex raising the level only relabels: psi(L, sigma_m) =
 s_(L-m)(psi(m, sigma_m)), where the level shift s_d raises every level by
@@ -68,9 +68,8 @@ from .cylinder import cyl_chain
 from .groups import CodedAlgebra, FreeGroup, Group
 from .moore import Chain, ChainError, boundary, count_degenerate, diameter, project
 from .quintuple import QuintupleAlgebra, VerificationInstance
-from .shuffles import (DimensionMismatch, edgewise, shuffle_norms, shuffle_placements, shuffle_table, shuffle_terms,
-                       shuffles)
-from .words import TowerAlgebra
+from .shuffles import DimensionMismatch, edgewise, shuffle_placements, shuffle_table, shuffle_terms, shuffles
+from .words import Conjugated, PillarWord, TowerAlgebra, value_level
 
 
 class DimensionExceeded(Exception):
@@ -262,58 +261,70 @@ def induct_Q(tower: MitosisTower, sigma: tuple) -> Chain:
     return out
 
 
-def _certify_distinct(P: Chain, factors: list, m: int) -> None:
-    """Raise ``ChainError`` unless the parts ``stage`` built on an m-simplex
-    pass the premises under which no two of the stage's raw terms share a
-    key.  With C the codes in the keys of every A_k and T those in every
-    tau_k: (i) C and T are disjoint; (ii) the tau_k have distinct lengths;
-    (iii) each ``place`` getter of a (k + 1, m - k) table, applied to
-    ``range(m + 1)``, is a permutation, and no two put tau's slots on one
-    position set; (iv) every key of P holds a code outside C and T.
+def _require(holds: bool, n: int, premise: str) -> None:
+    """Raise ``ChainError`` on the stage of psi(n) unless ``premise`` holds."""
+    if not holds:
+        raise ChainError(f"psi({n}) on a {n}-simplex: {premise}")
 
-    By (i) a correction key's tau slots are its T-positions, their number
-    gives k by (ii) and their set the placement by (iii), and its other
-    slots are a key of A_k's dict; every correction key lies in C and T, so
-    by (iv) none is one of P's.  The certificate is sound, not complete: a
-    failed premise raises even where the keys might still be distinct."""
-    def require(holds: bool, premise: str) -> None:
-        if not holds:
-            raise ChainError(f"psi({m}) on a {m}-simplex: {premise}")
 
-    chained = itertools.chain.from_iterable
-    codes = set(chained(chained(a.terms for a, _tau in factors)))
-    tau_codes = set(chained(tau for _a, tau in factors))
-    require(codes.isdisjoint(tau_codes), "a factor's key holds a code of a pushed face")
-    require(len({len(tau) for _a, tau in factors}) == len(factors), "two pushed faces have one length")
-    for a, tau in factors:
-        slots = [place(range(P.dim)) for place in shuffle_placements(a.dim, len(tau))[1]]
-        require(all(sorted(s) == list(range(P.dim)) for s in slots)
-                and len({tuple(i >= a.dim for i in s) for s in slots}) == len(slots),
-                f"the ({a.dim}, {len(tau)}) placements are not permutations with distinct face slots")
-    codes |= tau_codes
-    require(not any(map(codes.issuperset, P.terms)), "a term of P holds only the factors' codes")
+def _P_norms(tower: MitosisTower, sigma: tuple) -> tuple:
+    """``(diameter, degenerate)`` of P_n, the cylinder stage of psi(n) on the
+    generic n-simplex ``sigma`` at level n, once it has passed its premises
+    of the level certificate: every entry ``f(x)`` of a pushed face tau_k =
+    f(sigma[k:]), 0 < k < n, is a level-n ``Conjugated``, so not the
+    identity; every key of P_n holds a level-n ``PillarWord``; and no entry
+    of P_n lies above level n.  P_n is the only chain held, and it is freed
+    on return."""
+    n = len(sigma)
+    ctx, elems = tower.context(n), tower.algebra.elems
+    _require(all(isinstance(v, Conjugated) and v.level == n for v in (elems[ctx.f(x)] for x in sigma[1:])),
+             n, f"a pushed face entry is not a level-{n} conjugate")
+    P = homotopy_P(ctx, sigma)
+    codes = set(itertools.chain.from_iterable(P.terms))
+    _require(max(value_level(elems[c]) for c in codes) <= n, n, f"an entry of P lies above level {n}")
+    pillars = {c for c in codes if isinstance(elems[c], PillarWord) and elems[c].level == n}
+    _require(not any(map(pillars.isdisjoint, P.terms)), n, f"a term of P holds no level-{n} pillar")
+    return diameter(P), count_degenerate(tower.algebra, P)
+
+
+def _placements(n: int, k: int) -> int:
+    """The number of (k + 1, n - k) placements, once each ``place`` getter,
+    applied to ``range(n + 1)``, is a permutation and no two put the pushed
+    face's slots on one position set."""
+    p = k + 1
+    slots = [place(range(n + 1)) for place in shuffle_placements(p, n - k)[1]]
+    _require(all(sorted(s) == list(range(n + 1)) for s in slots)
+             and len({tuple(i >= p for i in s) for s in slots}) == len(slots),
+             n, f"the ({p}, {n - k}) placements are not permutations with distinct face slots")
+    return len(slots)
 
 
 def psi_counts(tower: MitosisTower, sigma: tuple) -> tuple:
-    """``(diameter, degenerate)``: the L1 norms of psi(m, sigma) on a generic
-    m-simplex and of its degenerate terms, without holding psi's stage.  At
-    any level above m they are the same, since the level shift is injective
-    and maps only the identity to the identity.
+    """``(diameter, degenerate)``: the L1 norms of psi(m, sigma) on the
+    generic m-simplex and of its degenerate terms, by the level certificate:
+    one P per dimension is built, and no psi.  At any level above m they are
+    the same, since the level shift is injective and maps only the identity
+    to the identity.
 
-    The norms are read off P and the correction factors
-    (``shuffle_norms``), with no raw term of a correction drawn.  They are
-    psi's because no raw term cancels: ``_certify_distinct`` proves the raw
-    keys distinct from the codes of the parts, or raises.  The factor
-    A_(m-1) is the tower's memoized psi(m - 1), and each A_k below it the
-    memoized psi(k), streamed shifted."""
-    P, factors = stage(tower, sigma)
-    _certify_distinct(P, factors, len(sigma))
-    alg = tower.algebra
-    total, degenerate = diameter(P), count_degenerate(alg, P)
-    for a, tau in factors:
-        l1, degen = shuffle_norms(a, tau, alg.identity)
-        total, degenerate = total + l1, degenerate + degen
-    return total, degenerate
+    psi(n) is P_n plus, for 0 < k < n, each (k + 1, n - k) placement of the
+    entries of a key of A_k = psi(n - 1, sigma[:k]) and of the pushed face
+    tau_k = f(sigma[k:]).  A_k is psi(k) with every level raised by
+    n - 1 - k, and by the premises at the dimensions below, its entries, P_j's
+    and tau's at each j <= k, lie at level k or below before the shift, so
+    below n after it.  So once ``_P_norms`` and ``_placements`` pass at n, a
+    correction term's level-n slots are its tau slots: their number gives k,
+    their set the placement, and the rest is a key of A_k.  It holds no
+    level-n pillar, so it is none of P_n's keys.  No raw term cancels, and
+    as tau holds no identity, both norms follow
+    g(n) = g(P_n) + sum over k of C(n + 1, k + 1) g(k)."""
+    norms = [(0, 0)]
+    for n in range(1, len(sigma) + 1):
+        total, degenerate = _P_norms(tower, sigma[:n])
+        for k in range(1, n):
+            placements = _placements(n, k)
+            total, degenerate = total + placements * norms[k][0], degenerate + placements * norms[k][1]
+        norms.append((total, degenerate))
+    return norms[-1]
 
 
 class MitosisTower:

@@ -34,16 +34,16 @@ come from one stream, ``homotopy.stage_terms``, which also counts them.
 ``homotopy.induct_Q`` updates one dict with each batch of the stream: when
 the dict ends with one key per raw term, ``add_term`` would have inserted
 each once, in order, nonzero, and otherwise a raw key repeated and
-``ChainError`` is raised.  ``homotopy.psi_counts`` reads no raw term of a
-correction: it takes the L1 norm and the ``degenerate_norm`` of P and of
-each correction's factor once, times the correction's placements, after a
-certificate on the codes of those parts proves that no raw key repeats, or
-raises ``ChainError``.  Both run on the generic simplex only, at level =
-dim, where no raw key repeats; psi elsewhere, on another simplex or at a
-raised level, sums the same stream through ``add_terms``, each simplex
-mapped along the tower map and the level shift, so its order is that of
-``pushforward`` on the generic chain, which the tests hold it to.
-``TensorChain`` sums through ``add_terms`` too, after its bidegree check.
+``ChainError`` is raised.  ``induct_Q`` runs on the generic simplex only,
+at level = dim, where no raw key repeats; psi elsewhere, on another simplex
+or at a raised level, sums the same stream through ``add_terms``, each
+simplex mapped along the tower map and the level shift, so its order is
+that of ``pushforward`` on the generic chain, which the tests hold it to.
+``homotopy.psi_counts`` draws no raw term and builds no psi: it takes the
+L1 norm and ``count_degenerate`` of one P per dimension, once a level
+certificate on the codes of each P proves that no raw key of psi repeats,
+or raises ``ChainError``.  ``TensorChain`` sums through ``add_terms`` too,
+after its bidegree check.
 
 ``chain_payload`` streams a chain as the UTF-8 bytes of the JSON of
 ``chain_to_json``, whose terms are sorted on their compact JSON text.  It
@@ -220,16 +220,11 @@ def project(alg, chain: Chain) -> Chain:
     return out
 
 
-def degenerate_norm(e, simplices: Iterable, coeffs: Iterable) -> int:
-    """The L1 norm of the coefficients whose simplex holds the identity
-    ``e``, from the simplices and their coefficients in step:
-    ``is_degenerate`` inlined."""
-    return sum(map(abs, itertools.compress(coeffs, map(contains, simplices, itertools.repeat(e)))))
-
-
 def count_degenerate(alg, chain: Chain) -> int:
-    """The L1 norm of the degenerate terms."""
-    return degenerate_norm(alg.identity, chain.terms, chain.terms.values())
+    """The L1 norm of the degenerate terms: the coefficients whose simplex
+    holds the identity, with no call per term."""
+    held = map(contains, chain.terms, itertools.repeat(alg.identity))
+    return sum(map(abs, itertools.compress(chain.terms.values(), held)))
 
 
 def cellular_boundary(alg, chain: Chain) -> Chain:

@@ -15,10 +15,9 @@ cached table, ``shuffle_table``.  The shuffle product ``shuffle_terms``
 interleaves the entries of two simplices directly: the Eilenberg-Zilber map
 pads every slot of one factor that the other fills with the identity, and
 every entry algebra's product returns the other factor when one side is the
-identity.  ``homotopy.induct_Q`` sums its terms.  ``shuffle_norms`` reads
-the norms of the same terms off the two factors, for
-``homotopy.psi_counts``, whose certificate reads the placements alike.
-They read the table's signs and placements through ``shuffle_placements``,
+identity.  ``homotopy.induct_Q`` sums its terms, and the level certificate
+of ``homotopy.psi_counts`` checks the placements they are drawn through.
+Both read the table's signs and placements through ``shuffle_placements``,
 transposed once per (p, q).
 
 Since B(G x H) = BG x BH, a simplex of the product space is a bar simplex of
@@ -40,7 +39,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
 
-from .moore import Chain, ChainError, degenerate_norm, diameter, face, pushforward
+from .moore import Chain, ChainError, face, pushforward
 
 
 class DimensionMismatch(ChainError):
@@ -250,20 +249,6 @@ def shuffle_terms(a: Chain, b: Chain, scale: int = 1) -> tuple:
     return (itertools.chain.from_iterable(map(keys, b.terms)),
             itertools.chain.from_iterable(map(coeffs, b.terms.values())),
             len(a) * len(b) * len(places))
-
-
-def shuffle_norms(a: Chain, tau: tuple, e) -> tuple:
-    """``(l1, degenerate)`` of the raw terms of ``shuffle_terms(a,
-    Chain.of(tau), scale)`` for a scale of +-1, read off the two factors:
-    the L1 norm of the terms and that of those holding the identity ``e``.
-
-    A term is ``place(sigma + tau)`` with coefficient ``+-ca``, and a
-    placement permutes slots, so it is degenerate exactly when ``e`` is in
-    sigma or in tau: each norm is a norm of a times the number of
-    placements, one pass over a."""
-    n = len(shuffle_placements(a.dim, len(tau))[1])
-    l1 = diameter(a)
-    return n * l1, n * (l1 if e in tau else degenerate_norm(e, a.terms, a.terms.values()))
 
 
 # -- edgewise subdivision --------------------------------------------------------

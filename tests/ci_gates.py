@@ -76,18 +76,22 @@ GATES = [
     # the tower identity at level = dim = 7, one level above tier-1's
     # criterion 9 (about 13 s and 500 MB on a 2-core x86-64 VM)
     Gate(("verify", "--suite", "psi", "--level", "7", "--maxdim", "7"), peak_mb=800),
-    # gamma(8) = 14,737,536 and q(8) = 5,475,530; the tier-1 counts stop at
-    # m = 7.  The top stage's norms are read off its parts, certified free of
-    # repeated raw terms by their codes, and only the stages below it are
-    # held: about 2 s and 215 MB, and the bound is about 16% above that, so a
-    # count that holds a set of the top stage's raw keys (about 1.6 GB) or
-    # its dict fails
-    Gate(("count", "--op", "psi", "--dim", "8", "--cap", "20000000"), peak_mb=250),
-    # c(8) = 9,262,006 from the same parts, with no projected copy of psi
-    Gate(("count", "--op", "phi", "--dim", "8", "--cap", "20000000"), peak_mb=250),
-    # gamma(10) = 3,374,169,568 terms need at least 337 GB at 100 B each, so
-    # a cap that admits them is refused before psi is built
-    Gate(("count", "--op", "psi", "--dim", "10", "--cap", "10000000000"), **REFUSAL),
+    # gamma(8) = 14,737,536 and q(8) = 5,475,530, one above the enumerated
+    # oracle tier-1 holds the count to (m = 7).  The norms are certified off
+    # one P per dimension and no psi is built: about 0.15 s and 16.5 MB, so
+    # a count that builds psi(7) (about 200 MB) fails
+    Gate(("count", "--op", "psi", "--dim", "8", "--cap", "20000000"), peak_mb=40),
+    # c(8) = 9,262,006 from the same P's, with no projected copy of psi
+    Gate(("count", "--op", "phi", "--dim", "8", "--cap", "20000000"), peak_mb=40),
+    # gamma(10) = 3,374,169,568: about 0.2 s and 19.4 MB
+    Gate(("count", "--op", "psi", "--dim", "10", "--cap", "10000000000"), peak_mb=40),
+    # d_cyl(24) = 419,430,400 terms of P need at least 147 GB at 350 B each,
+    # so a cap that admits them is refused before P is built
+    Gate(("count", "--op", "psi", "--dim", "24", "--cap", "10000000000"), **REFUSAL),
+    # gamma(16) = 271,098,388,781,049,088 and q(16) = 100,722,984,316,460,322,
+    # the largest certified count: about 9.5 s and 389 MB on a 2-core x86-64
+    # VM, with P_16's 1,114,112 terms held
+    Gate(("count", "--op", "psi", "--dim", "16"), peak_mb=450),
     # psi at level 8 is over the term cap on gamma(8), and theorem45 on
     # cyclic100000 would enumerate 10^10 2-simplices: each is refused before
     # anything is built

@@ -9,7 +9,7 @@ from barhom import bounds as bd
 from barhom import checks
 from barhom.cylinder import cyl, cyl_chain, face_pillar
 from barhom.groups import CyclicGroup, FreeGroup
-from barhom.homotopy import MitosisTower
+from barhom.homotopy import MitosisTower, psi_counts
 from barhom.moore import Chain, boundary, count_degenerate, diameter, face, project
 
 
@@ -160,3 +160,18 @@ def test_criterion_9_psi_identity_generic_level6():
     elapsed = time.time() - start
     report("criterion 9: tower identity, level 6, generic simplex dims <= 6",
            failure is None, failure or f"{elapsed:.2f}s")
+
+
+def test_criterion_10_certified_counts():
+    # the level certificate builds one P per dimension and no psi: its
+    # gamma, q and c equal the recurrences for every m <= 12, on one fresh
+    # tower per m, and the CI row's m = 16 is pinned to the published values
+    start = time.time()
+    ok = True
+    for m in range(13):
+        base = FreeGroup(max(m, 1))
+        diam, degen = psi_counts(MitosisTower(base), tuple(base.gens()[:m]))
+        ok = ok and (diam, degen, diam - degen) == (bd.gamma(m), bd.q_count(m), bd.c_bound(m))
+    ok = ok and (bd.gamma(16), bd.q_count(16)) == (271098388781049088, 100722984316460322)
+    elapsed = time.time() - start
+    report("criterion 10: certified counts m <= 12", ok and elapsed < 5, f"{elapsed:.2f}s")

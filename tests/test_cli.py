@@ -375,7 +375,7 @@ def _memory(size):
 
 # an --out that cannot be opened is met only when the built chain is written
 CHAIN_BUILT_FIRST = {"barhom.moore.Chain.add_terms": Chain.add_terms}
-GAMMA_65 = "26150802429184588438638163960054295152511900353483907344252506620860670434843038735166675310894271121452"
+D_CYL_65 = 2434970217729660813312
 T45_CAP = "error: term cap exceeded: theorem45 enumerates cyclic100000^2, more than 5000000 simplices"
 
 # Every usage error, under the name of the test that reports it, as cases of
@@ -383,16 +383,18 @@ T45_CAP = "error: term cap exceeded: theorem45 enumerates cyclic100000^2, more t
 # those the cases have always been reported under.  Every case is checked the
 # same way, by _assert_refused.
 USAGE_ERRORS = {
+    # count builds one P at a time, so its cap and its memory guard are on
+    # d_cyl(dim), the terms of the largest
     "test_count_psi_above_cap_is_refused": [
-        (None, "count --op psi --dim 4 --cap 1000", "error: term cap exceeded: gamma(4) = 1120 > 1000", {})],
-    # gamma(8) = 14,737,536 terms at 100 B each exceed 1 GiB, and so does
-    # gamma(65) under a cap that admits it
+        (None, "count --op psi --dim 7 --cap 1000", "error: term cap exceeded: d_cyl(7) = 1024 > 1000", {})],
+    # d_cyl(18) = 4,980,736 terms at 350 B each exceed 1 GiB, and so does
+    # d_cyl(65) under a cap that admits it
     "test_count_within_cap_above_memory_is_refused": [
-        (None, "count --op psi --dim 8 --cap 20000000", "error: out of memory: gamma(8) = 14737536 terms take "
-         "at least 1473753600 B > 1073741824 B of physical memory", _memory(2 ** 30))],
+        (None, "count --op psi --dim 18 --cap 20000000", "error: out of memory: d_cyl(18) = 4980736 terms take "
+         "at least 1743257600 B > 1073741824 B of physical memory", _memory(2 ** 30))],
     "test_count_with_a_huge_cap_is_refused_on_memory": [
-        (None, "count --op psi --dim 65 --cap " + "9" * 130, f"error: out of memory: gamma(65) = {GAMMA_65} terms "
-         f"take at least {GAMMA_65}00 B > 1073741824 B of physical memory", _memory(2 ** 30))],
+        (None, "count --op psi --dim 65 --cap " + "9" * 130, f"error: out of memory: d_cyl(65) = {D_CYL_65} terms "
+         f"take at least {D_CYL_65 * 350} B > 1073741824 B of physical memory", _memory(2 ** 30))],
     "test_level_below_dim_is_usage_error": [
         (command, f"{command} --op psi --dim 3 --level 2", "error: --level 2 is below --dim 3", {})
         for command in ("count", "expand")],
@@ -480,11 +482,13 @@ USAGE_ERRORS = {
         (f"{op}-{dim}-{size}", f"expand --op {op} --dim {dim} --cap 1000", f"error: term cap exceeded: {size} > 1000", {})
         for op, dim, size in (("P", 12, "d_cyl(12) = 53248"), ("ed", 11, "2**11 = 2048"))],
     # the exact gamma(3000) takes minutes, and d_cyl(10**8) has too many
-    # digits for str(): a lower bound on the size refuses both at once
+    # digits for str(): a lower bound on the size refuses both at once.
+    # count's psi and phi cases keep the ids they were first reported under,
+    # when their cap was on gamma
     "test_huge_dims_are_refused_before_their_size_is_computed": [
         (f"{command}-{op}-{name}-{dim}", f"{command} --op {op} --dim {dim}",
          f"error: term cap exceeded: {size.format(dim)} > 5000000", {})
-        for command, op, name, size in (("count", "psi", "gamma", "gamma({})"), ("count", "phi", "gamma", "gamma({})"),
+        for command, op, name, size in (("count", "psi", "gamma", "d_cyl({})"), ("count", "phi", "gamma", "d_cyl({})"),
                                         ("count", "P", "d_cyl", "d_cyl({})"), ("expand", "ed", "2**", "2**{}"))
         for dim in (3000, 10 ** 8)],
     # refused before the cap is looked at

@@ -2,12 +2,12 @@ import gc
 import itertools
 import random
 import re
+import weakref
 from math import comb
 
 import pytest
 
-from barhom import checks, homotopy, moore, quintuple
-from barhom import shuffles as shuffles_module
+from barhom import checks, homotopy, quintuple
 from barhom.bounds import c_bound, d_cyl, gamma, q_count
 from barhom.cli import main
 from barhom.cylinder import face_pillar
@@ -415,6 +415,9 @@ def test_psi_counts(m):
     # no two generated terms collide: every coefficient is +-1
     assert len(chain.terms) == gamma(m)
     assert all(abs(c) == 1 for _, c in chain)
+    # the level certificate, which builds no psi, reads the same norms off a
+    # fresh tower as induct_Q's dict holds
+    assert psi_counts(MitosisTower(F), sigma) == (diameter(chain), count_degenerate(alg, chain))
 
 
 def _lead(count, n):
@@ -794,24 +797,10 @@ def _shuffle_terms_repeating_the_first(a, b, scale=1):
     return itertools.chain((key, key), keys), itertools.chain((coeff, coeff), coeffs), count + 1
 
 
-_stage = homotopy.stage
-
-
-def _stage_with_a_face_code_in_a_factor(tower, sigma):
-    """``stage`` with one more key in its last factor A_(m-1): the code of
-    tau_(m-1)'s entry in every slot."""
-    P, factors = _stage(tower, sigma)
-    if factors:
-        a, tau = factors[-1]
-        factors[-1] = Chain(a.dim, [*a.terms.items(), (tau[:1] * a.dim, 1)]), tau
-    return P, factors
-
-
 def test_a_repeated_raw_term_raises(monkeypatch, capsys):
     # the stages below the top are built first, so the top stage's own check
-    # raises: induct_Q's in the ordered stream, and psi_counts' certificate,
-    # which reads no correction's raw term, at a factor key that holds a
-    # code of a pushed face
+    # raises, in induct_Q's ordered stream; expand builds psi through
+    # induct_Q and exits 1 before it writes anything
     F = FreeGroup(3)
     sigma = tuple(F.gens())
     tower = MitosisTower(F)
@@ -819,12 +808,9 @@ def test_a_repeated_raw_term_raises(monkeypatch, capsys):
     monkeypatch.setattr(homotopy, "shuffle_terms", _shuffle_terms_repeating_the_first)
     with pytest.raises(ChainError, match=r"^psi\(3\) on a 3-simplex: 152 distinct keys for 154 raw terms$"):
         homotopy.induct_Q(tower, sigma)
-    assert main(["count", "--op", "psi", "--dim", "4"]) == 1
+    assert main(["expand", "--op", "psi", "--dim", "4"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and re.fullmatch(r"error: ChainError: [^\n]+\n", err), err
-    monkeypatch.setattr(homotopy, "stage", _stage_with_a_face_code_in_a_factor)
-    with pytest.raises(ChainError, match=r"^psi\(3\) on a 3-simplex: a factor's key holds a code of a pushed face$"):
-        homotopy.psi_counts(tower, sigma)
 
 
 def test_induct_Q_sees_only_generic_simplices(monkeypatch, capsys):
@@ -882,16 +868,32 @@ def test_the_tower_memo_holds_generic_stages_only(monkeypatch, capsys):
     assert set(tower._generic._cache) == {1, 2, 3}
 
 
-def test_the_count_holds_one_chain_per_lower_dimension():
-    # count --dim 7's top stage reads psi(6, sigma_k) for k < 7: psi(6, x_1
-    # .. x_6) is memoized, and the others are psi(k) shifted, streamed from
-    # the memoized psi(k) and never stored
+class _HeldChain(Chain):
+    """A ``Chain`` that a weak reference can follow."""
+
+    __slots__ = ("__weakref__",)
+
+
+def test_the_count_holds_one_chain_per_lower_dimension(monkeypatch):
+    # count --dim 7 builds P_n on x_1 .. x_n once for each n <= 7, each
+    # freed before the next is built, and no psi: the tower memoizes nothing
     base = FreeGroup(7)
     tower = MitosisTower(base)
+    built = []
+
+    def tracked(ctx, sigma):
+        assert all(ref() is None for ref in built), "a P was still held"
+        chain = homotopy_P(ctx, sigma)
+        held = _HeldChain(chain.dim)
+        held.terms = chain.terms
+        built.append(weakref.ref(held))
+        return held
+
+    monkeypatch.setattr(homotopy, "homotopy_P", tracked)
+    monkeypatch.setattr(homotopy, "induct_Q", None)
     assert psi_counts(tower, tuple(base.gens())) == (gamma(7), q_count(7))
-    assert set(tower._cache) == set(range(1, 7))
-    assert [len(tower._cache[m]) for m in range(1, 7)] == [gamma(m) for m in range(1, 7)]
-    assert sum(map(gamma, range(1, 7))) == 109368
+    assert len(built) == 7
+    assert tower._cache == {}
 
 
 def _chain_counts(tower, level, sigma):
@@ -911,31 +913,26 @@ def test_streamed_counts_equal_the_chain_counts(m, above):
     sigma, level = tuple(base.gens()[:m]), max(m, 1) + above
     tower = MitosisTower(base)
     counts = psi_counts(tower, sigma)
-    assert m not in tower._cache
+    assert tower._cache == {}
     assert counts == (gamma(m), q_count(m))
     assert _chain_counts(tower, level, sigma) == (counts, counts[0] - counts[1])
 
 
-def test_the_count_reads_degeneracy_off_the_factors(monkeypatch):
-    # the top stage of count --dim 6: degenerate_norm reads P and each
-    # correction factor once: 448 + 11,032 simplices, never a correction's
-    # raw terms (gamma(6) = 98,336 raw terms in all)
+def test_the_count_reads_degeneracy_off_one_P_per_dimension(monkeypatch):
+    # count --dim 6: count_degenerate reads P_n once for each n <= 6, the
+    # sum of d_cyl(n) = 768 simplices, never a raw term of psi (gamma(6) =
+    # 98,336 of them)
     base = FreeGroup(6)
-    sigma = tuple(base.gens())
     tower = MitosisTower(base)
-    P, factors = homotopy.stage(tower, sigma)
     seen = []
-    degenerate_norm = moore.degenerate_norm
 
-    def counting(e, simplices, coeffs):
-        simplices = list(simplices)
-        seen.append(len(simplices))
-        return degenerate_norm(e, simplices, coeffs)
+    def counting(alg, chain):
+        seen.append(len(chain))
+        return count_degenerate(alg, chain)
 
-    for module in (moore, shuffles_module):
-        monkeypatch.setattr(module, "degenerate_norm", counting)
-    assert psi_counts(tower, sigma) == (gamma(6), q_count(6))
-    assert 0 < sum(seen) <= len(P) + sum(len(a) for a, _tau in factors) == 11480
+    monkeypatch.setattr(homotopy, "count_degenerate", counting)
+    assert psi_counts(tower, tuple(base.gens())) == (gamma(6), q_count(6))
+    assert seen == [d_cyl(n) for n in range(1, 7)] and sum(seen) == 768
 
 
 def test_streamed_counts_past_256_codes():
@@ -952,9 +949,9 @@ def test_streamed_counts_past_256_codes():
 
 
 def test_the_count_at_m_7_is_the_norms_of_induct_Qs_dict():
-    # the enumerated oracle of the certificate at the largest m tier-1
-    # holds: induct_Q's dict of psi(7), which passed its own length check,
-    # has psi_counts' norms (about 1.2 s and 200 MB)
+    # the enumerated oracle of the level certificate at the largest m
+    # tier-1 holds: induct_Q's dict of psi(7), which passed its own length
+    # check, has psi_counts' norms (about 1.2 s and 200 MB)
     base = FreeGroup(7)
     sigma = tuple(base.gens())
     tower = MitosisTower(base)

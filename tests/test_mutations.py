@@ -246,13 +246,12 @@ def test_encoder_emitting_gen_e_fails_the_free_reduction_test(monkeypatch):
         test_words.test_encoded_entries_are_freely_reduced()
 
 
-_degenerate_norm = moore.degenerate_norm
+_count_degenerate = moore.count_degenerate
 
 
-def _degenerate_norm_skipping_the_last_term(e, simplices, coeffs):
+def _count_degenerate_skipping_the_last_term(alg, chain):
     # the degeneracy test blind to the last term of each chain it reads
-    simplices, coeffs = list(simplices)[:-1], list(coeffs)[:-1]
-    return _degenerate_norm(e, simplices, coeffs)
+    return _count_degenerate(alg, Chain(chain.dim, list(chain.terms.items())[:-1]))
 
 
 def _count_psi_3(capsys):
@@ -262,16 +261,15 @@ def _count_psi_3(capsys):
 
 def test_count_degenerate_skipping_the_last_term_fails_the_q_gate(monkeypatch, capsys):
     # killed by the q gate of ``count --op psi``: psi(3)'s degenerate norm
-    # reads P and the two correction factors, and the last term of each is
-    # degenerate with coefficient +-1, so the count loses 1 for P and 6 and 4
-    # for the factors, once per placement of the (2,2)- and (3,1)-shuffles.
-    # Skipping the last slot of each simplex instead is no mutation of the
-    # psi count: no psi term to m = 6 has the identity in its last slot alone
+    # reads P_1, P_2 and P_3, and the last term of each is degenerate with
+    # coefficient +-1, so q(1) = 1 - 1, q(2) = 4 + 3 q(1) and q(3) = 16 +
+    # 6 q(1) + 4 q(2), against 1, 8 and 55.  Skipping the last slot of each
+    # simplex instead is no mutation of the psi count: no psi term to m = 6
+    # has the identity in its last slot alone
     ok = "ok psi dim 3 level 3: diameter 152 expected 152, degenerate 55 expected 55"
     assert _count_psi_3(capsys) == (0, ok)
-    for module in (moore, shuffles):
-        monkeypatch.setattr(module, "degenerate_norm", _degenerate_norm_skipping_the_last_term)
-    assert _count_psi_3(capsys) == (1, "FAIL " + ok[3:].replace("degenerate 55", "degenerate 44"))
+    monkeypatch.setattr(homotopy, "count_degenerate", _count_degenerate_skipping_the_last_term)
+    assert _count_psi_3(capsys) == (1, "FAIL " + ok[3:].replace("degenerate 55", "degenerate 32"))
 
 
 _batches = homotopy._batches
@@ -284,44 +282,19 @@ def _batches_dropping_the_last(keys, coeffs):
     return iter(batches[:-1] if len(batches) > 1 else batches)
 
 
-def _count_psi_6(capsys):
-    code = main(["count", "--op", "psi", "--dim", "6"])
-    return code, capsys.readouterr().out.splitlines()[0]
-
-
 def test_stream_dropping_the_last_batch_of_a_correction_fails_the_stage_count_check(monkeypatch, capsys):
     # killed by induct_Q's stage count check: a stage whose batches hold
-    # fewer terms than its count raises, so count exits 1 at psi(5), the
-    # first lower stage with a correction past one batch
-    ok = "ok psi dim 6 level 6: diameter 98336 expected 98336, degenerate 36532 expected 36532"
-    assert _count_psi_6(capsys) == (0, ok)
+    # fewer terms than its count raises, so expand exits 1 at psi(5), the
+    # first stage with a correction past one batch, before it writes
+    assert main(["expand", "--op", "psi", "--dim", "5", "--out", os.devnull]) == 0
     monkeypatch.setattr(homotopy, "_batches", _batches_dropping_the_last)
-    assert main(["count", "--op", "psi", "--dim", "6"]) == 1
+    assert main(["expand", "--op", "psi", "--dim", "5", "--out", os.devnull]) == 1
     assert capsys.readouterr() == ("", "error: ChainError: psi(5) on a 5-simplex: 7108 distinct keys for 9732 raw terms\n")
 
 
-_shuffle_norms = shuffles.shuffle_norms
-
-
-def _shuffle_norms_ignoring_the_identity_in_tau(a, tau, e):
-    # the degenerate norm read off a alone, as if tau never held the identity
-    l1, _ = _shuffle_norms(a, tau, e)
-    placements = len(shuffles.shuffle_table(a.dim, len(tau)))
-    return l1, placements * moore.degenerate_norm(e, a.terms, a.terms.values())
-
-
-def test_factor_norm_ignoring_the_identity_in_tau_fails_the_factor_norm_test(monkeypatch):
-    # killed by tests/test_shuffles.py::test_shuffle_norms_are_the_sums_over_the_raw_terms,
-    # whose tau holds the identity in half its cases; the count gates stay
-    # blind to it, since no free tower's tau holds the identity
-    test_shuffles.test_shuffle_norms_are_the_sums_over_the_raw_terms()
-    monkeypatch.setattr(test_shuffles, "shuffle_norms", _shuffle_norms_ignoring_the_identity_in_tau)
-    with pytest.raises(AssertionError):
-        test_shuffles.test_shuffle_norms_are_the_sums_over_the_raw_terms()
-
-
 _shuffle_placements = shuffles.shuffle_placements
-_stage = homotopy.stage
+_homotopy_P = homotopy.homotopy_P
+_conj = TowerAlgebra.conj
 
 
 def _shuffle_placements_with_two_ranks_on_one_position_set(p, q):
@@ -330,43 +303,54 @@ def _shuffle_placements_with_two_ranks_on_one_position_set(p, q):
     return signs, places[:1] + places[:1] + places[2:] if len(places) > 1 else places
 
 
-def _stage_with_a_P_term_that_is_a_correction_term(tower, sigma):
-    # P also holds the first raw term of the last correction
-    P, factors = _stage(tower, sigma)
-    if not factors:
-        return P, factors
-    a, tau = factors[-1]
-    place = shuffles.shuffle_placements(a.dim, len(tau))[1][0]
-    return Chain(P.dim, [*P.terms.items(), (place(next(iter(a.terms)) + tau), 1)]), factors
+def _P_with_its_first_term_changed(ctx, sigma, change):
+    """``homotopy_P`` with ``change(entries, n, key)`` in place of its first
+    key."""
+    P = _homotopy_P(ctx, sigma)
+    (key, coeff), *rest = P.terms.items()
+    return Chain(P.dim, [(change(ctx.entries, len(sigma), key), coeff), *rest])
 
 
-def _stage_with_a_correction_factor_repeated(tower, sigma):
-    P, factors = _stage(tower, sigma)
-    return P, factors + factors[-1:]
+def _without_its_pillar(entries, n, key):
+    # every level-n pillar of the key made the identity
+    return tuple(entries.identity if isinstance(entries.elems[c], PillarWord) else c for c in key)
+
+
+def _with_an_entry_above_its_level(entries, n, key):
+    # the first slot that holds no pillar made a conjugate one level up
+    i = next(i for i, c in enumerate(key) if not isinstance(entries.elems[c], PillarWord))
+    return key[:i] + (entries.code(entries.algebra.conj(n + 1, (1,))),) + key[i + 1:]
+
+
+def _conj_flattening_x_2(self, level, arg, tail=None):
+    # F_level(x_2) flattened, as if x_2 were the identity
+    return _conj(self, level, self.identity if arg == (2,) else arg, tail)
 
 
 @pytest.mark.parametrize("mutants, premise", [
     ({"barhom.shuffles.shuffle_placements": _shuffle_placements_with_two_ranks_on_one_position_set,
       "barhom.homotopy.shuffle_placements": _shuffle_placements_with_two_ranks_on_one_position_set},
-     "the (2, 4) placements are not permutations with distinct face slots"),
-    ({"barhom.homotopy.stage": test_homotopy._stage_with_a_face_code_in_a_factor},
-     "a factor's key holds a code of a pushed face"),
-    ({"barhom.homotopy.stage": _stage_with_a_P_term_that_is_a_correction_term},
-     "a term of P holds only the factors' codes"),
-    ({"barhom.homotopy.stage": _stage_with_a_correction_factor_repeated}, "two pushed faces have one length"),
-], ids=["placements", "factor key", "P term", "factor repeated"])
+     "psi(2) on a 2-simplex: the (2, 1) placements are not permutations with distinct face slots"),
+    ({"barhom.homotopy.homotopy_P": lambda ctx, sigma: _P_with_its_first_term_changed(ctx, sigma, _without_its_pillar)},
+     "psi(1) on a 1-simplex: a term of P holds no level-1 pillar"),
+    ({"barhom.homotopy.homotopy_P":
+      lambda ctx, sigma: _P_with_its_first_term_changed(ctx, sigma, _with_an_entry_above_its_level)},
+     "psi(1) on a 1-simplex: an entry of P lies above level 1"),
+    ({"barhom.words.TowerAlgebra.conj": _conj_flattening_x_2},
+     "psi(2) on a 2-simplex: a pushed face entry is not a level-2 conjugate"),
+], ids=["placements", "P term", "P entry above level", "tau identity"])
 def test_a_stage_failing_a_premise_fails_the_count_certificate(monkeypatch, mutants, premise):
-    # killed by the certificate of psi_counts: the stages below the top are
-    # memoized first, so the top stage's certificate meets the mutant, and
-    # raises where a correction's raw terms would repeat or might
+    # killed by the level certificate of psi_counts, at the first dimension
+    # whose P, pushed faces or placement table the mutant reaches; each
+    # mutant breaks one premise, on a fresh tower, whose contexts and codes
+    # are built under the mutant
     base = FreeGroup(5)
     sigma = tuple(base.gens())
-    tower = MitosisTower(base)
-    assert homotopy.psi_counts(tower, sigma) == (9732, 3613)
+    assert homotopy.psi_counts(MitosisTower(base), sigma) == (9732, 3613)
     for target, mutant in mutants.items():
         monkeypatch.setattr(target, mutant)
-    with pytest.raises(ChainError, match=f"^psi\\(5\\) on a 5-simplex: {re.escape(premise)}$"):
-        homotopy.psi_counts(tower, sigma)
+    with pytest.raises(ChainError, match=f"^{re.escape(premise)}$"):
+        homotopy.psi_counts(MitosisTower(base), sigma)
 
 
 _psi = MitosisTower.psi
@@ -856,19 +840,18 @@ def test_coded_mul_caching_a_raise_fails_the_tower_memo_test(monkeypatch):
         test_homotopy.test_tower_mul_memo_agrees_with_a_fresh_algebra()
 
 
-def _degenerate_norm_skipping_the_first_entry(e, simplices, coeffs):
-    return sum(map(abs, itertools.compress(coeffs, (e in s[1:] for s in simplices))))
+def _count_degenerate_skipping_the_first_entry(alg, chain):
+    return sum(abs(c) for s, c in chain if alg.identity in s[1:])
 
 
 def test_degeneracy_filter_skipping_the_first_entry_fails_the_count_gates(monkeypatch, capsys):
     # killed by tests/test_cli.py::test_count_pass (q) and test_count_phi (c):
-    # the terms of P and of the correction factors of psi(3) that hold the
-    # identity in their first entry alone weigh 7, 1 and 5, and the factors'
-    # count once per placement, so the mutant's q(3) is 55 - 33
+    # the terms of P_1, P_2 and P_3 that hold the identity in their first
+    # entry alone weigh 1, 3 and 7, so the mutant's q(3) is 10 + 6 * 0 +
+    # 4 * 2 = 55 - 37
     test_cli.test_count_pass(capsys)
     test_cli.test_count_phi(capsys)
-    for module in (moore, shuffles):
-        monkeypatch.setattr(module, "degenerate_norm", _degenerate_norm_skipping_the_first_entry)
+    monkeypatch.setattr(homotopy, "count_degenerate", _count_degenerate_skipping_the_first_entry)
     for test in (test_cli.test_count_pass, test_cli.test_count_phi):
         with pytest.raises(AssertionError):
             test(capsys)

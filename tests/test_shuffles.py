@@ -17,7 +17,6 @@ from barhom.shuffles import (
     edgewise_composite,
     ez,
     mult_map,
-    shuffle_norms,
     shuffle_placements,
     shuffle_table,
     shuffle_terms,
@@ -413,32 +412,6 @@ def test_shuffle_terms_are_the_raw_terms_in_order():
             assert count == len(terms)
             # both streams are exhausted together
             assert next(keys, None) is None and next(coeffs, None) is None
-
-def _factor_cases(rng):
-    """``(a, tau)`` for every (p, q) up to (4, 3): a of C3 simplices, some
-    holding the identity 0, with coefficients in +-1, +-2, +-3, and tau
-    without the identity and with it."""
-    for p, q in itertools.product(range(5), range(4)):
-        a = Chain(p)
-        for _ in range(rng.randrange(0, 7)):
-            a.add_term(tuple(C3.sample(rng) for _ in range(p)), rng.choice((-3, -2, -1, 1, 2, 3)))
-        for holds_e in ((False, True) if q else (False,)):
-            tau = tuple(rng.choice((1, 2)) for _ in range(q))
-            if holds_e:
-                at = rng.randrange(q)
-                tau = tau[:at] + (C3.identity,) + tau[at + 1:]
-            yield a, tau
-
-
-def test_shuffle_norms_are_the_sums_over_the_raw_terms():
-    e = C3.identity
-    for a, tau in _factor_cases(random.Random(30)):
-        for scale in (1, -1):
-            keys, coeffs, count = shuffle_terms(a, Chain.of(tau), scale)
-            terms = list(zip(keys, coeffs))
-            assert len(terms) == count
-            assert shuffle_norms(a, tau, e) == (
-                sum(abs(c) for _, c in terms), sum(abs(c) for s, c in terms if e in s))
 
 
 def test_shuffle_placements_transpose_the_table_once():
