@@ -4,9 +4,10 @@
 
 * ``theorem45``: the cylinder-homotopy identity (dP + Pd) = ed(f,g) - ed(h,k)
   over the concrete instance ``(G x G) x Z_N``, exhaustive to dimension 3 and
-  sampled in dimension 4; a 4-simplex drawn again is not checked again,
+  sampled in dimension 4; a 4-simplex drawn again is not checked again, and
+  P of each distinct simplex, checked or met as a face, is built once,
 * ``cylinder_lemma``: the cylinder boundary formula on random compatible
-  cylinders,
+  cylinders; a cylinder drawn again is not checked again,
 * ``psi_identity``: the tower identity (d psi + psi d)(sigma) = sigma - [e,...,e]
   on the generic simplex,
 * ``chain_maps``: dd = 0, the simplicial identities, the projection as a chain
@@ -109,32 +110,35 @@ def theorem45(group: Group, modulus: int, maxdim: int, samples: int,
     simplex of dim <= min(maxdim, EXHAUSTIVE_DIM), then ``samples`` random 4-simplices
     if maxdim >= 4.  All ``samples`` draws are made, and the report counts
     draws, but a simplex drawn again is not checked again: its residual is
-    a function of the simplex.  An infinite group is a ``ValueError``,
-    raised before any work."""
+    a function of the simplex.  The draws come before the sweep, which reads
+    no rng, so every face a check will meet is known first: P of each
+    distinct simplex, checked or met as a face, is built once, and a checked
+    simplex keeps its P only if a later check meets it as a face.  An
+    infinite group is a ``ValueError``, raised before any work."""
     if not group.finite:
         raise ValueError(f"theorem45 enumerates the group, and {group.name} is infinite")
     inst = VerificationInstance(group, modulus)
     ctx = instance_context(inst)
-    face_P: dict = {}   # P of the proper faces met, kept for this context
     elements = tuple(group.elements())
     for x in elements:
         if not inst.relation_holds(x):
             raise CheckFailure(
                 f"instance relation fails at {json.dumps(group.entry_to_json(x), sort_keys=True)}")
     emit(f"instance relation holds on {group.name}")
-    for m in range(min(maxdim, EXHAUSTIVE_DIM) + 1):
+    drawn = dict.fromkeys(random_simplex(group, 4, rng) for _ in range(samples)) if maxdim >= 4 else {}
+    exhaustive = range(min(maxdim, EXHAUSTIVE_DIM) + 1)
+    checked = itertools.chain(*(itertools.product(elements, repeat=m) for m in exhaustive), drawn)
+    # every face a check will meet, marked None until its P is built
+    face_P = dict.fromkeys(itertools.chain.from_iterable(boundary(group, Chain.of(s)).terms for s in checked))
+    for m in exhaustive:
         for sigma in itertools.product(elements, repeat=m):
             _require_zero(ctx.entries, theorem_identity_residual(ctx, sigma, face_P),
                           f"theorem45 residual at dim {m}")
         emit(f"theorem45 identity exhaustive dim {m} ({len(elements) ** m} simplices)")
     if maxdim >= 4:
-        seen = set()   # the residual depends on sigma alone: check each once
-        for _ in range(samples):
-            sigma = random_simplex(group, 4, rng)
-            if sigma not in seen:
-                seen.add(sigma)
-                _require_zero(ctx.entries, theorem_identity_residual(ctx, sigma, face_P),
-                              "theorem45 residual at dim 4")
+        for sigma in drawn:
+            _require_zero(ctx.entries, theorem_identity_residual(ctx, sigma, face_P),
+                          "theorem45 residual at dim 4")
         emit(f"theorem45 identity randomized dim 4 ({samples} samples)")
 
 
@@ -153,12 +157,17 @@ def cylinder_boundary_rhs(group: Group, top: tuple, bottom: tuple, pillars: tupl
 
 def cylinder_lemma(group: Group, maxdim: int, samples: int, rng: random.Random, emit=_quiet) -> None:
     """The cylinder boundary formula on ``samples`` random compatible
-    cylinders of dims 0..maxdim."""
+    cylinders of dims 0..maxdim.  All ``samples`` draws are made, and the
+    report counts draws, but a cylinder drawn again is not checked again:
+    the check is a function of ``(top, bottom, pillars)``."""
+    seen = set()
     for _ in range(samples):
         dim = rng.randrange(0, maxdim + 1)
-        top, bottom, pillars = random_compatible(group, dim, rng)
-        if boundary(group, cyl(group, top, bottom, pillars)) != cylinder_boundary_rhs(group, top, bottom, pillars):
-            raise CheckFailure(f"cylinder boundary formula fails at dim {dim}")
+        case = random_compatible(group, dim, rng)
+        if case not in seen:
+            seen.add(case)
+            if boundary(group, cyl(group, *case)) != cylinder_boundary_rhs(group, *case):
+                raise CheckFailure(f"cylinder boundary formula fails at dim {dim}")
     emit(f"cylinder boundary lemma on {samples} random compatible cylinders")
 
 

@@ -428,18 +428,19 @@ def verify_identity(
 def theorem_identity_residual(ctx: HomotopyContext, sigma: tuple, face_P: dict) -> Chain:
     """Residual of the cylinder-homotopy identity for one context and simplex.
 
-    P of sigma itself is built afresh; P of its faces is kept in ``face_P``,
-    a dict the caller keeps for one context, so each distinct proper face is
-    built once per dict.
+    P of its faces is kept in ``face_P``, a dict the caller keeps for one
+    context, so each distinct proper face is built once per dict.  P of
+    sigma itself is kept only if the dict already holds sigma with the value
+    None: the caller's mark for a simplex it will meet again as a face.
     """
     top = len(sigma)
 
     def P(s):
-        if len(s) == top:
-            return homotopy_P(ctx, s)
         chain = face_P.get(s)
         if chain is None:
-            chain = face_P[s] = homotopy_P(ctx, s)
+            chain = homotopy_P(ctx, s)
+            if len(s) < top or s in face_P:
+                face_P[s] = chain
         return chain
 
     lhs = lambda s: edgewise(ctx.f, ctx.g, Chain.of(s))

@@ -26,7 +26,8 @@ coefficient that reaches zero pops its simplex, so a simplex added again later
 moves to the end and the iteration order of a result is fixed by the order of
 the additions.  ``add_term`` checks one term's dimension first.  Every
 accumulation kernel feeds its raw terms to ``add_terms`` in a fixed order:
-``boundary`` (the faces, built column by column), ``Chain.add_chain``,
+``boundary`` (the faces of each simplex in turn on a chain of fewer than
+``SMALL_CHAIN`` terms, else built column by column), ``Chain.add_chain``,
 ``pushforward``, ``shuffles.edgewise`` and ``cylinder.cyl_chain``.  So a
 kernel's result is, in order, that of ``add_term`` on its raw terms;
 ``project`` only filters, as nothing cancels.  A tower stage's raw terms
@@ -181,6 +182,13 @@ def is_degenerate(alg, simplex: BarSimplex) -> bool:
     return alg.identity in simplex
 
 
+# the fewest terms for which boundary builds columns.  Timed per call by
+# timeit over 1-16 terms in dims 2-6, on cyclic7, sym3 and coded sym3 (2-core
+# x86-64 VM), the per-simplex sum takes 0.3-0.6 of the column time on one
+# term and breaks even at 6-7 terms in dims 5-6 and at 8-9 in dims 2-4
+SMALL_CHAIN = 7
+
+
 def boundary(alg, chain: Chain) -> Chain:
     """Alternating sum of faces, extended linearly; zero in dimension 0.
 
@@ -190,11 +198,25 @@ def boundary(alg, chain: Chain) -> Chain:
     simplex and signed from one row per distinct coefficient, they go to
     ``Chain.add_terms``, so the terms, and their order, are those of summing
     ``face`` through ``add_term``, with no Python frame per simplex.
+
+    The column build has a fixed cost of a few microseconds, so a chain of
+    fewer than ``SMALL_CHAIN`` terms instead lists each simplex's faces in
+    turn, by ``face``'s rule written inline, and sums the same terms in the
+    same order.
     """
     n = chain.dim
     out = Chain(max(n - 1, 0))
     if n < 2 or not chain.terms:
         # in dim 1 the two faces of each simplex are both () and cancel
+        return out
+    if len(chain.terms) < SMALL_CHAIN:
+        mul, terms = alg.mul, []
+        for s, c in chain.terms.items():
+            terms.append((s[1:], c))
+            for i in range(1, n):
+                terms.append((s[: i - 1] + (mul(s[i - 1], s[i]),) + s[i + 1 :], -c if i & 1 else c))
+            terms.append((s[:-1], -c if n & 1 else c))
+        out.add_terms(terms)
         return out
     cols = list(zip(*chain.terms))
     faces = [zip(*cols[1:])]

@@ -61,6 +61,12 @@ GATES = [
     # dim 3, then 500 draws from 20,736 4-simplices, which rarely repeat
     Gate(("verify", "--suite", "theorem45", "--group", "cyclic2*sym3", "--maxdim", "4",
           "--samples", "500", "--seed", "1")),
+    # 8,421 simplices exhaustively to dim 3, then 50 draws: P of each
+    # distinct simplex is built once, and a 3-simplex keeps its P only if a
+    # draw meets it as a face.  About 1.7 s and 18 MB on a 2-core x86-64 VM;
+    # a theorem45 that keeps every exhaustive top peaks at 45 MB and fails
+    Gate(("verify", "--suite", "theorem45", "--group", "cyclic20", "--maxdim", "4", "--samples", "50"),
+         peak_mb=25),
     # the 317 MB document is streamed: the process peaks at 80 MB or less,
     # and the --out file holds the golden bytes
     Gate(("expand", "--op", "psi", "--dim", "6", "--out", "psi6.json"), peak_mb=80, sha256=PSI_6_SHA256),

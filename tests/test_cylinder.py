@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from barhom import checks, moore
 from barhom.checks import cylinder_boundary_rhs, cylinder_lemma, random_compatible
 from barhom.cylinder import (
     IncompatiblePillars,
@@ -151,6 +152,50 @@ def test_face_compatibility(group):
 @pytest.mark.parametrize("group", [C3, SymmetricGroup(3)], ids=str)
 def test_cylinder_boundary_lemma(group):
     cylinder_lemma(group, maxdim=4, samples=60, rng=random.Random(13))
+
+
+def test_cylinder_lemma_reaches_the_column_path(monkeypatch):
+    # the other lemma runs stop at maxdim 4, whose cylinders have at most 5
+    # terms, so their boundaries take only the per-simplex path; cylinders
+    # of dim 7-9 take the column path
+    sizes, real = [], checks.boundary
+    monkeypatch.setattr(checks, "boundary", lambda alg, chain: sizes.append(len(chain)) or real(alg, chain))
+    cylinder_lemma(SymmetricGroup(3), maxdim=9, samples=40, rng=random.Random(9))
+    assert min(sizes) < moore.SMALL_CHAIN <= max(sizes)
+
+
+def test_a_repeated_draw_cannot_hide_a_failing_cylinder(monkeypatch, capsys):
+    from barhom.cli import main
+
+    # the verify defaults: 200 draws of dims 0-3 on cyclic3 with seed 0; the
+    # case first drawn last comes after many repeats of the others, and some
+    # distinct cases differ only in their pillars
+    group, maxdim, samples = C3, 3, 200
+    rng, drawn = random.Random(0), []
+    for _ in range(samples):
+        drawn.append(random_compatible(group, rng.randrange(0, maxdim + 1), rng))
+    distinct = list(dict.fromkeys(drawn))
+    bad = distinct[-1]
+    assert drawn.index(bad) - distinct.index(bad) >= 10
+    assert len({(top, bottom) for top, bottom, _ in distinct}) < len(distinct)
+    assert main(["verify", "--suite", "cylinder"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"ok cylinder boundary lemma on {samples} random compatible cylinders"
+    real_rhs, checked = checks.cylinder_boundary_rhs, []
+
+    def rhs(alg, top, bottom, pillars):
+        checked.append((top, bottom, pillars))
+        chain = real_rhs(alg, top, bottom, pillars)
+        if (top, bottom, pillars) == bad:
+            chain.add_term(top, 1)
+        return chain
+
+    monkeypatch.setattr(checks, "cylinder_boundary_rhs", rhs)
+    with pytest.raises(checks.CheckFailure, match=f"^cylinder boundary formula fails at dim {len(bad[0])}$"):
+        checks.cylinder_lemma(group, maxdim, samples, random.Random(0))
+    # each distinct draw before it was checked once, and it failed at its first draw
+    assert checked == distinct
+    assert main(["verify", "--suite", "cylinder"]) == 1
+    assert capsys.readouterr().out.splitlines()[-2] == f"FAIL cylinder: cylinder boundary formula fails at dim {len(bad[0])}"
 
 
 @given(st.integers(0, 4), st.randoms(use_true_random=False))

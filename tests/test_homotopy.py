@@ -1091,13 +1091,13 @@ def test_homotopy_P_accumulates_like_add_term(name):
 
 
 @pytest.mark.parametrize("group", [CyclicGroup(3), SymmetricGroup(3)], ids=lambda g: g.name)
-def test_theorem45_builds_P_once_per_distinct_proper_face(group, monkeypatch):
+def test_theorem45_builds_P_once_per_distinct_simplex(group, monkeypatch):
     from collections import Counter
 
     from barhom import homotopy
 
     real_P, real_residual = homotopy.homotopy_P, checks.theorem_identity_residual
-    built, checked, dicts = [], [], set()
+    built, checked, dicts = [], [], {}
 
     def counted_P(ctx, sigma):
         built.append(sigma)
@@ -1105,7 +1105,7 @@ def test_theorem45_builds_P_once_per_distinct_proper_face(group, monkeypatch):
 
     def residual(ctx, sigma, face_P):
         checked.append(sigma)
-        dicts.add(id(face_P))
+        dicts[id(face_P)] = face_P
         return real_residual(ctx, sigma, face_P)
 
     monkeypatch.setattr(homotopy, "homotopy_P", counted_P)
@@ -1121,20 +1121,28 @@ def test_theorem45_builds_P_once_per_distinct_proper_face(group, monkeypatch):
     exhaustive = [s for m in range(4) for s in itertools.product(group.elements(), repeat=m)]
     assert Counter(checked) == Counter(exhaustive) + Counter(set(drawn))
     order = len(list(group.elements()))
-    # P is applied to the faces that survive in the boundary of each simplex
+    # P is applied to each checked simplex and to the faces that survive in
+    # its boundary; the 3-faces of the draws are exhaustive tops too
     faces = set()
     for sigma in checked:
         faces.update(boundary(group, Chain.of(sigma)).terms)
     assert 0 < len(faces) <= sum(order ** m for m in range(4))
-    # P of each checked simplex is built afresh, P of each distinct face once
-    assert Counter(built) == Counter(checked) + Counter(faces)
-    assert len(dicts) == 1
+    three_faces = {f for f in faces if len(f) == 3}
+    assert three_faces and three_faces <= set(checked)
+    # P of each distinct simplex, checked or met as a face, is built once
+    assert Counter(built) == Counter(set(checked) | faces)
+    # the face dict holds P of the faces met and of nothing else
+    (face_P,) = dicts.values()
+    assert set(face_P) == faces and None not in face_P.values()
+    if group.name == "sym3":
+        # some exhaustive 3-simplex is met by no draw, so it is not kept
+        assert len(three_faces) < order ** 3
     # the face dict lives for one theorem45 call, so the next call builds
-    # its faces again
+    # every P again
     built.clear()
     checked.clear()
     checks.theorem45(group, 5, maxdim=2, samples=1, rng=random.Random(3))
-    assert len(built) == len(checked) + len({f for s in checked for f in boundary(group, Chain.of(s)).terms})
+    assert Counter(built) == Counter(checked) == Counter(exhaustive[:1 + order + order ** 2])
     assert len(dicts) == 2
 
 

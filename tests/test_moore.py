@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from barhom import moore
 from barhom.groups import CyclicGroup, DirectProduct, FreeGroup, SymmetricGroup
 from barhom.homotopy import MitosisTower, formal_context, homotopy_P, instance_context
 from barhom.moore import (
@@ -220,6 +221,45 @@ def test_boundary_kernel_orders_a_re_added_face_last():
     # d of a 1-simplex cancels to the zero 0-chain, and d of a 0-chain is zero
     _same_terms_in_order(boundary(C3, Chain(1, {(1,): 3, (2,): -1})), Chain(0))
     _same_terms_in_order(boundary(C3, Chain(0, {(): 4})), Chain(0))
+
+
+def _chain_of_size(pool, dim, size, rng):
+    """A dim-chain over the pool with ``size`` terms, or with every simplex
+    over the pool if there are fewer."""
+    chain = Chain(dim)
+    while len(chain) < min(size, len(pool) ** dim):
+        chain.add_term(tuple(rng.choice(pool) for _ in range(dim)), rng.choice((-2, -1, 1, 2)))
+    return chain
+
+
+def _instance_pool():
+    ctx = instance_context(VerificationInstance(C3, 5))
+    return ctx.entries, [ctx.entries.identity, ctx.m(0), ctx.m(1), ctx.f(2), ctx.h(1)]
+
+
+SMALL_PATH_CASES = {
+    "cyclic3": lambda: (C3, list(C3.elements())),
+    "sym3": lambda: (SymmetricGroup(3), list(SymmetricGroup(3).elements())),
+    "instance[cyclic3,5]": _instance_pool,
+}
+
+
+@pytest.mark.parametrize("name", list(SMALL_PATH_CASES))
+def test_small_chain_path_equals_the_column_path(name, monkeypatch):
+    # chains of 1-12 terms in dims 0-6, each through the per-simplex path,
+    # the column path and the shipped threshold, whichever path that picks
+    alg, pool = SMALL_PATH_CASES[name]()
+    threshold, sizes, rng = moore.SMALL_CHAIN, set(), random.Random(7)
+    for dim in range(7):
+        for size in range(1, 13):
+            chain = _chain_of_size(pool, dim, size, rng)
+            sizes.add(len(chain))
+            want = reference_boundary(alg, chain)
+            for limit in (len(chain) + 1, len(chain), threshold):
+                monkeypatch.setattr(moore, "SMALL_CHAIN", limit)
+                _same_terms_in_order(moore.boundary(alg, chain), want)
+    # the cases straddle the shipped threshold
+    assert sizes == set(range(1, 13)) and 1 < threshold <= 12
 
 
 def test_chain_sum_keeps_the_order_of_add_term():

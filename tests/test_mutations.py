@@ -18,15 +18,17 @@ import pytest
 from barhom import checks, cli, cylinder, groups, homotopy, moore, quintuple, shuffles, words
 from barhom.cli import main
 from barhom.cylinder import IncompatiblePillars
-from barhom.groups import CodedAlgebra, CyclicGroup, FreeGroup, parse_group
+from barhom.groups import CodedAlgebra, CyclicGroup, FreeGroup, SymmetricGroup, parse_group
 from barhom.homotopy import MitosisTower
 from barhom.moore import Chain, ChainError, chain_payload, chain_to_json, pushforward
 from barhom.quintuple import NonNormalizable, Quintuple, QuintupleAlgebra, VerificationInstance, instance_eval
-from barhom.words import Conjugated, PillarWord, TowerAlgebra
+from barhom.words import Conjugated, PillarWord, TowerAlgebra, value_level
 
 import test_cli
 import test_cli_fuzz
+import test_cylinder
 import test_homotopy
+import test_moore
 import test_shuffles
 import test_words
 from test_cli import EXPAND_SHA256, _expand_argv, _expand_psi_3_with_short_writes
@@ -755,12 +757,21 @@ def test_verify_without_its_size_refusals_fails_the_cli_fuzzer(monkeypatch, tmp_
 
 def test_parse_group_without_its_degree_cap_fails_the_cli_fuzzer(monkeypatch, tmp_path, fresh_shuffle_table):
     # killed by tests/test_cli_fuzz.py::test_every_case_keeps_the_cli_contract:
-    # the first case over sym1000000 runs past its deadline
-    assert test_cli_fuzz.run_cases(tmp_path)[0] is None
+    # no case meets the degree-cap refusal.  The one verify case over
+    # sym1000000 that parses enumerates 171 of its elements before
+    # theorem45's term cap refuses it, close to the deadline on a 2-core
+    # x86-64 VM, so it either runs past the deadline or ends in that refusal
+    test_cli_fuzz.test_every_case_keeps_the_cli_contract(tmp_path)
     monkeypatch.setattr(groups, "SYM_DEGREE_MAX", 10 ** 9)
-    (argv, reason), _ = test_cli_fuzz.run_cases(tmp_path)
-    assert "sym1000000" in argv
-    assert reason == f"past its {test_cli_fuzz.DEADLINE_S} s deadline"
+    broken, refusals = test_cli_fuzz.run_cases(tmp_path)
+    if broken is not None:
+        argv, reason = broken
+        assert "sym1000000" in argv and reason == f"past its {test_cli_fuzz.DEADLINE_S} s deadline"
+    else:
+        assert ("verify", "error: term cap exceeded: theorem45 enumerates sym1000000^3, "
+                          "more than 5000000 simplices") in refusals
+    with pytest.raises(AssertionError):
+        test_cli_fuzz.test_every_case_keeps_the_cli_contract(tmp_path)
 
 
 def test_argparse_own_error_fails_the_usage_error_table(monkeypatch, capsys, tmp_path):
@@ -855,3 +866,95 @@ def test_degeneracy_filter_skipping_the_first_entry_fails_the_count_gates(monkey
     for test in (test_cli.test_count_pass, test_cli.test_count_phi):
         with pytest.raises(AssertionError):
             test(capsys)
+
+
+def _cylinder_lemma_keyed_without_pillars(group, maxdim, samples, rng, emit=checks._quiet):
+    # the seen-set keyed on top and bottom alone
+    seen = set()
+    for _ in range(samples):
+        dim = rng.randrange(0, maxdim + 1)
+        case = checks.random_compatible(group, dim, rng)
+        if case[:2] not in seen:
+            seen.add(case[:2])
+            if checks.boundary(group, checks.cyl(group, *case)) != checks.cylinder_boundary_rhs(group, *case):
+                raise checks.CheckFailure(f"cylinder boundary formula fails at dim {dim}")
+    emit(f"cylinder boundary lemma on {samples} random compatible cylinders")
+
+
+def test_cylinder_seen_set_without_the_pillars_fails_the_repeated_draw_test(monkeypatch, capsys):
+    # killed by tests/test_cylinder.py::test_a_repeated_draw_cannot_hide_a_failing_cylinder:
+    # the failing case differs from an earlier draw only in its pillars, so
+    # it goes unchecked
+    test_cylinder.test_a_repeated_draw_cannot_hide_a_failing_cylinder(monkeypatch, capsys)
+    monkeypatch.undo()
+    monkeypatch.setattr(checks, "cylinder_lemma", _cylinder_lemma_keyed_without_pillars)
+    with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+        test_cylinder.test_a_repeated_draw_cannot_hide_a_failing_cylinder(monkeypatch, capsys)
+
+
+_boundary = moore.boundary
+
+
+def _boundary_with_a_small_chain_face_sign_flipped(alg, chain):
+    # the per-simplex path with the sign of each simplex's last face flipped
+    n = chain.dim
+    if n < 2 or not 0 < len(chain) < moore.SMALL_CHAIN:
+        return _boundary(alg, chain)
+    out = Chain(n - 1)
+    for s, c in chain.terms.items():
+        out.add_terms([(moore.face(alg, i, s), (-1) ** i * c) for i in range(n)] + [(s[:-1], (-1) ** (n + 1) * c)])
+    return out
+
+
+def test_small_chain_path_with_a_face_sign_flipped_fails_the_path_equality_test(monkeypatch):
+    # killed by tests/test_moore.py::test_small_chain_path_equals_the_column_path
+    test_moore.test_small_chain_path_equals_the_column_path("sym3", monkeypatch)
+    monkeypatch.undo()
+    monkeypatch.setattr(moore, "boundary", _boundary_with_a_small_chain_face_sign_flipped)
+    with pytest.raises(AssertionError):
+        test_moore.test_small_chain_path_equals_the_column_path("sym3", monkeypatch)
+
+
+_theorem_identity_residual = checks.theorem_identity_residual
+
+
+def _residual_keeping_every_exhaustive_top(ctx, sigma, face_P):
+    # every exhaustive top marked to keep its P, met as a face later or not
+    if len(sigma) <= checks.EXHAUSTIVE_DIM:
+        face_P.setdefault(sigma, None)
+    return _theorem_identity_residual(ctx, sigma, face_P)
+
+
+def test_theorem45_keeping_every_exhaustive_top_fails_the_P_once_test(monkeypatch):
+    # killed by tests/test_homotopy.py::test_theorem45_builds_P_once_per_distinct_simplex[sym3],
+    # whose draws meet only some of sym3's 216 3-simplices; the verify row
+    # of tests/ci_gates.py on cyclic20 sees it as a peak of about 45 MB
+    test_homotopy.test_theorem45_builds_P_once_per_distinct_simplex(SymmetricGroup(3), monkeypatch)
+    monkeypatch.undo()
+    monkeypatch.setattr(checks, "theorem_identity_residual", _residual_keeping_every_exhaustive_top)
+    with pytest.raises(AssertionError):
+        test_homotopy.test_theorem45_builds_P_once_per_distinct_simplex(SymmetricGroup(3), monkeypatch)
+
+
+_tower_mul = TowerAlgebra.mul
+
+
+def _tower_mul_raising_a_level(self, v, w):
+    # a product of two values above the base put one level too high
+    product = _tower_mul(self, v, w)
+    if value_level(v) and value_level(w) and value_level(product):
+        return product._replace(level=product.level + 1)
+    return product
+
+
+def test_tower_mul_raising_a_level_fails_the_psi_identity(monkeypatch):
+    # killed by tests/test_homotopy.py::test_psi_identity_small_levels[2-2].
+    # The level certificate of psi_counts does not see it: its premises
+    # read P's terms, which the mutant leaves unchanged, and the pushed
+    # faces, which conj builds with no product
+    test_homotopy.test_psi_identity_small_levels(2, 2)
+    monkeypatch.setattr(TowerAlgebra, "mul", _tower_mul_raising_a_level)
+    base = FreeGroup(5)
+    assert homotopy.psi_counts(MitosisTower(base), tuple(base.gens())) == (9732, 3613)
+    with pytest.raises(AssertionError):
+        test_homotopy.test_psi_identity_small_levels(2, 2)
