@@ -43,10 +43,12 @@ TERM_CAP = 5_000_000
 # a floor on the bytes one chain term takes: psi's dict at m = 8 takes about
 # 168 (expand)
 TERM_BYTES = 100
-# a floor on the bytes count takes per term of the one P it holds at a time,
+# the bytes count is charged per term of the one P it holds at a time,
 # d_cyl(dim) terms at the top: above the interpreter's 15 MB, the count of
-# psi peaks at 353 B per term of P at dim 14 (98 MB) and 351 B at dim 16
-# (389 MB), on a 2-core x86-64 VM
+# psi peaks at 308 B per term of P at dim 14 (87 MB) and 312 B at dim 16
+# (346 MB), on a 2-core x86-64 VM.  The charge stays at the 350 B measured
+# while the shuffle tables held each entry's blocks, so the memory refusal
+# is no looser than it was
 P_TERM_BYTES = 350
 # a floor on the bytes the psi identity takes per face term of its boundary,
 # (d + 1) gamma(d) at dim d: above the interpreter it peaks at 61-62 B per

@@ -13,10 +13,11 @@ The scan only ever visits the points of the (p+1) x (q+1) lattice of the
 shuffle's path: after crossing i g-components and j f-components the
 m-argument is the product of sigma[i:p+j].  ``p_cylinder_data`` therefore
 evaluates m once per lattice point and f, g, h, k once per entry, and reads
-each term off the cached shuffle table; ``homotopy_P`` is the chain cylinder
-``cylinder.cyl_chain`` over those data.  ``pillar_of_term`` runs the scan
-for one term, with the component order of the itertools-built ``shuffles``:
-it is the reference the tests hold ``p_cylinder_data`` to.
+each term off the cached ``shuffle_places`` and ``shuffle_paths`` columns;
+``homotopy_P`` is the chain cylinder ``cylinder.cyl_chain`` over those
+data.  ``pillar_of_term`` runs the scan for one term, with the component
+order of the itertools-built ``shuffles``: it is the reference the tests
+hold ``p_cylinder_data`` to.
 
 The mitosis specialization plugs in conjugation by the inverse n-th stable
 letter for both f and h, the identity for g and the trivial map for k; the
@@ -31,9 +32,10 @@ level m, where no raw term may repeat, and raises ``ChainError`` if its dict
 holds fewer keys than it summed raw terms: it is the enumerated oracle.
 ``psi_counts`` builds no psi and draws no raw term.  It builds one P per
 dimension, checks the premises of the level certificate on the codes each
-P and its pushed faces hold and on the shuffle table's placements, and
-sums the norms by the recurrence those premises prove, or raises
-``ChainError``.  The
+P and its pushed faces hold and on the ``shuffle_places`` getters, applied
+by C-level maps, and sums the norms by the recurrence those premises prove,
+or raises ``ChainError``.  Its top dimension's placement tables are read
+for the premise alone, so no lattice path is built for them.  The
 gamma, q and c recurrences depend on the dimension alone, and on the
 generic simplex raising the level only relabels: psi(L, sigma_m) =
 s_(L-m)(psi(m, sigma_m)), where the level shift s_d raises every level by
@@ -62,13 +64,14 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import namedtuple
+from operator import methodcaller
 from typing import Callable
 
 from .cylinder import cyl_chain
 from .groups import CodedAlgebra, FreeGroup, Group
 from .moore import Chain, ChainError, boundary, count_degenerate, diameter, project
 from .quintuple import QuintupleAlgebra, VerificationInstance
-from .shuffles import DimensionMismatch, edgewise, shuffle_placements, shuffle_table, shuffle_terms, shuffles
+from .shuffles import DimensionMismatch, edgewise, shuffle_paths, shuffle_places, shuffle_terms, shuffles
 from .words import Conjugated, PillarWord, TowerAlgebra, value_level
 
 
@@ -175,9 +178,9 @@ def p_cylinder_data(ctx: HomotopyContext, sigma: tuple):
         top_source = tuple(map(ctx.g, front)) + tuple(map(ctx.f, back))
         bottom_source = tuple(map(ctx.k, front)) + tuple(map(ctx.h, back))
         grid = _pillar_grid(ctx, sigma, p)
-        for rank, entry in enumerate(shuffle_table(p, n - p), start=1):
-            yield (p, n - p, rank, entry.sign, entry.place(top_source),
-                   entry.place(bottom_source), entry.path(grid))
+        signs, places = shuffle_places(p, n - p)
+        for rank, (sign, place, path) in enumerate(zip(signs, places, shuffle_paths(p, n - p)), start=1):
+            yield p, n - p, rank, sign, place(top_source), place(bottom_source), path(grid)
 
 
 def pillar_system(ctx: HomotopyContext, sigma: tuple) -> dict:
@@ -290,13 +293,17 @@ def _P_norms(tower: MitosisTower, sigma: tuple) -> tuple:
 def _placements(n: int, k: int) -> int:
     """The number of (k + 1, n - k) placements, once each ``place`` getter,
     applied to ``range(n + 1)``, is a permutation and no two put the pushed
-    face's slots on one position set."""
+    face's slots on one position set.  The getters are applied by C-level
+    maps: to ``range(n + 1)`` for the permutations, and to the face mask,
+    true at the pushed face's slots, for the position sets."""
     p = k + 1
-    slots = [place(range(n + 1)) for place in shuffle_placements(p, n - k)[1]]
-    _require(all(sorted(s) == list(range(n + 1)) for s in slots)
-             and len({tuple(i >= p for i in s) for s in slots}) == len(slots),
+    places = shuffle_places(p, n - k)[1]
+    slots = list(range(n + 1))
+    mask = (False,) * p + (True,) * (n - k)
+    _require(all(map(slots.__eq__, map(sorted, map(methodcaller("__call__", slots), places))))
+             and len(set(map(methodcaller("__call__", mask), places))) == len(places),
              n, f"the ({p}, {n - k}) placements are not permutations with distinct face slots")
-    return len(slots)
+    return len(places)
 
 
 def psi_counts(tower: MitosisTower, sigma: tuple) -> tuple:

@@ -10,15 +10,18 @@ directly through the shuffle formula.  The two code paths are independent and
 are cross-checked against each other in the tests.
 
 Every shuffle placement on the compute path (the subdivision terms, the
-cylinder data of the homotopy and the shuffle product) is driven by one
-cached table, ``shuffle_table``.  The shuffle product ``shuffle_terms``
-interleaves the entries of two simplices directly: the Eilenberg-Zilber map
-pads every slot of one factor that the other fills with the identity, and
-every entry algebra's product returns the other factor when one side is the
-identity.  ``homotopy.induct_Q`` sums its terms, and the level certificate
-of ``homotopy.psi_counts`` checks the placements they are drawn through.
-Both read the table's signs and placements through ``shuffle_placements``,
-transposed once per (p, q).
+cylinder data of the homotopy and the shuffle product) is read off two
+cached column tables: ``shuffle_places`` holds each (p,q)-shuffle's sign
+and ``place`` getter, and ``shuffle_paths`` its lattice ``path`` getter,
+built only where a cylinder reads it.  Both are built by recursion on the
+first slot, each new getter the sub-table's getter applied to one fixed
+index sequence, so no slot is placed by a Python loop.  The shuffle product
+``shuffle_terms`` interleaves the entries of two simplices directly: the
+Eilenberg-Zilber map pads every slot of one factor that the other fills
+with the identity, and every entry algebra's product returns the other
+factor when one side is the identity.  ``homotopy.induct_Q`` sums its
+terms, and the level certificate of ``homotopy.psi_counts`` checks the
+placements they are drawn through.
 
 Since B(G x H) = BG x BH, a simplex of the product space is a bar simplex of
 pairs ((x_1, y_1), ..., (x_n, y_n)), so product chains are plain ``Chain``s
@@ -29,14 +32,14 @@ bidegree and fixed total degree.  Tensor chains, ``ez``, ``aw``,
 serve only as the independent oracle the table-driven code is checked
 against.  The per-rank references (``homotopy.pillar_of_term`` and the
 tests' per-rank cylinder data) place components through ``shuffles`` too,
-so no reference reads the table it checks.
+so no reference reads the tables it checks.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from operator import itemgetter
+from operator import itemgetter, neg
 from typing import Callable, Iterator, NamedTuple
 
 from .moore import Chain, ChainError, face, pushforward
@@ -82,20 +85,6 @@ def shuffles(p: int, q: int) -> list[Shuffle]:
     return out
 
 
-class ShuffleEntry(NamedTuple):
-    """One (p,q)-shuffle as placements.  ``place`` maps the p + q source
-    entries (first block, then second block) to the shuffled simplex;
-    ``path`` picks the lattice points the shuffle walks through from the
-    row-major (p+1) x (q+1) grid, where a first-block slot steps down a row
-    and a second-block slot steps along a column."""
-
-    first: tuple
-    second: tuple
-    sign: int
-    place: Callable
-    path: Callable
-
-
 def _getter(indices: tuple) -> Callable:
     """``itemgetter`` that always returns a tuple."""
     if len(indices) >= 2:
@@ -103,40 +92,52 @@ def _getter(indices: tuple) -> Callable:
     return lambda seq: tuple(seq[i] for i in indices)
 
 
-def _entry(p: int, q: int, first: tuple, sign: int) -> ShuffleEntry:
-    n = p + q
-    chosen = set(first)
-    second = tuple(v for v in range(1, n + 1) if v not in chosen)
-    source = [0] * n
-    for i, pos in enumerate(first):
-        source[pos - 1] = i
-    for j, pos in enumerate(second):
-        source[pos - 1] = p + j
-    point, path = 0, [0]
-    for src in source:
-        point += q + 1 if src < p else 1
-        path.append(point)
-    return ShuffleEntry(first, second, sign, _getter(tuple(source)), _getter(tuple(path)))
-
-
 @lru_cache(maxsize=None)
-def shuffle_table(p: int, q: int) -> tuple[ShuffleEntry, ...]:
-    """All (p,q)-shuffles in dictionary order, built on first use.
+def shuffle_places(p: int, q: int) -> tuple:
+    """``(signs, places)`` of all (p,q)-shuffles in dictionary order, built
+    on first use.  A ``place`` getter maps the p + q source entries (first
+    block, then second block) to the shuffled simplex.
 
     Built by recursion on the first slot, apart from ``shuffles``: the
     shuffles whose first slot holds the first block's head come first, each
-    a (p-1,q)-shuffle shifted right; then those whose first slot holds the
-    second block's head, which moves it past p entries (sign (-1)^p)."""
+    a (p-1,q)-shuffle of the entries after it; then those whose first slot
+    holds the second block's head, which moves it past p entries (sign
+    (-1)^p), each a (p,q-1)-shuffle of the others.  A place is its
+    sub-table's place applied to the indices of those entries."""
+    if p < 0 or q < 0:
+        raise ValueError("p and q must be nonnegative")
+    n = p + q
+    if p == 0 or q == 0:
+        return (1,), (_getter(tuple(range(n))),)
+    head_signs, heads = shuffle_places(p - 1, q)
+    tail_signs, tails = shuffle_places(p, q - 1)
+    if p % 2:
+        tail_signs = tuple(map(neg, tail_signs))
+    shift = tuple(range(p)) + tuple(range(p + 1, n))
+    places = [_getter((0,) + place(range(1, n + 1))) for place in heads]
+    places += [_getter((p,) + place(shift)) for place in tails]
+    return head_signs + tail_signs, tuple(places)
+
+
+@lru_cache(maxsize=None)
+def shuffle_paths(p: int, q: int) -> tuple:
+    """The ``path`` getters of all (p,q)-shuffles, in ``shuffle_places``'
+    order, built on first use.  A path picks the lattice points the shuffle
+    walks through from the row-major (p+1) x (q+1) grid, where a first-block
+    slot steps down a row and a second-block slot steps along a column.
+
+    By the same recursion: a head path steps down, then walks its
+    sub-table's path one row lower; a tail path steps along, then walks its
+    sub-table's path on the (p+1) x q grid one column to the right."""
     if p < 0 or q < 0:
         raise ValueError("p and q must be nonnegative")
     if p == 0 or q == 0:
-        return (_entry(p, q, tuple(range(1, p + 1)), 1),)
-    head = [
-        ((1,) + tuple(v + 1 for v in e.first), e.sign) for e in shuffle_table(p - 1, q)
-    ]
-    koszul = -1 if p % 2 else 1
-    tail = [(tuple(v + 1 for v in e.first), koszul * e.sign) for e in shuffle_table(p, q - 1)]
-    return tuple(_entry(p, q, first, sign) for first, sign in head + tail)
+        return (_getter(tuple(range(p + q + 1))),)
+    down = range(q + 1, (p + 1) * (q + 1))
+    along = tuple(row * (q + 1) + col for row in range(p + 1) for col in range(1, q + 1))
+    paths = [_getter((0,) + path(down)) for path in shuffle_paths(p - 1, q)]
+    paths += [_getter((0,) + path(along)) for path in shuffle_paths(p, q - 1)]
+    return tuple(paths)
 
 
 # -- tensor chains and the classical maps ---------------------------------------
@@ -221,21 +222,13 @@ def tensor_of_chains(a: Chain, b: Chain) -> TensorChain:
     return out
 
 
-@lru_cache(maxsize=None)
-def shuffle_placements(p: int, q: int) -> tuple:
-    """``(signs, places)``: the signs and the ``place`` getters of
-    ``shuffle_table(p, q)`` in table order, transposed once per (p, q)."""
-    _, _, signs, places, _ = zip(*shuffle_table(p, q))
-    return signs, places
-
-
 def shuffle_terms(a: Chain, b: Chain, scale: int = 1) -> tuple:
     """The raw terms of ``scale * (a shuffle b)``, in the order tau, sigma,
-    then ``shuffle_table``'s placements, as ``(keys, coeffs, count)``: two
+    then ``shuffle_places``' placements, as ``(keys, coeffs, count)``: two
     C-level iterators and their length; their sum is ``scale *
     mult_map(ez(tensor_of_chains(a, b)))``.  Per tau the sources sigma + tau
     are ``tee``'d, never listed; per distinct coefficient one signed row."""
-    signs, places = shuffle_placements(a.dim, b.dim)
+    signs, places = shuffle_places(a.dim, b.dim)
     sigmas, cas = a.terms.keys(), a.terms.values()
 
     def keys(tau):
@@ -263,8 +256,8 @@ def ed_terms(f: Callable, g: Callable, sigma: tuple) -> Iterator[tuple]:
     n = len(sigma)
     for p in range(n + 1):
         source = tuple(map(g, sigma[:p])) + tuple(map(f, sigma[p:]))
-        for rank, entry in enumerate(shuffle_table(p, n - p), start=1):
-            yield p, n - p, rank, entry.sign, entry.place(source)
+        for rank, (sign, place) in enumerate(zip(*shuffle_places(p, n - p)), start=1):
+            yield p, n - p, rank, sign, place(source)
 
 
 def edgewise(f: Callable, g: Callable, chain: Chain) -> Chain:

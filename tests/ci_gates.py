@@ -95,9 +95,10 @@ GATES = [
     # so a cap that admits them is refused before P is built
     Gate(("count", "--op", "psi", "--dim", "24", "--cap", "10000000000"), **REFUSAL),
     # gamma(16) = 271,098,388,781,049,088 and q(16) = 100,722,984,316,460,322,
-    # the largest certified count: about 9.5 s and 389 MB on a 2-core x86-64
-    # VM, with P_16's 1,114,112 terms held
-    Gate(("count", "--op", "psi", "--dim", "16"), peak_mb=450),
+    # the largest certified count: about 5.2 s and 346 MB on a 2-core x86-64
+    # VM, with P_16's 1,114,112 terms held (389 MB while each shuffle-table
+    # entry held its blocks)
+    Gate(("count", "--op", "psi", "--dim", "16"), peak_mb=380),
     # psi at level 8 is over the term cap on gamma(8), and theorem45 on
     # cyclic100000 would enumerate 10^10 2-simplices: each is refused before
     # anything is built

@@ -4,6 +4,7 @@ import random
 import re
 import weakref
 from math import comb
+from operator import itemgetter
 
 import pytest
 
@@ -35,6 +36,8 @@ from barhom.shuffles import (
     edgewise,
     ez,
     mult_map,
+    shuffle_paths,
+    shuffle_places,
     shuffle_terms,
     shuffles,
     tensor_of_chains,
@@ -933,6 +936,74 @@ def test_the_count_reads_degeneracy_off_one_P_per_dimension(monkeypatch):
     monkeypatch.setattr(homotopy, "count_degenerate", counting)
     assert psi_counts(tower, tuple(base.gens())) == (gamma(6), q_count(6))
     assert seen == [d_cyl(n) for n in range(1, 7)] and sum(seen) == 768
+
+
+def _per_slot_premise(n, k, places):
+    """The placement premise of the level certificate slot by slot, one
+    generator expression per placement: the reference ``_placements`` is
+    held to."""
+    p = k + 1
+    slots = [place(range(n + 1)) for place in places]
+    return (all(sorted(s) == list(range(n + 1)) for s in slots)
+            and len({tuple(i >= p for i in s) for s in slots}) == len(slots))
+
+
+def _swapped(place, n, i, j):
+    # the placement with its slots holding source entries i and j exchanged
+    slots = list(place(range(n + 1)))
+    a, b = slots.index(i), slots.index(j)
+    slots[a], slots[b] = slots[b], slots[a]
+    return itemgetter(*slots)
+
+
+def _premise_tables(n, k):
+    """``(places, holds)``: the (k + 1, n - k) table and four tables that
+    change one placement, with whether the premise holds for each."""
+    p = k + 1
+    places = shuffle_places(p, n - k)[1]
+    last = places[-1](range(n + 1))
+    return [
+        (places, True),
+        # two first-block entries exchanged: the same position set
+        (places[:-1] + (_swapped(places[-1], n, 0, 1),), True),
+        # a first-block and a face entry exchanged: another placement's set
+        (places[:-1] + (_swapped(places[-1], n, 0, p),), False),
+        # the second placement replaced by the first
+        (places[:1] * 2 + places[2:], False),
+        # the last slot a copy of the first: no permutation
+        (places[:-1] + (itemgetter(*last[:-1] + last[:1]),), False),
+    ]
+
+
+def test_placements_premise_matches_the_per_slot_check(monkeypatch):
+    # the C-level check of each (k + 1, n - k) table, and of tables broken
+    # in one placement, against the per-slot reference
+    for n in range(2, 11):
+        for k in range(1, n):
+            signs = shuffle_places(k + 1, n - k)[0]
+            for places, holds in _premise_tables(n, k):
+                assert _per_slot_premise(n, k, places) == holds
+                monkeypatch.setattr(homotopy, "shuffle_places", lambda p, q: (signs, places))
+                try:
+                    outcome = homotopy._placements(n, k)
+                except ChainError as error:
+                    outcome = str(error)
+                assert outcome == (comb(n + 1, k + 1) if holds else f"psi({n}) on a {n}-simplex: the "
+                                   f"({k + 1}, {n - k}) placements are not permutations with distinct face slots")
+
+
+def test_the_count_builds_no_lattice_path_above_its_top_dimension():
+    # the premise at m = 6 reads placement tables of total 7, but only the
+    # cylinder data of P_1, ..., P_6 read lattice paths: of total 1 to 6
+    shuffle_paths.cache_clear()
+    base = FreeGroup(6)
+    assert psi_counts(MitosisTower(base), tuple(base.gens())) == (gamma(6), q_count(6))
+    built = shuffle_paths.cache_info()
+    tables = [(p, n - p) for n in range(1, 7) for p in range(n + 1)]
+    assert built.currsize == len(tables) == 27
+    for p, q in tables:
+        shuffle_paths(p, q)
+    assert shuffle_paths.cache_info().misses == built.misses
 
 
 def test_streamed_counts_past_256_codes():

@@ -7,6 +7,7 @@ never dropped."""
 
 import argparse
 import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -197,34 +198,72 @@ def test_writer_ignoring_the_count_of_write_fails_the_short_write_test(monkeypat
     assert _expand_psi_3_with_short_writes(monkeypatch, tmp_path)[0] != EXPAND_SHA256["psi 3"]
 
 
-_entry = shuffles._entry
+_shuffle_places = shuffles.shuffle_places
 
 
-def _entry_with_its_last_two_slots_swapped(p, q, first, sign):
-    entry = _entry(p, q, first, sign)
-    source = entry.place(range(p + q))
-    if len(source) < 2:
-        return entry
-    return entry._replace(place=shuffles._getter(source[:-2] + source[:-3:-1]))
+def _shuffle_places_with_their_last_two_slots_swapped(p, q):
+    # every placement of the table the cylinder data read, not of the tables
+    # its recursion builds from
+    signs, places = _shuffle_places(p, q)
+    if p + q < 2:
+        return signs, places
+    slots = (place(range(p + q)) for place in places)
+    return signs, tuple(shuffles._getter(s[:-2] + s[:-3:-1]) for s in slots)
+
+
+def _recompiled(module, name, old, new):
+    """``module.name`` compiled from its source with the one occurrence of
+    ``old`` replaced by ``new``, over the module's globals, so that it reads
+    (and recurses through) whatever they hold."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1
+    namespace = {}
+    exec(compile(source.replace(old, new), module.__file__, "exec", dont_inherit=True), vars(module), namespace)
+    return namespace[name]
 
 
 @pytest.fixture
 def fresh_shuffle_table():
-    """Empty the cached shuffle table and its transposition after the test,
-    so no row that a mutated ``_entry`` built outlives it."""
+    """Empty the cached shuffle tables after the test, so no table that its
+    in-process runs built outlives it."""
     yield
-    shuffles.shuffle_table.cache_clear()
-    shuffles.shuffle_placements.cache_clear()
+    shuffles.shuffle_places.cache_clear()
+    shuffles.shuffle_paths.cache_clear()
 
 
-def test_swapped_placement_slots_fail_the_per_rank_cylinder_data(monkeypatch, fresh_shuffle_table):
+def test_swapped_placement_slots_fail_the_per_rank_cylinder_data(monkeypatch):
     # killed by tests/test_homotopy.py::test_p_cylinder_data_matches_per_rank_terms,
     # whose reference places the entries through the itertools shuffles
     test_homotopy.test_p_cylinder_data_matches_per_rank_terms(CyclicGroup(3))
-    shuffles.shuffle_table.cache_clear()
-    monkeypatch.setattr(shuffles, "_entry", _entry_with_its_last_two_slots_swapped)
+    monkeypatch.setattr(homotopy, "shuffle_places", _shuffle_places_with_their_last_two_slots_swapped)
     with pytest.raises(AssertionError):
         test_homotopy.test_p_cylinder_data_matches_per_rank_terms(CyclicGroup(3))
+
+
+def test_tail_shift_off_by_one_slot_fails_the_shuffle_oracle(monkeypatch):
+    # killed by tests/test_shuffles.py::test_shuffle_table_matches_itertools_oracle:
+    # a tail placement skips the first block's last entry, not the second
+    # block's head, so it puts that head in two slots
+    test_shuffles.test_shuffle_table_matches_itertools_oracle()
+    mutant = _recompiled(shuffles, "shuffle_places", "tuple(range(p)) + tuple(range(p + 1, n))",
+                         "tuple(range(p - 1)) + tuple(range(p, n))")
+    for module in (shuffles, test_shuffles):
+        monkeypatch.setattr(module, "shuffle_places", mutant)
+    with pytest.raises(AssertionError):
+        test_shuffles.test_shuffle_table_matches_itertools_oracle()
+
+
+def test_face_mask_one_slot_short_fails_the_placement_premise_differential(monkeypatch):
+    # killed by tests/test_homotopy.py::test_placements_premise_matches_the_per_slot_check:
+    # with the pushed face's last slot read as a first-block slot, two
+    # placements that differ only in where they put it share a mask image,
+    # so the premise fails on every sound table
+    test_homotopy.test_placements_premise_matches_the_per_slot_check(monkeypatch)
+    mutant = _recompiled(homotopy, "_placements", "(False,) * p + (True,) * (n - k)",
+                         "(False,) * (p + 1) + (True,) * (n - k - 1)")
+    monkeypatch.setattr(homotopy, "_placements", mutant)
+    with pytest.raises(AssertionError):
+        test_homotopy.test_placements_premise_matches_the_per_slot_check(monkeypatch)
 
 
 _tower_entry_to_json = TowerAlgebra.entry_to_json
@@ -294,15 +333,15 @@ def test_stream_dropping_the_last_batch_of_a_correction_fails_the_stage_count_ch
     assert capsys.readouterr() == ("", "error: ChainError: psi(5) on a 5-simplex: 7108 distinct keys for 9732 raw terms\n")
 
 
-_shuffle_placements = shuffles.shuffle_placements
 _homotopy_P = homotopy.homotopy_P
 _conj = TowerAlgebra.conj
 
 
-def _shuffle_placements_with_two_ranks_on_one_position_set(p, q):
-    # the second placement of a table replaced by the first
-    signs, places = _shuffle_placements(p, q)
-    return signs, places[:1] + places[:1] + places[2:] if len(places) > 1 else places
+def _shuffle_places_with_two_ranks_on_one_position_set(p, q):
+    # the second placement of a table of three slots or more replaced by the
+    # first: P_1 and P_2 read none, so the premise at psi(2) meets it first
+    signs, places = _shuffle_places(p, q)
+    return signs, places[:1] + places[:1] + places[2:] if p + q > 2 else places
 
 
 def _P_with_its_first_term_changed(ctx, sigma, change):
@@ -330,8 +369,7 @@ def _conj_flattening_x_2(self, level, arg, tail=None):
 
 
 @pytest.mark.parametrize("mutants, premise", [
-    ({"barhom.shuffles.shuffle_placements": _shuffle_placements_with_two_ranks_on_one_position_set,
-      "barhom.homotopy.shuffle_placements": _shuffle_placements_with_two_ranks_on_one_position_set},
+    ({"barhom.homotopy.shuffle_places": _shuffle_places_with_two_ranks_on_one_position_set},
      "psi(2) on a 2-simplex: the (2, 1) placements are not permutations with distinct face slots"),
     ({"barhom.homotopy.homotopy_P": lambda ctx, sigma: _P_with_its_first_term_changed(ctx, sigma, _without_its_pillar)},
      "psi(1) on a 1-simplex: a term of P holds no level-1 pillar"),
@@ -680,7 +718,7 @@ def test_koszul_sign_of_p_mod_3_fails_the_aw_chain_map_test(monkeypatch):
 def _shuffle_terms_without_the_sign(a, b, scale=1):
     # every placement's coefficient is scale * ca * cb, as if each shuffle were even
     keys, _, count = _shuffle_terms(a, b, scale)
-    placements = len(shuffles.shuffle_table(a.dim, b.dim))
+    placements = len(shuffles.shuffle_places(a.dim, b.dim)[0])
     coeffs = (scale * ca * cb for cb in b.terms.values() for ca in a.terms.values()
               for _ in range(placements))
     return keys, coeffs, count

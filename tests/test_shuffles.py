@@ -17,8 +17,8 @@ from barhom.shuffles import (
     edgewise_composite,
     ez,
     mult_map,
-    shuffle_placements,
-    shuffle_table,
+    shuffle_paths,
+    shuffle_places,
     shuffle_terms,
     shuffles,
     tensor_boundary,
@@ -46,7 +46,7 @@ def test_package_does_not_shadow_the_shuffles_module():
     import barhom.shuffles as module
 
     assert isinstance(module, types.ModuleType)
-    assert module.shuffle_table is shuffle_table
+    assert module.shuffle_places is shuffle_places
 
 
 def test_shuffle_counts():
@@ -317,19 +317,22 @@ def test_shuffle_table_matches_itertools_oracle():
     for n in range(9):
         for p in range(n + 1):
             q = n - p
-            table = shuffle_table(p, q)
+            signs, places = shuffle_places(p, q)
+            paths = shuffle_paths(p, q)
             oracle = shuffles(p, q)
-            assert [(e.first, e.second, e.sign) for e in table] == [
-                (sh.first, sh.second, sh.sign) for sh in oracle
-            ]
-            source = tuple(("a", i) for i in range(p)) + tuple(("b", j) for j in range(q))
+            assert signs == tuple(sh.sign for sh in oracle)
+            assert len(places) == len(paths) == len(oracle)
             grid = tuple((i, j) for i in range(p + 1) for j in range(q + 1))
-            for entry, sh in zip(table, oracle):
-                placed = entry.place(source)
-                assert [placed[pos - 1] for pos in sh.first] == list(source[:p])
-                assert [placed[pos - 1] for pos in sh.second] == list(source[p:])
+            for place, path, sh in zip(places, paths, oracle):
+                # slot pos - 1 holds the index of the source entry placed there
+                slots = place(range(n))
+                assert len(slots) == n
+                assert tuple(pos for pos, i in enumerate(slots, start=1) if i < p) == sh.first
+                assert tuple(pos for pos, i in enumerate(slots, start=1) if i >= p) == sh.second
+                assert [i for i in slots if i < p] == list(range(p))
+                assert [i for i in slots if i >= p] == list(range(p, n))
                 # the lattice path steps down a row exactly at first-block slots
-                path = entry.path(grid)
+                path = path(grid)
                 assert path[0] == (0, 0) and path[-1] == (p, q)
                 for slot in range(n):
                     i, j = path[slot]
@@ -338,9 +341,13 @@ def test_shuffle_table_matches_itertools_oracle():
 
 
 def test_shuffle_table_is_cached_and_checked():
-    assert shuffle_table(3, 2) is shuffle_table(3, 2)
-    with pytest.raises(ValueError):
-        shuffle_table(-1, 2)
+    assert shuffle_places(3, 2) is shuffle_places(3, 2)
+    assert shuffle_paths(3, 2) is shuffle_paths(3, 2)
+    for table in (shuffle_places, shuffle_paths):
+        with pytest.raises(ValueError):
+            table(-1, 2)
+        with pytest.raises(ValueError):
+            table(2, -1)
 
 
 def _oracle_product(alg, a, b):
@@ -414,10 +421,3 @@ def test_shuffle_terms_are_the_raw_terms_in_order():
             assert next(keys, None) is None and next(coeffs, None) is None
 
 
-def test_shuffle_placements_transpose_the_table_once():
-    for p, q in itertools.product(range(4), repeat=2):
-        signs, places = shuffle_placements(p, q)
-        table = shuffle_table(p, q)
-        assert signs == tuple(entry.sign for entry in table)
-        assert places == tuple(entry.place for entry in table)
-        assert shuffle_placements(p, q) is shuffle_placements(p, q)
