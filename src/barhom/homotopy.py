@@ -15,21 +15,22 @@ m-argument is the product of sigma[i:p+j].  ``p_cylinder_data`` therefore
 evaluates m once per lattice point and f, g, h, k once per entry, and reads
 each term off the cached ``shuffle_places`` and ``shuffle_paths`` columns;
 ``homotopy_P`` is the chain cylinder ``cylinder.cyl_chain`` over those
-data.  ``pillar_of_term`` runs the scan for one term, with the component
-order of the itertools-built ``shuffles``: it is the reference the tests
-hold ``p_cylinder_data`` to.
+data.  The tests hold ``p_cylinder_data`` to a reference that runs the scan
+for one term at a time, with the component order of the itertools-built
+``shuffles.shuffles``.
 
 The mitosis specialization plugs in conjugation by the inverse n-th stable
 letter for both f and h, the identity for g and the trivial map for k; the
 tower homotopy psi iterates it level by level, correcting with shuffle
 products (``shuffle_terms``) against lower levels, and phi projects psi.
-``stage`` is the one place that builds a stage's parts: P, then each
-correction's factors, psi one level down and a pushed back face.
-``stage_terms`` streams their raw terms in order, as batches: P's, then
-each correction's ``shuffle_terms``.  ``induct_Q`` sums that stream into the
-stage's chain, on the generic simplex (x_1, ..., x_m) of a free base at
-level m, where no raw term may repeat, and raises ``ChainError`` if its dict
-holds fewer keys than it summed raw terms: it is the enumerated oracle.
+``stage_terms`` is the one place that builds a stage's parts: P, then each
+correction's factors, psi one level down and a pushed back face.  It
+returns their raw terms in order as one stream, a pair of lazy iterators:
+P's, then each correction's ``shuffle_terms``.  ``induct_Q`` sums that
+stream into the stage's chain, on the generic simplex (x_1, ..., x_m) of a
+free base at level m, where no raw term may repeat, and raises
+``ChainError`` if its dict holds fewer keys than it summed raw terms: it is
+the enumerated oracle.
 ``psi_counts`` builds no psi and draws no raw term.  It builds one P per
 dimension, checks the premises of the level certificate on the codes each
 P and its pushed faces hold and on the ``shuffle_places`` getters, applied
@@ -40,8 +41,8 @@ gamma, q and c recurrences depend on the dimension alone, and on the
 generic simplex raising the level only relabels: psi(L, sigma_m) =
 s_(L-m)(psi(m, sigma_m)), where the level shift s_d raises every level by
 d.  So every other psi, on another simplex
-or at a raised level, is the generic stage streamed forward: each batch of
-``stage_terms`` on the generic simplex is mapped through the codes of the
+or at a raised level, is the generic stage streamed forward: each raw term
+of ``stage_terms`` on the generic simplex is mapped through the codes of the
 tower map composed with the level shift and summed, so the generic top is
 never held whole.  s_d is injective and maps only the identity to the
 identity, so the norms and the distinct keys at level L are those at
@@ -71,7 +72,7 @@ from .cylinder import cyl_chain
 from .groups import CodedAlgebra, FreeGroup, Group
 from .moore import Chain, ChainError, boundary, count_degenerate, diameter, project
 from .quintuple import QuintupleAlgebra, VerificationInstance
-from .shuffles import DimensionMismatch, edgewise, shuffle_paths, shuffle_places, shuffle_terms, shuffles
+from .shuffles import edgewise, shuffle_paths, shuffle_places, shuffle_terms
 from .words import Conjugated, PillarWord, TowerAlgebra, value_level
 
 
@@ -118,38 +119,6 @@ def instance_context(inst: VerificationInstance) -> HomotopyContext:
 # -- pillars and the homotopy ---------------------------------------------------
 
 
-def pillar_of_term(ctx: HomotopyContext, rank: int, p: int, q: int, sigma: tuple) -> tuple:
-    """Ordered pillar set of one shuffle term, built by the scan rules.
-
-    The reference ``p_cylinder_data`` is tested against: the component order
-    comes from the itertools-built ``shuffles``, not from the table."""
-    n = len(sigma)
-    if p + q != n:
-        raise DimensionMismatch(f"p+q = {p + q} != dim = {n}")
-    ranked = shuffles(p, q)
-    # checked here, since a list index would wrap
-    if not 1 <= rank <= len(ranked):
-        raise IndexError(f"rank {rank} out of 1..{len(ranked)} for ({p},{q})")
-    # component s of the term is g(sigma[i]) at the i-th first-block
-    # position, f(sigma[p+j]) at the j-th second-block position
-    g_positions = set(ranked[rank - 1].first)
-    G = ctx.source
-    x = G.identity
-    for i in range(p):
-        x = G.mul(x, sigma[i])
-    pillars = [ctx.m(x)]
-    i, j = 0, p
-    for pos in range(1, n + 1):
-        if pos in g_positions:
-            x = G.mul(G.inv(sigma[i]), x)
-            i += 1
-        else:
-            x = G.mul(x, sigma[j])
-            j += 1
-        pillars.append(ctx.m(x))
-    return tuple(pillars)
-
-
 def _pillar_grid(ctx: HomotopyContext, sigma: tuple, p: int) -> list:
     """m(sigma[i] ... sigma[p+j-1]) at every lattice point (i, j), row-major:
     the pillar the scan holds after crossing i g- and j f-components."""
@@ -183,14 +152,6 @@ def p_cylinder_data(ctx: HomotopyContext, sigma: tuple):
             yield p, n - p, rank, sign, place(top_source), place(bottom_source), path(grid)
 
 
-def pillar_system(ctx: HomotopyContext, sigma: tuple) -> dict:
-    """The pillar system of sigma keyed by shuffle coordinate (p, q, rank)."""
-    return {
-        (p, q, rank): pillars
-        for p, q, rank, _sign, _top, _bottom, pillars in p_cylinder_data(ctx, sigma)
-    }
-
-
 def homotopy_P(ctx: HomotopyContext, sigma: tuple) -> Chain:
     """The cylinder homotopy on one simplex: the chain cylinder between the
     two subdivisions along the pillar system; zero on the 0-simplex."""
@@ -206,58 +167,37 @@ def homotopy_P(ctx: HomotopyContext, sigma: tuple) -> Chain:
 # -- the inductive step and the tower --------------------------------------------
 
 
-# raw terms per batch of ``stage_terms``, whose tuples are alive at once:
-# the concrete expand --op psi --group sym3 --dim 6 peaks at 37.4 MB with
-# 4,096 and at 39.4 MB with 65,536
-BATCH = 4096
+def stage_terms(tower: MitosisTower, sigma: tuple) -> tuple:
+    """``(dim, keys, coeffs, count)``: the raw terms of psi(m, sigma)'s stage
+    on an m-simplex, at level m, in order, as two lazy iterators, with their
+    dimension and their number.
 
-
-def _batches(keys, coeffs):
-    """Lists of at most ``BATCH`` simplices and their coefficients, drawn in
-    step from the two iterators of one stream of raw terms."""
-    keys, coeffs = iter(keys), iter(coeffs)
-    while simplices := list(itertools.islice(keys, BATCH)):
-        yield simplices, list(itertools.islice(coeffs, BATCH))
-
-
-def stage(tower: MitosisTower, sigma: tuple) -> tuple:
-    """``(P, factors)``: the parts of psi(m, sigma)'s stage on an m-simplex,
-    at level m, the one place they are built.
-
-    P is the cylinder homotopy on sigma, built first, and ``factors`` holds,
-    for 0 < k < m, the pair ``(psi(m - 1, sigma[:k]), tau_k)`` of the front
-    face d_(k+1) ... d_m at the level below and the back face d_0^k pushed,
-    as a simplex.  The stage's raw terms are P's, then each correction's, the
-    ``shuffle_terms`` of ``-(psi shuffle tau_k)``.  Every value the stage
-    holds is coded before this returns."""
+    The stage's parts are built here and nowhere else: P, the cylinder
+    homotopy on sigma, first; then, for each 0 < k < m in turn, psi(m - 1,
+    sigma[:k]) of the front face d_(k+1) ... d_m at the level below and
+    tau_k, the back face d_0^k pushed, as a simplex.  So every value the
+    stage holds is coded before this returns.  The raw terms are P's, then
+    each correction's ``shuffle_terms``, chained lazily: none is drawn
+    before the caller draws it."""
     m = len(sigma)
     # the 0-simplex has no level of its own: its stage, empty, is read at 1
     ctx = tower.context(m or 1)
     # P first: a fresh tower codes values in the order they are built
     P = homotopy_P(ctx, sigma)
-    return P, [(tower.psi(m - 1, sigma[:k]), tuple(map(ctx.f, sigma[k:]))) for k in range(1, m)]
-
-
-def stage_terms(P: Chain, factors: list) -> tuple:
-    """``(dim, batches, count)``: the raw terms of the stage ``stage``
-    built, in order, as lists of at most ``BATCH`` simplices and their
-    coefficients drawn through ``_batches``, their dimension and their
-    number."""
     streams = [(P.terms, P.terms.values(), len(P))]
-    streams += [shuffle_terms(a, Chain.of(tau), -1) for a, tau in factors]
+    streams += [shuffle_terms(tower.psi(m - 1, sigma[:k]), tuple(map(ctx.f, sigma[k:]))) for k in range(1, m)]
     keys, coeffs, counts = zip(*streams)
-    return P.dim, itertools.chain.from_iterable(map(_batches, keys, coeffs)), sum(counts)
+    return P.dim, itertools.chain(*keys), itertools.chain(*coeffs), sum(counts)
 
 
 def induct_Q(tower: MitosisTower, sigma: tuple) -> Chain:
     """One inductive step on a generic simplex, at level = dim: the stage's
-    raw terms summed as one dict, updated a batch at a time (see ``moore``).
+    stream of raw terms summed as one dict, by one update (see ``moore``).
     No raw key may repeat, so the dict holds one key per raw term, in order,
     and ``ChainError`` is raised if it does not."""
-    dim, batches, count = stage_terms(*stage(tower, sigma))
+    dim, keys, coeffs, count = stage_terms(tower, sigma)
     out = Chain(dim)
-    for simplices, coeffs in batches:
-        out.terms.update(zip(simplices, coeffs))
+    out.terms.update(zip(keys, coeffs))
     if len(out) != count:
         m = len(sigma)
         raise ChainError(f"psi({m}) on a {m}-simplex: {len(out)} distinct keys for {count} raw terms")
@@ -366,10 +306,11 @@ class MitosisTower:
         the generic simplex (x_1, ..., x_m) of a free base at level m it is
         ``induct_Q``'s build, memoized under m.  Any other psi is the generic
         stage streamed forward, as psi is natural and raising the level only
-        relabels it: each batch of ``stage_terms`` on (x_1, ..., x_m), over
-        this tower's free base or its private free tower, is mapped through
-        the codes of the tower map of x_i -> sigma_i composed with the level
-        shift s_(n - m), and summed, so that stage is never held whole."""
+        relabels it: each raw term of ``stage_terms`` on (x_1, ..., x_m),
+        over this tower's free base or its private free tower, is mapped
+        through the codes of the tower map of x_i -> sigma_i composed with
+        the level shift s_(n - m), and summed, so that stage is never held
+        whole."""
         m = len(sigma)
         if m > level:
             raise DimensionExceeded(f"dim {m} exceeds level {level}")
@@ -382,10 +323,9 @@ class MitosisTower:
             return chain
         h = self.tower_map(sigma, level - m)
         table = _Letter(lambda c: h(free.algebra.elems[c]), self.algebra.code).__getitem__
-        dim, batches, _count = stage_terms(*stage(free, generic))
+        dim, keys, coeffs, _count = stage_terms(free, generic)
         out = Chain(dim)
-        for simplices, coeffs in batches:
-            out.add_terms(zip(map(tuple, map(map, itertools.repeat(table), simplices)), coeffs))
+        out.add_terms(zip(map(tuple, map(map, itertools.repeat(table), keys)), coeffs))
         return out
 
     def tower_map(self, sigma: tuple, shift: int) -> Callable:

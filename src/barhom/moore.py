@@ -31,23 +31,26 @@ accumulation kernel feeds its raw terms to ``add_terms`` in a fixed order:
 ``pushforward``, ``shuffles.edgewise`` and ``cylinder.cyl_chain``.  So a
 kernel's result is, in order, that of ``add_term`` on its raw terms;
 ``project`` only filters, as nothing cancels.  A tower stage's raw terms
-come from one stream, ``homotopy.stage_terms``, which also counts them.
-``homotopy.induct_Q`` updates one dict with each batch of the stream: when
-the dict ends with one key per raw term, ``add_term`` would have inserted
-each once, in order, nonzero, and otherwise a raw key repeated and
-``ChainError`` is raised.  ``induct_Q`` runs on the generic simplex only,
-at level = dim, where no raw key repeats; psi elsewhere, on another simplex
-or at a raised level, sums the same stream through ``add_terms``, each
-simplex mapped along the tower map and the level shift, so its order is
-that of ``pushforward`` on the generic chain, which the tests hold it to.
+come from one stream, a pair of lazy iterators from
+``homotopy.stage_terms``, which also counts them.  ``homotopy.induct_Q``
+updates one dict with the whole stream: when the dict ends with one key per
+raw term, ``add_term`` would have inserted each once, in order, nonzero,
+and otherwise a raw key repeated and ``ChainError`` is raised.
+``induct_Q`` runs on the generic simplex only, at level = dim, where no raw
+key repeats; psi elsewhere, on another simplex or at a raised level, sums
+the same stream through ``add_terms``, each simplex mapped along the tower
+map and the level shift, so its order is that of ``pushforward`` on the
+generic chain, which the tests hold it to.
 ``homotopy.psi_counts`` draws no raw term and builds no psi: it takes the
 L1 norm and ``count_degenerate`` of one P per dimension, once a level
 certificate on the codes of each P proves that no raw key of psi repeats,
 or raises ``ChainError``.  ``TensorChain`` sums through ``add_terms`` too,
 after its bidegree check.
 
-``chain_payload`` streams a chain as the UTF-8 bytes of the JSON of
-``chain_to_json``, whose terms are sorted on their compact JSON text.  It
+``chain_payload`` streams a chain as the UTF-8 bytes of its ``indent=2``
+JSON document: ``dim``, then its terms, each ``coeff`` and ``simplex`` (the
+``simplex_to_json`` of the term), sorted on the simplex's compact JSON text.
+The tests hold it to a reference that builds that document whole.  It
 never builds that text: each distinct entry is serialized once, and a term's
 sort key is the string of its entries' ranks among the distinct entry texts,
 each rank in big-endian bytes of one width.  Inner positions are ranked on
@@ -276,23 +279,6 @@ def simplex_to_json(alg, simplex: BarSimplex) -> list:
     return [alg.entry_to_json(entry) for entry in simplex]
 
 
-def term_sort_key(alg, simplex: BarSimplex) -> str:
-    # canonical ordering: lexicographic on the serialized entries
-    return json.dumps(simplex_to_json(alg, simplex), sort_keys=True)
-
-
-def chain_to_json(alg, chain: Chain) -> dict:
-    """The reference serialization ``chain_payload`` is tested against."""
-    terms = sorted(chain, key=lambda item: term_sort_key(alg, item[0]))
-    return {
-        "dim": chain.dim,
-        "terms": [
-            {"coeff": coeff, "simplex": simplex_to_json(alg, simplex)}
-            for simplex, coeff in terms
-        ],
-    }
-
-
 # An entry's place in an expand document: document > "chain" > "terms" >
 # term > "simplex" > entry, five levels of two spaces.
 _ENTRY_INDENT = "\n" + " " * 10
@@ -313,17 +299,20 @@ class EntryText(dict):
         return text
 
     def compact(self, simplex: BarSimplex) -> str:
-        """``term_sort_key(alg, simplex)``: the simplex as compact JSON."""
+        """The simplex as compact JSON, ``json.dumps(simplex_to_json(alg,
+        simplex), sort_keys=True)``: its key in an expand document's term
+        order."""
         return "[" + ", ".join([self[entry][0] for entry in simplex]) + "]"
 
 
 def chain_payload(alg, head: dict, chain: Chain) -> Iterator[bytes]:
-    """The UTF-8 bytes of ``json.dumps({**head, "chain": chain_to_json(alg,
-    chain)}, indent=2, sort_keys=True)``, as pieces that point at pre-encoded
-    entry blocks.
+    """The UTF-8 bytes of ``json.dumps({**head, "chain": {"dim": ...,
+    "terms": [{"coeff": ..., "simplex": ...}, ...]}}, indent=2,
+    sort_keys=True)``, the terms sorted stably on ``EntryText.compact``, as
+    pieces that point at pre-encoded entry blocks.
 
     Each distinct entry is serialized once.  The terms are sorted, stably, in
-    the order of ``chain_to_json``'s compact keys, but on short byte
+    the order of their compact keys, but on short byte
     strings: position i of a simplex's key is the rank of its entry's compact
     text among the distinct texts, followed by ``", "`` at an inner position
     and by ``"]"`` at the last, in big-endian bytes of one width.  A compact

@@ -16,12 +16,14 @@ and ``place`` getter, and ``shuffle_paths`` its lattice ``path`` getter,
 built only where a cylinder reads it.  Both are built by recursion on the
 first slot, each new getter the sub-table's getter applied to one fixed
 index sequence, so no slot is placed by a Python loop.  The shuffle product
-``shuffle_terms`` interleaves the entries of two simplices directly: the
-Eilenberg-Zilber map pads every slot of one factor that the other fills
-with the identity, and every entry algebra's product returns the other
-factor when one side is the identity.  ``homotopy.induct_Q`` sums its
-terms, and the level certificate of ``homotopy.psi_counts`` checks the
-placements they are drawn through.
+``shuffle_terms`` of a chain with one simplex, the pushed face of a tower
+correction, interleaves the entries of each term and the face directly:
+the Eilenberg-Zilber map pads every slot of one factor that the other
+fills with the identity, and every entry algebra's product returns the
+other factor when one side is the identity.  Its terms carry the
+correction's minus sign.  ``homotopy.stage_terms`` chains them after P's
+into one stream, and the level certificate of ``homotopy.psi_counts``
+checks the placements they are drawn through.
 
 Since B(G x H) = BG x BH, a simplex of the product space is a bar simplex of
 pairs ((x_1, y_1), ..., (x_n, y_n)), so product chains are plain ``Chain``s
@@ -30,9 +32,9 @@ and their boundary is ``moore.boundary`` over the product.  A
 bidegree and fixed total degree.  Tensor chains, ``ez``, ``aw``,
 ``mult_map``, ``edgewise_composite`` and the itertools-based ``shuffles``
 serve only as the independent oracle the table-driven code is checked
-against.  The per-rank references (``homotopy.pillar_of_term`` and the
-tests' per-rank cylinder data) place components through ``shuffles`` too,
-so no reference reads the tables it checks.
+against.  The tests' per-rank references (the pillar scan and the cylinder
+data) place components through ``shuffles`` too, so no reference reads the
+tables it checks.
 """
 
 from __future__ import annotations
@@ -222,26 +224,20 @@ def tensor_of_chains(a: Chain, b: Chain) -> TensorChain:
     return out
 
 
-def shuffle_terms(a: Chain, b: Chain, scale: int = 1) -> tuple:
-    """The raw terms of ``scale * (a shuffle b)``, in the order tau, sigma,
-    then ``shuffle_places``' placements, as ``(keys, coeffs, count)``: two
-    C-level iterators and their length; their sum is ``scale *
-    mult_map(ez(tensor_of_chains(a, b)))``.  Per tau the sources sigma + tau
-    are ``tee``'d, never listed; per distinct coefficient one signed row."""
-    signs, places = shuffle_places(a.dim, b.dim)
-    sigmas, cas = a.terms.keys(), a.terms.values()
-
-    def keys(tau):
-        copies = itertools.tee(map(tuple.__add__, sigmas, itertools.repeat(tau)), len(places))
-        return itertools.chain.from_iterable(zip(*map(map, places, copies)))
-
-    def coeffs(cb):
-        rows = {ca: [sign * scale * ca * cb for sign in signs] for ca in set(cas)}
-        return itertools.chain.from_iterable(map(rows.__getitem__, cas))
-
-    return (itertools.chain.from_iterable(map(keys, b.terms)),
-            itertools.chain.from_iterable(map(coeffs, b.terms.values())),
-            len(a) * len(b) * len(places))
+def shuffle_terms(a: Chain, tau: tuple) -> tuple:
+    """The raw terms of the tower correction ``-(a shuffle tau)`` against
+    the simplex tau, in the order sigma, then ``shuffle_places``'
+    placements, as ``(keys, coeffs, count)``: two C-level iterators and
+    their length; their sum is ``-mult_map(ez(tensor_of_chains(a,
+    Chain.of(tau))))``.  The sources sigma + tau are ``tee``'d, never
+    listed; per distinct coefficient one signed row, which carries the
+    minus sign."""
+    signs, places = shuffle_places(a.dim, len(tau))
+    copies = itertools.tee(map(tuple.__add__, a.terms, itertools.repeat(tau)), len(places))
+    rows = {ca: [-sign * ca for sign in signs] for ca in set(a.terms.values())}
+    return (itertools.chain.from_iterable(zip(*map(map, places, copies))),
+            itertools.chain.from_iterable(map(rows.__getitem__, a.terms.values())),
+            len(a) * len(places))
 
 
 # -- edgewise subdivision --------------------------------------------------------

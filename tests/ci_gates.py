@@ -34,6 +34,8 @@ PSI_6_SHA256 = "700e17a88a2476141b7ef924c7ec09ecb43206d6b1d288af68f9ca12c2517c46
 # expand --op psi --mode concrete --seed 1 --group sym3 --dim 6: 336 MB of JSON,
 # without the newline standard output ends in (251f2a31... with it)
 PSI_SYM3_6_SHA256 = "f57dc33d53c14471713a73edae4a645ff86424c5c0d4134c1a7e4508c4bb211f"
+# expand --op psi --dim 6 --level 8: 317 MB of JSON
+PSI_6_LEVEL_8_SHA256 = "f6bed55b1823a0a78f0735e9edba1aa8c9db08548ca0a8acdc2e3548162f1f01"
 # RLIMIT_AS of each fuzzed child: a size that is not refused ends there in a
 # MemoryError traceback, which the contract catches, not in the machine's memory
 FUZZ_AS = 1536 << 20
@@ -75,10 +77,15 @@ GATES = [
     Gate(("expand", "--op", "psi", "--dim", "6"), sha256=PSI_6_SHA256),
     # concrete psi is the generic stage of psi(6) streamed forward along
     # x_i -> sigma_i, at a size tier-1's concrete goldens (dim <= 4) do not
-    # reach: about 38 MB, and a push that holds the generic top whole peaks
-    # near 50 MB and fails
+    # reach: 37.0 MB on a 2-core x86-64 VM, and a push that holds the
+    # generic top whole peaks near 50 MB and fails
     Gate(("expand", "--op", "psi", "--mode", "concrete", "--seed", "1", "--group", "sym3", "--dim", "6"),
          peak_mb=45, sha256=PSI_SYM3_6_SHA256),
+    # the free push at a raised level: the generic stage of psi(6) streamed
+    # through the level shift s_2, at a size tier-1's raised-level goldens
+    # (dim <= 4) do not reach: 37.1 MB on a 2-core x86-64 VM
+    Gate(("expand", "--op", "psi", "--dim", "6", "--level", "8", "--out", "psi6L8.json"),
+         peak_mb=45, sha256=PSI_6_LEVEL_8_SHA256),
     # the tower identity at level = dim = 7, one level above tier-1's
     # criterion 9 (about 13 s and 500 MB on a 2-core x86-64 VM)
     Gate(("verify", "--suite", "psi", "--level", "7", "--maxdim", "7"), peak_mb=800),

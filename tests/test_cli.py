@@ -768,6 +768,9 @@ PSI_6_SHA256 = "700e17a88a2476141b7ef924c7ec09ecb43206d6b1d288af68f9ca12c2517c46
 # the bytes of expand --op psi --mode concrete --seed 1 --group sym3 --dim 6,
 # 336 MB of JSON: the generic psi(6) pushed forward
 PSI_SYM3_6_SHA256 = "f57dc33d53c14471713a73edae4a645ff86424c5c0d4134c1a7e4508c4bb211f"
+# the bytes of expand --op psi --dim 6 --level 8, 317 MB of JSON: the
+# generic psi(6) pushed through the level shift s_2 alone
+PSI_6_LEVEL_8_SHA256 = "f6bed55b1823a0a78f0735e9edba1aa8c9db08548ca0a8acdc2e3548162f1f01"
 
 
 def _expand_sha256_as_written(monkeypatch, *argv):
@@ -792,6 +795,11 @@ def test_expand_psi_6_bytes_are_golden(monkeypatch):
 def test_expand_concrete_psi_sym3_6_bytes_are_golden(monkeypatch):
     argv = ("--op", "psi", "--mode", "concrete", "--seed", "1", "--group", "sym3", "--dim", "6")
     assert _expand_sha256_as_written(monkeypatch, *argv) == PSI_SYM3_6_SHA256
+
+
+def test_expand_psi_6_at_level_8_bytes_are_golden(monkeypatch):
+    argv = ("--op", "psi", "--dim", "6", "--level", "8")
+    assert _expand_sha256_as_written(monkeypatch, *argv) == PSI_6_LEVEL_8_SHA256
 
 
 def _assert_entry_error_leaves_no_file(tmp_path, monkeypatch, case):

@@ -22,8 +22,6 @@ from barhom.homotopy import (
     induct_Q,
     instance_context,
     p_cylinder_data,
-    pillar_of_term,
-    pillar_system,
     psi_counts,
     psi_identity_residual,
     theorem_identity_residual,
@@ -43,6 +41,8 @@ from barhom.shuffles import (
     tensor_of_chains,
 )
 from barhom.words import Conjugated, PillarWord, TowerAlgebra, value_level
+
+from oracles import pillar_of_term, pillar_system
 
 
 def _formal(m):
@@ -632,12 +632,13 @@ def _oracle_psi(tower, level, sigma, memo):
     out = homotopy_P(ctx, sigma) if m else Chain(1)
     for k in range(1, m):
         sub = _oracle_psi(tower, level - 1, sigma[:k], memo)
-        pushed = Chain.of(tuple(ctx.f(x) for x in sigma[k:]))
-        correction = mult_map(alg, ez(alg, tensor_of_chains(sub, pushed)))
+        pushed = tuple(ctx.f(x) for x in sigma[k:])
+        correction = Chain(m + 1)
+        correction.add_chain(mult_map(alg, ez(alg, tensor_of_chains(sub, Chain.of(pushed)))), -1)
         fused = Chain(m + 1)
         fused.add_terms(zip(*shuffle_terms(sub, pushed)[:2]))
         assert fused == correction
-        out.add_chain(correction, -1)
+        out.add_chain(correction)
     memo[key] = out
     return out
 
@@ -666,8 +667,8 @@ def _scalar_psi(tower, level, sigma, memo):
         ctx = tower.context(level)
         out = homotopy_P(ctx, sigma)
         for k in range(1, len(sigma)):
-            pushed = Chain.of(tuple(ctx.f(x) for x in sigma[k:]))
-            out.add_terms(zip(*shuffle_terms(_scalar_psi(tower, level - 1, sigma[:k], memo), pushed, -1)[:2]))
+            pushed = tuple(ctx.f(x) for x in sigma[k:])
+            out.add_terms(zip(*shuffle_terms(_scalar_psi(tower, level - 1, sigma[:k], memo), pushed)[:2]))
         memo[key] = out
     return memo[key]
 
@@ -793,9 +794,9 @@ def test_free_towers_never_repeat_a_stage_key(m):
     assert len(chain) == diameter(chain) == gamma(m)
 
 
-def _shuffle_terms_repeating_the_first(a, b, scale=1):
+def _shuffle_terms_repeating_the_first(a, tau):
     """``shuffle_terms`` with its first term yielded twice."""
-    keys, coeffs, count = shuffle_terms(a, b, scale)
+    keys, coeffs, count = shuffle_terms(a, tau)
     key, coeff = next(keys), next(coeffs)
     return itertools.chain((key, key), keys), itertools.chain((coeff, coeff), coeffs), count + 1
 

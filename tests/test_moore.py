@@ -17,17 +17,17 @@ from barhom.moore import (
     boundary,
     cellular_boundary,
     chain_payload,
-    chain_to_json,
     count_degenerate,
     degeneracy,
     diameter,
     face,
     is_degenerate,
     project,
-    term_sort_key,
 )
 from barhom.quintuple import VerificationInstance
 from barhom.shuffles import TensorChain
+
+from oracles import chain_to_json, term_sort_key
 
 C3 = CyclicGroup(3)
 

@@ -21,7 +21,7 @@ from barhom.cli import main
 from barhom.cylinder import IncompatiblePillars
 from barhom.groups import CodedAlgebra, CyclicGroup, FreeGroup, SymmetricGroup, parse_group
 from barhom.homotopy import MitosisTower
-from barhom.moore import Chain, ChainError, chain_payload, chain_to_json, pushforward
+from barhom.moore import Chain, ChainError, chain_payload, pushforward
 from barhom.quintuple import NonNormalizable, Quintuple, QuintupleAlgebra, VerificationInstance, instance_eval
 from barhom.words import Conjugated, PillarWord, TowerAlgebra, value_level
 
@@ -32,6 +32,7 @@ import test_homotopy
 import test_moore
 import test_shuffles
 import test_words
+from oracles import chain_to_json
 from test_cli import EXPAND_SHA256, _expand_argv, _expand_psi_3_with_short_writes
 from test_homotopy import (TOWER_DIFFERENTIAL_GROUPS, formal_through_instance_mismatch,
                            formal_through_tower_mismatch, naturality_grid, naturality_mismatch)
@@ -313,24 +314,24 @@ def test_count_degenerate_skipping_the_last_term_fails_the_q_gate(monkeypatch, c
     assert _count_psi_3(capsys) == (1, "FAIL " + ok[3:].replace("degenerate 55", "degenerate 32"))
 
 
-_batches = homotopy._batches
+_shuffle_terms = shuffles.shuffle_terms
 
 
-def _batches_dropping_the_last(keys, coeffs):
-    # a stream of raw terms longer than one batch (a correction of psi(5):
-    # P has 192 terms) ends a batch early
-    batches = list(_batches(keys, coeffs))
-    return iter(batches[:-1] if len(batches) > 1 else batches)
+def _shuffle_terms_dropping_the_last(a, tau):
+    # a correction's stream ends one raw term early, its count kept
+    keys, coeffs, count = _shuffle_terms(a, tau)
+    keys, coeffs = list(keys), list(coeffs)
+    return iter(keys[:-1]), iter(coeffs[:-1]), count
 
 
-def test_stream_dropping_the_last_batch_of_a_correction_fails_the_stage_count_check(monkeypatch, capsys):
-    # killed by induct_Q's stage count check: a stage whose batches hold
-    # fewer terms than its count raises, so expand exits 1 at psi(5), the
-    # first stage with a correction past one batch, before it writes
+def test_a_correction_stream_one_term_short_fails_the_stage_count_check(monkeypatch, capsys):
+    # killed by induct_Q's stage count check: a stage whose stream holds
+    # fewer terms than its count raises, so expand exits 1 at psi(2), the
+    # first stage with a correction, before it writes
     assert main(["expand", "--op", "psi", "--dim", "5", "--out", os.devnull]) == 0
-    monkeypatch.setattr(homotopy, "_batches", _batches_dropping_the_last)
+    monkeypatch.setattr(homotopy, "shuffle_terms", _shuffle_terms_dropping_the_last)
     assert main(["expand", "--op", "psi", "--dim", "5", "--out", os.devnull]) == 1
-    assert capsys.readouterr() == ("", "error: ChainError: psi(5) on a 5-simplex: 7108 distinct keys for 9732 raw terms\n")
+    assert capsys.readouterr() == ("", "error: ChainError: psi(2) on a 2-simplex: 23 distinct keys for 24 raw terms\n")
 
 
 _homotopy_P = homotopy.homotopy_P
@@ -551,9 +552,6 @@ def test_wrong_m_g_crossing_fails_the_formal_instance_differential(monkeypatch):
         formal_through_instance_mismatch(CyclicGroup(3))
 
 
-_shuffle_terms = shuffles.shuffle_terms
-
-
 def _induct_Q_adopting_every_dict(tower, sigma):
     # the stage dict taken without its length checks: a repeated raw key
     # keeps its first place and its last coefficient, and a sum of zero stays
@@ -562,8 +560,8 @@ def _induct_Q_adopting_every_dict(tower, sigma):
     out = homotopy.homotopy_P(ctx, sigma)
     keys, coeffs = [out.terms], [out.terms.values()]
     for k in range(1, m):
-        pushed = Chain.of(tuple(ctx.f(x) for x in sigma[k:]))
-        stream = homotopy.shuffle_terms(tower.psi(m - 1, sigma[:k]), pushed, -1)
+        pushed = tuple(ctx.f(x) for x in sigma[k:])
+        stream = homotopy.shuffle_terms(tower.psi(m - 1, sigma[:k]), pushed)
         keys.append(stream[0])
         coeffs.append(stream[1])
     out.terms = dict(zip(itertools.chain(*keys), itertools.chain(*coeffs)))
@@ -715,12 +713,11 @@ def test_koszul_sign_of_p_mod_3_fails_the_aw_chain_map_test(monkeypatch):
         test_shuffles.test_aw_is_chain_map()
 
 
-def _shuffle_terms_without_the_sign(a, b, scale=1):
-    # every placement's coefficient is scale * ca * cb, as if each shuffle were even
-    keys, _, count = _shuffle_terms(a, b, scale)
-    placements = len(shuffles.shuffle_places(a.dim, b.dim)[0])
-    coeffs = (scale * ca * cb for cb in b.terms.values() for ca in a.terms.values()
-              for _ in range(placements))
+def _shuffle_terms_without_the_sign(a, tau):
+    # every placement's coefficient is -ca, as if each shuffle were even
+    keys, _, count = _shuffle_terms(a, tau)
+    placements = len(shuffles.shuffle_places(a.dim, len(tau))[0])
+    coeffs = (-ca for ca in a.terms.values() for _ in range(placements))
     return keys, coeffs, count
 
 
@@ -733,8 +730,8 @@ def test_shuffle_terms_without_the_sign_changes_the_psi_3_golden(monkeypatch, tm
     assert _expand_sha256(tmp_path, "psi 3") != EXPAND_SHA256["psi 3"]
 
 
-def _shuffle_terms_counting_one_more(a, b, scale=1):
-    keys, coeffs, count = _shuffle_terms(a, b, scale)
+def _shuffle_terms_counting_one_more(a, tau):
+    keys, coeffs, count = _shuffle_terms(a, tau)
     return keys, coeffs, count + 1
 
 

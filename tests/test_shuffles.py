@@ -362,47 +362,48 @@ def _random_chain(rng, dim, pool):
     return chain
 
 
-def _sum_shuffle_terms(out, a, b, scale=1):
-    out.add_terms(zip(*shuffle_terms(a, b, scale)[:2]))
+def _sum_shuffle_terms(out, a, tau):
+    out.add_terms(zip(*shuffle_terms(a, tau)[:2]))
 
 
 def test_shuffle_terms_match_oracle_on_cyclic3():
-    # summed through Chain.add_terms, as induct_Q sums them
+    # summed through Chain.add_terms, as induct_Q sums them: the correction
+    # is minus the product
     rng = random.Random(12)
     for p, q in itertools.product(range(4), repeat=2):
         pool_a = [tuple(C3.sample(rng) for _ in range(p)) for _ in range(3)]
-        pool_b = [tuple(C3.sample(rng) for _ in range(q)) for _ in range(3)]
         for _ in range(8):
-            a, b = _random_chain(rng, p, pool_a), _random_chain(rng, q, pool_b)
-            expected = _oracle_product(C3, a, b)
+            a, tau = _random_chain(rng, p, pool_a), tuple(C3.sample(rng) for _ in range(q))
+            product = _oracle_product(C3, a, Chain.of(tau))
+            expected = Chain(p + q)
+            expected.add_chain(product, -1)
             out = Chain(p + q)
-            _sum_shuffle_terms(out, a, b)
+            _sum_shuffle_terms(out, a, tau)
             assert out == expected
-            # in place on a nonzero chain, with a scale
+            # in place on a nonzero chain
             start = _random_chain(rng, p + q, [tuple(C3.sample(rng) for _ in range(p + q))])
             out = Chain(p + q, dict(start.terms))
-            _sum_shuffle_terms(out, a, b, -3)
+            _sum_shuffle_terms(out, a, tau)
             want = Chain(p + q, dict(start.terms))
-            want.add_chain(expected, -3)
+            want.add_chain(expected)
             assert out == want
             # adding back what is there leaves zero
             out = Chain(p + q)
-            out.add_chain(expected, 3)
-            _sum_shuffle_terms(out, a, b, -3)
+            out.add_chain(product)
+            _sum_shuffle_terms(out, a, tau)
             assert out.is_zero()
 
 
-def _raw_terms(a, b, scale):
-    """scale * (a shuffle b) term by term, through the itertools shuffles:
-    tau, then sigma, then the shuffles in dictionary order."""
+def _raw_terms(a, tau):
+    """-(a shuffle tau) term by term, through the itertools shuffles: sigma,
+    then the shuffles in dictionary order."""
     out = []
-    for tau, cb in b:
-        for sigma, ca in a:
-            for sh in shuffles(a.dim, b.dim):
-                slots = [None] * (a.dim + b.dim)
-                for pos, x in zip(sh.first + sh.second, sigma + tau):
-                    slots[pos - 1] = x
-                out.append((tuple(slots), sh.sign * scale * ca * cb))
+    for sigma, ca in a:
+        for sh in shuffles(a.dim, len(tau)):
+            slots = [None] * (a.dim + len(tau))
+            for pos, x in zip(sh.first + sh.second, sigma + tau):
+                slots[pos - 1] = x
+            out.append((tuple(slots), -sh.sign * ca))
     return out
 
 
@@ -410,12 +411,11 @@ def test_shuffle_terms_are_the_raw_terms_in_order():
     rng = random.Random(7)
     for p, q in itertools.product(range(4), repeat=2):
         pool_a = [tuple(C3.sample(rng) for _ in range(p)) for _ in range(3)]
-        pool_b = [tuple(C3.sample(rng) for _ in range(q)) for _ in range(3)]
-        for scale in (1, -1, 3):
-            a, b = _random_chain(rng, p, pool_a), _random_chain(rng, q, pool_b)
-            keys, coeffs, count = shuffle_terms(a, b, scale)
+        for _ in range(3):
+            a, tau = _random_chain(rng, p, pool_a), tuple(C3.sample(rng) for _ in range(q))
+            keys, coeffs, count = shuffle_terms(a, tau)
             terms = list(zip(keys, coeffs))
-            assert terms == _raw_terms(a, b, scale)
+            assert terms == _raw_terms(a, tau)
             assert count == len(terms)
             # both streams are exhausted together
             assert next(keys, None) is None and next(coeffs, None) is None
