@@ -43,12 +43,14 @@ TERM_CAP = 5_000_000
 # a floor on the bytes one chain term takes: psi's dict at m = 8 takes about
 # 168 (expand)
 TERM_BYTES = 100
-# the bytes count is charged per term of the one P it holds at a time,
-# d_cyl(dim) terms at the top: above the interpreter's 15 MB, the count of
-# psi peaks at 308 B per term of P at dim 14 (87 MB) and 312 B at dim 16
-# (346 MB), on a 2-core x86-64 VM.  The charge stays at the 350 B measured
-# while the shuffle tables held each entry's blocks, so the memory refusal
-# is no looser than it was
+# the bytes count is charged per term of P_dim, d_cyl(dim) terms, as when
+# it held one P at a time: then it peaked at 308 B per term of P at dim 14
+# (87 MB) and 312 B at dim 16 (346 MB), above the interpreter's 15 MB, on a
+# 2-core x86-64 VM.  count now certifies P from its data and holds only the
+# shuffle tables (114 MB at dim 16), so the charge overstates its peak.  It
+# stays at the 350 B measured while the shuffle tables held each entry's
+# blocks, so no refusal line changes, until one cost model predicts each
+# run's peak
 P_TERM_BYTES = 350
 # a floor on the bytes the psi identity takes per face term of its boundary,
 # (d + 1) gamma(d) at dim d: above the interpreter it peaks at 61-62 B per
@@ -174,8 +176,11 @@ def _check_cap(op: str, dim: int, cap: int, term_bytes: int = TERM_BYTES) -> Non
     term per shuffle for ed.  A chain within the cap is refused too when its
     terms at ``term_bytes`` each exceed physical memory: ``TERM_BYTES`` for a
     chain that is only held, more for a check that also holds its boundary.
-    ``count`` builds only P, one dimension at a time, so it is charged as P
-    at ``P_TERM_BYTES``, whatever its op.
+    ``count`` is charged as P at ``P_TERM_BYTES``, whatever its op, as when
+    it built one P per dimension.  It now builds no P and holds only the
+    shuffle tables, so the charge overstates what it holds; the charge and
+    every refusal line are kept unchanged until one cost model predicts each
+    run's peak.
 
     Above dim 64 a cheap lower bound comes first, compared by bit length:
     gamma(dim) >= d_cyl(dim) = 2^dim (dim + 1), and 2^dim for ed.  A bound
@@ -274,9 +279,9 @@ def cmd_count(args) -> int:
         ok = got == expected
         line = f"P dim {dim}: diameter {got} expected {expected}"
     else:
-        # psi's norms are certified off one P per dimension, and no psi is
-        # built; phi's diameter is psi's less its degenerate terms, since
-        # projecting only deletes those
+        # psi's norms are certified off the data each P is built from, and
+        # no P or psi is built; phi's diameter is psi's less its degenerate
+        # terms, since projecting only deletes those
         diam, degen = psi_counts(MitosisTower(base), sigma)
         if args.op == "psi":
             ok = diam == bd.gamma(dim) and degen == bd.q_count(dim)

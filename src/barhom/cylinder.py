@@ -16,7 +16,8 @@ The cylinder between two chains is the signed sum of the cylinders of
 matched terms, ``cyl_chain`` over plain ``(coeff, top, bottom, pillars)``
 tuples; it is the one cylinder kernel, and ``cyl`` is its one-term case.
 ``homotopy.homotopy_P`` is that sum over the cylinder data of the homotopy,
-so the chain-level lemma tests exercise the code the counts run.
+so the chain-level lemma tests exercise the code ``expand`` and ``verify``
+run.
 """
 
 from __future__ import annotations

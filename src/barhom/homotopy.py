@@ -31,12 +31,17 @@ stream into the stage's chain, on the generic simplex (x_1, ..., x_m) of a
 free base at level m, where no raw term may repeat, and raises
 ``ChainError`` if its dict holds fewer keys than it summed raw terms: it is
 the enumerated oracle.
-``psi_counts`` builds no psi and draws no raw term.  It builds one P per
-dimension, checks the premises of the level certificate on the codes each
-P and its pushed faces hold and on the ``shuffle_places`` getters, applied
-by C-level maps, and sums the norms by the recurrence those premises prove,
-or raises ``ChainError``.  Its top dimension's placement tables are read
-for the premise alone, so no lattice path is built for them.  The
+``psi_counts`` builds no psi, no P and no cylinder, and draws no raw
+term.  It checks the premises of the level certificate on the codes of
+each dimension's letters, pillar grids and lattice edges, and on the
+``shuffle_places`` and ``shuffle_paths`` getters, applied by C-level maps.
+It then reads P_n's norms off those tables and sums the norms by the
+recurrence the premises prove, or raises ``ChainError``.  Its top
+dimension's placement tables are read for the premise alone, so no lattice
+path is built for them.  So ``count`` holds the shuffle tables and no chain.
+The CLI still charges it one P_dim's terms (``cli.P_TERM_BYTES``), which
+now overstates what it holds; the charge and every refusal line are kept
+as they were until one cost model predicts each run's peak.  The
 gamma, q and c recurrences depend on the dimension alone, and on the
 generic simplex raising the level only relabels: psi(L, sigma_m) =
 s_(L-m)(psi(m, sigma_m)), where the level shift s_d raises every level by
@@ -70,7 +75,7 @@ from typing import Callable
 
 from .cylinder import cyl_chain
 from .groups import CodedAlgebra, FreeGroup, Group
-from .moore import Chain, ChainError, boundary, count_degenerate, diameter, project
+from .moore import Chain, ChainError, boundary, project
 from .quintuple import QuintupleAlgebra, VerificationInstance
 from .shuffles import edgewise, shuffle_paths, shuffle_places, shuffle_terms
 from .words import Conjugated, PillarWord, TowerAlgebra, value_level
@@ -210,24 +215,99 @@ def _require(holds: bool, n: int, premise: str) -> None:
         raise ChainError(f"psi({n}) on a {n}-simplex: {premise}")
 
 
+def _check_grids(alg: CodedAlgebra, grids: list, letters: tuple) -> None:
+    """Raise ``ChainError`` unless the pillar grids of an n-simplex pass
+    their premises, ``grids[p]`` being ``_pillar_grid`` at p and ``letters``
+    (f, g, h, k) over sigma: every point is a level-n ``PillarWord``, the
+    grids agree on each interval, and each lattice edge keeps its pillar
+    relation, t f(sigma[p+c]) = h(sigma[p+c]) t' along a row from column c
+    and t g(sigma[r]) = k(sigma[r]) t' down a column from row r.
+
+    Grid p's point (r, c) is m(sigma[r:p+c]), so an edge joins two
+    intervals one end apart and is one relation in every grid that holds
+    it.  Grid p's row r < p is the tail of grid r's row r, which holds
+    every interval that starts at r, and its column 0 every interval that
+    ends at p.  So once each row agrees with that tail, each distinct edge
+    is multiplied out once: along the rows r of the grids r and down the
+    columns 0, by C-level maps."""
+    f, g, h, k = letters
+    n, elems, mul = len(f), alg.elems, alg.mul
+    _require(all(isinstance(elems[t], PillarWord) and elems[t].level == n for t in itertools.chain(*grids)),
+             n, f"a pillar grid point is not a level-{n} pillar word")
+    rows = [[grid[i:i + n - p + 1] for i in range(0, len(grid), n - p + 1)] for p, grid in enumerate(grids)]
+    _require(all(rows[p][r] == rows[r][r][p - r:] for p in range(n + 1) for r in range(p)),
+             n, "two pillar grids disagree on an interval")
+    starts = (rows[r][r] for r in range(n + 1))
+    ends = (grid[::n - p + 1] for p, grid in enumerate(grids))
+    _require(all(list(map(mul, row[:-1], f[r:])) == list(map(mul, h[r:], row[1:])) for r, row in enumerate(starts))
+             and all(list(map(mul, column[:-1], g)) == list(map(mul, k, column[1:])) for column in ends),
+             n, "a pillar relation fails on a lattice edge")
+
+
+def _table_norms(n: int, p: int) -> tuple:
+    """``(diameter, degenerate)`` of the cylinders P_n draws through the
+    (p, q) shuffle table, q = n - p, once the table passes its premises,
+    each checked by C-level maps of its getters.  Each ``place`` is applied
+    to weights: 2^(q + r) for the front block's entry r, 2^c for the back
+    block's entry c.
+
+    Every sign is +-1; each place is a permutation; no two places are
+    equal; and each place's prefix sums, from 0, are the labels its
+    ``path`` picks from the lattice whose point (r, c) is labelled with the
+    weights of the first r front and the first c back entries.  So the
+    slots before each point of a path hold exactly those entries: each slot
+    steps once, down with the next front entry or along with the next back
+    one, so each place keeps each block in order, its path steps as it
+    does, and no two put the back block on one position set.
+
+    A cylinder has n + 1 terms, and term i is degenerate iff a front slot,
+    where k puts the identity, lies before its pillar at slot i: n minus
+    the first front slot of them, which holds 2^q; none when p = 0."""
+    q = n - p
+    signs, places = shuffle_places(p, q)
+    _require(set(signs) <= {1, -1}, n, f"a ({p}, {q}) shuffle sign is not +-1")
+    powers = [1 << j for j in range(n)]
+    placed = list(map(methodcaller("__call__", tuple(powers[q:] + powers[:q])), places))
+    _require(all(map(powers.__eq__, map(sorted, placed))), n, f"a ({p}, {q}) place is not a permutation")
+    _require(len(set(placed)) == len(placed), n, f"two ({p}, {q}) places are equal")
+    labels = [(((1 << r) - 1) << q) + (1 << c) - 1 for r in range(p + 1) for c in range(q + 1)]
+    walks = map(tuple, map(itertools.accumulate, map((0,).__add__, placed)))
+    paths = shuffle_paths(p, q)
+    _require(len(paths) == len(places) and all(map(tuple.__eq__, walks, map(methodcaller("__call__", labels), paths))),
+             n, f"a ({p}, {q}) path does not walk its place's blocks in order")
+    degenerate = sum(map(n.__sub__, map(methodcaller("index", 1 << q), placed))) if p else 0
+    return (n + 1) * sum(map(abs, signs)), degenerate
+
+
 def _P_norms(tower: MitosisTower, sigma: tuple) -> tuple:
     """``(diameter, degenerate)`` of P_n, the cylinder stage of psi(n) on the
-    generic n-simplex ``sigma`` at level n, once it has passed its premises
-    of the level certificate: every entry ``f(x)`` of a pushed face tau_k =
-    f(sigma[k:]), 0 < k < n, is a level-n ``Conjugated``, so not the
-    identity; every key of P_n holds a level-n ``PillarWord``; and no entry
-    of P_n lies above level n.  P_n is the only chain held, and it is freed
-    on return."""
+    generic n-simplex ``sigma`` at level n, certified off the data
+    ``homotopy_P`` builds it from: no P and no cylinder term is built.
+
+    The premises: every f(x) and h(x) is a level-n ``Conjugated``, so not
+    the identity; every g(x) is not the identity, not a ``PillarWord`` and
+    lies below level n; every k(x) is the identity; the pillar grids pass
+    ``_check_grids``; and each (p, n - p) table passes ``_table_norms``.  A
+    place keeps each block in order and its path steps as it does, so step
+    i of every cylinder crosses one lattice edge with the entries that edge
+    was checked with: every pillar relation holds.
+    Term i of the cylinder of (p, rank) is bottom[:i] + (t_i,) + top[i:].
+    Its one level-n pillar slot gives i, its level-n conjugate slots the
+    back block's position set, and so (p, rank), as those sets are distinct
+    in each table.  So no raw term of P_n repeats, and its norms are read
+    off the tables."""
     n = len(sigma)
-    ctx, elems = tower.context(n), tower.algebra.elems
-    _require(all(isinstance(v, Conjugated) and v.level == n for v in (elems[ctx.f(x)] for x in sigma[1:])),
-             n, f"a pushed face entry is not a level-{n} conjugate")
-    P = homotopy_P(ctx, sigma)
-    codes = set(itertools.chain.from_iterable(P.terms))
-    _require(max(value_level(elems[c]) for c in codes) <= n, n, f"an entry of P lies above level {n}")
-    pillars = {c for c in codes if isinstance(elems[c], PillarWord) and elems[c].level == n}
-    _require(not any(map(pillars.isdisjoint, P.terms)), n, f"a term of P holds no level-{n} pillar")
-    return diameter(P), count_degenerate(tower.algebra, P)
+    ctx, alg = tower.context(n), tower.algebra
+    elems = alg.elems
+    letters = f, g, h, k = tuple(tuple(map(letter, sigma)) for letter in (ctx.f, ctx.g, ctx.h, ctx.k))
+    _require(all(isinstance(elems[c], Conjugated) and elems[c].level == n for c in f + h),
+             n, f"an f or h entry is not a level-{n} conjugate")
+    _require(all(c != alg.identity and not isinstance(elems[c], PillarWord) and value_level(elems[c]) < n
+                 for c in g), n, f"a g entry is the identity, a pillar word or not below level {n}")
+    _require(set(k) <= {alg.identity}, n, "a k entry is not the identity")
+    _check_grids(alg, [_pillar_grid(ctx, sigma, p) for p in range(n + 1)], letters)
+    total, degenerate = zip(*(_table_norms(n, p) for p in range(n + 1)))
+    return sum(total), sum(degenerate)
 
 
 def _placements(n: int, k: int) -> int:
@@ -249,16 +329,19 @@ def _placements(n: int, k: int) -> int:
 def psi_counts(tower: MitosisTower, sigma: tuple) -> tuple:
     """``(diameter, degenerate)``: the L1 norms of psi(m, sigma) on the
     generic m-simplex and of its degenerate terms, by the level certificate:
-    one P per dimension is built, and no psi.  At any level above m they are
-    the same, since the level shift is injective and maps only the identity
-    to the identity.
+    no psi, no P and no cylinder is built.  P_n's norms are read off the
+    letters, lattice edges and shuffle tables it would be built from
+    (``_P_norms``), and only the shuffle tables are held.  At any level
+    above m the norms are the same, since the level shift is injective and
+    maps only the identity to the identity.
 
     psi(n) is P_n plus, for 0 < k < n, each (k + 1, n - k) placement of the
     entries of a key of A_k = psi(n - 1, sigma[:k]) and of the pushed face
     tau_k = f(sigma[k:]).  A_k is psi(k) with every level raised by
     n - 1 - k, and by the premises at the dimensions below, its entries, P_j's
     and tau's at each j <= k, lie at level k or below before the shift, so
-    below n after it.  So once ``_P_norms`` and ``_placements`` pass at n, a
+    below n after it: a pushed face's entries are f's, and P_j's are f's,
+    g's, h's, k's and pillar grid points.  So once ``_P_norms`` and ``_placements`` pass at n, a
     correction term's level-n slots are its tau slots: their number gives k,
     their set the placement, and the rest is a key of A_k.  It holds no
     level-n pillar, so it is none of P_n's keys.  No raw term cancels, and

@@ -41,10 +41,10 @@ key repeats; psi elsewhere, on another simplex or at a raised level, sums
 the same stream through ``add_terms``, each simplex mapped along the tower
 map and the level shift, so its order is that of ``pushforward`` on the
 generic chain, which the tests hold it to.
-``homotopy.psi_counts`` draws no raw term and builds no psi: it takes the
-L1 norm and ``count_degenerate`` of one P per dimension, once a level
-certificate on the codes of each P proves that no raw key of psi repeats,
-or raises ``ChainError``.  ``TensorChain`` sums through ``add_terms`` too,
+``homotopy.psi_counts`` draws no raw term and builds no psi and no P: a
+level certificate on P's letters, pillar grids and shuffle tables proves
+that no raw key of psi repeats and reads the norms off those tables, or
+raises ``ChainError``.  ``TensorChain`` sums through ``add_terms`` too,
 after its bidegree check.
 
 ``chain_payload`` streams a chain as the UTF-8 bytes of its ``indent=2``

@@ -91,21 +91,26 @@ GATES = [
     Gate(("verify", "--suite", "psi", "--level", "7", "--maxdim", "7"), peak_mb=800),
     # gamma(8) = 14,737,536 and q(8) = 5,475,530, one above the enumerated
     # oracle tier-1 holds the count to (m = 7).  The norms are certified off
-    # one P per dimension and no psi is built: about 0.15 s and 16.5 MB, so
-    # a count that builds psi(7) (about 200 MB) fails
+    # each P's letters, lattice edges and shuffle tables, and no P or psi is
+    # built: about 0.11 s and 15 MB, so a count that builds psi(7) (about
+    # 200 MB) fails
     Gate(("count", "--op", "psi", "--dim", "8", "--cap", "20000000"), peak_mb=40),
-    # c(8) = 9,262,006 from the same P's, with no projected copy of psi
+    # c(8) = 9,262,006 from the same certificate, with no projected copy of psi
     Gate(("count", "--op", "phi", "--dim", "8", "--cap", "20000000"), peak_mb=40),
-    # gamma(10) = 3,374,169,568: about 0.2 s and 19.4 MB
+    # gamma(10) = 3,374,169,568: about 0.14 s and 16 MB
     Gate(("count", "--op", "psi", "--dim", "10", "--cap", "10000000000"), peak_mb=40),
     # d_cyl(24) = 419,430,400 terms of P need at least 147 GB at 350 B each,
-    # so a cap that admits them is refused before P is built
+    # the charge count keeps from when it held one P at a time, so a cap that
+    # admits them is refused before anything is built
     Gate(("count", "--op", "psi", "--dim", "24", "--cap", "10000000000"), **REFUSAL),
-    # gamma(16) = 271,098,388,781,049,088 and q(16) = 100,722,984,316,460,322,
-    # the largest certified count: about 5.2 s and 346 MB on a 2-core x86-64
-    # VM, with P_16's 1,114,112 terms held (389 MB while each shuffle-table
-    # entry held its blocks)
-    Gate(("count", "--op", "psi", "--dim", "16"), peak_mb=380),
+    # gamma(16) = 271,098,388,781,049,088 and q(16) = 100,722,984,316,460,322:
+    # 1.8-2.4 s and 114 MB on a 2-core x86-64 VM, the shuffle tables and no
+    # chain held (6.7 s and 346 MB while P_16's 1,114,112 terms were built)
+    Gate(("count", "--op", "psi", "--dim", "16"), peak_mb=125),
+    # gamma(18) = 192,975,475,805,640,183,392, the largest count the default
+    # cap admits: 7.6-7.8 s and 426 MB on a 2-core x86-64 VM, nearly all of
+    # it the shuffle tables (31 s and 1,393 MB while P_18 was built)
+    Gate(("count", "--op", "psi", "--dim", "18"), peak_mb=470, timeout_s=120),
     # psi at level 8 is over the term cap on gamma(8), and theorem45 on
     # cyclic100000 would enumerate 10^10 2-simplices: each is refused before
     # anything is built

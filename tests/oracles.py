@@ -7,6 +7,9 @@ Each builds its result the plain way, apart from the code it checks:
   ``homotopy.p_cylinder_data`` reads;
 * ``pillar_system`` keys ``p_cylinder_data``'s pillars by shuffle
   coordinate, for the paper's claims on pillar systems;
+* ``P_norms`` builds P_n on the generic simplex with ``homotopy_P`` and
+  sums its norms, for the certificate ``homotopy._P_norms`` that reads them
+  off P's data;
 * ``chain_to_json`` builds an expand document's chain whole, sorted on
   ``term_sort_key``, the compact JSON text of each simplex, for
   ``moore.chain_payload`` and ``moore.EntryText.compact``.
@@ -14,8 +17,8 @@ Each builds its result the plain way, apart from the code it checks:
 
 import json
 
-from barhom.homotopy import HomotopyContext, p_cylinder_data
-from barhom.moore import Chain, simplex_to_json
+from barhom.homotopy import HomotopyContext, MitosisTower, homotopy_P, p_cylinder_data
+from barhom.moore import Chain, count_degenerate, diameter, simplex_to_json
 from barhom.shuffles import DimensionMismatch, shuffles
 
 
@@ -54,6 +57,15 @@ def pillar_system(ctx: HomotopyContext, sigma: tuple) -> dict:
         (p, q, rank): pillars
         for p, q, rank, _sign, _top, _bottom, pillars in p_cylinder_data(ctx, sigma)
     }
+
+
+def P_norms(tower: MitosisTower, sigma: tuple) -> tuple:
+    """``(diameter, degenerate)`` of P_n, the cylinder stage of psi(n) on the
+    generic n-simplex ``sigma`` at level n, enumerated: P_n is built whole
+    by ``homotopy_P``, which checks every cylinder's pillars, and its norms
+    are summed off its dict."""
+    P = homotopy_P(tower.context(len(sigma)), sigma)
+    return diameter(P), count_degenerate(tower.algebra, P)
 
 
 def term_sort_key(alg, simplex: tuple) -> str:

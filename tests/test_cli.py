@@ -383,8 +383,8 @@ T45_CAP = "error: term cap exceeded: theorem45 enumerates cyclic100000^2, more t
 # those the cases have always been reported under.  Every case is checked the
 # same way, by _assert_refused.
 USAGE_ERRORS = {
-    # count builds one P at a time, so its cap and its memory guard are on
-    # d_cyl(dim), the terms of the largest
+    # count is charged as one P at a time, as when it built them, so its cap
+    # and its memory guard are on d_cyl(dim), the terms of the largest
     "test_count_psi_above_cap_is_refused": [
         (None, "count --op psi --dim 7 --cap 1000", "error: term cap exceeded: d_cyl(7) = 1024 > 1000", {})],
     # d_cyl(18) = 4,980,736 terms at 350 B each exceed 1 GiB, and so does

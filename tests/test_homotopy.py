@@ -2,7 +2,6 @@ import gc
 import itertools
 import random
 import re
-import weakref
 from math import comb
 from operator import itemgetter
 
@@ -42,7 +41,7 @@ from barhom.shuffles import (
 )
 from barhom.words import Conjugated, PillarWord, TowerAlgebra, value_level
 
-from oracles import pillar_of_term, pillar_system
+from oracles import P_norms, pillar_of_term, pillar_system
 
 
 def _formal(m):
@@ -872,32 +871,35 @@ def test_the_tower_memo_holds_generic_stages_only(monkeypatch, capsys):
     assert set(tower._generic._cache) == {1, 2, 3}
 
 
-class _HeldChain(Chain):
-    """A ``Chain`` that a weak reference can follow."""
+def _raising(name):
+    def raising(*args, **kwargs):
+        raise AssertionError(f"the count called {name}")
+    return raising
 
-    __slots__ = ("__weakref__",)
 
-
-def test_the_count_holds_one_chain_per_lower_dimension(monkeypatch):
-    # count --dim 7 builds P_n on x_1 .. x_n once for each n <= 7, each
-    # freed before the next is built, and no psi: the tower memoizes nothing
+def test_the_count_builds_no_P_no_cylinder_and_no_psi(monkeypatch):
+    # count --dim 7 certifies each P_n, n <= 7, off its letters, lattice
+    # edges and shuffle tables: it builds no P, draws no cylinder, reads no
+    # chain's degeneracy and builds no psi, and the tower memoizes nothing
     base = FreeGroup(7)
     tower = MitosisTower(base)
-    built = []
-
-    def tracked(ctx, sigma):
-        assert all(ref() is None for ref in built), "a P was still held"
-        chain = homotopy_P(ctx, sigma)
-        held = _HeldChain(chain.dim)
-        held.terms = chain.terms
-        built.append(weakref.ref(held))
-        return held
-
-    monkeypatch.setattr(homotopy, "homotopy_P", tracked)
-    monkeypatch.setattr(homotopy, "induct_Q", None)
+    for target in ("barhom.homotopy.homotopy_P", "barhom.homotopy.cyl_chain", "barhom.cylinder.cyl_chain",
+                   "barhom.moore.count_degenerate", "barhom.homotopy.induct_Q"):
+        monkeypatch.setattr(target, _raising(target))
     assert psi_counts(tower, tuple(base.gens())) == (gamma(7), q_count(7))
-    assert len(built) == 7
     assert tower._cache == {}
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_the_P_certificate_equals_the_enumerated_oracle(n):
+    # the certificate reads P_n's norms off the data homotopy_P builds it
+    # from; the oracle builds P_n and sums its norms.  Both are d_cyl(n) =
+    # 2^n (n + 1) and 2^n (n - 1) + 1: every cylinder has n + 1 terms, and
+    # the (p, q) cylinder whose first front slot is j has n - j degenerate
+    base = FreeGroup(n)
+    sigma = tuple(base.gens())
+    certified = homotopy._P_norms(MitosisTower(base), sigma)
+    assert certified == P_norms(MitosisTower(base), sigma) == (2 ** n * (n + 1), 2 ** n * (n - 1) + 1)
 
 
 def _chain_counts(tower, level, sigma):
@@ -920,23 +922,6 @@ def test_streamed_counts_equal_the_chain_counts(m, above):
     assert tower._cache == {}
     assert counts == (gamma(m), q_count(m))
     assert _chain_counts(tower, level, sigma) == (counts, counts[0] - counts[1])
-
-
-def test_the_count_reads_degeneracy_off_one_P_per_dimension(monkeypatch):
-    # count --dim 6: count_degenerate reads P_n once for each n <= 6, the
-    # sum of d_cyl(n) = 768 simplices, never a raw term of psi (gamma(6) =
-    # 98,336 of them)
-    base = FreeGroup(6)
-    tower = MitosisTower(base)
-    seen = []
-
-    def counting(alg, chain):
-        seen.append(len(chain))
-        return count_degenerate(alg, chain)
-
-    monkeypatch.setattr(homotopy, "count_degenerate", counting)
-    assert psi_counts(tower, tuple(base.gens())) == (gamma(6), q_count(6))
-    assert seen == [d_cyl(n) for n in range(1, 7)] and sum(seen) == 768
 
 
 def _per_slot_premise(n, k, places):

@@ -288,30 +288,22 @@ def test_encoder_emitting_gen_e_fails_the_free_reduction_test(monkeypatch):
         test_words.test_encoded_entries_are_freely_reduced()
 
 
-_count_degenerate = moore.count_degenerate
-
-
-def _count_degenerate_skipping_the_last_term(alg, chain):
-    # the degeneracy test blind to the last term of each chain it reads
-    return _count_degenerate(alg, Chain(chain.dim, list(chain.terms.items())[:-1]))
-
-
 def _count_psi_3(capsys):
     code = main(["count", "--op", "psi", "--dim", "3"])
     return code, capsys.readouterr().out.splitlines()[0]
 
 
-def test_count_degenerate_skipping_the_last_term_fails_the_q_gate(monkeypatch, capsys):
-    # killed by the q gate of ``count --op psi``: psi(3)'s degenerate norm
-    # reads P_1, P_2 and P_3, and the last term of each is degenerate with
-    # coefficient +-1, so q(1) = 1 - 1, q(2) = 4 + 3 q(1) and q(3) = 16 +
-    # 6 q(1) + 4 q(2), against 1, 8 and 55.  Skipping the last slot of each
-    # simplex instead is no mutation of the psi count: no psi term to m = 6
-    # has the identity in its last slot alone
+def test_a_degenerate_norm_skipping_each_cylinders_last_term_fails_the_q_gate(monkeypatch, capsys):
+    # killed by the q gate of ``count --op psi``: the certificate counts n - j
+    # degenerate terms in an n-cylinder whose first front slot is j, and the
+    # mutant n - 1 - j, so each P_n's degenerate norm loses its 2^n - 1
+    # cylinders with a front slot: q(1) = 1 - 1, q(2) = 5 - 3 + 3 q(1) and
+    # q(3) = 17 - 7 + 6 q(1) + 4 q(2), against 1, 8 and 55
     ok = "ok psi dim 3 level 3: diameter 152 expected 152, degenerate 55 expected 55"
     assert _count_psi_3(capsys) == (0, ok)
-    monkeypatch.setattr(homotopy, "count_degenerate", _count_degenerate_skipping_the_last_term)
-    assert _count_psi_3(capsys) == (1, "FAIL " + ok[3:].replace("degenerate 55", "degenerate 32"))
+    monkeypatch.setattr(homotopy, "_table_norms", _recompiled(homotopy, "_table_norms", "map(n.__sub__,",
+                                                                "map((n - 1).__sub__,"))
+    assert _count_psi_3(capsys) == (1, "FAIL " + ok[3:].replace("degenerate 55", "degenerate 18"))
 
 
 _shuffle_terms = shuffles.shuffle_terms
@@ -334,8 +326,10 @@ def test_a_correction_stream_one_term_short_fails_the_stage_count_check(monkeypa
     assert capsys.readouterr() == ("", "error: ChainError: psi(2) on a 2-simplex: 23 distinct keys for 24 raw terms\n")
 
 
-_homotopy_P = homotopy.homotopy_P
 _conj = TowerAlgebra.conj
+_context = MitosisTower.context
+_pillar_grid = homotopy._pillar_grid
+_shuffle_paths = shuffles.shuffle_paths
 
 
 def _shuffle_places_with_two_ranks_on_one_position_set(p, q):
@@ -345,23 +339,67 @@ def _shuffle_places_with_two_ranks_on_one_position_set(p, q):
     return signs, places[:1] + places[:1] + places[2:] if p + q > 2 else places
 
 
-def _P_with_its_first_term_changed(ctx, sigma, change):
-    """``homotopy_P`` with ``change(entries, n, key)`` in place of its first
-    key."""
-    P = _homotopy_P(ctx, sigma)
-    (key, coeff), *rest = P.terms.items()
-    return Chain(P.dim, [(change(ctx.entries, len(sigma), key), coeff), *rest])
+def _context_with_g_equal_to_k(tower, level):
+    # g(x) coded as the identity, as k(x) is
+    return _context(tower, level)._replace(g=_context(tower, level).k)
 
 
-def _without_its_pillar(entries, n, key):
-    # every level-n pillar of the key made the identity
-    return tuple(entries.identity if isinstance(entries.elems[c], PillarWord) else c for c in key)
+def _context_with_the_pillar_of_the_inverse(tower, level):
+    # m(x) coded as the pillar of x^-1: every grid is wrong alike, so the
+    # grids agree and the pillar relations fail
+    ctx = _context(tower, level)
+    return ctx._replace(m=lambda x: ctx.m(tower.base.inv(x)))
 
 
-def _with_an_entry_above_its_level(entries, n, key):
-    # the first slot that holds no pillar made a conjugate one level up
-    i = next(i for i, c in enumerate(key) if not isinstance(entries.elems[c], PillarWord))
-    return key[:i] + (entries.code(entries.algebra.conj(n + 1, (1,))),) + key[i + 1:]
+def _shuffle_places_with_one_placement_twice(p, q):
+    # the second placement of a table of two slots or more replaced by the
+    # first: P_2's (1, 1) table is the first that P's tables meet
+    signs, places = _shuffle_places(p, q)
+    return signs, places[:1] + places[:1] + places[2:] if len(places) > 1 else places
+
+
+def _pillar_grid_with(change):
+    """``_pillar_grid`` with ``change(entries, n, grid)`` applied to its
+    grid."""
+    return lambda ctx, sigma, p: change(ctx.entries, len(sigma), _pillar_grid(ctx, sigma, p))
+
+
+def _last_point_made_the_first(entries, n, grid):
+    # the last point, m(sigma[p:]), made the first, m(sigma[:p]): a level-n
+    # pillar word, but the wrong one
+    return grid[:-1] + grid[:1]
+
+
+def _first_point_made_the_identity(entries, n, grid):
+    return [entries.identity] + grid[1:]
+
+
+def _first_point_raised_a_level(entries, n, grid):
+    return [entries.code(entries.elems[grid[0]]._replace(level=n + 1))] + grid[1:]
+
+
+def _shuffle_paths_with_the_first_stepping_along(p, q):
+    # the first path, which steps down first as its place does, replaced by
+    # the last, which steps along first
+    paths = _shuffle_paths(p, q)
+    return paths[-1:] + paths[1:] if p and q else paths
+
+
+def _shuffle_places_with_a_sign_of_2(p, q):
+    signs, places = _shuffle_places(p, q)
+    return (2,) + signs[1:], places
+
+
+def _shuffle_places_with_two_front_entries_swapped(p, q):
+    # the first placement of a table whose front block has two entries or
+    # more puts its first two front entries in each other's slots
+    signs, places = _shuffle_places(p, q)
+    if p < 2:
+        return signs, places
+    slots = list(places[0](range(p + q)))
+    a, b = slots.index(0), slots.index(1)
+    slots[a], slots[b] = 1, 0
+    return signs, (shuffles._getter(tuple(slots)),) + places[1:]
 
 
 def _conj_flattening_x_2(self, level, arg, tail=None):
@@ -372,19 +410,34 @@ def _conj_flattening_x_2(self, level, arg, tail=None):
 @pytest.mark.parametrize("mutants, premise", [
     ({"barhom.homotopy.shuffle_places": _shuffle_places_with_two_ranks_on_one_position_set},
      "psi(2) on a 2-simplex: the (2, 1) placements are not permutations with distinct face slots"),
-    ({"barhom.homotopy.homotopy_P": lambda ctx, sigma: _P_with_its_first_term_changed(ctx, sigma, _without_its_pillar)},
-     "psi(1) on a 1-simplex: a term of P holds no level-1 pillar"),
-    ({"barhom.homotopy.homotopy_P":
-      lambda ctx, sigma: _P_with_its_first_term_changed(ctx, sigma, _with_an_entry_above_its_level)},
-     "psi(1) on a 1-simplex: an entry of P lies above level 1"),
+    ({"barhom.homotopy._pillar_grid": _pillar_grid_with(_first_point_made_the_identity)},
+     "psi(1) on a 1-simplex: a pillar grid point is not a level-1 pillar word"),
+    ({"barhom.homotopy._pillar_grid": _pillar_grid_with(_first_point_raised_a_level)},
+     "psi(1) on a 1-simplex: a pillar grid point is not a level-1 pillar word"),
     ({"barhom.words.TowerAlgebra.conj": _conj_flattening_x_2},
-     "psi(2) on a 2-simplex: a pushed face entry is not a level-2 conjugate"),
-], ids=["placements", "P term", "P entry above level", "tau identity"])
+     "psi(2) on a 2-simplex: an f or h entry is not a level-2 conjugate"),
+    ({"barhom.homotopy.MitosisTower.context": _context_with_g_equal_to_k},
+     "psi(1) on a 1-simplex: a g entry is the identity, a pillar word or not below level 1"),
+    ({"barhom.homotopy._pillar_grid": _pillar_grid_with(_last_point_made_the_first)},
+     "psi(1) on a 1-simplex: two pillar grids disagree on an interval"),
+    ({"barhom.homotopy.MitosisTower.context": _context_with_the_pillar_of_the_inverse},
+     "psi(1) on a 1-simplex: a pillar relation fails on a lattice edge"),
+    ({"barhom.homotopy.shuffle_places": _shuffle_places_with_one_placement_twice},
+     "psi(2) on a 2-simplex: two (1, 1) places are equal"),
+    ({"barhom.homotopy.shuffle_paths": _shuffle_paths_with_the_first_stepping_along},
+     "psi(2) on a 2-simplex: a (1, 1) path does not walk its place's blocks in order"),
+    ({"barhom.homotopy.shuffle_places": _shuffle_places_with_a_sign_of_2},
+     "psi(1) on a 1-simplex: a (0, 1) shuffle sign is not +-1"),
+    ({"barhom.homotopy.shuffle_places": _shuffle_places_with_two_front_entries_swapped},
+     "psi(2) on a 2-simplex: a (2, 0) path does not walk its place's blocks in order"),
+], ids=["placements", "P term", "P entry above level", "tau identity", "g identity", "grid point",
+        "pillar relation", "P position set", "path step", "sign", "front swap"])
 def test_a_stage_failing_a_premise_fails_the_count_certificate(monkeypatch, mutants, premise):
     # killed by the level certificate of psi_counts, at the first dimension
-    # whose P, pushed faces or placement table the mutant reaches; each
-    # mutant breaks one premise, on a fresh tower, whose contexts and codes
-    # are built under the mutant
+    # whose letters, pillar grids, shuffle tables or placement tables the
+    # mutant reaches; each mutant breaks one premise, on a fresh tower, whose
+    # contexts and codes are built under the mutant.  "P term" and "P entry
+    # above level" are the grid points their P terms' pillars are drawn from
     base = FreeGroup(5)
     sigma = tuple(base.gens())
     assert homotopy.psi_counts(MitosisTower(base), sigma) == (9732, 3613)
@@ -886,18 +939,16 @@ def test_coded_mul_caching_a_raise_fails_the_tower_memo_test(monkeypatch):
         test_homotopy.test_tower_mul_memo_agrees_with_a_fresh_algebra()
 
 
-def _count_degenerate_skipping_the_first_entry(alg, chain):
-    return sum(abs(c) for s, c in chain if alg.identity in s[1:])
-
-
-def test_degeneracy_filter_skipping_the_first_entry_fails_the_count_gates(monkeypatch, capsys):
+def test_a_degenerate_norm_counting_the_nondegenerate_terms_fails_the_count_gates(monkeypatch, capsys):
     # killed by tests/test_cli.py::test_count_pass (q) and test_count_phi (c):
-    # the terms of P_1, P_2 and P_3 that hold the identity in their first
-    # entry alone weigh 1, 3 and 7, so the mutant's q(3) is 10 + 6 * 0 +
-    # 4 * 2 = 55 - 37
+    # a cylinder whose first front slot is j has j + 1 nondegenerate terms,
+    # counted in place of its n - j degenerate ones.  Counting from the first
+    # back slot instead is no mutation of the count: over every table of one
+    # dimension, swapping the blocks keeps the sum
     test_cli.test_count_pass(capsys)
     test_cli.test_count_phi(capsys)
-    monkeypatch.setattr(homotopy, "count_degenerate", _count_degenerate_skipping_the_first_entry)
+    monkeypatch.setattr(homotopy, "_table_norms", _recompiled(homotopy, "_table_norms", "map(n.__sub__,",
+                                                                "map((1).__add__,"))
     for test in (test_cli.test_count_pass, test_cli.test_count_phi):
         with pytest.raises(AssertionError):
             test(capsys)
@@ -984,9 +1035,12 @@ def _tower_mul_raising_a_level(self, v, w):
 
 def test_tower_mul_raising_a_level_fails_the_psi_identity(monkeypatch):
     # killed by tests/test_homotopy.py::test_psi_identity_small_levels[2-2].
-    # The level certificate of psi_counts does not see it: its premises
-    # read P's terms, which the mutant leaves unchanged, and the pushed
-    # faces, which conj builds with no product
+    # The level certificate of psi_counts does not see it: its only products
+    # are the pillar relations of the lattice edges.  Along an edge the
+    # mutant raises both sides, a pillar times f(x) and h(x) times a pillar,
+    # to one level, so they stay equal; down an edge one factor is a base
+    # element or the identity, so it changes nothing.  Its letters and
+    # pillars are built with no product
     test_homotopy.test_psi_identity_small_levels(2, 2)
     monkeypatch.setattr(TowerAlgebra, "mul", _tower_mul_raising_a_level)
     base = FreeGroup(5)
