@@ -890,6 +890,47 @@ def test_the_count_builds_no_P_no_cylinder_and_no_psi(monkeypatch):
     assert tower._cache == {}
 
 
+def _spied_P_norms(monkeypatch):
+    """The ``(n, norms)`` of each ``_P_norms`` call, as the calls are made."""
+    seen = []
+    certify = homotopy._P_norms
+
+    def spied(tower, sigma):
+        norms = certify(tower, sigma)
+        seen.append((len(sigma), norms))
+        return norms
+
+    monkeypatch.setattr(homotopy, "_P_norms", spied)
+    return seen
+
+
+def test_the_count_holds_one_chain_per_lower_dimension(monkeypatch):
+    # count --dim 7 certifies P_n on x_1 .. x_n once for each n <= 7, in
+    # order, and holds no chain: it builds no P and no psi, and the tower
+    # memoizes nothing
+    base = FreeGroup(7)
+    tower = MitosisTower(base)
+    seen = _spied_P_norms(monkeypatch)
+    monkeypatch.setattr(homotopy, "homotopy_P", _raising("homotopy_P"))
+    monkeypatch.setattr(homotopy, "induct_Q", _raising("induct_Q"))
+    assert psi_counts(tower, tuple(base.gens())) == (gamma(7), q_count(7))
+    assert [n for n, _ in seen] == list(range(1, 8))
+    assert tower._cache == {}
+
+
+def test_the_count_reads_degeneracy_off_one_P_per_dimension(monkeypatch):
+    # count --dim 6: the degenerate norm of P_n is read once for each n <= 6,
+    # off a P of d_cyl(n) simplices, 768 in all, never off a raw term of psi
+    # (gamma(6) = 98,336 of them): count_degenerate reads no chain
+    base = FreeGroup(6)
+    tower = MitosisTower(base)
+    seen = _spied_P_norms(monkeypatch)
+    monkeypatch.setattr("barhom.moore.count_degenerate", _raising("count_degenerate"))
+    assert psi_counts(tower, tuple(base.gens())) == (gamma(6), q_count(6))
+    assert seen == [(n, (d_cyl(n), 2 ** n * (n - 1) + 1)) for n in range(1, 7)]
+    assert sum(total for _, (total, _) in seen) == 768
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_the_P_certificate_equals_the_enumerated_oracle(n):
     # the certificate reads P_n's norms off the data homotopy_P builds it
