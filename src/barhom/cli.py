@@ -47,7 +47,7 @@ TERM_BYTES = 100
 # it held one P at a time: then it peaked at 308 B per term of P at dim 14
 # (87 MB) and 312 B at dim 16 (346 MB), above the interpreter's 15 MB, on a
 # 2-core x86-64 VM.  count now certifies P from its data and holds only the
-# shuffle tables (114 MB at dim 16), so the charge overstates its peak.  It
+# shuffle tables (81 MB at dim 16), so the charge overstates its peak.  It
 # stays at the 350 B measured while the shuffle tables held each entry's
 # blocks, so no refusal line changes, until one cost model predicts each
 # run's peak

@@ -13,10 +13,13 @@ The scan only ever visits the points of the (p+1) x (q+1) lattice of the
 shuffle's path: after crossing i g-components and j f-components the
 m-argument is the product of sigma[i:p+j].  ``p_cylinder_data`` therefore
 evaluates m once per lattice point and f, g, h, k once per entry, and reads
-each term off the cached ``shuffle_places`` and ``shuffle_paths`` columns;
-``homotopy_P`` is the chain cylinder ``cylinder.cyl_chain`` over those
-data.  The tests hold ``p_cylinder_data`` to a reference that runs the scan
-for one term at a time, with the component order of the itertools-built
+each term off the one cached shuffle table, ``shuffle_places``: a term's
+pillars are the grid points of its lattice path, the prefix sums of its
+place's steps, one row down at a front slot and one column along at a
+back slot.  Only this module knows the grid's layout.  ``homotopy_P`` is
+the chain cylinder ``cylinder.cyl_chain`` over those data.  The tests
+hold ``p_cylinder_data`` to a reference that runs the scan for one term
+at a time, with the component order of the itertools-built
 ``shuffles.shuffles``.
 
 The mitosis specialization plugs in conjugation by the inverse n-th stable
@@ -32,13 +35,13 @@ free base at level m, where no raw term may repeat, and raises
 ``ChainError`` if its dict holds fewer keys than it summed raw terms: it is
 the enumerated oracle.
 ``psi_counts`` builds no psi, no P and no cylinder, and draws no raw
-term.  It checks the premises of the level certificate on the codes of
-each dimension's letters, pillar grids and lattice edges, and on the
-``shuffle_places`` and ``shuffle_paths`` getters, applied by C-level maps.
-It then reads P_n's norms off those tables and sums the norms by the
-recurrence the premises prove, or raises ``ChainError``.  Its top
-dimension's placement tables are read for the premise alone, so no lattice
-path is built for them.  So ``count`` holds the shuffle tables and no chain.
+term.  It certifies each shuffle table of total m + 1 or less once, by
+C-level maps of its ``shuffle_places`` getters, and checks the premises of
+the level certificate on the codes of each dimension's letters, pillar
+grids and lattice edges.  It then reads P_n's norms off the tables of
+total n, the corrections' placement counts off those of total n + 1, and
+sums the norms by the recurrence the premises prove, or raises
+``ChainError``.  So ``count`` holds the shuffle tables and no chain.
 The CLI still charges it one P_dim's terms (``cli.P_TERM_BYTES``), which
 now overstates what it holds; the charge and every refusal line are kept
 as they were until one cost model predicts each run's peak.  The
@@ -77,7 +80,7 @@ from .cylinder import cyl_chain
 from .groups import CodedAlgebra, FreeGroup, Group
 from .moore import Chain, ChainError, boundary, project
 from .quintuple import QuintupleAlgebra, VerificationInstance
-from .shuffles import edgewise, shuffle_paths, shuffle_places, shuffle_terms
+from .shuffles import edgewise, shuffle_places, shuffle_terms
 from .words import Conjugated, PillarWord, TowerAlgebra, value_level
 
 
@@ -145,16 +148,22 @@ def _pillar_grid(ctx: HomotopyContext, sigma: tuple, p: int) -> list:
 
 
 def p_cylinder_data(ctx: HomotopyContext, sigma: tuple):
-    """Per-shuffle (p, q, rank, sign, top, bottom, pillars) of the homotopy."""
+    """Per-shuffle (p, q, rank, sign, top, bottom, pillars) of the homotopy.
+    A shuffle's pillars are the grid points of its lattice path: its place
+    of ``steps`` holds q + 1, one row of the row-major grid, at each front
+    slot and 1 at each back slot, so its prefix sums from 0 are the path's
+    grid indices."""
     n = len(sigma)
     for p in range(n + 1):
+        q = n - p
         front, back = sigma[:p], sigma[p:]
         top_source = tuple(map(ctx.g, front)) + tuple(map(ctx.f, back))
         bottom_source = tuple(map(ctx.k, front)) + tuple(map(ctx.h, back))
         grid = _pillar_grid(ctx, sigma, p)
-        signs, places = shuffle_places(p, n - p)
-        for rank, (sign, place, path) in enumerate(zip(signs, places, shuffle_paths(p, n - p)), start=1):
-            yield p, n - p, rank, sign, place(top_source), place(bottom_source), path(grid)
+        steps = (q + 1,) * p + (1,) * q
+        for rank, (sign, place) in enumerate(zip(*shuffle_places(p, q)), start=1):
+            pillars = tuple(map(grid.__getitem__, itertools.accumulate(place(steps), initial=0)))
+            yield p, q, rank, sign, place(top_source), place(bottom_source), pillars
 
 
 def homotopy_P(ctx: HomotopyContext, sigma: tuple) -> Chain:
@@ -209,10 +218,11 @@ def induct_Q(tower: MitosisTower, sigma: tuple) -> Chain:
     return out
 
 
-def _require(holds: bool, n: int, premise: str) -> None:
-    """Raise ``ChainError`` on the stage of psi(n) unless ``premise`` holds."""
+def _require(holds: bool, where: str, premise: str) -> None:
+    """Raise ``ChainError`` on ``where``, a stage or a table, unless
+    ``premise`` holds."""
     if not holds:
-        raise ChainError(f"psi({n}) on a {n}-simplex: {premise}")
+        raise ChainError(f"{where}: {premise}")
 
 
 def _check_grids(alg: CodedAlgebra, grids: list, letters: tuple) -> None:
@@ -232,108 +242,98 @@ def _check_grids(alg: CodedAlgebra, grids: list, letters: tuple) -> None:
     columns 0, by C-level maps."""
     f, g, h, k = letters
     n, elems, mul = len(f), alg.elems, alg.mul
+    where = f"psi({n}) on a {n}-simplex"
     _require(all(isinstance(elems[t], PillarWord) and elems[t].level == n for t in itertools.chain(*grids)),
-             n, f"a pillar grid point is not a level-{n} pillar word")
+             where, f"a pillar grid point is not a level-{n} pillar word")
     rows = [[grid[i:i + n - p + 1] for i in range(0, len(grid), n - p + 1)] for p, grid in enumerate(grids)]
     _require(all(rows[p][r] == rows[r][r][p - r:] for p in range(n + 1) for r in range(p)),
-             n, "two pillar grids disagree on an interval")
+             where, "two pillar grids disagree on an interval")
     starts = (rows[r][r] for r in range(n + 1))
     ends = (grid[::n - p + 1] for p, grid in enumerate(grids))
     _require(all(list(map(mul, row[:-1], f[r:])) == list(map(mul, h[r:], row[1:])) for r, row in enumerate(starts))
              and all(list(map(mul, column[:-1], g)) == list(map(mul, k, column[1:])) for column in ends),
-             n, "a pillar relation fails on a lattice edge")
+             where, "a pillar relation fails on a lattice edge")
 
 
 def _table_norms(n: int, p: int) -> tuple:
-    """``(diameter, degenerate)`` of the cylinders P_n draws through the
-    (p, q) shuffle table, q = n - p, once the table passes its premises,
-    each checked by C-level maps of its getters.  Each ``place`` is applied
-    to weights: 2^(q + r) for the front block's entry r, 2^c for the back
-    block's entry c.
+    """``(placements, degenerate)`` of the (p, q) shuffle table, q = n - p:
+    its number of places, and the degenerate terms of the cylinders P_n
+    draws through it, once the table passes its premises, each checked by
+    C-level maps of its getters.  Each ``place`` is applied to weights:
+    2^(q + r) for the front block's entry r, 2^c for the back block's entry c.
 
-    Every sign is +-1; each place is a permutation; no two places are
-    equal; and each place's prefix sums, from 0, are the labels its
-    ``path`` picks from the lattice whose point (r, c) is labelled with the
-    weights of the first r front and the first c back entries.  So the
-    slots before each point of a path hold exactly those entries: each slot
-    steps once, down with the next front entry or along with the next back
-    one, so each place keeps each block in order, its path steps as it
-    does, and no two put the back block on one position set.
+    There is one sign per place and each is +-1; each place is a
+    permutation; no two places are equal; and each place's prefix sums are
+    lattice labels, the label of the point (r, c) being the weight of the
+    first r front and the first c back entries.  A permutation's prefix sum
+    after i slots is the weight of the entries they hold, so it is a label
+    iff they are the first r front and the first i - r back entries: each
+    place keeps each block in order.  So the path ``p_cylinder_data``
+    derives from a place steps down a row at each front slot and along a
+    column at each back slot, and a place is fixed by its back block's
+    position set, so no two places share one.
 
     A cylinder has n + 1 terms, and term i is degenerate iff a front slot,
     where k puts the identity, lies before its pillar at slot i: n minus
     the first front slot of them, which holds 2^q; none when p = 0."""
     q = n - p
     signs, places = shuffle_places(p, q)
-    _require(set(signs) <= {1, -1}, n, f"a ({p}, {q}) shuffle sign is not +-1")
+    table = f"the ({p}, {q}) shuffle table"
+    _require(len(signs) == len(places) and set(signs) <= {1, -1}, table, "the signs are not one +-1 per place")
     powers = [1 << j for j in range(n)]
     placed = list(map(methodcaller("__call__", tuple(powers[q:] + powers[:q])), places))
-    _require(all(map(powers.__eq__, map(sorted, placed))), n, f"a ({p}, {q}) place is not a permutation")
-    _require(len(set(placed)) == len(placed), n, f"two ({p}, {q}) places are equal")
-    labels = [(((1 << r) - 1) << q) + (1 << c) - 1 for r in range(p + 1) for c in range(q + 1)]
-    walks = map(tuple, map(itertools.accumulate, map((0,).__add__, placed)))
-    paths = shuffle_paths(p, q)
-    _require(len(paths) == len(places) and all(map(tuple.__eq__, walks, map(methodcaller("__call__", labels), paths))),
-             n, f"a ({p}, {q}) path does not walk its place's blocks in order")
+    _require(all(map(powers.__eq__, map(sorted, placed))), table, "a place is not a permutation")
+    _require(len(set(placed)) == len(placed), table, "two places are equal")
+    labels = {(((1 << r) - 1) << q) + (1 << c) - 1 for r in range(p + 1) for c in range(q + 1)}
+    _require(all(map(labels.issuperset, map(itertools.accumulate, placed))),
+             table, "a place does not keep its blocks in order")
     degenerate = sum(map(n.__sub__, map(methodcaller("index", 1 << q), placed))) if p else 0
-    return (n + 1) * sum(map(abs, signs)), degenerate
+    return len(places), degenerate
 
 
-def _P_norms(tower: MitosisTower, sigma: tuple) -> tuple:
+def _P_norms(tower: MitosisTower, sigma: tuple, tables: list) -> tuple:
     """``(diameter, degenerate)`` of P_n, the cylinder stage of psi(n) on the
     generic n-simplex ``sigma`` at level n, certified off the data
     ``homotopy_P`` builds it from: no P and no cylinder term is built.
+    ``tables[p]`` is the ``_table_norms`` of the (p, n - p) table, which
+    passed its premises.
 
     The premises: every f(x) and h(x) is a level-n ``Conjugated``, so not
     the identity; every g(x) is not the identity, not a ``PillarWord`` and
-    lies below level n; every k(x) is the identity; the pillar grids pass
-    ``_check_grids``; and each (p, n - p) table passes ``_table_norms``.  A
-    place keeps each block in order and its path steps as it does, so step
-    i of every cylinder crosses one lattice edge with the entries that edge
-    was checked with: every pillar relation holds.
+    lies below level n; every k(x) is the identity; and the pillar grids
+    pass ``_check_grids``.  A place keeps each block in order, so the path
+    derived from it steps as it does, and step i of every cylinder crosses
+    one lattice edge with the entries that edge was checked with: every
+    pillar relation holds.
     Term i of the cylinder of (p, rank) is bottom[:i] + (t_i,) + top[i:].
     Its one level-n pillar slot gives i, its level-n conjugate slots the
     back block's position set, and so (p, rank), as those sets are distinct
-    in each table.  So no raw term of P_n repeats, and its norms are read
-    off the tables."""
+    in each table.  So no raw term of P_n repeats: each of its cylinders
+    has n + 1 terms, and its norms are read off the tables."""
     n = len(sigma)
+    where = f"psi({n}) on a {n}-simplex"
     ctx, alg = tower.context(n), tower.algebra
     elems = alg.elems
     letters = f, g, h, k = tuple(tuple(map(letter, sigma)) for letter in (ctx.f, ctx.g, ctx.h, ctx.k))
     _require(all(isinstance(elems[c], Conjugated) and elems[c].level == n for c in f + h),
-             n, f"an f or h entry is not a level-{n} conjugate")
+             where, f"an f or h entry is not a level-{n} conjugate")
     _require(all(c != alg.identity and not isinstance(elems[c], PillarWord) and value_level(elems[c]) < n
-                 for c in g), n, f"a g entry is the identity, a pillar word or not below level {n}")
-    _require(set(k) <= {alg.identity}, n, "a k entry is not the identity")
+                 for c in g), where, f"a g entry is the identity, a pillar word or not below level {n}")
+    _require(set(k) <= {alg.identity}, where, "a k entry is not the identity")
     _check_grids(alg, [_pillar_grid(ctx, sigma, p) for p in range(n + 1)], letters)
-    total, degenerate = zip(*(_table_norms(n, p) for p in range(n + 1)))
-    return sum(total), sum(degenerate)
-
-
-def _placements(n: int, k: int) -> int:
-    """The number of (k + 1, n - k) placements, once each ``place`` getter,
-    applied to ``range(n + 1)``, is a permutation and no two put the pushed
-    face's slots on one position set.  The getters are applied by C-level
-    maps: to ``range(n + 1)`` for the permutations, and to the face mask,
-    true at the pushed face's slots, for the position sets."""
-    p = k + 1
-    places = shuffle_places(p, n - k)[1]
-    slots = list(range(n + 1))
-    mask = (False,) * p + (True,) * (n - k)
-    _require(all(map(slots.__eq__, map(sorted, map(methodcaller("__call__", slots), places))))
-             and len(set(map(methodcaller("__call__", mask), places))) == len(places),
-             n, f"the ({p}, {n - k}) placements are not permutations with distinct face slots")
-    return len(places)
+    placements, degenerate = zip(*tables)
+    return (n + 1) * sum(placements), sum(degenerate)
 
 
 def psi_counts(tower: MitosisTower, sigma: tuple) -> tuple:
     """``(diameter, degenerate)``: the L1 norms of psi(m, sigma) on the
     generic m-simplex and of its degenerate terms, by the level certificate:
-    no psi, no P and no cylinder is built.  P_n's norms are read off the
-    letters, lattice edges and shuffle tables it would be built from
-    (``_P_norms``), and only the shuffle tables are held.  At any level
-    above m the norms are the same, since the level shift is injective and
-    maps only the identity to the identity.
+    no psi, no P and no cylinder is built.  Each shuffle table of total
+    m + 1 or less is certified once, by ``_table_norms``; P_n's norms are
+    read off the letters, lattice edges and tables of total n it would be
+    built from (``_P_norms``), and only the shuffle tables are held.  At
+    any level above m the norms are the same, since the level shift is
+    injective and maps only the identity to the identity.
 
     psi(n) is P_n plus, for 0 < k < n, each (k + 1, n - k) placement of the
     entries of a key of A_k = psi(n - 1, sigma[:k]) and of the pushed face
@@ -341,17 +341,21 @@ def psi_counts(tower: MitosisTower, sigma: tuple) -> tuple:
     n - 1 - k, and by the premises at the dimensions below, its entries, P_j's
     and tau's at each j <= k, lie at level k or below before the shift, so
     below n after it: a pushed face's entries are f's, and P_j's are f's,
-    g's, h's, k's and pillar grid points.  So once ``_P_norms`` and ``_placements`` pass at n, a
-    correction term's level-n slots are its tau slots: their number gives k,
-    their set the placement, and the rest is a key of A_k.  It holds no
-    level-n pillar, so it is none of P_n's keys.  No raw term cancels, and
-    as tau holds no identity, both norms follow
-    g(n) = g(P_n) + sum over k of C(n + 1, k + 1) g(k)."""
+    g's, h's, k's and pillar grid points.  So once ``_P_norms`` passes at
+    n, a correction term's level-n slots are its tau slots: their number
+    gives k, and their set the placement, as no two places of a certified
+    table put the back block on one position set; the rest is a key of A_k.
+    It holds no level-n pillar, so it is none of P_n's keys.  No raw term
+    cancels, and as each sign is +-1 and tau holds no identity, both norms
+    follow g(n) = g(P_n) + sum over k of C(n + 1, k + 1) g(k), the
+    binomial read as the (k + 1, n - k) table's length."""
+    m = len(sigma)
+    tables = [[_table_norms(n, p) for p in range(n + 1)] for n in range(m + 2)]
     norms = [(0, 0)]
-    for n in range(1, len(sigma) + 1):
-        total, degenerate = _P_norms(tower, sigma[:n])
+    for n in range(1, m + 1):
+        total, degenerate = _P_norms(tower, sigma[:n], tables[n])
         for k in range(1, n):
-            placements = _placements(n, k)
+            placements = tables[n + 1][k + 1][0]
             total, degenerate = total + placements * norms[k][0], degenerate + placements * norms[k][1]
         norms.append((total, degenerate))
     return norms[-1]

@@ -10,12 +10,12 @@ directly through the shuffle formula.  The two code paths are independent and
 are cross-checked against each other in the tests.
 
 Every shuffle placement on the compute path (the subdivision terms, the
-cylinder data of the homotopy and the shuffle product) is read off two
-cached column tables: ``shuffle_places`` holds each (p,q)-shuffle's sign
-and ``place`` getter, and ``shuffle_paths`` its lattice ``path`` getter,
-built only where a cylinder reads it.  Both are built by recursion on the
-first slot, each new getter the sub-table's getter applied to one fixed
-index sequence, so no slot is placed by a Python loop.  The shuffle product
+cylinder data of the homotopy and the shuffle product) is read off one
+cached column table, ``shuffle_places``, which holds each (p,q)-shuffle's
+sign and ``place`` getter; a cylinder's lattice path is derived from its
+place in ``homotopy``.  The table is built by recursion on the first slot,
+each new getter the sub-table's getter applied to one fixed index
+sequence, so no slot is placed by a Python loop.  The shuffle product
 ``shuffle_terms`` of a chain with one simplex, the pushed face of a tower
 correction, interleaves the entries of each term and the face directly:
 the Eilenberg-Zilber map pads every slot of one factor that the other
@@ -119,27 +119,6 @@ def shuffle_places(p: int, q: int) -> tuple:
     places = [_getter((0,) + place(range(1, n + 1))) for place in heads]
     places += [_getter((p,) + place(shift)) for place in tails]
     return head_signs + tail_signs, tuple(places)
-
-
-@lru_cache(maxsize=None)
-def shuffle_paths(p: int, q: int) -> tuple:
-    """The ``path`` getters of all (p,q)-shuffles, in ``shuffle_places``'
-    order, built on first use.  A path picks the lattice points the shuffle
-    walks through from the row-major (p+1) x (q+1) grid, where a first-block
-    slot steps down a row and a second-block slot steps along a column.
-
-    By the same recursion: a head path steps down, then walks its
-    sub-table's path one row lower; a tail path steps along, then walks its
-    sub-table's path on the (p+1) x q grid one column to the right."""
-    if p < 0 or q < 0:
-        raise ValueError("p and q must be nonnegative")
-    if p == 0 or q == 0:
-        return (_getter(tuple(range(p + q + 1))),)
-    down = range(q + 1, (p + 1) * (q + 1))
-    along = tuple(row * (q + 1) + col for row in range(p + 1) for col in range(1, q + 1))
-    paths = [_getter((0,) + path(down)) for path in shuffle_paths(p - 1, q)]
-    paths += [_getter((0,) + path(along)) for path in shuffle_paths(p, q - 1)]
-    return tuple(paths)
 
 
 # -- tensor chains and the classical maps ---------------------------------------

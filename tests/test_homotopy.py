@@ -33,7 +33,6 @@ from barhom.shuffles import (
     edgewise,
     ez,
     mult_map,
-    shuffle_paths,
     shuffle_places,
     shuffle_terms,
     shuffles,
@@ -895,8 +894,8 @@ def _spied_P_norms(monkeypatch):
     seen = []
     certify = homotopy._P_norms
 
-    def spied(tower, sigma):
-        norms = certify(tower, sigma)
+    def spied(tower, sigma, tables):
+        norms = certify(tower, sigma, tables)
         seen.append((len(sigma), norms))
         return norms
 
@@ -939,7 +938,7 @@ def test_the_P_certificate_equals_the_enumerated_oracle(n):
     # the (p, q) cylinder whose first front slot is j has n - j degenerate
     base = FreeGroup(n)
     sigma = tuple(base.gens())
-    certified = homotopy._P_norms(MitosisTower(base), sigma)
+    certified = homotopy._P_norms(MitosisTower(base), sigma, [homotopy._table_norms(n, p) for p in range(n + 1)])
     assert certified == P_norms(MitosisTower(base), sigma) == (2 ** n * (n + 1), 2 ** n * (n - 1) + 1)
 
 
@@ -965,72 +964,91 @@ def test_streamed_counts_equal_the_chain_counts(m, above):
     assert _chain_counts(tower, level, sigma) == (counts, counts[0] - counts[1])
 
 
-def _per_slot_premise(n, k, places):
-    """The placement premise of the level certificate slot by slot, one
-    generator expression per placement: the reference ``_placements`` is
-    held to."""
-    p = k + 1
-    slots = [place(range(n + 1)) for place in places]
-    return (all(sorted(s) == list(range(n + 1)) for s in slots)
-            and len({tuple(i >= p for i in s) for s in slots}) == len(slots))
+def _per_slot_premise(p, q, places):
+    """The first place premise of ``_table_norms`` that the (p, q) table
+    fails, slot by slot, one generator expression per place, or None: the
+    reference ``_table_norms`` is held to."""
+    n = p + q
+    slots = [place(range(n)) for place in places]
+    if not all(sorted(s) == list(range(n)) for s in slots):
+        return "a place is not a permutation"
+    if len(set(slots)) != len(slots):
+        return "two places are equal"
+    if not all([i for i in s if i < p] == list(range(p)) and [i for i in s if i >= p] == list(range(p, n))
+               for s in slots):
+        return "a place does not keep its blocks in order"
+    return None
 
 
 def _swapped(place, n, i, j):
-    # the placement with its slots holding source entries i and j exchanged
-    slots = list(place(range(n + 1)))
+    # the place with its slots holding source entries i and j exchanged
+    slots = list(place(range(n)))
     a, b = slots.index(i), slots.index(j)
     slots[a], slots[b] = slots[b], slots[a]
     return itemgetter(*slots)
 
 
-def _premise_tables(n, k):
-    """``(places, holds)``: the (k + 1, n - k) table and four tables that
-    change one placement, with whether the premise holds for each."""
-    p = k + 1
-    places = shuffle_places(p, n - k)[1]
-    last = places[-1](range(n + 1))
-    return [
-        (places, True),
+def _premise_tables(p, q):
+    """``(places, failed)``: the (p, q) table and the tables that change
+    one place, each with the first place premise it fails, or None."""
+    n = p + q
+    places = shuffle_places(p, q)[1]
+    last = places[-1](range(n))
+    tables = [(places, None)]
+    if p > 1:
         # two first-block entries exchanged: the same position set
-        (places[:-1] + (_swapped(places[-1], n, 0, 1),), True),
-        # a first-block and a face entry exchanged: another placement's set
-        (places[:-1] + (_swapped(places[-1], n, 0, p),), False),
-        # the second placement replaced by the first
-        (places[:1] * 2 + places[2:], False),
+        tables.append((places[:-1] + (_swapped(places[-1], n, 0, 1),), "a place does not keep its blocks in order"))
+    if p and q:
+        # a first-block and a back entry exchanged: another place when the
+        # back block has one entry, else two back entries out of order
+        tables.append((places[:-1] + (_swapped(places[-1], n, 0, p),),
+                       "two places are equal" if q == 1 else "a place does not keep its blocks in order"))
+        # the second place replaced by the first
+        tables.append((places[:1] * 2 + places[2:], "two places are equal"))
+    if n > 1:
         # the last slot a copy of the first: no permutation
-        (places[:-1] + (itemgetter(*last[:-1] + last[:1]),), False),
-    ]
+        tables.append((places[:-1] + (itemgetter(*last[:-1] + last[:1]),), "a place is not a permutation"))
+    return tables
 
 
 def test_placements_premise_matches_the_per_slot_check(monkeypatch):
-    # the C-level check of each (k + 1, n - k) table, and of tables broken
-    # in one placement, against the per-slot reference
-    for n in range(2, 11):
-        for k in range(1, n):
-            signs = shuffle_places(k + 1, n - k)[0]
-            for places, holds in _premise_tables(n, k):
-                assert _per_slot_premise(n, k, places) == holds
+    # the C-level place premises of each (p, q) table, and of tables broken
+    # in one place, against the per-slot reference; a sound table's norms
+    # against the itertools shuffles: a cylinder whose first front slot is
+    # j (1-based) has n + 1 - j degenerate terms
+    for n in range(11):
+        for p in range(n + 1):
+            q = n - p
+            signs = shuffle_places(p, q)[0]
+            degenerate = sum(n + 1 - sh.first[0] for sh in shuffles(p, q)) if p else 0
+            for places, failed in _premise_tables(p, q):
+                assert _per_slot_premise(p, q, places) == failed
                 monkeypatch.setattr(homotopy, "shuffle_places", lambda p, q: (signs, places))
                 try:
-                    outcome = homotopy._placements(n, k)
+                    outcome = homotopy._table_norms(n, p)
                 except ChainError as error:
                     outcome = str(error)
-                assert outcome == (comb(n + 1, k + 1) if holds else f"psi({n}) on a {n}-simplex: the "
-                                   f"({k + 1}, {n - k}) placements are not permutations with distinct face slots")
+                assert outcome == ((comb(n, p), degenerate) if failed is None
+                                   else f"the ({p}, {q}) shuffle table: {failed}")
 
 
-def test_the_count_builds_no_lattice_path_above_its_top_dimension():
-    # the premise at m = 6 reads placement tables of total 7, but only the
-    # cylinder data of P_1, ..., P_6 read lattice paths: of total 1 to 6
-    shuffle_paths.cache_clear()
+def test_the_count_certifies_each_table_once(monkeypatch):
+    # count --dim 6 certifies each shuffle table of total 7 or less once,
+    # P_1, ..., P_6 reading the tables of total 1 to 6 and the corrections of
+    # psi(6) the lengths of those of total 7, and builds none of total 8
+    shuffle_places.cache_clear()
+    calls = []
+    certify = homotopy._table_norms
+    monkeypatch.setattr(homotopy, "_table_norms", lambda n, p: calls.append((n, p)) or certify(n, p))
     base = FreeGroup(6)
     assert psi_counts(MitosisTower(base), tuple(base.gens())) == (gamma(6), q_count(6))
-    built = shuffle_paths.cache_info()
-    tables = [(p, n - p) for n in range(1, 7) for p in range(n + 1)]
-    assert built.currsize == len(tables) == 27
-    for p, q in tables:
-        shuffle_paths(p, q)
-    assert shuffle_paths.cache_info().misses == built.misses
+    assert sorted(calls) == [(n, p) for n in range(8) for p in range(n + 1)]
+    built = shuffle_places.cache_info()
+    assert built.currsize == len(calls) == 36
+    for n in range(8):
+        for p in range(n + 1):
+            shuffle_places(p, n - p)
+    assert shuffle_places.cache_info().misses == built.misses
 
 
 def test_streamed_counts_past_256_codes():
@@ -1093,8 +1111,9 @@ def test_p_cylinder_data_matches_per_rank_terms(group):
         for _ in range(8):
             sigma = tuple(group.sample(rng) for _ in range(dim))
             assert list(p_cylinder_data(ctx, sigma)) == _per_rank_cylinder_data(ctx, sigma)
-    F, ctx, _alg = _formal(4)
-    for dim in range(5):
+    # the formal letters are distinct, so every lattice path is checked
+    F, ctx, _alg = _formal(8)
+    for dim in range(9):
         sigma = tuple(F.gens())[:dim]
         assert list(p_cylinder_data(ctx, sigma)) == _per_rank_cylinder_data(ctx, sigma)
 

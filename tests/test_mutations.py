@@ -225,11 +225,10 @@ def _recompiled(module, name, old, new):
 
 @pytest.fixture
 def fresh_shuffle_table():
-    """Empty the cached shuffle tables after the test, so no table that its
+    """Empty the cached shuffle table after the test, so no table that its
     in-process runs built outlives it."""
     yield
     shuffles.shuffle_places.cache_clear()
-    shuffles.shuffle_paths.cache_clear()
 
 
 def test_swapped_placement_slots_fail_the_per_rank_cylinder_data(monkeypatch):
@@ -254,17 +253,30 @@ def test_tail_shift_off_by_one_slot_fails_the_shuffle_oracle(monkeypatch):
         test_shuffles.test_shuffle_table_matches_itertools_oracle()
 
 
-def test_face_mask_one_slot_short_fails_the_placement_premise_differential(monkeypatch):
+def test_lattice_labels_one_column_off_fail_the_table_premise_differential(monkeypatch):
     # killed by tests/test_homotopy.py::test_placements_premise_matches_the_per_slot_check:
-    # with the pushed face's last slot read as a first-block slot, two
-    # placements that differ only in where they put it share a mask image,
-    # so the premise fails on every sound table
+    # with each label built from c + 1 back entries, a front entry's weight
+    # alone is no label, so a place that starts with a front slot fails,
+    # and the premise fails on every sound table with a front block
     test_homotopy.test_placements_premise_matches_the_per_slot_check(monkeypatch)
-    mutant = _recompiled(homotopy, "_placements", "(False,) * p + (True,) * (n - k)",
-                         "(False,) * (p + 1) + (True,) * (n - k - 1)")
-    monkeypatch.setattr(homotopy, "_placements", mutant)
+    mutant = _recompiled(homotopy, "_table_norms", "(1 << c) - 1", "(1 << c + 1) - 1")
+    monkeypatch.setattr(homotopy, "_table_norms", mutant)
     with pytest.raises(AssertionError):
         test_homotopy.test_placements_premise_matches_the_per_slot_check(monkeypatch)
+
+
+def test_a_sign_of_2_in_the_top_tables_fails_the_count_certificate(monkeypatch, capsys):
+    # killed by the sign premise of _table_norms on the tables of total
+    # m + 1, which only the corrections of psi(m) read, by their length;
+    # left unchecked, a first sign of 2 in each of them lets the count pass
+    # with gamma(4) = 1120, while psi(4) drawn through them has L1 norm 1300
+    assert main(["count", "--op", "psi", "--dim", "4"]) == 0
+    assert capsys.readouterr().out.startswith("ok psi dim 4 level 4: diameter 1120 expected 1120")
+    places = shuffles.shuffle_places
+    monkeypatch.setattr(homotopy, "shuffle_places", lambda p, q: (
+        ((2,) + places(p, q)[0][1:], places(p, q)[1]) if p + q == 5 else places(p, q)))
+    assert main(["count", "--op", "psi", "--dim", "4"]) == 1
+    assert capsys.readouterr() == ("", "error: ChainError: the (0, 5) shuffle table: the signs are not one +-1 per place\n")
 
 
 _tower_entry_to_json = TowerAlgebra.entry_to_json
@@ -329,14 +341,13 @@ def test_a_correction_stream_one_term_short_fails_the_stage_count_check(monkeypa
 _conj = TowerAlgebra.conj
 _context = MitosisTower.context
 _pillar_grid = homotopy._pillar_grid
-_shuffle_paths = shuffles.shuffle_paths
 
 
 def _shuffle_places_with_two_ranks_on_one_position_set(p, q):
-    # the second placement of a table of three slots or more replaced by the
-    # first: P_1 and P_2 read none, so the premise at psi(2) meets it first
+    # the second placement of a table of total 6 replaced by the first: at
+    # m = 5 only the corrections of psi(5) read those tables
     signs, places = _shuffle_places(p, q)
-    return signs, places[:1] + places[:1] + places[2:] if p + q > 2 else places
+    return signs, places[:1] + places[:1] + places[2:] if p + q == 6 and len(places) > 1 else places
 
 
 def _context_with_g_equal_to_k(tower, level):
@@ -378,16 +389,29 @@ def _first_point_raised_a_level(entries, n, grid):
     return [entries.code(entries.elems[grid[0]]._replace(level=n + 1))] + grid[1:]
 
 
-def _shuffle_paths_with_the_first_stepping_along(p, q):
-    # the first path, which steps down first as its place does, replaced by
-    # the last, which steps along first
-    paths = _shuffle_paths(p, q)
-    return paths[-1:] + paths[1:] if p and q else paths
+def _shuffle_places_with_two_back_entries_swapped(p, q):
+    # the first placement of a table whose back block has two entries or
+    # more puts its first two back entries in each other's slots, so the
+    # path derived from it would step along to the wrong column
+    signs, places = _shuffle_places(p, q)
+    if q < 2:
+        return signs, places
+    slots = list(places[0](range(p + q)))
+    a, b = slots.index(p), slots.index(p + 1)
+    slots[a], slots[b] = p + 1, p
+    return signs, (shuffles._getter(tuple(slots)),) + places[1:]
 
 
 def _shuffle_places_with_a_sign_of_2(p, q):
     signs, places = _shuffle_places(p, q)
     return (2,) + signs[1:], places
+
+
+def _shuffle_places_with_one_sign_short(p, q):
+    # the last sign of a table of two places or more dropped: zip would
+    # pair the last place with no sign
+    signs, places = _shuffle_places(p, q)
+    return signs[:-1] if len(places) > 1 else signs, places
 
 
 def _shuffle_places_with_two_front_entries_swapped(p, q):
@@ -409,7 +433,7 @@ def _conj_flattening_x_2(self, level, arg, tail=None):
 
 @pytest.mark.parametrize("mutants, premise", [
     ({"barhom.homotopy.shuffle_places": _shuffle_places_with_two_ranks_on_one_position_set},
-     "psi(2) on a 2-simplex: the (2, 1) placements are not permutations with distinct face slots"),
+     "the (1, 5) shuffle table: two places are equal"),
     ({"barhom.homotopy._pillar_grid": _pillar_grid_with(_first_point_made_the_identity)},
      "psi(1) on a 1-simplex: a pillar grid point is not a level-1 pillar word"),
     ({"barhom.homotopy._pillar_grid": _pillar_grid_with(_first_point_raised_a_level)},
@@ -423,21 +447,25 @@ def _conj_flattening_x_2(self, level, arg, tail=None):
     ({"barhom.homotopy.MitosisTower.context": _context_with_the_pillar_of_the_inverse},
      "psi(1) on a 1-simplex: a pillar relation fails on a lattice edge"),
     ({"barhom.homotopy.shuffle_places": _shuffle_places_with_one_placement_twice},
-     "psi(2) on a 2-simplex: two (1, 1) places are equal"),
-    ({"barhom.homotopy.shuffle_paths": _shuffle_paths_with_the_first_stepping_along},
-     "psi(2) on a 2-simplex: a (1, 1) path does not walk its place's blocks in order"),
+     "the (1, 1) shuffle table: two places are equal"),
+    ({"barhom.homotopy.shuffle_places": _shuffle_places_with_two_back_entries_swapped},
+     "the (0, 2) shuffle table: a place does not keep its blocks in order"),
     ({"barhom.homotopy.shuffle_places": _shuffle_places_with_a_sign_of_2},
-     "psi(1) on a 1-simplex: a (0, 1) shuffle sign is not +-1"),
+     "the (0, 0) shuffle table: the signs are not one +-1 per place"),
+    ({"barhom.homotopy.shuffle_places": _shuffle_places_with_one_sign_short},
+     "the (1, 1) shuffle table: the signs are not one +-1 per place"),
     ({"barhom.homotopy.shuffle_places": _shuffle_places_with_two_front_entries_swapped},
-     "psi(2) on a 2-simplex: a (2, 0) path does not walk its place's blocks in order"),
+     "the (2, 0) shuffle table: a place does not keep its blocks in order"),
 ], ids=["placements", "P term", "P entry above level", "tau identity", "g identity", "grid point",
-        "pillar relation", "P position set", "path step", "sign", "front swap"])
+        "pillar relation", "P position set", "path step", "sign", "sign count", "front swap"])
 def test_a_stage_failing_a_premise_fails_the_count_certificate(monkeypatch, mutants, premise):
-    # killed by the level certificate of psi_counts, at the first dimension
-    # whose letters, pillar grids, shuffle tables or placement tables the
-    # mutant reaches; each mutant breaks one premise, on a fresh tower, whose
-    # contexts and codes are built under the mutant.  "P term" and "P entry
-    # above level" are the grid points their P terms' pillars are drawn from
+    # killed by the level certificate of psi_counts: at the first table of
+    # total 6 or less that the mutant reaches, in order of total and then of
+    # p, as every table is certified before any dimension; else at the
+    # first dimension whose letters or pillar grids it reaches.  Each mutant
+    # breaks one premise, on a fresh tower, whose contexts and codes are
+    # built under the mutant.  "P term" and "P entry above level" are the
+    # grid points their P terms' pillars are drawn from
     base = FreeGroup(5)
     sigma = tuple(base.gens())
     assert homotopy.psi_counts(MitosisTower(base), sigma) == (9732, 3613)
