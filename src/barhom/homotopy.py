@@ -35,13 +35,14 @@ free base at level m, where no raw term may repeat, and raises
 ``ChainError`` if its dict holds fewer keys than it summed raw terms: it is
 the enumerated oracle.
 ``psi_counts`` builds no psi, no P and no cylinder, and draws no raw
-term.  It certifies each shuffle table of total m + 1 or less once, by
-C-level maps of its ``shuffle_places`` getters, and checks the premises of
-the level certificate on the codes of each dimension's letters, pillar
-grids and lattice edges.  It then reads P_n's norms off the tables of
-total n, the corrections' placement counts off those of total n + 1, and
-sums the norms by the recurrence the premises prove, or raises
-``ChainError``.  So ``count`` holds the shuffle tables and no chain.
+term.  It certifies each shuffle table of total m + 1 or less once, as
+byte words: C-level maps of its ``shuffle_places`` places over one byte
+alphabet, whose joined words must keep each block in order.  It checks
+the premises of the level certificate on the codes of each dimension's
+letters, pillar grids and lattice edges.  It then reads P_n's norms off
+the tables of total n, the corrections' placement counts off those of
+total n + 1, and sums the norms by the recurrence the premises prove, or
+raises ``ChainError``.  So ``count`` holds the shuffle tables and no chain.
 The CLI still charges it one P_dim's terms (``cli.P_TERM_BYTES``), which
 now overstates what it holds; the charge and every refusal line are kept
 as they were until one cost model predicts each run's peak.  The
@@ -259,36 +260,39 @@ def _table_norms(n: int, p: int) -> tuple:
     """``(placements, degenerate)`` of the (p, q) shuffle table, q = n - p:
     its number of places, and the degenerate terms of the cylinders P_n
     draws through it, once the table passes its premises, each checked by
-    C-level maps of its getters.  Each ``place`` is applied to weights:
-    2^(q + r) for the front block's entry r, 2^c for the back block's entry c.
+    C-level maps of its places.  Each ``place`` is applied to one byte
+    alphabet, the front block's p bytes and then the back block's q, and
+    its words are joined by a separator byte in neither block.  So n <= 255,
+    which the cap and memory refusals keep below 30.
 
-    There is one sign per place and each is +-1; each place is a
-    permutation; no two places are equal; and each place's prefix sums are
-    lattice labels, the label of the point (r, c) being the weight of the
-    first r front and the first c back entries.  A permutation's prefix sum
-    after i slots is the weight of the entries they hold, so it is a label
-    iff they are the first r front and the first i - r back entries: each
-    place keeps each block in order.  So the path ``p_cylinder_data``
-    derives from a place steps down a row at each front slot and along a
-    column at each back slot, and a place is fixed by its back block's
-    position set, so no two places share one.
+    There is one sign per place and each is +-1; each place holds each
+    block once, in order; and no two places are equal.  Deleting a block's
+    bytes keeps every separator and every byte outside the alphabet, so
+    the second premise holds iff deleting the back bytes from the joined
+    words leaves the front block once per place, and deleting the front
+    bytes the back block.  Then each place is a permutation that keeps
+    each block in order, so the path ``p_cylinder_data`` derives from it
+    steps down a row at each front slot and along a column at each back
+    slot, and a place is fixed by its back block's position set, so no two
+    places share one.
 
     A cylinder has n + 1 terms, and term i is degenerate iff a front slot,
     where k puts the identity, lies before its pillar at slot i: n minus
-    the first front slot of them, which holds 2^q; none when p = 0."""
+    the first front slot of them, the length of its word after its leading
+    back bytes."""
     q = n - p
     signs, places = shuffle_places(p, q)
     table = f"the ({p}, {q}) shuffle table"
     _require(len(signs) == len(places) and set(signs) <= {1, -1}, table, "the signs are not one +-1 per place")
-    powers = [1 << j for j in range(n)]
-    placed = list(map(methodcaller("__call__", tuple(powers[q:] + powers[:q])), places))
-    _require(all(map(powers.__eq__, map(sorted, placed))), table, "a place is not a permutation")
-    _require(len(set(placed)) == len(placed), table, "two places are equal")
-    labels = {(((1 << r) - 1) << q) + (1 << c) - 1 for r in range(p + 1) for c in range(q + 1)}
-    _require(all(map(labels.issuperset, map(itertools.accumulate, placed))),
-             table, "a place does not keep its blocks in order")
-    degenerate = sum(map(n.__sub__, map(methodcaller("index", 1 << q), placed))) if p else 0
-    return len(places), degenerate
+    alphabet = bytes(range(n + 1))
+    front, back, sep = alphabet[:p], alphabet[p:n], alphabet[n:]
+    words = list(map(bytes, map(methodcaller("__call__", front + back), places)))
+    joined = sep.join(words)
+    _require(joined.translate(None, back) == sep.join([front] * len(words))
+             and joined.translate(None, front) == sep.join([back] * len(words)),
+             table, "a place does not hold each block once, in order")
+    _require(len(set(words)) == len(words), table, "two places are equal")
+    return len(words), sum(map(len, map(methodcaller("lstrip", back), words)))
 
 
 def _P_norms(tower: MitosisTower, sigma: tuple, tables: list) -> tuple:
@@ -329,7 +333,8 @@ def psi_counts(tower: MitosisTower, sigma: tuple) -> tuple:
     """``(diameter, degenerate)``: the L1 norms of psi(m, sigma) on the
     generic m-simplex and of its degenerate terms, by the level certificate:
     no psi, no P and no cylinder is built.  Each shuffle table of total
-    m + 1 or less is certified once, by ``_table_norms``; P_n's norms are
+    m + 1 or less is certified once, as byte words whose blocks are in
+    order and whose places are distinct, by ``_table_norms``; P_n's norms are
     read off the letters, lattice edges and tables of total n it would be
     built from (``_P_norms``), and only the shuffle tables are held.  At
     any level above m the norms are the same, since the level shift is

@@ -12,15 +12,16 @@ are cross-checked against each other in the tests.
 Every shuffle placement on the compute path (the subdivision terms, the
 cylinder data of the homotopy and the shuffle product) is read off one
 cached column table, ``shuffle_places``, which holds each (p,q)-shuffle's
-sign and ``place`` getter; a cylinder's lattice path is derived from its
-place in ``homotopy``.  The table is built by recursion on the first slot,
-each new getter the sub-table's getter applied to one fixed index
-sequence, so no slot is placed by a Python loop.  The shuffle product
-``shuffle_terms`` of a chain with one simplex, the pushed face of a tower
-correction, interleaves the entries of each term and the face directly:
-the Eilenberg-Zilber map pads every slot of one factor that the other
-fills with the identity, and every entry algebra's product returns the
-other factor when one side is the identity.  Its terms carry the
+sign and ``place``; a cylinder's lattice path is derived from its place in
+``homotopy``.  The table is built by recursion on the first slot from
+``tuple`` and ``itemgetter`` alone: the place of a one-block table is
+``tuple``, and each other place an ``itemgetter`` over its sub-place
+applied to one prebuilt index tuple, so no slot is placed by a Python
+loop.  The shuffle product ``shuffle_terms`` of a chain with one simplex,
+the pushed face of a tower correction, interleaves the entries of each
+term and the face directly: the Eilenberg-Zilber map pads every slot of
+one factor that the other fills with the identity, and every entry
+algebra's product returns the other factor when one side is the identity.  Its terms carry the
 correction's minus sign.  ``homotopy.stage_terms`` chains them after P's
 into one stream, and the level certificate of ``homotopy.psi_counts``
 checks the placements they are drawn through.
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from operator import itemgetter, neg
+from operator import itemgetter, methodcaller, neg
 from typing import Callable, Iterator, NamedTuple
 
 from .moore import Chain, ChainError, face, pushforward
@@ -87,38 +88,34 @@ def shuffles(p: int, q: int) -> list[Shuffle]:
     return out
 
 
-def _getter(indices: tuple) -> Callable:
-    """``itemgetter`` that always returns a tuple."""
-    if len(indices) >= 2:
-        return itemgetter(*indices)
-    return lambda seq: tuple(seq[i] for i in indices)
-
-
 @lru_cache(maxsize=None)
 def shuffle_places(p: int, q: int) -> tuple:
     """``(signs, places)`` of all (p,q)-shuffles in dictionary order, built
-    on first use.  A ``place`` getter maps the p + q source entries (first
-    block, then second block) to the shuffled simplex.
+    on first use.  A ``place`` maps the p + q source entries (first block,
+    then second block) to the shuffled simplex, a tuple.
 
     Built by recursion on the first slot, apart from ``shuffles``: the
     shuffles whose first slot holds the first block's head come first, each
     a (p-1,q)-shuffle of the entries after it; then those whose first slot
     holds the second block's head, which moves it past p entries (sign
-    (-1)^p), each a (p,q-1)-shuffle of the others.  A place is its
-    sub-table's place applied to the indices of those entries."""
+    (-1)^p), each a (p,q-1)-shuffle of the others.  The one place of a
+    (p,0) or (0,q) table is the builtin ``tuple``; any other place is the
+    ``itemgetter`` of the head's index and its sub-place applied to the
+    prebuilt tuple of the other entries' indices.  Both blocks are nonempty
+    there, so it picks two entries or more and returns a tuple."""
     if p < 0 or q < 0:
         raise ValueError("p and q must be nonnegative")
     n = p + q
     if p == 0 or q == 0:
-        return (1,), (_getter(tuple(range(n))),)
+        return (1,), (tuple,)
     head_signs, heads = shuffle_places(p - 1, q)
     tail_signs, tails = shuffle_places(p, q - 1)
     if p % 2:
         tail_signs = tuple(map(neg, tail_signs))
     shift = tuple(range(p)) + tuple(range(p + 1, n))
-    places = [_getter((0,) + place(range(1, n + 1))) for place in heads]
-    places += [_getter((p,) + place(shift)) for place in tails]
-    return head_signs + tail_signs, tuple(places)
+    front = map((0,).__add__, map(methodcaller("__call__", tuple(range(1, n))), heads))
+    back = map((p,).__add__, map(methodcaller("__call__", shift), tails))
+    return head_signs + tail_signs, tuple(itertools.starmap(itemgetter, itertools.chain(front, back)))
 
 
 # -- tensor chains and the classical maps ---------------------------------------

@@ -104,12 +104,12 @@ GATES = [
     # admits them is refused before anything is built
     Gate(("count", "--op", "psi", "--dim", "24", "--cap", "10000000000"), **REFUSAL),
     # gamma(16) = 271,098,388,781,049,088 and q(16) = 100,722,984,316,460,322:
-    # 1.0-1.1 s and 81 MB on a 2-core x86-64 VM, one shuffle table per
+    # 0.6-0.8 s and 82 MB on a 2-core x86-64 VM, one shuffle table per
     # (p, q) and no chain held (114 MB while a lattice path table was held
     # too, 346 MB while P_16's 1,114,112 terms were built)
     Gate(("count", "--op", "psi", "--dim", "16"), peak_mb=90),
     # gamma(18) = 192,975,475,805,640,183,392, the largest count the default
-    # cap admits: 4.2-4.5 s and 291 MB on a 2-core x86-64 VM, nearly all of
+    # cap admits: 2.3-2.6 s and 296 MB on a 2-core x86-64 VM, nearly all of
     # it the shuffle tables (426 MB with the lattice path tables, 31 s and
     # 1,393 MB while P_18 was built)
     Gate(("count", "--op", "psi", "--dim", "18"), peak_mb=320, timeout_s=120),

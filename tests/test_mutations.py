@@ -13,6 +13,7 @@ import json
 import os
 import random
 import re
+from operator import itemgetter
 
 import pytest
 
@@ -209,7 +210,7 @@ def _shuffle_places_with_their_last_two_slots_swapped(p, q):
     if p + q < 2:
         return signs, places
     slots = (place(range(p + q)) for place in places)
-    return signs, tuple(shuffles._getter(s[:-2] + s[:-3:-1]) for s in slots)
+    return signs, tuple(itemgetter(*s[:-2] + s[:-3:-1]) for s in slots)
 
 
 def _recompiled(module, name, old, new):
@@ -253,13 +254,14 @@ def test_tail_shift_off_by_one_slot_fails_the_shuffle_oracle(monkeypatch):
         test_shuffles.test_shuffle_table_matches_itertools_oracle()
 
 
-def test_lattice_labels_one_column_off_fail_the_table_premise_differential(monkeypatch):
+def test_back_bytes_shifted_onto_the_front_fail_the_table_premise_differential(monkeypatch):
     # killed by tests/test_homotopy.py::test_placements_premise_matches_the_per_slot_check:
-    # with each label built from c + 1 back entries, a front entry's weight
-    # alone is no label, so a place that starts with a front slot fails,
-    # and the premise fails on every sound table with a front block
+    # with the back block's bytes the alphabet's first q, as the front
+    # block's are, the blocks share a byte, so deleting the back bytes
+    # never leaves the front block, and the premise fails on every sound
+    # table with both blocks
     test_homotopy.test_placements_premise_matches_the_per_slot_check(monkeypatch)
-    mutant = _recompiled(homotopy, "_table_norms", "(1 << c) - 1", "(1 << c + 1) - 1")
+    mutant = _recompiled(homotopy, "_table_norms", "alphabet[p:n]", "alphabet[:q]")
     monkeypatch.setattr(homotopy, "_table_norms", mutant)
     with pytest.raises(AssertionError):
         test_homotopy.test_placements_premise_matches_the_per_slot_check(monkeypatch)
@@ -307,14 +309,17 @@ def _count_psi_3(capsys):
 
 def test_a_degenerate_norm_skipping_each_cylinders_last_term_fails_the_q_gate(monkeypatch, capsys):
     # killed by the q gate of ``count --op psi``: the certificate counts n - j
-    # degenerate terms in an n-cylinder whose first front slot is j, and the
-    # mutant n - 1 - j, so each P_n's degenerate norm loses its 2^n - 1
-    # cylinders with a front slot: q(1) = 1 - 1, q(2) = 5 - 3 + 3 q(1) and
-    # q(3) = 17 - 7 + 6 q(1) + 4 q(2), against 1, 8 and 55
+    # degenerate terms in an n-cylinder whose first front slot is j, the
+    # length of its word after its leading back bytes, and the mutant, which
+    # strips the first front byte too, n - 1 - j, so each P_n's degenerate
+    # norm loses its 2^n - 1 cylinders with a front slot: q(1) = 1 - 1,
+    # q(2) = 5 - 3 + 3 q(1) and q(3) = 17 - 7 + 6 q(1) + 4 q(2), against 1,
+    # 8 and 55
     ok = "ok psi dim 3 level 3: diameter 152 expected 152, degenerate 55 expected 55"
     assert _count_psi_3(capsys) == (0, ok)
-    monkeypatch.setattr(homotopy, "_table_norms", _recompiled(homotopy, "_table_norms", "map(n.__sub__,",
-                                                                "map((n - 1).__sub__,"))
+    monkeypatch.setattr(homotopy, "_table_norms", _recompiled(
+        homotopy, "_table_norms", 'map(methodcaller("lstrip", back), words)',
+        'map(methodcaller("lstrip", front[:1]), map(methodcaller("lstrip", back), words))'))
     assert _count_psi_3(capsys) == (1, "FAIL " + ok[3:].replace("degenerate 55", "degenerate 18"))
 
 
@@ -399,7 +404,7 @@ def _shuffle_places_with_two_back_entries_swapped(p, q):
     slots = list(places[0](range(p + q)))
     a, b = slots.index(p), slots.index(p + 1)
     slots[a], slots[b] = p + 1, p
-    return signs, (shuffles._getter(tuple(slots)),) + places[1:]
+    return signs, (itemgetter(*slots),) + places[1:]
 
 
 def _shuffle_places_with_a_sign_of_2(p, q):
@@ -423,7 +428,7 @@ def _shuffle_places_with_two_front_entries_swapped(p, q):
     slots = list(places[0](range(p + q)))
     a, b = slots.index(0), slots.index(1)
     slots[a], slots[b] = 1, 0
-    return signs, (shuffles._getter(tuple(slots)),) + places[1:]
+    return signs, (itemgetter(*slots),) + places[1:]
 
 
 def _conj_flattening_x_2(self, level, arg, tail=None):
@@ -449,13 +454,13 @@ def _conj_flattening_x_2(self, level, arg, tail=None):
     ({"barhom.homotopy.shuffle_places": _shuffle_places_with_one_placement_twice},
      "the (1, 1) shuffle table: two places are equal"),
     ({"barhom.homotopy.shuffle_places": _shuffle_places_with_two_back_entries_swapped},
-     "the (0, 2) shuffle table: a place does not keep its blocks in order"),
+     "the (0, 2) shuffle table: a place does not hold each block once, in order"),
     ({"barhom.homotopy.shuffle_places": _shuffle_places_with_a_sign_of_2},
      "the (0, 0) shuffle table: the signs are not one +-1 per place"),
     ({"barhom.homotopy.shuffle_places": _shuffle_places_with_one_sign_short},
      "the (1, 1) shuffle table: the signs are not one +-1 per place"),
     ({"barhom.homotopy.shuffle_places": _shuffle_places_with_two_front_entries_swapped},
-     "the (2, 0) shuffle table: a place does not keep its blocks in order"),
+     "the (2, 0) shuffle table: a place does not hold each block once, in order"),
 ], ids=["placements", "P term", "P entry above level", "tau identity", "g identity", "grid point",
         "pillar relation", "P position set", "path step", "sign", "sign count", "front swap"])
 def test_a_stage_failing_a_premise_fails_the_count_certificate(monkeypatch, mutants, premise):
@@ -970,13 +975,14 @@ def test_coded_mul_caching_a_raise_fails_the_tower_memo_test(monkeypatch):
 def test_a_degenerate_norm_counting_the_nondegenerate_terms_fails_the_count_gates(monkeypatch, capsys):
     # killed by tests/test_cli.py::test_count_pass (q) and test_count_phi (c):
     # a cylinder whose first front slot is j has j + 1 nondegenerate terms,
-    # counted in place of its n - j degenerate ones.  Counting from the first
-    # back slot instead is no mutation of the count: over every table of one
-    # dimension, swapping the blocks keeps the sum
+    # counted in place of its n - j degenerate ones.  Stripping the leading
+    # front bytes instead is no mutation of the count: over every table of
+    # one dimension, swapping the blocks keeps the sum
     test_cli.test_count_pass(capsys)
     test_cli.test_count_phi(capsys)
-    monkeypatch.setattr(homotopy, "_table_norms", _recompiled(homotopy, "_table_norms", "map(n.__sub__,",
-                                                                "map((1).__add__,"))
+    monkeypatch.setattr(homotopy, "_table_norms", _recompiled(
+        homotopy, "_table_norms", 'sum(map(len, map(methodcaller("lstrip", back), words)))',
+        'sum(len(word) + 1 - len(word.lstrip(back)) for word in words)'))
     for test in (test_cli.test_count_pass, test_cli.test_count_phi):
         with pytest.raises(AssertionError):
             test(capsys)

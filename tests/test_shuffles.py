@@ -340,6 +340,20 @@ def test_shuffle_table_is_cached_and_checked():
         shuffle_places(2, -1)
 
 
+def test_every_place_returns_a_tuple_for_any_source():
+    # the one place of a (p, 0) or (0, q) table returns the source as a
+    # tuple, for a tuple, bytes, str or range source of any length: a bare
+    # itemgetter over fewer than two indices would return one entry, or
+    # fail on none.  The (1, 1) places pick two entries, so return tuples
+    for n in range(3):
+        for source in (tuple(range(n)), bytes(range(n)), "ab"[:n], range(n)):
+            for p in range(n + 1):
+                for place in shuffle_places(p, n - p)[1]:
+                    placed = place(source)
+                    assert type(placed) is tuple and sorted(placed) == sorted(source)
+                    assert placed == tuple(source) or 0 < p < n
+
+
 def _oracle_product(alg, a, b):
     return mult_map(alg, ez(alg, tensor_of_chains(a, b)))
 
