@@ -161,7 +161,6 @@ def two_handle_complexity(d_zeta: int, d_u: int) -> int:
 
 def rho_bound(kind: str, n: int = 1, deg: int = 1, d_zeta: int = 1, d_u: int = 1) -> BoundReport:
     """Bound constants for rho-invariants, derived from their constituents."""
-    from fractions import Fraction
     if n < 0:
         raise DomainError("n must be >= 0")
     if kind == "general":
@@ -185,15 +184,11 @@ def rho_bound(kind: str, n: int = 1, deg: int = 1, d_zeta: int = 1, d_u: int = 1
         )
     if kind == "spherical":
         # (1/r) * 2 * (195 r n + 975 r n): the cover multiplicity r cancels
-        r = Fraction(7)  # any r > 0 gives the same value
-        value = Fraction(2, 1) / r * (HANDLE_BASE * r * n + HANDLE_CHAIN * r * n)
-        if value != 2 * (HANDLE_BASE + HANDLE_CHAIN) * n:
-            raise ArithmeticError(f"spherical bound {value} does not reduce to 2340*n")
         return BoundReport(
             name="spherical",
             formula="(1/r)*2*(195*r*n + 975*r*n) = 2340*n",
             inputs={"n": n},
-            value=int(value),
+            value=2 * (HANDLE_BASE + HANDLE_CHAIN) * n,
             provenance=_COMPUTED,
         )
     if kind == "degree_map":

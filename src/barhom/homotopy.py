@@ -9,14 +9,15 @@ at m(g_1 ... g_p) (at l when p = 0), crossing an f-component appends its
 argument to the m-argument, and crossing a g-component strips its argument
 from the left.
 
-The scan only ever visits the points of the (p+1) x (q+1) lattice of the
-shuffle's path: after crossing i g-components and j f-components the
-m-argument is the product of sigma[i:p+j].  ``p_cylinder_data`` therefore
-evaluates m once per lattice point and f, g, h, k once per entry, and reads
-each term off the one cached shuffle table, ``shuffle_places``: a term's
-pillars are the grid points of its lattice path, the prefix sums of its
-place's steps, one row down at a front slot and one column along at a
-back slot.  Only this module knows the grid's layout.  ``homotopy_P`` is
+The scan only ever holds the pillar of an interval: after crossing i
+g-components and j f-components the m-argument is the product of
+sigma[i:p+j].  So P is the cylinder between ed(f, g) and ed(h, k) over
+one table of those pillars, ``_pillar_table``, which evaluates m once per
+interval.  ``p_cylinder_data`` zips three ``shuffles.ed_terms`` streams,
+the terms of ed(f, g), of ed(h, k) and of the subdivision whose entries
+are a lattice path's steps, one row of the table down at a front slot and
+one column along at a back slot; a term's pillars are the table points of
+its path.  Only this module knows the table's layout.  ``homotopy_P`` is
 the chain cylinder ``cylinder.cyl_chain`` over those data.  The tests
 hold ``p_cylinder_data`` to a reference that runs the scan for one term
 at a time, with the component order of the itertools-built
@@ -39,7 +40,7 @@ term.  It certifies each shuffle table of total m + 1 or less once, as
 byte words: C-level maps of its ``shuffle_places`` places over one byte
 alphabet, whose joined words must keep each block in order.  It checks
 the premises of the level certificate on the codes of each dimension's
-letters, pillar grids and lattice edges.  It then reads P_n's norms off
+letters, pillar table and lattice edges.  It then reads P_n's norms off
 the tables of total n, the corrections' placement counts off those of
 total n + 1, and sums the norms by the recurrence the premises prove, or
 raises ``ChainError``.  So ``count`` holds the shuffle tables and no chain.
@@ -74,14 +75,14 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import namedtuple
-from operator import methodcaller
+from operator import itemgetter, methodcaller
 from typing import Callable
 
 from .cylinder import cyl_chain
 from .groups import CodedAlgebra, FreeGroup, Group
 from .moore import Chain, ChainError, boundary, project
 from .quintuple import QuintupleAlgebra, VerificationInstance
-from .shuffles import edgewise, shuffle_places, shuffle_terms
+from .shuffles import ed_terms, edgewise, shuffle_places, shuffle_terms
 from .words import Conjugated, PillarWord, TowerAlgebra, value_level
 
 
@@ -128,43 +129,35 @@ def instance_context(inst: VerificationInstance) -> HomotopyContext:
 # -- pillars and the homotopy ---------------------------------------------------
 
 
-def _pillar_grid(ctx: HomotopyContext, sigma: tuple, p: int) -> list:
-    """m(sigma[i] ... sigma[p+j-1]) at every lattice point (i, j), row-major:
-    the pillar the scan holds after crossing i g- and j f-components."""
-    G = ctx.source
-    x = G.identity
-    for s in sigma[:p]:
-        x = G.mul(x, s)
-    row = [x]
-    for s in sigma[p:]:
-        row.append(G.mul(row[-1], s))
-    grid = list(row)
-    for s in sigma[:p]:
-        inv = G.inv(s)
-        row = [G.mul(inv, y) for y in row]
-        grid.extend(row)
+def _pillar_table(ctx: HomotopyContext, sigma: tuple) -> list:
+    """m(sigma[a:b]) at index a (n + 1) + b for every interval a <= b of the
+    n-simplex sigma, and None where a > b.  The scan of a (p, q)-shuffle
+    holds m(sigma[a:b]) after crossing a g- and b - p f-components."""
+    G, n = ctx.source, len(sigma)
     # a list: tuples of these sizes built per call filled CPython's tuple
     # free lists and raised peak memory on many small simplices
-    return list(map(ctx.m, grid))
+    table = []
+    for a in range(n + 1):
+        table += [None] * a
+        table += map(ctx.m, itertools.accumulate(sigma[a:], G.mul, initial=G.identity))
+    return table
 
 
 def p_cylinder_data(ctx: HomotopyContext, sigma: tuple):
-    """Per-shuffle (p, q, rank, sign, top, bottom, pillars) of the homotopy.
-    A shuffle's pillars are the grid points of its lattice path: its place
-    of ``steps`` holds q + 1, one row of the row-major grid, at each front
-    slot and 1 at each back slot, so its prefix sums from 0 are the path's
-    grid indices."""
+    """Per-shuffle (p, q, rank, sign, top, bottom, pillars) of the homotopy:
+    the cylinder between the matching terms of ed(f, g) and ed(h, k).  A
+    shuffle's pillars are the table points of its lattice path, which
+    starts at [0, p]; its steps are the same shuffle's term of the
+    subdivision that puts n + 1, one row of the table, at each front slot
+    and 1 at each back slot."""
     n = len(sigma)
-    for p in range(n + 1):
-        q = n - p
-        front, back = sigma[:p], sigma[p:]
-        top_source = tuple(map(ctx.g, front)) + tuple(map(ctx.f, back))
-        bottom_source = tuple(map(ctx.k, front)) + tuple(map(ctx.h, back))
-        grid = _pillar_grid(ctx, sigma, p)
-        steps = (q + 1,) * p + (1,) * q
-        for rank, (sign, place) in enumerate(zip(*shuffle_places(p, q)), start=1):
-            pillars = tuple(map(grid.__getitem__, itertools.accumulate(place(steps), initial=0)))
-            yield p, q, rank, sign, place(top_source), place(bottom_source), pillars
+    point = _pillar_table(ctx, sigma).__getitem__
+    tops = ed_terms(ctx.f, ctx.g, sigma)
+    bottoms = map(itemgetter(4), ed_terms(ctx.h, ctx.k, sigma))
+    paths = map(itemgetter(4), ed_terms(lambda x: 1, lambda x: n + 1, sigma))
+    for (p, q, rank, sign, top), bottom, steps in zip(tops, bottoms, paths):
+        pillars = tuple(map(point, itertools.accumulate(steps, initial=p)))
+        yield p, q, rank, sign, top, bottom, pillars
 
 
 def homotopy_P(ctx: HomotopyContext, sigma: tuple) -> Chain:
@@ -226,32 +219,27 @@ def _require(holds: bool, where: str, premise: str) -> None:
         raise ChainError(f"{where}: {premise}")
 
 
-def _check_grids(alg: CodedAlgebra, grids: list, letters: tuple) -> None:
-    """Raise ``ChainError`` unless the pillar grids of an n-simplex pass
-    their premises, ``grids[p]`` being ``_pillar_grid`` at p and ``letters``
-    (f, g, h, k) over sigma: every point is a level-n ``PillarWord``, the
-    grids agree on each interval, and each lattice edge keeps its pillar
-    relation, t f(sigma[p+c]) = h(sigma[p+c]) t' along a row from column c
-    and t g(sigma[r]) = k(sigma[r]) t' down a column from row r.
+def _check_pillar_table(alg: CodedAlgebra, table: list, letters: tuple) -> None:
+    """Raise ``ChainError`` unless the ``_pillar_table`` of an n-simplex
+    passes its premises, ``letters`` being (f, g, h, k) over sigma: every
+    point is a level-n ``PillarWord``, and each lattice edge keeps its
+    pillar relation, t f(sigma[b]) = h(sigma[b]) t' from [a, b] to
+    [a, b + 1] and t g(sigma[a]) = k(sigma[a]) t' from [a, b] to
+    [a + 1, b].
 
-    Grid p's point (r, c) is m(sigma[r:p+c]), so an edge joins two
-    intervals one end apart and is one relation in every grid that holds
-    it.  Grid p's row r < p is the tail of grid r's row r, which holds
-    every interval that starts at r, and its column 0 every interval that
-    ends at p.  So once each row agrees with that tail, each distinct edge
-    is multiplied out once: along the rows r of the grids r and down the
-    columns 0, by C-level maps."""
+    P's cylinders, between ed(f, g) and ed(h, k), read their pillars off
+    this one table, so an edge is one relation however many cylinders
+    cross it.  Row a of the table holds the intervals that start at a and
+    column b those that end at b, so each edge is multiplied out once:
+    along the rows and down the columns, by C-level maps."""
     f, g, h, k = letters
     n, elems, mul = len(f), alg.elems, alg.mul
     where = f"psi({n}) on a {n}-simplex"
-    _require(all(isinstance(elems[t], PillarWord) and elems[t].level == n for t in itertools.chain(*grids)),
+    starts = [table[a * (n + 2):(a + 1) * (n + 1)] for a in range(n + 1)]
+    ends = [table[b:b * (n + 2) + 1:n + 1] for b in range(n + 1)]
+    _require(all(isinstance(elems[t], PillarWord) and elems[t].level == n for t in itertools.chain(*starts)),
              where, f"a pillar grid point is not a level-{n} pillar word")
-    rows = [[grid[i:i + n - p + 1] for i in range(0, len(grid), n - p + 1)] for p, grid in enumerate(grids)]
-    _require(all(rows[p][r] == rows[r][r][p - r:] for p in range(n + 1) for r in range(p)),
-             where, "two pillar grids disagree on an interval")
-    starts = (rows[r][r] for r in range(n + 1))
-    ends = (grid[::n - p + 1] for p, grid in enumerate(grids))
-    _require(all(list(map(mul, row[:-1], f[r:])) == list(map(mul, h[r:], row[1:])) for r, row in enumerate(starts))
+    _require(all(list(map(mul, row[:-1], f[a:])) == list(map(mul, h[a:], row[1:])) for a, row in enumerate(starts))
              and all(list(map(mul, column[:-1], g)) == list(map(mul, k, column[1:])) for column in ends),
              where, "a pillar relation fails on a lattice edge")
 
@@ -304,11 +292,11 @@ def _P_norms(tower: MitosisTower, sigma: tuple, tables: list) -> tuple:
 
     The premises: every f(x) and h(x) is a level-n ``Conjugated``, so not
     the identity; every g(x) is not the identity, not a ``PillarWord`` and
-    lies below level n; every k(x) is the identity; and the pillar grids
-    pass ``_check_grids``.  A place keeps each block in order, so the path
-    derived from it steps as it does, and step i of every cylinder crosses
-    one lattice edge with the entries that edge was checked with: every
-    pillar relation holds.
+    lies below level n; every k(x) is the identity; and the pillar table
+    passes ``_check_pillar_table``.  A place keeps each block in order, so
+    the path derived from it steps as it does, and step i of every
+    cylinder crosses one lattice edge with the entries that edge was
+    checked with: every pillar relation holds.
     Term i of the cylinder of (p, rank) is bottom[:i] + (t_i,) + top[i:].
     Its one level-n pillar slot gives i, its level-n conjugate slots the
     back block's position set, and so (p, rank), as those sets are distinct
@@ -324,7 +312,7 @@ def _P_norms(tower: MitosisTower, sigma: tuple, tables: list) -> tuple:
     _require(all(c != alg.identity and not isinstance(elems[c], PillarWord) and value_level(elems[c]) < n
                  for c in g), where, f"a g entry is the identity, a pillar word or not below level {n}")
     _require(set(k) <= {alg.identity}, where, "a k entry is not the identity")
-    _check_grids(alg, [_pillar_grid(ctx, sigma, p) for p in range(n + 1)], letters)
+    _check_pillar_table(alg, _pillar_table(ctx, sigma), letters)
     placements, degenerate = zip(*tables)
     return (n + 1) * sum(placements), sum(degenerate)
 
@@ -346,7 +334,7 @@ def psi_counts(tower: MitosisTower, sigma: tuple) -> tuple:
     n - 1 - k, and by the premises at the dimensions below, its entries, P_j's
     and tau's at each j <= k, lie at level k or below before the shift, so
     below n after it: a pushed face's entries are f's, and P_j's are f's,
-    g's, h's, k's and pillar grid points.  So once ``_P_norms`` passes at
+    g's, h's, k's and pillar table points.  So once ``_P_norms`` passes at
     n, a correction term's level-n slots are its tau slots: their number
     gives k, and their set the placement, as no two places of a certified
     table put the back block on one position set; the rest is a key of A_k.

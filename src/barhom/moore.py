@@ -42,7 +42,7 @@ the same stream through ``add_terms``, each simplex mapped along the tower
 map and the level shift, so its order is that of ``pushforward`` on the
 generic chain, which the tests hold it to.
 ``homotopy.psi_counts`` draws no raw term and builds no psi and no P: a
-level certificate on P's letters, pillar grids and shuffle tables proves
+level certificate on P's letters, pillar table and shuffle tables proves
 that no raw key of psi repeats and reads the norms off those tables, or
 raises ``ChainError``.  ``TensorChain`` sums through ``add_terms`` too,
 after its bidegree check.
@@ -179,10 +179,6 @@ def degeneracy(alg, i: int, simplex: BarSimplex) -> BarSimplex:
     if not 0 <= i <= n:
         raise IndexError(f"degeneracy index {i} out of range for a {n}-simplex")
     return simplex[:i] + (alg.identity,) + simplex[i:]
-
-
-def is_degenerate(alg, simplex: BarSimplex) -> bool:
-    return alg.identity in simplex
 
 
 # the fewest terms for which boundary builds columns.  Timed per call by

@@ -12,8 +12,10 @@ are cross-checked against each other in the tests.
 Every shuffle placement on the compute path (the subdivision terms, the
 cylinder data of the homotopy and the shuffle product) is read off one
 cached column table, ``shuffle_places``, which holds each (p,q)-shuffle's
-sign and ``place``; a cylinder's lattice path is derived from its place in
-``homotopy``.  The table is built by recursion on the first slot from
+sign and ``place``.  ``ed_terms`` places the subdivision terms, and the
+cylinder data read it too: ``homotopy.p_cylinder_data`` zips the terms of
+ed(f, g), of ed(h, k) and of the subdivision whose entries are a lattice
+path's steps.  The table is built by recursion on the first slot from
 ``tuple`` and ``itemgetter`` alone: the place of a one-block table is
 ``tuple``, and each other place an ``itemgetter`` over its sub-place
 applied to one prebuilt index tuple, so no slot is placed by a Python

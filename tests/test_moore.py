@@ -21,7 +21,6 @@ from barhom.moore import (
     degeneracy,
     diameter,
     face,
-    is_degenerate,
     project,
 )
 from barhom.quintuple import VerificationInstance
@@ -389,8 +388,8 @@ def test_diameter_subadditive():
 def test_count_degenerate():
     chain = Chain(2, {(1, 0): 2, (1, 2): 5, (0, 0): -1})
     assert count_degenerate(C3, chain) == 3
-    assert is_degenerate(C3, (1, 0))
-    assert not is_degenerate(C3, (1, 2))
+    assert count_degenerate(C3, Chain.of((1, 0))) == 1
+    assert count_degenerate(C3, Chain.of((1, 2))) == 0
 
 
 # -- the degeneracy contract: (x,) is degenerate iff x == identity ---------------
@@ -444,7 +443,8 @@ def test_is_identity_is_equality_with_the_identity(name):
     identities = [x for x in entries if x == alg.identity]
     assert len(identities) > 1 and len(identities) < len(entries)
     for x in entries:
-        assert is_degenerate(alg, (x,)) == (x == alg.identity)
+        assert count_degenerate(alg, Chain.of((x,))) == (x == alg.identity)
+        assert len(project(alg, Chain.of((x,)))) == (x != alg.identity)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])

@@ -204,8 +204,8 @@ _shuffle_places = shuffles.shuffle_places
 
 
 def _shuffle_places_with_their_last_two_slots_swapped(p, q):
-    # every placement of the table the cylinder data read, not of the tables
-    # its recursion builds from
+    # every placement of the table ``ed_terms`` reads, not of the tables its
+    # recursion builds from, which the unmutated run has cached
     signs, places = _shuffle_places(p, q)
     if p + q < 2:
         return signs, places
@@ -232,11 +232,12 @@ def fresh_shuffle_table():
     shuffles.shuffle_places.cache_clear()
 
 
-def test_swapped_placement_slots_fail_the_per_rank_cylinder_data(monkeypatch):
+def test_swapped_placement_slots_fail_the_per_rank_cylinder_data(fresh_shuffle_table, monkeypatch):
     # killed by tests/test_homotopy.py::test_p_cylinder_data_matches_per_rank_terms,
-    # whose reference places the entries through the itertools shuffles
+    # whose reference places the entries through the itertools shuffles.
+    # The cylinder data read the table through ``shuffles.ed_terms``
     test_homotopy.test_p_cylinder_data_matches_per_rank_terms(CyclicGroup(3))
-    monkeypatch.setattr(homotopy, "shuffle_places", _shuffle_places_with_their_last_two_slots_swapped)
+    monkeypatch.setattr(shuffles, "shuffle_places", _shuffle_places_with_their_last_two_slots_swapped)
     with pytest.raises(AssertionError):
         test_homotopy.test_p_cylinder_data_matches_per_rank_terms(CyclicGroup(3))
 
@@ -345,7 +346,7 @@ def test_a_correction_stream_one_term_short_fails_the_stage_count_check(monkeypa
 
 _conj = TowerAlgebra.conj
 _context = MitosisTower.context
-_pillar_grid = homotopy._pillar_grid
+_pillar_table = homotopy._pillar_table
 
 
 def _shuffle_places_with_two_ranks_on_one_position_set(p, q):
@@ -361,8 +362,8 @@ def _context_with_g_equal_to_k(tower, level):
 
 
 def _context_with_the_pillar_of_the_inverse(tower, level):
-    # m(x) coded as the pillar of x^-1: every grid is wrong alike, so the
-    # grids agree and the pillar relations fail
+    # m(x) coded as the pillar of x^-1: every table point is still a
+    # level-n pillar word, and the pillar relations fail
     ctx = _context(tower, level)
     return ctx._replace(m=lambda x: ctx.m(tower.base.inv(x)))
 
@@ -374,24 +375,24 @@ def _shuffle_places_with_one_placement_twice(p, q):
     return signs, places[:1] + places[:1] + places[2:] if len(places) > 1 else places
 
 
-def _pillar_grid_with(change):
-    """``_pillar_grid`` with ``change(entries, n, grid)`` applied to its
-    grid."""
-    return lambda ctx, sigma, p: change(ctx.entries, len(sigma), _pillar_grid(ctx, sigma, p))
+def _pillar_table_with(change):
+    """``_pillar_table`` with ``change(entries, n, table)`` applied to its
+    table."""
+    return lambda ctx, sigma: change(ctx.entries, len(sigma), _pillar_table(ctx, sigma))
 
 
-def _last_point_made_the_first(entries, n, grid):
-    # the last point, m(sigma[p:]), made the first, m(sigma[:p]): a level-n
-    # pillar word, but the wrong one
-    return grid[:-1] + grid[:1]
+def _whole_simplex_made_the_empty_interval(entries, n, table):
+    # T[0][n], m(sigma), made T[0][0], m(e): a level-n pillar word, but the
+    # wrong one
+    return table[:n] + table[:1] + table[n + 1:]
 
 
-def _first_point_made_the_identity(entries, n, grid):
-    return [entries.identity] + grid[1:]
+def _first_point_made_the_identity(entries, n, table):
+    return [entries.identity] + table[1:]
 
 
-def _first_point_raised_a_level(entries, n, grid):
-    return [entries.code(entries.elems[grid[0]]._replace(level=n + 1))] + grid[1:]
+def _first_point_raised_a_level(entries, n, table):
+    return [entries.code(entries.elems[table[0]]._replace(level=n + 1))] + table[1:]
 
 
 def _shuffle_places_with_two_back_entries_swapped(p, q):
@@ -439,16 +440,16 @@ def _conj_flattening_x_2(self, level, arg, tail=None):
 @pytest.mark.parametrize("mutants, premise", [
     ({"barhom.homotopy.shuffle_places": _shuffle_places_with_two_ranks_on_one_position_set},
      "the (1, 5) shuffle table: two places are equal"),
-    ({"barhom.homotopy._pillar_grid": _pillar_grid_with(_first_point_made_the_identity)},
+    ({"barhom.homotopy._pillar_table": _pillar_table_with(_first_point_made_the_identity)},
      "psi(1) on a 1-simplex: a pillar grid point is not a level-1 pillar word"),
-    ({"barhom.homotopy._pillar_grid": _pillar_grid_with(_first_point_raised_a_level)},
+    ({"barhom.homotopy._pillar_table": _pillar_table_with(_first_point_raised_a_level)},
      "psi(1) on a 1-simplex: a pillar grid point is not a level-1 pillar word"),
     ({"barhom.words.TowerAlgebra.conj": _conj_flattening_x_2},
      "psi(2) on a 2-simplex: an f or h entry is not a level-2 conjugate"),
     ({"barhom.homotopy.MitosisTower.context": _context_with_g_equal_to_k},
      "psi(1) on a 1-simplex: a g entry is the identity, a pillar word or not below level 1"),
-    ({"barhom.homotopy._pillar_grid": _pillar_grid_with(_last_point_made_the_first)},
-     "psi(1) on a 1-simplex: two pillar grids disagree on an interval"),
+    ({"barhom.homotopy._pillar_table": _pillar_table_with(_whole_simplex_made_the_empty_interval)},
+     "psi(1) on a 1-simplex: a pillar relation fails on a lattice edge"),
     ({"barhom.homotopy.MitosisTower.context": _context_with_the_pillar_of_the_inverse},
      "psi(1) on a 1-simplex: a pillar relation fails on a lattice edge"),
     ({"barhom.homotopy.shuffle_places": _shuffle_places_with_one_placement_twice},
@@ -467,10 +468,10 @@ def test_a_stage_failing_a_premise_fails_the_count_certificate(monkeypatch, muta
     # killed by the level certificate of psi_counts: at the first table of
     # total 6 or less that the mutant reaches, in order of total and then of
     # p, as every table is certified before any dimension; else at the
-    # first dimension whose letters or pillar grids it reaches.  Each mutant
+    # first dimension whose letters or pillar table it reaches.  Each mutant
     # breaks one premise, on a fresh tower, whose contexts and codes are
     # built under the mutant.  "P term" and "P entry above level" are the
-    # grid points their P terms' pillars are drawn from
+    # table points their P terms' pillars are drawn from
     base = FreeGroup(5)
     sigma = tuple(base.gens())
     assert homotopy.psi_counts(MitosisTower(base), sigma) == (9732, 3613)
@@ -478,6 +479,33 @@ def test_a_stage_failing_a_premise_fails_the_count_certificate(monkeypatch, muta
         monkeypatch.setattr(target, mutant)
     with pytest.raises(ChainError, match=f"^{re.escape(premise)}$"):
         homotopy.psi_counts(MitosisTower(base), sigma)
+
+
+def _run(argv, capsys):
+    # exit code, standard output and standard error of one CLI run
+    return main(argv), *capsys.readouterr()
+
+
+def test_one_wrong_pillar_table_point_fails_every_path(monkeypatch, capsys):
+    # P's builder and its certificate read the one table, so T[0][n] made
+    # T[0][0] fails the certificate of count, the cylinders of expand and
+    # the cylinders of verify alike
+    count = ["count", "--op", "psi", "--dim", "3"]
+    expands = [["expand", "--op", "P", "--dim", "3", "--mode", mode, "--out", os.devnull]
+               for mode in ("freesym", "word")]
+    verify = ["verify", "--suite", "theorem45", "--maxdim", "2"]
+    for argv in (count, *expands, verify):
+        assert _run(argv, capsys)[0] == 0
+    monkeypatch.setattr(homotopy, "_pillar_table", _pillar_table_with(_whole_simplex_made_the_empty_interval))
+    assert _run(count, capsys) == (
+        1, "", "error: ChainError: psi(1) on a 1-simplex: a pillar relation fails on a lattice edge\n")
+    for argv in expands:
+        code, _out, err = _run(argv, capsys)
+        assert code == 1
+        assert re.fullmatch(r"error: IncompatiblePillars: pillar relation fails at index \d+\n", err), err
+    code, out, _err = _run(verify, capsys)
+    assert code == 1
+    assert out.splitlines()[-2].startswith("FAIL theorem45: IncompatiblePillars: pillar relation fails at index")
 
 
 _psi = MitosisTower.psi
