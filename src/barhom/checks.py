@@ -25,7 +25,7 @@ import itertools
 import json
 import random
 
-from .cylinder import cyl, cyl_chain, face_pillar
+from .cylinder import check_pillars, cyl, cyl_chain, face_pillar
 from .groups import FreeGroup, Group
 from .homotopy import (
     MitosisTower,
@@ -144,12 +144,15 @@ def theorem45(group: Group, modulus: int, maxdim: int, samples: int,
 
 def cylinder_boundary_rhs(group: Group, top: tuple, bottom: tuple, pillars: tuple) -> Chain:
     """top - bottom - sum_i (-1)^i Cyl(d_i top, d_i bottom, d_i pillars): the
-    boundary of the cylinder by the lemma."""
+    boundary of the cylinder by the lemma.  ``cyl_chain`` checks no
+    pillars, so each face cylinder's are checked first, as ``cyl`` checks
+    the cylinder's own."""
     dim = len(top)
-    rhs = cyl_chain(group, dim - 1, (
-        ((-1) ** (i + 1), face(group, i, top), face(group, i, bottom), face_pillar(i, pillars))
-        for i in (range(dim + 1) if dim else ())
-    ))
+    faces = [((-1) ** (i + 1), face(group, i, top), face(group, i, bottom), face_pillar(i, pillars))
+             for i in (range(dim + 1) if dim else ())]
+    for _coeff, face_top, face_bottom, face_pillars in faces:
+        check_pillars(group, face_top, face_bottom, face_pillars)
+    rhs = cyl_chain(group, dim - 1, faces)
     rhs.add_term(top, 1)
     rhs.add_term(bottom, -1)
     return rhs

@@ -30,6 +30,7 @@ from .groups import FreeGroup, Group, parse_group
 from .moore import Chain, ChainError, EntryText, chain_payload, count_degenerate, diameter
 from .homotopy import (
     MitosisTower,
+    P_counts,
     formal_context,
     homotopy_P,
     instance_context,
@@ -46,11 +47,11 @@ TERM_BYTES = 100
 # the bytes count is charged per term of P_dim, d_cyl(dim) terms, as when
 # it held one P at a time: then it peaked at 308 B per term of P at dim 14
 # (87 MB) and 312 B at dim 16 (346 MB), above the interpreter's 15 MB, on a
-# 2-core x86-64 VM.  count now certifies P from its data and holds only the
-# shuffle tables (81 MB at dim 16), so the charge overstates its peak.  It
-# stays at the 350 B measured while the shuffle tables held each entry's
-# blocks, so no refusal line changes, until one cost model predicts each
-# run's peak
+# 2-core x86-64 VM.  No count op holds a P now: each certifies P from its
+# data and holds only the shuffle tables (81 MB at dim 16), so the charge
+# overstates its peak.  It stays at the 350 B measured while the shuffle
+# tables held each entry's blocks, so no refusal line changes, until one
+# cost model predicts each run's peak
 P_TERM_BYTES = 350
 # a floor on the bytes the psi identity takes per face term of its boundary,
 # (d + 1) gamma(d) at dim d: above the interpreter it peaks at 61-62 B per
@@ -177,10 +178,10 @@ def _check_cap(op: str, dim: int, cap: int, term_bytes: int = TERM_BYTES) -> Non
     terms at ``term_bytes`` each exceed physical memory: ``TERM_BYTES`` for a
     chain that is only held, more for a check that also holds its boundary.
     ``count`` is charged as P at ``P_TERM_BYTES``, whatever its op, as when
-    it built one P per dimension.  It now builds no P and holds only the
-    shuffle tables, so the charge overstates what it holds; the charge and
-    every refusal line are kept unchanged until one cost model predicts each
-    run's peak.
+    it built one P per dimension.  No ``count`` op builds a P now, ``--op P``
+    included: each holds only the shuffle tables, so the charge overstates
+    what it holds; the charge and every refusal line are kept unchanged
+    until one cost model predicts each run's peak.
 
     Above dim 64 a cheap lower bound comes first, compared by bit length:
     gamma(dim) >= d_cyl(dim) = 2^dim (dim + 1), and 2^dim for ed.  A bound
@@ -274,14 +275,17 @@ def cmd_count(args) -> int:
     _check_cap("P", dim, args.cap, P_TERM_BYTES)
     base = FreeGroup(max(dim, 1))
     sigma = tuple(base.gens()[:dim])
+    # every norm is certified off the data each P is built from, and no P
+    # or psi is built.  P's diameter is read off the tower's P_dim: the
+    # formal letters map onto the tower's, so the distinct keys the
+    # certificate proves for the tower's P make the formal P's distinct too.
+    # phi's diameter is psi's less its degenerate terms, since projecting
+    # only deletes those
     if args.op == "P":
-        got, expected = diameter(homotopy_P(formal_context(base), sigma)), bd.d_cyl(dim)
+        got, expected = P_counts(MitosisTower(base), sigma)[0], bd.d_cyl(dim)
         ok = got == expected
         line = f"P dim {dim}: diameter {got} expected {expected}"
     else:
-        # psi's norms are certified off the data each P is built from, and
-        # no P or psi is built; phi's diameter is psi's less its degenerate
-        # terms, since projecting only deletes those
         diam, degen = psi_counts(MitosisTower(base), sigma)
         if args.op == "psi":
             ok = diam == bd.gamma(dim) and degen == bd.q_count(dim)

@@ -18,7 +18,11 @@ the terms of ed(f, g), of ed(h, k) and of the subdivision whose entries
 are a lattice path's steps, one row of the table down at a front slot and
 one column along at a back slot; a term's pillars are the table points of
 its path.  Only this module knows the table's layout.  ``homotopy_P`` is
-the chain cylinder ``cylinder.cyl_chain`` over those data.  The tests
+the chain cylinder ``cylinder.cyl_chain`` over those data.  Its pillar
+premises are the certificate's: ``p_cylinder_data`` checks each lattice
+edge of the table once (``_check_pillar_edges``), in any context, and
+``homotopy_P`` checks each shuffle table it reads with ``_table_norms``,
+cached once per process, so no cylinder is checked term by term.  The tests
 hold ``p_cylinder_data`` to a reference that runs the scan for one term
 at a time, with the component order of the itertools-built
 ``shuffles.shuffles``.
@@ -38,15 +42,16 @@ the enumerated oracle.
 ``psi_counts`` builds no psi, no P and no cylinder, and draws no raw
 term.  It certifies each shuffle table of total m + 1 or less once, as
 byte words: C-level maps of its ``shuffle_places`` places over one byte
-alphabet, whose joined words must keep each block in order.  It checks
-the premises of the level certificate on the codes of each dimension's
-letters, pillar table and lattice edges.  It then reads P_n's norms off
-the tables of total n, the corrections' placement counts off those of
-total n + 1, and sums the norms by the recurrence the premises prove, or
-raises ``ChainError``.  So ``count`` holds the shuffle tables and no chain.
-The CLI still charges it one P_dim's terms (``cli.P_TERM_BYTES``), which
-now overstates what it holds; the charge and every refusal line are kept
-as they were until one cost model predicts each run's peak.  The
+alphabet, whose joined words must keep each block in order.  ``P_counts``
+checks the premises of the level certificate on the codes of each
+dimension's letters, pillar table and lattice edges, and reads P_n's
+norms off the tables of total n; ``psi_counts`` reads the corrections'
+placement counts off those of total n + 1, and sums the norms by the
+recurrence the premises prove, or raises ``ChainError``.  So ``count``,
+whatever its op, holds the shuffle tables and no chain.  The CLI still
+charges it one P_dim's terms (``cli.P_TERM_BYTES``), which overstates
+what it holds; the charge and every refusal line are kept as they were
+until one cost model predicts each run's peak.  The
 gamma, q and c recurrences depend on the dimension alone, and on the
 generic simplex raising the level only relabels: psi(L, sigma_m) =
 s_(L-m)(psi(m, sigma_m)), where the level shift s_d raises every level by
@@ -78,7 +83,7 @@ from collections import namedtuple
 from operator import itemgetter, methodcaller
 from typing import Callable
 
-from .cylinder import cyl_chain
+from .cylinder import IncompatiblePillars, cyl_chain
 from .groups import CodedAlgebra, FreeGroup, Group
 from .moore import Chain, ChainError, boundary, project
 from .quintuple import QuintupleAlgebra, VerificationInstance
@@ -143,15 +148,44 @@ def _pillar_table(ctx: HomotopyContext, sigma: tuple) -> list:
     return table
 
 
+def _check_pillar_edges(ctx: HomotopyContext, sigma: tuple, table: list) -> None:
+    """Raise ``IncompatiblePillars``, naming the edge, unless each lattice
+    edge of ``table``, the ``_pillar_table`` of the n-simplex sigma in any
+    context, keeps its pillar relation: t f(sigma[b]) = h(sigma[b]) t' from
+    [a, b] to [a, b + 1] and t g(sigma[a]) = k(sigma[a]) t' from [a, b] to
+    [a + 1, b].
+
+    P's cylinders, between ed(f, g) and ed(h, k), read their pillars off
+    this one table, so an edge is one relation however many cylinders
+    cross it, and some cylinder crosses each: n(n + 1) relations, where
+    the cylinders cross n 2^n.  One pass over the points [a, b], a <= b,
+    checks the edge along the row from each and the edge down the column,
+    in that order."""
+    f, g, h, k = [tuple(map(letter, sigma)) for letter in (ctx.f, ctx.g, ctx.h, ctx.k)]
+    n, mul = len(sigma), ctx.entries.mul
+    for a, b in itertools.combinations_with_replacement(range(n + 1), 2):
+        j = a * (n + 1) + b
+        if b < n and mul(table[j], f[b]) != mul(h[b], table[j + 1]):
+            raise IncompatiblePillars(f"pillar relation fails on the lattice edge [{a}, {b}] -> [{a}, {b + 1}]")
+        if a < b and mul(table[j], g[a]) != mul(k[a], table[j + n + 1]):
+            raise IncompatiblePillars(f"pillar relation fails on the lattice edge [{a}, {b}] -> [{a + 1}, {b}]")
+
+
 def p_cylinder_data(ctx: HomotopyContext, sigma: tuple):
     """Per-shuffle (p, q, rank, sign, top, bottom, pillars) of the homotopy:
     the cylinder between the matching terms of ed(f, g) and ed(h, k).  A
     shuffle's pillars are the table points of its lattice path, which
     starts at [0, p]; its steps are the same shuffle's term of the
     subdivision that puts n + 1, one row of the table, at each front slot
-    and 1 at each back slot."""
+    and 1 at each back slot.  The table's lattice edges are checked before
+    the first shuffle is yielded (``_check_pillar_edges``), not each
+    cylinder: when the shuffle tables hold each block in order, as
+    ``homotopy_P`` checks, step i of a cylinder crosses one edge with the
+    entries that edge was checked with."""
     n = len(sigma)
-    point = _pillar_table(ctx, sigma).__getitem__
+    table = _pillar_table(ctx, sigma)
+    _check_pillar_edges(ctx, sigma, table)
+    point = table.__getitem__
     tops = ed_terms(ctx.f, ctx.g, sigma)
     bottoms = map(itemgetter(4), ed_terms(ctx.h, ctx.k, sigma))
     paths = map(itemgetter(4), ed_terms(lambda x: 1, lambda x: n + 1, sigma))
@@ -162,14 +196,17 @@ def p_cylinder_data(ctx: HomotopyContext, sigma: tuple):
 
 def homotopy_P(ctx: HomotopyContext, sigma: tuple) -> Chain:
     """The cylinder homotopy on one simplex: the chain cylinder between the
-    two subdivisions along the pillar system; zero on the 0-simplex."""
+    two subdivisions along the pillar system; zero on the 0-simplex.  Its
+    pillar relations are those of the lattice edges ``p_cylinder_data``
+    checks, and each shuffle table it reads is checked by ``_table_norms``,
+    once per process, so ``cyl_chain`` checks no cylinder's pillars."""
     n = len(sigma)
     if n == 0:
         return Chain(1)
-    return cyl_chain(ctx.entries, n, (
-        (sign, top, bottom, pillars)
-        for _p, _q, _rank, sign, top, bottom, pillars in p_cylinder_data(ctx, sigma)
-    ))
+    for p in range(n + 1):
+        _table_norms(n, p)
+    # (sign, top, bottom, pillars) of each shuffle's cylinder
+    return cyl_chain(ctx.entries, n, map(itemgetter(3, 4, 5, 6), p_cylinder_data(ctx, sigma)))
 
 
 # -- the inductive step and the tower --------------------------------------------
@@ -219,36 +256,14 @@ def _require(holds: bool, where: str, premise: str) -> None:
         raise ChainError(f"{where}: {premise}")
 
 
-def _check_pillar_table(alg: CodedAlgebra, table: list, letters: tuple) -> None:
-    """Raise ``ChainError`` unless the ``_pillar_table`` of an n-simplex
-    passes its premises, ``letters`` being (f, g, h, k) over sigma: every
-    point is a level-n ``PillarWord``, and each lattice edge keeps its
-    pillar relation, t f(sigma[b]) = h(sigma[b]) t' from [a, b] to
-    [a, b + 1] and t g(sigma[a]) = k(sigma[a]) t' from [a, b] to
-    [a + 1, b].
-
-    P's cylinders, between ed(f, g) and ed(h, k), read their pillars off
-    this one table, so an edge is one relation however many cylinders
-    cross it.  Row a of the table holds the intervals that start at a and
-    column b those that end at b, so each edge is multiplied out once:
-    along the rows and down the columns, by C-level maps."""
-    f, g, h, k = letters
-    n, elems, mul = len(f), alg.elems, alg.mul
-    where = f"psi({n}) on a {n}-simplex"
-    starts = [table[a * (n + 2):(a + 1) * (n + 1)] for a in range(n + 1)]
-    ends = [table[b:b * (n + 2) + 1:n + 1] for b in range(n + 1)]
-    _require(all(isinstance(elems[t], PillarWord) and elems[t].level == n for t in itertools.chain(*starts)),
-             where, f"a pillar grid point is not a level-{n} pillar word")
-    _require(all(list(map(mul, row[:-1], f[a:])) == list(map(mul, h[a:], row[1:])) for a, row in enumerate(starts))
-             and all(list(map(mul, column[:-1], g)) == list(map(mul, k, column[1:])) for column in ends),
-             where, "a pillar relation fails on a lattice edge")
-
-
+@functools.lru_cache(maxsize=None)
 def _table_norms(n: int, p: int) -> tuple:
     """``(placements, degenerate)`` of the (p, q) shuffle table, q = n - p:
     its number of places, and the degenerate terms of the cylinders P_n
     draws through it, once the table passes its premises, each checked by
-    C-level maps of its places.  Each ``place`` is applied to one byte
+    C-level maps of its places.  Cached, as ``shuffle_places`` is, so each
+    table is certified once per process however many P or counts read
+    it; a test that swaps a table clears both caches.  Each ``place`` is applied to one byte
     alphabet, the front block's p bytes and then the back block's q, and
     its words are joined by a separator byte in neither block.  So n <= 255,
     which the cap and memory refusals keep below 30.
@@ -283,37 +298,43 @@ def _table_norms(n: int, p: int) -> tuple:
     return len(words), sum(map(len, map(methodcaller("lstrip", back), words)))
 
 
-def _P_norms(tower: MitosisTower, sigma: tuple, tables: list) -> tuple:
+def P_counts(tower: MitosisTower, sigma: tuple) -> tuple:
     """``(diameter, degenerate)`` of P_n, the cylinder stage of psi(n) on the
     generic n-simplex ``sigma`` at level n, certified off the data
-    ``homotopy_P`` builds it from: no P and no cylinder term is built.
-    ``tables[p]`` is the ``_table_norms`` of the (p, n - p) table, which
-    passed its premises.
+    ``homotopy_P`` builds it from: no P and no cylinder term is built, and
+    the norms are read off the (p, n - p) tables' ``_table_norms``, cached
+    once they pass their premises; (0, 0) on the 0-simplex.
 
     The premises: every f(x) and h(x) is a level-n ``Conjugated``, so not
     the identity; every g(x) is not the identity, not a ``PillarWord`` and
-    lies below level n; every k(x) is the identity; and the pillar table
-    passes ``_check_pillar_table``.  A place keeps each block in order, so
-    the path derived from it steps as it does, and step i of every
-    cylinder crosses one lattice edge with the entries that edge was
-    checked with: every pillar relation holds.
+    lies below level n; every k(x) is the identity; every point of the
+    pillar table is a level-n ``PillarWord``; and each lattice edge passes
+    ``_check_pillar_edges``, the one pillar check ``homotopy_P`` runs too.
+    A place keeps each block in order, so the path derived from it steps
+    as it does, and step i of every cylinder crosses one lattice edge with
+    the entries that edge was checked with: every pillar relation holds.
     Term i of the cylinder of (p, rank) is bottom[:i] + (t_i,) + top[i:].
     Its one level-n pillar slot gives i, its level-n conjugate slots the
     back block's position set, and so (p, rank), as those sets are distinct
     in each table.  So no raw term of P_n repeats: each of its cylinders
     has n + 1 terms, and its norms are read off the tables."""
     n = len(sigma)
+    if n == 0:
+        return 0, 0
     where = f"psi({n}) on a {n}-simplex"
     ctx, alg = tower.context(n), tower.algebra
     elems = alg.elems
-    letters = f, g, h, k = tuple(tuple(map(letter, sigma)) for letter in (ctx.f, ctx.g, ctx.h, ctx.k))
+    f, g, h, k = [tuple(map(letter, sigma)) for letter in (ctx.f, ctx.g, ctx.h, ctx.k)]
     _require(all(isinstance(elems[c], Conjugated) and elems[c].level == n for c in f + h),
              where, f"an f or h entry is not a level-{n} conjugate")
     _require(all(c != alg.identity and not isinstance(elems[c], PillarWord) and value_level(elems[c]) < n
                  for c in g), where, f"a g entry is the identity, a pillar word or not below level {n}")
     _require(set(k) <= {alg.identity}, where, "a k entry is not the identity")
-    _check_pillar_table(alg, _pillar_table(ctx, sigma), letters)
-    placements, degenerate = zip(*tables)
+    table = _pillar_table(ctx, sigma)
+    _require(all(isinstance(elems[t], PillarWord) and elems[t].level == n for t in table if t is not None),
+             where, f"a pillar grid point is not a level-{n} pillar word")
+    _check_pillar_edges(ctx, sigma, table)
+    placements, degenerate = zip(*map(_table_norms, itertools.repeat(n), range(n + 1)))
     return (n + 1) * sum(placements), sum(degenerate)
 
 
@@ -324,7 +345,7 @@ def psi_counts(tower: MitosisTower, sigma: tuple) -> tuple:
     m + 1 or less is certified once, as byte words whose blocks are in
     order and whose places are distinct, by ``_table_norms``; P_n's norms are
     read off the letters, lattice edges and tables of total n it would be
-    built from (``_P_norms``), and only the shuffle tables are held.  At
+    built from (``P_counts``), and only the shuffle tables are held.  At
     any level above m the norms are the same, since the level shift is
     injective and maps only the identity to the identity.
 
@@ -334,7 +355,7 @@ def psi_counts(tower: MitosisTower, sigma: tuple) -> tuple:
     n - 1 - k, and by the premises at the dimensions below, its entries, P_j's
     and tau's at each j <= k, lie at level k or below before the shift, so
     below n after it: a pushed face's entries are f's, and P_j's are f's,
-    g's, h's, k's and pillar table points.  So once ``_P_norms`` passes at
+    g's, h's, k's and pillar table points.  So once ``P_counts`` passes at
     n, a correction term's level-n slots are its tau slots: their number
     gives k, and their set the placement, as no two places of a certified
     table put the back block on one position set; the rest is a key of A_k.
@@ -346,7 +367,7 @@ def psi_counts(tower: MitosisTower, sigma: tuple) -> tuple:
     tables = [[_table_norms(n, p) for p in range(n + 1)] for n in range(m + 2)]
     norms = [(0, 0)]
     for n in range(1, m + 1):
-        total, degenerate = _P_norms(tower, sigma[:n], tables[n])
+        total, degenerate = P_counts(tower, sigma[:n])
         for k in range(1, n):
             placements = tables[n + 1][k + 1][0]
             total, degenerate = total + placements * norms[k][0], degenerate + placements * norms[k][1]

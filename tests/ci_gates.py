@@ -100,14 +100,20 @@ GATES = [
     # gamma(10) = 3,374,169,568: about 0.14 s and 16 MB
     Gate(("count", "--op", "psi", "--dim", "10", "--cap", "10000000000"), peak_mb=40),
     # d_cyl(24) = 419,430,400 terms of P need at least 147 GB at 350 B each,
-    # the charge count keeps from when it held one P at a time, so a cap that
-    # admits them is refused before anything is built
+    # the charge count keeps from when it held one P at a time (no count op
+    # holds a P now), so a cap that admits them is refused before anything
+    # is built
     Gate(("count", "--op", "psi", "--dim", "24", "--cap", "10000000000"), **REFUSAL),
     # gamma(16) = 271,098,388,781,049,088 and q(16) = 100,722,984,316,460,322:
     # 0.6-0.8 s and 82 MB on a 2-core x86-64 VM, one shuffle table per
     # (p, q) and no chain held (114 MB while a lattice path table was held
     # too, 346 MB while P_16's 1,114,112 terms were built)
     Gate(("count", "--op", "psi", "--dim", "16"), peak_mb=90),
+    # d_cyl(16) = 1,114,112 read off the certificate psi's count runs for
+    # P_16, which holds only the tables of total 16: 0.25 s and 47 MB on a
+    # 2-core x86-64 VM, so a count that builds the formal P_16 (1.9-2.4 s
+    # and 274 MB) fails
+    Gate(("count", "--op", "P", "--dim", "16"), peak_mb=60),
     # gamma(18) = 192,975,475,805,640,183,392, the largest count the default
     # cap admits: 2.3-2.6 s and 296 MB on a 2-core x86-64 VM, nearly all of
     # it the shuffle tables (426 MB with the lattice path tables, 31 s and

@@ -8,7 +8,7 @@ Each builds its result the plain way, apart from the code it checks:
 * ``pillar_system`` keys ``p_cylinder_data``'s pillars by shuffle
   coordinate, for the paper's claims on pillar systems;
 * ``P_norms`` builds P_n on the generic simplex with ``homotopy_P`` and
-  sums its norms, for the certificate ``homotopy._P_norms`` that reads them
+  sums its norms, for the certificate ``homotopy.P_counts`` that reads them
   off P's data;
 * ``chain_to_json`` builds an expand document's chain whole, sorted on
   ``term_sort_key``, the compact JSON text of each simplex, for
@@ -62,8 +62,9 @@ def pillar_system(ctx: HomotopyContext, sigma: tuple) -> dict:
 def P_norms(tower: MitosisTower, sigma: tuple) -> tuple:
     """``(diameter, degenerate)`` of P_n, the cylinder stage of psi(n) on the
     generic n-simplex ``sigma`` at level n, enumerated: P_n is built whole
-    by ``homotopy_P``, which checks every cylinder's pillars, and its norms
-    are summed off its dict."""
+    by ``homotopy_P``, which checks the lattice edges of its pillar table
+    and the shuffle tables it reads, the premises ``P_counts`` checks too,
+    and its norms are summed off its dict."""
     P = homotopy_P(tower.context(len(sigma)), sigma)
     return diameter(P), count_degenerate(tower.algebra, P)
 

@@ -51,7 +51,9 @@ def test_count_pass(capsys):
 
 
 def test_count_P_cap_is_on_the_cylinder_chain(capsys):
-    # gamma(10) is far above the default cap; P builds only d_cyl(10) terms
+    # gamma(10) is far above the default cap; count --op P is charged only
+    # d_cyl(10) terms, and builds none of them: it reads P's diameter off
+    # the certificate
     code, out = run(capsys, "count", "--op", "P", "--dim", "10")
     assert code == 0
     assert "ok P dim 10: diameter 11264 expected 11264" in out
@@ -566,7 +568,7 @@ def test_verify_broken_construction_is_exit_1(capsys, monkeypatch):
     monkeypatch.setattr(VerificationInstance, "m", lambda self, x: self.ell)
     code, lines, report = _verify_failure(capsys, "--suite", "theorem45", "--maxdim", "2")
     assert code == 1
-    assert lines[-1].startswith("FAIL theorem45: IncompatiblePillars: pillar relation fails at index")
+    assert lines[-1] == "FAIL theorem45: IncompatiblePillars: pillar relation fails on the lattice edge [0, 0] -> [0, 1]"
     assert report["status"] == "residual"
 
 

@@ -49,7 +49,7 @@ def test_cyl_zero_simplex():
 def test_cyl_rejects_incompatible():
     with pytest.raises(IncompatiblePillars) as err:
         cyl(C3, (1, 1), (1, 1), (0, 0, 1))
-    assert err.value.index == 1
+    assert str(err.value) == "pillar relation fails at index 1"
     with pytest.raises(TermMismatch):
         cyl(C3, (1,), (1, 2), (0, 0))
 

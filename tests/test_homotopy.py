@@ -1,5 +1,6 @@
 import gc
 import itertools
+import os
 import random
 import re
 from math import comb
@@ -10,7 +11,7 @@ import pytest
 from barhom import checks, homotopy, quintuple
 from barhom.bounds import c_bound, d_cyl, gamma, q_count
 from barhom.cli import main
-from barhom.cylinder import face_pillar
+from barhom.cylinder import cyl, face_pillar
 from barhom.groups import CyclicGroup, FreeGroup, SymmetricGroup, parse_group
 from barhom.homotopy import (
     DimensionExceeded,
@@ -107,8 +108,9 @@ def test_pillar_system_of_two_simplex():
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_pillar_well_definedness(m):
-    # constructing P validates every pillar relation; over the concrete
-    # instance as well as the formal algebra
+    # constructing P validates every pillar relation, on the lattice edges
+    # of its pillar table; over the concrete instance as well as the formal
+    # algebra
     F, ctx, alg = _formal(m)
     homotopy_P(ctx, tuple(F.gens()))
     group = CyclicGroup(3)
@@ -889,17 +891,17 @@ def test_the_count_builds_no_P_no_cylinder_and_no_psi(monkeypatch):
     assert tower._cache == {}
 
 
-def _spied_P_norms(monkeypatch):
-    """The ``(n, norms)`` of each ``_P_norms`` call, as the calls are made."""
+def _spied_P_counts(monkeypatch):
+    """The ``(n, norms)`` of each ``P_counts`` call, as the calls are made."""
     seen = []
-    certify = homotopy._P_norms
+    certify = homotopy.P_counts
 
-    def spied(tower, sigma, tables):
-        norms = certify(tower, sigma, tables)
+    def spied(tower, sigma):
+        norms = certify(tower, sigma)
         seen.append((len(sigma), norms))
         return norms
 
-    monkeypatch.setattr(homotopy, "_P_norms", spied)
+    monkeypatch.setattr(homotopy, "P_counts", spied)
     return seen
 
 
@@ -909,7 +911,7 @@ def test_the_count_holds_one_chain_per_lower_dimension(monkeypatch):
     # memoizes nothing
     base = FreeGroup(7)
     tower = MitosisTower(base)
-    seen = _spied_P_norms(monkeypatch)
+    seen = _spied_P_counts(monkeypatch)
     monkeypatch.setattr(homotopy, "homotopy_P", _raising("homotopy_P"))
     monkeypatch.setattr(homotopy, "induct_Q", _raising("induct_Q"))
     assert psi_counts(tower, tuple(base.gens())) == (gamma(7), q_count(7))
@@ -923,11 +925,48 @@ def test_the_count_reads_degeneracy_off_one_P_per_dimension(monkeypatch):
     # (gamma(6) = 98,336 of them): count_degenerate reads no chain
     base = FreeGroup(6)
     tower = MitosisTower(base)
-    seen = _spied_P_norms(monkeypatch)
+    seen = _spied_P_counts(monkeypatch)
     monkeypatch.setattr("barhom.moore.count_degenerate", _raising("count_degenerate"))
     assert psi_counts(tower, tuple(base.gens())) == (gamma(6), q_count(6))
     assert seen == [(n, (d_cyl(n), 2 ** n * (n - 1) + 1)) for n in range(1, 7)]
     assert sum(total for _, (total, _) in seen) == 768
+
+
+def test_count_P_builds_no_P_and_no_cylinder(monkeypatch, capsys):
+    # count --op P reads d_cyl(12) off the certificate psi's count runs for
+    # P_12: it builds no P, draws no cylinder and reads no chain
+    for target in ("barhom.cli.homotopy_P", "barhom.homotopy.homotopy_P", "barhom.homotopy.cyl_chain",
+                   "barhom.cylinder.cyl_chain", "barhom.cli.count_degenerate", "barhom.cli.diameter"):
+        monkeypatch.setattr(target, _raising(target))
+    assert main(["count", "--op", "P", "--dim", "12"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "ok P dim 12: diameter 53248 expected 53248"
+
+
+@pytest.mark.parametrize("dim", range(11))
+def test_count_P_equals_the_enumerated_formal_P(capsys, dim):
+    # the certificate counts the tower's P_dim, whose letters are an image of
+    # the formal ones; the oracle builds the formal P whole and sums it
+    base = FreeGroup(max(dim, 1))
+    P = homotopy_P(formal_context(base), tuple(base.gens()[:dim]))
+    assert main(["count", "--op", "P", "--dim", str(dim)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"ok P dim {dim}: diameter {diameter(P)} expected {d_cyl(dim)}"
+
+
+def test_no_cylinder_of_P_is_checked_per_term(monkeypatch, capsys):
+    # P's pillar premises are its lattice edges and its shuffle tables: with
+    # the per-cylinder check made to raise, P in every mode, psi and
+    # theorem45 run as before, while cyl and the cylinder lemma, whose
+    # pillars are arbitrary, still check each cylinder
+    monkeypatch.setattr("barhom.cylinder.check_pillars", _raising("check_pillars"))
+    expands = [["expand", "--op", "P", "--dim", "4", "--mode", mode] for mode in ("freesym", "word", "concrete")]
+    for argv in (*expands, ["expand", "--op", "psi", "--dim", "5"]):
+        assert main([*argv, "--out", os.devnull]) == 0
+    assert main(["verify", "--suite", "theorem45", "--maxdim", "4"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2] == "ok theorem45 identity randomized dim 4 (200 samples)"
+    with pytest.raises(AssertionError, match="check_pillars"):
+        cyl(CyclicGroup(3), (1,), (1,), (0, 0))
+    with pytest.raises(AssertionError, match="check_pillars"):
+        checks.cylinder_lemma(CyclicGroup(3), 2, 5, random.Random(0))
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -938,7 +977,7 @@ def test_the_P_certificate_equals_the_enumerated_oracle(n):
     # the (p, q) cylinder whose first front slot is j has n - j degenerate
     base = FreeGroup(n)
     sigma = tuple(base.gens())
-    certified = homotopy._P_norms(MitosisTower(base), sigma, [homotopy._table_norms(n, p) for p in range(n + 1)])
+    certified = homotopy.P_counts(MitosisTower(base), sigma)
     assert certified == P_norms(MitosisTower(base), sigma) == (2 ** n * (n + 1), 2 ** n * (n - 1) + 1)
 
 
@@ -1026,7 +1065,8 @@ def test_placements_premise_matches_the_per_slot_check(monkeypatch):
                 assert _per_slot_premise(p, q, places) == failed
                 monkeypatch.setattr(homotopy, "shuffle_places", lambda p, q: (signs, places))
                 try:
-                    outcome = homotopy._table_norms(n, p)
+                    # uncached: each table is certified afresh
+                    outcome = homotopy._table_norms.__wrapped__(n, p)
                 except ChainError as error:
                     outcome = str(error)
                 assert outcome == ((comb(n, p), degenerate) if failed is None
@@ -1036,14 +1076,16 @@ def test_placements_premise_matches_the_per_slot_check(monkeypatch):
 def test_the_count_certifies_each_table_once(monkeypatch):
     # count --dim 6 certifies each shuffle table of total 7 or less once,
     # P_1, ..., P_6 reading the tables of total 1 to 6 and the corrections of
-    # psi(6) the lengths of those of total 7, and builds none of total 8
+    # psi(6) the lengths of those of total 7, and builds none of total 8.
+    # A certificate reads its table once, and a cached one never again
     shuffle_places.cache_clear()
+    homotopy._table_norms.cache_clear()
     calls = []
-    certify = homotopy._table_norms
-    monkeypatch.setattr(homotopy, "_table_norms", lambda n, p: calls.append((n, p)) or certify(n, p))
+    monkeypatch.setattr(homotopy, "shuffle_places", lambda p, q: calls.append((p + q, p)) or shuffle_places(p, q))
     base = FreeGroup(6)
     assert psi_counts(MitosisTower(base), tuple(base.gens())) == (gamma(6), q_count(6))
     assert sorted(calls) == [(n, p) for n in range(8) for p in range(n + 1)]
+    assert homotopy._table_norms.cache_info().currsize == 36
     built = shuffle_places.cache_info()
     assert built.currsize == len(calls) == 36
     for n in range(8):

@@ -19,9 +19,9 @@ import pytest
 
 from barhom import checks, cli, cylinder, groups, homotopy, moore, quintuple, shuffles, words
 from barhom.cli import main
-from barhom.cylinder import IncompatiblePillars
+from barhom.cylinder import IncompatiblePillars, check_pillars
 from barhom.groups import CodedAlgebra, CyclicGroup, FreeGroup, SymmetricGroup, parse_group
-from barhom.homotopy import MitosisTower
+from barhom.homotopy import MitosisTower, formal_context, instance_context, p_cylinder_data
 from barhom.moore import Chain, ChainError, chain_payload, pushforward
 from barhom.quintuple import NonNormalizable, Quintuple, QuintupleAlgebra, VerificationInstance, instance_eval
 from barhom.words import Conjugated, PillarWord, TowerAlgebra, value_level
@@ -102,12 +102,16 @@ def _constant_pillar_theorem45(capsys, monkeypatch):
 
 
 def test_unchecked_pillars_stop_reporting_incompatible_pillars(monkeypatch, capsys):
+    # theorem45's P checks its pillars on the lattice edges of one table per
+    # simplex, and nowhere else: with that check gone, the constant pillar
+    # is met only by a residual
     code, fail = _constant_pillar_theorem45(capsys, monkeypatch)
     assert code == 1
-    assert fail.startswith("FAIL theorem45: IncompatiblePillars: pillar relation fails at index")
-    monkeypatch.setattr(cylinder, "check_pillars", lambda alg, top, bottom, pillars: None)
+    assert fail == "FAIL theorem45: IncompatiblePillars: pillar relation fails on the lattice edge [0, 0] -> [0, 1]"
+    monkeypatch.setattr(homotopy, "_check_pillar_edges", lambda ctx, sigma, table: None)
     code, fail = _constant_pillar_theorem45(capsys, monkeypatch)
-    assert "IncompatiblePillars" not in fail
+    assert code == 1
+    assert fail.startswith("FAIL theorem45: theorem45 residual at dim 1: ")
 
 
 def _cyl_chain_keeping_zeros(alg, dim, terms):
@@ -116,7 +120,6 @@ def _cyl_chain_keeping_zeros(alg, dim, terms):
     for coeff, top, bottom, pillars in terms:
         if len(top) != dim:
             raise cylinder.TermMismatch(f"cylinder term of dim {len(top)} in a sum over dim {dim}")
-        cylinder.check_pillars(alg, top, bottom, pillars)
         for i in range(dim + 1):
             simplex = bottom[:i] + (pillars[i],) + top[i:]
             out.terms[simplex] = out.terms.get(simplex, 0) + (-1) ** i * coeff
@@ -201,6 +204,7 @@ def test_writer_ignoring_the_count_of_write_fails_the_short_write_test(monkeypat
 
 
 _shuffle_places = shuffles.shuffle_places
+_table_norms = homotopy._table_norms
 
 
 def _shuffle_places_with_their_last_two_slots_swapped(p, q):
@@ -226,10 +230,17 @@ def _recompiled(module, name, old, new):
 
 @pytest.fixture
 def fresh_shuffle_table():
-    """Empty the cached shuffle table after the test, so no table that its
+    """The function that empties the cached shuffle tables and their
+    certificates, ``shuffle_places`` and ``homotopy._table_norms``.  A test
+    that swaps a table calls it once the mutant is in place, so the next P
+    or count certifies the mutant's tables, not those a sound run cached;
+    and it runs again after the test, so no table or certificate that its
     in-process runs built outlives it."""
-    yield
-    shuffles.shuffle_places.cache_clear()
+    def clear():
+        _shuffle_places.cache_clear()
+        _table_norms.cache_clear()
+    yield clear
+    clear()
 
 
 def test_swapped_placement_slots_fail_the_per_rank_cylinder_data(fresh_shuffle_table, monkeypatch):
@@ -268,7 +279,7 @@ def test_back_bytes_shifted_onto_the_front_fail_the_table_premise_differential(m
         test_homotopy.test_placements_premise_matches_the_per_slot_check(monkeypatch)
 
 
-def test_a_sign_of_2_in_the_top_tables_fails_the_count_certificate(monkeypatch, capsys):
+def test_a_sign_of_2_in_the_top_tables_fails_the_count_certificate(monkeypatch, capsys, fresh_shuffle_table):
     # killed by the sign premise of _table_norms on the tables of total
     # m + 1, which only the corrections of psi(m) read, by their length;
     # left unchecked, a first sign of 2 in each of them lets the count pass
@@ -278,6 +289,7 @@ def test_a_sign_of_2_in_the_top_tables_fails_the_count_certificate(monkeypatch, 
     places = shuffles.shuffle_places
     monkeypatch.setattr(homotopy, "shuffle_places", lambda p, q: (
         ((2,) + places(p, q)[0][1:], places(p, q)[1]) if p + q == 5 else places(p, q)))
+    fresh_shuffle_table()
     assert main(["count", "--op", "psi", "--dim", "4"]) == 1
     assert capsys.readouterr() == ("", "error: ChainError: the (0, 5) shuffle table: the signs are not one +-1 per place\n")
 
@@ -356,16 +368,26 @@ def _shuffle_places_with_two_ranks_on_one_position_set(p, q):
     return signs, places[:1] + places[:1] + places[2:] if p + q == 6 and len(places) > 1 else places
 
 
+def _g_as_k(ctx):
+    # g(x) as k(x), in any context: the identity of the tower and the
+    # instance, another formal letter
+    return ctx._replace(g=ctx.k)
+
+
 def _context_with_g_equal_to_k(tower, level):
     # g(x) coded as the identity, as k(x) is
-    return _context(tower, level)._replace(g=_context(tower, level).k)
+    return _g_as_k(_context(tower, level))
+
+
+def _pillar_of_the_inverse(ctx):
+    # m(x) as m(x^-1), in any context
+    return ctx._replace(m=lambda x: ctx.m(ctx.source.inv(x)))
 
 
 def _context_with_the_pillar_of_the_inverse(tower, level):
     # m(x) coded as the pillar of x^-1: every table point is still a
     # level-n pillar word, and the pillar relations fail
-    ctx = _context(tower, level)
-    return ctx._replace(m=lambda x: ctx.m(tower.base.inv(x)))
+    return _pillar_of_the_inverse(_context(tower, level))
 
 
 def _shuffle_places_with_one_placement_twice(p, q):
@@ -393,6 +415,69 @@ def _first_point_made_the_identity(entries, n, table):
 
 def _first_point_raised_a_level(entries, n, table):
     return [entries.code(entries.elems[table[0]]._replace(level=n + 1))] + table[1:]
+
+
+_check_pillar_edges = homotopy._check_pillar_edges
+
+
+def _pillar_outcomes(monkeypatch, ctx, sigma):
+    """``(edges, cylinders)``: how the edge check of the pillar table ends,
+    and how ``check_pillars`` on every cylinder of ``p_cylinder_data``,
+    drawn with the edge check switched off, ends: "holds", or the name of
+    what it raised, ``IncompatiblePillars`` or, for a product the algebra
+    cannot form, ``NonNormalizable``."""
+    def outcome(check):
+        try:
+            check()
+        except (IncompatiblePillars, NonNormalizable) as exc:
+            return type(exc).__name__
+        return "holds"
+
+    edges = outcome(lambda: _check_pillar_edges(ctx, sigma, homotopy._pillar_table(ctx, sigma)))
+    with monkeypatch.context() as unchecked:
+        unchecked.setattr(homotopy, "_check_pillar_edges", lambda ctx, sigma, table: None)
+        cylinders = outcome(lambda: [check_pillars(ctx.entries, top, bottom, pillars)
+                                     for *_, top, bottom, pillars in p_cylinder_data(ctx, sigma)])
+    return edges, cylinders
+
+
+def _pillar_context(mode, n):
+    """The formal, word or concrete context of an n-simplex, with the
+    simplex: the generic one, or one drawn from sym3."""
+    free, sym3 = FreeGroup(n), SymmetricGroup(3)
+    if mode == "concrete":
+        return instance_context(VerificationInstance(sym3, 5)), checks.random_simplex(sym3, n, random.Random(n))
+    return (formal_context(free) if mode == "formal" else MitosisTower(free).context(n)), tuple(free.gens())
+
+
+@pytest.mark.parametrize("mode", ["formal", "word", "concrete"])
+def test_the_edge_check_agrees_with_the_per_cylinder_check(monkeypatch, mode):
+    # the oracle of the one pillar check P's builder and certificate run:
+    # the per-cylinder check over p_cylinder_data, n 2^n relations, holds
+    # exactly where the check of the table's n(n + 1) lattice edges holds,
+    # on sound tables and on each pillar-table mutant, every mutant failing
+    # both at some n <= 4.  Each mutant is (a change of the table, a change
+    # of the context); "g as k" breaks only the edges down a column
+    changes = {"sound": (None, None), "whole simplex": (_whole_simplex_made_the_empty_interval, None),
+               "first point": (_first_point_made_the_identity, None),
+               "pillar of the inverse": (None, _pillar_of_the_inverse), "g as k": (None, _g_as_k)}
+    if mode == "word":
+        # a level is a tower value's alone
+        changes["raised level"] = (_first_point_raised_a_level, None)
+    outcomes = {}
+    for n in range(1, 5):
+        for name, (table_change, context_change) in changes.items():
+            ctx, sigma = _pillar_context(mode, n)
+            with monkeypatch.context() as mutated:
+                if table_change is not None:
+                    mutated.setattr(homotopy, "_pillar_table", _pillar_table_with(table_change))
+                if context_change is not None:
+                    ctx = context_change(ctx)
+                edges, cylinders = _pillar_outcomes(monkeypatch, ctx, sigma)
+            assert edges == cylinders, (name, n)
+            outcomes.setdefault(name, set()).add(edges)
+    assert outcomes.pop("sound") == {"holds"}
+    assert all(seen - {"holds"} for seen in outcomes.values()), outcomes
 
 
 def _shuffle_places_with_two_back_entries_swapped(p, q):
@@ -449,9 +534,9 @@ def _conj_flattening_x_2(self, level, arg, tail=None):
     ({"barhom.homotopy.MitosisTower.context": _context_with_g_equal_to_k},
      "psi(1) on a 1-simplex: a g entry is the identity, a pillar word or not below level 1"),
     ({"barhom.homotopy._pillar_table": _pillar_table_with(_whole_simplex_made_the_empty_interval)},
-     "psi(1) on a 1-simplex: a pillar relation fails on a lattice edge"),
+     "pillar relation fails on the lattice edge [0, 0] -> [0, 1]"),
     ({"barhom.homotopy.MitosisTower.context": _context_with_the_pillar_of_the_inverse},
-     "psi(1) on a 1-simplex: a pillar relation fails on a lattice edge"),
+     "pillar relation fails on the lattice edge [0, 0] -> [0, 1]"),
     ({"barhom.homotopy.shuffle_places": _shuffle_places_with_one_placement_twice},
      "the (1, 1) shuffle table: two places are equal"),
     ({"barhom.homotopy.shuffle_places": _shuffle_places_with_two_back_entries_swapped},
@@ -464,11 +549,12 @@ def _conj_flattening_x_2(self, level, arg, tail=None):
      "the (2, 0) shuffle table: a place does not hold each block once, in order"),
 ], ids=["placements", "P term", "P entry above level", "tau identity", "g identity", "grid point",
         "pillar relation", "P position set", "path step", "sign", "sign count", "front swap"])
-def test_a_stage_failing_a_premise_fails_the_count_certificate(monkeypatch, mutants, premise):
+def test_a_stage_failing_a_premise_fails_the_count_certificate(monkeypatch, fresh_shuffle_table, mutants, premise):
     # killed by the level certificate of psi_counts: at the first table of
     # total 6 or less that the mutant reaches, in order of total and then of
     # p, as every table is certified before any dimension; else at the
-    # first dimension whose letters or pillar table it reaches.  Each mutant
+    # first dimension whose letters or pillar table it reaches, where a
+    # failing lattice edge is named as on every other path.  Each mutant
     # breaks one premise, on a fresh tower, whose contexts and codes are
     # built under the mutant.  "P term" and "P entry above level" are the
     # table points their P terms' pillars are drawn from
@@ -477,6 +563,7 @@ def test_a_stage_failing_a_premise_fails_the_count_certificate(monkeypatch, muta
     assert homotopy.psi_counts(MitosisTower(base), sigma) == (9732, 3613)
     for target, mutant in mutants.items():
         monkeypatch.setattr(target, mutant)
+    fresh_shuffle_table()
     with pytest.raises(ChainError, match=f"^{re.escape(premise)}$"):
         homotopy.psi_counts(MitosisTower(base), sigma)
 
@@ -487,9 +574,9 @@ def _run(argv, capsys):
 
 
 def test_one_wrong_pillar_table_point_fails_every_path(monkeypatch, capsys):
-    # P's builder and its certificate read the one table, so T[0][n] made
-    # T[0][0] fails the certificate of count, the cylinders of expand and
-    # the cylinders of verify alike
+    # P's builder and its certificate read the one table and run the one
+    # edge check on it, so T[0][n] made T[0][0] fails the certificate of
+    # count, the P of expand and the P of verify with the same text
     count = ["count", "--op", "psi", "--dim", "3"]
     expands = [["expand", "--op", "P", "--dim", "3", "--mode", mode, "--out", os.devnull]
                for mode in ("freesym", "word")]
@@ -497,15 +584,38 @@ def test_one_wrong_pillar_table_point_fails_every_path(monkeypatch, capsys):
     for argv in (count, *expands, verify):
         assert _run(argv, capsys)[0] == 0
     monkeypatch.setattr(homotopy, "_pillar_table", _pillar_table_with(_whole_simplex_made_the_empty_interval))
-    assert _run(count, capsys) == (
-        1, "", "error: ChainError: psi(1) on a 1-simplex: a pillar relation fails on a lattice edge\n")
+    failure = "IncompatiblePillars: pillar relation fails on the lattice edge [0, 0] -> [0, 1]"
+    assert _run(count, capsys) == (1, "", f"error: {failure}\n")
     for argv in expands:
-        code, _out, err = _run(argv, capsys)
-        assert code == 1
-        assert re.fullmatch(r"error: IncompatiblePillars: pillar relation fails at index \d+\n", err), err
+        assert _run(argv, capsys) == (1, "", "error: IncompatiblePillars: pillar relation fails on the lattice edge "
+                                             "[0, 2] -> [0, 3]\n")
     code, out, _err = _run(verify, capsys)
     assert code == 1
-    assert out.splitlines()[-2].startswith("FAIL theorem45: IncompatiblePillars: pillar relation fails at index")
+    assert out.splitlines()[-2] == f"FAIL theorem45: {failure}"
+
+
+def _expand_P_through_swapped_back_entries(monkeypatch, capsys, clear):
+    # expand --op P --dim 3 with both readers of the shuffle tables,
+    # ed_terms and the table check, reading the "path step" mutant
+    for module in (shuffles, homotopy):
+        monkeypatch.setattr(module, "shuffle_places", _shuffle_places_with_two_back_entries_swapped)
+    clear()
+    return _run(["expand", "--op", "P", "--dim", "3", "--out", os.devnull], capsys)
+
+
+def test_homotopy_P_skipping_its_table_check_lets_a_swapped_place_through(monkeypatch, capsys, fresh_shuffle_table):
+    # killed by the shuffle-table check of homotopy_P: a place that swaps two
+    # back entries steps its cylinder along a lattice edge with the wrong
+    # entries, and no lattice edge of the pillar table fails, so without
+    # the table check, and with no cylinder checked term by term, expand
+    # writes a wrong P and exits 0
+    assert _expand_P_through_swapped_back_entries(monkeypatch, capsys, fresh_shuffle_table) == (
+        1, "", "error: ChainError: the (0, 3) shuffle table: a place does not hold each block once, in order\n")
+    monkeypatch.undo()
+    skipping = _recompiled(homotopy, "homotopy_P", "_table_norms(n, p)", "None")
+    for module in (homotopy, cli):
+        monkeypatch.setattr(module, "homotopy_P", skipping)
+    assert _expand_P_through_swapped_back_entries(monkeypatch, capsys, fresh_shuffle_table) == (0, "", "")
 
 
 _psi = MitosisTower.psi
@@ -609,8 +719,8 @@ def test_quintuple_equality_ignoring_g_changes_a_golden_hash(monkeypatch, tmp_pa
     _compare_without(monkeypatch, Quintuple, "g_arg")
     path = tmp_path / "mutated"
     assert main([*_expand_argv(case), "--out", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert re.fullmatch(r"error: IncompatiblePillars: pillar relation fails at index \d+\n", err), err
+    assert capsys.readouterr().err == ("error: IncompatiblePillars: pillar relation fails on the lattice edge "
+                                       "[0, 1] -> [1, 1]\n")
     assert not path.exists()
 
 
