@@ -190,6 +190,11 @@ def test_bounds_json(capsys):
 # SHA-256 of standard output; bounds and tables have no other byte check
 BOUNDS_TABLES_SHA256 = {
     "bounds": "28efd5ed6057dcc9f27fab1fc7988f05c7e8a84308aa923c2765a9e8e5507587",
+    "bounds --deg 0": "4b9845b8a4277836bbe92e65d4438c20ee8aab744338e52a4f9daf21c3df3690",
+    "bounds --n 0": "e7197e58faa2904dad44474ee6015818c0b361aca2873a0ae7e5b31e4ba24b7e",
+    "bounds --n 17": "f970e82db5375b4c14c32299a18aeb86663be9883eb77d508ebf267d8f286b80",
+    "bounds --n 2 --deg 7": "f0b55c5e2d616816315095d30f698aaaac417f83480f626f15c391741f9e0199",
+    "bounds --n 3": "98edcd56359775226308efaa29b407710fe8e587ed85c5e08e8a34162a0c7247",
     "bounds --n 5 --deg -2": "bda059c2eaad70db2547e5a2f16cee9797400c5684dea457a949d8fcc497f247",
     "tables --max 12 --format json": "562613ab84b4a14f4f1414472d16af2fb116843d1b89819ae4b7ffe3a091c8bf",
     "tables --max 12": "dadee26cca79ddcae9c20f20be50ebfd4045615b8b4d5c5c924aed02d10a03e6",
