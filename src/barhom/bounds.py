@@ -8,7 +8,10 @@ only by the functions that use it); decimals are rendered only for display.
 Constants whose derivations are not reproduced here are stored with a
 citation and flagged as such, never re-derived; identities between stored
 constants that happen to hold numerically are recorded as observations
-only.  A ``BoundReport`` is a plain namedtuple.
+only.  ``bound_reports(n, deg)`` returns every ``BoundReport`` (a plain
+namedtuple) that ``barhom bounds`` prints, in its order: the computed rows
+are code, through one helper for 2*(195 + 975*x)*n, and the chapter-6
+comparison constants are one stored table of rows, ``CHAPTER6``.
 """
 
 from __future__ import annotations
@@ -16,10 +19,6 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 from typing import NamedTuple, Optional
-
-
-class InvalidKind(ValueError):
-    pass
 
 
 class DomainError(ValueError):
@@ -153,222 +152,73 @@ class BoundReport(NamedTuple):
 
 HANDLE_BASE = 195      # 2-handle complexity per 3-simplex of the bordism input
 HANDLE_CHAIN = 975     # 2-handle complexity per 4-chain simplex
-
-
-def two_handle_complexity(d_zeta: int, d_u: int) -> int:
-    return HANDLE_BASE * d_zeta + HANDLE_CHAIN * d_u
-
-
-def rho_bound(kind: str, n: int = 1, deg: int = 1, d_zeta: int = 1, d_u: int = 1) -> BoundReport:
-    """Bound constants for rho-invariants, derived from their constituents."""
-    if n < 0:
-        raise DomainError("n must be >= 0")
-    if kind == "general":
-        c3 = c_bound(3)
-        return BoundReport(
-            name="general",
-            formula="2*(195 + 975*c(3))*n",
-            inputs={"c(3)": c3, "n": n},
-            value=2 * (HANDLE_BASE + HANDLE_CHAIN * c3) * n,
-            provenance=_COMPUTED,
-        )
-    if kind == "cha_general":
-        d3 = delta_bdh(3)
-        return BoundReport(
-            name="cha_general",
-            formula="2*(195 + 975*delta_bdh(3))*n",
-            inputs={"delta_bdh(3)": d3, "n": n},
-            value=2 * (HANDLE_BASE + HANDLE_CHAIN * d3) * n,
-            provenance=_STORED,
-            citation=CHA16 + ", Theorem 1.5",
-        )
-    if kind == "spherical":
-        # (1/r) * 2 * (195 r n + 975 r n): the cover multiplicity r cancels
-        return BoundReport(
-            name="spherical",
-            formula="(1/r)*2*(195*r*n + 975*r*n) = 2340*n",
-            inputs={"n": n},
-            value=2 * (HANDLE_BASE + HANDLE_CHAIN) * n,
-            provenance=_COMPUTED,
-        )
-    if kind == "degree_map":
-        return BoundReport(
-            name="degree_map",
-            formula="2*(195 + 975*|deg|)*n",
-            inputs={"deg": deg, "n": n},
-            value=2 * (HANDLE_BASE + HANDLE_CHAIN * abs(deg)) * n,
-            provenance=_COMPUTED,
-        )
-    if kind == "two_handle":
-        return BoundReport(
-            name="two_handle",
-            formula="195*d(zeta) + 975*d(u)",
-            inputs={"d_zeta": d_zeta, "d_u": d_u},
-            value=two_handle_complexity(d_zeta, d_u),
-            provenance=_STORED,
-            citation=CHA16 + ", Theorem 3.9",
-        )
-    if kind == "du_general":
-        return BoundReport(
-            name="du_general",
-            formula="c(3)*n",
-            inputs={"c(3)": c_bound(3), "n": n},
-            value=c_bound(3) * n,
-            provenance=_COMPUTED,
-            cha_value=delta_bdh(3) * n,
-        )
-    raise InvalidKind(f"unknown bound kind {kind!r}")
-
-
 LENS_FACTOR = 1728
+# every revised coefficient below that carries a k is REVISED * k, beside
+# Cha's 363090 * k; REVISED = 2*(195 + 975*142), and 142 is none of gamma(3),
+# q(3) and c(3): an observation, not a derivation
+REVISED = 277290
 
 
-def lens_bounds(n: int) -> tuple[BoundReport, BoundReport]:
-    """Lower and upper bounds for the pseudo-simplicial complexity of L(n,1)."""
+def _handles(x: int, n: int = 1) -> int:
+    """2*(195 + 975*x)*n, the bound with x 2-handles per 4-chain simplex."""
+    return 2 * (HANDLE_BASE + HANDLE_CHAIN * x) * n
+
+
+# The chapter-6 comparison constants, all stored: name, formula, inputs,
+# value, Cha's value, the theorem of Cha (2016), and k where the row's
+# observed factorization is printed.  A rational is written "p/q".  A row
+# is a "revision of" Cha's theorem exactly when its value differs from Cha's.
+CHAPTER6 = (
+    ("heegaard_lickorish", "191884680 * l", {"coefficient": 191884680}, 191884680, 251258280, "1.8", 692),
+    ("surgery_crossing", "53239680 * c(L)", {"coefficient": 53239680}, 53239680, 69713280, "1.9", 192),
+    ("surgery_framing", "26619840 * f(L)", {"coefficient": 26619840}, 26619840, 34856640, "1.9", 96),
+    ("blackboard_framing", "26619840 * c", {"coefficient": 26619840}, 26619840, 34856640, "6.4", None),
+    ("hl_limsup_lower", "1/3 <= limsup B^HL(l)/l", {}, "1/3", "1/3", "7.4", None),
+    ("hl_limsup_upper", "limsup B^HL(l)/l <= 191884680", {}, 191884680, 251258280, "7.4", None),
+    ("surgery_limsup_lower", "1/3 <= limsup B^surg(k)/k", {}, "1/3", "1/3", "7.4", None),
+    ("surgery_limsup_upper", "limsup B^surg(k)/k <= 26619840", {}, 26619840, 34856640, "7.4", None),
+    ("b2h_lower", "1/56448 <= limsup B^2h(k)/k", {}, "1/56448", "1/107712", "7.6", None),
+    ("b2h_upper", "limsup B^2h(k)/k <= 975", {"per_chain_handles": HANDLE_CHAIN}, HANDLE_CHAIN, HANDLE_CHAIN,
+     "7.6", None),
+)
+
+
+def bound_reports(n: int, deg: int) -> list[BoundReport]:
+    """Every bound report, in the order ``barhom bounds`` prints them: the
+    rho-invariant bounds at n, where the 2-handle form takes d(zeta) = n and
+    d(u) = c(3)*n; the lens space L(max(n, 4) + 3, 1); then CHAPTER6."""
     from fractions import Fraction
-    if n <= 3:
-        raise DomainError("lens space bounds require n > 3")
-    spherical = rho_bound("spherical", 1).value
-    cha = rho_bound("cha_general", 1).value
-    denom = spherical * LENS_FACTOR
-    lower = BoundReport(
-        name="lens_lower",
-        formula="(n-3)/(2340*1728)",
-        inputs={"n": n, "spherical_coefficient": spherical, "factor": LENS_FACTOR},
-        value=Fraction(n - 3, denom),
-        provenance=_COMPUTED,
-        cha_value=Fraction(n - 3, cha * LENS_FACTOR),
-        observed_identities=(
-            f"4043520 = 2340*1728 = {2340 * 1728}",
-            f"627419520 = 363090*1728 = {363090 * 1728}",
-            f"1728 = 3*576 with 576 = (4!)^2",
-        ),
-    )
-    upper = BoundReport(
-        name="lens_upper",
-        formula="n-3",
-        inputs={"n": n},
-        value=n - 3,
-        provenance=_STORED,
-        citation="Jaco-Rubinstein, layered triangulations of lens spaces",
-    )
-    return lower, upper
-
-
-def chapter6_table() -> list[BoundReport]:
-    """Every revised comparison constant, with provenance flags.
-
-    The 277290-factor family has no derivation reproduced here; the factor
-    identities below are recorded as observed arithmetic, not derivations.
-    """
-    from fractions import Fraction
-    cha_coeff = rho_bound("cha_general", 1).value  # 363090
-    rows = [
-        BoundReport(
-            name="heegaard_lickorish",
-            formula="191884680 * l",
-            inputs={"coefficient": 191884680},
-            value=191884680,
-            provenance=_STORED,
-            citation="revision of " + CHA16 + ", Theorem 1.8",
-            cha_value=251258280,
-            observed_identities=(
-                "191884680 = 277290*692",
-                f"251258280 = 363090*692 = {cha_coeff * 692}",
-            ),
-        ),
-        BoundReport(
-            name="surgery_crossing",
-            formula="53239680 * c(L)",
-            inputs={"coefficient": 53239680},
-            value=53239680,
-            provenance=_STORED,
-            citation="revision of " + CHA16 + ", Theorem 1.9",
-            cha_value=69713280,
-            observed_identities=(
-                "53239680 = 277290*192",
-                f"69713280 = 363090*192 = {cha_coeff * 192}",
-            ),
-        ),
-        BoundReport(
-            name="surgery_framing",
-            formula="26619840 * f(L)",
-            inputs={"coefficient": 26619840},
-            value=26619840,
-            provenance=_STORED,
-            citation="revision of " + CHA16 + ", Theorem 1.9",
-            cha_value=34856640,
-            observed_identities=(
-                "26619840 = 277290*96",
-                f"34856640 = 363090*96 = {cha_coeff * 96}",
-            ),
-        ),
-        BoundReport(
-            name="blackboard_framing",
-            formula="26619840 * c",
-            inputs={"coefficient": 26619840},
-            value=26619840,
-            provenance=_STORED,
-            citation="revision of " + CHA16 + ", Theorem 6.4",
-            cha_value=34856640,
-        ),
-        BoundReport(
-            name="hl_limsup_lower",
-            formula="1/3 <= limsup B^HL(l)/l",
-            inputs={},
-            value=Fraction(1, 3),
-            provenance=_STORED,
-            citation=CHA16 + ", Theorem 7.4",
-            cha_value=Fraction(1, 3),
-        ),
-        BoundReport(
-            name="hl_limsup_upper",
-            formula="limsup B^HL(l)/l <= 191884680",
-            inputs={},
-            value=191884680,
-            provenance=_STORED,
-            citation="revision of " + CHA16 + ", Theorem 7.4",
-            cha_value=251258280,
-        ),
-        BoundReport(
-            name="surgery_limsup_lower",
-            formula="1/3 <= limsup B^surg(k)/k",
-            inputs={},
-            value=Fraction(1, 3),
-            provenance=_STORED,
-            citation=CHA16 + ", Theorem 7.4",
-            cha_value=Fraction(1, 3),
-        ),
-        BoundReport(
-            name="surgery_limsup_upper",
-            formula="limsup B^surg(k)/k <= 26619840",
-            inputs={},
-            value=26619840,
-            provenance=_STORED,
-            citation="revision of " + CHA16 + ", Theorem 7.4",
-            cha_value=34856640,
-        ),
-        BoundReport(
-            name="b2h_lower",
-            formula="1/56448 <= limsup B^2h(k)/k",
-            inputs={},
-            value=Fraction(1, 56448),
-            provenance=_STORED,
-            citation="revision of " + CHA16 + ", Theorem 7.6",
-            cha_value=Fraction(1, 107712),
-            observed_identities=(
-                f"56448 = 576*(c(3)+1) = {576 * (c_bound(3) + 1)}",
-                f"107712 = 576*(delta_bdh(3)+1) = {576 * (delta_bdh(3) + 1)}",
-            ),
-        ),
-        BoundReport(
-            name="b2h_upper",
-            formula="limsup B^2h(k)/k <= 975",
-            inputs={"per_chain_handles": HANDLE_CHAIN},
-            value=HANDLE_CHAIN,
-            provenance=_STORED,
-            citation=CHA16 + ", Theorem 7.6",
-            cha_value=HANDLE_CHAIN,
-        ),
+    c3, d3 = c_bound(3), delta_bdh(3)
+    spherical, cha = _handles(1), _handles(d3)
+    lens = max(n, 4) + 3
+    reports = [
+        BoundReport("general", "2*(195 + 975*c(3))*n", {"c(3)": c3, "n": n}, _handles(c3, n), _COMPUTED),
+        BoundReport("cha_general", "2*(195 + 975*delta_bdh(3))*n", {"delta_bdh(3)": d3, "n": n},
+                    _handles(d3, n), _STORED, CHA16 + ", Theorem 1.5"),
+        # (1/r) * 2 * (195 r n + 975 r n): the cover multiplicity r cancels
+        BoundReport("spherical", "(1/r)*2*(195*r*n + 975*r*n) = 2340*n", {"n": n}, _handles(1, n), _COMPUTED),
+        BoundReport("degree_map", "2*(195 + 975*|deg|)*n", {"deg": deg, "n": n}, _handles(abs(deg), n), _COMPUTED),
+        BoundReport("two_handle", "195*d(zeta) + 975*d(u)", {"d_zeta": n, "d_u": c3 * n},
+                    HANDLE_BASE * n + HANDLE_CHAIN * c3 * n, _STORED, CHA16 + ", Theorem 3.9"),
+        BoundReport("du_general", "c(3)*n", {"c(3)": c3, "n": n}, c3 * n, _COMPUTED, cha_value=d3 * n),
+        BoundReport("lens_lower", "(n-3)/(2340*1728)",
+                    {"n": lens, "spherical_coefficient": spherical, "factor": LENS_FACTOR},
+                    Fraction(lens - 3, spherical * LENS_FACTOR), _COMPUTED,
+                    cha_value=Fraction(lens - 3, cha * LENS_FACTOR),
+                    observed_identities=(f"4043520 = 2340*1728 = {spherical * LENS_FACTOR}",
+                                         f"627419520 = 363090*1728 = {cha * LENS_FACTOR}",
+                                         "1728 = 3*576 with 576 = (4!)^2")),
+        BoundReport("lens_upper", "n-3", {"n": lens}, lens - 3, _STORED,
+                    "Jaco-Rubinstein, layered triangulations of lens spaces"),
     ]
-    return rows
+    for name, formula, inputs, value, cha_value, theorem, k in CHAPTER6:
+        citation = f"{CHA16}, Theorem {theorem}"
+        if value != cha_value:
+            citation = "revision of " + citation
+        identities = () if k is None else (f"{value} = {REVISED}*{k}", f"{cha_value} = {cha}*{k} = {cha * k}")
+        if name == "b2h_lower":
+            identities = (f"56448 = 576*(c(3)+1) = {576 * (c3 + 1)}",
+                          f"107712 = 576*(delta_bdh(3)+1) = {576 * (d3 + 1)}")
+        value, cha_value = (Fraction(v) if isinstance(v, str) else v for v in (value, cha_value))
+        reports.append(BoundReport(name, formula, dict(inputs), value, _STORED, citation, cha_value, identities))
+    return reports

@@ -356,17 +356,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bounds(args) -> int:
     started = time.time()
-    reports = [
-        bd.rho_bound("general", args.n),
-        bd.rho_bound("cha_general", args.n),
-        bd.rho_bound("spherical", args.n),
-        bd.rho_bound("degree_map", args.n, deg=args.deg),
-        bd.rho_bound("two_handle", d_zeta=args.n, d_u=bd.c_bound(3) * args.n),
-        bd.rho_bound("du_general", args.n),
-    ]
-    reports.extend(bd.lens_bounds(max(args.n, 4) + 3))
-    reports.extend(bd.chapter6_table())
-    payload = {"schema": SCHEMA, "bounds": [r.to_json() for r in reports]}
+    payload = {"schema": SCHEMA, "bounds": [r.to_json() for r in bd.bound_reports(args.n, args.deg)]}
     _write([json.dumps(payload, indent=2, sort_keys=True).encode()], args.out)
     if args.out:
         print(json.dumps(_report("bounds", "pass", started, [args.out]), sort_keys=True))
@@ -397,7 +387,7 @@ NATURAL, POSITIVE = _int_in(0), _int_in(1)
 # with N = 1 the connecting element of (G x G) x Z_N is the identity and the
 # verification instance degenerates
 MODULUS = _int_in(2)
-# tables' time grows faster than m**3: --max 1000 takes 26 s on a 2-core
+# tables' time grows faster than m**3: --max 1000 takes about 20 s on a 2-core
 # x86-64 VM
 TABLES_MAX = 1_000
 # each sample is bounded by the term caps, so this bounds a suite's time:
@@ -458,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_count)
 
     b = sub.add_parser("bounds", help="bound constants with provenance")
-    b.add_argument("--n", type=int, default=1)
+    b.add_argument("--n", type=NATURAL, default=1)
     b.add_argument("--deg", type=int, default=1)
     b.add_argument("--out")
     b.set_defaults(func=cmd_bounds)

@@ -36,6 +36,8 @@ PSI_6_SHA256 = "700e17a88a2476141b7ef924c7ec09ecb43206d6b1d288af68f9ca12c2517c46
 PSI_SYM3_6_SHA256 = "f57dc33d53c14471713a73edae4a645ff86424c5c0d4134c1a7e4508c4bb211f"
 # expand --op psi --dim 6 --level 8: 317 MB of JSON
 PSI_6_LEVEL_8_SHA256 = "f6bed55b1823a0a78f0735e9edba1aa8c9db08548ca0a8acdc2e3548162f1f01"
+# tables --max 1000, without its final newline
+TABLES_1000_SHA256 = "6d6ead09130c516d52c32de2f001a90827daea9c6449620aea0cbe494a44e7a1"
 # RLIMIT_AS of each fuzzed child: a size that is not refused ends there in a
 # MemoryError traceback, which the contract catches, not in the machine's memory
 FUZZ_AS = 1536 << 20
@@ -119,6 +121,9 @@ GATES = [
     # it the shuffle tables (426 MB with the lattice path tables, 31 s and
     # 1,393 MB while P_18 was built)
     Gate(("count", "--op", "psi", "--dim", "18"), peak_mb=320, timeout_s=120),
+    # the tables at the largest --max that TABLES_MAX admits: 18-21 s and
+    # 32 MB on a 2-core x86-64 VM
+    Gate(("tables", "--max", "1000"), sha256=TABLES_1000_SHA256, timeout_s=120),
     # psi at level 8 is over the term cap on gamma(8), and theorem45 on
     # cyclic100000 would enumerate 10^10 2-simplices: each is refused before
     # anything is built

@@ -91,47 +91,62 @@ def test_ratio_convergence_scan():
     assert max(diffs) < Fraction(1, 10**6)
 
 
+def _reports(n=1, deg=1):
+    return {r.name: r for r in bd.bound_reports(n, deg)}
+
+
 def test_rho_bound_values():
-    assert bd.rho_bound("general", 1).value == 189540 == 2 * (195 + 975 * 97)
-    assert bd.rho_bound("cha_general", 1).value == 363090 == 2 * (195 + 975 * 186)
-    assert bd.rho_bound("spherical", 1).value == 2340
-    assert bd.rho_bound("degree_map", 1, deg=1).value == bd.rho_bound("spherical", 1).value
-    assert bd.rho_bound("degree_map", 2, deg=3).value == 2 * (195 + 975 * 3) * 2
-    assert bd.rho_bound("two_handle", d_zeta=1, d_u=1).value == 195 + 975
-    assert bd.rho_bound("du_general", 1).value == 97
-    assert bd.rho_bound("du_general", 1).cha_value == 186
-    with pytest.raises(bd.InvalidKind):
-        bd.rho_bound("hyperbolic", 1)
+    rows = _reports()
+    assert rows["general"].value == 189540 == 2 * (195 + 975 * 97)
+    assert rows["cha_general"].value == 363090 == 2 * (195 + 975 * 186)
+    assert rows["spherical"].value == 2340
+    assert rows["degree_map"].value == rows["spherical"].value
+    assert _reports(2, deg=3)["degree_map"].value == 2 * (195 + 975 * 3) * 2
+    assert _reports(2, deg=-3)["degree_map"].value == 2 * (195 + 975 * 3) * 2
+    two_handle = rows["two_handle"]
+    assert two_handle.inputs == {"d_zeta": 1, "d_u": 97}
+    assert two_handle.value == 195 * 1 + 975 * 97
+    assert _reports(3)["two_handle"].value == 195 * 3 + 975 * 97 * 3
+    assert rows["du_general"].value == 97
+    assert rows["du_general"].cha_value == 186
 
 
 def test_rho_bound_ordering():
     for n in (1, 2, 10):
-        assert bd.rho_bound("spherical", n).value < bd.rho_bound("general", n).value
-        assert bd.rho_bound("general", n).value < bd.rho_bound("cha_general", n).value
+        rows = _reports(n)
+        assert rows["spherical"].value < rows["general"].value
+        assert rows["general"].value < rows["cha_general"].value
 
 
 def test_rho_bound_provenance():
-    assert bd.rho_bound("general", 1).provenance == "computed"
-    report = bd.rho_bound("cha_general", 1)
-    assert report.provenance == "stored-from-paper"
-    assert "Cha" in report.citation
+    rows = _reports()
+    assert rows["general"].provenance == "computed"
+    assert rows["cha_general"].provenance == "stored-from-paper"
+    assert "Cha" in rows["cha_general"].citation
 
 
 def test_lens_bounds():
-    lower, upper = bd.lens_bounds(4043523)
-    assert lower.value == Fraction(1)
-    assert upper.value == 4043520
-    lower, upper = bd.lens_bounds(10)
-    assert lower.value == Fraction(7, 4043520)
-    assert lower.cha_value == Fraction(7, 627419520)
+    # the lens rows are taken at L(max(n, 4) + 3, 1)
+    rows = _reports(4043520)
+    assert rows["lens_lower"].value == Fraction(1)
+    assert rows["lens_upper"].value == 4043520
+    for n in (0, 1, 4):
+        assert _reports(n)["lens_lower"].value == Fraction(4, 4043520)
+    rows = _reports(7)
+    assert rows["lens_lower"].inputs["n"] == 10
+    assert rows["lens_lower"].value == Fraction(7, 4043520)
+    assert rows["lens_lower"].cha_value == Fraction(7, 627419520)
     assert 2340 * 1728 == 4043520
     assert 363090 * 1728 == 627419520
-    with pytest.raises(bd.DomainError):
-        bd.lens_bounds(3)
+
+
+CHAPTER6 = ("heegaard_lickorish", "surgery_crossing", "surgery_framing", "blackboard_framing",
+            "hl_limsup_lower", "hl_limsup_upper", "surgery_limsup_lower", "surgery_limsup_upper",
+            "b2h_lower", "b2h_upper")
 
 
 def test_chapter6_rows():
-    rows = {r.name: r for r in bd.chapter6_table()}
+    rows = _reports()
     assert rows["heegaard_lickorish"].value == 191884680
     assert rows["heegaard_lickorish"].cha_value == 251258280
     assert rows["surgery_crossing"].value == 53239680
@@ -143,8 +158,8 @@ def test_chapter6_rows():
     assert rows["b2h_lower"].cha_value == Fraction(1, 107712)
     assert rows["b2h_upper"].value == rows["b2h_upper"].cha_value == 975
     assert rows["hl_limsup_lower"].value == Fraction(1, 3)
-    for row in rows.values():
-        assert row.provenance == "stored-from-paper"
+    for name in CHAPTER6:
+        assert rows[name].provenance == "stored-from-paper"
 
 
 def test_chapter6_observed_identities_hold():
@@ -158,10 +173,38 @@ def test_chapter6_observed_identities_hold():
     assert 107712 == 576 * (bd.delta_bdh(3) + 1)
 
 
+# every report's provenance: no computed value becomes stored, nor a stored
+# one computed
+PROVENANCE = {"general": "computed", "cha_general": "stored-from-paper", "spherical": "computed",
+              "degree_map": "computed", "two_handle": "stored-from-paper", "du_general": "computed",
+              "lens_lower": "computed", "lens_upper": "stored-from-paper",
+              **{name: "stored-from-paper" for name in CHAPTER6}}
+
+
+def test_the_chapter6_table_records_the_277290_factorization():
+    # every revised integer constant is 277290*k beside Cha's 363090*k, the
+    # rows that print it and those that do not; 277290 = 2*(195 + 975*142),
+    # and 142 is none of gamma(3), q(3) and c(3): an open question
+    assert _reports()["cha_general"].value == 363090
+    assert bd.REVISED == 277290 == 2 * (195 + 975 * 142)
+    assert 142 not in (bd.gamma(3), bd.q_count(3), bd.c_bound(3), bd.delta_bdh(3))
+    assert tuple(row[0] for row in bd.CHAPTER6) == CHAPTER6
+    printed = []
+    for name, _, _, value, cha_value, _, k in bd.CHAPTER6:
+        if k is not None:
+            assert value == 277290 * k and cha_value == 363090 * k
+            printed.append(name)
+        if isinstance(value, int) and value != cha_value:
+            k, rest = divmod(value, 277290)
+            assert rest == 0 and cha_value == 363090 * k, name
+    assert printed == ["heegaard_lickorish", "surgery_crossing", "surgery_framing"]
+    assert {r.name: r.provenance for r in bd.bound_reports(1, 1)} == PROVENANCE
+    assert [r.name for r in bd.bound_reports(1, 1)] == list(PROVENANCE)
+
+
 def test_bound_report_json():
-    data = bd.rho_bound("du_general", 2).to_json()
+    data = _reports(2)["du_general"].to_json()
     assert data["provenance"] == "computed"
     assert data["value"] == 194
-    lower, _ = bd.lens_bounds(10)
-    encoded = lower.to_json()
+    encoded = _reports(7)["lens_lower"].to_json()
     assert encoded["value"] == {"num": 7, "den": 4043520}

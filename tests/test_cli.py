@@ -199,6 +199,9 @@ BOUNDS_TABLES_SHA256 = {
     "tables --max 12 --format json": "562613ab84b4a14f4f1414472d16af2fb116843d1b89819ae4b7ffe3a091c8bf",
     "tables --max 12": "dadee26cca79ddcae9c20f20be50ebfd4045615b8b4d5c5c924aed02d10a03e6",
 }
+# tables --max 1000, the largest --max admits, without the newline standard
+# output ends in: about 20 s, so only tests/ci_gates.py runs it
+TABLES_1000_SHA256 = "6d6ead09130c516d52c32de2f001a90827daea9c6449620aea0cbe494a44e7a1"
 
 
 @pytest.mark.parametrize("case", sorted(BOUNDS_TABLES_SHA256))
@@ -475,6 +478,7 @@ USAGE_ERRORS = {
             ("expand --op ed --dim -1", "--dim: must be >= 0, got -1"),
             ("tables --max -1", "--max: must be >= 0, got -1"),
             ("tables --max 100000", "--max: must be <= 1000, got 100000"),
+            ("bounds --n -1", "--n: must be >= 0, got -1"),
             ("verify --suite cylinder --samples 0", "--samples: must be >= 1, got 0"),
             ("verify --suite cylinder --samples -5", "--samples: must be >= 1, got -5"),
             ("verify --samples 1000000000", "--samples: must be <= 1000, got 1000000000"),
