@@ -57,8 +57,11 @@ P_TERM_BYTES = 350
 # (d + 1) gamma(d) at dim d: above the interpreter it peaks at 61-62 B per
 # face term at d = 5, 6 and 7, since the boundary cancels as it is built
 FACE_BYTES = 50
-# pieces of a document joined into one buffer per write: a group's size only
-# bounds its memory, so it is fixed, not read from sysconf's IOV_MAX
+# pieces of a document joined into one buffer per write.  Writing psi(5) to
+# a new file, five runs each on one CPU of a 2-core x86-64 VM, took 15-25 ms
+# (median 17.7) at 1,024 pieces, 19-24 ms (median 22.8) at 128, where the
+# calls add up, and 26-40 ms (median 28.1) at 8,192, where each buffer is
+# eight times larger and the peak rose from 17.9 to 21.5 MB
 WRITE_GROUP = 1024
 TOWER_OPS = ("psi", "phi")
 

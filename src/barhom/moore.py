@@ -55,14 +55,18 @@ never builds that text: each distinct entry is serialized once, and a term's
 sort key is the string of its entries' ranks among the distinct entry texts,
 each rank in big-endian bytes of one width.  Inner positions are ranked on
 the text followed by ``", "`` and the last position on the text followed by
-``"]"``; one table would misplace ``"[12]"`` after ``"[1]"``.  Beyond the
-chain itself, sorting holds one key of dim ranks per term, one byte a rank
-while there are fewer than 256 distinct entries.  The document is returned
-as pieces, chained by C-level iterators, so no Python frame runs per piece:
-each entry's indented block is encoded once, and a term is a header holding
-its coefficient, then its entries' blocks by reference.  A header also
-carries the tail of the term before it, so no per-term string is built.
-``cli._write`` joins the pieces in groups and writes each group at once.
+``"]"``; one table would misplace ``"[12]"`` after ``"[1]"``.  When the two
+tables agree and every entry is an int below 256, as in every coded chain
+``expand`` was measured on (psi(7) has 127 codes, the largest 189), the key
+is built in C: ``bytes(simplex)`` translated through one 256-byte table of
+ranks.  Beyond the chain itself, sorting holds one key of dim ranks per
+term, one byte a rank while there are fewer than 256 distinct entries.  The
+document is returned as pieces, chained by C-level iterators, so no Python
+frame runs per piece: each entry's indented block is encoded once, and a
+term is a header holding its coefficient, then its entries' blocks by
+reference.  A header also carries the tail of the term before it, so no
+per-term string is built.  ``cli._write`` joins the pieces in groups and
+writes each group at once.
 """
 
 from __future__ import annotations
@@ -317,6 +321,15 @@ def chain_payload(alg, head: dict, chain: Chain) -> Iterator[bytes]:
     ties included.  The last position needs its own table: ``"[1, "`` sorts
     before ``"[12, "`` but ``"[12]"`` before ``"[1]"``.
 
+    The two tables agree unless some entry's compact text is a proper prefix
+    of another's.  When they agree and every entry is exactly an int in
+    ``range(256)``, the simplex is its own byte string of codes, and the key
+    is ``bytes(simplex).translate(table)`` with ``table`` mapping each code
+    to its rank: the same ranks in one byte each, so the same order and the
+    same ties, with no Python call per entry.  Any other chain (entries that
+    are not ints, of 256 or more, or whose texts are prefix-related, such as
+    ``1`` and ``12``) is sorted on the ranks joined per position.
+
     Each entry's indented block is then encoded once in two forms: plain for
     the first position of a simplex and with a leading ``b","`` for the
     others.  A term is 1 + dim pieces: a header and its entry blocks by
@@ -334,8 +347,16 @@ def chain_payload(alg, head: dict, chain: Chain) -> Iterator[bytes]:
     text = EntryText(alg)
     for entry in set(itertools.chain.from_iterable(chain.terms)):
         text[entry]
-    tables = [_ranks(text, ", ")] * (chain.dim - 1) + [_ranks(text, "]")]
-    simplices = sorted(chain.terms, key=lambda simplex: b"".join(map(getitem, tables, simplex)))
+    inner, last = _ranks(text, ", "), _ranks(text, "]")
+    if inner == last and all(type(entry) is int and 0 <= entry < 256 for entry in text):
+        # every entry is its own byte: one table maps it to its rank in C
+        table = bytearray(256)
+        for entry, rank in inner.items():
+            table[entry] = int.from_bytes(rank, "big")
+        simplices = sorted(chain.terms, key=lambda simplex: bytes(simplex).translate(table))
+    else:
+        tables = [inner] * (chain.dim - 1) + [last]
+        simplices = sorted(chain.terms, key=lambda simplex: b"".join(map(getitem, tables, simplex)))
     document = json.dumps({**head, "chain": None}, indent=2, sort_keys=True)
     before, after = document.split('\n  "chain": null')
     first = {entry: block.encode() for entry, (_, block) in text.items()}

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from barhom import moore
-from barhom.groups import CyclicGroup, DirectProduct, FreeGroup, SymmetricGroup
+from barhom.groups import CodedAlgebra, CyclicGroup, DirectProduct, FreeGroup, SymmetricGroup
 from barhom.homotopy import MitosisTower, formal_context, homotopy_P, instance_context
 from barhom.moore import (
     Chain,
@@ -560,15 +560,76 @@ def test_chain_payload_matches_chain_to_json(name):
     chains = [chain for _, chain in cases] + _edge_chains(alg, entries[0]) + [_cycling_chain(alg, entries[:3])]
     assert any(len(chain) > 1 for chain in chains)
     for chain in chains:
-        for head in HEADS:
-            want = json.dumps({**head, "chain": chain_to_json(alg, chain)}, indent=2, sort_keys=True)
-            assert b"".join(chain_payload(alg, head, chain)).decode() == want
+        _assert_payload_matches_chain_to_json(alg, chain)
+
+
+def _assert_payload_matches_chain_to_json(alg, chain):
+    for head in HEADS:
+        want = json.dumps({**head, "chain": chain_to_json(alg, chain)}, indent=2, sort_keys=True)
+        assert b"".join(chain_payload(alg, head, chain)).decode() == want
+
+
+def _cyclic300_chains(entries):
+    # every ordered triple of the entries, under coefficients of one and two digits
+    simplices = itertools.permutations(entries, 3)
+    return [(CyclicGroup(300), Chain(3, dict(zip(simplices, itertools.cycle((1, -2, 12))))))]
+
+
+def _coded_chains_through_code_255():
+    # 256 sym6 permutations coded in shuffled order, so code order is not
+    # text order; every text is "[a, b, c, d, e, f]", so none is a prefix of
+    # another.  All 256 codes occur: each rank of the general key takes two
+    # bytes, of the byte key one
+    sym6 = SymmetricGroup(6)
+    alg = CodedAlgebra(sym6)
+    elems = list(sym6.elements())
+    random.Random(3).shuffle(elems)
+    for elem in elems[:255]:
+        alg.code(elem)
+    assert len(alg.elems) == 256
+    simplices = [(a, (a * 7 + 3) % 256) for a in range(256)] + [(255, 255), (0, 255)]
+    return [(alg, Chain(2, dict(zip(simplices, itertools.cycle((3, -1)))))), (alg, Chain(1, {(255,): 2, (1,): -1}))]
+
+
+def _psi_3_chains():
+    free = FreeGroup(3)
+    tower = MitosisTower(free)
+    return [(tower.algebra, tower.psi(3, tuple(free.gens())))]
+
+
+def _takes_the_byte_key(alg, chain):
+    """Whether ``chain_payload`` sorts the chain on ``bytes(simplex)``
+    translated to ranks: every entry is an int below 256, and ranking the
+    texts followed by ``", "`` and by ``"]"`` gives one table."""
+    entries = set(itertools.chain.from_iterable(chain.terms))
+    text = EntryText(alg)
+    for entry in entries:
+        text[entry]
+    return (all(type(entry) is int and 0 <= entry < 256 for entry in entries)
+            and moore._ranks(text, ", ") == moore._ranks(text, "]"))
+
+
+@pytest.mark.parametrize("cases, byte_key", [
+    # "25" is a prefix of "255" and "256", and 256 and 299 are not one byte
+    (lambda: _cyclic300_chains((9, 25, 255, 256, 299)), False),
+    # no text is a prefix of another: only 256 and 299 take the general key
+    (lambda: _cyclic300_chains((9, 256, 299)), False),
+    (_prefix_pair_chains, False),
+    (_coded_chains_through_code_255, True),
+    (_psi_3_chains, True),
+], ids=["cyclic300 prefixes and two bytes", "cyclic300 two bytes", "cyclic15 prefix pairs", "coded code 255",
+        "psi 3"])
+def test_both_sort_keys_match_chain_to_json(cases, byte_key):
+    for alg, chain in cases():
+        assert _takes_the_byte_key(alg, chain) == byte_key
+        assert len(chain) > 1
+        _assert_payload_matches_chain_to_json(alg, chain)
 
 
 def test_chain_payload_memory_does_not_grow_with_the_text():
     # psi(5) renders 27 MB of JSON over 9,732 terms (its bytes are pinned by
-    # the "psi 5" expand golden); the sort keys and the rendering hold a few
-    # small ints per term and one term's text at a time
+    # the "psi 5" expand golden); sorting holds one key of dim bytes per term
+    # and rendering one term's pieces at a time: about 0.73 MB at the peak
     free = FreeGroup(5)
     tower = MitosisTower(free)
     chain = tower.psi(5, tuple(free.gens()))
@@ -579,7 +640,7 @@ def test_chain_payload_memory_does_not_grow_with_the_text():
     finally:
         tracemalloc.stop()
     assert size > 25_000_000
-    assert peak < 3_000_000, peak
+    assert peak < 1_000_000, peak
 
 
 def test_chain_payload_keeps_the_order_of_ties():

@@ -22,7 +22,7 @@ from barhom.cli import main
 from barhom.cylinder import IncompatiblePillars, check_pillars
 from barhom.groups import CodedAlgebra, CyclicGroup, FreeGroup, SymmetricGroup, parse_group
 from barhom.homotopy import MitosisTower, formal_context, instance_context, p_cylinder_data
-from barhom.moore import Chain, ChainError, chain_payload, pushforward
+from barhom.moore import Chain, ChainError, pushforward
 from barhom.quintuple import NonNormalizable, Quintuple, QuintupleAlgebra, VerificationInstance, instance_eval
 from barhom.words import Conjugated, PillarWord, TowerAlgebra, value_level
 
@@ -163,7 +163,7 @@ def test_boundary_without_its_sign_flip_fails_theorem45(monkeypatch):
 
 def _payloads_match_chain_to_json(cases):
     return [
-        b"".join(chain_payload(alg, {}, chain)).decode()
+        b"".join(moore.chain_payload(alg, {}, chain)).decode()
         == json.dumps({"chain": chain_to_json(alg, chain)}, indent=2, sort_keys=True)
         for alg, chain in cases
     ]
@@ -176,6 +176,30 @@ def test_one_rank_table_misorders_a_prefix_pair_at_the_last_position(monkeypatch
     assert _payloads_match_chain_to_json(cases) == [True, True, True]
     ranks = moore._ranks
     monkeypatch.setattr(moore, "_ranks", lambda text, end: ranks(text, ", "))
+    assert _payloads_match_chain_to_json(cases) == [False, False, True]
+
+
+def _chain_payload_with(monkeypatch, old, new):
+    mutant = _recompiled(moore, "chain_payload", old, new)
+    monkeypatch.setattr(moore, "chain_payload", mutant)
+    monkeypatch.setattr(cli, "chain_payload", mutant)
+
+
+def test_a_byte_key_in_code_order_changes_a_golden_hash(monkeypatch, tmp_path):
+    # psi(5) takes the byte key, and its codes, assigned in the order the
+    # tower meets its values, are not in the order of their texts
+    case = "psi 5"
+    assert _expand_sha256(tmp_path, case) == EXPAND_SHA256[case]
+    _chain_payload_with(monkeypatch, "lambda simplex: bytes(simplex).translate(table)", "bytes")
+    assert _expand_sha256(tmp_path, case) != EXPAND_SHA256[case]
+
+
+def test_a_byte_key_despite_two_rank_tables_misorders_a_prefix_pair(monkeypatch):
+    # 1 and 12 are one-byte ints whose rank tables disagree; the byte
+    # key ranks the last position as an inner one, as one table does
+    cases = _prefix_pair_chains()
+    assert _payloads_match_chain_to_json(cases) == [True, True, True]
+    _chain_payload_with(monkeypatch, "inner == last and ", "")
     assert _payloads_match_chain_to_json(cases) == [False, False, True]
 
 
